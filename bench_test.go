@@ -4,8 +4,7 @@ package flashgraph
 // evaluation (§5). Each benchmark iteration executes the complete
 // experiment on the default-scale synthetic stand-ins with throttled
 // simulated SSDs; `cmd/fg-bench` produces the same tables with
-// human-readable output and adjustable scale. EXPERIMENTS.md records
-// paper-vs-measured shapes.
+// human-readable output and adjustable scale.
 
 import (
 	"io"

@@ -1,6 +1,6 @@
 // Command fg-bench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured notes).
+// figures (each experiment's doc comment in internal/bench states the
+// paper's result it reproduces).
 //
 // Usage:
 //

@@ -6,7 +6,7 @@
 // trading random access for full scans — the strategy FlashGraph's
 // selective access beats by 1–2 orders of magnitude on SSDs.
 //
-// Substitutions (documented in DESIGN.md): update streams are buffered
+// Substitutions: update streams are buffered
 // in memory rather than spilled to disk (this only makes X-Stream
 // faster, so the comparison stays conservative), and triangle counting
 // is an exact interval multi-pass variant rather than the approximate

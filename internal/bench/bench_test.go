@@ -132,6 +132,15 @@ func TestFig12Shapes(t *testing.T) {
 		if !ok || r.Value != 1 {
 			t.Fatalf("%s merge-FG = %+v", app, r)
 		}
+		// merge-SAFS is a bar of its own, not a second copy of
+		// "sequential": staging a batch per flush must reach the devices
+		// as fewer requests than flushing per edge list.
+		seq, _ := find(rs, "fig12", "", app, "sequential")
+		sa, _ := find(rs, "fig12", "", app, "merge-SAFS")
+		if sa.Extra["device_reads"] >= seq.Extra["device_reads"] {
+			t.Fatalf("%s: merge-SAFS issued %v device reads, sequential %v — SAFS merging is not happening",
+				app, sa.Extra["device_reads"], seq.Extra["device_reads"])
+		}
 	}
 }
 

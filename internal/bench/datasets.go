@@ -2,8 +2,8 @@
 // paper's evaluation (§5) on scaled synthetic stand-ins of its datasets
 // and a throttled simulated SSD array. Absolute numbers are scaled by
 // construction; the shapes — who wins, by roughly what factor, where
-// knees fall — are the reproduction targets (EXPERIMENTS.md records
-// paper-vs-measured for each).
+// knees fall — are the reproduction targets (each experiment's doc
+// comment states the paper's result).
 package bench
 
 import (

@@ -336,21 +336,24 @@ func Fig12(cfg Config, w io.Writer) []Result {
 	}
 	var out []Result
 	for _, app := range []string{"BFS", "WCC"} {
-		times := make([]float64, len(variants))
+		runs := make([]core.RunStats, len(variants))
 		for i, v := range variants {
 			st, err := runSEMPage(cfg, d, app, d.CacheFrac1G, 0, v.mutate)
 			if err != nil {
 				panic(err)
 			}
-			times[i] = st.Elapsed.Seconds()
+			runs[i] = st
 		}
-		base := times[len(times)-1]
+		base := runs[len(runs)-1].Elapsed.Seconds()
 		fmt.Fprintf(w, "%-6s", app)
 		for i, v := range variants {
-			rel := base / times[i]
+			rel := base / runs[i].Elapsed.Seconds()
 			fmt.Fprintf(w, " %10.2f", rel)
 			out = append(out, Result{Exp: "fig12", Dataset: d.Name, App: app, Variant: v.name, Value: rel,
-				Extra: map[string]float64{"seconds": times[i]}})
+				Extra: map[string]float64{
+					"seconds":      runs[i].Elapsed.Seconds(),
+					"device_reads": float64(runs[i].DeviceReads),
+				}})
 		}
 		fmt.Fprintln(w)
 	}
@@ -438,9 +441,9 @@ func Fig14(cfg Config, w io.Writer) []Result {
 	return out
 }
 
-// Ablations benches the design knobs DESIGN.md calls out: the
-// running-vertex cap (the paper's 4000), the range-partition shift,
-// vertical partitioning for TC, and work stealing.
+// Ablations benches the engine's design knobs: the running-vertex cap
+// (the paper's 4000), the range-partition shift, vertical partitioning
+// for TC, and work stealing.
 func Ablations(cfg Config, w io.Writer) []Result {
 	cfg.setDefaults()
 	header(w, "Ablations: engine design knobs (runtime s)")

@@ -84,7 +84,7 @@ type IOPageRankRun struct {
 // IOBFSRun is one BFS submission-path measurement on the delta image:
 // the same query under a different I/O dispatch discipline.
 type IOBFSRun struct {
-	Merge          string  `json:"merge"` // none | fg | safs-batched
+	Merge          string  `json:"merge"` // none | fg | safs
 	ElapsedSec     float64 `json:"elapsed_sec"`
 	EdgeRequests   int64   `json:"edge_requests"`
 	MergedRequests int64   `json:"merged_requests"`
@@ -111,14 +111,13 @@ type IOReport struct {
 	// Summary holds the acceptance ratios: delta_vs_raw_wall (cached
 	// delta elapsed / raw elapsed), byte_reduction_base/new (PageRank
 	// bytes-read reduction vs raw, without/with the decode cache), and
-	// bfs_request_reduction (per-page device reads / batched device
+	// bfs_request_reduction (unmerged device reads / SAFS-merged device
 	// reads for one BFS query).
 	Summary map[string]float64 `json:"summary"`
 }
 
 // ioCounter counts read syscalls issued against a substrate's device
-// files: how many pread-shaped and preadv-shaped store calls the
-// simulated array actually made.
+// files, and how many of them scattered into more than one buffer.
 type ioCounter struct{ reads, vecs int64 }
 
 func (c *ioCounter) reset() {
@@ -126,41 +125,34 @@ func (c *ioCounter) reset() {
 	atomic.StoreInt64(&c.vecs, 0)
 }
 
-// countingStore wraps a file-backed Store and counts read submissions.
-// It forwards the vectored path so Device keeps its one-syscall merged
+// countingStore wraps a file store and counts read submissions. It
+// forwards the vectored path so Device keeps its one-syscall merged
 // transfers.
 type countingStore struct {
-	inner ssd.Store
-	vec   ssd.VecReader
+	inner *ssd.FileStore
 	c     *ioCounter
 }
 
 func (s *countingStore) ReadAt(p []byte, off int64) (int, error) {
-	atomic.AddInt64(&s.c.reads, 1)
-	return s.inner.ReadAt(p, off)
+	return s.ReadVecAt([][]byte{p}, off)
 }
 
 func (s *countingStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 	atomic.AddInt64(&s.c.reads, 1)
-	atomic.AddInt64(&s.c.vecs, 1)
-	return s.vec.ReadVecAt(vec, off)
+	if len(vec) > 1 {
+		atomic.AddInt64(&s.c.vecs, 1)
+	}
+	return s.inner.ReadVecAt(vec, off)
 }
 
 func (s *countingStore) WriteAt(p []byte, off int64) (int, error) { return s.inner.WriteAt(p, off) }
 func (s *countingStore) Size() int64                              { return s.inner.Size() }
 
-func (s *countingStore) Close() error {
-	if c, ok := s.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
+func (s *countingStore) Close() error { return s.inner.Close() }
 
 // newIOSubstrate builds a file-backed SSD array (4 devices under dir)
 // with syscall counting, and reports whether O_DIRECT was negotiated.
-// merge is the SAFS-side staging mode (safs.MergeSAFS defers page loads
-// until the engine flushes, so requests merge across vertices).
-func newIOSubstrate(cfg Config, dir, label string, cacheBytes int64, direct bool, merge safs.MergeMode) (*safs.FS, *ssd.Array, *ioCounter, bool) {
+func newIOSubstrate(cfg Config, dir, label string, cacheBytes int64, direct bool) (*safs.FS, *ssd.Array, *ioCounter, bool) {
 	ctr := &ioCounter{}
 	directActive := false
 	stores := make([]ssd.Store, 4)
@@ -169,20 +161,14 @@ func newIOSubstrate(cfg Config, dir, label string, cacheBytes int64, direct bool
 		if err != nil {
 			panic(err)
 		}
-		if ds, ok := st.(*ssd.DirectFileStore); ok && ds.Direct() {
-			directActive = true
-		}
-		vec, ok := st.(ssd.VecReader)
-		if !ok {
-			panic("bench: file store lost its vectored read path")
-		}
-		stores[i] = &countingStore{inner: st, vec: vec, c: ctr}
+		directActive = directActive || st.Direct()
+		stores[i] = &countingStore{inner: st, c: ctr}
 	}
 	arr := ssd.NewArrayWithStores(ssd.ArrayParams{
 		StripeSize: 128 << 10,
 		Device:     deviceParams(cfg),
 	}, stores)
-	fs := safs.New(arr, safs.Config{CacheBytes: cacheBytes, Merge: merge})
+	fs := safs.New(arr, safs.Config{CacheBytes: cacheBytes})
 	return fs, arr, ctr, directActive
 }
 
@@ -224,13 +210,12 @@ func measureDecodeNs(img *graph.Image, cache *graph.DecodeCache) float64 {
 // stores: (a) decode CPU — full-sweep PageRank over raw, delta without
 // and with the decoded-record cache, and the 2D block layout on the
 // SpMV engine — and (b) submission shape — one cold BFS query on the
-// delta image under per-page dispatch (MergeNone) vs FlashGraph
-// worker-side merging (MergeFG) vs SAFS staging flushed through the
-// batched, coalescing SubmitBatch path (MergeSAFS). The run panics if
-// any checksum diverges, if batching fails to cut device requests per
-// BFS query by 2x vs per-page dispatch, or if the cached delta run
-// gives back the layout's byte reduction — this experiment is the
-// acceptance gauge for ROADMAP item 4.
+// delta image under each core.MergeMode: one flush per edge list
+// (MergeNone), FlashGraph worker-side merging (MergeFG), and one flush
+// per issue batch so SAFS and the devices merge (MergeSAFS). The run
+// panics if any checksum diverges, if SAFS merging fails to cut device
+// requests per BFS query by 2x vs no merging, or if the cached delta
+// run gives back the layout's byte reduction.
 func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 	cfg.setDefaults()
 	iocfg.setDefaults(&cfg)
@@ -327,7 +312,7 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 	fmt.Fprintf(w, "%-20s %10s %12s %12s %12s %12s %10s %10s\n",
 		"pagerank variant", "on-SSD", "elapsed(s)", "read", "dev-reads", "syscalls", "ns/edge", "hub-hit")
 	measurePR := func(label, variant string, img *graph.Image, kind core.EngineKind, decodeMB int64) IOPageRankRun {
-		fs, arr, ctr, directActive := newIOSubstrate(cfg, tmp, "pr-"+label, iocfg.CacheMB<<20, iocfg.Direct, safs.MergeNone)
+		fs, arr, ctr, directActive := newIOSubstrate(cfg, tmp, "pr-"+label, iocfg.CacheMB<<20, iocfg.Direct)
 		defer arr.Close()
 		report.DirectActive = report.DirectActive || directActive
 		shared, err := core.NewShared(img, core.Config{
@@ -409,13 +394,13 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 		}
 	}
 
-	// Part (b): one cold BFS query on the delta image per dispatch
-	// discipline. Per-page dispatch (MergeNone) is the baseline the
-	// batched path must beat by 2x on device requests.
+	// Part (b): one cold BFS query on the delta image per merge mode.
+	// No merging is the baseline SAFS merging must beat by 2x on device
+	// requests.
 	fmt.Fprintf(w, "%-14s %12s %12s %12s %12s %12s %10s\n",
-		"bfs dispatch", "elapsed(s)", "edge-reqs", "dev-reads", "vec-reads", "syscalls", "merge")
-	measureBFS := func(name string, mode core.MergeMode, stage safs.MergeMode) IOBFSRun {
-		fs, arr, ctr, _ := newIOSubstrate(cfg, tmp, "bfs-"+name, iocfg.CacheMB<<20, iocfg.Direct, stage)
+		"bfs merge", "elapsed(s)", "edge-reqs", "dev-reads", "vec-reads", "syscalls", "merge")
+	measureBFS := func(name string, mode core.MergeMode) IOBFSRun {
+		fs, arr, ctr, _ := newIOSubstrate(cfg, tmp, "bfs-"+name, iocfg.CacheMB<<20, iocfg.Direct)
 		defer arr.Close()
 		shared, err := core.NewShared(deltaImg, core.Config{
 			Threads: cfg.Threads, RangeShift: 12, FS: fs, Merge: mode,
@@ -445,17 +430,15 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 		}
 	}
 	bfsVariants := []struct {
-		name  string
-		mode  core.MergeMode
-		stage safs.MergeMode
+		name string
+		mode core.MergeMode
 	}{
-		{"per-page", core.MergeNone, safs.MergePage},
-		{"none", core.MergeNone, safs.MergeNone},
-		{"fg", core.MergeFG, safs.MergeNone},
-		{"safs-batched", core.MergeSAFS, safs.MergeSAFS},
+		{"none", core.MergeNone},
+		{"fg", core.MergeFG},
+		{"safs", core.MergeSAFS},
 	}
 	for _, v := range bfsVariants {
-		run := measureBFS(v.name, v.mode, v.stage)
+		run := measureBFS(v.name, v.mode)
 		report.BFS = append(report.BFS, run)
 		fmt.Fprintf(w, "%-14s %12.3f %12d %12d %12d %12d %10.2f\n",
 			run.Merge, run.ElapsedSec, run.EdgeRequests, run.DeviceReads,
@@ -470,11 +453,11 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 			},
 		})
 	}
-	bfsPage, bfsBatched := report.BFS[0], report.BFS[3]
+	bfsNone, bfsSAFS := report.BFS[0], report.BFS[2]
 	for _, run := range report.BFS[1:] {
-		if run.Checksum != bfsPage.Checksum {
-			panic(fmt.Sprintf("bench: bfs diverges under %s dispatch: checksum %s != %s",
-				run.Merge, run.Checksum, bfsPage.Checksum))
+		if run.Checksum != bfsNone.Checksum {
+			panic(fmt.Sprintf("bench: bfs diverges under %s merging: checksum %s != %s",
+				run.Merge, run.Checksum, bfsNone.Checksum))
 		}
 	}
 
@@ -482,25 +465,25 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 	wallRatio := prCached.ElapsedSec / prRaw.ElapsedSec
 	baseRed := 1 - float64(prDelta.BytesRead)/float64(prRaw.BytesRead)
 	newRed := 1 - float64(prCached.BytesRead)/float64(prRaw.BytesRead)
-	reqCut := float64(bfsPage.DeviceReads) / float64(bfsBatched.DeviceReads)
+	reqCut := float64(bfsNone.DeviceReads) / float64(bfsSAFS.DeviceReads)
 	report.Summary["delta_vs_raw_wall"] = wallRatio
 	report.Summary["byte_reduction_base"] = baseRed
 	report.Summary["byte_reduction_new"] = newRed
 	report.Summary["bfs_request_reduction"] = reqCut
-	report.Summary["bfs_merge_ratio"] = bfsBatched.MergeRatio
+	report.Summary["bfs_merge_ratio"] = bfsSAFS.MergeRatio
 	if newRed < 0.9*baseRed {
 		panic(fmt.Sprintf("bench: decode cache gave back the byte win: %.1f%% reduction vs %.1f%% without it",
 			newRed*100, baseRed*100))
 	}
 	if reqCut < 2 {
-		panic(fmt.Sprintf("bench: batched submission cut BFS device requests only %.2fx vs per-page dispatch (want >= 2x)",
+		panic(fmt.Sprintf("bench: SAFS merging cut BFS device requests only %.2fx vs no merging (want >= 2x)",
 			reqCut))
 	}
 	fmt.Fprintf(w, "delta+cache vs raw pagerank: %.3fx wall-clock, %.1f%% fewer bytes read (%.1f%% without cache), answers bit-identical\n",
 		wallRatio, newRed*100, baseRed*100)
-	fmt.Fprintf(w, "bfs batched vs per-page: %.1fx fewer device requests (%d -> %d), merge ratio %.2f, %d -> %d read syscalls\n",
-		reqCut, bfsPage.DeviceReads, bfsBatched.DeviceReads, bfsBatched.MergeRatio,
-		bfsPage.ReadSyscalls, bfsBatched.ReadSyscalls)
+	fmt.Fprintf(w, "bfs SAFS-merged vs unmerged: %.1fx fewer device requests (%d -> %d), merge ratio %.2f, %d -> %d read syscalls\n",
+		reqCut, bfsNone.DeviceReads, bfsSAFS.DeviceReads, bfsSAFS.MergeRatio,
+		bfsNone.ReadSyscalls, bfsSAFS.ReadSyscalls)
 
 	if iocfg.JSONPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")

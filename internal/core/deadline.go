@@ -26,10 +26,3 @@ func stopErr(ctx context.Context, iteration int) error {
 	}
 	return nil
 }
-
-// SetContext attaches a context bounding the run. Call before Run; a
-// nil context (the default) runs unbounded.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetContext attaches a context bounding the run (see Engine.SetContext).
-func (e *SpMVEngine) SetContext(ctx context.Context) { e.ctx = ctx }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,20 +12,23 @@ import (
 )
 
 // MergeMode selects where edge-list I/O requests are merged (§3.6,
-// Figure 12).
+// Figure 12). It is the only merge switch in the tree: it decides how a
+// worker cuts its batch of edge-list requests into SAFS ReadTasks and
+// when it calls IOContext.Flush; SAFS itself has no mode and merges
+// whatever one Flush holds.
 type MergeMode int
 
 const (
 	// MergeFG merges in FlashGraph: each worker globally sorts the
-	// requests of its running vertices and merges those touching the
-	// same or adjacent pages — the paper's design (lightweight, global
-	// view).
+	// requests of its running vertices, merges those touching the same
+	// or adjacent pages into one ReadTask, and flushes after each — the
+	// paper's design (lightweight, global view).
 	MergeFG MergeMode = iota
-	// MergeSAFS issues one request per edge list and lets SAFS stage,
-	// sort and merge adjacent page loads.
+	// MergeSAFS issues one ReadTask per edge list and flushes once per
+	// batch, so SAFS sorts and merges the adjacent page loads.
 	MergeSAFS
-	// MergeNone issues one request per edge list with no cross-request
-	// merging anywhere.
+	// MergeNone issues one ReadTask per edge list and flushes after
+	// each: no cross-request merging anywhere.
 	MergeNone
 )
 
@@ -187,7 +189,7 @@ func (s *Shared) DecodeCache() *graph.DecodeCache { return s.decode }
 // contexts and message buffers), iteration counter, and statistics, so
 // runs created from one Shared may execute concurrently.
 func (s *Shared) NewRun() *Engine {
-	e := &Engine{shared: s, cfg: s.cfg, img: s.img, files: s.files, loadTime: s.loadTime, sweepFwd: true, decode: s.decode, fp: s.fp}
+	e := &Engine{runBase: s.newRunBase(), sweepFwd: true, decode: s.decode, fp: s.fp}
 	e.activeCur = util.NewBitmap(s.img.NumV)
 	e.activeNext = util.NewBitmap(s.img.NumV)
 	e.workers = make([]*worker, s.cfg.Threads)
@@ -203,10 +205,7 @@ func (s *Shared) NewRun() *Engine {
 // graph, create one Engine per query via Shared.NewRun — everything in
 // this struct is private to the run; everything shared lives in Shared.
 type Engine struct {
-	shared *Shared
-	cfg    Config
-	img    *graph.Image
-	files  *graph.FSFiles // nil in in-memory mode
+	runBase
 	decode *graph.DecodeCache
 	fp     string
 
@@ -216,13 +215,10 @@ type Engine struct {
 	activeNext *util.Bitmap
 	nextCount  int64 // atomic: activations recorded for next iteration
 
-	alg       Algorithm
-	iteration int
-	sweepFwd  bool
-	ctx       context.Context // optional run bound; checked at iteration boundaries
+	alg      Algorithm
+	sweepFwd bool
 
-	stats    runCounters
-	loadTime time.Duration
+	stats runCounters
 
 	panicVal atomic.Value // first worker panic; aborts the run
 }
@@ -333,79 +329,9 @@ func NewEngine(img *graph.Image, cfg Config) (*Engine, error) {
 	return s.NewRun(), nil
 }
 
-// Shared returns the substrate this run executes over; use it to spawn
-// sibling runs that share the graph image, SAFS instance, and cache.
-func (e *Engine) Shared() *Shared { return e.shared }
-
 // Kind reports the execution model: message passing over selectively
 // accessed edge lists.
 func (e *Engine) Kind() EngineKind { return EngineVertex }
-
-// Close releases run-private resources. Workers start and stop per Run,
-// so there is nothing to tear down; the shared substrate is untouched.
-func (e *Engine) Close() error { return nil }
-
-// Image returns the loaded graph image.
-func (e *Engine) Image() *graph.Image { return e.img }
-
-// NumVertices returns the vertex count.
-func (e *Engine) NumVertices() int { return e.img.NumV }
-
-// Directed reports whether the graph is directed.
-func (e *Engine) Directed() bool { return e.img.Directed }
-
-// Weighted reports whether the image carries 4-byte per-edge
-// attributes (the weights PageVertex.AttrUint32 decodes). Algorithms
-// that need weights check it in Init; the serve layer's capability
-// validator (Caps.RequiresWeighted) rejects such queries earlier.
-func (e *Engine) Weighted() bool { return e.img.Weighted() }
-
-// LoadTime returns how long loading the image onto the SSDs took
-// (Table 2's "init time").
-func (e *Engine) LoadTime() time.Duration { return e.loadTime }
-
-// Iteration returns the current iteration (valid during Run).
-func (e *Engine) Iteration() int { return e.iteration }
-
-// OutDegree returns v's out-degree from the compact index.
-func (e *Engine) OutDegree(v graph.VertexID) uint32 {
-	return e.img.OutIndex.Degree(v)
-}
-
-// InDegree returns v's in-degree (undirected graphs: same as OutDegree).
-func (e *Engine) InDegree(v graph.VertexID) uint32 {
-	if e.img.InIndex == nil {
-		return e.img.OutIndex.Degree(v)
-	}
-	return e.img.InIndex.Degree(v)
-}
-
-// index returns the index for a direction.
-func (e *Engine) index(dir graph.EdgeDir) *graph.Index {
-	if dir == graph.InEdges && e.img.InIndex != nil {
-		return e.img.InIndex
-	}
-	return e.img.OutIndex
-}
-
-// file returns the SAFS file for a direction (SEM mode).
-func (e *Engine) file(dir graph.EdgeDir) *safs.File {
-	if dir == graph.InEdges && e.files.In != nil {
-		return e.files.In
-	}
-	return e.files.Out
-}
-
-// data returns the in-memory bytes for a direction (in-memory mode).
-func (e *Engine) data(dir graph.EdgeDir) []byte {
-	if dir == graph.InEdges && e.img.InData != nil {
-		return e.img.InData
-	}
-	return e.img.OutData
-}
-
-// Threads returns the number of workers / horizontal partitions.
-func (e *Engine) Threads() int { return e.cfg.Threads }
 
 // PendingActivations returns how many vertices are activated for the
 // next iteration so far. Iteration hooks use it to detect phase ends
@@ -479,20 +405,15 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 
 	// Snapshot counters so stats reflect this run only. Cache hits,
 	// misses, and bytes come from the workers' per-context SAFS counters
-	// and stay accurate when sibling runs share the substrate; device
-	// reads and busy time are array-global (a device read triggered by
-	// one run may serve pages another run waits on), so under concurrent
-	// runs those two report substrate activity during this run's window.
+	// and stay accurate when sibling runs share the substrate.
 	var ioBase []safs.IOStats
-	var arrayBase struct{ reads, busyNS int64 }
 	if !e.cfg.InMemory {
 		ioBase = make([]safs.IOStats, len(e.workers))
 		for i, w := range e.workers {
 			ioBase[i] = w.ioctx.IOStats()
 		}
-		as := e.cfg.FS.Array().Stats()
-		arrayBase.reads, arrayBase.busyNS = as.Reads, int64(as.Busy)
 	}
+	chargeDevices := e.deviceWindow()
 
 	for _, w := range e.workers {
 		w.start()
@@ -506,12 +427,7 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	start := time.Now()
 	alg.Init(e)
 
-	maxIters := e.cfg.MaxIterations
-	if lim, ok := alg.(IterationLimiter); ok {
-		if m := lim.MaxIterations(); m > 0 && (maxIters == 0 || m < maxIters) {
-			maxIters = m
-		}
-	}
+	maxIters := e.iterationCap(alg)
 	hook, _ := alg.(IterationHook)
 	var deadlineErr error
 	for {
@@ -614,10 +530,8 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 			st.CacheMisses += cur.PageLoads - ioBase[i].PageLoads
 			st.BytesRead += cur.BytesLoaded - ioBase[i].BytesLoaded
 		}
-		as := e.cfg.FS.Array().Stats()
-		st.DeviceReads = as.Reads - arrayBase.reads
-		st.DeviceBusy = as.Busy - time.Duration(arrayBase.busyNS)
 	}
+	chargeDevices(&st)
 	st.MemoryBytes = e.memoryFootprint()
 	if err := e.abortErr(); err != nil {
 		// The run context is poisoned (vertex state and queues are

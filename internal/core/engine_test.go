@@ -146,12 +146,38 @@ func TestBFSInMemoryMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBFSAllMergeModes pins what each merge mode DOES, not only that it
+// gets the right answer, over a default-constructed FS (there is no
+// SAFS-side switch that could disagree with the engine's): one thread
+// and no stealing make the request stream deterministic.
 func TestBFSAllMergeModes(t *testing.T) {
-	img, a := buildTestImage(t, 9, 6, 7)
+	img, a := buildTestImage(t, 13, 8, 7)
+	stats := map[MergeMode]RunStats{}
 	for _, mode := range []MergeMode{MergeFG, MergeSAFS, MergeNone} {
-		eng := semEngine(t, img, func(c *Config) { c.Merge = mode })
-		checkBFS(t, eng, a)
+		eng := semEngine(t, img, func(c *Config) {
+			c.Merge = mode
+			c.Threads = 1
+			c.NoWorkStealing = true
+		})
+		stats[mode] = checkBFS(t, eng, a)
 	}
+	fg, sa, none := stats[MergeFG], stats[MergeSAFS], stats[MergeNone]
+	if fg.MergedRequests >= fg.EdgeRequests {
+		t.Fatalf("MergeFG: %d ReadTasks for %d edge lists, want fewer", fg.MergedRequests, fg.EdgeRequests)
+	}
+	for name, st := range map[string]RunStats{"MergeSAFS": sa, "MergeNone": none} {
+		if st.MergedRequests != st.EdgeRequests {
+			t.Fatalf("%s: %d ReadTasks for %d edge lists, want one each", name, st.MergedRequests, st.EdgeRequests)
+		}
+	}
+	if sa.DeviceReads >= none.DeviceReads {
+		t.Fatalf("MergeSAFS issued %d device reads, MergeNone %d — SAFS-level merging is not happening",
+			sa.DeviceReads, none.DeviceReads)
+	}
+	if sa.DeviceReads > 2*fg.DeviceReads {
+		t.Fatalf("MergeSAFS issued %d device reads, MergeFG %d — want within 2x", sa.DeviceReads, fg.DeviceReads)
+	}
+	t.Logf("device reads: FG %d, SAFS %d, None %d", fg.DeviceReads, sa.DeviceReads, none.DeviceReads)
 }
 
 func TestBFSAllSchedulers(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flashgraph/internal/graph"
+	"flashgraph/internal/safs"
 )
 
 // EngineKind names an execution model. The serve layer routes queries by
@@ -129,4 +130,125 @@ func (s *Shared) NewEngine(kind EngineKind) (ExecutionEngine, error) {
 		return s.newSpMVRun(), nil
 	}
 	return nil, fmt.Errorf("core: unknown engine kind %q", kind)
+}
+
+// runBase is what every per-run engine holds of the Shared substrate it
+// was stamped from, plus the graph and run surface of ExecutionEngine
+// that does not depend on the execution model. Engine and SpMVEngine
+// embed it.
+type runBase struct {
+	shared   *Shared
+	cfg      Config
+	img      *graph.Image
+	files    *graph.FSFiles // nil in in-memory mode
+	loadTime time.Duration
+
+	iteration int
+	ctx       context.Context // optional run bound, see SetContext
+}
+
+func (s *Shared) newRunBase() runBase {
+	return runBase{shared: s, cfg: s.cfg, img: s.img, files: s.files, loadTime: s.loadTime}
+}
+
+// Shared returns the substrate this run executes over; use it to spawn
+// sibling runs that share the graph image, SAFS instance, and cache.
+func (b *runBase) Shared() *Shared { return b.shared }
+
+// Image returns the loaded graph image.
+func (b *runBase) Image() *graph.Image { return b.img }
+
+// Close releases run-private resources. Engines hold only per-run
+// buffers (workers start and stop per Run), so there is nothing to tear
+// down; the shared substrate is untouched.
+func (b *runBase) Close() error { return nil }
+
+// SetContext attaches a context bounding the run. Call before Run; a
+// nil context (the default) runs unbounded.
+func (b *runBase) SetContext(ctx context.Context) { b.ctx = ctx }
+
+// NumVertices returns the vertex count.
+func (b *runBase) NumVertices() int { return b.img.NumV }
+
+// Directed reports whether the graph is directed.
+func (b *runBase) Directed() bool { return b.img.Directed }
+
+// Weighted reports whether the image carries 4-byte per-edge
+// attributes (the weights PageVertex.AttrUint32 decodes). Algorithms
+// that need weights check it in Init; the serve layer's capability
+// validator (Caps.RequiresWeighted) rejects such queries earlier. SpMV
+// sweeps do not deliver attributes (SpMVProgram's documented limitation).
+func (b *runBase) Weighted() bool { return b.img.Weighted() }
+
+// LoadTime returns how long loading the image onto the SSDs took
+// (Table 2's "init time").
+func (b *runBase) LoadTime() time.Duration { return b.loadTime }
+
+// Iteration returns the current iteration (valid during Run).
+func (b *runBase) Iteration() int { return b.iteration }
+
+// Threads returns the configured worker count: the vertex engine's
+// horizontal partitions. SpMV compute is a single goroutine, but
+// programs that allocate per-thread scratch size it from here on both
+// engines.
+func (b *runBase) Threads() int { return b.cfg.Threads }
+
+// OutDegree returns v's out-degree from the compact index.
+func (b *runBase) OutDegree(v graph.VertexID) uint32 { return b.img.OutIndex.Degree(v) }
+
+// InDegree returns v's in-degree (undirected graphs: same as OutDegree).
+func (b *runBase) InDegree(v graph.VertexID) uint32 { return b.index(graph.InEdges).Degree(v) }
+
+// index returns the index for a direction.
+func (b *runBase) index(dir graph.EdgeDir) *graph.Index {
+	if dir == graph.InEdges && b.img.InIndex != nil {
+		return b.img.InIndex
+	}
+	return b.img.OutIndex
+}
+
+// file returns the SAFS file for a direction (SEM mode).
+func (b *runBase) file(dir graph.EdgeDir) *safs.File {
+	if dir == graph.InEdges && b.files.In != nil {
+		return b.files.In
+	}
+	return b.files.Out
+}
+
+// data returns the in-memory bytes for a direction (in-memory mode).
+func (b *runBase) data(dir graph.EdgeDir) []byte {
+	if dir == graph.InEdges && b.img.InData != nil {
+		return b.img.InData
+	}
+	return b.img.OutData
+}
+
+// iterationCap returns the run's iteration limit: Config.MaxIterations
+// tightened by the program's own IterationLimiter (0 = to convergence).
+func (b *runBase) iterationCap(p Program) int {
+	maxIters := b.cfg.MaxIterations
+	if lim, ok := p.(IterationLimiter); ok {
+		if m := lim.MaxIterations(); m > 0 && (maxIters == 0 || m < maxIters) {
+			maxIters = m
+		}
+	}
+	return maxIters
+}
+
+// deviceWindow snapshots the array counters at the start of a run and
+// returns the function that charges the run's window to st. Device
+// reads and busy time are array-global (a device read triggered by one
+// run may serve pages another run waits on), so under concurrent runs
+// the two report substrate activity during this run's window. No-op in
+// in-memory mode.
+func (b *runBase) deviceWindow() func(st *RunStats) {
+	if b.cfg.InMemory {
+		return func(*RunStats) {}
+	}
+	base := b.cfg.FS.Array().Stats()
+	return func(st *RunStats) {
+		as := b.cfg.FS.Array().Stats()
+		st.DeviceReads = as.Reads - base.Reads
+		st.DeviceBusy = as.Busy - base.Busy
+	}
 }

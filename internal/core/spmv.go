@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"flashgraph/internal/graph"
-	"flashgraph/internal/safs"
 )
 
 // SpMVEngine executes dense sweeps in the style of M-Flash and
@@ -32,15 +30,9 @@ import (
 // query by Shared.NewEngine(EngineSpMV); concurrent runs over one graph
 // each get their own.
 type SpMVEngine struct {
-	shared   *Shared
-	cfg      Config
-	img      *graph.Image
-	files    *graph.FSFiles // nil in in-memory mode
-	loadTime time.Duration
+	runBase
 
-	prog      SpMVProgram
-	iteration int
-	ctx       context.Context // optional run bound; checked per iteration and stripe
+	prog SpMVProgram
 
 	reads     int64 // stripe reads issued
 	bytesRead int64
@@ -52,55 +44,11 @@ type SpMVEngine struct {
 
 // newSpMVRun stamps out a per-run SpMV engine over the shared substrate.
 func (s *Shared) newSpMVRun() *SpMVEngine {
-	return &SpMVEngine{shared: s, cfg: s.cfg, img: s.img, files: s.files, loadTime: s.loadTime}
+	return &SpMVEngine{runBase: s.newRunBase()}
 }
-
-// Shared returns the substrate this run executes over.
-func (e *SpMVEngine) Shared() *Shared { return e.shared }
 
 // Kind reports the execution model: dense streaming sweeps.
 func (e *SpMVEngine) Kind() EngineKind { return EngineSpMV }
-
-// Image returns the loaded graph image.
-func (e *SpMVEngine) Image() *graph.Image { return e.img }
-
-// Close releases run-private resources (the engine holds only scratch
-// buffers; the shared substrate is untouched).
-func (e *SpMVEngine) Close() error { return nil }
-
-// NumVertices returns the vertex count.
-func (e *SpMVEngine) NumVertices() int { return e.img.NumV }
-
-// Directed reports whether the graph is directed.
-func (e *SpMVEngine) Directed() bool { return e.img.Directed }
-
-// Weighted reports whether the image carries per-edge attributes. The
-// sweep does not deliver them (SpMVProgram's documented limitation).
-func (e *SpMVEngine) Weighted() bool { return e.img.Weighted() }
-
-// LoadTime returns how long loading the image onto the SSDs took.
-func (e *SpMVEngine) LoadTime() time.Duration { return e.loadTime }
-
-// Iteration returns the current iteration (valid during Run).
-func (e *SpMVEngine) Iteration() int { return e.iteration }
-
-// Threads returns the configured worker count. SpMV compute is a single
-// goroutine; the value sizes nothing here but keeps programs that
-// allocate per-thread scratch working unchanged.
-func (e *SpMVEngine) Threads() int { return e.cfg.Threads }
-
-// OutDegree returns v's out-degree from the compact index.
-func (e *SpMVEngine) OutDegree(v graph.VertexID) uint32 {
-	return e.img.OutIndex.Degree(v)
-}
-
-// InDegree returns v's in-degree (undirected graphs: same as OutDegree).
-func (e *SpMVEngine) InDegree(v graph.VertexID) uint32 {
-	if e.img.InIndex == nil {
-		return e.img.OutIndex.Degree(v)
-	}
-	return e.img.InIndex.Degree(v)
-}
 
 // ActivateSeed is a no-op: SpMV programs keep dense state and their own
 // frontier, so shared Init code may call it unconditionally.
@@ -111,30 +59,6 @@ func (e *SpMVEngine) ActivateAllSeeds() {}
 
 // PendingActivations returns 0: the engine tracks no frontier.
 func (e *SpMVEngine) PendingActivations() int64 { return 0 }
-
-// index returns the index for a direction.
-func (e *SpMVEngine) index(dir graph.EdgeDir) *graph.Index {
-	if dir == graph.InEdges && e.img.InIndex != nil {
-		return e.img.InIndex
-	}
-	return e.img.OutIndex
-}
-
-// file returns the SAFS file for a direction (SEM mode).
-func (e *SpMVEngine) file(dir graph.EdgeDir) *safs.File {
-	if dir == graph.InEdges && e.files.In != nil {
-		return e.files.In
-	}
-	return e.files.Out
-}
-
-// data returns the in-memory bytes for a direction (in-memory mode).
-func (e *SpMVEngine) data(dir graph.EdgeDir) []byte {
-	if dir == graph.InEdges && e.img.InData != nil {
-		return e.img.InData
-	}
-	return e.img.OutData
-}
 
 // Run executes a dense-sweep program (core.SpMVProgram) to completion
 // and returns its statistics. Iterations follow the program's frontier:
@@ -151,24 +75,14 @@ func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 	e.iteration = 0
 	e.reads, e.bytesRead, e.bufBytes = 0, 0, 0
 
-	// Device reads and busy time are substrate-wide deltas over the
-	// run's window, as on the vertex engine; stripe reads and bytes are
-	// counted per run.
-	var arrayBase struct{ reads, busyNS int64 }
-	if !e.cfg.InMemory {
-		as := e.cfg.FS.Array().Stats()
-		arrayBase.reads, arrayBase.busyNS = as.Reads, int64(as.Busy)
-	}
+	// Stripe reads and bytes are counted per run; device reads and busy
+	// time are the substrate's over the run's window.
+	chargeDevices := e.deviceWindow()
 
 	start := time.Now()
 	prog.Init(e)
 
-	maxIters := e.cfg.MaxIterations
-	if lim, ok := p.(IterationLimiter); ok {
-		if m := lim.MaxIterations(); m > 0 && (maxIters == 0 || m < maxIters) {
-			maxIters = m
-		}
-	}
+	maxIters := e.iterationCap(p)
 	var runErr error
 	for {
 		if maxIters > 0 && e.iteration >= maxIters {
@@ -206,11 +120,7 @@ func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 		MergedRequests: e.reads,
 		BytesRead:      e.bytesRead,
 	}
-	if !e.cfg.InMemory {
-		as := e.cfg.FS.Array().Stats()
-		st.DeviceReads = as.Reads - arrayBase.reads
-		st.DeviceBusy = as.Busy - time.Duration(arrayBase.busyNS)
-	}
+	chargeDevices(&st)
 	st.MemoryBytes = e.memoryFootprint()
 	return st, runErr
 }

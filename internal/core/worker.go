@@ -301,7 +301,8 @@ func (w *worker) steal(runOne func(graph.VertexID)) bool {
 	return false
 }
 
-// issue merges pending requests per §3.6 and dispatches them.
+// issue cuts pending edge-list requests into ReadTasks and flushes them
+// to SAFS per Config.Merge (§3.6).
 func (w *worker) issue() {
 	if len(w.reqs) == 0 {
 		return
@@ -331,8 +332,11 @@ func (w *worker) issue() {
 		return
 	}
 
-	switch e.cfg.Merge {
-	case MergeFG:
+	// FG and None flush after every ReadTask, so SAFS sees one request at
+	// a time and merges nothing across them; SAFS mode stages the whole
+	// batch and flushes once.
+	flushEach := e.cfg.Merge != MergeSAFS
+	if e.cfg.Merge == MergeFG {
 		// Globally sort this batch's requests by (direction, offset)
 		// and merge runs touching the same or adjacent pages.
 		sort.Slice(reqs, func(i, j int) bool {
@@ -341,34 +345,31 @@ func (w *worker) issue() {
 			}
 			return reqs[i].off < reqs[j].off
 		})
-		ps := int64(e.cfg.FS.PageSize())
-		for i := 0; i < len(reqs); {
-			j := i + 1
-			end := reqs[i].off + reqs[i].size
-			for j < len(reqs) && reqs[j].dir == reqs[i].dir {
-				// Merge iff the next request starts on the same or the
-				// adjacent page of the current run's end.
-				endPage := (end - 1) / ps
-				nextPage := reqs[j].off / ps
-				if nextPage > endPage+1 {
-					break
-				}
-				if e2 := reqs[j].off + reqs[j].size; e2 > end {
-					end = e2
-				}
-				j++
+	}
+	ps := int64(e.cfg.FS.PageSize())
+	for i := 0; i < len(reqs); {
+		j := i + 1
+		end := reqs[i].off + reqs[i].size
+		for e.cfg.Merge == MergeFG && j < len(reqs) && reqs[j].dir == reqs[i].dir {
+			// Merge iff the next request starts on the same or the
+			// adjacent page of the current run's end.
+			endPage := (end - 1) / ps
+			nextPage := reqs[j].off / ps
+			if nextPage > endPage+1 {
+				break
 			}
-			w.issueMerged(reqs[i:j], end)
-			i = j
+			if e2 := reqs[j].off + reqs[j].size; e2 > end {
+				end = e2
+			}
+			j++
 		}
-	default: // MergeSAFS, MergeNone: one request per edge list.
-		for i := range reqs {
-			w.issueMerged(reqs[i:i+1], reqs[i].off+reqs[i].size)
-		}
-		if e.cfg.Merge == MergeSAFS {
+		w.issueMerged(reqs[i:j], end)
+		if flushEach {
 			w.ioctx.Flush()
 		}
+		i = j
 	}
+	w.ioctx.Flush()
 }
 
 // issueMerged dispatches one merged request covering group (all same

@@ -60,46 +60,68 @@ func (f *File) SetChecksums(sums []uint32, extentSize int) {
 // Checksummed reports whether reads of f are verified.
 func (f *File) Checksummed() bool { return f.sums != nil }
 
-// verifyPage checks the extents covered by one whole cache page
-// (page-aligned, clipped to the file size). Pages verify exactly when
-// the extent size divides the page size; otherwise a single page does
-// not cover whole extents and the async path cannot verify (the
-// synchronous VerifyRange still can).
-func (f *File) verifyPage(pageNo int64, data []byte) error {
+// verifyPads returns the scratch buffers that widen a read of [lo, hi)
+// of f to whole extents, so that whatever the page size — smaller than
+// an extent, or not a multiple of one — everything an asynchronous load
+// publishes has been verified. Both are nil for an unchecksummed file,
+// and when the range already starts and ends on an extent boundary (or
+// at the end of the file): the case whenever the extent size divides
+// the page size.
+func (f *File) verifyPads(lo, hi int64) (head, tail []byte) {
+	if f.sums == nil {
+		return nil, nil
+	}
+	if r := lo % f.extSize; r != 0 {
+		head = make([]byte, r)
+	}
+	if r := hi % f.extSize; r != 0 && hi < f.size {
+		tail = make([]byte, min(f.extSize-r, f.size-hi))
+	}
+	return head, tail
+}
+
+// verifyRun checks the extents held by the scatter list vec: the bytes
+// of f from extent-aligned offset off up to an extent boundary or past
+// the end of the file, of which the n cache pages starting at file
+// offset lo are about to be published. It returns nil when every extent
+// matches its checksum, else one verdict per page: the CorruptionError
+// of the first damaged extent the page shares, nil for a clean page.
+func (f *File) verifyRun(vec [][]byte, off, lo int64, n int) []error {
 	if f.sums == nil {
 		return nil
 	}
 	ps := int64(f.fs.pageSize)
-	if ps%f.extSize != 0 {
-		return nil
-	}
-	off := pageNo * ps
-	end := off + ps
-	if end > f.size {
-		end = f.size
-	}
-	if off >= end {
-		return nil // page wholly past the data (size rounded up to pages)
-	}
-	return f.verifyAligned(data[:end-off], off)
-}
-
-// verifyAligned checks data read from extent-aligned offset off and
-// extending to an extent boundary or the end of the file.
-func (f *File) verifyAligned(data []byte, off int64) error {
-	for len(data) > 0 {
-		n := f.extSize
-		if int64(len(data)) < n {
-			n = int64(len(data))
+	var verdicts []error
+	bi, bo := 0, 0 // cursor into vec: buffer index, offset within buffer
+	for ; off < f.size && bi < len(vec); off += f.extSize {
+		end := min(off+f.extSize, f.size)
+		crc := uint32(0)
+		for need := end - off; need > 0 && bi < len(vec); {
+			b := vec[bi][bo:]
+			if int64(len(b)) > need {
+				b = b[:need]
+			}
+			crc = crc32.Update(crc, castagnoli, b)
+			need -= int64(len(b))
+			if bo += len(b); bo == len(vec[bi]) {
+				bi, bo = bi+1, 0
+			}
 		}
 		idx := int(off / f.extSize)
-		if got := crc32.Checksum(data[:n], castagnoli); got != f.sums[idx] {
-			return &CorruptionError{File: f.name, Extent: idx, Off: off, Want: f.sums[idx], Got: got}
+		if crc == f.sums[idx] {
+			continue
 		}
-		data = data[n:]
-		off += n
+		if verdicts == nil {
+			verdicts = make([]error, n)
+		}
+		cerr := &CorruptionError{File: f.name, Extent: idx, Off: off, Want: f.sums[idx], Got: crc}
+		for k := int((max(off, lo) - lo) / ps); k < n && lo+int64(k)*ps < end; k++ {
+			if verdicts[k] == nil {
+				verdicts[k] = cerr
+			}
+		}
 	}
-	return nil
+	return verdicts
 }
 
 // VerifyRange checks every extent overlapping [off, off+len(p)), where

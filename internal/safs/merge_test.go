@@ -10,13 +10,13 @@ import (
 	"flashgraph/internal/ssd"
 )
 
-// TestMergeSAFSAdversarialInterleavings drives the batched MergeSAFS
-// flush with deliberately hostile request orders — reversed, strided,
+// TestFlushAdversarialInterleavings drives one Flush over many staged
+// ReadTasks with deliberately hostile request orders — reversed, strided,
 // and cross-file interleaved — and asserts two things: the staged
 // loads merge down to the minimum number of device requests (the sort
 // at Flush plus device-level coalescing undo any submission order),
 // and every page's bytes are bit-identical to what was written.
-func TestMergeSAFSAdversarialInterleavings(t *testing.T) {
+func TestFlushAdversarialInterleavings(t *testing.T) {
 	const pageSize = 4096
 	const pagesPerFile = 24
 	orders := map[string]func(n int) []int{
@@ -47,7 +47,7 @@ func TestMergeSAFSAdversarialInterleavings(t *testing.T) {
 			// array space, so a full merge is exactly ONE device request.
 			a := ssd.NewArray(ssd.ArrayParams{Devices: 1, StripeSize: 1 << 20})
 			defer a.Close()
-			fs := New(a, Config{Merge: MergeSAFS, CacheBytes: 4 << 20, PageSize: pageSize})
+			fs := New(a, Config{CacheBytes: 4 << 20, PageSize: pageSize})
 
 			files := make([]*File, 2)
 			want := make([][]byte, 2)
@@ -113,14 +113,14 @@ func TestMergeSAFSAdversarialInterleavings(t *testing.T) {
 	}
 }
 
-// TestMergeSAFSPartialRuns checks merged extent counts when the staged
+// TestFlushPartialRuns checks merged extent counts when the staged
 // pages do NOT form one contiguous run: each gap costs exactly one more
 // device request, never a wrong page.
-func TestMergeSAFSPartialRuns(t *testing.T) {
+func TestFlushPartialRuns(t *testing.T) {
 	const pageSize = 4096
 	a := ssd.NewArray(ssd.ArrayParams{Devices: 1, StripeSize: 1 << 20})
 	defer a.Close()
-	fs := New(a, Config{Merge: MergeSAFS, CacheBytes: 4 << 20, PageSize: pageSize})
+	fs := New(a, Config{CacheBytes: 4 << 20, PageSize: pageSize})
 	f, err := fs.Create("f", 64*pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -163,18 +163,18 @@ func TestMergeSAFSPartialRuns(t *testing.T) {
 	}
 }
 
-// TestDirectFileStoreBackedSAFS runs the semi-external-memory stack
-// over DirectFileStore devices — the raw I/O configuration fg-serve
+// TestDirectIOBackedSAFS runs the semi-external-memory stack over file
+// stores opened for direct I/O — the raw I/O configuration fg-serve
 // -direct builds. Where the filesystem rejects O_DIRECT (tmpfs CI) the
 // store degrades to its fadvise fallback and the test still validates
 // that path; it never fails for lack of kernel support.
-func TestDirectFileStoreBackedSAFS(t *testing.T) {
+func TestDirectIOBackedSAFS(t *testing.T) {
 	dir := t.TempDir()
 	const devices = 3
 	stores := make([]ssd.Store, devices)
 	direct := true
 	for i := range stores {
-		ds, err := ssd.NewDirectFileStore(filepath.Join(dir, fmt.Sprintf("dev%d.dat", i)), ssd.StoreConfig{DirectIO: true})
+		ds, err := ssd.NewStore(filepath.Join(dir, fmt.Sprintf("dev%d.dat", i)), ssd.StoreConfig{DirectIO: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestDirectFileStoreBackedSAFS(t *testing.T) {
 	}
 	arr := ssd.NewArrayWithStores(ssd.ArrayParams{Devices: devices, StripeSize: 8192}, stores)
 	t.Cleanup(arr.Close)
-	fs := New(arr, Config{Merge: MergeSAFS, CacheBytes: 256 << 10, PageSize: 4096})
+	fs := New(arr, Config{CacheBytes: 256 << 10, PageSize: 4096})
 
 	const written = 37*4096 + 123
 	f, err := fs.Create("g.adj", 40*4096)

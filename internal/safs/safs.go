@@ -22,32 +22,14 @@
 package safs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"flashgraph/internal/pagecache"
 	"flashgraph/internal/ssd"
-)
-
-// MergeMode controls where adjacent page loads are merged into larger
-// device requests. FlashGraph's design (§3.6, Figure 12) merges in the
-// graph engine; merging in SAFS and not merging at all are retained for
-// the ablation.
-type MergeMode int
-
-const (
-	// MergeNone issues one device request per page run within a single
-	// ReadTask only (no cross-request merging).
-	MergeNone MergeMode = iota
-	// MergeSAFS defers page loads until Flush, then sorts and merges
-	// adjacent loads across all staged requests of the IOContext.
-	MergeSAFS
-	// MergePage issues every page load as its own device request, with
-	// no grouping even inside a single ReadTask — the per-page-dispatch
-	// baseline the merged/vectored submission path is measured against.
-	MergePage
 )
 
 // Config configures a filesystem instance.
@@ -57,11 +39,6 @@ type Config struct {
 	PageSize int
 	// CacheBytes sizes the page cache (default 64MiB).
 	CacheBytes int64
-	// CacheAssoc is the page-cache associativity (default 8).
-	CacheAssoc int
-	// Merge selects where loads are merged (default MergeNone; the
-	// engine's own merging makes its requests contiguous already).
-	Merge MergeMode
 }
 
 // FS is one SAFS instance over an SSD array.
@@ -69,7 +46,6 @@ type FS struct {
 	array    *ssd.Array
 	cache    *pagecache.Cache
 	pageSize int
-	merge    MergeMode
 
 	mu     sync.Mutex
 	files  map[string]*File
@@ -85,13 +61,11 @@ func New(array *ssd.Array, cfg Config) *FS {
 	cache := pagecache.New(pagecache.Config{
 		TotalBytes: cfg.CacheBytes,
 		PageSize:   cfg.PageSize,
-		Assoc:      cfg.CacheAssoc,
 	})
 	return &FS{
 		array:    array,
 		cache:    cache,
 		pageSize: cfg.PageSize,
-		merge:    cfg.Merge,
 		files:    make(map[string]*File),
 	}
 }
@@ -264,7 +238,7 @@ type IOContext struct {
 	mu       sync.Mutex
 	ready    []completed
 	signal   chan struct{}
-	staged   []load // loads awaiting Flush (MergeSAFS) or end of ReadTask
+	staged   []load // loads awaiting Flush
 	inflight int64  // atomic: issued but not yet delivered to ready
 	stats    IOStats
 
@@ -305,9 +279,9 @@ func (ctx *IOContext) push(c completed) {
 // associates task with it. The task runs when the caller next calls Poll
 // or WaitAny after all covered pages are resident.
 //
-// In MergeNone mode the page loads are dispatched immediately (grouped
-// into contiguous runs within this request only). In MergeSAFS mode the
-// loads are staged until Flush, allowing SAFS to merge across requests.
+// ReadTask only stages the page loads the read needs; Flush dispatches
+// them. How many ReadTasks a caller stages between flushes is the whole
+// merge policy: SAFS merges whatever one Flush holds.
 func (ctx *IOContext) ReadTask(f *File, off, length int64, task TaskFunc) {
 	if length <= 0 {
 		panic("safs: ReadTask with non-positive length")
@@ -372,81 +346,79 @@ func (ctx *IOContext) ReadTask(f *File, off, length int64, task TaskFunc) {
 			ctx.staged = append(ctx.staged, load{file: f, pageNo: pn, page: h})
 		}
 	}
-	if ctx.fs.merge != MergeSAFS {
-		ctx.flushStaged()
-	}
 	done(nil) // release sentinel
 }
 
-// Flush dispatches staged page loads. In MergeSAFS mode, staged loads
-// from many requests are sorted by (file, page) and adjacent pages merge
-// into single vectored device reads — SAFS-level merging (Figure 12).
+// Flush is the single dispatch of staged page loads: they are sorted by
+// (file, page), runs of adjacent pages of one file become one vectored
+// read filling the cache frames in place, and the whole flush goes to
+// the array as ONE batch — the array routes every run's device extents
+// together, and each device sorts and coalesces adjacent extents across
+// runs before service, so pages that are contiguous on a device but
+// split across files still merge into single requests (Figure 12's
+// SAFS-level merging when a flush holds many ReadTasks).
 func (ctx *IOContext) Flush() {
-	if ctx.fs.merge == MergeSAFS {
-		sort.Slice(ctx.staged, func(i, j int) bool {
-			a, b := ctx.staged[i], ctx.staged[j]
-			if a.file.id != b.file.id {
-				return a.file.id < b.file.id
-			}
-			return a.pageNo < b.pageNo
-		})
+	if len(ctx.staged) == 0 {
+		return
 	}
-	ctx.flushStaged()
-}
-
-// flushStaged groups consecutive staged loads (same file, adjacent
-// pages) into vectored array reads and dispatches them. In MergeSAFS
-// mode the whole flush goes down as ONE batch submission: the array
-// routes every group's device extents together, and each device sorts
-// and coalesces adjacent extents across groups before service — so
-// runs that are contiguous on a device but split across files (or
-// split by the staging order) still merge into single requests.
-func (ctx *IOContext) flushStaged() {
 	// Take ownership of the staged slice: completion closures below hold
 	// sub-slices of it, so the context must not reuse the backing array.
 	staged := ctx.staged
 	ctx.staged = nil
-	ps := int64(ctx.fs.pageSize)
+	slices.SortFunc(staged, func(a, b load) int {
+		if c := cmp.Compare(a.file.id, b.file.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pageNo, b.pageNo)
+	})
 	var batch []ssd.BatchRead
-	batched := ctx.fs.merge == MergeSAFS
-	perPage := ctx.fs.merge == MergePage
 	for i := 0; i < len(staged); {
 		j := i + 1
-		for !perPage && j < len(staged) &&
+		for j < len(staged) &&
 			staged[j].file == staged[i].file &&
 			staged[j].pageNo == staged[j-1].pageNo+1 {
 			j++
 		}
-		group := staged[i:j]
-		vec := make([][]byte, len(group))
-		for k, ld := range group {
-			vec[k] = ld.page.Data()
-		}
-		off := group[0].file.base + group[0].pageNo*ps
-		done := func(err error) {
-			// Verify each landed page before anyone can observe it:
-			// Complete publishes the frame to every waiter, so a
-			// corrupt page must carry its CorruptionError from the
-			// start. Per-page verdicts — one flipped bit fails only
-			// the page it hit, not the whole merged run.
-			for _, ld := range group {
-				e := err
-				if e == nil {
-					e = ld.file.verifyPage(ld.pageNo, ld.page.Data())
-				}
-				ld.page.Complete(e)
-			}
-		}
-		if batched {
-			batch = append(batch, ssd.BatchRead{Off: off, Vec: vec, Done: done})
-		} else {
-			ctx.fs.array.SubmitReadVec(off, vec, done)
-		}
+		batch = append(batch, staged[i].file.loadRun(staged[i:j]))
 		i = j
 	}
-	if len(batch) > 0 {
-		ctx.fs.array.SubmitReadBatch(batch)
+	ctx.fs.array.SubmitReadBatch(batch)
+}
+
+// loadRun builds the array read that fills one run of adjacent staged
+// pages of f in place, and the completion that publishes them.
+func (f *File) loadRun(run []load) ssd.BatchRead {
+	ps := int64(f.fs.pageSize)
+	lo := run[0].pageNo * ps
+	head, tail := f.verifyPads(lo, lo+int64(len(run))*ps)
+	vec := make([][]byte, 0, len(run)+2)
+	if head != nil {
+		vec = append(vec, head)
 	}
+	for _, ld := range run {
+		vec = append(vec, ld.page.Data())
+	}
+	if tail != nil {
+		vec = append(vec, tail)
+	}
+	start := lo - int64(len(head))
+	return ssd.BatchRead{Off: f.base + start, Vec: vec, Done: func(err error) {
+		// Verify each landed page before anyone can observe it:
+		// Complete publishes the frame to every waiter, so a corrupt
+		// page must carry its CorruptionError from the start. Per-page
+		// verdicts — one flipped bit fails only the pages sharing its
+		// extent, not the whole merged run.
+		var verdicts []error
+		if err == nil {
+			verdicts = f.verifyRun(vec, start, lo, len(run))
+		}
+		for k, ld := range run {
+			if verdicts != nil {
+				err = verdicts[k]
+			}
+			ld.page.Complete(err)
+		}
+	}}
 }
 
 // Poll runs all currently-completed tasks on the calling goroutine and
@@ -477,8 +449,11 @@ func (ctx *IOContext) Poll() int {
 }
 
 // WaitAny blocks until at least one task has run (or nothing is in
-// flight), then returns the number of tasks run.
+// flight), then returns the number of tasks run. Like every blocking
+// call on the context it flushes first, so a caller that forgot to
+// cannot wait forever on loads that were never dispatched.
 func (ctx *IOContext) WaitAny() int {
+	ctx.Flush()
 	for {
 		if n := ctx.Poll(); n > 0 {
 			return n
@@ -495,6 +470,7 @@ func (ctx *IOContext) WaitAny() int {
 // that need to attribute time to I/O wait versus computation use
 // Poll + WaitSignal instead of WaitAny.
 func (ctx *IOContext) WaitSignal() {
+	ctx.Flush()
 	if atomic.LoadInt64(&ctx.inflight) == 0 {
 		return
 	}
@@ -524,9 +500,9 @@ func (ctx *IOContext) DiscardPending() {
 
 // Drain runs tasks until no requests remain in flight.
 func (ctx *IOContext) Drain() {
-	ctx.Flush()
 	for {
 		ctx.Poll()
+		ctx.Flush() // including whatever the tasks just run staged
 		if atomic.LoadInt64(&ctx.inflight) == 0 && ctx.Pending() == 0 {
 			return
 		}

@@ -178,13 +178,13 @@ func TestReadTaskContiguousRunIsOneRequest(t *testing.T) {
 	}
 }
 
-func TestMergeSAFSCombinesAcrossRequests(t *testing.T) {
-	// Two per-vertex requests on adjacent pages: with MergeSAFS they
-	// become one device request at Flush; with MergeNone, two.
-	countReads := func(merge MergeMode) int64 {
+func TestFlushIsTheMergePolicy(t *testing.T) {
+	// Two per-vertex requests on adjacent pages: staged into one Flush
+	// they become one device request; flushed one at a time, two.
+	countReads := func(flushEach bool) int64 {
 		a := ssd.NewArray(ssd.ArrayParams{Devices: 1, StripeSize: 64 * 4096})
 		defer a.Close()
-		fs := New(a, Config{Merge: merge})
+		fs := New(a, Config{})
 		f, _ := fs.Create("f", 1<<20)
 		if err := f.WriteAt(make([]byte, 1<<20), 0); err != nil {
 			t.Fatal(err)
@@ -192,15 +192,44 @@ func TestMergeSAFSCombinesAcrossRequests(t *testing.T) {
 		a.ResetStats()
 		ctx := fs.NewContext()
 		ctx.ReadTask(f, 0, 4096, func(v *View, err error) {})
+		if flushEach {
+			ctx.Flush()
+		}
 		ctx.ReadTask(f, 4096, 4096, func(v *View, err error) {})
 		ctx.Drain()
 		return a.Stats().Reads
 	}
-	if got := countReads(MergeNone); got != 2 {
-		t.Fatalf("MergeNone reads = %d, want 2", got)
+	if got := countReads(true); got != 2 {
+		t.Fatalf("flush per request: reads = %d, want 2", got)
 	}
-	if got := countReads(MergeSAFS); got != 1 {
-		t.Fatalf("MergeSAFS reads = %d, want 1", got)
+	if got := countReads(false); got != 1 {
+		t.Fatalf("one flush for both: reads = %d, want 1", got)
+	}
+}
+
+// TestWaitWithoutFlushCompletes pins the no-hang guarantee: ReadTask
+// only stages, so every blocking call must dispatch what is staged
+// before it waits.
+func TestWaitWithoutFlushCompletes(t *testing.T) {
+	fs, _ := newFS(t, Config{})
+	f, _ := fs.Create("f", 64<<10)
+	data := writePattern(t, f, 64<<10)
+	ctx := fs.NewContext()
+
+	var got byte
+	ctx.ReadTask(f, 5000, 1, func(v *View, err error) { got = v.Byte(0) })
+	if n := ctx.WaitAny(); n != 1 {
+		t.Fatalf("WaitAny with a staged, unflushed load ran %d tasks, want 1", n)
+	}
+	if got != data[5000] {
+		t.Fatalf("task saw %d, want %d", got, data[5000])
+	}
+
+	ran := false
+	ctx.ReadTask(f, 40000, 1, func(v *View, err error) { ran = true })
+	ctx.WaitSignal() // returns once the load it had to flush has landed
+	if ctx.Poll() != 1 || !ran {
+		t.Fatal("WaitSignal returned before the staged load completed")
 	}
 }
 

@@ -83,41 +83,6 @@ func (a *Array) locate(off int64) (dev int, devOff int64, run int64) {
 	return
 }
 
-// extent is one device-local piece of a linear-range request.
-type extent struct {
-	dev    int
-	devOff int64
-	buf    []byte
-}
-
-// split cuts the linear range [off, off+len(buf)) into device extents.
-func (a *Array) split(off int64, buf []byte) []extent {
-	var exts []extent
-	for len(buf) > 0 {
-		dev, devOff, run := a.locate(off)
-		n := int64(len(buf))
-		if n > run {
-			n = run
-		}
-		exts = append(exts, extent{dev: dev, devOff: devOff, buf: buf[:n]})
-		buf = buf[n:]
-		off += n
-	}
-	return exts
-}
-
-// SubmitRead issues an asynchronous read of len(buf) bytes at linear
-// offset off. done fires exactly once, from an I/O goroutine, after all
-// device extents complete; err is the first failure, if any.
-func (a *Array) SubmitRead(off int64, buf []byte, done func(err error)) {
-	a.submit(OpRead, off, buf, done)
-}
-
-// SubmitWrite issues an asynchronous write.
-func (a *Array) SubmitWrite(off int64, buf []byte, done func(err error)) {
-	a.submit(OpWrite, off, buf, done)
-}
-
 // joinDone returns a completion callback that fires done exactly once,
 // with the first error, after n invocations.
 func joinDone(n int, done func(err error)) func(err error) {
@@ -138,20 +103,7 @@ func joinDone(n int, done func(err error)) func(err error) {
 	}
 }
 
-func (a *Array) submit(op Op, off int64, buf []byte, done func(err error)) {
-	exts := a.split(off, buf)
-	if len(exts) == 1 {
-		e := exts[0]
-		a.devices[e.dev].Submit(&Request{Op: op, Offset: e.devOff, Buf: e.buf, Done: done})
-		return
-	}
-	sub := joinDone(len(exts), done)
-	for _, e := range exts {
-		a.devices[e.dev].Submit(&Request{Op: op, Offset: e.devOff, Buf: e.buf, Done: sub})
-	}
-}
-
-// vecExtent is one device-local piece of a scatter read.
+// vecExtent is one device-local piece of a linear-range transfer.
 type vecExtent struct {
 	dev    int
 	devOff int64
@@ -159,9 +111,10 @@ type vecExtent struct {
 }
 
 // cutVec cuts the contiguous linear range starting at off, scattered
-// into vec's buffers, at device-stripe boundaries only — so a read
+// into vec's buffers, at device-stripe boundaries only — so a transfer
 // covering N stripes costs at most N device requests regardless of how
-// many buffers it scatters into.
+// many buffers it scatters into. It is the array's one cutter: every
+// read and write, synchronous or batched, goes through it.
 func (a *Array) cutVec(off int64, vec [][]byte) []vecExtent {
 	var exts []vecExtent
 	bi, bo := 0, 0 // cursor into vec: buffer index, offset within buffer
@@ -194,43 +147,28 @@ func (a *Array) cutVec(off int64, vec [][]byte) []vecExtent {
 	return exts
 }
 
-// SubmitReadVec issues an asynchronous scatter read: the contiguous
-// linear range starting at off is transferred into the buffers of vec in
-// order. The range is cut only at device-stripe boundaries — one merged
-// FlashGraph request filling 32 cache pages is still (usually) one
-// device request.
-func (a *Array) SubmitReadVec(off int64, vec [][]byte, done func(err error)) {
-	exts := a.cutVec(off, vec)
-	if len(exts) == 0 {
-		done(nil)
-		return
-	}
-	if len(exts) == 1 {
-		e := exts[0]
-		a.devices[e.dev].Submit(&Request{Op: OpRead, Offset: e.devOff, Vec: e.bufs, Done: done})
-		return
-	}
-	sub := joinDone(len(exts), done)
-	for _, e := range exts {
-		a.devices[e.dev].Submit(&Request{Op: OpRead, Offset: e.devOff, Vec: e.bufs, Done: sub})
-	}
-}
-
-// BatchRead is one contiguous scatter read in a batch submission.
+// BatchRead is one contiguous scatter read in a batch submission: the
+// linear range starting at Off is transferred into the buffers of Vec in
+// order, then Done fires — exactly once, from an I/O goroutine, after
+// every device extent completes, with the first failure if any.
 type BatchRead struct {
 	Off  int64
 	Vec  [][]byte
 	Done func(err error)
 }
 
-// SubmitReadBatch submits many scatter reads as one batch: every read
-// is cut into device extents, extents are grouped per device, and each
-// device receives its whole group through SubmitBatch — which sorts and
-// coalesces adjacent extents ACROSS requests before service. This is
-// the submission path behind SAFS-level merging: a worker's flush of
-// staged page loads becomes at most one (vectored) request per device
-// per contiguous byte run, instead of one request per load group.
-func (a *Array) SubmitReadBatch(batch []BatchRead) {
+// SubmitReadBatch is the array's one asynchronous read entry. Every read
+// of the batch is cut into device extents at stripe boundaries, extents
+// are grouped per device, and each device receives its whole group
+// through SubmitBatch — which sorts and coalesces adjacent extents
+// ACROSS reads before service. A SAFS flush of staged page loads
+// therefore becomes at most one (vectored) request per device per
+// contiguous byte run, however many reads staged it.
+func (a *Array) SubmitReadBatch(batch []BatchRead) { a.submit(OpRead, batch) }
+
+// submit routes a batch of transfers (reads or writes, per op) to the
+// devices, one SubmitBatch per device.
+func (a *Array) submit(op Op, batch []BatchRead) {
 	perDev := make([][]*Request, len(a.devices))
 	for _, br := range batch {
 		exts := a.cutVec(br.Off, br.Vec)
@@ -243,7 +181,7 @@ func (a *Array) SubmitReadBatch(batch []BatchRead) {
 			done = joinDone(len(exts), br.Done)
 		}
 		for _, e := range exts {
-			perDev[e.dev] = append(perDev[e.dev], &Request{Op: OpRead, Offset: e.devOff, Vec: e.bufs, Done: done})
+			perDev[e.dev] = append(perDev[e.dev], &Request{Op: op, Offset: e.devOff, Vec: e.bufs, Done: done})
 		}
 	}
 	for dev, reqs := range perDev {
@@ -251,19 +189,19 @@ func (a *Array) SubmitReadBatch(batch []BatchRead) {
 	}
 }
 
-// ReadAt reads synchronously (setup paths and tests).
-func (a *Array) ReadAt(buf []byte, off int64) error {
+// transferSync moves buf to or from linear offset off — a batch of one —
+// and waits.
+func (a *Array) transferSync(op Op, buf []byte, off int64) error {
 	ch := make(chan error, 1)
-	a.SubmitRead(off, buf, func(err error) { ch <- err })
+	a.submit(op, []BatchRead{{Off: off, Vec: [][]byte{buf}, Done: func(err error) { ch <- err }}})
 	return <-ch
 }
 
+// ReadAt reads synchronously (setup paths, SpMV stripe sweeps, tests).
+func (a *Array) ReadAt(buf []byte, off int64) error { return a.transferSync(OpRead, buf, off) }
+
 // WriteAt writes synchronously (image building).
-func (a *Array) WriteAt(buf []byte, off int64) error {
-	ch := make(chan error, 1)
-	a.SubmitWrite(off, buf, func(err error) { ch <- err })
-	return <-ch
-}
+func (a *Array) WriteAt(buf []byte, off int64) error { return a.transferSync(OpWrite, buf, off) }
 
 // ArrayStats aggregates device stats.
 type ArrayStats struct {

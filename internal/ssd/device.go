@@ -21,9 +21,10 @@
 package ssd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +36,9 @@ import (
 type Op uint8
 
 const (
-	// OpRead reads Buf's length bytes at Offset.
+	// OpRead fills Vec from the device range starting at Offset.
 	OpRead Op = iota
-	// OpWrite writes Buf at Offset.
+	// OpWrite writes Vec's buffers, in order, starting at Offset.
 	OpWrite
 )
 
@@ -45,30 +46,21 @@ const (
 // once from the device's I/O goroutine after the data transfer completes;
 // it must not block for long (hand off heavy work to another goroutine).
 //
-// Exactly one of Buf and Vec must be set. Vec is a scatter/gather list:
-// the contiguous device range starting at Offset is transferred into the
-// buffers in order. A vectored request is still ONE device request — this
-// is how a single merged FlashGraph read fills many 4KB cache pages while
-// costing one I/O (the simulated analogue of preadv into page frames).
+// Vec is a scatter/gather list: the contiguous device range starting at
+// Offset is transferred into (or, for writes, out of) the buffers in
+// order. However many buffers it names, a request is ONE device request —
+// this is how a single merged FlashGraph read fills many 4KB cache pages
+// while costing one I/O (the simulated analogue of preadv into page
+// frames).
 type Request struct {
 	Op     Op
 	Offset int64
-	Buf    []byte
 	Vec    [][]byte
 	Done   func(err error)
 }
 
 // length returns the total transfer size.
-func (r *Request) length() int {
-	if r.Vec == nil {
-		return len(r.Buf)
-	}
-	n := 0
-	for _, b := range r.Vec {
-		n += len(b)
-	}
-	return n
-}
+func (r *Request) length() int { return vecLen(r.Vec) }
 
 // DeviceParams models one SSD. Zero values are replaced by defaults in
 // NewDevice.
@@ -155,7 +147,7 @@ type DeviceStats struct {
 	BytesRead  int64
 	BytesWrite int64
 	SeqReads   int64 // reads that continued the previous request
-	VecReads   int64 // vectored (scatter) requests among Reads
+	VecReads   int64 // reads that scattered into more than one buffer
 	// Batch submission counters: how many SubmitBatch calls arrived, how
 	// many requests they carried, and how many of those were coalesced
 	// into an adjacent neighbor (each coalesced request is one device
@@ -202,7 +194,6 @@ type Store interface {
 type Device struct {
 	params DeviceParams
 	store  Store
-	vec    VecReader // store's vectored read path, nil if unsupported
 	queue  chan *Request
 
 	closeMu   sync.RWMutex
@@ -241,7 +232,6 @@ func NewDevice(params DeviceParams, store Store) *Device {
 		queue:      make(chan *Request, params.QueueDepth),
 		backoffRNG: util.NewRNG(seed),
 	}
-	d.vec, _ = store.(VecReader)
 	d.wg.Add(1)
 	go d.run()
 	return d
@@ -296,7 +286,7 @@ func (d *Device) SubmitBatch(reqs []*Request) {
 		}
 	}
 	atomic.AddInt64(&d.batchedReqs, int64(len(reads)))
-	sort.Slice(reads, func(i, j int) bool { return reads[i].Offset < reads[j].Offset })
+	slices.SortFunc(reads, func(a, b *Request) int { return cmp.Compare(a.Offset, b.Offset) })
 	for i := 0; i < len(reads); {
 		j := i + 1
 		end := reads[i].Offset + int64(reads[i].length())
@@ -313,11 +303,7 @@ func (d *Device) SubmitBatch(reqs []*Request) {
 		atomic.AddInt64(&d.coalescedReqs, int64(len(group)-1))
 		var vec [][]byte
 		for _, r := range group {
-			if r.Vec != nil {
-				vec = append(vec, r.Vec...)
-			} else {
-				vec = append(vec, r.Buf)
-			}
+			vec = append(vec, r.Vec...)
 		}
 		members := make([]*Request, len(group))
 		copy(members, group)
@@ -470,42 +456,25 @@ func (d *Device) transferRetry(req *Request) (int, error) {
 	return n, err
 }
 
-// transfer performs the data movement for req against the store.
+// transfer performs the data movement for req against the store: a
+// read is one store submission for the whole scatter list (preadv on
+// file-backed stores), a write one WriteAt per buffer.
 func (d *Device) transfer(req *Request) (int, error) {
-	if req.Vec == nil {
-		switch req.Op {
-		case OpRead:
-			return d.store.ReadAt(req.Buf, req.Offset)
-		case OpWrite:
-			return d.store.WriteAt(req.Buf, req.Offset)
+	switch req.Op {
+	case OpRead:
+		return ReadVec(d.store, req.Vec, req.Offset)
+	case OpWrite:
+		total := 0
+		for _, b := range req.Vec {
+			n, err := d.store.WriteAt(b, req.Offset+int64(total))
+			total += n
+			if err != nil {
+				return total, err
+			}
 		}
-		return 0, fmt.Errorf("ssd: unknown op %d", req.Op)
+		return total, nil
 	}
-	if req.Op == OpRead && d.vec != nil {
-		// One store submission for the whole scatter list (preadv on
-		// file-backed stores) instead of one ReadAt per buffer.
-		return d.vec.ReadVecAt(req.Vec, req.Offset)
-	}
-	total := 0
-	off := req.Offset
-	for _, b := range req.Vec {
-		var n int
-		var err error
-		switch req.Op {
-		case OpRead:
-			n, err = d.store.ReadAt(b, off)
-		case OpWrite:
-			n, err = d.store.WriteAt(b, off)
-		default:
-			err = fmt.Errorf("ssd: unknown op %d", req.Op)
-		}
-		total += n
-		off += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return 0, fmt.Errorf("ssd: unknown op %d", req.Op)
 }
 
 func (d *Device) run() {
@@ -539,7 +508,7 @@ func (d *Device) run() {
 				// matter how many buffers it scatters into.
 				atomic.AddInt64(&d.seqReads, 1)
 			}
-			if req.Vec != nil {
+			if len(req.Vec) > 1 {
 				atomic.AddInt64(&d.vecReads, 1)
 			}
 		case OpWrite:

@@ -57,12 +57,11 @@ func (s FaultStats) Total() int64 {
 
 // FaultStore wraps any Store with deterministic seeded fault injection:
 // EIO, short reads, latency spikes, silent bit flips, and torn writes.
-// It preserves the inner store's VecReader capability, so a Device over
-// a FaultStore exercises the exact same vectored submission paths as
-// one over the bare store. Safe for concurrent use.
+// It reads the inner store through ReadVec, so a Device over a
+// FaultStore exercises the exact same vectored submission path as one
+// over the bare store. Safe for concurrent use.
 type FaultStore struct {
 	inner Store
-	vec   VecReader // inner's vectored path, nil if unsupported
 	cfg   FaultConfig
 
 	mu  sync.Mutex
@@ -78,9 +77,7 @@ func NewFaultStore(inner Store, cfg FaultConfig) *FaultStore {
 	if cfg.LatencySpike == 0 {
 		cfg.LatencySpike = 2 * time.Millisecond
 	}
-	s := &FaultStore{inner: inner, cfg: cfg, rng: util.NewRNG(cfg.Seed)}
-	s.vec, _ = inner.(VecReader)
-	return s
+	return &FaultStore{inner: inner, cfg: cfg, rng: util.NewRNG(cfg.Seed)}
 }
 
 // SetEnabled pauses (false) or resumes (true) injection. A paused
@@ -156,54 +153,16 @@ func (s *FaultStore) roll(read bool) (f fault, frac float64) {
 	return faultNone, 0
 }
 
-// ReadAt implements Store with injected read faults.
+// ReadAt implements Store as a scatter list of one.
 func (s *FaultStore) ReadAt(p []byte, off int64) (int, error) {
-	f, frac := s.roll(true)
-	switch f {
-	case faultLatency:
-		atomic.AddInt64(&s.latencies, 1)
-		time.Sleep(s.cfg.LatencySpike)
-	case faultEIO:
-		atomic.AddInt64(&s.eios, 1)
-		return 0, fmt.Errorf("ssd: injected EIO reading %d bytes at %d: %w", len(p), off, ErrTransient)
-	case faultShort:
-		atomic.AddInt64(&s.shortReads, 1)
-		n := int(frac * float64(len(p)))
-		if n >= len(p) {
-			n = len(p) - 1
-		}
-		if n < 0 {
-			n = 0
-		}
-		if n > 0 {
-			if _, err := s.inner.ReadAt(p[:n], off); err != nil {
-				return 0, err
-			}
-		}
-		return n, &ShortReadError{Off: off, Want: len(p), Got: n}
-	case faultFlip:
-		atomic.AddInt64(&s.bitFlips, 1)
-		n, err := s.inner.ReadAt(p, off)
-		if err == nil && n > 0 {
-			bit := int(frac * float64(n*8))
-			if bit >= n*8 {
-				bit = n*8 - 1
-			}
-			p[bit/8] ^= 1 << (bit % 8)
-		}
-		return n, err
-	}
-	return s.inner.ReadAt(p, off)
+	return s.ReadVecAt([][]byte{p}, off)
 }
 
-// ReadVecAt implements VecReader with injected read faults; without an
-// inner vectored path it degrades to per-buffer ReadAt on the inner
-// store (faults decided once for the whole scatter list).
+// ReadVecAt implements VecReader with injected read faults, decided
+// once for the whole scatter list; the data itself comes from the inner
+// store through ReadVec, vectored when the inner store is.
 func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
-	total := 0
-	for _, b := range vec {
-		total += len(b)
-	}
+	total := vecLen(vec)
 	f, frac := s.roll(true)
 	switch f {
 	case faultLatency:
@@ -214,36 +173,16 @@ func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 		return 0, fmt.Errorf("ssd: injected EIO reading %d bytes at %d: %w", total, off, ErrTransient)
 	case faultShort:
 		atomic.AddInt64(&s.shortReads, 1)
-		n := int(frac * float64(total))
-		if n >= total {
-			n = total - 1
-		}
-		if n < 0 {
-			n = 0
-		}
-		got := 0
-		for _, b := range vec {
-			if got >= n {
-				break
-			}
-			want := len(b)
-			if got+want > n {
-				want = n - got
-			}
-			if _, err := s.readInner(b[:want], off+int64(got)); err != nil {
-				return got, err
-			}
-			got += want
+		n := fracOf(frac, total)
+		if _, err := ReadVec(s.inner, vecPrefix(vec, n), off); err != nil {
+			return 0, err
 		}
 		return n, &ShortReadError{Off: off, Want: total, Got: n}
 	case faultFlip:
 		atomic.AddInt64(&s.bitFlips, 1)
-		n, err := s.readInnerVec(vec, off)
+		n, err := ReadVec(s.inner, vec, off)
 		if err == nil && n > 0 {
-			bit := int(frac * float64(n*8))
-			if bit >= n*8 {
-				bit = n*8 - 1
-			}
+			bit := fracOf(frac, n*8)
 			rem := bit / 8
 			for _, b := range vec {
 				if rem < len(b) {
@@ -255,30 +194,36 @@ func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return s.readInnerVec(vec, off)
+	return ReadVec(s.inner, vec, off)
 }
 
-// readInner reads from the inner store without rolling another fault.
-func (s *FaultStore) readInner(p []byte, off int64) (int, error) {
-	return s.inner.ReadAt(p, off)
-}
-
-// readInnerVec scatters from the inner store, using its vectored path
-// when it has one.
-func (s *FaultStore) readInnerVec(vec [][]byte, off int64) (int, error) {
-	if s.vec != nil {
-		return s.vec.ReadVecAt(vec, off)
+// fracOf maps a uniform draw in [0, 1) to an index in [0, n): the
+// truncation point of a short transfer, or the bit a flip hits.
+func fracOf(frac float64, n int) int {
+	i := int(frac * float64(n))
+	if i >= n {
+		i = n - 1
 	}
-	total := 0
+	if i < 0 {
+		i = 0
+	}
+	return i
+}
+
+// vecPrefix returns the scatter list covering the first n bytes of vec.
+func vecPrefix(vec [][]byte, n int) [][]byte {
+	var out [][]byte
 	for _, b := range vec {
-		n, err := s.inner.ReadAt(b, off)
-		total += n
-		off += int64(n)
-		if err != nil {
-			return total, err
+		if n <= 0 {
+			break
 		}
+		if len(b) > n {
+			b = b[:n]
+		}
+		out = append(out, b)
+		n -= len(b)
 	}
-	return total, nil
+	return out
 }
 
 // WriteAt implements Store with injected write faults.
@@ -293,13 +238,7 @@ func (s *FaultStore) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("ssd: injected EIO writing %d bytes at %d: %w", len(p), off, ErrTransient)
 	case faultTorn:
 		atomic.AddInt64(&s.tornWrite, 1)
-		n := int(frac * float64(len(p)))
-		if n >= len(p) {
-			n = len(p) - 1
-		}
-		if n < 0 {
-			n = 0
-		}
+		n := fracOf(frac, len(p))
 		if n > 0 {
 			if _, err := s.inner.WriteAt(p[:n], off); err != nil {
 				return 0, err

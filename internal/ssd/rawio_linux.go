@@ -40,10 +40,7 @@ func fadviseDontNeed(f *os.File, off, length int64) {
 // end of the file surfaces as a typed ShortReadError, never a silently
 // zero-padded tail.
 func readVec(f *os.File, vec [][]byte, off int64) (int, error) {
-	total := 0
-	for _, b := range vec {
-		total += len(b)
-	}
+	total := vecLen(vec)
 	got := 0
 	for got < total {
 		iov := iovecsFrom(vec, got)

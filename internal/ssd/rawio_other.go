@@ -10,8 +10,8 @@ import (
 // errNoDirect reports that this platform build has no O_DIRECT path.
 var errNoDirect = errors.New("ssd: O_DIRECT unsupported on this platform")
 
-// openDirect always fails here; DirectFileStore degrades to buffered
-// reads with cache-drop hints.
+// openDirect always fails here; FileStore degrades to buffered reads
+// with cache-drop hints.
 func openDirect(string) (*os.File, error) { return nil, errNoDirect }
 
 // fadviseDontNeed is a no-op without the Linux fadvise syscall.

@@ -72,12 +72,13 @@ func TestFileStoreReadVecAt(t *testing.T) {
 	}
 }
 
-// TestDirectFileStoreMatchesFileStore cross-checks the raw-I/O store
-// against the plain one over unaligned extents, whether or not O_DIRECT
-// was actually negotiated (tmpfs CI degrades to the fadvise path).
-func TestDirectFileStoreMatchesFileStore(t *testing.T) {
+// TestDirectIOMatchesBuffered cross-checks a store opened for direct
+// I/O against a buffered one over unaligned extents, whether or not
+// O_DIRECT was actually negotiated (tmpfs CI degrades to the fadvise
+// path).
+func TestDirectIOMatchesBuffered(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := NewDirectFileStore(filepath.Join(dir, "direct.dat"), StoreConfig{DirectIO: true})
+	ds, err := NewStore(filepath.Join(dir, "direct.dat"), StoreConfig{DirectIO: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestDeviceVecSequentialCounting(t *testing.T) {
 	d := NewDevice(fastParams(), NewMemStore())
 	defer d.Close()
 	done := make(chan error, 1)
-	d.Submit(&Request{Op: OpRead, Offset: 0, Buf: make([]byte, 4096), Done: func(err error) { done <- err }})
+	d.Submit(&Request{Op: OpRead, Offset: 0, Vec: [][]byte{make([]byte, 4096)}, Done: func(err error) { done <- err }})
 	<-done
 	vec := [][]byte{make([]byte, 4096), make([]byte, 4096), make([]byte, 4096)}
 	d.Submit(&Request{Op: OpRead, Offset: 4096, Vec: vec, Done: func(err error) { done <- err }})
@@ -156,7 +157,7 @@ func TestDeviceVecSequentialCounting(t *testing.T) {
 	}
 	// A request continuing the vec request's END is sequential too: the
 	// model must advance its cursor by the full scatter length.
-	d.Submit(&Request{Op: OpRead, Offset: 4 * 4096, Buf: make([]byte, 4096), Done: func(err error) { done <- err }})
+	d.Submit(&Request{Op: OpRead, Offset: 4 * 4096, Vec: [][]byte{make([]byte, 4096)}, Done: func(err error) { done <- err }})
 	<-done
 	if st := d.Stats(); st.SeqReads != 2 {
 		t.Fatalf("SeqReads = %d, want 2 (cursor must advance past the whole vec)", st.SeqReads)
@@ -187,7 +188,7 @@ func TestDeviceSubmitBatchCoalesces(t *testing.T) {
 		pn := pn
 		bufs[pn] = make([]byte, 4096)
 		wg.Add(1)
-		reqs = append(reqs, &Request{Op: OpRead, Offset: int64(pn) * 4096, Buf: bufs[pn], Done: func(err error) {
+		reqs = append(reqs, &Request{Op: OpRead, Offset: int64(pn) * 4096, Vec: [][]byte{bufs[pn]}, Done: func(err error) {
 			if err != nil {
 				t.Errorf("page %d: %v", pn, err)
 			}
@@ -196,7 +197,7 @@ func TestDeviceSubmitBatchCoalesces(t *testing.T) {
 	}
 	distant := make([]byte, 4096)
 	wg.Add(1)
-	reqs = append(reqs, &Request{Op: OpRead, Offset: 7 * 4096, Buf: distant, Done: func(err error) { wg.Done() }})
+	reqs = append(reqs, &Request{Op: OpRead, Offset: 7 * 4096, Vec: [][]byte{distant}, Done: func(err error) { wg.Done() }})
 	d.SubmitBatch(reqs)
 	wg.Wait()
 

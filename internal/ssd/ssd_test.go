@@ -102,12 +102,12 @@ func TestDeviceReadWrite(t *testing.T) {
 	d := NewDevice(fastParams(), NewMemStore())
 	defer d.Close()
 	done := make(chan error, 1)
-	d.Submit(&Request{Op: OpWrite, Offset: 0, Buf: []byte("abcd"), Done: func(err error) { done <- err }})
+	d.Submit(&Request{Op: OpWrite, Offset: 0, Vec: [][]byte{[]byte("abcd")}, Done: func(err error) { done <- err }})
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
-	d.Submit(&Request{Op: OpRead, Offset: 0, Buf: buf, Done: func(err error) { done <- err }})
+	d.Submit(&Request{Op: OpRead, Offset: 0, Vec: [][]byte{buf}, Done: func(err error) { done <- err }})
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDeviceSequentialDetection(t *testing.T) {
 	buf := make([]byte, 4096)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		d.Submit(&Request{Op: OpRead, Offset: int64(i) * 4096, Buf: buf, Done: func(error) { wg.Done() }})
+		d.Submit(&Request{Op: OpRead, Offset: int64(i) * 4096, Vec: [][]byte{buf}, Done: func(error) { wg.Done() }})
 	}
 	wg.Wait()
 	st := d.Stats()
@@ -144,7 +144,7 @@ func TestDeviceServiceTimeModel(t *testing.T) {
 	}
 	p.setDefaults()
 	d := &Device{params: p}
-	req := &Request{Op: OpRead, Buf: make([]byte, 4096)}
+	req := &Request{Op: OpRead, Vec: [][]byte{make([]byte, 4096)}}
 	random := d.serviceTime(req, false)
 	seq := d.serviceTime(req, true)
 	if random <= seq {
@@ -156,7 +156,7 @@ func TestDeviceServiceTimeModel(t *testing.T) {
 		t.Fatalf("random/seq 4KB service ratio = %.2f, want within [1.5,4]", ratio)
 	}
 	// Writes pay the program penalty.
-	w := d.serviceTime(&Request{Op: OpWrite, Buf: make([]byte, 4096)}, false)
+	w := d.serviceTime(&Request{Op: OpWrite, Vec: [][]byte{make([]byte, 4096)}}, false)
 	if w <= random {
 		t.Fatalf("write (%v) should cost more than read (%v)", w, random)
 	}
@@ -170,7 +170,7 @@ func TestDeviceBusyAccounting(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		d.Submit(&Request{Op: OpRead, Offset: int64(i*2) * 4096, Buf: buf, Done: func(error) { wg.Done() }})
+		d.Submit(&Request{Op: OpRead, Offset: int64(i*2) * 4096, Vec: [][]byte{buf}, Done: func(error) { wg.Done() }})
 	}
 	wg.Wait()
 	st := d.Stats()
@@ -200,7 +200,7 @@ func TestDeviceThrottleSlowsDown(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < 200; i++ {
 		wg.Add(1)
-		d.Submit(&Request{Op: OpRead, Offset: int64(i * 1000), Buf: buf, Done: func(error) { wg.Done() }})
+		d.Submit(&Request{Op: OpRead, Offset: int64(i * 1000), Vec: [][]byte{buf}, Done: func(error) { wg.Done() }})
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -213,7 +213,7 @@ func TestDeviceCloseRejectsNew(t *testing.T) {
 	d := NewDevice(fastParams(), NewMemStore())
 	d.Close()
 	done := make(chan error, 1)
-	d.Submit(&Request{Op: OpRead, Offset: 0, Buf: make([]byte, 1), Done: func(err error) { done <- err }})
+	d.Submit(&Request{Op: OpRead, Offset: 0, Vec: [][]byte{make([]byte, 1)}, Done: func(err error) { done <- err }})
 	if err := <-done; err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
@@ -259,7 +259,7 @@ func TestArrayStripesAcrossDevices(t *testing.T) {
 	}
 }
 
-func TestArraySplitProperties(t *testing.T) {
+func TestArrayCutProperties(t *testing.T) {
 	a := NewArray(ArrayParams{Devices: 3, StripeSize: 512, Device: fastParams()})
 	defer a.Close()
 	f := func(off uint16, size uint16) bool {
@@ -267,16 +267,16 @@ func TestArraySplitProperties(t *testing.T) {
 			return true
 		}
 		buf := make([]byte, int(size)%5000+1)
-		exts := a.split(int64(off), buf)
+		exts := a.cutVec(int64(off), [][]byte{buf})
 		total := 0
 		for _, e := range exts {
 			if e.dev < 0 || e.dev >= 3 {
 				return false
 			}
-			if len(e.buf) == 0 || int64(len(e.buf)) > 512 {
+			if n := vecLen(e.bufs); n == 0 || n > 512 {
 				return false
 			}
-			total += len(e.buf)
+			total += vecLen(e.bufs)
 		}
 		return total == len(buf)
 	}
@@ -313,7 +313,7 @@ func TestArrayAsyncCompletion(t *testing.T) {
 	var mu sync.Mutex
 	done := make(chan struct{})
 	buf := make([]byte, 10*128+37)
-	a.SubmitRead(13, buf, func(err error) {
+	a.SubmitReadBatch([]BatchRead{{Off: 13, Vec: [][]byte{buf}, Done: func(err error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -321,7 +321,7 @@ func TestArrayAsyncCompletion(t *testing.T) {
 			t.Errorf("unexpected error: %v", err)
 		}
 		close(done)
-	})
+	}}})
 	<-done
 	time.Sleep(5 * time.Millisecond)
 	mu.Lock()
@@ -350,7 +350,7 @@ func TestArrayReadVecMatchesReadAt(t *testing.T) {
 		total += s
 	}
 	ch := make(chan error, 1)
-	a.SubmitReadVec(100, vec, func(err error) { ch <- err })
+	a.SubmitReadBatch([]BatchRead{{Off: 100, Vec: vec, Done: func(err error) { ch <- err }}})
 	if err := <-ch; err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestArrayReadVecRequestCount(t *testing.T) {
 		vec[i] = make([]byte, 4096)
 	}
 	ch := make(chan error, 1)
-	a.SubmitReadVec(0, vec, func(err error) { ch <- err })
+	a.SubmitReadBatch([]BatchRead{{Off: 0, Vec: vec, Done: func(err error) { ch <- err }}})
 	if err := <-ch; err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestArrayReadVecEmpty(t *testing.T) {
 	a := NewArray(ArrayParams{Devices: 2, StripeSize: 512, Device: fastParams()})
 	defer a.Close()
 	ch := make(chan error, 1)
-	a.SubmitReadVec(0, nil, func(err error) { ch <- err })
+	a.SubmitReadBatch([]BatchRead{{Done: func(err error) { ch <- err }}})
 	if err := <-ch; err != nil {
 		t.Fatal(err)
 	}
