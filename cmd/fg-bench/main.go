@@ -66,14 +66,12 @@ func main() {
 		encJSON    = flag.String("encoding-json", "BENCH_encoding.json", "encoding: machine-readable output path")
 
 		// -exp io knobs (raw I/O path: decode CPU + submission shape).
-		ioScale    = flag.Int("io-scale", 0, "io: RMAT log2 vertex count (0 = default 20)")
-		ioEPV      = flag.Int("io-epv", 0, "io: edges per vertex (0 = default 16)")
-		ioCacheMB  = flag.Int64("io-cache", 0, "io: SAFS page cache MiB (0 = default 64)")
-		ioIters    = flag.Int("io-iters", 0, "io: full-sweep PageRank iterations (0 = default 30)")
-		ioDecodeMB = flag.Int64("io-decode-cache", 0, "io: decoded-record cache MiB for the new-path variant (0 = default 64)")
-		ioMinDeg   = flag.Uint("io-decode-min-degree", 0, "io: decode-cache admission degree (0 = default 64)")
-		ioDirect   = flag.Bool("io-direct", false, "io: open device files with O_DIRECT where supported")
-		ioJSON     = flag.String("io-json", "BENCH_io.json", "io: machine-readable output path")
+		ioScale   = flag.Int("io-scale", 0, "io: RMAT log2 vertex count (0 = default 20)")
+		ioEPV     = flag.Int("io-epv", 0, "io: edges per vertex (0 = default 16)")
+		ioCacheMB = flag.Int64("io-cache", 0, "io: SAFS page cache MiB (0 = default 64)")
+		ioIters   = flag.Int("io-iters", 0, "io: full-sweep PageRank iterations (0 = default 30)")
+		ioDirect  = flag.Bool("io-direct", false, "io: open device files with O_DIRECT where supported")
+		ioJSON    = flag.String("io-json", "BENCH_io.json", "io: machine-readable output path")
 
 		// -exp chaos knobs (fault-tolerance acceptance gauge).
 		chaosProbes = flag.Int("chaos-probes", 0, "chaos: interactive bfs probes per phase (0 = default 6)")
@@ -136,14 +134,12 @@ func main() {
 		}, w)
 	case "io":
 		bench.IOExp(cfg, bench.IOConfig{
-			Scale:           *ioScale,
-			EPV:             *ioEPV,
-			CacheMB:         *ioCacheMB,
-			Iters:           *ioIters,
-			DecodeCacheMB:   *ioDecodeMB,
-			DecodeMinDegree: uint32(*ioMinDeg),
-			Direct:          *ioDirect,
-			JSONPath:        *ioJSON,
+			Scale:    *ioScale,
+			EPV:      *ioEPV,
+			CacheMB:  *ioCacheMB,
+			Iters:    *ioIters,
+			Direct:   *ioDirect,
+			JSONPath: *ioJSON,
 		}, w)
 	case "spmv":
 		bench.SpMVExp(cfg, bench.SpMVConfig{

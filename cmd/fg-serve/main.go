@@ -75,8 +75,6 @@ func main() {
 		throttle      = flag.Bool("throttle", false, "realistic SSD timing")
 		storeDir      = flag.String("store-dir", "", "back the simulated SSD array with files in this directory (one per device)")
 		directIO      = flag.Bool("direct", false, "open -store-dir device files with O_DIRECT (raw I/O path, no OS page cache)")
-		decodeMB      = flag.Int64("decode-cache-mb", 0, "decoded edge-list cache for hot hubs (MiB, delta images only); 0 disables")
-		decodeMinDeg  = flag.Uint("decode-min-degree", 0, "minimum degree for the decoded-record cache (default 64)")
 		maxConcurrent = flag.Int("max-concurrent", 4, "queries executing simultaneously")
 		maxQueued     = flag.Int("max-queued", 64, "admitted queries waiting for a slot")
 		maxHistory    = flag.Int("max-history", 1024, "finished queries retained for polling")
@@ -102,15 +100,13 @@ func main() {
 	flag.Parse()
 
 	cat := flashgraph.NewCatalog(flashgraph.Options{
-		InMemory:         *inMemory,
-		Threads:          *threads,
-		CacheBytes:       *cacheMB << 20,
-		Devices:          *devices,
-		Throttle:         *throttle,
-		StoreDir:         *storeDir,
-		DirectIO:         *directIO,
-		DecodeCacheBytes: *decodeMB << 20,
-		DecodeMinDegree:  uint32(*decodeMinDeg),
+		InMemory:   *inMemory,
+		Threads:    *threads,
+		CacheBytes: *cacheMB << 20,
+		Devices:    *devices,
+		Throttle:   *throttle,
+		StoreDir:   *storeDir,
+		DirectIO:   *directIO,
 	})
 	defer cat.Close()
 

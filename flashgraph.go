@@ -368,12 +368,6 @@ type Options struct {
 	// only cache and the OS never double-buffers edge data. Requires
 	// StoreDir.
 	DirectIO bool
-	// DecodeCacheBytes budgets a shared decoded-record LRU for hot
-	// hubs of delta-encoded graphs. 0 (the default) disables it.
-	DecodeCacheBytes int64
-	// DecodeMinDegree is the decode cache's admission threshold
-	// (default 64).
-	DecodeMinDegree uint32
 	// MaxRunning bounds running vertices per thread (default 4000).
 	MaxRunning int
 	// Engine passes through advanced engine knobs (merge mode,
@@ -406,12 +400,6 @@ func (opts Options) coreConfig() core.Config {
 	if opts.Engine != nil {
 		cfg = *opts.Engine
 		cfg.InMemory = cfg.InMemory || opts.InMemory
-	}
-	if cfg.DecodeCacheBytes == 0 {
-		cfg.DecodeCacheBytes = opts.DecodeCacheBytes
-	}
-	if cfg.DecodeMinDegree == 0 {
-		cfg.DecodeMinDegree = opts.DecodeMinDegree
 	}
 	return cfg
 }

@@ -40,7 +40,6 @@ type ssWorker struct {
 	cand     map[uint64][]graph.VertexID
 	candLeft map[uint64]int
 	edgeBuf  []graph.VertexID
-	scratch  []byte
 }
 
 type ssState struct {
@@ -127,7 +126,7 @@ func (s *ScanStat) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVe
 }
 
 func (s *ScanStat) ownArrived(ctx *core.Ctx, ws *ssWorker, v graph.VertexID, pv *graph.PageVertex) {
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], ws.scratch)
+	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
 	ws.own[v] = append(ws.own[v], ws.edgeBuf...)
 	ws.ownLeft[v]--
 	if ws.ownLeft[v] > 0 {
@@ -166,7 +165,7 @@ func (s *ScanStat) ownArrived(ctx *core.Ctx, ws *ssWorker, v graph.VertexID, pv 
 func (s *ScanStat) candArrived(ctx *core.Ctx, ws *ssWorker, v graph.VertexID, pv *graph.PageVertex) {
 	u := pv.ID
 	key := candKey(v, u)
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], ws.scratch)
+	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
 	ws.cand[key] = append(ws.cand[key], ws.edgeBuf...)
 	ws.candLeft[key]--
 	if ws.candLeft[key] > 0 {

@@ -8,12 +8,11 @@ import (
 // decodeScratch is one worker's reusable edge-decode space. The
 // multicast vertex programs (PageRank, WCC, KCore, BC, PPR) decode
 // every active vertex's neighbor list once per iteration — the
-// engine's hottest path — so the target slice and the page-crossing
-// copy buffer must not be reallocated per vertex. Workers index the
-// pool by ctx.WorkerID(); each entry is owned by one worker goroutine.
+// engine's hottest path — so the target slice must not be reallocated
+// per vertex. Workers index the pool by ctx.WorkerID(); each entry is
+// owned by one worker goroutine.
 type decodeScratch struct {
 	targets []graph.VertexID
-	buf     []byte
 }
 
 // newScratchPool sizes the pool for the engine's worker count.
@@ -21,17 +20,11 @@ func newScratchPool(eng core.ExecutionEngine) []decodeScratch {
 	return make([]decodeScratch, eng.Threads())
 }
 
-// edges decodes pv's neighbor list into this worker's buffers in one
-// streaming pass, allocation-free in steady state: the copy buffer is
-// grown to the record's exact extent first, so PageVertex.Edges never
-// needs to allocate for page-boundary crossings, under either on-SSD
-// encoding. The returned slice is valid until the next call on this
-// worker; Ctx.Multicast copies targets per destination partition, so
-// handing it the slice is safe.
+// edges decodes pv's neighbor list into this worker's buffer in one
+// streaming pass, allocation-free in steady state. The returned slice
+// is valid until the next call on this worker; Ctx.Multicast copies
+// targets per destination partition, so handing it the slice is safe.
 func (ws *decodeScratch) edges(pv *graph.PageVertex) []graph.VertexID {
-	if need := int(pv.RecordBytes()); cap(ws.buf) < need {
-		ws.buf = make([]byte, need)
-	}
-	ws.targets = pv.Edges(ws.targets[:0], ws.buf)
+	ws.targets = pv.Edges(ws.targets[:0], nil)
 	return ws.targets
 }

@@ -42,7 +42,6 @@ type tcWorker struct {
 	cand     map[uint64][]graph.VertexID
 	candLeft map[uint64]int
 	edgeBuf  []graph.VertexID
-	scratch  []byte
 }
 
 // tcState is the per-running-vertex neighbor set, kept only while the
@@ -195,7 +194,7 @@ func (t *TC) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) 
 // builds the candidate set (neighbors with larger IDs — each triangle
 // is counted at its smallest corner) and issues part 0's fetches.
 func (t *TC) ownArrived(ctx *core.Ctx, ws *tcWorker, v graph.VertexID, pv *graph.PageVertex) {
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], ws.scratch)
+	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
 	ws.own[v] = append(ws.own[v], ws.edgeBuf...)
 	ws.ownLeft[v]--
 	if ws.ownLeft[v] > 0 {
@@ -221,7 +220,7 @@ func (t *TC) ownArrived(ctx *core.Ctx, ws *tcWorker, v graph.VertexID, pv *graph
 func (t *TC) candArrived(ctx *core.Ctx, ws *tcWorker, v graph.VertexID, pv *graph.PageVertex) {
 	u := pv.ID
 	key := candKey(v, u)
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], ws.scratch)
+	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
 	ws.cand[key] = append(ws.cand[key], ws.edgeBuf...)
 	ws.candLeft[key]--
 	if ws.candLeft[key] > 0 {

@@ -30,12 +30,6 @@ type IOConfig struct {
 	CacheMB int64
 	// Iters is the fixed full-sweep PageRank iteration count (default 30).
 	Iters int
-	// DecodeCacheMB budgets the decoded-record cache in the "new path"
-	// PageRank variant (default 64).
-	DecodeCacheMB int64
-	// DecodeMinDegree is the decode cache's admission threshold
-	// (default graph.DefaultDecodeMinDegree via the zero value).
-	DecodeMinDegree uint32
 	// Direct requests O_DIRECT on the device files. Where the
 	// filesystem refuses (tmpfs), the stores degrade to buffered reads
 	// with fadvise hints; DirectActive in the report says what ran.
@@ -58,27 +52,22 @@ func (c *IOConfig) setDefaults(cfg *Config) {
 	if c.Iters == 0 {
 		c.Iters = 30
 	}
-	if c.DecodeCacheMB == 0 {
-		c.DecodeCacheMB = 64
-	}
 }
 
 // IOPageRankRun is one full-sweep PageRank measurement: an (engine,
-// layout, decode-cache) combination over a file-backed SSD array.
+// layout) combination over a file-backed SSD array.
 type IOPageRankRun struct {
-	Variant            string  `json:"variant"`
-	Engine             string  `json:"engine"`
-	Encoding           string  `json:"encoding"`
-	DecodeCacheMB      int64   `json:"decode_cache_mb"`
-	DataBytes          int64   `json:"data_bytes"` // edge-list bytes on SSD
-	ElapsedSec         float64 `json:"elapsed_sec"`
-	BytesRead          int64   `json:"bytes_read"`
-	DeviceReads        int64   `json:"device_reads"`
-	ReadSyscalls       int64   `json:"read_syscalls"` // pread + preadv calls on the device files
-	VecSyscalls        int64   `json:"vec_syscalls"`  // preadv calls among ReadSyscalls
-	DecodeNsPerEdge    float64 `json:"decode_ns_per_edge"`
-	DecodeCacheHitRate float64 `json:"decode_cache_hit_rate"`
-	Checksum           string  `json:"checksum"`
+	Variant         string  `json:"variant"`
+	Engine          string  `json:"engine"`
+	Encoding        string  `json:"encoding"`
+	DataBytes       int64   `json:"data_bytes"` // edge-list bytes on SSD
+	ElapsedSec      float64 `json:"elapsed_sec"`
+	BytesRead       int64   `json:"bytes_read"`
+	DeviceReads     int64   `json:"device_reads"`
+	ReadSyscalls    int64   `json:"read_syscalls"` // pread + preadv calls on the device files
+	VecSyscalls     int64   `json:"vec_syscalls"`  // preadv calls among ReadSyscalls
+	DecodeNsPerEdge float64 `json:"decode_ns_per_edge"`
+	Checksum        string  `json:"checksum"`
 }
 
 // IOBFSRun is one BFS submission-path measurement on the delta image:
@@ -99,20 +88,18 @@ type IOBFSRun struct {
 
 // IOReport is the BENCH_io.json document.
 type IOReport struct {
-	Scale         int             `json:"scale"`
-	EPV           int             `json:"epv"`
-	CacheMB       int64           `json:"cache_mb"`
-	Iters         int             `json:"iters"`
-	DecodeCacheMB int64           `json:"decode_cache_mb"`
-	Direct        bool            `json:"direct"`
-	DirectActive  bool            `json:"direct_active"`
-	PageRank      []IOPageRankRun `json:"pagerank"`
-	BFS           []IOBFSRun      `json:"bfs"`
-	// Summary holds the acceptance ratios: delta_vs_raw_wall (cached
-	// delta elapsed / raw elapsed), byte_reduction_base/new (PageRank
-	// bytes-read reduction vs raw, without/with the decode cache), and
-	// bfs_request_reduction (unmerged device reads / SAFS-merged device
-	// reads for one BFS query).
+	Scale        int             `json:"scale"`
+	EPV          int             `json:"epv"`
+	CacheMB      int64           `json:"cache_mb"`
+	Iters        int             `json:"iters"`
+	Direct       bool            `json:"direct"`
+	DirectActive bool            `json:"direct_active"`
+	PageRank     []IOPageRankRun `json:"pagerank"`
+	BFS          []IOBFSRun      `json:"bfs"`
+	// Summary holds the acceptance ratios: delta_vs_raw_wall (delta
+	// elapsed / raw elapsed), byte_reduction (delta's PageRank bytes-read
+	// reduction vs raw), and bfs_request_reduction (unmerged device
+	// reads / SAFS-merged device reads for one BFS query).
 	Summary map[string]float64 `json:"summary"`
 }
 
@@ -175,29 +162,19 @@ func newIOSubstrate(cfg Config, dir, label string, cacheBytes int64, direct bool
 // measureDecodeNs times a hot in-memory decode sweep over every
 // out-edge list (one warm pass, one timed pass) and returns ns/edge —
 // the pure decode-CPU number, no I/O, no engine.
-func measureDecodeNs(img *graph.Image, cache *graph.DecodeCache) float64 {
-	if img.Encoding == graph.EncodingBlock {
-		return 0 // block rows decode inside stripe sweeps, not per vertex
-	}
-	fp := ""
-	if cache != nil {
-		fp = img.Fingerprint()
-	}
+func measureDecodeNs(img *graph.Image) float64 {
 	var dst []graph.VertexID
 	sweep := func() int64 {
 		var edges int64
 		for v := 0; v < img.NumV; v++ {
 			off, size := img.OutIndex.Locate(graph.VertexID(v))
 			pv := graph.NewPageVertexBytes(graph.VertexID(v), graph.OutEdges, img.OutData[off:off+size], 0, img.Encoding)
-			if cache != nil {
-				pv.SetDecodeCache(cache, fp)
-			}
 			dst = pv.Edges(dst[:0], nil)
 			edges += int64(len(dst))
 		}
 		return edges
 	}
-	sweep() // warm: faults pages in, fills the decode cache
+	sweep() // warm: faults pages in
 	start := time.Now()
 	edges := sweep()
 	if edges == 0 {
@@ -207,15 +184,13 @@ func measureDecodeNs(img *graph.Image, cache *graph.DecodeCache) float64 {
 }
 
 // IOExp measures the raw I/O path end to end over file-backed device
-// stores: (a) decode CPU — full-sweep PageRank over raw, delta without
-// and with the decoded-record cache, and the 2D block layout on the
-// SpMV engine — and (b) submission shape — one cold BFS query on the
+// stores: (a) decode CPU — full-sweep PageRank over raw, delta, and the
+// 2D block layout on the SpMV engine — and (b) submission shape — one cold BFS query on the
 // delta image under each core.MergeMode: one flush per edge list
 // (MergeNone), FlashGraph worker-side merging (MergeFG), and one flush
 // per issue batch so SAFS and the devices merge (MergeSAFS). The run
-// panics if any checksum diverges, if SAFS merging fails to cut device
-// requests per BFS query by 2x vs no merging, or if the cached delta
-// run gives back the layout's byte reduction.
+// panics if any checksum diverges or if SAFS merging fails to cut device
+// requests per BFS query by 2x vs no merging.
 func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 	cfg.setDefaults()
 	iocfg.setDefaults(&cfg)
@@ -274,22 +249,15 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 
 	report := IOReport{
 		Scale: iocfg.Scale, EPV: iocfg.EPV, CacheMB: iocfg.CacheMB,
-		Iters: iocfg.Iters, DecodeCacheMB: iocfg.DecodeCacheMB,
-		Direct:  iocfg.Direct,
+		Iters: iocfg.Iters, Direct: iocfg.Direct,
 		Summary: map[string]float64{},
 	}
 
 	// Decode ns/edge: hot in-memory sweeps, independent of the engine.
 	decodeNs := map[string]float64{}
-	for _, v := range []struct {
-		key  string
-		img  *graph.Image
-		mb   int64
-		file string
-	}{
-		{"vertex/raw", rawImg, 0, rawPath},
-		{"vertex/delta", deltaImg, 0, filepath.Join(tmp, "io-delta.fg")},
-		{"vertex/delta+cache", deltaImg, iocfg.DecodeCacheMB, filepath.Join(tmp, "io-delta.fg")},
+	for _, v := range []struct{ key, file string }{
+		{"vertex/raw", rawPath},
+		{"vertex/delta", filepath.Join(tmp, "io-delta.fg")},
 	} {
 		f, err := os.Open(v.file)
 		if err != nil {
@@ -300,25 +268,18 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 		if err != nil {
 			panic(err)
 		}
-		var cache *graph.DecodeCache
-		if v.mb > 0 {
-			cache = graph.NewDecodeCache(graph.DecodeCacheConfig{Bytes: v.mb << 20, MinDegree: iocfg.DecodeMinDegree})
-		}
-		decodeNs[v.key] = measureDecodeNs(mem, cache)
+		decodeNs[v.key] = measureDecodeNs(mem)
 	}
 
 	// Part (a): full-sweep PageRank — every vertex active every
 	// iteration, the workload where decode CPU has nowhere to hide.
-	fmt.Fprintf(w, "%-20s %10s %12s %12s %12s %12s %10s %10s\n",
-		"pagerank variant", "on-SSD", "elapsed(s)", "read", "dev-reads", "syscalls", "ns/edge", "hub-hit")
-	measurePR := func(label, variant string, img *graph.Image, kind core.EngineKind, decodeMB int64) IOPageRankRun {
+	fmt.Fprintf(w, "%-20s %10s %12s %12s %12s %12s %10s\n",
+		"pagerank variant", "on-SSD", "elapsed(s)", "read", "dev-reads", "syscalls", "ns/edge")
+	measurePR := func(label, variant string, img *graph.Image, kind core.EngineKind) IOPageRankRun {
 		fs, arr, ctr, directActive := newIOSubstrate(cfg, tmp, "pr-"+label, iocfg.CacheMB<<20, iocfg.Direct)
 		defer arr.Close()
 		report.DirectActive = report.DirectActive || directActive
-		shared, err := core.NewShared(img, core.Config{
-			Threads: cfg.Threads, RangeShift: 6, FS: fs,
-			DecodeCacheBytes: decodeMB << 20, DecodeMinDegree: iocfg.DecodeMinDegree,
-		})
+		shared, err := core.NewShared(img, core.Config{Threads: cfg.Threads, RangeShift: 6, FS: fs})
 		if err != nil {
 			panic(err)
 		}
@@ -335,11 +296,10 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 		if err != nil {
 			panic(err)
 		}
-		run := IOPageRankRun{
+		return IOPageRankRun{
 			Variant:         variant,
 			Engine:          st.Engine,
 			Encoding:        img.Encoding.String(),
-			DecodeCacheMB:   decodeMB,
 			DataBytes:       img.DataSize(),
 			ElapsedSec:      st.Elapsed.Seconds(),
 			BytesRead:       st.BytesRead,
@@ -349,32 +309,26 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 			DecodeNsPerEdge: decodeNs[variant],
 			Checksum:        result.From(pr, "pagerank").Checksum(),
 		}
-		if dc := shared.DecodeCache(); dc != nil {
-			run.DecodeCacheHitRate = dc.Stats().HitRate()
-		}
-		return run
 	}
 
 	prVariants := []struct {
-		label    string
-		variant  string
-		img      *graph.Image
-		kind     core.EngineKind
-		decodeMB int64
+		label   string
+		variant string
+		img     *graph.Image
+		kind    core.EngineKind
 	}{
-		{"raw", "vertex/raw", rawImg, core.EngineVertex, 0},
-		{"delta", "vertex/delta", deltaImg, core.EngineVertex, 0},
-		{"delta-cache", "vertex/delta+cache", deltaImg, core.EngineVertex, iocfg.DecodeCacheMB},
-		{"block", "spmv/block", blockImg, core.EngineSpMV, 0},
+		{"raw", "vertex/raw", rawImg, core.EngineVertex},
+		{"delta", "vertex/delta", deltaImg, core.EngineVertex},
+		{"block", "spmv/block", blockImg, core.EngineSpMV},
 	}
 	var out []Result
 	for _, v := range prVariants {
-		run := measurePR(v.label, v.variant, v.img, v.kind, v.decodeMB)
+		run := measurePR(v.label, v.variant, v.img, v.kind)
 		report.PageRank = append(report.PageRank, run)
-		fmt.Fprintf(w, "%-20s %10s %12.3f %12s %12d %12d %10.1f %10.3f\n",
+		fmt.Fprintf(w, "%-20s %10s %12.3f %12s %12d %12d %10.1f\n",
 			run.Variant, util.HumanBytes(run.DataBytes), run.ElapsedSec,
 			util.HumanBytes(run.BytesRead), run.DeviceReads, run.ReadSyscalls,
-			run.DecodeNsPerEdge, run.DecodeCacheHitRate)
+			run.DecodeNsPerEdge)
 		out = append(out, Result{
 			Exp: "io", Dataset: fmt.Sprintf("rmat-%d", iocfg.Scale),
 			App: "pagerank", Variant: run.Variant, Value: run.ElapsedSec,
@@ -386,7 +340,7 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 			},
 		})
 	}
-	prRaw, prDelta, prCached := report.PageRank[0], report.PageRank[1], report.PageRank[2]
+	prRaw, prDelta := report.PageRank[0], report.PageRank[1]
 	for _, run := range report.PageRank[1:] {
 		if run.Checksum != prRaw.Checksum {
 			panic(fmt.Sprintf("bench: pagerank diverges: %s checksum %s != %s checksum %s",
@@ -462,25 +416,19 @@ func IOExp(cfg Config, iocfg IOConfig, w io.Writer) []Result {
 	}
 
 	// Acceptance ratios.
-	wallRatio := prCached.ElapsedSec / prRaw.ElapsedSec
-	baseRed := 1 - float64(prDelta.BytesRead)/float64(prRaw.BytesRead)
-	newRed := 1 - float64(prCached.BytesRead)/float64(prRaw.BytesRead)
+	wallRatio := prDelta.ElapsedSec / prRaw.ElapsedSec
+	byteRed := 1 - float64(prDelta.BytesRead)/float64(prRaw.BytesRead)
 	reqCut := float64(bfsNone.DeviceReads) / float64(bfsSAFS.DeviceReads)
 	report.Summary["delta_vs_raw_wall"] = wallRatio
-	report.Summary["byte_reduction_base"] = baseRed
-	report.Summary["byte_reduction_new"] = newRed
+	report.Summary["byte_reduction"] = byteRed
 	report.Summary["bfs_request_reduction"] = reqCut
 	report.Summary["bfs_merge_ratio"] = bfsSAFS.MergeRatio
-	if newRed < 0.9*baseRed {
-		panic(fmt.Sprintf("bench: decode cache gave back the byte win: %.1f%% reduction vs %.1f%% without it",
-			newRed*100, baseRed*100))
-	}
 	if reqCut < 2 {
 		panic(fmt.Sprintf("bench: SAFS merging cut BFS device requests only %.2fx vs no merging (want >= 2x)",
 			reqCut))
 	}
-	fmt.Fprintf(w, "delta+cache vs raw pagerank: %.3fx wall-clock, %.1f%% fewer bytes read (%.1f%% without cache), answers bit-identical\n",
-		wallRatio, newRed*100, baseRed*100)
+	fmt.Fprintf(w, "delta vs raw pagerank: %.3fx wall-clock, %.1f%% fewer bytes read, answers bit-identical\n",
+		wallRatio, byteRed*100)
 	fmt.Fprintf(w, "bfs SAFS-merged vs unmerged: %.1fx fewer device requests (%d -> %d), merge ratio %.2f, %d -> %d read syscalls\n",
 		reqCut, bfsNone.DeviceReads, bfsSAFS.DeviceReads, bfsSAFS.MergeRatio,
 		bfsNone.ReadSyscalls, bfsSAFS.ReadSyscalls)

@@ -80,19 +80,6 @@ type Config struct {
 	FS *safs.FS
 	// GraphName names the image's files inside FS. Default "graph".
 	GraphName string
-	// MsgFlushThreshold is the per-destination buffered-message count
-	// that triggers a flush (§3.4.1 bundling). Default 256.
-	MsgFlushThreshold int
-	// RandomSeed seeds SchedRandom shuffles.
-	RandomSeed uint64
-	// DecodeCacheBytes budgets the shared decoded-record cache for hot
-	// hubs (delta layouts pay a varint prefix-sum on every visit; the
-	// cache erases it for high-degree vertices). 0 disables it — the
-	// default build decodes exactly as before.
-	DecodeCacheBytes int64
-	// DecodeMinDegree is the cache's admission threshold (default
-	// graph.DefaultDecodeMinDegree).
-	DecodeMinDegree uint32
 }
 
 func (c *Config) setDefaults() {
@@ -107,12 +94,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.GraphName == "" {
 		c.GraphName = "graph"
-	}
-	if c.MsgFlushThreshold == 0 {
-		c.MsgFlushThreshold = 256
-	}
-	if c.RandomSeed == 0 {
-		c.RandomSeed = 1
 	}
 }
 
@@ -129,11 +110,6 @@ type Shared struct {
 	img      *graph.Image
 	files    *graph.FSFiles // nil in in-memory mode
 	loadTime time.Duration
-	// decode is the optional decoded-record cache, shared by every run
-	// over this graph (nil when Config.DecodeCacheBytes is 0); fp is
-	// the image fingerprint its entries are keyed under.
-	decode *graph.DecodeCache
-	fp     string
 }
 
 // NewShared loads img and prepares the shared substrate. In SEM mode
@@ -146,13 +122,6 @@ func NewShared(img *graph.Image, cfg Config) (*Shared, error) {
 		return nil, fmt.Errorf("core: in-memory mode requires a RAM-resident image; file-backed images (graph.OpenImageFile) serve in semi-external-memory mode")
 	}
 	s := &Shared{cfg: cfg, img: img}
-	if cfg.DecodeCacheBytes > 0 && img.Encoding == graph.EncodingDelta {
-		s.decode = graph.NewDecodeCache(graph.DecodeCacheConfig{
-			Bytes:     cfg.DecodeCacheBytes,
-			MinDegree: cfg.DecodeMinDegree,
-		})
-		s.fp = img.Fingerprint()
-	}
 	start := time.Now()
 	if !cfg.InMemory {
 		if cfg.FS == nil {
@@ -180,16 +149,12 @@ func (s *Shared) FS() *safs.FS { return s.cfg.FS }
 // LoadTime returns how long writing the image onto the SSDs took.
 func (s *Shared) LoadTime() time.Duration { return s.loadTime }
 
-// DecodeCache returns the shared decoded-record cache (nil when
-// disabled) — the serve layer surfaces its stats.
-func (s *Shared) DecodeCache() *graph.DecodeCache { return s.decode }
-
 // NewRun stamps out a lightweight per-run engine over the shared
 // substrate. Each run owns its active bitmaps, workers (and their I/O
 // contexts and message buffers), iteration counter, and statistics, so
 // runs created from one Shared may execute concurrently.
 func (s *Shared) NewRun() *Engine {
-	e := &Engine{runBase: s.newRunBase(), sweepFwd: true, decode: s.decode, fp: s.fp}
+	e := &Engine{runBase: s.newRunBase(), sweepFwd: true}
 	e.activeCur = util.NewBitmap(s.img.NumV)
 	e.activeNext = util.NewBitmap(s.img.NumV)
 	e.workers = make([]*worker, s.cfg.Threads)
@@ -206,8 +171,6 @@ func (s *Shared) NewRun() *Engine {
 // this struct is private to the run; everything shared lives in Shared.
 type Engine struct {
 	runBase
-	decode *graph.DecodeCache
-	fp     string
 
 	workers []*worker
 

@@ -212,7 +212,6 @@ func (e *SpMVEngine) sweepRecords(dir graph.EdgeDir, ix *graph.Index) error {
 			}
 			if ix.Degree(graph.VertexID(v)) > 0 {
 				pv := graph.NewPageVertexBytes(graph.VertexID(v), dir, buf[pos:pos+rec], attrSize, enc)
-				pv.SetDecodeCache(e.shared.decode, e.shared.fp)
 				e.rowScratch = pv.Edges(e.rowScratch[:0], nil)
 				e.prog.ApplyRow(dir, graph.VertexID(v), e.rowScratch)
 			}

@@ -12,6 +12,14 @@ import (
 	"flashgraph/internal/util"
 )
 
+const (
+	// msgFlushThreshold is the per-destination buffered-message count
+	// that triggers a flush (§3.4.1 bundling).
+	msgFlushThreshold = 256
+	// randomSeed seeds the per-worker SchedRandom shuffles.
+	randomSeed uint64 = 1
+)
+
 // edgeReq is one vertex's request for one edge list, located via the
 // in-memory index at request time.
 type edgeReq struct {
@@ -75,7 +83,7 @@ func newWorker(e *Engine, id int) *worker {
 		eng:    e,
 		cmds:   make(chan func()),
 		outbox: make([][]envelope, e.cfg.Threads),
-		rng:    util.NewRNG(e.cfg.RandomSeed + uint64(id)*7919),
+		rng:    util.NewRNG(randomSeed + uint64(id)*7919),
 	}
 	if !e.cfg.InMemory {
 		w.ioctx = e.cfg.FS.NewContext()
@@ -319,7 +327,6 @@ func (w *worker) issue() {
 		for i := 0; i < len(reqs); i++ {
 			r := reqs[i]
 			pv := graph.NewPageVertexBytes(r.target, r.dir, e.data(r.dir)[r.off:r.off+r.size], e.img.AttrSize, e.img.Encoding)
-			pv.SetDecodeCache(e.decode, e.fp)
 			ctx.cur = r.requester
 			e.alg.RunOnVertex(ctx, r.requester, &pv)
 			w.vertexRequestDone(r.requester)
@@ -395,16 +402,14 @@ func (w *worker) issueMerged(group []edgeReq, end int64) {
 		for _, it := range items {
 			// View.Slice hands back the cache frame directly unless the
 			// record crosses a page boundary, so nearly every vertex
-			// decodes on PageVertex's devirtualized byte path with no
-			// per-vertex view allocation. scratch is grown here (not by
-			// Slice) so boundary-crossing copies reuse one buffer across
-			// the task's vertices.
+			// decodes in place. scratch is grown here (not by Slice) so
+			// boundary-crossing copies reuse one buffer across the
+			// task's vertices.
 			if int64(cap(scratch)) < it.size {
 				scratch = make([]byte, it.size)
 			}
 			rec := view.Slice(it.off-start, it.size, scratch)
 			pv := graph.NewPageVertexBytes(it.target, it.dir, rec, e.img.AttrSize, e.img.Encoding)
-			pv.SetDecodeCache(e.decode, e.fp)
 			ctx.cur = it.requester
 			e.alg.RunOnVertex(ctx, it.requester, &pv)
 			w.vertexRequestDone(it.requester)
@@ -428,7 +433,7 @@ func (w *worker) send(to graph.VertexID, msg Message) {
 	w.outbox[p] = append(w.outbox[p], envelope{msg: msg, to: to})
 	w.outCnt++
 	atomic.AddInt64(&w.eng.stats.messages, 1)
-	if len(w.outbox[p]) >= w.eng.cfg.MsgFlushThreshold {
+	if len(w.outbox[p]) >= msgFlushThreshold {
 		w.flushTo(p)
 	}
 }
@@ -445,7 +450,7 @@ func (w *worker) multicast(targets []graph.VertexID, msg Message) {
 		w.outbox[p] = append(w.outbox[p], envelope{msg: msg, targets: ts})
 		w.outCnt++
 		atomic.AddInt64(&e.stats.messages, int64(len(ts)))
-		if len(w.outbox[p]) >= e.cfg.MsgFlushThreshold {
+		if len(w.outbox[p]) >= msgFlushThreshold {
 			w.flushTo(p)
 		}
 	}

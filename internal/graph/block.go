@@ -259,12 +259,13 @@ func encodeBlock(dst []byte, rowBase, colBase VertexID, rows, cols []VertexID, a
 // the caller to keep.
 func (bd *BlockDir) DecodeStripe(buf []byte, r, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
 	base, _ := bd.StripeExtent(r)
+	span := uint64(1) << bd.Shift
 	rowBase := VertexID(r << bd.Shift)
 	for c := 0; c < bd.Stripes; c++ {
 		i := r*bd.Stripes + c
 		bb := buf[bd.Offsets[i]-base : bd.Offsets[i+1]-base]
 		var err error
-		cols, err = decodeBlock(bb, rowBase, VertexID(c<<bd.Shift), attrSize, cols, fn)
+		cols, err = decodeBlock(bb, rowBase, VertexID(c<<bd.Shift), span, attrSize, cols, fn)
 		if err != nil {
 			return cols, fmt.Errorf("graph: block (%d,%d): %w", r, c, err)
 		}
@@ -273,7 +274,12 @@ func (bd *BlockDir) DecodeStripe(buf []byte, r, attrSize int, cols []VertexID, f
 }
 
 // decodeBlock decodes one block's bytes, invoking fn per encoded row.
-func decodeBlock(bb []byte, rowBase, colBase VertexID, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
+// The block spans span rows from rowBase and span columns from colBase;
+// a row outside it, a run ending outside it, and an edge count the
+// remaining bytes cannot hold (every edge costs a gap byte plus its
+// attribute) are corruption, reported before they size an allocation or
+// reach a consumer that indexes by them.
+func decodeBlock(bb []byte, rowBase, colBase VertexID, span uint64, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
 	if len(bb) == 0 {
 		return cols, nil
 	}
@@ -285,18 +291,19 @@ func decodeBlock(bb []byte, rowBase, colBase VertexID, attrSize int, cols []Vert
 	row := rowBase
 	for ri := uint64(0); ri < rowCount; ri++ {
 		d, k := binary.Uvarint(bb[pos:])
-		if k <= 0 {
+		if k <= 0 || d >= span || uint64(row-rowBase)+d >= span {
 			return cols, fmt.Errorf("bad row delta")
 		}
 		pos += k
 		row += VertexID(d)
 		cnt, k := binary.Uvarint(bb[pos:])
-		if k <= 0 {
+		if k <= 0 || cnt > uint64(len(bb)-pos-k)/uint64(1+attrSize) {
 			return cols, fmt.Errorf("bad edge count")
 		}
 		pos += k
-		cols, pos, _ = decodeGaps(cols[:0], bb, pos, int(cnt), uint64(colBase))
-		if pos < 0 {
+		var last uint64
+		cols, pos, last = decodeGaps(cols[:0], bb, pos, int(cnt), uint64(colBase))
+		if pos < 0 || last >= uint64(colBase)+span {
 			return cols, fmt.Errorf("bad column gap")
 		}
 		var attrs []byte

@@ -26,21 +26,14 @@ func benchImage(b *testing.B, enc Encoding) *Image {
 
 // benchEdges decodes every vertex's edge list once per iteration and
 // reports ns/edge — the decode-CPU number the io experiment tracks.
-func benchEdges(b *testing.B, img *Image, cache *DecodeCache) {
+func benchEdges(b *testing.B, img *Image) {
 	var dst []VertexID
 	var edges int64
-	fp := ""
-	if cache != nil {
-		fp = img.Fingerprint()
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v := 0; v < img.NumV; v++ {
 			off, size := img.OutIndex.Locate(VertexID(v))
-			pv := NewPageVertex(VertexID(v), OutEdges, ByteSpan(img.OutData[off:off+size]), 0, img.Encoding)
-			if cache != nil {
-				pv.SetDecodeCache(cache, fp)
-			}
+			pv := NewPageVertexBytes(VertexID(v), OutEdges, img.OutData[off:off+size], 0, img.Encoding)
 			dst = pv.Edges(dst, nil)
 			edges += int64(len(dst))
 		}
@@ -51,15 +44,11 @@ func benchEdges(b *testing.B, img *Image, cache *DecodeCache) {
 }
 
 func BenchmarkDecodeDeltaEdges(b *testing.B) {
-	benchEdges(b, benchImage(b, EncodingDelta), nil)
-}
-
-func BenchmarkDecodeDeltaEdgesCached(b *testing.B) {
-	benchEdges(b, benchImage(b, EncodingDelta), NewDecodeCache(DecodeCacheConfig{Bytes: 1 << 20}))
+	benchEdges(b, benchImage(b, EncodingDelta))
 }
 
 func BenchmarkDecodeRawEdges(b *testing.B) {
-	benchEdges(b, benchImage(b, EncodingRaw), nil)
+	benchEdges(b, benchImage(b, EncodingRaw))
 }
 
 // BenchmarkDecodeGaps isolates the batch varint loop on a power-law-ish

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -121,77 +120,5 @@ func TestDeltaIndexCompaction(t *testing.T) {
 	perVertex := float64(ix.MemoryFootprint()) / n
 	if perVertex > 1.6 {
 		t.Fatalf("delta index footprint = %.2f B/vertex, want <= 1.6 (packed pair compaction)", perVertex)
-	}
-}
-
-// TestDecodeCache covers the decode-record LRU: nil-safety (the
-// zero-value-off contract), degree admission, hit correctness against
-// a fresh decode, and budget-driven eviction.
-func TestDecodeCache(t *testing.T) {
-	var nilCache *DecodeCache
-	if nilCache.Admit(1 << 20) {
-		t.Fatal("nil cache admitted an entry")
-	}
-	if _, ok := nilCache.Get("fp", OutEdges, 1); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	nilCache.Put("fp", OutEdges, 1, []VertexID{1})
-	if s := nilCache.Stats(); s != (DecodeCacheStats{}) {
-		t.Fatalf("nil cache stats = %+v, want zeros", s)
-	}
-	if NewDecodeCache(DecodeCacheConfig{}) != nil {
-		t.Fatal("zero config must disable the cache")
-	}
-
-	c := NewDecodeCache(DecodeCacheConfig{Bytes: 4096, MinDegree: 4})
-	if c.Admit(3) || !c.Admit(4) {
-		t.Fatal("admission threshold not honored")
-	}
-
-	// A delta image with hub vertices; Edges must hit the cache on
-	// revisit and return identical neighbors.
-	adj := fixtureAdjacency()
-	img := BuildImage(adj, 0, nil)
-	var buf bytes.Buffer
-	if err := img.EncodeAs(&buf, EncodingDelta); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := delta.Fingerprint()
-	hub := VertexID(5)
-	off, size := delta.OutIndex.Locate(hub)
-	var dst []VertexID
-	for pass := 0; pass < 3; pass++ {
-		pv := NewPageVertex(hub, OutEdges, ByteSpan(delta.OutData[off:off+size]), 0, EncodingDelta)
-		pv.SetDecodeCache(c, fp)
-		dst = pv.Edges(dst, nil)
-		if len(dst) != len(adj.Out[hub]) {
-			t.Fatalf("pass %d: %d edges, want %d", pass, len(dst), len(adj.Out[hub]))
-		}
-		for i, u := range adj.Out[hub] {
-			if dst[i] != u {
-				t.Fatalf("pass %d: edge %d = %d, want %d", pass, i, dst[i], u)
-			}
-		}
-	}
-	s := c.Stats()
-	if s.Inserts != 1 || s.Hits != 2 {
-		t.Fatalf("stats = %+v, want 1 insert and 2 hits", s)
-	}
-
-	// Eviction: filling past the budget must keep Bytes <= Budget.
-	for v := 0; v < 100; v++ {
-		edges := make([]VertexID, 64)
-		c.Put("other", OutEdges, VertexID(v), edges)
-	}
-	s = c.Stats()
-	if s.Bytes > s.Budget {
-		t.Fatalf("cache over budget: %d > %d", s.Bytes, s.Budget)
-	}
-	if s.Evictions == 0 {
-		t.Fatal("expected evictions after overfilling")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func adjacencyOf(t *testing.T, img *Image) (out, in [][]VertexID, outAttrs [][]u
 		}
 		for v := 0; v < img.NumV; v++ {
 			off, size := ix.Locate(VertexID(v))
-			pv := NewPageVertex(VertexID(v), OutEdges, ByteSpan(data[off:off+size]), img.AttrSize, img.Encoding)
+			pv := NewPageVertexBytes(VertexID(v), OutEdges, data[off:off+size], img.AttrSize, img.Encoding)
 			lists[v] = pv.Edges(nil, nil)
 			if deg := ix.Degree(VertexID(v)); uint32(len(lists[v])) != deg {
 				t.Fatalf("vertex %d: decoded %d edges, index says %d", v, len(lists[v]), deg)
@@ -249,7 +250,7 @@ func TestPageVertexDeltaDecoder(t *testing.T) {
 		rec = binary.LittleEndian.AppendUint32(rec, a)
 	}
 
-	pv := NewPageVertex(1, OutEdges, ByteSpan(rec), 4, EncodingDelta)
+	pv := NewPageVertexBytes(1, OutEdges, rec, 4, EncodingDelta)
 	if pv.NumEdges() != len(ids) {
 		t.Fatalf("NumEdges = %d, want %d", pv.NumEdges(), len(ids))
 	}
@@ -277,9 +278,91 @@ func TestPageVertexDeltaDecoder(t *testing.T) {
 	}
 
 	// Empty record: a single zero-count varint byte.
-	empty := NewPageVertex(2, OutEdges, ByteSpan([]byte{0}), 0, EncodingDelta)
+	empty := NewPageVertexBytes(2, OutEdges, []byte{0}, 0, EncodingDelta)
 	if empty.NumEdges() != 0 || len(empty.Edges(nil, nil)) != 0 {
 		t.Fatal("empty delta record must decode to zero edges")
+	}
+}
+
+// TestPageVertexRawRejectsCorruptCount: a raw record's length is a pure
+// function of its count, so a count that does not match the record's
+// extent is corruption and must panic in the record-corruption idiom —
+// on a weighted image a smaller count would otherwise decode cleanly
+// and read neighbor bytes as weights.
+func TestPageVertexRawRejectsCorruptCount(t *testing.T) {
+	attr := func(src, dst VertexID, buf []byte) { binary.LittleEndian.PutUint32(buf, 7) }
+	adj := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}}, true)
+	img := BuildImage(adj, 4, attr) // RAM-built: no checksum trailer to catch the flip
+	off, size := img.OutIndex.Locate(0)
+	rec := append([]byte(nil), img.OutData[off:off+size]...)
+
+	good := NewPageVertexBytes(0, OutEdges, rec, 4, EncodingRaw)
+	if got := good.Edges(nil, nil); !equalIDs(got, []VertexID{1, 2, 3}) || good.AttrUint32(2) != 7 {
+		t.Fatalf("intact record decoded %v / weight %d", got, good.AttrUint32(2))
+	}
+	for _, cnt := range []uint32{2, 4, 1 << 30} {
+		binary.LittleEndian.PutUint32(rec, cnt)
+		var got []VertexID
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			pv := NewPageVertexBytes(0, OutEdges, rec, 4, EncodingRaw)
+			got = pv.Edges(nil, nil)
+			return ""
+		}()
+		if !strings.HasPrefix(msg, "graph: corrupt edge count") {
+			t.Fatalf("count %d in a 3-edge record: decoded %v, panic %q; want the corrupt-edge-count panic", cnt, got, msg)
+		}
+	}
+}
+
+// TestReencodeBadInputIsAnError: host files are outside input, so the
+// re-encode path (EncodeAs, fg-convert -reencode) must answer a
+// truncated file, a corrupt record, and a record whose count disagrees
+// with the index with an error — never a panic, never a wrong image.
+func TestReencodeBadInputIsAnError(t *testing.T) {
+	for _, enc := range []Encoding{EncodingRaw, EncodingDelta} {
+		file := buildFileEnc(t, testEdges(300, 2000, 11), 300, true, 0, nil, 1<<20, enc)
+		img, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dataOff := len(file) - trailerLen(img) - int(img.DataSize())
+		hub := VertexID(0) // any vertex whose count is one byte and can drop by one
+		for d := img.OutIndex.Degree(hub); d < 2 || d > 127; d = img.OutIndex.Degree(hub) {
+			hub++
+		}
+		recOff, _ := img.OutIndex.Locate(hub)
+
+		reencode := func(name string, data []byte) {
+			t.Helper()
+			path := filepath.Join(t.TempDir(), "bad.fg")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fb, err := OpenImageFile(path)
+			if err != nil {
+				return // rejected even earlier
+			}
+			defer fb.Close()
+			for _, target := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+				if err := fb.EncodeAs(io.Discard, target); err == nil {
+					t.Errorf("%s image, %s: re-encoded to %s without error", enc, name, target)
+				}
+			}
+		}
+		reencode("truncated mid-data", file[:dataOff+int(img.OutIndex.FileSize())/2])
+
+		// The hub's count drops by one: still a well-formed delta record
+		// (raw rejects it by length), but not the degree the index holds.
+		fewer := append([]byte(nil), file...)
+		fewer[dataOff+int(recOff)]--
+		reencode("count below the index degree", fewer)
+
+		poisoned := append([]byte(nil), file...)
+		for i := 0; i < 4; i++ {
+			poisoned[dataOff+int(recOff)+i] ^= 0xFF
+		}
+		reencode("poisoned record header", poisoned)
 	}
 }
 
@@ -364,7 +447,7 @@ func TestV1FixtureRegression(t *testing.T) {
 		}
 		// Spot-check weights through the decoder.
 		off, size := img.OutIndex.Locate(0)
-		pv := NewPageVertex(0, OutEdges, ByteSpan(img.OutData[off:off+size]), 4, img.Encoding)
+		pv := NewPageVertexBytes(0, OutEdges, img.OutData[off:off+size], 4, img.Encoding)
 		for i, u := range a.Out[0] {
 			if got, want := pv.AttrUint32(i), attrOf(0, u); got != want {
 				t.Fatalf("edge (0,%d): attr %d, want %d", u, got, want)

@@ -11,8 +11,10 @@ import (
 // in v2 delta fixture. It pins two compatibility surfaces at once: the
 // v2 container bytes (the fixture must keep decoding) and fingerprint
 // byte-stability (index-representation changes, like the packed pair
-// compaction, must not move the hash — cached results key on it).
-const fixtureFingerprint = "108a7c787ad0dc19"
+// compaction, must not move the hash — cached results key on it). The
+// recorded value moves only when Fingerprint's definition does (last:
+// the data component became the per-extent CRC32C table).
+const fixtureFingerprint = "a9a0c44b0b6fb305"
 
 // fixtureAdjacency builds the fixture graph deterministically from
 // arithmetic (no RNG, so the fixture is regenerable bit-identically):
@@ -121,7 +123,7 @@ func TestV2DeltaFixture(t *testing.T) {
 		if rb := img.OutIndex.RecordBytes(v); rb != size {
 			t.Fatalf("vertex %d: RecordBytes %d != Locate size %d", v, rb, size)
 		}
-		pv := NewPageVertex(v, OutEdges, ByteSpan(img.OutData[off:off+size]), 0, EncodingDelta)
+		pv := NewPageVertexBytes(v, OutEdges, img.OutData[off:off+size], 0, EncodingDelta)
 		dst = pv.Edges(dst, scratch[:])
 		if len(dst) != len(adj.Out[v]) {
 			t.Fatalf("vertex %d: decoded %d edges, want %d", v, len(dst), len(adj.Out[v]))
@@ -135,5 +137,69 @@ func TestV2DeltaFixture(t *testing.T) {
 	// The hub's spills must actually exercise both hash tables.
 	if img.OutIndex.LargeVertices() == 0 {
 		t.Fatal("fixture lost its large-vertex hash-table residents")
+	}
+}
+
+// TestFingerprintCoversAllData: two images with the same shape and
+// degree sequence that differ in one byte far from both ends of the
+// edge data must not share an identity (the result cache keys on it),
+// whether the per-extent sums come from a checksum trailer or from a
+// pass over trailer-less data; every way of opening the same bytes
+// agrees.
+func TestFingerprintCoversAllData(t *testing.T) {
+	const n, deg = 40000, 4 // 20-byte raw records: 800 KB of edge data
+	ring := func(twist VertexID) *Image {
+		lists := make([][]VertexID, n)
+		for v := range lists {
+			for i := 1; i <= deg; i++ {
+				lists[v] = append(lists[v], VertexID((v+i)%n))
+			}
+		}
+		lists[n/2][deg-1] += twist
+		return BuildImage(&Adjacency{N: n, Out: lists}, 0, nil)
+	}
+	a, b := ring(0), ring(1)
+	if mid := a.OutIndex.FileSize() / 2; mid < 256<<10+4096 {
+		t.Fatalf("edge data too small (%d bytes) for a mid-file difference", a.OutIndex.FileSize())
+	}
+	if a.OutSums != nil {
+		t.Fatal("RAM-built image unexpectedly carries persisted sums")
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("trailer-less images differing mid-file share a fingerprint")
+	}
+
+	dir := t.TempDir()
+	open := func(img *Image, name string) (ram, file *Image) {
+		var buf bytes.Buffer
+		if err := img.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ram, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file, err = OpenImageFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { file.Close() })
+		if ram.OutSums == nil || file.OutSums == nil {
+			t.Fatal("encoded image lost its checksum trailer")
+		}
+		return ram, file
+	}
+	aRAM, aFile := open(a, "a.fg")
+	bRAM, _ := open(b, "b.fg")
+	if aRAM.Fingerprint() == bRAM.Fingerprint() {
+		t.Fatal("trailer-carrying images differing mid-file share a fingerprint")
+	}
+	if fp := a.Fingerprint(); aRAM.Fingerprint() != fp || aFile.Fingerprint() != fp {
+		t.Fatalf("one image, three identities: built %s, decoded %s, file-backed %s",
+			fp, aRAM.Fingerprint(), aFile.Fingerprint())
 	}
 }

@@ -67,24 +67,37 @@ func encodeDeltaRecord(edges []VertexID, attrs []byte) []byte {
 	return append(rec, attrs...)
 }
 
-// decodeDeltaAdversarial drives the PageVertex delta decoder over an
-// arbitrary byte string. The decoder's corruption contract is a panic
-// with the "graph:" record-corruption prefix (the engine's per-run
-// recover turns it into a failed query); any other panic — slice bounds,
-// OOM-sized allocation — is a decoder bug.
-func decodeDeltaAdversarial(t *testing.T, rec []byte, attrSize int) {
+// encodeRawRecord builds a valid raw record ([count u32][edges
+// count×u32][attrs]) the way encodeStream does.
+func encodeRawRecord(edges []VertexID, attrs []byte) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(edges)))
+	for _, e := range edges {
+		rec = binary.LittleEndian.AppendUint32(rec, e)
+	}
+	return append(rec, attrs...)
+}
+
+// decodeAdversarial drives the PageVertex decoder over an arbitrary
+// byte string in the given record layout. The decoder's corruption
+// contract is a panic with the "graph:" record-corruption prefix (the
+// engine's per-run recover turns it into a failed query); any other
+// panic — slice bounds, OOM-sized allocation — is a decoder bug. A
+// record it accepts must be self-consistent: exactly NumEdges IDs.
+func decodeAdversarial(t *testing.T, rec []byte, attrSize int, enc Encoding) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			s, ok := r.(string)
 			if !ok || !strings.HasPrefix(s, "graph:") {
-				t.Fatalf("undocumented panic decoding %x: %v", rec, r)
+				t.Fatalf("undocumented panic decoding %s record %x: %v", enc, rec, r)
 			}
 		}
 	}()
-	pv := NewPageVertexBytes(1, OutEdges, rec, attrSize, EncodingDelta)
+	pv := NewPageVertexBytes(1, OutEdges, rec, attrSize, enc)
 	n := pv.NumEdges()
-	_ = pv.Edges(nil, nil)
+	if got := pv.Edges(nil, nil); len(got) != n {
+		t.Fatalf("%s record %x: NumEdges %d, Edges decoded %d", enc, rec, n, len(got))
+	}
 	if n > 0 {
 		_ = pv.Edge(0)
 		_ = pv.Edge(n - 1)
@@ -94,16 +107,23 @@ func decodeDeltaAdversarial(t *testing.T, rec []byte, attrSize int) {
 	}
 }
 
+// FuzzPageVertexDelta fuzzes PageVertex under both record layouts (the
+// name predates the raw half; the checked-in corpus is keyed by it).
 func FuzzPageVertexDelta(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{3, 5, 1, 200}, uint8(0))                 // tiny valid-ish stream
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, uint8(4)) // huge claimed count
 	f.Add(encodeDeltaRecord([]VertexID{2, 9, 9, 300}, nil), uint8(0))
+	f.Add(encodeRawRecord([]VertexID{2, 9, 9, 300}, nil), uint8(0))
+	f.Add(encodeRawRecord([]VertexID{4, 8}, []byte{1, 0, 0, 0, 2, 0, 0, 0}), uint8(4))     // weighted
+	f.Add(encodeRawRecord([]VertexID{4, 8, 12}, []byte{1, 0, 0, 0, 2, 0, 0, 0}), uint8(4)) // weighted, count one too many
+	f.Add([]byte{1, 0, 0}, uint8(0))                                                       // shorter than a raw header
 	f.Fuzz(func(t *testing.T, data []byte, rawAttr uint8) {
 		attrSize := int(rawAttr % 9)
 
 		// Adversarial half: the input is the record.
-		decodeDeltaAdversarial(t, data, attrSize)
+		decodeAdversarial(t, data, attrSize, EncodingDelta)
+		decodeAdversarial(t, data, attrSize, EncodingRaw)
 
 		// Constructive half: the input seeds a valid record, which must
 		// round-trip exactly — and still fail cleanly after a byte flip.
@@ -120,37 +140,42 @@ func FuzzPageVertexDelta(f *testing.F) {
 		for i := range attrs {
 			attrs[i] = byte(i * 31)
 		}
-		rec := encodeDeltaRecord(edges, attrs)
-
-		pv := NewPageVertexBytes(7, OutEdges, rec, attrSize, EncodingDelta)
-		if got := pv.NumEdges(); got != nEdges {
-			t.Fatalf("NumEdges = %d, want %d", got, nEdges)
-		}
-		got := pv.Edges(nil, nil)
-		for i, e := range edges {
-			if got[i] != e {
-				t.Fatalf("Edges[%d] = %d, want %d", i, got[i], e)
+		for _, c := range []struct {
+			enc Encoding
+			rec []byte
+		}{
+			{EncodingDelta, encodeDeltaRecord(edges, attrs)},
+			{EncodingRaw, encodeRawRecord(edges, attrs)},
+		} {
+			enc, rec := c.enc, c.rec
+			pv := NewPageVertexBytes(7, OutEdges, rec, attrSize, enc)
+			if got := pv.NumEdges(); got != nEdges {
+				t.Fatalf("%s: NumEdges = %d, want %d", enc, got, nEdges)
 			}
-		}
-		for _, i := range []int{0, nEdges / 2, nEdges - 1} {
-			if i < 0 || i >= nEdges {
-				continue
-			}
-			if g := pv.Edge(i); g != edges[i] {
-				t.Fatalf("Edge(%d) = %d, want %d", i, g, edges[i])
-			}
-			if attrSize > 0 {
-				if ab := pv.AttrBytes(i, nil); !bytes.Equal(ab, attrs[i*attrSize:(i+1)*attrSize]) {
-					t.Fatalf("AttrBytes(%d) = %x, want %x", i, ab, attrs[i*attrSize:(i+1)*attrSize])
+			got := pv.Edges(nil, nil)
+			for i, e := range edges {
+				if got[i] != e {
+					t.Fatalf("%s: Edges[%d] = %d, want %d", enc, i, got[i], e)
 				}
 			}
-		}
+			for _, i := range []int{0, nEdges / 2, nEdges - 1} {
+				if i < 0 || i >= nEdges {
+					continue
+				}
+				if g := pv.Edge(i); g != edges[i] {
+					t.Fatalf("%s: Edge(%d) = %d, want %d", enc, i, g, edges[i])
+				}
+				if attrSize > 0 {
+					if ab := pv.AttrBytes(i, nil); !bytes.Equal(ab, attrs[i*attrSize:(i+1)*attrSize]) {
+						t.Fatalf("%s: AttrBytes(%d) = %x, want %x", enc, i, ab, attrs[i*attrSize:(i+1)*attrSize])
+					}
+				}
+			}
 
-		if len(rec) > 0 {
 			flipped := append([]byte(nil), rec...)
 			flipped[int(rawAttr)%len(flipped)] ^= 0xFF
-			decodeDeltaAdversarial(t, flipped, attrSize)
-			decodeDeltaAdversarial(t, rec[:len(rec)-1], attrSize)
+			decodeAdversarial(t, flipped, attrSize, enc)
+			decodeAdversarial(t, rec[:len(rec)-1], attrSize, enc)
 		}
 	})
 }
@@ -197,6 +222,48 @@ func FuzzReadImageHeader(f *testing.F) {
 		// count (callers bound numV against file size before use).
 		if h.numV < 1<<31 {
 			_ = h.dataOffset()
+		}
+	})
+}
+
+// FuzzDecodeStripe drives the 2D block decoder over an arbitrary byte
+// string laid out as one row stripe of a 2×2 grid (the fuzzer also
+// picks where the two blocks split). decodeBlock reports corruption as
+// an error; any panic is a decoder bug. Every run it delivers must name
+// a row of the stripe, end inside the grid, and carry exactly its attrs.
+func FuzzDecodeStripe(f *testing.F) {
+	const shift = 4
+	valid := encodeBlock(nil, 0, 0, []VertexID{1, 1, 3}, []VertexID{2, 5, 0}, nil, 0)
+	validAttr := encodeBlock(nil, 0, 16, []VertexID{0, 7}, []VertexID{16, 31}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 4)
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add(valid, uint16(len(valid)), uint8(0))
+	f.Add(append(append([]byte(nil), valid...), validAttr...), uint16(len(valid)), uint8(4))
+	f.Add([]byte{1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, uint16(8), uint8(0)) // one row claiming 2^35 edges
+	f.Add([]byte{1, 200, 1, 1, 1}, uint16(5), uint8(0))                          // row delta past the stripe
+	f.Add([]byte{1, 0, 1, 100}, uint16(4), uint8(0))                             // column past the block
+	f.Fuzz(func(t *testing.T, data []byte, split uint16, rawAttr uint8) {
+		attrSize := int(rawAttr % 9)
+		end := int64(len(data))
+		cut := int64(split)
+		if cut > end {
+			cut = end
+		}
+		bd := &BlockDir{Shift: shift, Stripes: 2, Offsets: []int64{0, cut, end, end, end}}
+		var edges int
+		_, err := bd.DecodeStripe(data, 0, attrSize, nil, func(row VertexID, cols []VertexID, attrs []byte) {
+			if row >= 1<<shift {
+				t.Fatalf("row %d delivered from stripe 0 of %d-row stripes", row, 1<<shift)
+			}
+			if n := len(cols); n > 0 && cols[n-1] >= 2<<shift {
+				t.Fatalf("row %d ends at column %d in a %d-column grid", row, cols[n-1], 2<<shift)
+			}
+			if len(attrs) != len(cols)*attrSize {
+				t.Fatalf("row %d: %d edges with %d attr bytes at attr size %d", row, len(cols), len(attrs), attrSize)
+			}
+			edges += len(cols)
+		})
+		if err == nil && edges > len(data) {
+			t.Fatalf("decoded %d edges from %d bytes", edges, len(data))
 		}
 	})
 }

@@ -163,11 +163,10 @@ func TestBuildImageRoundTripDecode(t *testing.T) {
 	if img.NumEdges != 6 {
 		t.Fatalf("NumEdges = %d, want 6", img.NumEdges)
 	}
-	// Decode every vertex's out record via the index + ByteSpan.
+	// Decode every vertex's out record via the index.
 	for v := 0; v < a.N; v++ {
 		off, size := img.OutIndex.Locate(VertexID(v))
-		span := ByteSpan(img.OutData[off : off+size])
-		pv := NewPageVertex(VertexID(v), OutEdges, span, 0, img.Encoding)
+		pv := NewPageVertexBytes(VertexID(v), OutEdges, img.OutData[off:off+size], 0, img.Encoding)
 		got := pv.Edges(nil, nil)
 		if len(got) != len(a.Out[v]) {
 			t.Fatalf("vertex %d: edges = %v, want %v", v, got, a.Out[v])
@@ -181,8 +180,7 @@ func TestBuildImageRoundTripDecode(t *testing.T) {
 	// And the in records.
 	for v := 0; v < a.N; v++ {
 		off, size := img.InIndex.Locate(VertexID(v))
-		span := ByteSpan(img.InData[off : off+size])
-		pv := NewPageVertex(VertexID(v), InEdges, span, 0, img.Encoding)
+		pv := NewPageVertexBytes(VertexID(v), InEdges, img.InData[off:off+size], 0, img.Encoding)
 		got := pv.Edges(nil, nil)
 		if len(got) != len(a.In[v]) {
 			t.Fatalf("vertex %d: in-edges = %v, want %v", v, got, a.In[v])
@@ -197,7 +195,7 @@ func TestBuildImageWithAttrs(t *testing.T) {
 	}
 	img := BuildImage(a, 4, attr)
 	off, size := img.OutIndex.Locate(0)
-	pv := NewPageVertex(0, OutEdges, ByteSpan(img.OutData[off:off+size]), 4, img.Encoding)
+	pv := NewPageVertexBytes(0, OutEdges, img.OutData[off:off+size], 4, img.Encoding)
 	if pv.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d", pv.NumEdges())
 	}
@@ -211,7 +209,7 @@ func TestBuildImageWithAttrs(t *testing.T) {
 	// In-edge attrs must describe the same (src, dst) pair: in-record of
 	// vertex 2 lists sources [0, 1] with attrs 002, 102.
 	off, size = img.InIndex.Locate(2)
-	ipv := NewPageVertex(2, InEdges, ByteSpan(img.InData[off:off+size]), 4, img.Encoding)
+	ipv := NewPageVertexBytes(2, InEdges, img.InData[off:off+size], 4, img.Encoding)
 	if got := ipv.AttrUint32(0); got != 2 {
 		t.Fatalf("in attr 0 = %d, want 2", got)
 	}
@@ -333,7 +331,7 @@ func TestPageVertexEdgeAccessors(t *testing.T) {
 	a := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}}, true)
 	img := BuildImage(a, 0, nil)
 	off, size := img.OutIndex.Locate(0)
-	pv := NewPageVertex(0, OutEdges, ByteSpan(img.OutData[off:off+size]), 0, img.Encoding)
+	pv := NewPageVertexBytes(0, OutEdges, img.OutData[off:off+size], 0, img.Encoding)
 	if pv.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d", pv.NumEdges())
 	}

@@ -221,15 +221,15 @@ func (img *Image) edgeReaderAt(dir EdgeDir) (io.ReaderAt, error) {
 // sourceFor returns a replayable neighbor stream over one direction of
 // this image, decoding whatever layout the image is stored in.
 func (img *Image) sourceFor(dir EdgeDir) StreamSource {
+	ix := img.OutIndex
+	if dir == InEdges && img.Directed {
+		ix = img.InIndex
+	}
 	if img.Encoding == EncodingBlock {
 		return func() (NeighborStream, error) {
 			ra, err := img.edgeReaderAt(dir)
 			if err != nil {
 				return nil, err
-			}
-			ix := img.OutIndex
-			if dir == InEdges && img.Directed {
-				ix = img.InIndex
 			}
 			return blockSource(ra, ix.Blocks(), img.NumV, img.AttrSize)()
 		}
@@ -237,7 +237,7 @@ func (img *Image) sourceFor(dir EdgeDir) StreamSource {
 	return recordSource(func() (io.Reader, error) {
 		r, _, err := img.edgeReader(dir)
 		return r, err
-	}, img.NumV, img.AttrSize, img.Encoding)
+	}, ix, img.AttrSize, img.Encoding)
 }
 
 // writerAs returns the canonical ImageWriter serializing this image in

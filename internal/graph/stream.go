@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // NeighborStream yields one direction's edge endpoints in (vertex,
@@ -52,88 +53,73 @@ func (s *sliceStream) Next() (VertexID, VertexID, []byte, bool, error) {
 }
 
 // recordStream decodes an encoded edge-list file back into (vertex,
-// neighbor, attr) triples — the stream form of an existing image,
-// used to funnel Image.Encode through the one canonical encoder. It
-// understands both on-SSD layouts.
+// neighbor, attr) triples — the stream form of an existing record-layout
+// image, used to funnel Image.Encode through the one canonical encoder.
+// Each record is read whole at the byte length the image's index gives
+// it and decoded by PageVertex, the same decoder the query path uses.
 type recordStream struct {
 	br       *bufio.Reader
-	n        int
+	ix       *Index
 	attrSize int
 	enc      Encoding
 
 	v      int        // current vertex
-	deg    int        // its degree
 	i      int        // next neighbor ordinal
-	ids    []VertexID // current record's decoded neighbor IDs
-	attrs  []byte     // current record's attr bytes
+	rec    []byte     // current record's bytes
+	ids    []VertexID // its decoded neighbor IDs
+	attrs  []byte     // its attr bytes (aliases rec)
 	loaded bool
 }
 
-// recordSource streams the records of one encoded edge-list file.
-// open must return a fresh reader positioned at the file's first
-// record each call.
-func recordSource(open func() (io.Reader, error), n, attrSize int, enc Encoding) StreamSource {
+// recordSource streams the records of one encoded edge-list file
+// described by ix. open must return a fresh reader positioned at the
+// file's first record each call.
+func recordSource(open func() (io.Reader, error), ix *Index, attrSize int, enc Encoding) StreamSource {
 	return func() (NeighborStream, error) {
 		r, err := open()
 		if err != nil {
 			return nil, err
 		}
-		return &recordStream{br: bufio.NewReaderSize(r, 1<<20), n: n, attrSize: attrSize, enc: enc}, nil
+		return &recordStream{br: bufio.NewReaderSize(r, 1<<20), ix: ix, attrSize: attrSize, enc: enc}, nil
 	}
 }
 
-// loadRecord decodes the next record's neighbor IDs into s.ids.
-func (s *recordStream) loadRecord() error {
-	if s.enc == EncodingDelta {
-		cnt, err := binary.ReadUvarint(s.br)
-		if err != nil {
-			return fmt.Errorf("graph: reading record header of vertex %d: %w", s.v, err)
-		}
-		s.deg = int(cnt)
-		s.ids = s.ids[:0]
-		// The first varint is the absolute ID; starting prev at 0 makes
-		// it fall out of the same prev+gap accumulation.
-		prev := uint64(0)
-		for i := 0; i < s.deg; i++ {
-			gap, err := binary.ReadUvarint(s.br)
-			if err != nil {
-				return fmt.Errorf("graph: reading edges of vertex %d: %w", s.v, err)
-			}
-			prev += gap
-			s.ids = append(s.ids, VertexID(prev))
-		}
-	} else {
-		var hdr [headerSize]byte
-		if _, err := io.ReadFull(s.br, hdr[:]); err != nil {
-			return fmt.Errorf("graph: reading record header of vertex %d: %w", s.v, err)
-		}
-		s.deg = int(binary.LittleEndian.Uint32(hdr[:]))
-		s.ids = s.ids[:0]
-		var buf [edgeSize]byte
-		for i := 0; i < s.deg; i++ {
-			if _, err := io.ReadFull(s.br, buf[:]); err != nil {
-				return fmt.Errorf("graph: reading edges of vertex %d: %w", s.v, err)
-			}
-			s.ids = append(s.ids, binary.LittleEndian.Uint32(buf[:]))
-		}
+// loadRecord reads and decodes the next record. Host files are outside
+// input, so a short file, a corrupt record (PageVertex's panic idiom,
+// recovered here) and a count that disagrees with the index all come
+// back as errors.
+func (s *recordStream) loadRecord() (err error) {
+	v := VertexID(s.v)
+	size := s.ix.RecordBytes(v)
+	if int64(cap(s.rec)) < size {
+		s.rec = make([]byte, size)
 	}
-	if s.attrSize > 0 {
-		if need := s.deg * s.attrSize; cap(s.attrs) < need {
-			s.attrs = make([]byte, need)
-		} else {
-			s.attrs = s.attrs[:need]
-		}
-		if _, err := io.ReadFull(s.br, s.attrs); err != nil {
-			return fmt.Errorf("graph: reading attrs of vertex %d: %w", s.v, err)
-		}
+	s.rec = s.rec[:size]
+	if _, err := io.ReadFull(s.br, s.rec); err != nil {
+		return fmt.Errorf("graph: reading record of vertex %d: %w", v, err)
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok || !strings.HasPrefix(msg, "graph:") {
+				panic(r) // not the record-corruption idiom: a bug, not bad input
+			}
+			err = fmt.Errorf("%s (vertex %d)", msg, v)
+		}
+	}()
+	pv := NewPageVertexBytes(v, OutEdges, s.rec, s.attrSize, s.enc)
+	s.ids = pv.Edges(s.ids, nil)
+	if want := s.ix.Degree(v); uint32(len(s.ids)) != want {
+		return fmt.Errorf("graph: record of vertex %d holds %d edges, index says %d", v, len(s.ids), want)
+	}
+	s.attrs = s.rec[pv.attrOff():]
 	return nil
 }
 
 func (s *recordStream) Next() (VertexID, VertexID, []byte, bool, error) {
 	for {
 		if !s.loaded {
-			if s.v >= s.n {
+			if s.v >= s.ix.NumVertices() {
 				return 0, 0, nil, false, nil
 			}
 			s.i = 0
@@ -142,7 +128,7 @@ func (s *recordStream) Next() (VertexID, VertexID, []byte, bool, error) {
 			}
 			s.loaded = true
 		}
-		if s.i < s.deg {
+		if s.i < len(s.ids) {
 			u := s.ids[s.i]
 			var attr []byte
 			if s.attrSize > 0 {

@@ -2,38 +2,19 @@ package graph
 
 import "encoding/binary"
 
-// Span is a read-only window of edge-list bytes. safs.View implements it
-// (semi-external memory: bytes live in the page cache); ByteSpan
-// implements it over plain memory (in-memory FlashGraph). PageVertex
-// decodes vertex records from either, so vertex programs are agnostic to
-// where edge lists live.
-type Span interface {
-	Len() int64
-	Uint32(rel int64) uint32
-	Slice(rel, n int64, scratch []byte) []byte
-}
-
-// ByteSpan is a Span over a contiguous in-memory byte slice.
-type ByteSpan []byte
-
-// Len returns the span length.
-func (b ByteSpan) Len() int64 { return int64(len(b)) }
-
-// Uint32 decodes a little-endian uint32 at rel.
-func (b ByteSpan) Uint32(rel int64) uint32 {
-	return binary.LittleEndian.Uint32(b[rel:])
-}
-
-// Slice returns b[rel:rel+n] without copying.
-func (b ByteSpan) Slice(rel, n int64, _ []byte) []byte {
-	return b[rel : rel+n]
-}
-
 // PageVertex is the decoded form of one vertex's edge-list record — the
-// object handed to RunOnVertex ("page_vertex" in the paper's API). The
-// span must cover the record's exact byte extent (Index.Locate). Raw
-// records are [count u32][edges count×u32][attrs count×attrSize]; delta
-// records are [uvarint count][uvarint first][uvarint gaps...][attrs].
+// object handed to RunOnVertex ("page_vertex" in the paper's API) — and
+// the only decoder of the raw and delta record layouts. It reads one
+// contiguous byte slice covering the record's exact extent
+// (Index.Locate): a page-cache frame, a stripe buffer, or an in-memory
+// image's data. Raw records are [count u32][edges count×u32][attrs
+// count×attrSize]; delta records are [uvarint count][uvarint first]
+// [uvarint gaps...][attrs].
+//
+// A corrupt record panics, matching the engine's fatal-read idiom for
+// device errors: the worker's per-run recover converts it into a failed
+// query while the shared substrate (and every other graph in a catalog)
+// survives.
 //
 // For delta records, neighbor IDs are a sequential varint stream:
 // Edges is the streaming decoder (one pass, the form the algorithm
@@ -47,31 +28,20 @@ type PageVertex struct {
 	// Dir reports which list this is for directed graphs.
 	Dir EdgeDir
 
-	// Exactly one of bytes/span carries the record: bytes is the
-	// devirtualized fast path for records already contiguous in memory
-	// (no interface allocation at construction, no dynamic dispatch per
-	// header/ID access — both showed up in decode profiles), span the
-	// general path for page-cache views.
-	bytes    []byte
-	span     Span
+	rec      []byte
 	attrSize int
 	encoding Encoding
 
-	// Delta decode state, lazily initialized: numEdges and idsOff cache
-	// the record header; (curIdx, curOff, curPrev) is the sequential
-	// Edge cursor — the ID decoded last, its ordinal, and the stream
-	// offset right after it.
+	// Lazily decoded header: numEdges is -1 until header has validated
+	// the count against the record's extent; idsOff is where the
+	// neighbor IDs start. (curIdx, curOff, curPrev) is the delta layout's
+	// sequential Edge cursor — the ID decoded last, its ordinal, and the
+	// stream offset right after it.
 	numEdges int
-	idsOff   int64
+	idsOff   int
 	curIdx   int
-	curOff   int64
+	curOff   int
 	curPrev  VertexID
-
-	// Optional decoded-record cache (SetDecodeCache): Edges consults it
-	// for delta records of admitted degree. fp is the owning image's
-	// content fingerprint, the cache key's graph component.
-	cache *DecodeCache
-	fp    string
 }
 
 // EdgeDir selects an edge-list direction.
@@ -85,78 +55,40 @@ const (
 	InEdges
 )
 
-// NewPageVertex wraps a record span in the given on-SSD layout.
-// ByteSpan spans are unboxed onto the devirtualized path.
-func NewPageVertex(id VertexID, dir EdgeDir, span Span, attrSize int, enc Encoding) PageVertex {
-	if bs, ok := span.(ByteSpan); ok {
-		return NewPageVertexBytes(id, dir, bs, attrSize, enc)
-	}
-	return PageVertex{ID: id, Dir: dir, span: span, attrSize: attrSize, encoding: enc, numEdges: -1}
+// NewPageVertexBytes wraps a record's bytes in the given on-SSD layout.
+func NewPageVertexBytes(id VertexID, dir EdgeDir, rec []byte, attrSize int, enc Encoding) PageVertex {
+	return PageVertex{ID: id, Dir: dir, rec: rec, attrSize: attrSize, encoding: enc, numEdges: -1}
 }
 
-// NewPageVertexBytes wraps a record already contiguous in memory. It is
-// the allocation-free form of NewPageVertex(..., ByteSpan(b), ...):
-// boxing a slice into the Span interface heap-allocates the slice
-// header, which the per-request engine paths would otherwise pay once
-// per vertex visit.
-func NewPageVertexBytes(id VertexID, dir EdgeDir, b []byte, attrSize int, enc Encoding) PageVertex {
-	return PageVertex{ID: id, Dir: dir, bytes: b, attrSize: attrSize, encoding: enc, numEdges: -1}
-}
-
-// spanLen, spanUint32, and spanSlice dispatch between the two record
-// carriers; the bytes branch compiles to direct slice ops.
-func (pv *PageVertex) spanLen() int64 {
-	if pv.bytes != nil {
-		return int64(len(pv.bytes))
-	}
-	return pv.span.Len()
-}
-
-func (pv *PageVertex) spanUint32(rel int64) uint32 {
-	if pv.bytes != nil {
-		return binary.LittleEndian.Uint32(pv.bytes[rel:])
-	}
-	return pv.span.Uint32(rel)
-}
-
-func (pv *PageVertex) spanSlice(rel, n int64, scratch []byte) []byte {
-	if pv.bytes != nil {
-		return pv.bytes[rel : rel+n]
-	}
-	return pv.span.Slice(rel, n, scratch)
-}
-
-// uvarintAt decodes one unsigned varint at byte offset off of the span,
-// returning the value and the offset just past it. A corrupt stream
-// panics, matching the engine's fatal-read idiom for device errors:
-// the worker's per-run recover converts it into a failed query while
-// the shared substrate (and every other graph in a catalog) survives.
-func (pv *PageVertex) uvarintAt(off int64) (uint64, int64) {
-	max := pv.spanLen() - off
-	if max > binary.MaxVarintLen64 {
-		max = binary.MaxVarintLen64
-	}
-	var buf [binary.MaxVarintLen64]byte
-	b := pv.spanSlice(off, max, buf[:])
-	v, n := binary.Uvarint(b)
+// uvarintAt decodes one unsigned varint at byte offset off of the
+// record, returning the value and the offset just past it.
+func (pv *PageVertex) uvarintAt(off int) (uint64, int) {
+	v, n := binary.Uvarint(pv.rec[off:])
 	if n <= 0 {
 		panic("graph: corrupt varint in delta edge-list record")
 	}
-	return v, off + int64(n)
+	return v, off + n
 }
 
-// header ensures the delta record header (edge count, ID-stream start)
-// is decoded and the cursor initialized.
+// header decodes the record's edge count and checks it against the
+// record's byte extent before the count sizes any decode allocation or
+// any access is computed from it; NumEdges and Edge run it once per
+// record. A raw record's length is a pure function of its count, so the
+// check is exact; a delta edge costs at least one ID-stream byte plus
+// its attribute bytes, so a count beyond that is corruption.
 func (pv *PageVertex) header() {
-	if pv.numEdges >= 0 {
-		return
+	if pv.encoding != EncodingDelta {
+		if len(pv.rec) >= headerSize {
+			if cnt := binary.LittleEndian.Uint32(pv.rec); RecordSize(cnt, pv.attrSize) == int64(len(pv.rec)) {
+				pv.numEdges = int(cnt)
+				pv.idsOff = headerSize
+				return
+			}
+		}
+		panic("graph: corrupt edge count in raw edge-list record")
 	}
 	cnt, off := pv.uvarintAt(0)
-	// Every edge costs at least one ID-stream byte plus its attribute
-	// bytes, so a claimed count beyond the record's byte extent is
-	// corruption. Panic (the record-corruption idiom above) before the
-	// count sizes any decode allocation.
-	if avail := pv.spanLen() - off; cnt > uint64(avail) || int64(cnt)*int64(1+pv.attrSize) > avail {
+	if avail := len(pv.rec) - off; cnt > uint64(avail) || int64(cnt)*int64(1+pv.attrSize) > int64(avail) {
 		panic("graph: corrupt edge count in delta edge-list record")
 	}
 	pv.numEdges = int(cnt)
@@ -168,27 +100,23 @@ func (pv *PageVertex) header() {
 
 // NumEdges returns the record's edge count.
 func (pv *PageVertex) NumEdges() int {
-	if pv.encoding == EncodingDelta {
+	if pv.numEdges < 0 {
 		pv.header()
-		return pv.numEdges
 	}
-	return int(pv.spanUint32(0))
+	return pv.numEdges
 }
-
-// RecordBytes returns the record's exact on-SSD byte length (the span
-// covers exactly the record). A scratch buffer of this capacity makes
-// Edges allocation-free under both layouts.
-func (pv *PageVertex) RecordBytes() int64 { return pv.spanLen() }
 
 // Edge returns the i-th neighbor. O(1) for raw records; O(i) worst case
 // for delta records (ascending access is amortized O(1) via the
 // internal cursor) — prefer the streaming Edges form when visiting the
 // whole list.
 func (pv *PageVertex) Edge(i int) VertexID {
-	if pv.encoding != EncodingDelta {
-		return pv.spanUint32(headerSize + int64(i)*edgeSize)
+	if pv.numEdges < 0 {
+		pv.header()
 	}
-	pv.header()
+	if pv.encoding != EncodingDelta {
+		return binary.LittleEndian.Uint32(pv.rec[headerSize+i*edgeSize:])
+	}
 	if i < pv.curIdx {
 		// Restart the sequential decode from the stream head. The first
 		// varint is the absolute ID, which prev=0 folds into the same
@@ -206,75 +134,50 @@ func (pv *PageVertex) Edge(i int) VertexID {
 	return pv.curPrev
 }
 
-// SetDecodeCache attaches a decoded-record cache and the owning image's
-// content fingerprint. Both the nil cache and the zero PageVertex stay
-// valid: Edges simply decodes. Only delta records consult the cache —
-// raw records decode in a copy-speed loop that a cache cannot beat.
-func (pv *PageVertex) SetDecodeCache(c *DecodeCache, fp string) {
-	pv.cache = c
-	pv.fp = fp
-}
-
 // Edges decodes all neighbors in one sequential pass, appending to dst
-// (reusing its capacity) and using scratch for page-crossing copies.
-// The returned slice aliases dst's backing array. This is the streaming
-// decode form — O(degree) under both layouts.
-func (pv *PageVertex) Edges(dst []VertexID, scratch []byte) []VertexID {
+// (reusing its capacity). The returned slice aliases dst's backing
+// array. This is the streaming decode form — O(degree) under both
+// layouts. The second parameter is unused (the record is always
+// contiguous, so nothing is ever copied); pass nil.
+func (pv *PageVertex) Edges(dst []VertexID, _ []byte) []VertexID {
 	n := pv.NumEdges()
 	dst = dst[:0]
 	if n == 0 {
 		return dst
 	}
+	ids := pv.rec[pv.idsOff:pv.attrOff()]
 	if pv.encoding == EncodingDelta {
-		admit := pv.cache.Admit(uint32(n))
-		if admit {
-			if edges, ok := pv.cache.Get(pv.fp, pv.Dir, pv.ID); ok {
-				return append(dst, edges...)
-			}
-		}
-		// One slice of the whole ID stream, then the shared batch varint
-		// loop. The first varint is the absolute ID; prev=0 folds it into
-		// the same prev+gap accumulation.
-		raw := pv.spanSlice(pv.idsOff, pv.attrOff()-pv.idsOff, scratch)
+		// The first varint is the absolute ID; prev=0 folds it into the
+		// same prev+gap accumulation as every gap after it.
 		var pos int
-		dst, pos, _ = decodeGaps(dst, raw, 0, n, 0)
+		dst, pos, _ = decodeGaps(dst, ids, 0, n, 0)
 		if pos < 0 {
 			panic("graph: corrupt varint in delta edge-list record")
 		}
-		if admit {
-			pv.cache.Put(pv.fp, pv.Dir, pv.ID, dst)
-		}
 		return dst
 	}
-	raw := pv.spanSlice(headerSize, int64(n)*edgeSize, scratch)
 	for i := 0; i < n; i++ {
-		dst = append(dst, binary.LittleEndian.Uint32(raw[i*edgeSize:]))
+		dst = append(dst, binary.LittleEndian.Uint32(ids[i*edgeSize:]))
 	}
 	return dst
 }
 
-// attrOff returns the byte offset of the attribute block. Attributes
-// trail the ID stream at fixed size, so under the delta layout the
-// offset comes from the record's exact extent rather than the (data-
-// dependent) ID-stream length.
-func (pv *PageVertex) attrOff() int64 {
-	n := int64(pv.NumEdges())
-	if pv.encoding == EncodingDelta {
-		return pv.spanLen() - n*int64(pv.attrSize)
-	}
-	return headerSize + n*edgeSize
+// attrOff returns the byte offset of the attribute block: attributes
+// trail the ID stream at fixed size, so it follows from the record's
+// exact extent under both layouts.
+func (pv *PageVertex) attrOff() int {
+	return len(pv.rec) - pv.NumEdges()*pv.attrSize
 }
 
-// AttrBytes returns the raw attribute bytes of the i-th edge. It uses
-// scratch when the attribute crosses a page boundary.
-func (pv *PageVertex) AttrBytes(i int, scratch []byte) []byte {
-	off := pv.attrOff() + int64(i)*int64(pv.attrSize)
-	return pv.spanSlice(off, int64(pv.attrSize), scratch)
+// AttrBytes returns the raw attribute bytes of the i-th edge, aliasing
+// the record. The second parameter is unused; pass nil.
+func (pv *PageVertex) AttrBytes(i int, _ []byte) []byte {
+	off := pv.attrOff() + i*pv.attrSize
+	return pv.rec[off : off+pv.attrSize]
 }
 
 // AttrUint32 decodes the i-th edge attribute as a little-endian uint32
 // (used for weights).
 func (pv *PageVertex) AttrUint32(i int) uint32 {
-	var buf [4]byte
-	return binary.LittleEndian.Uint32(pv.AttrBytes(i, buf[:]))
+	return binary.LittleEndian.Uint32(pv.AttrBytes(i, nil))
 }

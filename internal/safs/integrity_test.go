@@ -43,8 +43,8 @@ func TestAsyncReadsVerifyAtAnyPageSize(t *testing.T) {
 			var got error
 			ctx.ReadTask(f, off, 1, func(v *View, err error) {
 				got = err
-				if err == nil && v.Byte(0) != data[off] {
-					t.Errorf("page size %d: byte %d = %d, want %d", ps, off, v.Byte(0), data[off])
+				if err == nil && v.Slice(0, 1, nil)[0] != data[off] {
+					t.Errorf("page size %d: byte %d = %d, want %d", ps, off, v.Slice(0, 1, nil)[0], data[off])
 				}
 			})
 			ctx.Drain()

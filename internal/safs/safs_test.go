@@ -2,7 +2,6 @@ package safs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -217,7 +216,7 @@ func TestWaitWithoutFlushCompletes(t *testing.T) {
 	ctx := fs.NewContext()
 
 	var got byte
-	ctx.ReadTask(f, 5000, 1, func(v *View, err error) { got = v.Byte(0) })
+	ctx.ReadTask(f, 5000, 1, func(v *View, err error) { got = v.Slice(0, 1, nil)[0] })
 	if n := ctx.WaitAny(); n != 1 {
 		t.Fatalf("WaitAny with a staged, unflushed load ran %d tasks, want 1", n)
 	}
@@ -249,8 +248,8 @@ func TestManyInflightTasks(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if v.Byte(0) != want {
-				t.Errorf("task at %d saw %d want %d", off, v.Byte(0), want)
+			if v.Slice(0, 1, nil)[0] != want {
+				t.Errorf("task at %d saw %d want %d", off, v.Slice(0, 1, nil)[0], want)
 			}
 			atomic.AddInt64(&completedCount, 1)
 		})
@@ -305,53 +304,6 @@ func TestViewSliceZeroCopy(t *testing.T) {
 		s2 := v.Slice(3990, 20, nil)
 		if !bytes.Equal(s2, data[4090:4110]) {
 			t.Error("slice mismatch (crossing)")
-		}
-	})
-	ctx.Drain()
-}
-
-func TestViewIntegers(t *testing.T) {
-	fs, _ := newFS(t, Config{})
-	f, _ := fs.Create("f", 64<<10)
-	data := make([]byte, 64<<10)
-	for i := 0; i+4 <= len(data); i += 4 {
-		binary.LittleEndian.PutUint32(data[i:], uint32(i))
-	}
-	if err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	ctx := fs.NewContext()
-	ctx.ReadTask(f, 0, 16<<10, func(v *View, err error) {
-		if got := v.Uint32(0); got != 0 {
-			t.Errorf("Uint32(0) = %d", got)
-		}
-		if got := v.Uint32(4096 - 2); got != binary.LittleEndian.Uint32(data[4094:]) {
-			t.Errorf("cross-page Uint32 = %d", got)
-		}
-		if got := v.Uint64(8); got != binary.LittleEndian.Uint64(data[8:]) {
-			t.Errorf("Uint64 = %d", got)
-		}
-	})
-	ctx.Drain()
-}
-
-func TestViewSub(t *testing.T) {
-	fs, _ := newFS(t, Config{})
-	f, _ := fs.Create("f", 64<<10)
-	data := writePattern(t, f, 64<<10)
-	ctx := fs.NewContext()
-	ctx.ReadTask(f, 0, 32<<10, func(v *View, err error) {
-		sub := v.Sub(10000, 500)
-		if sub.Len() != 500 {
-			t.Errorf("sub len = %d", sub.Len())
-		}
-		got := make([]byte, 500)
-		sub.ReadAt(got, 0)
-		if !bytes.Equal(got, data[10000:10500]) {
-			t.Error("sub-view mismatch")
-		}
-		if sub.Byte(499) != data[10499] {
-			t.Error("sub Byte mismatch")
 		}
 	})
 	ctx.Drain()

@@ -1,7 +1,5 @@
 package safs
 
-import "encoding/binary"
-
 // View is a window onto the page-cache frames covering one asynchronous
 // read request. User tasks access the requested byte range through it —
 // computation happens directly against cache pages (the paper's
@@ -63,50 +61,6 @@ func (v *View) Slice(rel, n int64, scratch []byte) []byte {
 	scratch = scratch[:n]
 	v.ReadAt(scratch, rel)
 	return scratch
-}
-
-// Uint32 decodes a little-endian uint32 at rel, handling page crossings.
-func (v *View) Uint32(rel int64) uint32 {
-	fi, fo := v.locate(rel)
-	frame := v.frames[fi].Data()
-	if fo+4 <= len(frame) {
-		return binary.LittleEndian.Uint32(frame[fo:])
-	}
-	var b [4]byte
-	v.ReadAt(b[:], rel)
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// Uint64 decodes a little-endian uint64 at rel, handling page crossings.
-func (v *View) Uint64(rel int64) uint64 {
-	fi, fo := v.locate(rel)
-	frame := v.frames[fi].Data()
-	if fo+8 <= len(frame) {
-		return binary.LittleEndian.Uint64(frame[fo:])
-	}
-	var b [8]byte
-	v.ReadAt(b[:], rel)
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// Byte returns the byte at rel.
-func (v *View) Byte(rel int64) byte {
-	fi, fo := v.locate(rel)
-	return v.frames[fi].Data()[fo]
-}
-
-// Sub returns a view of [rel, rel+n) of this view. Frames remain pinned
-// by the parent; the sub-view is valid only while the parent is. This is
-// how one merged I/O request serves many vertices: the engine slices the
-// merged view per vertex.
-func (v *View) Sub(rel, n int64) *View {
-	fi, fo := v.locate(rel)
-	return &View{
-		pageSize: v.pageSize,
-		head:     fo,
-		length:   n,
-		frames:   v.frames[fi:],
-	}
 }
 
 // release unpins all frames; called by the IOContext after the task runs.

@@ -742,8 +742,8 @@ func (s *Server) Submit(req Request) (int64, error) {
 		done:      make(chan struct{}),
 	}
 	if s.cache != nil {
-		// Fingerprint may hash index+data samples on first use — keep it
-		// outside s.mu.
+		// Fingerprint hashes the index (and, without a checksum trailer,
+		// all edge data) on first use — keep it outside s.mu.
 		q.key = qos.Key{
 			Graph:  shared.Image().Fingerprint(),
 			Algo:   req.Algo,
