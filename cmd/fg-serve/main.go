@@ -78,9 +78,8 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 4, "queries executing simultaneously")
 		maxQueued     = flag.Int("max-queued", 64, "admitted queries waiting for a slot")
 		maxHistory    = flag.Int("max-history", 1024, "finished queries retained for polling")
-		resultMB      = flag.Int64("result-mb", 64, "byte budget for retained full result vectors (MiB); 0 disables retention")
-		qosOn         = flag.Bool("qos", false, "enable the serving-QoS tier: priority classes, result cache, coalescing")
-		cacheResMB    = flag.Int64("result-cache-mb", 32, "result cache byte budget (MiB) when -qos is on; 0 disables the cache")
+		resultMB      = flag.Int64("result-mb", 64, "the one byte budget for finished full result vectors (MiB): lookup/top-K, and cache hits under -qos; 0 retains nothing")
+		qosOn         = flag.Bool("qos", false, "enable the serving-QoS tier: priority classes, cache hits on identical re-submits, coalescing")
 		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant admission rate (queries/sec, token bucket); 0 disables quotas")
 		quotaBurst    = flag.Float64("quota-burst", 0, "per-tenant burst capacity; 0 means 4x -quota-rate")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight queries on SIGINT/SIGTERM")
@@ -152,13 +151,6 @@ func main() {
 	if *resultMB <= 0 {
 		resultBytes = -1
 	}
-	// -result-cache-mb 0 with -qos means "no cache" (the config uses 0
-	// as its own default sentinel, so translate to the negative
-	// convention, like -result-mb above).
-	cacheBytes := *cacheResMB << 20
-	if *cacheResMB <= 0 {
-		cacheBytes = -1
-	}
 	// The daemon is the public server, verbatim: the same constructor,
 	// registry, and HTTP handler a library embedder gets.
 	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{
@@ -168,7 +160,6 @@ func main() {
 		ResultBytes:   resultBytes,
 		QoS: flashgraph.QoSConfig{
 			Enabled:    *qosOn,
-			CacheBytes: cacheBytes,
 			QuotaRate:  *quotaRate,
 			QuotaBurst: *quotaBurst,
 		},
@@ -190,7 +181,7 @@ func main() {
 		if *quotaRate > 0 {
 			quota = fmt.Sprintf("quota %.3g q/s per tenant", *quotaRate)
 		}
-		log.Printf("qos: priority classes on, %s result cache, %s", util.HumanBytes(cacheBytes), quota)
+		log.Printf("qos: priority classes on, identical re-submits hit the result store, %s", quota)
 	}
 	if *storeDir != "" {
 		mode := "buffered+fadvise"

@@ -288,7 +288,7 @@ func chaosMix(cfg Config, ccfg ChaosConfig, d *Dataset) []serve.Request {
 
 // chaosServer stands up a server over an array whose first faultDevs
 // stores are FaultStore-wrapped (disarmed — the image loads faithfully;
-// the caller arms them for the phase). The result cache is off so every
+// the caller arms them for the phase). No result is retained so every
 // replay recomputes from the device layer.
 func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
 	const devices = 4
@@ -325,7 +325,8 @@ func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, f
 		MaxConcurrent: ccfg.Slots,
 		MaxQueued:     4 * (ccfg.Probes + ccfg.Sweeps + 8),
 		MaxHistory:    4 * (ccfg.Probes + ccfg.Sweeps + 8),
-		QoS:           qos.Config{Enabled: true, CacheBytes: -1},
+		ResultBytes:   -1,
+		QoS:           qos.Config{Enabled: true},
 	})
 	return srv, faults, arr, func() {
 		srv.Close()
@@ -351,11 +352,7 @@ func runChaosMix(srv *serve.Server, reqs []serve.Request, baseline []chaosOutcom
 		o := &outcomes[i]
 		if q.State == serve.StateDone {
 			o.done = true
-			rs, err := srv.ResultSet(id)
-			if err != nil {
-				panic(err)
-			}
-			o.checksum = rs.Checksum()
+			o.checksum, _ = q.Result["checksum"].(string)
 		} else {
 			o.corrupted = q.Corrupted
 			o.timeout = q.Timeout
@@ -438,11 +435,7 @@ func chaosDegradedPhase(cfg Config, ccfg ChaosConfig, d *Dataset, reqs []serve.R
 		panic(err)
 	}
 	if q.State == serve.StateDone {
-		rs, err := srv.ResultSet(id)
-		if err != nil {
-			panic(err)
-		}
-		recovered = rs.Checksum() == baseline[0].checksum
+		recovered = q.Result["checksum"] == baseline[0].checksum
 	}
 	ph.WallSec = time.Since(start).Seconds()
 	return recovered, ph

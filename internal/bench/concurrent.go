@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flashgraph/internal/core"
 	"flashgraph/internal/serve"
 	"flashgraph/internal/util"
 )
@@ -81,13 +80,7 @@ func Concurrent(cfg Config, ccfg ConcurrentConfig, w io.Writer) []Result {
 	header(w, "Concurrent queries: mixed workload over one shared SAFS instance")
 
 	d := TwitterSim(cfg)
-	fs, arr := newFS(cfg, cacheBytesFor(d, d.CacheFrac1G, 0), 0)
-	defer arr.Close()
-	shared, err := core.NewShared(d.Img, core.Config{Threads: cfg.Threads, RangeShift: 6, FS: fs})
-	if err != nil {
-		panic(err)
-	}
-	srv := serve.New(shared, serve.Config{
+	srv, cleanup := servingServer(cfg, d, serve.Config{
 		MaxConcurrent: ccfg.MaxConcurrent,
 		// Size admission AND history for the whole run: this benchmark
 		// measures latency under concurrency, not load shedding, and
@@ -96,7 +89,7 @@ func Concurrent(cfg Config, ccfg ConcurrentConfig, w io.Writer) []Result {
 		MaxQueued:  ccfg.Requests + ccfg.Clients,
 		MaxHistory: ccfg.Requests + ccfg.Clients,
 	})
-	defer srv.Close()
+	defer cleanup()
 
 	src := bfsSource(d.Img)
 	meta := serve.GraphMeta{Name: d.Name, Vertices: d.Img.NumV, Edges: d.Img.NumEdges,
@@ -202,7 +195,8 @@ func Concurrent(cfg Config, ccfg ConcurrentConfig, w io.Writer) []Result {
 
 	overlapAny, overlapDistinct := maxOverlap(srv.List())
 	st := srv.Stats()
-	cs := fs.Cache().Stats()
+	sh, _ := srv.Shared("") // the default graph is the only one
+	cs := sh.FS().Cache().Stats()
 
 	fmt.Fprintf(w, "%-10s %6s %10s %10s %10s %10s %10s\n",
 		"algo", "n", "p50", "p95", "p99", "max", "mean-run")

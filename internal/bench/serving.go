@@ -206,26 +206,28 @@ func Serving(cfg Config, scfg ServingConfig, w io.Writer) []Result {
 	}
 }
 
-// servingServer stands up a fresh substrate + server for one phase.
-// The caller closes the returned cleanup.
-func servingServer(cfg Config, scfg ServingConfig, d *Dataset, qcfg qos.Config) (*serve.Server, func()) {
+// servingServer stands up a fresh substrate (array, SAFS, shared
+// engine state) over d and a server on it. The caller closes the
+// returned cleanup.
+func servingServer(cfg Config, d *Dataset, scfg serve.Config) (*serve.Server, func()) {
 	fs, arr := newFS(cfg, cacheBytesFor(d, d.CacheFrac1G, 0), 0)
 	shared, err := core.NewShared(d.Img, core.Config{Threads: cfg.Threads, RangeShift: 6, FS: fs})
 	if err != nil {
 		panic(err)
 	}
-	srv := serve.New(shared, serve.Config{
-		MaxConcurrent: scfg.Slots,
-		// Admission and history sized for the whole phase: this gauge
-		// measures scheduling and caching, not load shedding.
-		MaxQueued:  4 * (scfg.Batch + scfg.Interactive + scfg.CacheRepeats + 32),
-		MaxHistory: 4 * (scfg.Batch + scfg.Interactive + scfg.CacheRepeats + 32),
-		QoS:        qcfg,
-	})
+	srv := serve.New(shared, scfg)
 	return srv, func() {
 		srv.Close()
 		arr.Close()
 	}
+}
+
+// server sizes one phase's server: admission and history hold the
+// whole phase, because this gauge measures scheduling and caching, not
+// load shedding. resultBytes -1 keeps every submission a real run.
+func (c ServingConfig) server(q qos.Config, resultBytes int64) serve.Config {
+	n := 4 * (c.Batch + c.Interactive + c.CacheRepeats + 32)
+	return serve.Config{MaxConcurrent: c.Slots, MaxQueued: n, MaxHistory: n, ResultBytes: resultBytes, QoS: q}
 }
 
 // probeSources returns n BFS sources spread over the vertex space,
@@ -248,13 +250,10 @@ func probeSources(img *graph.Image, n int) []graph.VertexID {
 func servingPhase(cfg Config, scfg ServingConfig, d *Dataset, mode string) ServingPhase {
 	qcfg := qos.Config{}
 	if mode == "qos" {
-		qcfg = qos.Config{
-			Enabled:    true,
-			CacheBytes: -1, // isolate scheduling: no result cache
-			BatchSlots: scfg.Slots / 2,
-		}
+		qcfg = qos.Config{Enabled: true, BatchSlots: scfg.Slots / 2}
 	}
-	srv, cleanup := servingServer(cfg, scfg, d, qcfg)
+	// Isolate scheduling: no result is retained, so none is served twice.
+	srv, cleanup := servingServer(cfg, d, scfg.server(qcfg, -1))
 	defer cleanup()
 
 	start := time.Now()
@@ -325,7 +324,7 @@ func servingPhase(cfg Config, scfg ServingConfig, d *Dataset, mode string) Servi
 // concurrent burst of identical submissions exercises single-flight
 // coalescing on the side.
 func servingCachePhase(cfg Config, scfg ServingConfig, d *Dataset, w io.Writer) ServingCache {
-	srv, cleanup := servingServer(cfg, scfg, d, qos.Config{Enabled: true})
+	srv, cleanup := servingServer(cfg, d, scfg.server(qos.Config{Enabled: true}, 0))
 	defer cleanup()
 
 	req := serve.Request{
@@ -349,11 +348,7 @@ func servingCachePhase(cfg Config, scfg ServingConfig, d *Dataset, w io.Writer) 
 		if q.State != serve.StateDone {
 			panic(fmt.Sprintf("bench: cache-phase pagerank failed: %s", q.Error))
 		}
-		rs, err := srv.ResultSet(id)
-		if err != nil {
-			panic(err)
-		}
-		sum := rs.Checksum()
+		sum, _ := q.Result["checksum"].(string)
 		if i == 0 {
 			out.Checksum = sum
 			out.ComputeSec = time.Since(t0).Seconds()
@@ -417,12 +412,12 @@ func servingCachePhase(cfg Config, scfg ServingConfig, d *Dataset, w io.Writer) 
 // interleaved with it is admitted every time and completes every
 // query.
 func servingQuotaPhase(cfg Config, scfg ServingConfig, d *Dataset, w io.Writer) ServingQuota {
-	srv, cleanup := servingServer(cfg, scfg, d, qos.Config{
+	// Quotas meter admissions; -1 keeps every submission real.
+	srv, cleanup := servingServer(cfg, d, scfg.server(qos.Config{
 		Enabled:    true,
-		CacheBytes: -1, // quotas meter admissions; keep every submission real
-		QuotaRate:  1,  // 1 query/sec sustained: a burst must overdraw
+		QuotaRate:  1, // 1 query/sec sustained: a burst must overdraw
 		QuotaBurst: scfg.QuotaBurst,
-	})
+	}, -1))
 	defer cleanup()
 
 	srcs := probeSources(d.Img, 4*int(scfg.QuotaBurst))

@@ -49,98 +49,135 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Cache is a byte-budgeted LRU over finished computation results. V
-// is the caller's value type (the serve layer stores the ResultSet,
-// its summary, and the run stats together); size reports one value's
-// retained footprint for the budget. A single value larger than the
-// whole budget is simply not admitted.
-//
-// Values must be immutable once Put: Get returns them to concurrent
-// readers without copying.
+// Cache is a byte-budgeted LRU over finished computation results and
+// their only owner: each value is charged once, callers keep an *Entry
+// handle instead of the value, and a handle goes dead the moment its
+// entry is evicted. V is the caller's value type (the serve layer
+// stores the ResultSet, its summary, and the run stats together), and
+// must be immutable once inserted: readers share it without copying.
+// size reports one value's retained footprint. Entries inserted with
+// Put are reachable by key until evicted; entries inserted with Add
+// only through their handle, until the holder Drops it. Recency moves
+// on insert and on a keyed hit, not on Value.
 type Cache[V any] struct {
 	mu     sync.Mutex
 	budget int64
 	size   func(V) int64
-	lru    *list.List // front = most recent
-	byKey  map[Key]*list.Element
+	lru    *list.List // of *Entry[V]; front = most recent
+	byKey  map[Key]*Entry[V]
 	stats  CacheStats
 }
 
-type cacheEntry[V any] struct {
+// Entry is a handle to one value in a Cache; it outlives the entry.
+type Entry[V any] struct {
 	key   Key
+	keyed bool
 	val   V
 	bytes int64
+	el    *list.Element // nil once evicted or dropped
 }
 
 // NewCache builds a cache with the given byte budget (<= 0 means the
 // cache stores nothing but still counts misses, so disabling the
 // cache keeps the stats surface).
 func NewCache[V any](budget int64, size func(V) int64) *Cache[V] {
-	if budget < 0 {
-		budget = 0
-	}
 	return &Cache[V]{
-		budget: budget,
+		budget: max(budget, 0),
 		size:   size,
 		lru:    list.New(),
-		byKey:  map[Key]*list.Element{},
-		stats:  CacheStats{Budget: budget},
+		byKey:  map[Key]*Entry[V]{},
+		stats:  CacheStats{Budget: max(budget, 0)},
 	}
 }
 
-// Get returns the cached value and marks it most-recently used.
+// Lookup returns the entry resident under k with its value, marking it
+// most-recently used, or nil; every call counts as a hit or a miss.
+func (c *Cache[V]) Lookup(k Key) (e *Entry[V], v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e = c.byKey[k]; e == nil {
+		c.stats.Misses++
+		return nil, v
+	}
+	c.lru.MoveToFront(e.el)
+	c.stats.Hits++
+	return e, e.val
+}
+
+// Get is Lookup for callers that want no handle.
 func (c *Cache[V]) Get(k Key) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		return el.Value.(*cacheEntry[V]).val, true
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
+	e, v := c.Lookup(k)
+	return v, e != nil
 }
 
-// Put inserts (or refreshes) a value and evicts least-recently-used
-// entries until the budget holds. It reports whether the value was
-// admitted (false: larger than the whole budget, or budget 0).
-func (c *Cache[V]) Put(k Key, v V) bool {
-	bytes := c.size(v)
+// Value returns e's value while its entry is resident; a nil, evicted
+// or dropped handle reports false.
+func (c *Cache[V]) Value(e *Entry[V]) (v V, ok bool) {
+	if e == nil {
+		return v, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		// Refresh in place (identical computation, so the value is
-		// equivalent; keep the newer one and its accounting honest).
-		e := el.Value.(*cacheEntry[V])
-		c.stats.Bytes += bytes - e.bytes
-		e.val, e.bytes = v, bytes
-		c.lru.MoveToFront(el)
-		c.evictLocked()
-		return true
+	return e.val, e.el != nil
+}
+
+// Put inserts v under k and evicts least-recently-used entries until
+// the budget holds. When k is already resident — an identical
+// computation landed first, so the values are equivalent — that entry
+// is refreshed and returned instead. Nil means v was not admitted
+// (larger than the whole budget, or budget 0).
+func (c *Cache[V]) Put(k Key, v V) *Entry[V] {
+	return c.insert(&Entry[V]{key: k, keyed: true, val: v, bytes: c.size(v)})
+}
+
+// Add is Put with no key: only the returned handle reaches the entry.
+func (c *Cache[V]) Add(v V) *Entry[V] {
+	return c.insert(&Entry[V]{val: v, bytes: c.size(v)})
+}
+
+func (c *Cache[V]) insert(e *Entry[V]) *Entry[V] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.byKey[e.key]; e.keyed && old != nil {
+		c.lru.MoveToFront(old.el)
+		return old
 	}
-	if bytes > c.budget {
-		return false
+	if e.bytes > c.budget {
+		return nil
 	}
-	el := c.lru.PushFront(&cacheEntry[V]{key: k, val: v, bytes: bytes})
-	c.byKey[k] = el
-	c.stats.Bytes += bytes
+	e.el = c.lru.PushFront(e)
+	if e.keyed {
+		c.byKey[e.key] = e
+	}
+	c.stats.Bytes += e.bytes
 	c.stats.Inserts++
-	c.stats.Entries = len(c.byKey)
-	c.evictLocked()
-	return true
-}
-
-func (c *Cache[V]) evictLocked() {
-	for c.stats.Bytes > c.budget && c.lru.Len() > 0 {
-		el := c.lru.Back()
-		e := el.Value.(*cacheEntry[V])
-		c.lru.Remove(el)
-		delete(c.byKey, e.key)
-		c.stats.Bytes -= e.bytes
+	for c.stats.Bytes > c.budget {
+		c.removeLocked(c.lru.Back().Value.(*Entry[V]))
 		c.stats.Evictions++
 	}
-	c.stats.Entries = len(c.byKey)
+	return e
+}
+
+// removeLocked takes e out of the cache and releases its value,
+// whoever still holds the handle.
+func (c *Cache[V]) removeLocked(e *Entry[V]) {
+	c.lru.Remove(e.el)
+	if e.keyed {
+		delete(c.byKey, e.key)
+	}
+	c.stats.Bytes -= e.bytes
+	*e = Entry[V]{}
+}
+
+// Drop removes an entry inserted with Add — its holder was the only
+// way to reach it. Keyed entries stay for later Lookups; a nil or dead
+// handle is a no-op.
+func (c *Cache[V]) Drop(e *Entry[V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e != nil && !e.keyed && e.el != nil {
+		c.removeLocked(e)
+	}
 }
 
 // Coalesced counts one single-flight attachment (serve calls it when
@@ -155,5 +192,6 @@ func (c *Cache[V]) Coalesced() {
 func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stats.Entries = c.lru.Len()
 	return c.stats
 }

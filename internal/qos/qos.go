@@ -4,11 +4,11 @@
 // It provides three independent, stdlib-only building blocks that
 // internal/serve composes into its scheduler:
 //
-//   - a byte-budgeted LRU result cache with single-flight coalescing
-//     hooks (Cache), keyed by whatever identity the caller derives —
-//     the serve layer keys on (graph image fingerprint, algorithm,
-//     canonical params, engine kind) so a hit is provably the same
-//     computation;
+//   - a byte-budgeted LRU result store with single-flight coalescing
+//     hooks (Cache) whose handles die on eviction, keyed by whatever
+//     identity the caller derives — the serve layer keys on (graph
+//     image fingerprint, algorithm, canonical params, engine kind) so
+//     a hit is provably the same computation;
 //   - priority-class admission (MultiQueue): three classes —
 //     interactive, analytic, batch — with per-class weighted dequeue
 //     and reserved/capped execution slots, replacing a single FIFO so
@@ -109,15 +109,10 @@ func InferClass(needsSrc bool, iters int) Class {
 // quotas — so existing embedders and the benchmark baseline keep
 // their exact behavior until they opt in.
 type Config struct {
-	// Enabled turns the tier on: class-weighted admission, the result
-	// cache with single-flight coalescing, and (when QuotaRate is set)
-	// per-tenant quotas.
+	// Enabled turns the tier on: class-weighted admission, cache hits
+	// and single-flight coalescing over the server's result store, and
+	// (when QuotaRate is set) per-tenant quotas.
 	Enabled bool
-
-	// CacheBytes budgets the result cache (the full ResultSets served
-	// on a hit). 0 = default 32MiB; negative disables the cache while
-	// keeping class scheduling.
-	CacheBytes int64
 
 	// Weights sets the weighted-dequeue share per class. Zero entries
 	// take the defaults (interactive 16, analytic 4, batch 1): with
@@ -143,18 +138,6 @@ type Config struct {
 	// QuotaBurst is each tenant's token-bucket capacity (peak burst).
 	// 0 = max(1, 4*QuotaRate).
 	QuotaBurst float64
-}
-
-// CacheBudget resolves the configured cache byte budget (0 default,
-// negative disabled).
-func (c Config) CacheBudget() int64 {
-	if c.CacheBytes == 0 {
-		return 32 << 20
-	}
-	if c.CacheBytes < 0 {
-		return 0
-	}
-	return c.CacheBytes
 }
 
 // weight resolves one class's dequeue weight.

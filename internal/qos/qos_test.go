@@ -3,6 +3,8 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,12 +54,6 @@ func TestConfigResolvers(t *testing.T) {
 	if zero.Enabled {
 		t.Fatal("zero Config must be disabled")
 	}
-	if got := zero.CacheBudget(); got != 32<<20 {
-		t.Fatalf("default cache budget = %d, want 32MiB", got)
-	}
-	if got := (Config{CacheBytes: -1}).CacheBudget(); got != 0 {
-		t.Fatalf("negative CacheBytes budget = %d, want 0", got)
-	}
 	if got := zero.reserved(4); got != 1 {
 		t.Fatalf("reserved(4) = %d, want 1", got)
 	}
@@ -88,7 +84,7 @@ func TestCacheLRUEvictionByBytes(t *testing.T) {
 	c := NewCache(100, func(v int64) int64 { return v })
 	keys := func(i int) Key { return Key{Algo: fmt.Sprintf("a%d", i)} }
 	for i := 0; i < 4; i++ {
-		if !c.Put(keys(i), 30) {
+		if c.Put(keys(i), 30) == nil {
 			t.Fatalf("put %d rejected", i)
 		}
 	}
@@ -121,11 +117,11 @@ func TestCacheLRUEvictionByBytes(t *testing.T) {
 
 func TestCacheRejectsOversizedAndZeroBudget(t *testing.T) {
 	c := NewCache(50, func(v int64) int64 { return v })
-	if c.Put(Key{Algo: "big"}, 51) {
+	if c.Put(Key{Algo: "big"}, 51) != nil {
 		t.Fatal("value larger than the whole budget admitted")
 	}
 	disabled := NewCache(0, func(v int64) int64 { return v })
-	if disabled.Put(Key{Algo: "x"}, 1) {
+	if disabled.Put(Key{Algo: "x"}, 1) != nil {
 		t.Fatal("zero-budget cache admitted a value")
 	}
 	if _, ok := disabled.Get(Key{Algo: "x"}); ok {
@@ -133,6 +129,147 @@ func TestCacheRejectsOversizedAndZeroBudget(t *testing.T) {
 	}
 	if st := disabled.Stats(); st.Misses != 1 {
 		t.Fatalf("disabled cache misses = %d, want 1 (stats surface stays live)", st.Misses)
+	}
+}
+
+// TestCacheHandlesTrackResidency drives a random Put/Add/Lookup/Drop
+// sequence against a model of what should be resident, while readers
+// hammer Value on every handle ever issued (the -race half). After
+// every step the bytes fit the budget and equal the model's, and a
+// handle is live exactly while its entry is resident: evicted or
+// dropped, it reports false for every holder at once, and an
+// identical Put lands on the resident entry instead of charging twice.
+func TestCacheHandlesTrackResidency(t *testing.T) {
+	const budget, nKeys = 1000, 24
+	c := NewCache(budget, func(v int64) int64 { return v })
+	key := func(i int) Key { return Key{Algo: fmt.Sprintf("a%d", i)} }
+
+	type held struct {
+		e     *Entry[int64]
+		size  int64
+		keyed bool
+		key   Key
+	}
+	var (
+		mu      sync.Mutex // guards handles for the readers
+		handles []*Entry[int64]
+		order   []*held // model LRU, front = oldest
+	)
+	find := func(e *Entry[int64]) int {
+		for i, h := range order {
+			if h.e == e {
+				return i
+			}
+		}
+		return -1
+	}
+	touch := func(i int) {
+		h := order[i]
+		order = append(append(order[:i:i], order[i+1:]...), h)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				var e *Entry[int64]
+				if len(handles) > 0 {
+					e = handles[i%len(handles)]
+				}
+				mu.Unlock()
+				if v, ok := c.Value(e); ok && (v < 1 || v > 400) {
+					t.Errorf("live handle returned value %d outside what was inserted", v)
+					return
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	var all []*held
+	for step := 0; step < 1000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // keyed insert
+			k, size := key(rng.Intn(nKeys)), int64(1+rng.Intn(400))
+			e := c.Put(k, size)
+			if i := slices.IndexFunc(order, func(h *held) bool { return h.keyed && h.key == k }); i >= 0 {
+				if e != order[i].e {
+					t.Fatalf("step %d: Put on a resident key returned a new entry", step)
+				}
+				touch(i)
+				break
+			}
+			if e == nil {
+				t.Fatalf("step %d: Put of %d bytes under budget %d rejected", step, size, budget)
+			}
+			all = append(all, &held{e: e, size: size, keyed: true, key: k})
+			order = append(order, all[len(all)-1])
+		case op < 6: // unkeyed insert
+			size := int64(1 + rng.Intn(400))
+			e := c.Add(size)
+			all = append(all, &held{e: e, size: size})
+			order = append(order, all[len(all)-1])
+		case op < 8: // keyed lookup
+			k := key(rng.Intn(nKeys))
+			e, _ := c.Lookup(k)
+			i := slices.IndexFunc(order, func(h *held) bool { return h.keyed && h.key == k })
+			if (e != nil) != (i >= 0) || (e != nil && e != order[i].e) {
+				t.Fatalf("step %d: Lookup(%v) = %v, model index %d", step, k, e, i)
+			}
+			if i >= 0 {
+				touch(i)
+			}
+		default: // drop a random handle, live or dead, keyed or not
+			if len(all) == 0 {
+				break
+			}
+			h := all[rng.Intn(len(all))]
+			c.Drop(h.e)
+			if i := find(h.e); i >= 0 && !h.keyed {
+				order = append(order[:i], order[i+1:]...)
+			}
+		}
+		// The model evicts from the front until the bytes fit.
+		var bytes int64
+		for _, h := range order {
+			bytes += h.size
+		}
+		for bytes > budget {
+			bytes -= order[0].size
+			order = order[1:]
+		}
+		mu.Lock()
+		handles = handles[:0]
+		for _, h := range all {
+			handles = append(handles, h.e)
+		}
+		mu.Unlock()
+
+		st := c.Stats()
+		if st.Bytes > st.Budget || st.Bytes != bytes || st.Entries != len(order) {
+			t.Fatalf("step %d: stats %+v, model %d bytes in %d entries", step, st, bytes, len(order))
+		}
+		for _, h := range all {
+			v, live := c.Value(h.e)
+			if want := find(h.e) >= 0; live != want || (live && v != h.size) {
+				t.Fatalf("step %d: handle (keyed=%t size=%d) live=%t value=%d, resident in model=%t",
+					step, h.keyed, h.size, live, v, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, ok := c.Value(nil); ok {
+		t.Fatal("nil handle reported live")
 	}
 }
 
@@ -376,8 +513,8 @@ func TestMultiQueueRemove(t *testing.T) {
 			if q.Remove(ClassBatch, func(v int) bool { return v == 2 }) {
 				t.Fatal("Remove found an already-removed element")
 			}
-			if got := q.Queued(); got != 2 {
-				t.Fatalf("Queued() = %d after removal, want 2", got)
+			if queued, _ := q.Load(); queued[0]+queued[1]+queued[2] != 2 {
+				t.Fatalf("Load() queued = %v after removal, want 2 in total", queued)
 			}
 			var order []int
 			for i := 0; i < 2; i++ {

@@ -197,35 +197,14 @@ func (q *MultiQueue[T]) Drain() {
 	q.cond.Broadcast()
 }
 
-// Draining reports whether Drain was called.
-func (q *MultiQueue[T]) Draining() bool {
+// Load snapshots the queue under one lock: the queued count per class
+// (FIFO mode reports everything under interactive, where it is
+// stored) and the occupied execution slots per class rank.
+func (q *MultiQueue[T]) Load() (queued, running [NumClasses]int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.draining
-}
-
-// Depths returns the queued count per class (FIFO mode reports
-// everything under interactive, where it is stored).
-func (q *MultiQueue[T]) Depths() [NumClasses]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var d [NumClasses]int
 	for i := range q.queues {
-		d[i] = len(q.queues[i]) - q.heads[i]
+		queued[i] = len(q.queues[i]) - q.heads[i]
 	}
-	return d
-}
-
-// Running returns the occupied execution slots per class rank.
-func (q *MultiQueue[T]) Running() [NumClasses]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.running
-}
-
-// Queued returns the total admitted-but-not-running count.
-func (q *MultiQueue[T]) Queued() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.queued
+	return queued, q.running
 }

@@ -142,7 +142,7 @@ func TestCancelRunningQuery(t *testing.T) {
 // it still gets the slot.
 func TestCancelQueuedReleasesSlot(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{MaxConcurrent: 1, QoS: qos.Config{Enabled: true, CacheBytes: -1}})
+	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: -1, QoS: qos.Config{Enabled: true}})
 	defer srv.Close()
 	registerCrawl(t, srv, 5*time.Millisecond, 10_000)
 
@@ -284,6 +284,55 @@ func TestHealthzReadyz(t *testing.T) {
 	}
 }
 
+// TestHealthzSeesEveryGraphsArray: AddGraph accepts a Shared over any
+// FS, so health is reported over all of them — a degraded array under
+// a non-default graph must not hide behind a healthy default.
+func TestHealthzSeesEveryGraphsArray(t *testing.T) {
+	healthy := buildShared(t, 2)
+	faulty, _ := faultShared(t, ssd.FaultConfig{EIORate: 1})
+	srv := New(healthy, Config{})
+	defer srv.Close()
+	if err := srv.AddGraph("faulty", faulty); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(Handler(srv))
+	defer ts.Close()
+
+	arr := faulty.FS().Array()
+	buf := make([]byte, 4096)
+	for i := 0; i < 64 && arr.Stats().DegradedDevices == 0; i++ {
+		_ = arr.ReadAt(buf, int64(i)*4096)
+	}
+	want := arr.Stats()
+	if want.DegradedDevices == 0 {
+		t.Fatal("no device degraded under a permanently failing store")
+	}
+
+	for _, path := range []string{"/healthz", "/stats"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", path, resp.StatusCode, err)
+		}
+		if path == "/stats" {
+			m, _ = m["array"].(map[string]any)
+		} else if m["status"] != "degraded" {
+			t.Fatalf("/healthz status = %v with a degraded array under graph %q, want degraded", m["status"], "faulty")
+		}
+		if got, _ := m["degraded_devices"].(float64); int(got) != want.DegradedDevices {
+			t.Fatalf("%s degraded_devices = %v, want %d", path, m["degraded_devices"], want.DegradedDevices)
+		}
+		if got, _ := m["io_errors"].(float64); int64(got) < want.Errors {
+			t.Fatalf("%s io_errors = %v, want at least the faulty array's %d", path, m["io_errors"], want.Errors)
+		}
+	}
+}
+
 // TestDrainUnderFault is the shutdown-under-chaos regression: a server
 // whose devices inject transient faults drains cleanly — every
 // submitted query's Wait returns (absorbed faults succeed; nothing
@@ -294,7 +343,7 @@ func TestDrainUnderFault(t *testing.T) {
 		LatencyRate: 0.05, LatencySpike: 50 * time.Microsecond,
 		MaxFaults: 200,
 	})
-	srv := New(shared, Config{MaxConcurrent: 2, QoS: qos.Config{Enabled: true, CacheBytes: -1}})
+	srv := New(shared, Config{MaxConcurrent: 2, ResultBytes: -1, QoS: qos.Config{Enabled: true}})
 
 	var ids []int64
 	for i := 0; i < 6; i++ {

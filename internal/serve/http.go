@@ -7,8 +7,11 @@ import (
 	"net/http"
 	"strconv"
 
+	"flashgraph/internal/pagecache"
 	"flashgraph/internal/qos"
 	"flashgraph/internal/result"
+	"flashgraph/internal/safs"
+	"flashgraph/internal/ssd"
 )
 
 // Handler builds the fg-serve HTTP API over a Server. It lives here —
@@ -205,21 +208,17 @@ func Handler(s *Server) http.Handler {
 			"graphs":     s.Graphs(),
 			"algorithms": s.AlgorithmNames(),
 		}
-		if sh, err := s.Shared(""); err == nil {
-			if fs := sh.FS(); fs != nil {
-				cs := fs.Cache().Stats()
-				as := fs.Array().Stats()
-				out["cache"] = map[string]any{
-					"hits": cs.Hits, "misses": cs.Misses,
-					"evictions": cs.Evictions, "bypasses": cs.Bypasses,
-					"hit_rate": cs.HitRate(),
-				}
-				out["array"] = map[string]any{
-					"reads": as.Reads, "bytes_read": as.BytesRead,
-					"busy_ns": int64(as.Busy),
-					"retries": as.Retries, "io_errors": as.Errors,
-					"degraded_devices": as.DegradedDevices,
-				}
+		if cs, as, ok := s.substrate(); ok {
+			out["cache"] = map[string]any{
+				"hits": cs.Hits, "misses": cs.Misses,
+				"evictions": cs.Evictions, "bypasses": cs.Bypasses,
+				"hit_rate": cs.HitRate(),
+			}
+			out["array"] = map[string]any{
+				"reads": as.Reads, "bytes_read": as.BytesRead,
+				"busy_ns": int64(as.Busy),
+				"retries": as.Retries, "io_errors": as.Errors,
+				"degraded_devices": as.DegradedDevices,
 			}
 		}
 		writeJSON(w, http.StatusOK, out)
@@ -229,18 +228,15 @@ func Handler(s *Server) http.Handler {
 		// Liveness plus device health: the process answers as long as it
 		// is alive (200 even when degraded — a degraded SSD sheds its own
 		// load via fail-fast submits; killing the pod would lose the
-		// still-healthy devices), with per-array health visible for
-		// operators and probes that want to alert on it.
+		// still-healthy devices), with device health summed over every
+		// served graph's array for operators and probes that alert on it.
 		resp := map[string]any{"status": "ok"}
-		if sh, err := s.Shared(""); err == nil {
-			if fs := sh.FS(); fs != nil {
-				as := fs.Array().Stats()
-				resp["degraded_devices"] = as.DegradedDevices
-				resp["io_errors"] = as.Errors
-				resp["retries"] = as.Retries
-				if as.DegradedDevices > 0 {
-					resp["status"] = "degraded"
-				}
+		if _, as, ok := s.substrate(); ok {
+			resp["degraded_devices"] = as.DegradedDevices
+			resp["io_errors"] = as.Errors
+			resp["retries"] = as.Retries
+			if as.DegradedDevices > 0 {
+				resp["status"] = "degraded"
 			}
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -250,7 +246,7 @@ func Handler(s *Server) http.Handler {
 		// Readiness gates traffic: 503 once draining (or closed) so load
 		// balancers fail over during shutdown while in-flight queries
 		// finish; ready otherwise — the catalog is open from construction.
-		if s.Stats().Draining {
+		if s.Draining() {
 			httpError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
@@ -258,6 +254,35 @@ func Handler(s *Server) http.Handler {
 	})
 
 	return mux
+}
+
+// substrate sums the page-cache and array counters over the distinct
+// SAFS instances under the served graphs — AddGraph accepts a Shared
+// over any FS, so the default graph's is not the whole picture. ok is
+// false when every graph runs in memory.
+func (s *Server) substrate() (cs pagecache.Stats, as ssd.ArrayStats, ok bool) {
+	s.mu.Lock()
+	seen := map[*safs.FS]bool{}
+	for _, sh := range s.graphs {
+		if fs := sh.FS(); fs != nil {
+			seen[fs] = true
+		}
+	}
+	s.mu.Unlock()
+	for fs := range seen {
+		c, a := fs.Cache().Stats(), fs.Array().Stats()
+		cs.Hits += c.Hits
+		cs.Misses += c.Misses
+		cs.Evictions += c.Evictions
+		cs.Bypasses += c.Bypasses
+		as.Reads += a.Reads
+		as.BytesRead += a.BytesRead
+		as.Busy += a.Busy
+		as.Retries += a.Retries
+		as.Errors += a.Errors
+		as.DegradedDevices += a.DegradedDevices
+	}
+	return cs, as, len(seen) > 0
 }
 
 // writeQuery writes a query snapshot with a status reflecting its

@@ -16,8 +16,7 @@ import (
 	"flashgraph/internal/qos"
 )
 
-// qosOn is the QoS tier with defaults — enabled, default cache budget,
-// no quotas.
+// qosOn is the QoS tier with defaults — enabled, no quotas.
 var qosOn = qos.Config{Enabled: true}
 
 // releaseOnce guards a gate's release channel so a t.Fatal mid-test
@@ -154,7 +153,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionUnderBytesPressure squeezes the cache budget to one
+// TestCacheEvictionUnderBytesPressure squeezes the result budget to one
 // entry: inserting a second result evicts the first, and re-submitting
 // the evicted request recomputes instead of hitting.
 func TestCacheEvictionUnderBytesPressure(t *testing.T) {
@@ -176,7 +175,7 @@ func TestCacheEvictionUnderBytesPressure(t *testing.T) {
 	probe.Close()
 
 	// Budget: one result fits, two do not.
-	srv := New(shared, Config{QoS: qos.Config{Enabled: true, CacheBytes: one + one/2}})
+	srv := New(shared, Config{ResultBytes: one + one/2, QoS: qosOn})
 	defer srv.Close()
 	submit := func(src graph.VertexID) Query {
 		t.Helper()
@@ -424,7 +423,8 @@ func TestDrain(t *testing.T) {
 func TestQuotaHTTP429(t *testing.T) {
 	shared := buildShared(t, 2)
 	srv := New(shared, Config{
-		QoS: qos.Config{Enabled: true, CacheBytes: -1, QuotaRate: 0.001, QuotaBurst: 2},
+		ResultBytes: -1, // every submission real: denials come from the bucket alone
+		QoS:         qos.Config{Enabled: true, QuotaRate: 0.001, QuotaBurst: 2},
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(Handler(srv))

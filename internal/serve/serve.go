@@ -10,11 +10,11 @@
 // analytic / batch, inferred from the algorithm's capabilities and
 // parameters with a per-request override — and admitted into
 // per-class queues with weighted dequeue and reserved execution
-// slots, so point lookups never wait behind full-graph sweeps. A
-// byte-budgeted result cache keyed by (graph image fingerprint, algo,
-// canonical params, engine kind) serves repeated identical queries
-// without recomputation, and single-flight coalescing runs N
-// identical in-flight submissions once. Per-tenant token-bucket
+// slots, so point lookups never wait behind full-graph sweeps.
+// Finished results keyed by (graph image fingerprint, algo, canonical
+// params, engine kind) serve repeated identical queries without
+// recomputation, and single-flight coalescing runs N identical
+// in-flight submissions once. Per-tenant token-bucket
 // quotas shed one tenant's overload without touching the others. With
 // the QoS tier disabled (the zero Config.QoS), the scheduler is the
 // seed-era single FIFO: at most MaxConcurrent queries execute at once
@@ -23,10 +23,16 @@
 // Results follow the internal/result contract: every finished query
 // publishes a ResultSet summary (scalars, vector metadata, top-5,
 // checksum), and the full per-vertex vectors stay queryable — point
-// lookup, paginated top-K, histogram — until the retained-result byte
-// budget (Config.ResultBytes) evicts them, oldest finished first. The
-// HTTP layer over this lives in http.go; cmd/fg-serve is a thin shell
-// around both.
+// lookup, paginated top-K, histogram — until the one result store's
+// byte budget (Config.ResultBytes) evicts them, least recently
+// inserted-or-hit first. One path runs every query:
+//
+//	Submit → hit | attach | queue → run → finish → store
+//
+// A hit finishes at submit time on the stored entry, an attached
+// follower finishes with its leader, and finish is the only place a
+// query's outcome is recorded. The HTTP layer over this lives in
+// http.go; cmd/fg-serve is a thin shell around both.
 package serve
 
 import (
@@ -35,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -103,19 +110,22 @@ type Config struct {
 	// finished records are dropped beyond it, keeping a long-lived
 	// daemon's memory flat. Default 1024.
 	MaxHistory int
-	// ResultBytes budgets the memory held by retained full ResultSets
-	// (the O(V) vectors behind point lookup and top-K) across finished
-	// queries — a byte bound, not a query count, so many small-graph
-	// results and few big-graph results both fit. When the budget is
-	// exceeded the oldest finished results are released (their summaries
-	// survive; later vector queries report ErrResultReleased).
-	// 0 = default 64MiB; negative = retain nothing.
+	// ResultBytes is the one budget for finished full ResultSets (the
+	// O(V) vectors behind point lookup and top-K, and what an identical
+	// re-submit hits when the QoS tier is on) — a byte bound, not a
+	// query count, so many small-graph results and few big-graph results
+	// both fit. Every computed result is charged once, however many
+	// query records (the run, its hits, its coalesced followers) reach
+	// it; past the budget the least recently inserted-or-hit results are
+	// released for all of them at once (summaries survive; later vector
+	// queries report ErrResultReleased). 0 = default 64MiB; negative =
+	// retain nothing, so nothing is ever served from cache either.
 	ResultBytes int64
 	// DefaultGraph names the graph passed to New, the one unqualified
 	// requests (empty Request.Graph) route to. Default "default".
 	DefaultGraph string
 	// QoS configures the serving-QoS tier: priority-class admission,
-	// the result cache with single-flight coalescing, and per-tenant
+	// cache hits and single-flight coalescing, and per-tenant
 	// quotas. The zero value is DISABLED (seed-era single FIFO) so
 	// existing embedders keep exact behavior; set QoS.Enabled to opt
 	// in.
@@ -228,9 +238,9 @@ type Query struct {
 	// (still growing while queued; frozen at dispatch).
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	// Cache reports how the result was produced: "" means this query
-	// ran the computation, "hit" that the result cache served it,
+	// ran the computation, "hit" that the result store served it,
 	// "coalesced" that it attached to an identical in-flight query
-	// (single-flight).
+	// (single-flight; set from the moment it attaches).
 	Cache string `json:"cache,omitempty"`
 	// ResultRetained reports whether the full result vectors are still
 	// queryable (lookup / top-K) or have been released by the byte
@@ -248,14 +258,6 @@ type Query struct {
 	Corrupted bool `json:"corrupted,omitempty"`
 }
 
-// QueueWait returns how long the query waited for a slot.
-func (q Query) QueueWait() time.Duration {
-	if q.Started.IsZero() {
-		return time.Since(q.Submitted)
-	}
-	return q.Started.Sub(q.Submitted)
-}
-
 // Cache provenance values (Query.Cache).
 const (
 	// CacheHit marks a query answered from the result cache.
@@ -265,7 +267,9 @@ const (
 	CacheCoalesced = "coalesced"
 )
 
-// query is the mutable server-side record.
+// query is the mutable server-side record. Server.mu guards every
+// field that changes after Submit; req, class, engine, shared, key and
+// done never do.
 type query struct {
 	id     int64
 	req    Request
@@ -274,19 +278,14 @@ type query struct {
 	engine core.EngineKind
 	shared *core.Shared
 
-	// QoS bookkeeping (guarded by Server.mu, not q.mu).
-	key        qos.Key  // cache/single-flight identity
-	hasKey     bool     // QoS tier on: key is valid
-	followers  []*query // coalesced submissions resolved at completion
-	inRetained bool     // charged to the serve result budget
+	key       qos.Key  // cache/single-flight identity; zero with the QoS tier off
+	followers []*query // coalesced submissions resolved at completion
 
-	// Cancellation (guarded by Server.mu): cancel is set at dispatch,
-	// cancelRequested records a Cancel that raced the dispatch window so
-	// the run starts pre-canceled.
+	// cancel is set at dispatch; cancelRequested records a Cancel that
+	// raced the dispatch window so the run starts pre-canceled.
 	cancel          context.CancelFunc
 	cancelRequested bool
 
-	mu        sync.Mutex
 	state     State
 	submitted time.Time
 	started   time.Time
@@ -294,23 +293,24 @@ type query struct {
 	stats     core.RunStats
 	summary   map[string]any
 	errMsg    string
-	timeout   bool              // failed by TimeoutMs deadline
-	canceled  bool              // failed by Cancel
-	corrupted bool              // failed by a checksum-verification error
-	cache     string            // "", CacheHit, CacheCoalesced
-	rs        *result.ResultSet // full vectors; nil once budget-evicted
-	rsBytes   int64
+	timeout   bool   // failed by TimeoutMs deadline
+	canceled  bool   // failed by Cancel
+	corrupted bool   // failed by a checksum-verification error
+	cache     string // "", CacheHit, CacheCoalesced
+	// res is the handle to the store entry holding the full result;
+	// nil until done, dead once the store evicts the entry.
+	res *qos.Entry[cachedResult]
 
 	done chan struct{}
 }
 
-func (q *query) snapshot() Query {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// snapshotLocked copies q out (called with s.mu held).
+func (s *Server) snapshotLocked(q *query) Query {
 	wait := time.Since(q.submitted)
 	if !q.started.IsZero() {
 		wait = q.started.Sub(q.submitted)
 	}
+	_, retained := s.store.Value(q.res)
 	return Query{
 		ID:             q.id,
 		Req:            q.req,
@@ -324,28 +324,10 @@ func (q *query) snapshot() Query {
 		Error:          q.errMsg,
 		QueueWaitMS:    float64(wait) / float64(time.Millisecond),
 		Cache:          q.cache,
-		ResultRetained: q.rs != nil,
+		ResultRetained: retained,
 		Timeout:        q.timeout,
 		Canceled:       q.canceled,
 		Corrupted:      q.corrupted,
-	}
-}
-
-// resultSet returns the retained full result, distinguishing
-// not-finished, failed, and budget-released.
-func (q *query) resultSet() (*result.ResultSet, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	switch q.state {
-	case StateDone:
-		if q.rs == nil {
-			return nil, ErrResultReleased
-		}
-		return q.rs, nil
-	case StateFailed:
-		return nil, fmt.Errorf("%w: query failed: %s", ErrNotFinished, q.errMsg)
-	default:
-		return nil, ErrNotFinished
 	}
 }
 
@@ -388,8 +370,8 @@ type Stats struct {
 	// PeakRunning is the maximum number of queries observed executing
 	// simultaneously since the server started.
 	PeakRunning int `json:"peak_running"`
-	// RetainedResults / RetainedBytes report the full result sets held
-	// under the Config.ResultBytes budget.
+	// RetainedResults / RetainedBytes report the full result sets the
+	// one store holds under the Config.ResultBytes budget.
 	RetainedResults int   `json:"retained_results"`
 	RetainedBytes   int64 `json:"retained_bytes"`
 	// QoSEnabled reports whether the QoS tier is on; Draining whether
@@ -401,8 +383,8 @@ type Stats struct {
 	// the QoS tier disabled the single FIFO's depth is reported under
 	// "interactive".
 	Classes []ClassStats `json:"classes,omitempty"`
-	// ResultCache reports the result cache (hits, misses, bytes,
-	// coalesced submissions); nil when the QoS tier is off.
+	// ResultCache reports the same store as a cache (hits, misses,
+	// bytes, coalesced submissions); nil when the QoS tier is off.
 	ResultCache *qos.CacheStats `json:"result_cache,omitempty"`
 	// Tenants reports per-tenant quota state (current tokens,
 	// admitted, denied), sorted by tenant; nil when quotas are off.
@@ -418,7 +400,7 @@ type flightKey struct {
 	class qos.Class
 }
 
-// cachedResult is the unit the result cache retains: everything a
+// cachedResult is the unit the result store retains: everything a
 // cache hit needs to answer a query as if it had run — the immutable
 // ResultSet, its summary, and the run's stats.
 type cachedResult struct {
@@ -438,19 +420,17 @@ type Server struct {
 	reg *Registry // private: seeded from the default registry at New
 
 	mq     *qos.MultiQueue[*query]
-	cache  *qos.Cache[cachedResult] // nil: QoS tier off
+	store  *qos.Cache[cachedResult] // the one owner of finished results
 	quotas *qos.Quotas              // nil: quotas off
 
+	// mu is the package's one lock; the only nesting is mu -> a mutex
+	// inside qos (the store's, the queue's).
 	mu          sync.Mutex
 	graphs      map[string]*core.Shared
 	graphOrder  []string
 	queries     map[int64]*query
-	order       []int64 // submission order (evicted IDs compacted lazily)
 	finished    []int64 // completion order, consumed from finHead
 	finHead     int
-	retained    []*query // finish order of queries still holding full vectors
-	retDead     int      // retained entries whose vectors history eviction already released
-	retBytes    int64
 	inflight    map[flightKey]*query // single-flight leaders
 	nextID      int64
 	closed      bool
@@ -483,14 +463,12 @@ func New(shared *core.Shared, cfg Config) *Server {
 		cfg:        cfg,
 		reg:        defaultRegistry.Clone(),
 		mq:         qos.NewMultiQueue[*query](cfg.QoS, cfg.MaxConcurrent, cfg.MaxQueued),
+		store:      qos.NewCache(cfg.ResultBytes, func(v cachedResult) int64 { return v.rs.MemoryBytes() }),
 		queries:    map[int64]*query{},
 		graphs:     map[string]*core.Shared{cfg.DefaultGraph: shared},
 		graphOrder: []string{cfg.DefaultGraph},
 	}
 	if cfg.QoS.Enabled {
-		s.cache = qos.NewCache(cfg.QoS.CacheBudget(), func(v cachedResult) int64 {
-			return v.rs.MemoryBytes()
-		})
 		s.inflight = map[flightKey]*query{}
 		if cfg.QoS.QuotaRate > 0 {
 			s.quotas = qos.NewQuotas(cfg.QoS)
@@ -741,7 +719,7 @@ func (s *Server) Submit(req Request) (int64, error) {
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if s.cache != nil {
+	if s.cfg.QoS.Enabled {
 		// Fingerprint hashes the index (and, without a checksum trailer,
 		// all edge data) on first use — keep it outside s.mu.
 		q.key = qos.Key{
@@ -750,90 +728,105 @@ func (s *Server) Submit(req Request) (int64, error) {
 			Params: canonicalParams(req.Params),
 			Engine: string(kind),
 		}
-		q.hasKey = true
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if s.draining {
-		s.mu.Unlock()
 		return 0, ErrDraining
 	}
-	if q.hasKey {
-		// Result cache: an exact hit finishes the query at submit time.
-		if v, ok := s.cache.Get(q.key); ok {
-			id := s.finishFromCacheLocked(q, v)
-			s.mu.Unlock()
-			close(q.done)
-			return id, nil
-		}
-		// Single-flight: attach to an identical in-flight computation.
-		// Same class only — gluing an interactive request to a leader
-		// queued at batch priority would invert its priority. (The
-		// result cache above has no such hazard: finished results are
-		// class-independent.)
-		if leader, ok := s.inflight[flightKey{q.key, q.class}]; ok {
-			s.nextID++
-			q.id = s.nextID
-			q.prog = nil // never runs
-			leader.followers = append(leader.followers, q)
-			s.queries[q.id] = q
-			s.order = append(s.order, q.id)
-			s.submitted++
-			s.cache.Coalesced()
-			s.mu.Unlock()
-			return q.id, nil
-		}
-	}
-	// Assign the ID before the queue push: a scheduler slot may pick the
-	// query up the instant it lands.
+	// The ID is assigned before the queue push: a scheduler slot may
+	// pick the query up the instant it lands.
 	s.nextID++
 	q.id = s.nextID
-	if err := s.mq.Push(class, q); err != nil {
-		s.rejected++
-		s.mu.Unlock()
-		if errors.Is(err, qos.ErrDraining) {
-			return 0, ErrDraining
+	var hit outcome
+	if s.cfg.QoS.Enabled {
+		if hit.res, hit.val = s.store.Lookup(q.key); hit.res != nil {
+			// An exact hit finishes the query at submit time, below.
+			q.cache = CacheHit
+		} else if leader := s.inflight[flightKey{q.key, q.class}]; leader != nil {
+			// Single-flight: attach to the identical in-flight computation.
+			// Same class only — gluing an interactive request to a leader
+			// queued at batch priority would invert its priority. (A hit
+			// has no such hazard: finished results are class-independent.)
+			q.cache = CacheCoalesced
+			q.prog = nil // never runs
+			leader.followers = append(leader.followers, q)
+			s.store.Coalesced()
 		}
-		return 0, ErrQueueFull
 	}
-	if q.hasKey {
-		s.inflight[flightKey{q.key, q.class}] = q
+	if q.cache == "" {
+		if err := s.mq.Push(class, q); err != nil {
+			s.rejected++
+			if errors.Is(err, qos.ErrDraining) {
+				return 0, ErrDraining
+			}
+			return 0, ErrQueueFull
+		}
+		if s.cfg.QoS.Enabled {
+			s.inflight[flightKey{q.key, q.class}] = q
+		}
 	}
 	s.queries[q.id] = q
-	s.order = append(s.order, q.id)
 	s.submitted++
-	s.mu.Unlock()
+	if hit.res != nil {
+		s.finishLocked(q, hit)
+	}
 	return q.id, nil
 }
 
-// finishFromCacheLocked materializes a cache hit as an
-// already-finished query record (called with s.mu held; returns the
-// assigned ID). The record shares the cached immutable ResultSet, so
-// lookups and top-K work exactly as on the query that ran; its bytes
-// stay charged to the cache budget, not the retained-result budget.
-func (s *Server) finishFromCacheLocked(q *query, v cachedResult) int64 {
-	now := time.Now()
-	s.nextID++
-	q.id = s.nextID
-	q.prog = nil
-	q.state = StateDone
-	q.started, q.finished = now, now
-	q.stats = v.stats
-	q.summary = v.summary
-	q.rs = v.rs
-	q.cache = CacheHit
-	s.queries[q.id] = q
-	s.order = append(s.order, q.id)
-	s.submitted++
-	s.completed++
-	s.classDone[q.class.Rank()]++
+// outcome is how a query ended: err, or the store entry holding its
+// result (nil when the byte budget did not admit it — the summary and
+// stats in val survive regardless).
+type outcome struct {
+	err error
+	val cachedResult
+	res *qos.Entry[cachedResult]
+	at  time.Time // stamped by the first finish, inherited by followers
+}
+
+// finishLocked is the one place a query's ending is recorded — a run,
+// a hit, a coalesced follower, a cancel before dispatch (called with
+// s.mu held). It derives the failure flags from the error, settles
+// the counters, resolves q's followers with the same outcome, and only
+// then wakes waiters, who need s.mu to read anything.
+func (s *Server) finishLocked(q *query, o outcome) {
+	if o.at.IsZero() {
+		o.at = time.Now()
+	}
+	q.finished = o.at
+	if q.started.IsZero() {
+		q.started = o.at // never dispatched: the wait ended here
+	}
+	q.prog = nil // state beyond the ResultSet is never needed again
+	rank := q.class.Rank()
+	if o.err != nil {
+		q.state = StateFailed
+		q.errMsg = o.err.Error()
+		q.timeout = errors.Is(o.err, context.DeadlineExceeded)
+		q.canceled = errors.Is(o.err, context.Canceled) || errors.Is(o.err, ErrCanceled)
+		q.corrupted = errors.Is(o.err, safs.ErrCorrupted)
+		s.failed++
+		s.classFail[rank]++
+	} else {
+		q.state = StateDone
+		q.stats, q.summary, q.res = o.val.stats, o.val.summary, o.res
+		s.completed++
+		s.classDone[rank]++
+	}
+	if fk := (flightKey{q.key, q.class}); s.inflight[fk] == q {
+		delete(s.inflight, fk)
+	}
 	s.finished = append(s.finished, q.id)
+	for _, f := range q.followers {
+		s.finishLocked(f, o)
+	}
+	q.followers = nil
+	close(q.done)
 	s.evictHistoryLocked()
-	return q.id
 }
 
 // runLoop is one scheduler slot: it pulls eligible queries from the
@@ -846,14 +839,12 @@ func (s *Server) runLoop() {
 		if !ok {
 			return
 		}
-		now := time.Now()
 		ctx, cancel := context.WithCancel(context.Background())
 		s.mu.Lock()
 		s.running++
-		if s.running > s.peakRunning {
-			s.peakRunning = s.running
-		}
-		s.recordWaitLocked(q.class, now.Sub(q.submitted))
+		s.peakRunning = max(s.peakRunning, s.running)
+		q.state, q.started = StateRunning, time.Now()
+		s.recordWaitLocked(q.class, q.started.Sub(q.submitted))
 		// Arm cancellation inside s.mu: Cancel either finds q still in
 		// the queue (and removes it) or finds q.cancel set — a Cancel
 		// that raced the dispatch window left cancelRequested instead.
@@ -863,112 +854,33 @@ func (s *Server) runLoop() {
 		}
 		s.mu.Unlock()
 
-		q.mu.Lock()
-		q.state = StateRunning
-		q.started = now
-		q.mu.Unlock()
-
-		st, err := s.execute(q, ctx)
+		// Run, then build the result set and its summary, outside every
+		// lock: checksums and top-N walk full O(V) result vectors, and
+		// snapshot readers (Get/List) must not stall behind that.
+		var o outcome
+		o.val.stats, o.err = s.execute(q, ctx)
 		cancel()
-
-		// Build the result set and its summary outside q.mu: checksums
-		// and top-N walk full O(V) result vectors, and snapshot readers
-		// (Get/List) must not stall behind that.
-		var rs *result.ResultSet
-		var summary map[string]any
-		if err == nil {
-			rs = result.From(q.prog, q.req.Algo)
-			summary = rs.Summary()
+		if o.err == nil {
+			o.val.rs = result.From(q.prog, q.req.Algo)
+			o.val.summary = o.val.rs.Summary()
 		}
-		finished := time.Now()
-		q.mu.Lock()
-		q.finished = finished
-		q.prog = nil // state beyond the ResultSet is never needed again
-		if err != nil {
-			q.state = StateFailed
-			q.errMsg = err.Error()
-			q.timeout = errors.Is(err, context.DeadlineExceeded)
-			q.canceled = errors.Is(err, context.Canceled)
-			q.corrupted = errors.Is(err, safs.ErrCorrupted)
-		} else {
-			q.state = StateDone
-			q.stats = st
-			q.summary = summary
-			q.rs = rs
-			q.rsBytes = rs.MemoryBytes()
-		}
-		q.mu.Unlock()
 
 		// Release the execution slot before the bookkeeping below: the
 		// next eligible query can start while counters settle.
 		s.mq.Done(rank)
 
-		// Counters settle before q.done wakes waiters, so a caller
-		// returning from Wait observes consistent server Stats.
 		s.mu.Lock()
 		s.running--
-		if q.hasKey {
-			delete(s.inflight, flightKey{q.key, q.class})
+		switch {
+		case o.err != nil: // nothing to store
+		case s.cfg.QoS.Enabled:
+			o.res = s.store.Put(q.key, o.val)
+		default:
+			o.res = s.store.Add(o.val)
 		}
-		followers := q.followers
-		q.followers = nil
-		if err != nil {
-			s.failed++
-			s.classFail[q.class.Rank()]++
-		} else {
-			s.completed++
-			s.classDone[q.class.Rank()]++
-			s.retained = append(s.retained, q)
-			q.inRetained = true
-			s.retBytes += q.rsBytes
-			s.enforceResultBudgetLocked()
-			if q.hasKey {
-				s.cache.Put(q.key, cachedResult{rs: rs, summary: summary, stats: st})
-			}
-		}
-		s.finished = append(s.finished, q.id)
-		for _, f := range followers {
-			s.finishFollowerLocked(f, finished, rs, summary, st, err)
-		}
-		s.evictHistoryLocked()
+		s.finishLocked(q, o)
 		s.mu.Unlock()
-		close(q.done)
-		for _, f := range followers {
-			close(f.done)
-		}
 	}
-}
-
-// finishFollowerLocked resolves one coalesced submission with its
-// leader's outcome (called with s.mu held; the caller closes f.done
-// after releasing s.mu). Followers share the leader's immutable
-// ResultSet; their bytes stay charged to the cache budget, so they
-// never join the retained-result list.
-func (s *Server) finishFollowerLocked(f *query, finished time.Time, rs *result.ResultSet, summary map[string]any, st core.RunStats, err error) {
-	f.mu.Lock()
-	f.started, f.finished = finished, finished
-	f.cache = CacheCoalesced
-	if err != nil {
-		f.state = StateFailed
-		f.errMsg = err.Error()
-		f.timeout = errors.Is(err, context.DeadlineExceeded)
-		f.canceled = errors.Is(err, context.Canceled) || errors.Is(err, ErrCanceled)
-		f.corrupted = errors.Is(err, safs.ErrCorrupted)
-	} else {
-		f.state = StateDone
-		f.stats = st
-		f.summary = summary
-		f.rs = rs
-	}
-	f.mu.Unlock()
-	if err != nil {
-		s.failed++
-		s.classFail[f.class.Rank()]++
-	} else {
-		s.completed++
-		s.classDone[f.class.Rank()]++
-	}
-	s.finished = append(s.finished, f.id)
 }
 
 // recordWaitLocked adds one dispatch's queue wait to the class's
@@ -983,88 +895,24 @@ func (s *Server) recordWaitLocked(c qos.Class, wait time.Duration) {
 	s.waitPos[i]++
 }
 
-// enforceResultBudgetLocked releases full result vectors, oldest
-// finished first, until retained bytes fit Config.ResultBytes (called
-// with s.mu held). Summaries survive; only lookup/top-K access is lost.
-// A single result larger than the whole budget is released immediately.
-func (s *Server) enforceResultBudgetLocked() {
-	budget := s.cfg.ResultBytes
-	if budget < 0 {
-		budget = 0
-	}
-	for s.retBytes > budget && len(s.retained) > 0 {
-		q := s.retained[0]
-		s.retained = s.retained[1:]
-		if !s.releaseResultLocked(q) && s.retDead > 0 {
-			s.retDead-- // head was already released by history eviction
-		}
-	}
-}
-
-// releaseResultLocked drops q's full vectors and refunds their bytes,
-// reporting whether anything was actually released (called with s.mu
-// held; takes q.mu — the only lock nesting in the package is
-// s.mu -> q.mu).
-func (s *Server) releaseResultLocked(q *query) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.rs == nil {
-		return false
-	}
-	q.rs = nil
-	s.retBytes -= q.rsBytes
-	return true
-}
-
 // evictHistoryLocked drops the oldest finished queries beyond
 // MaxHistory (called with s.mu held). Queued and running queries are
-// never evicted. s.finished records completion order with a head
+// never evicted. A dropped record gives up its result handle, so a
+// result nothing else can reach (no key: the QoS tier is off) leaves
+// the store with it. s.finished records completion order with a head
 // cursor, so eviction is O(evicted) amortized — no rescans on the
 // serving hot path.
 func (s *Server) evictHistoryLocked() {
 	for len(s.finished)-s.finHead > s.cfg.MaxHistory {
 		id := s.finished[s.finHead]
-		if q, ok := s.queries[id]; ok {
-			// Cache hits and coalesced followers share cache-owned
-			// vectors and were never charged to the retained budget;
-			// only budget-charged records leave a dead retained entry.
-			if s.releaseResultLocked(q) && q.inRetained {
-				s.retDead++ // its s.retained entry is now dead; compacted lazily
-			}
-			delete(s.queries, id)
-		}
 		s.finHead++
+		s.store.Drop(s.queries[id].res)
+		delete(s.queries, id)
 	}
-	// Compact the consumed head and the bookkeeping lists once mostly
-	// dead.
+	// Compact the consumed head once mostly dead.
 	if s.finHead > 64 && s.finHead > len(s.finished)/2 {
 		s.finished = append(s.finished[:0], s.finished[s.finHead:]...)
 		s.finHead = 0
-	}
-	if len(s.order) > 2*len(s.queries)+64 {
-		kept := s.order[:0]
-		for _, id := range s.order {
-			if _, ok := s.queries[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		s.order = kept
-	}
-	// Compact s.retained only when mostly dead: a rescan per completion
-	// would be quadratic on the serving hot path, so dead entries (from
-	// history eviction) are counted and swept in bulk.
-	if s.retDead > 64 && s.retDead > len(s.retained)/2 {
-		kept := s.retained[:0]
-		for _, q := range s.retained {
-			q.mu.Lock()
-			live := q.rs != nil
-			q.mu.Unlock()
-			if live {
-				kept = append(kept, q)
-			}
-		}
-		s.retained = kept
-		s.retDead = 0
 	}
 }
 
@@ -1107,92 +955,43 @@ func (s *Server) execute(q *query, ctx context.Context) (st core.RunStats, err e
 // unknown IDs report ErrUnknownQuery.
 func (s *Server) Cancel(id int64) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	q, ok := s.queries[id]
 	if !ok {
-		s.mu.Unlock()
 		return ErrUnknownQuery
 	}
-	q.mu.Lock()
-	state := q.state
-	q.mu.Unlock()
-	if state == StateDone || state == StateFailed {
-		s.mu.Unlock()
+	if q.state == StateDone || q.state == StateFailed {
 		return nil // idempotent: already finished
 	}
 	q.cancelRequested = true
-	if cancel := q.cancel; cancel != nil {
+	switch {
+	case q.cancel != nil:
 		// Running (or mid-dispatch with the context armed): stop it at
 		// the next boundary; the scheduler slot records the outcome.
-		s.mu.Unlock()
-		cancel()
-		return nil
+		q.cancel()
+	case q.cache == CacheCoalesced:
+		// A waiting follower: detach it from its leader, fail it alone.
+		leader := s.inflight[flightKey{q.key, q.class}]
+		leader.followers = slices.DeleteFunc(leader.followers, func(f *query) bool { return f == q })
+		s.finishLocked(q, outcome{err: ErrCanceled})
+	case s.mq.Remove(q.class, func(x *query) bool { return x == q }):
+		// Queued: its spot frees now.
+		s.finishLocked(q, outcome{err: ErrCanceled})
 	}
-	// Queued: remove from the admission queue so the spot frees now.
-	if s.mq.Remove(q.class, func(x *query) bool { return x == q }) {
-		now := time.Now()
-		if q.hasKey {
-			delete(s.inflight, flightKey{q.key, q.class})
-		}
-		followers := q.followers
-		q.followers = nil
-		s.finishCanceledLocked(q, now)
-		for _, f := range followers {
-			s.finishFollowerLocked(f, now, nil, nil, core.RunStats{}, ErrCanceled)
-		}
-		s.evictHistoryLocked()
-		s.mu.Unlock()
-		close(q.done)
-		for _, f := range followers {
-			close(f.done)
-		}
-		return nil
-	}
-	// Not in the queue and no cancel armed: either a coalesced follower
-	// (detach it from its leader and fail it alone) or a query inside
-	// the dispatch window (cancelRequested is set; the dispatch arms a
-	// pre-canceled context).
-	if q.hasKey {
-		if leader, ok := s.inflight[flightKey{q.key, q.class}]; ok && leader != q {
-			for i, f := range leader.followers {
-				if f == q {
-					leader.followers = append(leader.followers[:i], leader.followers[i+1:]...)
-					s.finishCanceledLocked(q, time.Now())
-					s.evictHistoryLocked()
-					s.mu.Unlock()
-					close(q.done)
-					return nil
-				}
-			}
-		}
-	}
-	s.mu.Unlock()
+	// Otherwise q is inside the dispatch window: cancelRequested makes
+	// the dispatch arm a pre-canceled context.
 	return nil
-}
-
-// finishCanceledLocked records a never-run query's cancellation
-// (called with s.mu held; the caller closes q.done after releasing it).
-func (s *Server) finishCanceledLocked(q *query, now time.Time) {
-	q.mu.Lock()
-	q.state = StateFailed
-	q.errMsg = ErrCanceled.Error()
-	q.canceled = true
-	q.finished = now
-	q.prog = nil
-	q.mu.Unlock()
-	s.failed++
-	s.classFail[q.class.Rank()]++
-	s.finished = append(s.finished, q.id)
 }
 
 // Get snapshots a query by ID.
 func (s *Server) Get(id int64) (Query, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	q, ok := s.queries[id]
-	s.mu.Unlock()
 	if !ok {
 		return Query{}, false
 	}
-	return q.snapshot(), true
+	return s.snapshotLocked(q), true
 }
 
 // Wait blocks until the query finishes (done or failed) and returns its
@@ -1206,7 +1005,9 @@ func (s *Server) Wait(id int64) (Query, error) {
 		return Query{}, ErrUnknownQuery
 	}
 	<-q.done
-	return q.snapshot(), nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshotLocked(q), nil
 }
 
 // ResultSet returns a finished query's full typed result. It fails with
@@ -1215,12 +1016,21 @@ func (s *Server) Wait(id int64) (Query, error) {
 // immutable and safe for concurrent readers.
 func (s *Server) ResultSet(id int64) (*result.ResultSet, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	q, ok := s.queries[id]
-	s.mu.Unlock()
-	if !ok {
+	switch {
+	case !ok:
 		return nil, ErrUnknownQuery
+	case q.state == StateFailed:
+		return nil, fmt.Errorf("%w: query failed: %s", ErrNotFinished, q.errMsg)
+	case q.state != StateDone:
+		return nil, ErrNotFinished
 	}
-	return q.resultSet()
+	v, ok := s.store.Value(q.res)
+	if !ok {
+		return nil, ErrResultReleased
+	}
+	return v.rs, nil
 }
 
 // Lookup is the point query: the named vector's value at vertex for a
@@ -1252,17 +1062,16 @@ func (s *Server) Histogram(id int64, vector string, bins int) (result.Histogram,
 	return rs.Histogram(vector, bins)
 }
 
-// List snapshots all queries in submission order.
+// List snapshots all queries in submission order (IDs are assigned in
+// that order).
 func (s *Server) List() []Query {
 	s.mu.Lock()
-	ids := append([]int64(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]Query, 0, len(ids))
-	for _, id := range ids {
-		if q, ok := s.Get(id); ok {
-			out = append(out, q)
-		}
+	out := make([]Query, 0, len(s.queries))
+	for _, q := range s.queries {
+		out = append(out, s.snapshotLocked(q))
 	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -1270,23 +1079,23 @@ func (s *Server) List() []Query {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	depths := s.mq.Depths()
-	running := s.mq.Running()
+	depths, running := s.mq.Load()
+	store := s.store.Stats()
 	st := Stats{
 		Submitted:       s.submitted,
 		Rejected:        s.rejected,
 		Completed:       s.completed,
 		Failed:          s.failed,
 		Running:         s.running,
-		Queued:          s.mq.Queued(),
 		PeakRunning:     s.peakRunning,
-		RetainedResults: len(s.retained) - s.retDead,
-		RetainedBytes:   s.retBytes,
+		RetainedResults: store.Entries,
+		RetainedBytes:   store.Bytes,
 		QoSEnabled:      s.cfg.QoS.Enabled,
 		Draining:        s.draining,
 	}
 	st.Classes = make([]ClassStats, 0, qos.NumClasses)
 	for i, cl := range qos.Classes {
+		st.Queued += depths[i]
 		cs := ClassStats{
 			Class:     cl,
 			Queued:    depths[i],
@@ -1303,9 +1112,8 @@ func (s *Server) Stats() Stats {
 		}
 		st.Classes = append(st.Classes, cs)
 	}
-	if s.cache != nil {
-		cs := s.cache.Stats()
-		st.ResultCache = &cs
+	if s.cfg.QoS.Enabled {
+		st.ResultCache = &store
 	}
 	if s.quotas != nil {
 		st.Tenants = s.quotas.Stats()
@@ -1327,6 +1135,14 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
+// Draining reports whether admission has stopped (Drain or Close) —
+// the one flag a readiness probe needs, without building Stats.
+func (s *Server) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
+
 // Drain stops admission without stopping service: Submit fails with
 // ErrDraining (503 over HTTP) while queued and in-flight queries run
 // to completion and every read endpoint keeps answering. Callers that
@@ -1334,10 +1150,6 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 // idempotent and safe alongside Close.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
 	s.draining = true
 	s.mu.Unlock()
 	s.mq.Drain()
@@ -1349,13 +1161,8 @@ func (s *Server) Drain() {
 // observation.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	s.draining = true
 	s.mu.Unlock()
-	s.mq.Drain()
+	s.Drain()
 	s.wg.Wait()
 }

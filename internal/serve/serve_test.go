@@ -210,7 +210,8 @@ func TestRequestValidation(t *testing.T) {
 // TestResultBudgetEvictsOldestFirst bounds retained result memory by
 // bytes: with a budget that fits only one BFS result, earlier results
 // are released (summary survives, vectors gone) while the newest stays
-// queryable.
+// queryable — the store's LRU is oldest-first when nothing is hit
+// again.
 func TestResultBudgetEvictsOldestFirst(t *testing.T) {
 	shared := buildShared(t, 2)
 	// One BFS result: 512 int32 levels = 2KiB + 256 slack.
@@ -263,6 +264,67 @@ func TestResultBudgetEvictsOldestFirst(t *testing.T) {
 	}
 	if _, err := none.ResultSet(id); !errors.Is(err, ErrResultReleased) {
 		t.Fatalf("negative budget: %v, want ErrResultReleased", err)
+	}
+}
+
+// TestResultBudgetBoundsEveryRecord: the byte budget bounds what is
+// REACHABLE, not what one list happens to count. After many run+hit
+// pairs under a budget of one result, every record that ever shared a
+// result set — the run, its hit — loses it the moment the store evicts
+// it, so the distinct result sets reachable through any retained ID
+// fit the budget, and Stats reports exactly those bytes.
+func TestResultBudgetBoundsEveryRecord(t *testing.T) {
+	shared := buildShared(t, 2)
+	const budget = 3 << 10 // one BFS result: 512 int32 levels = 2KiB + 256 slack
+	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: budget, QoS: qosOn})
+	defer srv.Close()
+
+	var last [2]int64
+	for src := 0; src < 40; src++ {
+		for i, want := range []string{"", CacheHit} {
+			id, err := srv.Submit(Request{Algo: "bfs", Params: MarshalParams(SrcParams{Src: graph.VertexID(src)})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := srv.Wait(id)
+			if err != nil || q.State != StateDone || q.Cache != want {
+				t.Fatalf("bfs src=%d pass %d: %+v, %v; want done with cache %q", src, i, q, err, want)
+			}
+			last[i] = id
+		}
+	}
+
+	reachable := map[*result.ResultSet]bool{}
+	var total int64
+	for _, q := range srv.List() {
+		rs, err := srv.ResultSet(q.ID)
+		if errors.Is(err, ErrResultReleased) {
+			if q.ResultRetained || q.Result["checksum"] == nil {
+				t.Fatalf("released query %d: retained=%v summary=%v", q.ID, q.ResultRetained, q.Result)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reachable[rs] {
+			reachable[rs] = true
+			total += rs.MemoryBytes()
+		}
+	}
+	if total > budget {
+		t.Fatalf("%d distinct result sets, %d bytes, reachable through retained IDs under a %d-byte budget",
+			len(reachable), total, budget)
+	}
+	if st := srv.Stats(); st.RetainedBytes != total || st.RetainedResults != len(reachable) || st.ResultCache.Bytes != total {
+		t.Fatalf("stats report %d results / %d bytes (cache %d), reachable are %d / %d",
+			st.RetainedResults, st.RetainedBytes, st.ResultCache.Bytes, len(reachable), total)
+	}
+	// The newest result is the one that stayed, for both its records.
+	for _, id := range last {
+		if _, err := srv.ResultSet(id); err != nil {
+			t.Fatalf("newest result lost to query %d: %v", id, err)
+		}
 	}
 }
 
@@ -518,10 +580,19 @@ func TestHistoryEvictionBoundsMemory(t *testing.T) {
 	if q, ok := srv.Get(ids[4]); !ok || q.State != StateDone {
 		t.Fatal("newest finished query must be retained")
 	}
-	// Record eviction refunds the result budget: retained bytes must
-	// account only the surviving records.
-	st := srv.Stats()
-	if st.RetainedResults > 2 {
-		t.Fatalf("retained results = %d after history eviction", st.RetainedResults)
+	// An unkeyed entry (QoS tier off: no later Submit can reach it) is
+	// dropped with its last record: the store holds exactly the results
+	// of the surviving records, no more.
+	var live int64
+	for _, q := range srv.List() {
+		rs, err := srv.ResultSet(q.ID)
+		if err != nil {
+			t.Fatalf("surviving record %d lost its result under a roomy budget: %v", q.ID, err)
+		}
+		live += rs.MemoryBytes()
+	}
+	if st := srv.Stats(); st.RetainedResults != 2 || st.RetainedBytes != live {
+		t.Fatalf("store holds %d results / %d bytes after history eviction, want 2 / %d",
+			st.RetainedResults, st.RetainedBytes, live)
 	}
 }

@@ -67,9 +67,9 @@ type (
 	// GraphInfo describes one served graph (GET /graphs).
 	GraphInfo = serve.GraphInfo
 	// QoSConfig configures the serving-QoS tier (ServerConfig.QoS):
-	// priority-class admission, the result cache with single-flight
-	// coalescing, and per-tenant token-bucket quotas. The zero value
-	// is disabled — the seed-era single FIFO; set Enabled to opt in.
+	// priority-class admission, cache hits and single-flight coalescing
+	// over the results ServerConfig.ResultBytes retains, and per-tenant
+	// quotas. The zero value is disabled (the single FIFO); set Enabled.
 	QoSConfig = qos.Config
 	// QueryClass is a query's priority class: interactive, analytic,
 	// or batch. Inferred per query from the algorithm's capabilities
@@ -80,8 +80,8 @@ type (
 	// (ServerStats.Classes): queue depth, occupied slots, completions,
 	// and queue-wait percentiles.
 	ClassStats = serve.ClassStats
-	// CacheStats reports the result cache (ServerStats.ResultCache):
-	// hits, misses, evictions, retained bytes, coalesced submissions.
+	// CacheStats reports the result store (ServerStats.ResultCache): hits,
+	// misses, evictions, bytes (= RetainedBytes), coalesced submissions.
 	CacheStats = qos.CacheStats
 	// TenantStats snapshots one tenant's quota bucket
 	// (ServerStats.Tenants).
@@ -213,9 +213,10 @@ type ServerConfig struct {
 	MaxQueued int
 	// MaxHistory bounds retained finished query records. Default 1024.
 	MaxHistory int
-	// ResultBytes budgets memory held by retained full result vectors
-	// across finished queries; oldest are released first (summaries
-	// survive). 0 = default 64MiB; negative = retain nothing.
+	// ResultBytes is the one budget for finished full result vectors,
+	// each charged once however many queries (run, hits, followers)
+	// share it; the least recently computed-or-hit are released first
+	// (summaries survive). 0 = 64MiB; negative = retain and cache nothing.
 	ResultBytes int64
 	// DefaultGraph routes unqualified requests; empty means the
 	// catalog's first graph.
@@ -225,10 +226,9 @@ type ServerConfig struct {
 	// Register.
 	Algorithms []AlgorithmSpec
 	// QoS configures the serving-QoS tier: priority-class admission
-	// with weighted dequeue and reserved interactive slots, the result
-	// cache with single-flight coalescing, and per-tenant token-bucket
-	// quotas. The zero value is disabled (the seed-era single FIFO);
-	// set QoS.Enabled to opt in.
+	// with weighted dequeue and reserved interactive slots, cache hits
+	// with single-flight coalescing, and per-tenant token-bucket quotas.
+	// The zero value is disabled (the single FIFO); set QoS.Enabled.
 	QoS QoSConfig
 }
 
