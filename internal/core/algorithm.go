@@ -20,6 +20,22 @@
 //   - dynamic load balancing by work stealing (§3.8.1);
 //   - an in-memory mode that replaces SAFS with memory-resident edge
 //     lists (§5.1's "FG-mem" baseline).
+//
+// The message path, beside the read path (RequestEdges → worker.issue →
+// safs.IOContext.ReadTask → Flush):
+//
+//	Ctx.Multicast / Send        one walk over the targets, msg copied
+//	  → header per partition    once per destination partition, its
+//	  → msgChunk                targets appended behind the header in a
+//	                            flat chunk owned by (sender, partition)
+//	  → owner's inbox           a full chunk changes hands by pointer
+//	  → worker.messagePhase     owner walks headers × targets, RunOnMessage
+//
+// Two memory rules hold between barriers and make that steady state
+// allocation-free: request-side state (the request slab, pooled read
+// tasks) is bounded by MaxRunning, never by the iteration's volume; and
+// of the chunks an iteration buffers nothing outlives its delivery
+// beyond Threads spares per worker.
 package core
 
 import (

@@ -41,16 +41,10 @@ func (c *Ctx) RequestEdges(dir graph.EdgeDir, targets ...graph.VertexID) {
 	ix := c.eng.index(dir)
 	for _, t := range targets {
 		off, size := ix.Locate(t)
-		c.w.pendingReqs[c.cur]++
-		c.w.reqs = append(c.w.reqs, edgeReq{
-			requester: c.cur,
-			target:    t,
-			dir:       dir,
-			off:       off,
-			size:      size,
-		})
+		c.eng.pendingReqs[c.cur]++
+		c.w.request(edgeReq{requester: c.cur, target: t, dir: dir, off: off, size: size})
 	}
-	c.eng.stats.addEdgeRequests(int64(len(targets)))
+	c.w.edgeReqs += int64(len(targets))
 }
 
 // RequestSelf fetches the current vertex's own edge list (the common
@@ -77,7 +71,7 @@ func (c *Ctx) ActivateMany(vs []graph.VertexID) {
 // phase. msg.From is set to the current vertex.
 func (c *Ctx) Send(to graph.VertexID, msg Message) {
 	msg.From = c.cur
-	c.w.send(to, msg)
+	c.w.multicast([]graph.VertexID{to}, msg)
 }
 
 // Multicast delivers the same message to every target, copying it once

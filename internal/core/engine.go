@@ -178,6 +178,12 @@ type Engine struct {
 	activeNext *util.Bitmap
 	nextCount  int64 // atomic: activations recorded for next iteration
 
+	// pendingReqs counts outstanding edge-list requests per vertex. One
+	// array serves the run: a vertex is in the running state on exactly
+	// one worker at a time, stolen or not, so workers touch disjoint
+	// elements.
+	pendingReqs []int32
+
 	alg      Algorithm
 	sweepFwd bool
 
@@ -219,8 +225,6 @@ type runCounters struct {
 	waitNS         int64 // worker time blocked on I/O
 	computeNS      int64 // worker time doing work
 }
-
-func (rc *runCounters) addEdgeRequests(n int64) { atomic.AddInt64(&rc.edgeRequests, n) }
 
 // RunStats reports what a Run cost — the numbers behind every figure in
 // the paper's evaluation.
@@ -365,6 +369,7 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	e.activeCur.Clear()
 	e.activeNext.Clear()
 	atomic.StoreInt64(&e.nextCount, 0)
+	e.pendingReqs = make([]int32, e.img.NumV)
 
 	// Snapshot counters so stats reflect this run only. Cache hits,
 	// misses, and bytes come from the workers' per-context SAFS counters
@@ -469,7 +474,7 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 			}
 		})
 	}
-	e.phase(func(w *worker) { w.commitTimes() })
+	e.phase(func(w *worker) { w.commit() })
 	elapsed := time.Since(start)
 
 	st := RunStats{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"flashgraph/internal/graph"
 	"flashgraph/internal/safs"
@@ -356,6 +357,77 @@ func TestMessageModelExactlyOnce(t *testing.T) {
 					runMsgCase(t, img, adj, msgCase{
 						rules: &msgRules{seed: seed}, seeds: seeds, maxIter: 7,
 						threads: threads, shift: uint(1 + seed%3), sem: sem,
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestMessageModelChunkBoundaries drives the model through the places
+// where a chunk fills: a multicast longer than one chunk's targets, a
+// burst of Sends that exhausts the header array first, and a multicast
+// whose targets all fall into one partition — each from one vertex in
+// iteration 0 on top of the random traffic, at Threads 1 and 3.
+func TestMessageModelChunkBoundaries(t *testing.T) {
+	if unsafe.Sizeof(msgChunk{}) > 32<<10 {
+		t.Fatalf("msgChunk is %d bytes: past 32 KiB it is a large object, zeroed on every allocation", unsafe.Sizeof(msgChunk{}))
+	}
+	img, adj := buildTestImage(t, 8, 5, 77)
+	n := graph.VertexID(img.NumV)
+	const shift = 3
+	once := func(f func(s msgSink, buf *[]graph.VertexID)) func(msgSink, int, graph.VertexID, *[]graph.VertexID) {
+		return func(s msgSink, it int, v graph.VertexID, buf *[]graph.VertexID) {
+			if it == 0 && v == 5 {
+				f(s, buf)
+			}
+		}
+	}
+	cases := map[string]func(threads int) func(s msgSink, buf *[]graph.VertexID){
+		"long-multicast": func(int) func(msgSink, *[]graph.VertexID) {
+			return func(s msgSink, buf *[]graph.VertexID) {
+				ts := (*buf)[:0]
+				for i := 0; i < 2*chunkTargets+17; i++ {
+					ts = append(ts, graph.VertexID(i)%n)
+				}
+				*buf = ts
+				s.Multicast(ts, Message{Kind: 8, I64: 1})
+				scribble(ts)
+			}
+		},
+		"sends-fill-headers": func(int) func(msgSink, *[]graph.VertexID) {
+			return func(s msgSink, _ *[]graph.VertexID) {
+				// All to vertex 1's range: one partition's chunk takes
+				// chunkHdrs headers long before chunkTargets targets.
+				for i := 0; i < 2*chunkHdrs+3; i++ {
+					s.Send(graph.VertexID(i%(1<<shift)), Message{Kind: 9, I64: int64(i) << 2})
+				}
+			}
+		},
+		"one-partition-multicast": func(threads int) func(msgSink, *[]graph.VertexID) {
+			return func(s msgSink, buf *[]graph.VertexID) {
+				ts := (*buf)[:0]
+				for len(ts) < chunkTargets+100 {
+					for v := graph.VertexID(0); v < n; v++ {
+						if int(v>>shift)%threads == threads-1 {
+							ts = append(ts, v)
+						}
+					}
+				}
+				*buf = ts
+				s.Multicast(ts, Message{Kind: 10, I64: 2})
+				scribble(ts)
+			}
+		},
+	}
+	for name, mk := range cases {
+		for _, threads := range []int{1, 3} {
+			for _, sem := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/threads%d/sem=%v", name, threads, sem), func(t *testing.T) {
+					runMsgCase(t, img, adj, msgCase{
+						rules: &msgRules{seed: 9, extra: once(mk(threads))},
+						seeds: []graph.VertexID{5, 6, 100, 200}, maxIter: 5,
+						threads: threads, shift: shift, sem: sem,
 					})
 				})
 			}

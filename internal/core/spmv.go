@@ -36,7 +36,8 @@ type SpMVEngine struct {
 
 	reads     int64 // stripe reads issued
 	bytesRead int64
-	bufBytes  int64 // largest prefetch buffer grown this run
+	bufBytes  int64         // largest prefetch buffer grown this run
+	wait      time.Duration // compute goroutine blocked on the prefetcher
 
 	rowScratch []graph.VertexID
 	colScratch []graph.VertexID
@@ -73,7 +74,7 @@ func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 	}
 	e.prog = prog
 	e.iteration = 0
-	e.reads, e.bytesRead, e.bufBytes = 0, 0, 0
+	e.reads, e.bytesRead, e.bufBytes, e.wait = 0, 0, 0, 0
 
 	// Stripe reads and bytes are counted per run; device reads and busy
 	// time are the substrate's over the run's window.
@@ -119,6 +120,10 @@ func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 		EdgeRequests:   e.reads,
 		MergedRequests: e.reads,
 		BytesRead:      e.bytesRead,
+		WaitTime:       e.wait,
+	}
+	if elapsed > 0 {
+		st.CPUUtil = float64(elapsed-e.wait) / float64(elapsed)
 	}
 	chargeDevices(&st)
 	st.MemoryBytes = e.memoryFootprint()
@@ -283,7 +288,13 @@ func (e *SpMVEngine) eachStripe(dir graph.EdgeDir, exts []extent, process func(r
 			}
 		}
 	}()
-	for fl := range out {
+	for {
+		t0 := time.Now()
+		fl, ok := <-out
+		e.wait += time.Since(t0)
+		if !ok {
+			return nil
+		}
 		if fl.err != nil {
 			return fl.err
 		}
@@ -304,5 +315,4 @@ func (e *SpMVEngine) eachStripe(dir graph.EdgeDir, exts []extent, process func(r
 		default:
 		}
 	}
-	return nil
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,27 +14,58 @@ import (
 )
 
 const (
-	// msgFlushThreshold is the per-destination buffered-message count
-	// that triggers a flush (§3.4.1 bundling).
-	msgFlushThreshold = 256
+	// chunkHdrs and chunkTargets size a message chunk (§3.4.1 bundling):
+	// 512 headers and 4090 targets come to 32,752 bytes, inside the
+	// allocator's largest small size class. One byte more and every
+	// chunk turnover would zero a large object.
+	chunkHdrs    = 512
+	chunkTargets = 4090
+	// taskKeep bounds a worker's idle readTask list and scratchKeep the
+	// page-crossing scratch it retains; more tasks than that in one
+	// completion burst, or a larger record, are allocated and dropped.
+	taskKeep    = 256
+	scratchKeep = 64 << 10
 	// randomSeed seeds the per-worker SchedRandom shuffles.
 	randomSeed uint64 = 1
 )
 
 // edgeReq is one vertex's request for one edge list, located via the
-// in-memory index at request time.
+// in-memory index at request time. Requests live in the worker's slab
+// from RequestEdges until the list has been delivered; next links the
+// requests of one merged read (and the slab's free slots).
 type edgeReq struct {
 	requester graph.VertexID
 	target    graph.VertexID
-	dir       graph.EdgeDir
 	off, size int64
+	dir       graph.EdgeDir
+	next      int32
 }
 
-// envelope is a message or a multicast bundle bound for one partition.
-type envelope struct {
-	msg     Message
-	to      graph.VertexID   // single delivery when targets == nil
-	targets []graph.VertexID // multicast targets owned by the partition
+// readTask is one merged read in flight: the chain of slab requests
+// starting at head, covered by one SAFS ReadTask that begins at byte
+// start of the direction's file. Tasks are pooled per worker and their
+// TaskFunc is bound once, so issuing a read allocates nothing.
+type readTask struct {
+	w     *worker
+	head  int32
+	start int64
+	fn    safs.TaskFunc
+}
+
+// msgHeader is one Send (n = 1) or one partition's share of a Multicast:
+// msg goes to the next n entries of the chunk's target array.
+type msgHeader struct {
+	msg Message
+	n   int32
+}
+
+// msgChunk is the unit of message hand-over: a flat, pointer-free buffer
+// of headers and the targets behind them, filled by one sender for one
+// destination partition and passed to the owner by pointer.
+type msgChunk struct {
+	nh, nt  int32
+	hdrs    [chunkHdrs]msgHeader
+	targets [chunkTargets]graph.VertexID
 }
 
 // worker owns one horizontal partition of one run: an ordered active
@@ -59,14 +91,32 @@ type worker struct {
 	active     []graph.VertexID
 	qpos       int
 
-	running     int     // vertices in the running state
-	pendingReqs []int32 // outstanding edge-list requests per vertex (global index)
-	reqs        []edgeReq
+	running int // vertices in the running state
 
+	// Edge requests. Everything here is bounded by the running set
+	// (MaxRunning), never by the iteration's volume.
+	slab    []edgeReq // requests not yet delivered
+	freeReq int32     // head of the slab's free-slot chain, -1 if none
+	batch   []int32   // slab slots requested since the last issue
+	tasks   []*readTask
+	pv      graph.PageVertex // the edge list handed to RunOnVertex
+	scratch []byte           // copy of a record that crosses a page boundary
+	stolen  []graph.VertexID
+
+	// Messages. out[p] is the chunk this worker is filling for partition
+	// p; mcOpen[p] == mcGen while the running Multicast call has a header
+	// open in it. Full chunks go to the owner's inbox; a delivered chunk
+	// is dropped unless the spare list (at most Threads) has room.
+	out     []*msgChunk
+	mcOpen  []uint64
+	mcGen   uint64
+	spare   []*msgChunk
 	inboxMu sync.Mutex
-	inbox   []envelope
-	outbox  [][]envelope // per destination partition
-	outCnt  int
+	inbox   []*msgChunk
+	drained []*msgChunk // the inbox slice being delivered, swapped back
+
+	// Per-run counts, folded into the engine's at the end of the run.
+	sent, edgeReqs, merged int64
 
 	iterEnd []graph.VertexID // vertices that requested end-of-iteration
 
@@ -82,7 +132,9 @@ func newWorker(e *Engine, id int) *worker {
 		id:     id,
 		eng:    e,
 		cmds:   make(chan func()),
-		outbox: make([][]envelope, e.cfg.Threads),
+		out:    make([]*msgChunk, e.cfg.Threads),
+		mcOpen: make([]uint64, e.cfg.Threads),
+		spare:  make([]*msgChunk, 0, e.cfg.Threads),
 		rng:    util.NewRNG(randomSeed + uint64(id)*7919),
 	}
 	if !e.cfg.InMemory {
@@ -92,7 +144,13 @@ func newWorker(e *Engine, id int) *worker {
 }
 
 func (w *worker) start() {
-	w.pendingReqs = make([]int32, w.eng.img.NumV)
+	// A previous run may have ended with undelivered iteration-end
+	// messages or, aborted, with requests in flight.
+	clear(w.out)
+	clear(w.inbox)
+	w.inbox = w.inbox[:0]
+	w.slab, w.freeReq, w.batch = w.slab[:0], -1, w.batch[:0]
+	w.sent, w.edgeReqs, w.merged = 0, 0, 0
 	w.partCtx = &Ctx{eng: w.eng, w: w}
 	w.wg.Add(1)
 	go func() {
@@ -124,17 +182,16 @@ func (w *worker) stop() {
 	w.cmds = make(chan func())
 }
 
-// commitTimes folds this worker's timing counters into the engine run
-// stats (called via a phase, so it runs on the worker goroutine).
-func (w *worker) commitTimes() {
-	atomic.AddInt64(&w.eng.stats.waitNS, w.waitNS)
-	atomic.AddInt64(&w.eng.stats.computeNS, w.busyNS)
+// commit folds this worker's counters into the engine run stats (called
+// via a phase, so it runs on the worker goroutine).
+func (w *worker) commit() {
+	st := &w.eng.stats
+	atomic.AddInt64(&st.waitNS, w.waitNS)
+	atomic.AddInt64(&st.computeNS, w.busyNS)
+	atomic.AddInt64(&st.messages, w.sent)
+	atomic.AddInt64(&st.edgeRequests, w.edgeReqs)
+	atomic.AddInt64(&st.mergedRequests, w.merged)
 	w.waitNS, w.busyNS = 0, 0
-}
-
-// ownsRange reports whether range g belongs to this worker.
-func (w *worker) ownsRange(g int) bool {
-	return g%w.eng.cfg.Threads == w.id
 }
 
 // buildActiveList collects this worker's active vertices in schedule
@@ -146,15 +203,7 @@ func (w *worker) buildActiveList() {
 	numV := e.img.NumV
 	for g := w.id; g*rangeSize < numV; g += e.cfg.Threads {
 		lo := g * rangeSize
-		hi := lo + rangeSize
-		if hi > numV {
-			hi = numV
-		}
-		for v := lo; v < hi; v++ {
-			if e.activeCur.Get(v) {
-				w.iterActive = append(w.iterActive, graph.VertexID(v))
-			}
-		}
+		w.iterActive = e.activeCur.AppendSet(w.iterActive, lo, min(lo+rangeSize, numV))
 	}
 	switch e.cfg.Sched {
 	case SchedByID:
@@ -200,7 +249,8 @@ func (w *worker) pop() (graph.VertexID, bool) {
 	return v, true
 }
 
-// stealFrom takes a chunk from the tail of another worker's queue.
+// stealFrom takes a chunk from the tail of another worker's queue into
+// this worker's stolen scratch.
 func (w *worker) stealFrom(victim *worker) []graph.VertexID {
 	victim.mu.Lock()
 	defer victim.mu.Unlock()
@@ -215,10 +265,10 @@ func (w *worker) stealFrom(victim *worker) []graph.VertexID {
 	if k > 256 {
 		k = 256
 	}
-	stolen := make([]graph.VertexID, k)
-	copy(stolen, victim.active[len(victim.active)-k:])
-	victim.active = victim.active[:len(victim.active)-k]
-	return stolen
+	tail := len(victim.active) - k
+	w.stolen = append(w.stolen[:0], victim.active[tail:]...)
+	victim.active = victim.active[:tail]
+	return w.stolen
 }
 
 // runPart executes vertical partition `part` of all active vertices in
@@ -241,9 +291,9 @@ func (w *worker) runPart(part int) {
 			return
 		}
 		ctx.cur = v
-		before := len(w.reqs)
+		before := len(w.batch)
 		e.alg.Run(ctx, v)
-		if len(w.reqs) > before || w.pendingReqs[v] > 0 {
+		if len(w.batch) > before || e.pendingReqs[v] > 0 {
 			w.running++
 		}
 	}
@@ -309,33 +359,63 @@ func (w *worker) steal(runOne func(graph.VertexID)) bool {
 	return false
 }
 
-// issue cuts pending edge-list requests into ReadTasks and flushes them
-// to SAFS per Config.Merge (§3.6).
+// request records one edge-list request in the slab.
+func (w *worker) request(r edgeReq) {
+	slot := w.freeReq
+	if slot >= 0 {
+		w.freeReq = w.slab[slot].next
+		w.slab[slot] = r
+	} else {
+		slot = int32(len(w.slab))
+		w.slab = append(w.slab, r)
+	}
+	w.batch = append(w.batch, slot)
+}
+
+// take removes the request in slot from the slab.
+func (w *worker) take(slot int32) edgeReq {
+	r := w.slab[slot]
+	w.slab[slot].next = w.freeReq
+	w.freeReq = slot
+	return r
+}
+
+// deliver runs RunOnVertex for one arrived edge list and retires the
+// request. The PageVertex is the worker's own: callbacks may not keep it.
+func (w *worker) deliver(r edgeReq, rec []byte) {
+	e := w.eng
+	w.pv = graph.NewPageVertexBytes(r.target, r.dir, rec, e.img.AttrSize, e.img.Encoding)
+	w.partCtx.cur = r.requester
+	e.alg.RunOnVertex(w.partCtx, r.requester, &w.pv)
+	e.pendingReqs[r.requester]--
+	if e.pendingReqs[r.requester] == 0 {
+		w.running--
+	}
+}
+
+// compareReqs orders two slab slots by (direction, offset).
+func (w *worker) compareReqs(a, b int32) int {
+	x, y := &w.slab[a], &w.slab[b]
+	return cmp.Or(cmp.Compare(x.dir, y.dir), cmp.Compare(x.off, y.off))
+}
+
+// issue cuts the batch of pending edge-list requests into ReadTasks and
+// flushes them to SAFS per Config.Merge (§3.6).
 func (w *worker) issue() {
-	if len(w.reqs) == 0 {
+	if len(w.batch) == 0 {
 		return
 	}
-	reqs := w.reqs
-	w.reqs = nil
 	e := w.eng
 
 	if e.cfg.InMemory {
 		// In-memory mode: serve requests directly from the image's byte
-		// slices. Requests appended during RunOnVertex extend the slice
+		// slices. Requests made during RunOnVertex extend the batch
 		// being iterated.
-		ctx := w.partCtx
-		for i := 0; i < len(reqs); i++ {
-			r := reqs[i]
-			pv := graph.NewPageVertexBytes(r.target, r.dir, e.data(r.dir)[r.off:r.off+r.size], e.img.AttrSize, e.img.Encoding)
-			ctx.cur = r.requester
-			e.alg.RunOnVertex(ctx, r.requester, &pv)
-			w.vertexRequestDone(r.requester)
-			if len(w.reqs) > 0 {
-				reqs = append(reqs, w.reqs...)
-				w.reqs = w.reqs[:0]
-			}
+		for i := 0; i < len(w.batch); i++ {
+			r := w.take(w.batch[i])
+			w.deliver(r, e.data(r.dir)[r.off:r.off+r.size])
 		}
-		w.reqs = w.reqs[:0]
+		w.batch = w.batch[:0]
 		return
 	}
 
@@ -345,178 +425,193 @@ func (w *worker) issue() {
 	flushEach := e.cfg.Merge != MergeSAFS
 	if e.cfg.Merge == MergeFG {
 		// Globally sort this batch's requests by (direction, offset)
-		// and merge runs touching the same or adjacent pages.
-		sort.Slice(reqs, func(i, j int) bool {
-			if reqs[i].dir != reqs[j].dir {
-				return reqs[i].dir < reqs[j].dir
-			}
-			return reqs[i].off < reqs[j].off
-		})
+		// and merge runs touching the same or adjacent pages. SchedByID's
+		// alternating sweep requests in ascending or exactly descending
+		// file order, which pdqsort settles in one linear pass.
+		slices.SortFunc(w.batch, w.compareReqs)
 	}
 	ps := int64(e.cfg.FS.PageSize())
-	for i := 0; i < len(reqs); {
+	for i := 0; i < len(w.batch); {
+		first := w.slab[w.batch[i]]
+		end := first.off + first.size
 		j := i + 1
-		end := reqs[i].off + reqs[i].size
-		for e.cfg.Merge == MergeFG && j < len(reqs) && reqs[j].dir == reqs[i].dir {
+		for ; e.cfg.Merge == MergeFG && j < len(w.batch); j++ {
 			// Merge iff the next request starts on the same or the
 			// adjacent page of the current run's end.
-			endPage := (end - 1) / ps
-			nextPage := reqs[j].off / ps
-			if nextPage > endPage+1 {
+			next := &w.slab[w.batch[j]]
+			if next.dir != first.dir || next.off/ps > (end-1)/ps+1 {
 				break
 			}
-			if e2 := reqs[j].off + reqs[j].size; e2 > end {
-				end = e2
-			}
-			j++
+			end = max(end, next.off+next.size)
+			w.slab[w.batch[j-1]].next = w.batch[j]
 		}
-		w.issueMerged(reqs[i:j], end)
+		w.slab[w.batch[j-1]].next = -1
+		w.read(w.batch[i], first, end)
 		if flushEach {
 			w.ioctx.Flush()
 		}
 		i = j
 	}
+	w.batch = w.batch[:0]
 	w.ioctx.Flush()
 }
 
-// issueMerged dispatches one merged request covering group (all same
-// dir) ending at byte offset end.
-func (w *worker) issueMerged(group []edgeReq, end int64) {
-	e := w.eng
-	atomic.AddInt64(&e.stats.mergedRequests, 1)
-	start := group[0].off
-	f := e.file(group[0].dir)
-	// The group slice aliases the issue batch; copy so later batches
-	// cannot clobber it while the task is in flight.
-	items := make([]edgeReq, len(group))
-	copy(items, group)
-	w.ioctx.ReadTask(f, start, end-start, func(view *safs.View, err error) {
-		if err != nil {
-			// Device errors are fatal to the run; surface loudly — as an
-			// error value, so the failure's type (corruption vs transient
-			// exhaustion) survives recordPanic into the run's result.
-			panic(fmt.Errorf("core: edge-list read failed: %w", err))
-		}
-		ctx := w.partCtx
-		var scratch []byte
-		for _, it := range items {
-			// View.Slice hands back the cache frame directly unless the
-			// record crosses a page boundary, so nearly every vertex
-			// decodes in place. scratch is grown here (not by Slice) so
-			// boundary-crossing copies reuse one buffer across the
-			// task's vertices.
-			if int64(cap(scratch)) < it.size {
-				scratch = make([]byte, it.size)
-			}
-			rec := view.Slice(it.off-start, it.size, scratch)
-			pv := graph.NewPageVertexBytes(it.target, it.dir, rec, e.img.AttrSize, e.img.Encoding)
-			ctx.cur = it.requester
-			e.alg.RunOnVertex(ctx, it.requester, &pv)
-			w.vertexRequestDone(it.requester)
-		}
-	})
+// read dispatches one merged read for the request chain starting at
+// slot head (whose request is first), ending at byte offset end.
+func (w *worker) read(head int32, first edgeReq, end int64) {
+	w.merged++
+	var t *readTask
+	if n := len(w.tasks); n > 0 {
+		t, w.tasks = w.tasks[n-1], w.tasks[:n-1]
+	} else {
+		t = &readTask{w: w}
+		t.fn = t.run
+	}
+	t.head, t.start = head, first.off
+	w.ioctx.ReadTask(w.eng.file(first.dir), first.off, end-first.off, t.fn)
 }
 
-// vertexRequestDone decrements the requester's outstanding-request count
-// and retires it from the running state at zero.
-func (w *worker) vertexRequestDone(v graph.VertexID) {
-	w.pendingReqs[v]--
-	if w.pendingReqs[v] == 0 {
-		w.running--
+// run delivers the edge lists of one completed merged read.
+func (t *readTask) run(view *safs.View, err error) {
+	w, slot, start := t.w, t.head, t.start
+	if len(w.tasks) < taskKeep {
+		w.tasks = append(w.tasks, t)
+	}
+	if err != nil {
+		// Device errors are fatal to the run; surface loudly — as an
+		// error value, so the failure's type (corruption vs transient
+		// exhaustion) survives recordPanic into the run's result.
+		panic(fmt.Errorf("core: edge-list read failed: %w", err))
+	}
+	for slot >= 0 {
+		r := w.take(slot)
+		slot = r.next
+		// View.Slice hands back the cache frame directly unless the
+		// record crosses a page boundary, so nearly every vertex decodes
+		// in place; a crossing record is copied into scratch (or, past
+		// scratchKeep, into a buffer Slice allocates for this one call).
+		if int64(cap(w.scratch)) < r.size && r.size <= scratchKeep {
+			w.scratch = make([]byte, r.size)
+		}
+		w.deliver(r, view.Slice(r.off-start, r.size, w.scratch))
 	}
 }
 
-// send buffers a point-to-point message, flushing the destination
-// buffer at the bundling threshold (§3.4.1).
-func (w *worker) send(to graph.VertexID, msg Message) {
-	p := w.eng.partitionOf(to)
-	w.outbox[p] = append(w.outbox[p], envelope{msg: msg, to: to})
-	w.outCnt++
-	atomic.AddInt64(&w.eng.stats.messages, 1)
-	if len(w.outbox[p]) >= msgFlushThreshold {
-		w.flushTo(p)
+// openChunk hands partition p's open chunk over, if it holds anything,
+// and opens an empty one.
+func (w *worker) openChunk(p int) *msgChunk {
+	w.flushTo(p)
+	c := w.out[p]
+	if c == nil {
+		if n := len(w.spare); n > 0 {
+			c, w.spare = w.spare[n-1], w.spare[:n-1]
+			c.nh, c.nt = 0, 0
+		} else {
+			c = new(msgChunk)
+		}
+		w.out[p] = c
 	}
+	return c
 }
 
-// multicast copies msg once per destination partition.
+// multicast copies msg once per destination partition: it walks targets
+// once, opening at most one header in each partition's chunk and
+// appending that partition's targets behind it. A chunk that fills on
+// the way is handed over and the header re-opened in the next one. A
+// Send is a multicast to one target: one header with n = 1.
 func (w *worker) multicast(targets []graph.VertexID, msg Message) {
-	e := w.eng
-	byPart := make(map[int][]graph.VertexID, 4)
+	shift, threads := w.eng.cfg.RangeShift, uint32(w.eng.cfg.Threads)
+	w.mcGen++
+	// Neighbour lists are ID-sorted, so targets arrive in runs of one
+	// range: the partition is recomputed only when the range changes.
+	vrange, p := uint32(0), 0
 	for _, t := range targets {
-		p := e.partitionOf(t)
-		byPart[p] = append(byPart[p], t)
-	}
-	for p, ts := range byPart {
-		w.outbox[p] = append(w.outbox[p], envelope{msg: msg, targets: ts})
-		w.outCnt++
-		atomic.AddInt64(&e.stats.messages, int64(len(ts)))
-		if len(w.outbox[p]) >= msgFlushThreshold {
-			w.flushTo(p)
+		if r := t >> shift; r != vrange {
+			vrange, p = r, int(r%threads)
 		}
+		c := w.out[p]
+		if w.mcOpen[p] != w.mcGen || c.nt == chunkTargets {
+			if c == nil || c.nh == chunkHdrs || c.nt == chunkTargets {
+				c = w.openChunk(p)
+			}
+			c.hdrs[c.nh] = msgHeader{msg: msg}
+			c.nh++
+			w.mcOpen[p] = w.mcGen
+		}
+		c.hdrs[c.nh-1].n++
+		c.targets[c.nt] = t
+		c.nt++
 	}
+	w.sent += int64(len(targets))
 }
 
-// flushTo moves one destination buffer into the target's inbox.
-func (w *worker) flushTo(p int) {
-	buf := w.outbox[p]
-	if len(buf) == 0 {
-		return
+// flushTo hands partition p's open chunk to its owner's inbox by pointer
+// — one lock per chunk, no copy — and returns how many messages it held.
+func (w *worker) flushTo(p int) int64 {
+	c := w.out[p]
+	if c == nil || c.nt == 0 {
+		return 0
 	}
-	w.outbox[p] = nil
+	w.out[p] = nil
+	n := int64(c.nt) // the owner may be reusing c once it is in its inbox
 	dst := w.eng.workers[p]
 	dst.inboxMu.Lock()
-	dst.inbox = append(dst.inbox, buf...)
+	dst.inbox = append(dst.inbox, c)
 	dst.inboxMu.Unlock()
+	return n
 }
 
-// flushAll drains every outbox buffer and returns how many envelopes it
-// moved. The count matters for quiescence: an envelope flushed into a
-// peer's inbox after the peer took its batch must keep the message
-// rounds alive, or it would be silently lost.
+// flushAll hands every non-empty open chunk over and returns how many
+// messages it moved. The count matters for quiescence: a chunk flushed
+// into a peer's inbox after the peer took its batch must keep the
+// message rounds alive, or it would be silently lost.
 func (w *worker) flushAll() int64 {
 	var flushed int64
-	for p := range w.outbox {
-		flushed += int64(len(w.outbox[p]))
-		w.flushTo(p)
+	for p := range w.out {
+		flushed += w.flushTo(p)
 	}
-	w.outCnt = 0
 	return flushed
 }
 
-// messagePhase flushes outboxes and delivers this partition's inbox,
+// messagePhase flushes open chunks and delivers this partition's inbox,
 // executing RunOnMessage on the owner thread (messages are how vertices
 // touch each other's state without locks — §3.4.1). Returns the number
-// of envelopes flushed plus delivered plus newly sent, so the engine can
-// iterate the rounds to true quiescence.
+// of messages flushed plus delivered, so the engine can iterate the
+// rounds to true quiescence: what a delivery sends stays buffered until
+// the next round — which that delivery's count guarantees — flushes it.
 func (w *worker) messagePhase() int64 {
 	busyStart := time.Now()
 	defer func() { w.busyNS += int64(time.Since(busyStart)) }()
 	flushed := w.flushAll()
 	w.inboxMu.Lock()
 	batch := w.inbox
-	w.inbox = nil
+	w.inbox = w.drained[:0]
 	w.inboxMu.Unlock()
-	if len(batch) == 0 {
-		return flushed + int64(w.outCnt)
-	}
-	ctx := w.partCtx
+	ctx, alg := w.partCtx, w.eng.alg
 	ctx.inMsgs = true
 	defer func() { ctx.inMsgs = false }()
 	var delivered int64
-	for _, env := range batch {
-		if env.targets == nil {
-			ctx.cur = env.to
-			w.eng.alg.RunOnMessage(ctx, env.to, env.msg)
-			delivered++
-			continue
+	for i, c := range batch {
+		t := int32(0)
+		for h := range c.hdrs[:c.nh] {
+			hd := &c.hdrs[h]
+			for _, to := range c.targets[t : t+hd.n] {
+				ctx.cur = to
+				alg.RunOnMessage(ctx, to, hd.msg)
+			}
+			t += hd.n
 		}
-		for _, t := range env.targets {
-			ctx.cur = t
-			w.eng.alg.RunOnMessage(ctx, t, env.msg)
-			delivered++
+		delivered += int64(c.nt)
+		// Chunks are dropped once delivered — an iteration buffers far
+		// more of them than may stay live — except the few a worker needs
+		// to start sending again without allocating.
+		if len(w.spare) < cap(w.spare) {
+			w.spare = append(w.spare, c)
 		}
+		batch[i] = nil
 	}
-	return flushed + delivered + int64(w.outCnt)
+	w.drained = batch
+	return flushed + delivered
 }
 
 // iterEndPhase delivers end-of-iteration notifications requested via

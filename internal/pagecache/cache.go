@@ -11,7 +11,10 @@
 //
 // Frames are pinned while user tasks run against them (computation happens
 // directly in the page cache; there are no private I/O buffers), and a
-// CLOCK hand per set evicts unpinned frames. If every frame in a set is
+// CLOCK hand per set evicts unpinned frames. An eviction recycles the
+// victim — the Page and its buffer are re-targeted at the new key in
+// place — so a full cache allocates nothing; a Page (and its Data) is
+// therefore only meaningful while pinned. If every frame in a set is
 // pinned the lookup reports a bypass and the caller reads around the
 // cache.
 //
@@ -69,6 +72,11 @@ type Page struct {
 	dead uint32 // load failed (atomic): frame holds no valid bytes
 }
 
+// NewPage returns a frame outside any cache over buf — pinned once and
+// awaiting its loader, with PageNo -1 — for a caller that has to read
+// around a fully pinned set.
+func NewPage(buf []byte) *Page { return (&Page{buf: buf}).load(Key{PageNo: -1}) }
+
 // Key returns the page's identity.
 func (p *Page) Key() Key { return p.key }
 
@@ -85,6 +93,17 @@ func (p *Page) Unpin() {
 
 // pin acquires one pin.
 func (p *Page) pin() { atomic.AddInt32(&p.refs, 1) }
+
+// load (re)targets the frame at key, pinned once and awaiting its loader.
+// Called under the set lock on a frame nobody holds: a new one, or an
+// eviction victim, which is unpinned and so unreachable from any caller.
+func (p *Page) load(key Key) *Page {
+	p.key, p.state, p.err = key, stateLoading, nil
+	atomic.StoreUint32(&p.hot, 0)
+	atomic.StoreUint32(&p.dead, 0)
+	p.pin()
+	return p
+}
 
 func (p *Page) pinned() bool { return atomic.LoadInt32(&p.refs) > 0 }
 
@@ -259,8 +278,7 @@ func (c *Cache) Acquire(key Key) (p *Page, loader, ok bool) {
 	// the reference bit, so one-touch streaming pages are evicted before
 	// pages with a proven reuse history.
 	if len(s.frames) < c.assoc {
-		f := &Page{key: key, buf: make([]byte, c.pageSize), state: stateLoading}
-		f.pin()
+		f := (&Page{buf: make([]byte, c.pageSize)}).load(key)
 		s.frames = append(s.frames, f)
 		return f, true, true
 	}
@@ -286,17 +304,8 @@ func (c *Cache) Acquire(key Key) (p *Page, loader, ok bool) {
 				continue // probabilistically spared (thrash resistance)
 			}
 		} // dead frames hold no valid bytes: evict on sight
-		// Evict: replace the frame wholesale so any stale references to
-		// the old Page keep seeing its old identity/content.
 		atomic.AddInt64(&c.evictions, 1)
-		nf := &Page{key: key, buf: make([]byte, c.pageSize), state: stateLoading}
-		nf.pin()
-		idx := s.hand - 1
-		if idx < 0 {
-			idx = n - 1
-		}
-		s.frames[idx] = nf
-		return nf, true, true
+		return f.load(key), true, true
 	}
 	atomic.AddInt64(&c.bypasses, 1)
 	return nil, false, false

@@ -443,3 +443,111 @@ func TestFailedLoadNotCached(t *testing.T) {
 	}
 	p3.Unpin()
 }
+
+// fullSet returns a one-set cache whose assoc frames hold pages
+// 0..assoc-1, ready and unpinned.
+func fullSet(t *testing.T, assoc int) *Cache {
+	t.Helper()
+	c := New(Config{TotalBytes: int64(assoc) * DefaultPageSize, Assoc: assoc})
+	if len(c.sets) != 1 {
+		t.Fatalf("want single set, got %d", len(c.sets))
+	}
+	for i := 0; i < assoc; i++ {
+		p := mustAcquireLoader(t, c, Key{PageNo: int64(i)})
+		p.Data()[0] = byte(i)
+		p.Complete(nil)
+		p.Unpin()
+	}
+	return c
+}
+
+// TestRecycledFrameForgetsOldKey: an eviction re-targets the victim
+// frame in place, and from then on the frame answers only to its new
+// key — a lookup of the evicted key is a loader miss, never a hit on
+// the recycled frame's new bytes.
+func TestRecycledFrameForgetsOldKey(t *testing.T) {
+	c := fullSet(t, 4)
+	old := append([]*Page(nil), c.sets[0].frames...)
+
+	p := mustAcquireLoader(t, c, Key{PageNo: 99})
+	victim := -1
+	for i, f := range old {
+		if f == p {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("eviction allocated a new frame instead of recycling the victim")
+	}
+	if p.Key() != (Key{PageNo: 99}) {
+		t.Fatalf("recycled frame kept key %v", p.Key())
+	}
+	p.Data()[0] = 99
+	p.Complete(nil)
+	p.Unpin()
+
+	oldKey := Key{PageNo: int64(victim)}
+	if c.Peek(oldKey) {
+		t.Fatalf("Peek still finds evicted key %v", oldKey)
+	}
+	q := mustAcquireLoader(t, c, oldKey) // a hit here would serve page 99's bytes
+	q.Complete(nil)
+	q.Unpin()
+}
+
+// TestDeadFrameRecycledClean: a frame whose load failed is evicted on
+// sight and must come back with no trace of the failure — no error for
+// new waiters, no dead mark keeping it out of lookups.
+func TestDeadFrameRecycledClean(t *testing.T) {
+	c := fullSet(t, 2)
+	// Fail a load into the set: the victim frame now holds a dead page.
+	dead := mustAcquireLoader(t, c, Key{PageNo: 50})
+	dead.Complete(errors.New("ssd: injected load failure"))
+	dead.Unpin()
+
+	// The dead frame is the next victim, whatever the CLOCK hand says.
+	p := mustAcquireLoader(t, c, Key{PageNo: 51})
+	if p != dead {
+		t.Fatal("the dead frame was not the one recycled")
+	}
+	waited := errors.New("waiter never ran")
+	p.OnReady(func(err error) { waited = err })
+	p.Complete(nil)
+	if waited != nil {
+		t.Fatalf("waiter on the recycled frame saw %v", waited)
+	}
+	p.Unpin()
+	if !c.Peek(Key{PageNo: 51}) {
+		t.Fatal("recycled frame is not resident under its new key")
+	}
+	got, loader, ok := c.Acquire(Key{PageNo: 51})
+	if !ok || loader || got != p {
+		t.Fatalf("lookup after a clean reload: loader=%v ok=%v, want a hit on the recycled frame", loader, ok)
+	}
+	got.Unpin()
+}
+
+// TestEvictionAllocatesNothing: with every frame resident and unpinned,
+// a miss recycles a victim in place.
+func TestEvictionAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := fullSet(t, 8)
+	next := int64(1000)
+	allocs := testing.AllocsPerRun(1000, func() {
+		p, loader, ok := c.Acquire(Key{PageNo: next})
+		if !ok || !loader {
+			panic("expected an evicting miss")
+		}
+		next++
+		p.Complete(nil)
+		p.Unpin()
+	})
+	if allocs != 0 {
+		t.Fatalf("evicting Acquire + Complete + Unpin allocates %.1f objects, want 0", allocs)
+	}
+	if ev := c.Stats().Evictions; ev < 1000 {
+		t.Fatalf("only %d evictions: the gate measured something else", ev)
+	}
+}

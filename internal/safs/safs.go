@@ -157,62 +157,49 @@ func (f *File) ReadAt(p []byte, off int64) error {
 // is valid only for the duration of the call.
 type TaskFunc func(v *View, err error)
 
-// pageHandle abstracts a cache frame or a private bypass buffer.
-type pageHandle interface {
-	Data() []byte
-	OnReady(func(error))
-	Complete(error)
-	Unpin()
-}
-
-// bypassPage is a private, uncached frame used when a cache set is fully
-// pinned.
-type bypassPage struct {
-	mu      sync.Mutex
-	buf     []byte
-	ready   bool
-	err     error
-	waiters []func(error)
-}
-
-func (b *bypassPage) Data() []byte { return b.buf }
-func (b *bypassPage) Unpin()       {}
-func (b *bypassPage) OnReady(fn func(error)) {
-	b.mu.Lock()
-	if b.ready {
-		err := b.err
-		b.mu.Unlock()
-		fn(err)
-		return
-	}
-	b.waiters = append(b.waiters, fn)
-	b.mu.Unlock()
-}
-func (b *bypassPage) Complete(err error) {
-	b.mu.Lock()
-	b.ready = true
-	b.err = err
-	ws := b.waiters
-	b.waiters = nil
-	b.mu.Unlock()
-	for _, fn := range ws {
-		fn(err)
-	}
-}
-
 // load is one page that needs device I/O.
 type load struct {
 	file   *File
 	pageNo int64
-	page   pageHandle
+	page   *pagecache.Page
 }
 
-// completed is a finished request ready to run its task.
-type completed struct {
+// request is one ReadTask from issue to the end of its task: the view
+// over its pages, the count of pages still loading, and the first load
+// error. Requests are pooled per context, so a read whose pages are all
+// resident allocates nothing.
+type request struct {
+	ctx  *IOContext
+	view View
 	task TaskFunc
-	view *View
-	err  error
+	// pending counts page-ready events plus one sentinel, so the task
+	// cannot fire before ReadTask has examined every page.
+	pending atomic.Int32
+	errMu   sync.Mutex
+	err     error
+	onPage  func(error) // r.pageReady, bound once
 }
+
+// pageReady records one page's outcome; the last one completes the
+// request.
+func (r *request) pageReady(err error) {
+	if err != nil {
+		r.errMu.Lock()
+		if r.err == nil {
+			r.err = err
+		}
+		r.errMu.Unlock()
+	}
+	if r.pending.Add(-1) == 0 {
+		r.ctx.push(r)
+	}
+}
+
+const (
+	// requestKeep and bypassKeep bound what an idle context retains.
+	requestKeep = 256
+	bypassKeep  = 8
+)
 
 // IOStats counts the page traffic one IOContext generated. The global
 // cache and array counters aggregate every context on the FS; these
@@ -236,14 +223,17 @@ type IOContext struct {
 	fs *FS
 
 	mu       sync.Mutex
-	ready    []completed
+	ready    []*request
 	signal   chan struct{}
 	staged   []load // loads awaiting Flush
 	inflight int64  // atomic: issued but not yet delivered to ready
 	stats    IOStats
 
-	// PendingTasks limits nothing by itself; the engine bounds issued
-	// requests by its running-vertex cap.
+	// Owner-goroutine state: idle requests and bypass buffers, and the
+	// ready slice Poll last ran, swapped back in by the next Poll.
+	free   []*request
+	bypass [][]byte
+	polled []*request
 }
 
 // NewContext creates an I/O context on fs.
@@ -264,9 +254,9 @@ func (ctx *IOContext) Pending() int {
 	return n + int(atomic.LoadInt64(&ctx.inflight))
 }
 
-func (ctx *IOContext) push(c completed) {
+func (ctx *IOContext) push(r *request) {
 	ctx.mu.Lock()
-	ctx.ready = append(ctx.ready, c)
+	ctx.ready = append(ctx.ready, r)
 	ctx.mu.Unlock()
 	atomic.AddInt64(&ctx.inflight, -1)
 	select {
@@ -293,45 +283,30 @@ func (ctx *IOContext) ReadTask(f *File, off, length int64, task TaskFunc) {
 	ps := int64(ctx.fs.pageSize)
 	p0 := off / ps
 	p1 := (off + length - 1) / ps
-	n := int(p1 - p0 + 1)
 
-	view := &View{
-		pageSize: ctx.fs.pageSize,
-		head:     int(off - p0*ps),
-		length:   length,
-		frames:   make([]pageHandle, 0, n),
+	var r *request
+	if n := len(ctx.free); n > 0 {
+		r, ctx.free = ctx.free[n-1], ctx.free[:n-1]
+	} else {
+		r = &request{ctx: ctx}
+		r.onPage = r.pageReady
 	}
-
-	// pending counts page-ready events plus one sentinel so the task
-	// cannot fire before all pages are examined.
-	var pending int32 = 1
-	var errMu sync.Mutex
-	var firstErr error
-	done := func(err error) {
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-		if atomic.AddInt32(&pending, -1) == 0 {
-			errMu.Lock()
-			e := firstErr
-			errMu.Unlock()
-			ctx.push(completed{task: task, view: view, err: e})
-		}
-	}
+	r.task = task
+	r.view.pageSize, r.view.head, r.view.length = ctx.fs.pageSize, int(off-p0*ps), length
+	r.pending.Store(1)
 
 	for pn := p0; pn <= p1; pn++ {
-		var h pageHandle
-		pg, loader, ok := ctx.fs.cache.Acquire(pagecache.Key{FileID: f.id, PageNo: pn})
-		if ok {
-			h = pg
-		} else {
-			bp := &bypassPage{buf: make([]byte, ctx.fs.pageSize)}
-			h = bp
-			loader = true
+		h, loader, ok := ctx.fs.cache.Acquire(pagecache.Key{FileID: f.id, PageNo: pn})
+		if !ok {
+			// The set is fully pinned: read around the cache into a
+			// private page over one of the context's bypass buffers.
+			var buf []byte
+			if n := len(ctx.bypass); n > 0 {
+				buf, ctx.bypass = ctx.bypass[n-1], ctx.bypass[:n-1]
+			} else {
+				buf = make([]byte, ctx.fs.pageSize)
+			}
+			h, loader = pagecache.NewPage(buf), true
 		}
 		if loader {
 			ctx.stats.PageLoads++
@@ -339,14 +314,41 @@ func (ctx *IOContext) ReadTask(f *File, off, length int64, task TaskFunc) {
 		} else {
 			ctx.stats.PageHits++
 		}
-		view.frames = append(view.frames, h)
-		atomic.AddInt32(&pending, 1)
-		h.OnReady(done)
+		r.view.frames = append(r.view.frames, h)
+		r.pending.Add(1)
+		h.OnReady(r.onPage)
 		if loader {
 			ctx.staged = append(ctx.staged, load{file: f, pageNo: pn, page: h})
 		}
 	}
-	done(nil) // release sentinel
+	r.pageReady(nil) // release sentinel
+}
+
+// recycle ends a request: its frames are unpinned, its bypass buffers
+// and the request itself go back to the context.
+func (ctx *IOContext) recycle(r *request) {
+	for i, f := range r.view.frames {
+		if f.Key().PageNo < 0 && len(ctx.bypass) < bypassKeep {
+			ctx.bypass = append(ctx.bypass, f.Data())
+		}
+		f.Unpin()
+		r.view.frames[i] = nil
+	}
+	r.view.frames = r.view.frames[:0]
+	r.task, r.err = nil, nil
+	if len(ctx.free) < requestKeep {
+		ctx.free = append(ctx.free, r)
+	}
+}
+
+// takeReady takes ownership of the completed requests, leaving the
+// slice the previous batch used in their place.
+func (ctx *IOContext) takeReady() []*request {
+	ctx.mu.Lock()
+	batch := ctx.ready
+	ctx.ready, ctx.polled = ctx.polled[:0], nil
+	ctx.mu.Unlock()
+	return batch
 }
 
 // Flush is the single dispatch of staged page loads: they are sorted by
@@ -427,22 +429,21 @@ func (f *File) loadRun(run []load) ssd.BatchRead {
 // propagates, but it must not leak pinned frames into a cache other
 // I/O contexts share.
 func (ctx *IOContext) Poll() int {
-	ctx.mu.Lock()
-	batch := ctx.ready
-	ctx.ready = nil
-	ctx.mu.Unlock()
+	batch := ctx.takeReady()
 	next := 0
 	defer func() {
-		// Only non-empty when a task panicked mid-batch.
-		for _, c := range batch[next:] {
-			c.view.release()
+		// Requests are left only when a task panicked mid-batch.
+		for _, r := range batch[next:] {
+			ctx.recycle(r)
 		}
+		clear(batch)
+		ctx.polled = batch
 	}()
-	for _, c := range batch {
+	for _, r := range batch {
 		next++
 		func() {
-			defer c.view.release()
-			c.task(c.view, c.err)
+			defer ctx.recycle(r)
+			r.task(&r.view, r.err)
 		}()
 	}
 	return len(batch)
@@ -484,13 +485,12 @@ func (ctx *IOContext) WaitSignal() {
 func (ctx *IOContext) DiscardPending() {
 	ctx.Flush() // staged loads would otherwise never complete
 	for {
-		ctx.mu.Lock()
-		batch := ctx.ready
-		ctx.ready = nil
-		ctx.mu.Unlock()
-		for _, c := range batch {
-			c.view.release()
+		batch := ctx.takeReady()
+		for _, r := range batch {
+			ctx.recycle(r)
 		}
+		clear(batch)
+		ctx.polled = batch
 		if atomic.LoadInt64(&ctx.inflight) == 0 {
 			return
 		}

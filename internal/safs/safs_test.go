@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flashgraph/internal/pagecache"
 	"flashgraph/internal/ssd"
 )
 
@@ -376,5 +377,84 @@ func TestReadTaskMinIOIsOnePage(t *testing.T) {
 	ctx.Drain()
 	if got := a.Stats().BytesRead; got != 4096 {
 		t.Fatalf("bytes read = %d, want one 4KB page", got)
+	}
+}
+
+// TestResidentReadAllocatesNothing is the allocation gate on the hit
+// path: once the pages are resident and the context has run a request
+// before, ReadTask + Flush + Poll reuse the context's pooled request.
+func TestResidentReadAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	fs, _ := newFS(t, Config{})
+	f, _ := fs.Create("f", 1<<20)
+	data := writePattern(t, f, 1<<20)
+	ctx := fs.NewContext()
+	var sum, runs int
+	task := func(v *View, err error) {
+		if err != nil {
+			panic(err)
+		}
+		sum += int(v.Slice(100, 1, nil)[0])
+		runs++
+	}
+	ctx.ReadTask(f, 4096, 3*4096, task) // load the pages, warm the pool
+	ctx.Drain()
+	allocs := testing.AllocsPerRun(500, func() {
+		ctx.ReadTask(f, 4096, 3*4096, task)
+		ctx.Flush()
+		if ctx.Poll() != 1 {
+			panic("a resident read did not complete synchronously")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("resident ReadTask + Flush + Poll allocates %.1f objects, want at most 1", allocs)
+	}
+	if sum != runs*int(data[4096+100]) {
+		t.Fatal("pooled requests served wrong bytes")
+	}
+	if n := fs.Cache().PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames left pinned", n)
+	}
+}
+
+// TestBypassPagesAreReusedAndBounded: reads around a fully pinned set
+// go through the context's bypass pages, which come back at release,
+// serve the next bypass with the right bytes, and never pile up.
+func TestBypassPagesAreReusedAndBounded(t *testing.T) {
+	// A one-frame cache: while one page is held, every other page
+	// bypasses.
+	fs, _ := newFS(t, Config{CacheBytes: 4096})
+	f, _ := fs.Create("f", 1<<20)
+	data := writePattern(t, f, 1<<20)
+	ctx := fs.NewContext()
+
+	pin, _, ok := fs.Cache().Acquire(pagecache.Key{FileID: f.id, PageNo: 0})
+	if !ok {
+		t.Fatal("could not pin the only frame")
+	}
+	defer pin.Unpin()
+
+	for round := 0; round < 3; round++ {
+		for p := int64(1); p <= 2*bypassKeep; p++ {
+			p := p
+			ctx.ReadTask(f, p*4096, 4096, func(v *View, err error) {
+				if err != nil {
+					t.Errorf("page %d: %v", p, err)
+					return
+				}
+				if got := v.Slice(0, 4096, nil); !bytes.Equal(got, data[p*4096:(p+1)*4096]) {
+					t.Errorf("round %d: bypass read of page %d returned another page's bytes", round, p)
+				}
+			})
+		}
+		ctx.Drain()
+		if len(ctx.bypass) != bypassKeep {
+			t.Fatalf("round %d: context keeps %d bypass pages, want %d", round, len(ctx.bypass), bypassKeep)
+		}
+	}
+	if got := fs.Cache().Stats().Bypasses; got != 3*2*bypassKeep {
+		t.Fatalf("bypasses = %d, want %d", got, 3*2*bypassKeep)
 	}
 }

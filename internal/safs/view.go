@@ -1,5 +1,7 @@
 package safs
 
+import "flashgraph/internal/pagecache"
+
 // View is a window onto the page-cache frames covering one asynchronous
 // read request. User tasks access the requested byte range through it —
 // computation happens directly against cache pages (the paper's
@@ -13,7 +15,7 @@ type View struct {
 	pageSize int
 	head     int   // offset of the requested range within the first frame
 	length   int64 // requested length
-	frames   []pageHandle
+	frames   []*pagecache.Page
 }
 
 // Len returns the number of requested bytes.
@@ -61,12 +63,4 @@ func (v *View) Slice(rel, n int64, scratch []byte) []byte {
 	scratch = scratch[:n]
 	v.ReadAt(scratch, rel)
 	return scratch
-}
-
-// release unpins all frames; called by the IOContext after the task runs.
-func (v *View) release() {
-	for _, f := range v.frames {
-		f.Unpin()
-	}
-	v.frames = nil
 }

@@ -85,6 +85,25 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// AppendSet appends the indices of the set bits in [lo, hi) to dst in
+// ascending order, a word at a time. Not synchronized with concurrent
+// setters.
+func (b *Bitmap) AppendSet(dst []uint32, lo, hi int) []uint32 {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		w := b.words[wi]
+		if base := wi << 6; base < lo {
+			w &= ^uint64(0) << uint(lo-base)
+		}
+		if end := wi<<6 + 64; end > hi {
+			w &= ^uint64(0) >> uint(end-hi)
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, uint32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
 // ForEach calls fn for every set bit in ascending order. Not synchronized
 // with concurrent setters.
 func (b *Bitmap) ForEach(fn func(i int)) {

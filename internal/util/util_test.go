@@ -130,6 +130,44 @@ func TestBitmapForEachOrder(t *testing.T) {
 	}
 }
 
+// TestBitmapAppendSet checks the word-at-a-time range scan against Get
+// over ranges that start and end inside, on and across word boundaries.
+func TestBitmapAppendSet(t *testing.T) {
+	const n = 300
+	b := NewBitmap(n)
+	rng := NewRNG(7)
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			b.Set(i)
+		}
+	}
+	for _, i := range []int{0, 63, 64, 127, 128, 299} {
+		b.Set(i)
+	}
+	ranges := [][2]int{
+		{0, 0}, {0, 1}, {0, 63}, {0, 64}, {0, 65}, {1, 64}, {63, 64}, {63, 65}, {64, 64}, {64, 128},
+		{5, 9}, {70, 70}, {70, 71}, {60, 200}, {127, 129}, {128, 300}, {299, 300}, {0, 300}, {256, 300},
+	}
+	for _, r := range ranges {
+		var want []uint32
+		for i := r[0]; i < r[1]; i++ {
+			if b.Get(i) {
+				want = append(want, uint32(i))
+			}
+		}
+		prefix := []uint32{9999}
+		got := b.AppendSet(prefix, r[0], r[1])
+		if got[0] != 9999 || len(got)-1 != len(want) {
+			t.Fatalf("[%d,%d): got %v, want prefix + %v", r[0], r[1], got, want)
+		}
+		for i := range want {
+			if got[i+1] != want[i] {
+				t.Fatalf("[%d,%d): got %v, want prefix + %v", r[0], r[1], got, want)
+			}
+		}
+	}
+}
+
 func TestBitmapConcurrentSet(t *testing.T) {
 	const n = 4096
 	b := NewBitmap(n)
