@@ -174,36 +174,3 @@ func TestTableOutputIsText(t *testing.T) {
 		t.Fatal("table output missing dataset name")
 	}
 }
-
-func TestConcurrentBenchmark(t *testing.T) {
-	var buf strings.Builder
-	rs := Concurrent(smokeCfg(), ConcurrentConfig{
-		Clients:       6,
-		Requests:      18,
-		MaxConcurrent: 4,
-	}, &buf)
-	agg, ok := find(rs, "concurrent", "", "aggregate", "")
-	if !ok {
-		t.Fatalf("no aggregate result in %v", rs)
-	}
-	if agg.Value <= 0 {
-		t.Fatalf("throughput = %v", agg.Value)
-	}
-	// The acceptance bar: at least 2 distinct algorithms executing
-	// simultaneously over the one shared SAFS instance.
-	if agg.Extra["peak_distinct_algo"] < 2 {
-		t.Fatalf("peak distinct algorithms = %v, want >= 2\n%s", agg.Extra["peak_distinct_algo"], buf.String())
-	}
-	for _, app := range []string{"bfs", "pagerank", "wcc"} {
-		r, ok := find(rs, "concurrent", "", app, "")
-		if !ok {
-			t.Fatalf("missing per-algo latency row for %s", app)
-		}
-		if r.Value <= 0 || r.Extra["p99"] < r.Value {
-			t.Fatalf("%s: implausible latency stats %+v", app, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "DISTINCT algorithms") {
-		t.Fatalf("report missing overlap line:\n%s", buf.String())
-	}
-}

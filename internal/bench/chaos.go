@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"flashgraph/internal/core"
+	"flashgraph/internal/graph"
 	"flashgraph/internal/qos"
-	"flashgraph/internal/safs"
 	"flashgraph/internal/serve"
 	"flashgraph/internal/ssd"
 	"flashgraph/internal/util"
@@ -286,37 +286,38 @@ func chaosMix(cfg Config, ccfg ChaosConfig, d *Dataset) []serve.Request {
 	return reqs
 }
 
-// chaosServer stands up a server over an array whose first faultDevs
-// stores are FaultStore-wrapped (disarmed — the image loads faithfully;
-// the caller arms them for the phase). No result is retained so every
-// replay recomputes from the device layer.
+// probeSources returns n BFS sources spread over the vertex space,
+// anchored at the max-degree vertex — distinct per probe so neither
+// the cache nor single-flight collapses them.
+func probeSources(img *graph.Image, n int) []graph.VertexID {
+	out := make([]graph.VertexID, n)
+	base := bfsSource(img)
+	stride := graph.VertexID(img.NumV/n | 1)
+	for i := range out {
+		out[i] = (base + graph.VertexID(i)*stride) % graph.VertexID(img.NumV)
+	}
+	return out
+}
+
+// chaosServer stands up a server over the harness substrate with the
+// first faultDevs of its stores FaultStore-wrapped (disarmed — the
+// image loads faithfully; the caller arms them for the phase). No result
+// is retained so every replay recomputes from the device layer.
 func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
-	const devices = 4
-	stores := make([]ssd.Store, devices)
+	stores := make([]ssd.Store, arrayDevices)
 	var faults []*ssd.FaultStore
 	for i := range stores {
+		stores[i] = ssd.NewMemStore()
 		if i < faultDevs {
 			dfc := fc
 			dfc.Seed = ccfg.FaultSeed + uint64(i)*0x9e3779b9
-			f := ssd.NewFaultStore(ssd.NewMemStore(), dfc)
+			f := ssd.NewFaultStore(stores[i], dfc)
 			f.SetEnabled(false)
 			faults = append(faults, f)
 			stores[i] = f
-		} else {
-			stores[i] = ssd.NewMemStore()
 		}
 	}
-	dp := deviceParams(cfg)
-	// Trip fail-fast within the short mix: a handful of post-retry
-	// failures is already conclusive for a device that fails every
-	// transfer (production default is 16).
-	dp.DegradeThreshold = 4
-	arr := ssd.NewArrayWithStores(ssd.ArrayParams{
-		Devices:    devices,
-		StripeSize: 128 << 10,
-		Device:     dp,
-	}, stores)
-	fs := safs.New(arr, safs.Config{CacheBytes: cacheBytesFor(d, d.CacheFrac1G, 0)})
+	fs, arr := newFS(cfg, cacheBytesFor(d, d.CacheFrac1G, 0), 0, stores...)
 	shared, err := core.NewShared(d.Img, core.Config{Threads: cfg.Threads, RangeShift: 6, FS: fs})
 	if err != nil {
 		panic(err)

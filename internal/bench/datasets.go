@@ -161,16 +161,32 @@ func deviceParams(cfg Config) ssd.DeviceParams {
 		Bandwidth:    150 << 20,
 		MaxAhead:     300 * time.Microsecond,
 		Throttle:     !cfg.NoThrottle,
+		// Only the chaos experiment's stores ever fail a transfer: a
+		// handful of post-retry failures is already conclusive for a
+		// device that fails every one, and trips fail-fast within its
+		// short mix (the production default is 16).
+		DegradeThreshold: 4,
 	}
 }
 
-// newFS builds a fresh throttled array + SAFS instance.
-func newFS(cfg Config, cacheBytes int64, pageSize int) (*safs.FS, *ssd.Array) {
-	arr := ssd.NewArray(ssd.ArrayParams{
-		Devices:    4,
+// arrayDevices is the simulated array's device count.
+const arrayDevices = 4
+
+// newFS builds a fresh throttled array + SAFS instance: the one
+// substrate every experiment runs on. stores, when given, back the
+// devices in place of plain memory (the chaos harness wraps some in
+// fault injectors).
+func newFS(cfg Config, cacheBytes int64, pageSize int, stores ...ssd.Store) (*safs.FS, *ssd.Array) {
+	if stores == nil {
+		stores = make([]ssd.Store, arrayDevices)
+		for i := range stores {
+			stores[i] = ssd.NewMemStore()
+		}
+	}
+	arr := ssd.NewArrayWithStores(ssd.ArrayParams{
 		StripeSize: 128 << 10,
 		Device:     deviceParams(cfg),
-	})
+	}, stores)
 	fs := safs.New(arr, safs.Config{CacheBytes: cacheBytes, PageSize: pageSize})
 	return fs, arr
 }

@@ -40,6 +40,7 @@ func buildEncodedImage(t *testing.T, scale, epv int, seed uint64, attrSize int, 
 // race pass runs this with -race, so the per-request PageVertex cursor
 // state is also proven worker-private.
 func TestSEMServesDeltaEncodedImages(t *testing.T) {
+	read := map[graph.Encoding]int64{}
 	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingDelta} {
 		t.Run(enc.String(), func(t *testing.T) {
 			img, a := buildEncodedImage(t, 9, 8, 5, 0, enc)
@@ -52,9 +53,11 @@ func TestSEMServesDeltaEncodedImages(t *testing.T) {
 				t.Fatal(err)
 			}
 			bfs := &testBFS{src: 0}
-			if _, err := eng.Run(bfs); err != nil {
+			st, err := eng.Run(bfs)
+			if err != nil {
 				t.Fatal(err)
 			}
+			read[enc] = st.BytesRead
 			want := refBFSLevels(a, 0)
 			for v := range want {
 				if bfs.level[v] != want[v] {
@@ -62,6 +65,11 @@ func TestSEMServesDeltaEncodedImages(t *testing.T) {
 				}
 			}
 		})
+	}
+	// What the layout is for: fewer bytes on SSD are fewer bytes read by
+	// the same query.
+	if raw, delta := read[graph.EncodingRaw], read[graph.EncodingDelta]; delta == 0 || delta >= raw {
+		t.Fatalf("the same BFS read %d bytes from the delta image, %d from the raw one", delta, raw)
 	}
 }
 

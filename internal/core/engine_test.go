@@ -170,8 +170,10 @@ func TestBFSAllMergeModes(t *testing.T) {
 			t.Fatalf("%s: %d ReadTasks for %d edge lists, want one each", name, st.MergedRequests, st.EdgeRequests)
 		}
 	}
-	if sa.DeviceReads >= none.DeviceReads {
-		t.Fatalf("MergeSAFS issued %d device reads, MergeNone %d — SAFS-level merging is not happening",
+	// One thread and no stealing: the counts are exact, so the 2x bar
+	// holds or fails the same way on every run.
+	if 2*sa.DeviceReads > none.DeviceReads {
+		t.Fatalf("MergeSAFS issued %d device reads, MergeNone %d — SAFS-level merging must cut them at least 2x",
 			sa.DeviceReads, none.DeviceReads)
 	}
 	if sa.DeviceReads > 2*fg.DeviceReads {

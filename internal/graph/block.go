@@ -386,12 +386,22 @@ func (s *blockStream) loadStripe(r int) error {
 		s.rowOff[i] = 0
 	}
 	lo := VertexID(s.lo)
+	// The last stripe is partial: its blocks admit rows up to the grid's
+	// span, the image only rows below n.
+	beyond := -1
 	var err error
 	s.scratch, err = s.bdir.DecodeStripe(buf, r, s.attrSize, s.scratch, func(row VertexID, cols []VertexID, attrs []byte) {
+		if int(row) >= s.hi {
+			beyond = int(row)
+			return
+		}
 		s.rowOff[row-lo+1] += len(cols)
 	})
 	if err != nil {
 		return err
+	}
+	if beyond >= 0 {
+		return fmt.Errorf("graph: block stripe %d: row %d out of range (n=%d)", r, beyond, s.n)
 	}
 	for i := 0; i < rows; i++ {
 		s.rowOff[i+1] += s.rowOff[i]

@@ -317,9 +317,30 @@ func TestPageVertexRawRejectsCorruptCount(t *testing.T) {
 
 // TestReencodeBadInputIsAnError: host files are outside input, so the
 // re-encode path (EncodeAs, fg-convert -reencode) must answer a
-// truncated file, a corrupt record, and a record whose count disagrees
-// with the index with an error — never a panic, never a wrong image.
+// truncated file, a corrupt record, a record whose count disagrees
+// with the index, and a block row the image does not have with an
+// error — never a panic, never a wrong image.
 func TestReencodeBadInputIsAnError(t *testing.T) {
+	reencode := func(enc Encoding, name string, data []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "bad.fg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := OpenImageFile(path)
+		if err != nil {
+			return // rejected even earlier
+		}
+		defer fb.Close()
+		for _, target := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+			err := fb.EncodeAs(io.Discard, target)
+			if err == nil {
+				t.Errorf("%s image, %s: re-encoded to %s without error", enc, name, target)
+			} else if !strings.HasPrefix(err.Error(), "graph:") {
+				t.Errorf("%s image, %s, to %s: error %q does not name the graph package", enc, name, target, err)
+			}
+		}
+	}
 	for _, enc := range []Encoding{EncodingRaw, EncodingDelta} {
 		file := buildFileEnc(t, testEdges(300, 2000, 11), 300, true, 0, nil, 1<<20, enc)
 		img, err := Decode(bytes.NewReader(file))
@@ -333,37 +354,38 @@ func TestReencodeBadInputIsAnError(t *testing.T) {
 		}
 		recOff, _ := img.OutIndex.Locate(hub)
 
-		reencode := func(name string, data []byte) {
-			t.Helper()
-			path := filepath.Join(t.TempDir(), "bad.fg")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fb, err := OpenImageFile(path)
-			if err != nil {
-				return // rejected even earlier
-			}
-			defer fb.Close()
-			for _, target := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
-				if err := fb.EncodeAs(io.Discard, target); err == nil {
-					t.Errorf("%s image, %s: re-encoded to %s without error", enc, name, target)
-				}
-			}
-		}
-		reencode("truncated mid-data", file[:dataOff+int(img.OutIndex.FileSize())/2])
+		reencode(enc, "truncated mid-data", file[:dataOff+int(img.OutIndex.FileSize())/2])
 
 		// The hub's count drops by one: still a well-formed delta record
 		// (raw rejects it by length), but not the degree the index holds.
 		fewer := append([]byte(nil), file...)
 		fewer[dataOff+int(recOff)]--
-		reencode("count below the index degree", fewer)
+		reencode(enc, "count below the index degree", fewer)
 
 		poisoned := append([]byte(nil), file...)
 		for i := 0; i < 4; i++ {
 			poisoned[dataOff+int(recOff)+i] ^= 0xFF
 		}
-		reencode("poisoned record header", poisoned)
+		reencode(enc, "poisoned record header", poisoned)
 	}
+
+	// A block image has no per-vertex record to poison. Its hazard is a
+	// row the grid admits (below the stripe's 2^16 span) that the image
+	// does not have: 100 vertices are one partial stripe, and the first
+	// row delta of block (0,0) — the byte after its one-byte row count —
+	// moves every row of the block past vertex 99.
+	file := buildFileEnc(t, testEdges(100, 600, 11), 100, true, 0, nil, 1<<20, EncodingBlock)
+	img, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOff := len(file) - trailerLen(img) - int(img.DataSize())
+	if rows := file[dataOff]; rows == 0 || rows > 100 || file[dataOff+1] != 0 {
+		t.Fatalf("block (0,0) starts % x, want a one-byte row count then row delta 0", file[dataOff:dataOff+2])
+	}
+	beyond := append([]byte(nil), file...)
+	beyond[dataOff+1] = 127
+	reencode(EncodingBlock, "row beyond the last vertex", beyond)
 }
 
 // TestOpenImageFileV2SkipsDataScan proves the O(index) open: a v2

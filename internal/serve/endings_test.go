@@ -40,11 +40,13 @@ type ending struct {
 
 // TestEveryEnding walks every way a query can end — executed, hit,
 // coalesced, canceled while queued, canceled while running, canceled as
-// a lone follower, stopped by its deadline, failed on corrupt data,
-// each with a coalesced follower where one can attach — and checks the
-// one record of it: state, cache provenance, the three failure flags,
-// the per-class counters and the HTTP status. A follower must tell the
-// same story as the leader it shared a fate with.
+// a lone follower, stopped by its deadline (with a follower that asked
+// for the same deadline, and next to a request that asked for none),
+// failed on corrupt data, each with a coalesced follower where one can
+// attach — and checks the one record of it: state, cache provenance,
+// the three failure flags, the per-class counters and the HTTP status.
+// A follower must tell the same story as the leader it shared a fate
+// with.
 func TestEveryEnding(t *testing.T) {
 	shared := buildShared(t, 2)
 	srv := New(shared, Config{MaxConcurrent: 1, QoS: qosOn})
@@ -104,6 +106,9 @@ func TestEveryEnding(t *testing.T) {
 	canceled := func(id int64, cache string) ending {
 		return ending{id: id, state: StateFailed, cache: cache, canceled: true, class: analytic, status: http.StatusOK}
 	}
+	timedOut := func(id int64, cache string) ending {
+		return ending{id: id, state: StateFailed, cache: cache, timeout: true, class: analytic, status: http.StatusGatewayTimeout}
+	}
 	bfs := Request{Algo: "bfs", Params: MarshalParams(SrcParams{Src: 1})}
 
 	cases := []struct {
@@ -159,10 +164,25 @@ func TestEveryEnding(t *testing.T) {
 			req := crawl(5)
 			req.TimeoutMs = 30
 			leader, follower := submit(t, req), submit(t, req)
-			timedOut := func(id int64, cache string) ending {
-				return ending{id: id, state: StateFailed, cache: cache, timeout: true, class: analytic, status: http.StatusGatewayTimeout}
-			}
 			return []ending{timedOut(leader, ""), timedOut(follower, CacheCoalesced)}
+		}},
+		{"no deadline behind a leader with one", func(t *testing.T) []ending {
+			req := crawl(7)
+			req.TimeoutMs = 30
+			leader, patient := submit(t, req), submit(t, crawl(7))
+			if q, _ := srv.Get(patient); q.Cache != "" {
+				t.Fatalf("request without a deadline is %q onto a leader with timeout_ms=30, want its own run", q.Cache)
+			}
+			if q, err := srv.Wait(leader); err != nil || !q.Timeout {
+				t.Fatalf("leader = %+v, %v; want stopped by its deadline", q, err)
+			}
+			// The same computation, never ending and never timed: only a
+			// cancel stops it.
+			if q, _ := srv.Get(patient); q.State == StateFailed {
+				t.Fatalf("request without a deadline failed with its leader: %q", q.Error)
+			}
+			cancel(t, patient)
+			return []ending{timedOut(leader, ""), canceled(patient, "")}
 		}},
 		{"corrupt data", func(t *testing.T) []ending {
 			blocker := occupy(t, 6)

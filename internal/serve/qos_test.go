@@ -299,9 +299,11 @@ func TestClassInference(t *testing.T) {
 }
 
 // TestInteractiveBypassesBatchBacklog is the scheduling pillar in
-// miniature: with both slots saturated-or-queued by batch work, an
-// interactive query dispatches into the reserved slot immediately
-// instead of queueing behind the backlog.
+// miniature, as dispatch order rather than a latency ratio: with both
+// slots saturated-or-queued by batch work, an interactive query
+// dispatches into the reserved slot immediately instead of queueing
+// behind the backlog — and on the same fixture with the tier off (the
+// FIFO control) it waits behind the batch query queued before it.
 func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	srv, entered, release := gatedServer(t, Config{
 		MaxConcurrent: 2, MaxQueued: 8,
@@ -311,22 +313,21 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	release2 := releaseOnce(release)
 	defer release2()
 
-	// Two batch gates with DISTINCT params (so they never coalesce):
-	// one runs in the unreserved slot (batchCap >= 1), one queues — the
-	// reserved slot must stay empty for interactive.
-	gate := func(n string, class string) (int64, error) {
-		return srv.Submit(Request{Algo: "gate", Class: class,
+	// Gates with DISTINCT params (so they never coalesce).
+	gate := func(srv *Server, n string, class string) int64 {
+		t.Helper()
+		id, err := srv.Submit(Request{Algo: "gate", Class: class,
 			Params: json.RawMessage(`{"n":` + n + `}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
 	}
-	b1, err := gate("1", "batch")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One batch gate runs in the unreserved slot (batchCap >= 1), one
+	// queues — the reserved slot must stay empty for interactive.
+	b1 := gate(srv, "1", "batch")
 	<-entered
-	b2, err := gate("2", "batch")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := gate(srv, "2", "batch")
 	select {
 	case <-entered:
 		t.Fatal("second batch query entered the reserved slot")
@@ -334,10 +335,7 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	}
 
 	// The interactive query must start NOW, with batch still blocked.
-	i1, err := gate("3", "interactive")
-	if err != nil {
-		t.Fatal(err)
-	}
+	i1 := gate(srv, "3", "interactive")
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):
@@ -353,9 +351,42 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	if interactive.Running != 1 {
 		t.Fatalf("class stats = %+v, want 1 interactive running", st.Classes)
 	}
+	if q, _ := srv.Get(b2); q.State != StateQueued {
+		t.Fatalf("queued batch query is %s with the interactive one running, want still queued", q.State)
+	}
 	release2()
 	for _, id := range []int64{b1, b2, i1} {
 		if q, err := srv.Wait(id); err != nil || q.State != StateDone {
+			t.Fatalf("query %d: %v %v", id, q.State, err)
+		}
+	}
+
+	// The FIFO control: nothing is reserved, so batch work fills both
+	// slots, and the one slot that frees goes to the batch query that
+	// was queued first — the interactive query is still waiting.
+	fifo, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8})
+	defer fifo.Close()
+	release2 = releaseOnce(release)
+	defer release2()
+	f1, f2 := gate(fifo, "1", "batch"), gate(fifo, "2", "batch")
+	<-entered
+	<-entered
+	f3, fi := gate(fifo, "3", "batch"), gate(fifo, "4", "interactive")
+	release <- struct{}{} // exactly one running gate returns: one slot frees
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("nothing dispatched into the freed slot")
+	}
+	if q, _ := fifo.Get(f3); q.State == StateQueued {
+		t.Fatal("FIFO dispatched around the batch query at the head of the queue")
+	}
+	if q, _ := fifo.Get(fi); q.State != StateQueued {
+		t.Fatalf("interactive query is %s behind a queued batch query with the tier off, want queued", q.State)
+	}
+	release2()
+	for _, id := range []int64{f1, f2, f3, fi} {
+		if q, err := fifo.Wait(id); err != nil || q.State != StateDone {
 			t.Fatalf("query %d: %v %v", id, q.State, err)
 		}
 	}

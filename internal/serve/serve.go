@@ -394,11 +394,16 @@ type Stats struct {
 // flightKey identifies one in-flight computation for single-flight
 // coalescing: the cache key plus the priority class, so an identical
 // request in a higher class schedules on its own class's terms instead
-// of inheriting the leader's queue position.
+// of inheriting the leader's queue position, plus the deadline, so a
+// follower can only fail on a budget it asked for itself. (The result
+// cache keys on key alone: a finished result has neither.)
 type flightKey struct {
-	key   qos.Key
-	class qos.Class
+	key       qos.Key
+	class     qos.Class
+	timeoutMs int
 }
+
+func (q *query) flight() flightKey { return flightKey{q.key, q.class, q.req.TimeoutMs} }
 
 // cachedResult is the unit the result store retains: everything a
 // cache hit needs to answer a query as if it had run — the immutable
@@ -747,7 +752,7 @@ func (s *Server) Submit(req Request) (int64, error) {
 		if hit.res, hit.val = s.store.Lookup(q.key); hit.res != nil {
 			// An exact hit finishes the query at submit time, below.
 			q.cache = CacheHit
-		} else if leader := s.inflight[flightKey{q.key, q.class}]; leader != nil {
+		} else if leader := s.inflight[q.flight()]; leader != nil {
 			// Single-flight: attach to the identical in-flight computation.
 			// Same class only — gluing an interactive request to a leader
 			// queued at batch priority would invert its priority. (A hit
@@ -767,7 +772,7 @@ func (s *Server) Submit(req Request) (int64, error) {
 			return 0, ErrQueueFull
 		}
 		if s.cfg.QoS.Enabled {
-			s.inflight[flightKey{q.key, q.class}] = q
+			s.inflight[q.flight()] = q
 		}
 	}
 	s.queries[q.id] = q
@@ -817,7 +822,7 @@ func (s *Server) finishLocked(q *query, o outcome) {
 		s.completed++
 		s.classDone[rank]++
 	}
-	if fk := (flightKey{q.key, q.class}); s.inflight[fk] == q {
+	if fk := q.flight(); s.inflight[fk] == q {
 		delete(s.inflight, fk)
 	}
 	s.finished = append(s.finished, q.id)
@@ -971,7 +976,7 @@ func (s *Server) Cancel(id int64) error {
 		q.cancel()
 	case q.cache == CacheCoalesced:
 		// A waiting follower: detach it from its leader, fail it alone.
-		leader := s.inflight[flightKey{q.key, q.class}]
+		leader := s.inflight[q.flight()]
 		leader.followers = slices.DeleteFunc(leader.followers, func(f *query) bool { return f == q })
 		s.finishLocked(q, outcome{err: ErrCanceled})
 	case s.mq.Remove(q.class, func(x *query) bool { return x == q }):
