@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // The block layout (EncodingBlock) partitions one direction's adjacency
@@ -278,7 +279,14 @@ func (bd *BlockDir) DecodeStripe(buf []byte, r, attrSize int, cols []VertexID, f
 // a row outside it, a run ending outside it, and an edge count the
 // remaining bytes cannot hold (every edge costs a gap byte plus its
 // attribute) are corruption, reported before they size an allocation or
-// reach a consumer that indexes by them.
+// reach a consumer that indexes by them. Gaps accumulate without
+// wrapping (decodeGaps), so a run whose last column is inside the block
+// has every column inside it.
+//
+// Runs average a dozen edges, so the two header varints are read on a
+// one-byte fast path — a row delta and a count under 128 each, which is
+// almost every run — and the count is checked by a multiplication, not a
+// division per run.
 func decodeBlock(bb []byte, rowBase, colBase VertexID, span uint64, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
 	if len(bb) == 0 {
 		return cols, nil
@@ -289,21 +297,33 @@ func decodeBlock(bb []byte, rowBase, colBase VertexID, span uint64, attrSize int
 	}
 	pos := k
 	row := rowBase
+	colEnd := uint64(colBase) + span
+	perEdge := uint64(1 + attrSize)
 	for ri := uint64(0); ri < rowCount; ri++ {
-		d, k := binary.Uvarint(bb[pos:])
-		if k <= 0 || d >= span || uint64(row-rowBase)+d >= span {
+		var d, cnt uint64
+		if pos+1 < len(bb) && bb[pos]|bb[pos+1] < 0x80 {
+			d, cnt = uint64(bb[pos]), uint64(bb[pos+1])
+			pos += 2
+		} else {
+			if d, k = binary.Uvarint(bb[pos:]); k <= 0 {
+				return cols, fmt.Errorf("bad row delta")
+			}
+			pos += k
+			if cnt, k = binary.Uvarint(bb[pos:]); k <= 0 {
+				return cols, fmt.Errorf("bad edge count")
+			}
+			pos += k
+		}
+		if d >= span || uint64(row-rowBase)+d >= span {
 			return cols, fmt.Errorf("bad row delta")
 		}
-		pos += k
 		row += VertexID(d)
-		cnt, k := binary.Uvarint(bb[pos:])
-		if k <= 0 || cnt > uint64(len(bb)-pos-k)/uint64(1+attrSize) {
+		if hi, need := bits.Mul64(cnt, perEdge); hi != 0 || need > uint64(len(bb)-pos) {
 			return cols, fmt.Errorf("bad edge count")
 		}
-		pos += k
 		var last uint64
 		cols, pos, last = decodeGaps(cols[:0], bb, pos, int(cnt), uint64(colBase))
-		if pos < 0 || last >= uint64(colBase)+span {
+		if pos < 0 || last >= colEnd {
 			return cols, fmt.Errorf("bad column gap")
 		}
 		var attrs []byte

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"flashgraph/internal/util"
 )
 
 // fixtureFingerprint is the recorded content fingerprint of the checked-
@@ -202,4 +204,50 @@ func TestFingerprintCoversAllData(t *testing.T) {
 		t.Fatalf("one image, three identities: built %s, decoded %s, file-backed %s",
 			fp, aRAM.Fingerprint(), aFile.Fingerprint())
 	}
+}
+
+// rmatAdjacency draws a 2^scale-vertex, edgesPerVertex-per-vertex R-MAT
+// graph (the quadrant probabilities internal/gen uses; that package
+// imports this one, so the decoder tests carry their own few lines of
+// it). Its rows are what the varint kernel is sized on: a few hub rows
+// of dense, single-byte gaps and a long tail of short rows whose gaps
+// take two bytes as often as one.
+func rmatAdjacency(scale, edgesPerVertex int, seed uint64) *Adjacency {
+	n := 1 << scale
+	r := util.NewRNG(seed)
+	edges := make([]Edge, 0, n*edgesPerVertex)
+	for i := 0; i < n*edgesPerVertex; i++ {
+		var src, dst VertexID
+		for lvl := 0; lvl < scale; lvl++ {
+			switch p := r.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				dst |= 1 << lvl
+			case p < 0.95:
+				src |= 1 << lvl
+			default:
+				src |= 1 << lvl
+				dst |= 1 << lvl
+			}
+		}
+		edges = append(edges, Edge{Src: src, Dst: dst})
+	}
+	return FromEdges(n, edges, true)
+}
+
+// encodedAs re-encodes img into enc through the container round trip.
+func encodedAs(tb testing.TB, img *Image, enc Encoding) *Image {
+	tb.Helper()
+	if enc == img.Encoding {
+		return img
+	}
+	var buf bytes.Buffer
+	if err := img.EncodeAs(&buf, enc); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := Decode(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

@@ -3,20 +3,23 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // decodeGapsRef is the obvious scalar reference for decodeGaps: one
-// binary.Uvarint per gap, no windows, no unrolling. The fuzzer holds the
-// batch decoder to byte-identical behavior on every stream, including
-// truncated and overlong varints.
+// binary.Uvarint per gap, no word loads, no unrolling, every ID checked
+// against the 32 bits of a VertexID as it is formed (prev must start
+// within them). The fuzzer holds the batch decoder to byte-identical
+// behavior on every stream it accepts, and to rejecting the same
+// streams — truncated and overlong varints, IDs out of range.
 func decodeGapsRef(raw []byte, pos, n int, prev uint64) ([]VertexID, int, uint64) {
 	var dst []VertexID
 	for i := 0; i < n; i++ {
 		gap, k := binary.Uvarint(raw[pos:])
-		if k <= 0 {
+		if k <= 0 || gap > math.MaxUint32-prev {
 			return dst, -1, prev
 		}
 		pos += k
@@ -32,21 +35,15 @@ func FuzzDecodeGaps(f *testing.F) {
 	f.Add([]byte{0x80}, uint16(1), uint64(0))                                                             // truncated varint
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02}, uint16(1), uint64(0)) // 64-bit overflow
 	f.Add([]byte{}, uint16(0), uint64(1))
+	for _, raw := range wordEdgeStreams() {
+		f.Add(raw, uint16(12), uint64(0))
+	}
+	mix, _ := gapStream(mixedGaps(40, 1))
+	f.Add(mix, uint16(33), uint64(7))              // measured width mix, seven gaps left behind the last
+	f.Add(mix[:len(mix)-3], uint16(40), uint64(7)) // the same, cut inside the last word
 	f.Fuzz(func(t *testing.T, raw []byte, n uint16, prev uint64) {
-		got, gotPos, gotPrev := decodeGaps(nil, raw, 0, int(n), prev)
-		want, wantPos, wantPrev := decodeGapsRef(raw, 0, int(n), prev)
-		if gotPos != wantPos || gotPrev != wantPrev {
-			t.Fatalf("decodeGaps(raw=%x, n=%d, prev=%d) = (pos=%d, prev=%d), reference (pos=%d, prev=%d)",
-				raw, n, prev, gotPos, gotPrev, wantPos, wantPrev)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("decodeGaps decoded %d IDs, reference %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("decodeGaps ID[%d] = %d, reference %d", i, got[i], want[i])
-			}
-		}
+		// Callers start the accumulator at a vertex ID or a column base.
+		diffGaps(t, raw, 0, int(n), prev&math.MaxUint32)
 	})
 }
 
@@ -230,7 +227,8 @@ func FuzzReadImageHeader(f *testing.F) {
 // string laid out as one row stripe of a 2×2 grid (the fuzzer also
 // picks where the two blocks split). decodeBlock reports corruption as
 // an error; any panic is a decoder bug. Every run it delivers must name
-// a row of the stripe, end inside the grid, and carry exactly its attrs.
+// a row of the stripe, hold ascending columns inside the grid, and
+// carry exactly its attrs.
 func FuzzDecodeStripe(f *testing.F) {
 	const shift = 4
 	valid := encodeBlock(nil, 0, 0, []VertexID{1, 1, 3}, []VertexID{2, 5, 0}, nil, 0)
@@ -241,6 +239,9 @@ func FuzzDecodeStripe(f *testing.F) {
 	f.Add([]byte{1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, uint16(8), uint8(0)) // one row claiming 2^35 edges
 	f.Add([]byte{1, 200, 1, 1, 1}, uint16(5), uint8(0))                          // row delta past the stripe
 	f.Add([]byte{1, 0, 1, 100}, uint16(4), uint8(0))                             // column past the block
+	for _, wrapped := range wrappedRuns() {                                      // a column past the block, hidden by gaps that wrap back inside
+		f.Add(wrapped, uint16(len(wrapped)), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, split uint16, rawAttr uint8) {
 		attrSize := int(rawAttr % 9)
 		end := int64(len(data))
@@ -254,8 +255,10 @@ func FuzzDecodeStripe(f *testing.F) {
 			if row >= 1<<shift {
 				t.Fatalf("row %d delivered from stripe 0 of %d-row stripes", row, 1<<shift)
 			}
-			if n := len(cols); n > 0 && cols[n-1] >= 2<<shift {
-				t.Fatalf("row %d ends at column %d in a %d-column grid", row, cols[n-1], 2<<shift)
+			for i, c := range cols {
+				if c >= 2<<shift || i > 0 && c < cols[i-1] {
+					t.Fatalf("row %d: column %d after %v in a %d-column grid", row, c, cols[:i], 2<<shift)
+				}
 			}
 			if len(attrs) != len(cols)*attrSize {
 				t.Fatalf("row %d: %d edges with %d attr bytes at attr size %d", row, len(cols), len(attrs), attrSize)
