@@ -37,6 +37,7 @@ type BFS struct {
 	Level []int32
 
 	visited []int32
+	scratch []decodeScratch
 }
 
 // NewBFS returns a BFS program rooted at src using out-edges.
@@ -47,6 +48,7 @@ func (b *BFS) Init(eng core.ExecutionEngine) {
 	n := eng.NumVertices()
 	b.visited = make([]int32, n)
 	b.Level = make([]int32, n)
+	b.scratch = newScratchPool(eng)
 	for i := range b.Level {
 		b.Level[i] = -1
 	}
@@ -67,15 +69,21 @@ func (b *BFS) Run(ctx *core.Ctx, v graph.VertexID) {
 	}
 }
 
+// bfsScratchMax bounds (in edges) the decode buffer a worker keeps. BFS
+// expands each vertex once per run, so a buffer grown to a hub's degree
+// would only sit in the heap until the run ends: the few lists longer
+// than this get a buffer of their own, sized exactly and dropped.
+const bfsScratchMax = 4096
+
 // RunOnVertex implements core.Algorithm: activate all neighbors. The
-// ascending Edge(i) walk is allocation-free and sequential — amortized
-// O(1) per edge under both edge-list encodings (delta records keep an
-// internal decode cursor for exactly this access pattern).
+// list is decoded once into the worker's scratch — the batch kernel under
+// both edge-list encodings — and activated as one batch.
 func (b *BFS) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	n := pv.NumEdges()
-	for i := 0; i < n; i++ {
-		ctx.Activate(pv.Edge(i))
+	if n := pv.NumEdges(); n > bfsScratchMax {
+		ctx.ActivateMany(pv.Edges(make([]graph.VertexID, 0, n), nil))
+		return
 	}
+	ctx.ActivateMany(b.scratch[ctx.WorkerID()].edges(pv))
 }
 
 // RunOnMessage implements core.Algorithm (BFS sends no messages).

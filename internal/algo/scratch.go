@@ -10,9 +10,11 @@ import (
 // every active vertex's neighbor list once per iteration — the
 // engine's hottest path — so the target slice must not be reallocated
 // per vertex. Workers index the pool by ctx.WorkerID(); each entry is
-// owned by one worker goroutine.
+// owned by one worker goroutine and padded to a cache line, because
+// every decode rewrites its slice header.
 type decodeScratch struct {
 	targets []graph.VertexID
+	_       [40]byte // 24-byte slice header + 40 = one 64-byte line
 }
 
 // newScratchPool sizes the pool for the engine's worker count.

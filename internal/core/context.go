@@ -57,14 +57,13 @@ func (c *Ctx) RequestSelf(dir graph.EdgeDir) {
 // idempotent (the underlying multicast carries no data, so duplicates
 // collapse).
 func (c *Ctx) Activate(v graph.VertexID) {
-	c.eng.activateNext(v)
+	c.eng.activeNext.Set(int(v))
 }
 
-// ActivateMany activates a batch of vertices (multicast activation).
+// ActivateMany activates a batch of vertices (multicast activation). The
+// slice is not kept.
 func (c *Ctx) ActivateMany(vs []graph.VertexID) {
-	for _, v := range vs {
-		c.eng.activateNext(v)
-	}
+	c.eng.activeNext.SetMany(vs)
 }
 
 // Send delivers msg to vertex `to` during this iteration's message

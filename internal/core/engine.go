@@ -174,9 +174,11 @@ type Engine struct {
 
 	workers []*worker
 
+	// activeNext is the next iteration's frontier and the only record of
+	// it: the barrier asks the bitmap whether anything is set, so an
+	// activation writes nothing but its own bit.
 	activeCur  *util.Bitmap
 	activeNext *util.Bitmap
-	nextCount  int64 // atomic: activations recorded for next iteration
 
 	// pendingReqs counts outstanding edge-list requests per vertex. One
 	// array serves the run: a vertex is in the running state on exactly
@@ -303,29 +305,19 @@ func (e *Engine) Kind() EngineKind { return EngineVertex }
 // PendingActivations returns how many vertices are activated for the
 // next iteration so far. Iteration hooks use it to detect phase ends
 // (e.g. betweenness centrality switching from forward BFS to back
-// propagation when the frontier empties).
+// propagation when the frontier empties). It counts the bitmap, O(V/64):
+// call it at phase boundaries, where no worker is activating.
 func (e *Engine) PendingActivations() int64 {
-	return atomic.LoadInt64(&e.nextCount)
+	return int64(e.activeNext.Count())
 }
 
 // ActivateSeed activates v for the first iteration (call from
 // Algorithm.Init) or for the next iteration (call from an
 // IterationHook).
-func (e *Engine) ActivateSeed(v graph.VertexID) { e.activateNext(v) }
+func (e *Engine) ActivateSeed(v graph.VertexID) { e.activeNext.Set(int(v)) }
 
 // ActivateAllSeeds activates every vertex for the first iteration.
-func (e *Engine) ActivateAllSeeds() {
-	e.activeNext.SetAll()
-	atomic.StoreInt64(&e.nextCount, int64(e.img.NumV))
-}
-
-// activateNext marks v active for the next iteration. Idempotent and
-// safe for concurrent use (multicast activation collapses duplicates).
-func (e *Engine) activateNext(v graph.VertexID) {
-	if e.activeNext.Set(int(v)) {
-		atomic.AddInt64(&e.nextCount, 1)
-	}
-}
+func (e *Engine) ActivateAllSeeds() { e.activeNext.SetAll() }
 
 // partitionOf maps a vertex to its horizontal partition:
 // (v >> RangeShift) % Threads (§3.8).
@@ -368,7 +360,6 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	e.stats = runCounters{}
 	e.activeCur.Clear()
 	e.activeNext.Clear()
-	atomic.StoreInt64(&e.nextCount, 0)
 	e.pendingReqs = make([]int32, e.img.NumV)
 
 	// Snapshot counters so stats reflect this run only. Cache hits,
@@ -407,13 +398,12 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 			// run ends cleanly with the stats accumulated so far.
 			break
 		}
-		if atomic.LoadInt64(&e.nextCount) == 0 {
+		if !e.activeNext.Any() {
 			break
 		}
 		// Swap active sets.
 		e.activeCur, e.activeNext = e.activeNext, e.activeCur
 		e.activeNext.Clear()
-		atomic.StoreInt64(&e.nextCount, 0)
 
 		// Build per-worker ordered active lists.
 		e.phase(func(w *worker) { w.buildActiveList() })

@@ -25,6 +25,11 @@ const (
 	// completion burst, or a larger record, are allocated and dropped.
 	taskKeep    = 256
 	scratchKeep = 64 << 10
+	// popBlock is how many vertices the owner claims from the head of its
+	// queue per lock acquisition. Claimed vertices are out of a thief's
+	// reach, so the block also bounds the work a worker can be left
+	// holding alone at the end of a part.
+	popBlock = 64
 	// randomSeed seeds the per-worker SchedRandom shuffles.
 	randomSeed uint64 = 1
 )
@@ -85,11 +90,14 @@ type worker struct {
 
 	// iterActive is this iteration's ordered active list (pristine);
 	// active is the work queue for the current vertical part: stealing
-	// pops from its tail under mu while the owner pops from the head.
+	// pops from its tail under mu while the owner claims blocks from the
+	// head. block is the owner's claimed, not yet run part of active —
+	// elements no one else reads or writes until the next resetQueue.
 	iterActive []graph.VertexID
 	mu         sync.Mutex
 	active     []graph.VertexID
 	qpos       int
+	block      []graph.VertexID
 
 	running int // vertices in the running state
 
@@ -116,7 +124,7 @@ type worker struct {
 	drained []*msgChunk // the inbox slice being delivered, swapped back
 
 	// Per-run counts, folded into the engine's at the end of the run.
-	sent, edgeReqs, merged int64
+	sent, edgeReqs, merged, steals int64
 
 	iterEnd []graph.VertexID // vertices that requested end-of-iteration
 
@@ -150,7 +158,7 @@ func (w *worker) start() {
 	clear(w.inbox)
 	w.inbox = w.inbox[:0]
 	w.slab, w.freeReq, w.batch = w.slab[:0], -1, w.batch[:0]
-	w.sent, w.edgeReqs, w.merged = 0, 0, 0
+	w.sent, w.edgeReqs, w.merged, w.steals = 0, 0, 0, 0
 	w.partCtx = &Ctx{eng: w.eng, w: w}
 	w.wg.Add(1)
 	go func() {
@@ -191,6 +199,7 @@ func (w *worker) commit() {
 	atomic.AddInt64(&st.messages, w.sent)
 	atomic.AddInt64(&st.edgeRequests, w.edgeReqs)
 	atomic.AddInt64(&st.mergedRequests, w.merged)
+	atomic.AddInt64(&st.steals, w.steals)
 	w.waitNS, w.busyNS = 0, 0
 }
 
@@ -230,6 +239,7 @@ func (w *worker) resetQueue() {
 	w.mu.Lock()
 	w.active = append(w.active[:0], w.iterActive...)
 	w.qpos = 0
+	w.block = nil // an aborted part may have left some claimed
 	w.mu.Unlock()
 }
 
@@ -237,15 +247,21 @@ func (w *worker) resetQueue() {
 // ascending).
 func (e *Engine) sweepDirection() bool { return e.iteration%2 == 0 }
 
-// pop takes the next active vertex (owner side).
+// pop takes the next active vertex (owner side), claiming up to popBlock
+// of them from the head of the queue each time it has to take the lock.
 func (w *worker) pop() (graph.VertexID, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.qpos >= len(w.active) {
-		return 0, false
+	if len(w.block) == 0 {
+		w.mu.Lock()
+		k := min(popBlock, len(w.active)-w.qpos)
+		w.block = w.active[w.qpos : w.qpos+k]
+		w.qpos += k
+		w.mu.Unlock()
+		if k == 0 {
+			return 0, false
+		}
 	}
-	v := w.active[w.qpos]
-	w.qpos++
+	v := w.block[0]
+	w.block = w.block[1:]
 	return v, true
 }
 
@@ -300,9 +316,11 @@ func (w *worker) runPart(part int) {
 
 	for e.abortErr() == nil {
 		// Fill the running set from the queue.
+		drained := false
 		for w.running < e.cfg.MaxRunning {
 			v, ok := w.pop()
 			if !ok {
+				drained = true
 				break
 			}
 			runOne(v)
@@ -324,11 +342,9 @@ func (w *worker) runPart(part int) {
 			continue
 		}
 
-		// Running set empty: more queued vertices?
-		w.mu.Lock()
-		empty := w.qpos >= len(w.active)
-		w.mu.Unlock()
-		if !empty {
+		// Running set empty (in memory, issue delivers at once): more
+		// queued vertices?
+		if !drained {
 			continue
 		}
 		// Try to steal (§3.8.1).
@@ -348,7 +364,7 @@ func (w *worker) steal(runOne func(graph.VertexID)) bool {
 			continue
 		}
 		if stolen := w.stealFrom(victim); stolen != nil {
-			atomic.AddInt64(&e.stats.steals, int64(len(stolen)))
+			w.steals += int64(len(stolen))
 			for _, v := range stolen {
 				runOne(v)
 			}

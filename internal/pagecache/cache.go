@@ -60,16 +60,20 @@ const (
 // Unpin exactly once when done. Data must only be read after the page is
 // ready (OnReady fired with nil error).
 type Page struct {
-	mu      sync.Mutex
-	key     Key
-	buf     []byte
-	state   PageState
-	err     error
+	mu  sync.Mutex
+	key Key
+	buf []byte
+	err error
+	// Callbacks awaiting the load. Nearly every load has exactly one —
+	// its loader's — so the first sits inline and only a second caller
+	// attaching to the same in-flight load grows the slice.
+	waiter  func(error)
 	waiters []func(error)
 
-	refs int32  // pin count (atomic)
-	hot  uint32 // CLOCK reference bit (atomic)
-	dead uint32 // load failed (atomic): frame holds no valid bytes
+	state PageState
+	refs  int32  // pin count (atomic)
+	hot   uint32 // CLOCK reference bit (atomic)
+	dead  uint32 // load failed (atomic): frame holds no valid bytes
 }
 
 // NewPage returns a frame outside any cache over buf — pinned once and
@@ -118,7 +122,11 @@ func (p *Page) OnReady(fn func(error)) {
 		fn(err)
 		return
 	}
-	p.waiters = append(p.waiters, fn)
+	if p.waiter == nil {
+		p.waiter = fn
+	} else {
+		p.waiters = append(p.waiters, fn)
+	}
 	p.mu.Unlock()
 }
 
@@ -138,9 +146,12 @@ func (p *Page) Complete(err error) {
 	p.mu.Lock()
 	p.state = stateReady
 	p.err = err
-	ws := p.waiters
-	p.waiters = nil
+	first, ws := p.waiter, p.waiters
+	p.waiter, p.waiters = nil, nil
 	p.mu.Unlock()
+	if first != nil {
+		first(err)
+	}
 	for _, fn := range ws {
 		fn(err)
 	}

@@ -51,6 +51,14 @@ type FS struct {
 	files  map[string]*File
 	nextID uint32
 	alloc  int64 // next free array offset (page aligned)
+
+	// Idle flush state, shared by every context: a flush is taken by the
+	// goroutine that owns a context and handed back by whichever I/O
+	// goroutine lands its last run, and contexts come and go with runs
+	// while the array's queues — which bound the flushes in flight —
+	// stay.
+	flushMu sync.Mutex
+	flushes []*flush
 }
 
 // New creates a filesystem over array.
@@ -196,10 +204,80 @@ func (r *request) pageReady(err error) {
 }
 
 const (
-	// requestKeep and bypassKeep bound what an idle context retains.
-	requestKeep = 256
-	bypassKeep  = 8
+	// requestKeep and bypassKeep bound what an idle context retains;
+	// flushKeep what an idle filesystem does, in flushes of at most
+	// flushKeepLoads pages — a larger one (a dense sweep's merged read of
+	// hundreds of pages) has paid for itself and is dropped.
+	requestKeep    = 256
+	bypassKeep     = 8
+	flushKeep      = 32
+	flushKeepLoads = 64
 )
+
+// flush is one Flush from dispatch until its last run has landed: the
+// sorted loads, the runs of adjacent pages cut from them, and the array
+// batch that carries the runs. The filesystem keeps idle ones, so a
+// steady stream of flushes allocates nothing per run of pages.
+type flush struct {
+	fs    *FS
+	loads []load
+	runs  []*pageRun // grow-only; one dispatch uses a prefix
+	batch []ssd.BatchRead
+	live  atomic.Int32 // runs still in flight
+}
+
+// pageRun is one run of adjacent staged pages of one file: a single
+// vectored array read that fills the cache frames in place.
+type pageRun struct {
+	fl    *flush
+	file  *File
+	loads []load      // the run's pages, a window of fl.loads
+	vec   [][]byte    // head pad, the frames, tail pad
+	start int64       // file offset of vec's first byte
+	lo    int64       // file offset of the first page
+	done  func(error) // r.landed, bound once
+}
+
+// run returns the flush's i-th run.
+func (fl *flush) run(i int) *pageRun {
+	if i == len(fl.runs) {
+		r := &pageRun{fl: fl}
+		r.done = r.landed
+		fl.runs = append(fl.runs, r)
+	}
+	return fl.runs[i]
+}
+
+// landed publishes the run's pages; the flush's last run to land hands
+// the flush back to the filesystem.
+func (r *pageRun) landed(err error) {
+	// Verify each landed page before anyone can observe it: Complete
+	// publishes the frame to every waiter, so a corrupt page must carry
+	// its CorruptionError from the start. Per-page verdicts — one flipped
+	// bit fails only the pages sharing its extent, not the whole merged
+	// run.
+	var verdicts []error
+	if err == nil {
+		verdicts = r.file.verifyRun(r.vec, r.start, r.lo, len(r.loads))
+	}
+	for k, ld := range r.loads {
+		if verdicts != nil {
+			err = verdicts[k]
+		}
+		ld.page.Complete(err)
+	}
+	clear(r.vec)
+	r.loads = nil
+	if fl := r.fl; fl.live.Add(-1) == 0 && cap(fl.loads) <= flushKeepLoads {
+		clear(fl.loads)
+		fs := fl.fs
+		fs.flushMu.Lock()
+		if len(fs.flushes) < flushKeep {
+			fs.flushes = append(fs.flushes, fl)
+		}
+		fs.flushMu.Unlock()
+	}
+}
 
 // IOStats counts the page traffic one IOContext generated. The global
 // cache and array counters aggregate every context on the FS; these
@@ -363,37 +441,48 @@ func (ctx *IOContext) Flush() {
 	if len(ctx.staged) == 0 {
 		return
 	}
-	// Take ownership of the staged slice: completion closures below hold
-	// sub-slices of it, so the context must not reuse the backing array.
-	staged := ctx.staged
-	ctx.staged = nil
-	slices.SortFunc(staged, func(a, b load) int {
+	fs := ctx.fs
+	var fl *flush
+	fs.flushMu.Lock()
+	if n := len(fs.flushes); n > 0 {
+		fl, fs.flushes = fs.flushes[n-1], fs.flushes[:n-1]
+	}
+	fs.flushMu.Unlock()
+	if fl == nil {
+		fl = &flush{fs: fs}
+	}
+	// The flush owns the staged loads until its last run lands (the runs
+	// are windows of them); the context stages into the slice the flush
+	// last used.
+	fl.loads, ctx.staged = ctx.staged, fl.loads[:0]
+	slices.SortFunc(fl.loads, func(a, b load) int {
 		if c := cmp.Compare(a.file.id, b.file.id); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.pageNo, b.pageNo)
 	})
-	var batch []ssd.BatchRead
-	for i := 0; i < len(staged); {
+	fl.batch = fl.batch[:0]
+	for i := 0; i < len(fl.loads); {
 		j := i + 1
-		for j < len(staged) &&
-			staged[j].file == staged[i].file &&
-			staged[j].pageNo == staged[j-1].pageNo+1 {
+		for j < len(fl.loads) &&
+			fl.loads[j].file == fl.loads[i].file &&
+			fl.loads[j].pageNo == fl.loads[j-1].pageNo+1 {
 			j++
 		}
-		batch = append(batch, staged[i].file.loadRun(staged[i:j]))
+		fl.batch = append(fl.batch, fl.loads[i].file.loadRun(fl.run(len(fl.batch)), fl.loads[i:j]))
 		i = j
 	}
-	ctx.fs.array.SubmitReadBatch(batch)
+	fl.live.Store(int32(len(fl.batch)))
+	fs.array.SubmitReadBatch(fl.batch)
 }
 
-// loadRun builds the array read that fills one run of adjacent staged
-// pages of f in place, and the completion that publishes them.
-func (f *File) loadRun(run []load) ssd.BatchRead {
+// loadRun sets r up as the array read that fills one run of adjacent
+// staged pages of f in place.
+func (f *File) loadRun(r *pageRun, run []load) ssd.BatchRead {
 	ps := int64(f.fs.pageSize)
 	lo := run[0].pageNo * ps
 	head, tail := f.verifyPads(lo, lo+int64(len(run))*ps)
-	vec := make([][]byte, 0, len(run)+2)
+	vec := r.vec[:0]
 	if head != nil {
 		vec = append(vec, head)
 	}
@@ -403,24 +492,9 @@ func (f *File) loadRun(run []load) ssd.BatchRead {
 	if tail != nil {
 		vec = append(vec, tail)
 	}
-	start := lo - int64(len(head))
-	return ssd.BatchRead{Off: f.base + start, Vec: vec, Done: func(err error) {
-		// Verify each landed page before anyone can observe it:
-		// Complete publishes the frame to every waiter, so a corrupt
-		// page must carry its CorruptionError from the start. Per-page
-		// verdicts — one flipped bit fails only the pages sharing its
-		// extent, not the whole merged run.
-		var verdicts []error
-		if err == nil {
-			verdicts = f.verifyRun(vec, start, lo, len(run))
-		}
-		for k, ld := range run {
-			if verdicts != nil {
-				err = verdicts[k]
-			}
-			ld.page.Complete(err)
-		}
-	}}
+	r.file, r.loads, r.vec = f, run, vec
+	r.lo, r.start = lo, lo-int64(len(head))
+	return ssd.BatchRead{Off: f.base + r.start, Vec: vec, Done: r.done}
 }
 
 // Poll runs all currently-completed tasks on the calling goroutine and

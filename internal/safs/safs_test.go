@@ -419,6 +419,73 @@ func TestResidentReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMissReadAllocatesOneRequest is the allocation gate on the miss
+// path, device side included: a read of cold pages — staged, flushed as
+// one run, landed, polled — reuses the filesystem's pooled flush state,
+// the array's pooled routing table and each frame's inline waiter slot.
+// What is left is the ssd.Request itself: one object per run of pages,
+// whether a flush holds one run or two.
+func TestMissReadAllocatesOneRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const pages = 1024
+	fs, _ := newFS(t, Config{CacheBytes: 64 * 4096}) // every read below is cold
+	f, _ := fs.Create("f", pages*4096)
+	data := make([]byte, pages*4096)
+	for i := range data {
+		data[i] = byte(i>>12*7 + i) // differs from page to page
+	}
+	if err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := fs.NewContext()
+	var got, want, runs int // byte sums: completion order is the devices' business
+	at := int64(0)          // file offset of the last read issued, page 0 of a 4-page group
+	task := func(v *View, err error) {
+		if err != nil {
+			panic(err)
+		}
+		got += int(v.Slice(4096+9, 1, nil)[0])
+		runs++
+	}
+	// Groups of 4 pages never straddle newFS's 16-page stripe unit, so a
+	// run is one device request; the walk returns to a page only after 64
+	// others have gone through the 64-frame cache.
+	next := func() int64 { at = (at + 4*4096) % (pages * 4096); return at }
+	read := func(n int) {
+		for i := 0; i < n; i++ {
+			ctx.ReadTask(f, next(), 3*4096, task)
+			want += int(data[at+4096+9])
+			if i+1 < n {
+				next() // leave a gap: the next ReadTask starts a new run
+			}
+		}
+		ctx.Flush()
+		for done := 0; done < n; {
+			done += ctx.WaitAny()
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the pools
+		read(2)
+	}
+	before := fs.Cache().Stats().Misses
+	for _, n := range []int{1, 2} {
+		if allocs := testing.AllocsPerRun(300, func() { read(n) }); allocs > float64(n) {
+			t.Errorf("a flush of %d cold run(s) allocates %.1f objects end to end, want one device request per run", n, allocs)
+		}
+	}
+	if misses := fs.Cache().Stats().Misses - before; misses != 3*(301+2*301) {
+		t.Fatalf("%d page misses, want every page of every read cold", misses)
+	}
+	if got != want || runs == 0 {
+		t.Fatalf("%d pooled reads served wrong bytes: byte sum %d, want %d", runs, got, want)
+	}
+	if n := fs.Cache().PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames left pinned", n)
+	}
+}
+
 // TestBypassPagesAreReusedAndBounded: reads around a fully pinned set
 // go through the context's bypass pages, which come back at release,
 // serve the next bypass with the right bytes, and never pile up.

@@ -32,7 +32,13 @@ func (p *ArrayParams) setDefaults() {
 type Array struct {
 	devices []*Device
 	stripe  int64
+	// routing pools submit's per-device request tables (*routing): a
+	// SAFS flush submits once per merged read.
+	routing sync.Pool
 }
+
+// routing is one submit call's requests, grouped by device.
+type routing struct{ perDev [][]*Request }
 
 // NewArray builds an array of in-memory devices.
 func NewArray(params ArrayParams) *Array {
@@ -169,24 +175,37 @@ func (a *Array) SubmitReadBatch(batch []BatchRead) { a.submit(OpRead, batch) }
 // submit routes a batch of transfers (reads or writes, per op) to the
 // devices, one SubmitBatch per device.
 func (a *Array) submit(op Op, batch []BatchRead) {
-	perDev := make([][]*Request, len(a.devices))
-	for _, br := range batch {
+	rt, _ := a.routing.Get().(*routing)
+	if rt == nil {
+		rt = &routing{perDev: make([][]*Request, len(a.devices))}
+	}
+	perDev := rt.perDev
+	for i := range batch {
+		br := &batch[i]
+		dev, devOff, run := a.locate(br.Off)
+		if n := int64(vecLen(br.Vec)); 0 < n && n <= run {
+			// Inside one stripe unit — nearly every merged FlashGraph
+			// read — the transfer is one device request over the caller's
+			// own scatter list: nothing to cut.
+			perDev[dev] = append(perDev[dev], &Request{Op: op, Offset: devOff, Vec: br.Vec, Done: br.Done})
+			continue
+		}
 		exts := a.cutVec(br.Off, br.Vec)
 		if len(exts) == 0 {
 			br.Done(nil)
 			continue
 		}
-		done := br.Done
-		if len(exts) > 1 {
-			done = joinDone(len(exts), br.Done)
-		}
+		done := joinDone(len(exts), br.Done)
 		for _, e := range exts {
 			perDev[e.dev] = append(perDev[e.dev], &Request{Op: op, Offset: e.devOff, Vec: e.bufs, Done: done})
 		}
 	}
 	for dev, reqs := range perDev {
 		a.devices[dev].SubmitBatch(reqs)
+		clear(reqs) // a submitted request belongs to its device
+		perDev[dev] = reqs[:0]
 	}
+	a.routing.Put(rt)
 }
 
 // transferSync moves buf to or from linear offset off — a batch of one —

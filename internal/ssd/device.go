@@ -11,10 +11,22 @@
 //     below sequential on SSDs, vs 100x on disks);
 //   - each device drains a bounded queue from a dedicated I/O goroutine
 //     (SAFS's per-SSD I/O thread design);
-//   - devices saturate: a device's virtual busy-time horizon advances by
-//     every request's service time, and the I/O goroutine sleeps whenever
-//     the horizon runs ahead of the wall clock, so computation in other
-//     goroutines genuinely overlaps simulated I/O.
+//   - devices saturate: each device is an exact FIFO server. A request
+//     is stamped with its arrival when it is submitted, and the device's
+//     busy horizon — the modelled instant its last accepted request
+//     completes — advances as max(horizon, arrival) + service time. The
+//     I/O goroutine sleeps only while the horizon is more than MaxAhead in
+//     front of the clock, so computation in other goroutines genuinely
+//     overlaps simulated I/O.
+//
+// The horizon is measured against request arrivals, never against the
+// moment the I/O goroutine happens to wake: a sleep that returns late (on
+// Linux every sub-millisecond time.Sleep takes about 1.1 ms) leaves the
+// clock in front of the horizon, and the backlog that arrived meanwhile
+// is served without sleeping until the horizon leads again — an oversleep
+// is repaid, not forfeited. An idle gap earns nothing (an arrival after
+// the horizon resets it), and no completion fires earlier than its
+// modelled time minus MaxAhead.
 //
 // Absolute speeds are configurable (and scaled down for benchmarks);
 // shapes — saturation, random-vs-sequential gaps, overlap — are physical.
@@ -57,10 +69,29 @@ type Request struct {
 	Offset int64
 	Vec    [][]byte
 	Done   func(err error)
+
+	// arrival is when Submit accepted the request, before any wait for a
+	// queue slot: the instant the modelled device could first have begun
+	// serving it.
+	arrival time.Time
 }
 
 // length returns the total transfer size.
 func (r *Request) length() int { return vecLen(r.Vec) }
+
+// Clock is the device model's time source: what arrivals are stamped
+// with, what the busy horizon is compared against, and what pacing and
+// retry backoff sleep on. Sleep must not return before d has passed on
+// Now; it may return later, as real timers do.
+type Clock interface {
+	Now() time.Time
+	Sleep(d time.Duration)
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time        { return time.Now() }
+func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // DeviceParams models one SSD. Zero values are replaced by defaults in
 // NewDevice.
@@ -81,14 +112,20 @@ type DeviceParams struct {
 	// QueueDepth bounds the number of in-flight requests. Submit blocks
 	// when full. Default 64.
 	QueueDepth int
-	// MaxAhead is how far the virtual busy-time horizon may run ahead of
-	// the wall clock before the I/O goroutine sleeps. Larger values batch
-	// sleeps (faster benches, coarser timing). Default 500µs.
+	// MaxAhead is how far the busy horizon (the modelled completion time
+	// of the last accepted request, built from arrival stamps) may lead
+	// Clock.Now before the I/O goroutine sleeps; equally, how much earlier
+	// than modelled a completion may fire. Larger values batch sleeps
+	// (faster benches, coarser timing). Default 500µs.
 	MaxAhead time.Duration
-	// Throttle enables wall-clock throttling. When false the device still
-	// accounts virtual busy time but never sleeps, which makes unit tests
-	// fast while preserving the accounting used by the benchmark harness.
+	// Throttle enables pacing against the clock. When false the device
+	// still accounts virtual busy time but never sleeps for pacing, which
+	// makes unit tests fast while preserving the accounting used by the
+	// benchmark harness.
 	Throttle bool
+	// Clock is the time source; nil is the wall clock. Tests substitute
+	// a fake so pacing and backoff are deterministic and do not sleep.
+	Clock Clock
 	// RetryMax is how many times a transient transfer error (one that
 	// errors.Is-matches ErrTransient: injected EIO, short read, torn
 	// write) is retried before surfacing. Default 3; negative disables
@@ -124,6 +161,9 @@ func (p *DeviceParams) setDefaults() {
 	}
 	if p.MaxAhead == 0 {
 		p.MaxAhead = 500 * time.Microsecond
+	}
+	if p.Clock == nil {
+		p.Clock = wallClock{}
 	}
 	if p.RetryMax == 0 {
 		p.RetryMax = 3
@@ -166,8 +206,8 @@ type DeviceStats struct {
 	Errors   int64
 	Degraded bool
 	// Busy is accumulated virtual service time: the time the modeled
-	// device spent transferring. Utilization over a wall-clock interval t
-	// is Busy/t.
+	// device spent transferring or backing off before a retry.
+	// Utilization over a wall-clock interval t is Busy/t.
 	Busy time.Duration
 }
 
@@ -214,6 +254,9 @@ type Device struct {
 	// backoffRNG jitters retry delays; touched only by the I/O
 	// goroutine. Seeded from the device name for reproducible runs.
 	backoffRNG *util.RNG
+
+	// busyUntil is the busy horizon; touched only by the I/O goroutine.
+	busyUntil time.Time
 }
 
 // ErrClosed is returned for requests submitted after Close.
@@ -257,6 +300,7 @@ func (d *Device) Submit(req *Request) {
 	// The send may block on a full queue while holding the read lock;
 	// the I/O goroutine keeps draining regardless, so Close (which takes
 	// the write lock) waits but never deadlocks.
+	req.arrival = d.params.Clock.Now()
 	d.queue <- req
 	d.noteQueueDepth(int64(len(d.queue)))
 	d.closeMu.RUnlock()
@@ -441,7 +485,12 @@ func (d *Device) transferRetry(req *Request) (int, error) {
 		// Jitter in [0.5, 1.5)×delay de-synchronizes retry storms
 		// across devices; deterministic per device for reproducibility.
 		delay = delay/2 + time.Duration(d.backoffRNG.Uint64n(uint64(delay)))
-		time.Sleep(delay)
+		// The device is occupied while it backs off: the horizon moves
+		// with the sleep, so the wait is not handed back to the backlog
+		// as free capacity.
+		d.busyUntil = d.busyUntil.Add(delay)
+		atomic.AddInt64(&d.busyNS, int64(delay))
+		d.params.Clock.Sleep(delay)
 		n, err = d.transfer(req)
 	}
 	if err != nil {
@@ -479,21 +528,23 @@ func (d *Device) transfer(req *Request) (int, error) {
 
 func (d *Device) run() {
 	defer d.wg.Done()
-	busyUntil := time.Now()
 	var lastEnd int64 = -1
 	for req := range d.queue {
 		sequential := req.Offset == lastEnd
 		st := d.serviceTime(req, sequential)
 
-		now := time.Now()
-		if busyUntil.Before(now) {
-			busyUntil = now
+		// FIFO server: service starts when the device is free or the
+		// request arrives, whichever is later. Measuring from the arrival
+		// and not from this goroutine's wake-up is what keeps a late
+		// timer from costing modelled capacity.
+		if d.busyUntil.Before(req.arrival) {
+			d.busyUntil = req.arrival
 		}
-		busyUntil = busyUntil.Add(st)
+		d.busyUntil = d.busyUntil.Add(st)
 		atomic.AddInt64(&d.busyNS, int64(st))
 		if d.params.Throttle {
-			if ahead := busyUntil.Sub(now); ahead > d.params.MaxAhead {
-				time.Sleep(ahead - d.params.MaxAhead)
+			if ahead := d.busyUntil.Sub(d.params.Clock.Now()); ahead > d.params.MaxAhead {
+				d.params.Clock.Sleep(ahead - d.params.MaxAhead)
 			}
 		}
 

@@ -238,12 +238,14 @@ func TestFaultStoreSetEnabled(t *testing.T) {
 
 // TestDeviceRetryAbsorbsTransients: a device over a store that fails
 // its first transfers transiently still completes the read, and the
-// retry counter records the absorbed faults.
+// retry counter records the absorbed faults. The backoffs are slept on
+// the device's clock — a fake here, so the test itself never sleeps.
 func TestDeviceRetryAbsorbsTransients(t *testing.T) {
 	s, want := seededStore(t, 8192, FaultConfig{EIORate: 1, MaxFaults: 2})
+	clk := newFakeClock(time.Millisecond)
 	arr := NewArrayWithStores(ArrayParams{
 		Devices: 1, StripeSize: 128 << 10,
-		Device: DeviceParams{RetryBase: time.Microsecond},
+		Device: DeviceParams{Clock: clk},
 	}, []Store{s})
 	defer arr.Close()
 
@@ -255,8 +257,8 @@ func TestDeviceRetryAbsorbsTransients(t *testing.T) {
 		t.Fatal("retried read returned wrong bytes")
 	}
 	st := arr.Stats()
-	if st.Retries == 0 {
-		t.Fatal("no retries recorded for absorbed transients")
+	if sleeps, _ := clk.slept(); st.Retries != 2 || sleeps != 2 {
+		t.Fatalf("Retries = %d with %d backoffs slept, want 2 and 2", st.Retries, sleeps)
 	}
 	if st.Errors != 0 {
 		t.Fatalf("Errors = %d, want 0 (all faults absorbed)", st.Errors)
@@ -273,8 +275,8 @@ func TestDeviceDegradesAndResets(t *testing.T) {
 		Devices: 1, StripeSize: 128 << 10,
 		Device: DeviceParams{
 			RetryMax:         1,
-			RetryBase:        time.Microsecond,
 			DegradeThreshold: 3,
+			Clock:            newFakeClock(time.Millisecond),
 		},
 	}, []Store{s})
 	defer arr.Close()

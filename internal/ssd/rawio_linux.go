@@ -42,8 +42,9 @@ func fadviseDontNeed(f *os.File, off, length int64) {
 func readVec(f *os.File, vec [][]byte, off int64) (int, error) {
 	total := vecLen(vec)
 	got := 0
+	var few [8]syscall.Iovec // a merged read scatters into a handful of frames: no heap iovec list
 	for got < total {
-		iov := iovecsFrom(vec, got)
+		iov := iovecsFrom(few[:0], vec, got)
 		if len(iov) == 0 {
 			break
 		}
@@ -69,10 +70,9 @@ func readVec(f *os.File, vec [][]byte, off int64) (int, error) {
 	return total, nil
 }
 
-// iovecsFrom builds the iovec list for vec with the first skip bytes of
-// the scatter sequence removed (resuming a partial preadv).
-func iovecsFrom(vec [][]byte, skip int) []syscall.Iovec {
-	iov := make([]syscall.Iovec, 0, len(vec))
+// iovecsFrom appends to iov the iovec list for vec with the first skip
+// bytes of the scatter sequence removed (resuming a partial preadv).
+func iovecsFrom(iov []syscall.Iovec, vec [][]byte, skip int) []syscall.Iovec {
 	for _, b := range vec {
 		if skip >= len(b) {
 			skip -= len(b)

@@ -184,28 +184,23 @@ func TestDeviceBusyAccounting(t *testing.T) {
 }
 
 func TestDeviceThrottleSlowsDown(t *testing.T) {
-	// With throttling, 200 random reads at 50µs each must take >= ~8ms
-	// of wall time (minus the MaxAhead slack).
-	p := DeviceParams{
-		RandOverhead: 50 * time.Microsecond,
-		SeqOverhead:  50 * time.Microsecond,
-		Bandwidth:    1 << 40, // transfer time negligible
-		Throttle:     true,
-		MaxAhead:     200 * time.Microsecond,
-	}
-	d := NewDevice(p, NewMemStore())
-	defer d.Close()
-	var wg sync.WaitGroup
-	buf := make([]byte, 16)
-	start := time.Now()
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		d.Submit(&Request{Op: OpRead, Offset: int64(i * 1000), Vec: [][]byte{buf}, Done: func(error) { wg.Done() }})
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if elapsed < 8*time.Millisecond {
-		t.Fatalf("throttled device finished in %v, want >= 8ms", elapsed)
+	// With throttling, 200 random reads at 50µs each are 10ms of modelled
+	// work: on a clock whose sleeps return 1ms late they take no less
+	// (bar the MaxAhead slack) and at most one late sleep more.
+	const (
+		n         = 200
+		st        = 50 * time.Microsecond
+		maxAhead  = 200 * time.Microsecond
+		overshoot = time.Millisecond
+	)
+	clk := newFakeClock(overshoot)
+	t0 := clk.Now()
+	recs := pacedRun(t, clk, st, maxAhead, n)
+	checkNeverEarly(t, recs, st, maxAhead)
+	elapsed := recs[n-1].done.Sub(t0)
+	if elapsed < n*st-maxAhead || elapsed > n*st+overshoot {
+		t.Fatalf("throttled device finished %v of work in %v, want within [%v, %v]",
+			n*st, elapsed, n*st-maxAhead, n*st+overshoot)
 	}
 }
 

@@ -23,18 +23,24 @@ func NewBitmap(n int) *Bitmap {
 func (b *Bitmap) Len() int { return b.n }
 
 // Set sets bit i and reports whether it was previously clear
-// (i.e. whether this call changed it). Safe for concurrent use.
+// (i.e. whether this call changed it). Safe for concurrent use. A bit
+// that is already set costs a load and a test and writes nothing, so
+// concurrent setters naming the same bits (a frontier's duplicate
+// activations) do not pass the word's cache line between them; only a
+// clear bit pays for one atomic OR.
 func (b *Bitmap) Set(i int) bool {
 	w := &b.words[i>>6]
 	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
+	if atomic.LoadUint64(w)&mask != 0 {
+		return false
+	}
+	return atomic.OrUint64(w, mask)&mask == 0
+}
+
+// SetMany sets every bit named in is. Safe for concurrent use.
+func (b *Bitmap) SetMany(is []uint32) {
+	for _, i := range is {
+		b.Set(int(i))
 	}
 }
 
@@ -73,6 +79,17 @@ func (b *Bitmap) SetAll() {
 	if extra := len(b.words)*64 - b.n; extra > 0 {
 		b.words[len(b.words)-1] &= ^uint64(0) >> uint(extra)
 	}
+}
+
+// Any reports whether any bit is set. Not synchronized with concurrent
+// Set calls.
+func (b *Bitmap) Any() bool {
+	for _, w := range b.words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Count returns the number of set bits. Not synchronized with concurrent

@@ -198,6 +198,64 @@ func TestBitmapConcurrentSet(t *testing.T) {
 	}
 }
 
+// TestBitmapSetManyMatchesSet: two writers batching overlapping,
+// duplicate-laden lists through SetMany, while a third sets some of the
+// same bits one at a time, leave exactly the bitmap a loop of Set leaves
+// — and Any agrees with Count before and after.
+func TestBitmapSetManyMatchesSet(t *testing.T) {
+	const n = 1000
+	rng := NewRNG(7)
+	lists := make([][]uint32, 3)
+	for w := range lists {
+		for i := 0; i < 4000; i++ {
+			lists[w] = append(lists[w], uint32(rng.Intn(n/2)+w*n/4)) // ranges overlap pairwise
+		}
+	}
+	want := NewBitmap(n)
+	for _, l := range lists {
+		for _, i := range l {
+			want.Set(int(i))
+		}
+	}
+
+	got := NewBitmap(n)
+	if got.Any() || got.Count() != 0 {
+		t.Fatal("fresh bitmap is not empty")
+	}
+	var wg sync.WaitGroup
+	for w, l := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w == 2 {
+				for _, i := range l {
+					got.Set(int(i))
+				}
+				return
+			}
+			for len(l) > 0 {
+				k := min(len(l), 1+len(l)%17)
+				got.SetMany(l[:k])
+				l = l[k:]
+			}
+		}()
+	}
+	wg.Wait()
+	if !got.Any() || got.Count() != want.Count() {
+		t.Fatalf("Count = %d (Any %v), want %d", got.Count(), got.Any(), want.Count())
+	}
+	for i := 0; i < n; i++ {
+		if got.Get(i) != want.Get(i) {
+			t.Fatalf("bit %d = %v, want %v", i, got.Get(i), want.Get(i))
+		}
+	}
+	got.SetMany(nil)
+	got.Clear()
+	if got.Any() {
+		t.Fatal("Any after Clear")
+	}
+}
+
 func TestBitmapQuickSetGet(t *testing.T) {
 	f := func(idxs []uint16) bool {
 		b := NewBitmap(1 << 16)
