@@ -1,24 +1,22 @@
-// Command fg-run executes a graph algorithm over a FlashGraph image in
-// semi-external memory (simulated SSD array) or in-memory mode and
-// prints run statistics.
+// Command fg-run executes one registered algorithm over a FlashGraph
+// image, semi-external (simulated SSD array) or in-memory, and prints its
+// typed result summary and run statistics. The request takes the path a
+// fg-serve query takes — registry spec, capability check, strict params —
+// through an in-process server over a one-graph catalog, always on the
+// vertex engine. An unknown -algo lists the registered names.
 //
-// Usage:
-//
-//	fg-run -graph twitter.fg -algo bfs
-//	fg-run -graph twitter.fg -algo pagerank -cache-mb 64 -threads 16
-//	fg-run -graph twitter.fg -algo scanstat        # custom scheduler
-//	fg-run -graph roads.fg  -algo sssp -src 0      # weighted image
+//	fg-run -graph twitter.fg -algo bfs                   # src defaults to the hub
+//	fg-run -graph twitter.fg -algo pagerank -params '{"iters":10}' -cache-mb 64
+//	fg-run -graph roads.fg -algo sssp -src 0             # weighted image
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"sort"
 
 	"flashgraph"
-	"flashgraph/internal/core"
 	"flashgraph/internal/util"
 )
 
@@ -27,9 +25,9 @@ func main() {
 	log.SetPrefix("fg-run: ")
 	var (
 		graphPath = flag.String("graph", "", "FlashGraph image (fg-convert output)")
-		algoName  = flag.String("algo", "bfs", "bfs | bc | wcc | pagerank | tc | scanstat | kcore | sssp")
-		src       = flag.Int("src", -1, "source vertex (default: highest out-degree)")
-		k         = flag.Int("k", 3, "k for kcore")
+		algoName  = flag.String("algo", "bfs", "registered algorithm name")
+		params    = flag.String("params", "{}", `algorithm params as a JSON object, e.g. '{"k":4}'`)
+		src       = flag.Int("src", -1, `sugar for {"src":N} on algorithms that take a source (default: highest out-degree)`)
 		inMemory  = flag.Bool("mem", false, "in-memory mode (FG-mem)")
 		cacheMB   = flag.Int64("cache-mb", 64, "SAFS page cache size (MiB)")
 		threads   = flag.Int("threads", 8, "worker threads")
@@ -39,118 +37,58 @@ func main() {
 	if *graphPath == "" {
 		log.Fatal("need -graph (build one with fg-gen | fg-convert)")
 	}
-
 	g, err := flashgraph.LoadFile(*graphPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	source := flashgraph.VertexID(*src)
-	if *src < 0 {
-		source = hubVertex(g)
-	}
-
-	opts := flashgraph.Options{
+	cat := flashgraph.NewCatalog(flashgraph.Options{
 		InMemory:   *inMemory,
 		Threads:    *threads,
 		CacheBytes: *cacheMB << 20,
 		Throttle:   *throttle,
+	})
+	defer cat.Close()
+	if _, err := cat.Add("graph", g); err != nil {
+		log.Fatal(err)
 	}
-	if *algoName == "scanstat" {
-		opts.Engine = &core.Config{Threads: *threads, Sched: core.SchedCustom, MaxRunning: 512}
-	}
-	eng, err := flashgraph.Open(g, opts)
+	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{MaxConcurrent: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer srv.Close()
 
-	var alg flashgraph.Algorithm
-	report := func() {}
-	switch *algoName {
-	case "bfs":
-		a := flashgraph.NewBFS(source)
-		alg = a
-		report = func() {
-			fmt.Printf("bfs: reached %d of %d vertices from %d\n", a.Reached(), g.NumVertices(), source)
-		}
-	case "bc":
-		a := flashgraph.NewBC(source)
-		alg = a
-		report = func() {
-			best, arg := 0.0, flashgraph.VertexID(0)
-			for v, c := range a.Centrality {
-				if c > best {
-					best, arg = c, flashgraph.VertexID(v)
-				}
-			}
-			fmt.Printf("bc: max dependency %.2f at vertex %d\n", best, arg)
-		}
-	case "wcc":
-		a := flashgraph.NewWCC()
-		alg = a
-		report = func() {
-			fmt.Printf("wcc: %d weakly connected components\n", a.NumComponents())
-		}
-	case "pagerank":
-		a := flashgraph.NewPageRank()
-		alg = a
-		report = func() {
-			type vp struct {
-				v flashgraph.VertexID
-				p float64
-			}
-			top := make([]vp, 0, len(a.Scores))
-			for v, p := range a.Scores {
-				top = append(top, vp{flashgraph.VertexID(v), p})
-			}
-			sort.Slice(top, func(i, j int) bool { return top[i].p > top[j].p })
-			fmt.Printf("pagerank: top vertices:")
-			for i := 0; i < 5 && i < len(top); i++ {
-				fmt.Printf(" %d(%.3f)", top[i].v, top[i].p)
-			}
-			fmt.Println()
-		}
-	case "tc":
-		a := flashgraph.NewTriangleCount()
-		alg = a
-		report = func() {
-			fmt.Printf("tc: %d triangles\n", a.Total)
-		}
-	case "scanstat":
-		a := flashgraph.NewScanStat()
-		alg = a
-		report = func() {
-			fmt.Printf("scanstat: max locality statistic %d at vertex %d (computed %d, pruned %d)\n",
-				a.Max, a.ArgMax, a.Computed, a.Skipped)
-		}
-	case "kcore":
-		a := flashgraph.NewKCore(*k)
-		alg = a
-		report = func() {
-			fmt.Printf("kcore: %d vertices in the %d-core\n", a.CoreSize(), *k)
-		}
-	case "sssp":
-		a := flashgraph.NewSSSP(source)
-		alg = a
-		report = func() {
-			reached := 0
-			for _, d := range a.Dist {
-				if d != flashgraph.Unreachable {
-					reached++
-				}
-			}
-			fmt.Printf("sssp: %d vertices reachable from %d\n", reached, source)
-		}
-	default:
-		log.Fatalf("unknown algorithm %q", *algoName)
+	p := map[string]any{}
+	if err := json.Unmarshal([]byte(*params), &p); err != nil || p == nil {
+		log.Fatalf("-params %s: want a JSON object (%v)", *params, err)
 	}
-
-	st, err := eng.Run(alg)
+	for _, a := range srv.Algorithms() {
+		if _, given := p["src"]; a.Name == *algoName && a.Caps.NeedsSrc && !given {
+			p["src"] = *src
+			if *src < 0 {
+				p["src"] = hubVertex(g)
+			}
+		}
+	}
+	id, err := srv.Submit(flashgraph.Request{
+		Algo:   *algoName,
+		Params: flashgraph.MarshalParams(p),
+		Engine: string(flashgraph.EngineVertex),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report()
-	fmt.Printf("elapsed      %v (%d iterations)\n", st.Elapsed, st.Iterations)
+	q, _ := srv.Wait(id) // id was just issued: Wait cannot miss it
+	if q.State != flashgraph.QueryDone {
+		log.Fatal(q.Error)
+	}
+
+	scalars, _ := json.Marshal(q.Result["scalars"]) // keys sorted; null when the result has none
+	fmt.Printf("%s %s\nscalars      %s\n", *algoName, q.Req.Params, scalars)
+	if top, ok := q.Result["top"]; ok {
+		fmt.Printf("top          %v\n", top)
+	}
+	st := q.Stats
+	fmt.Printf("checksum     %v\nelapsed      %v (%d iterations)\n", q.Result["checksum"], st.Elapsed, st.Iterations)
 	if !*inMemory {
 		fmt.Printf("io           %s read, %d device reads (%.0f IOPS), %d merged requests from %d edge requests\n",
 			util.HumanBytes(st.BytesRead), st.DeviceReads, st.IOPS(), st.MergedRequests, st.EdgeRequests)
@@ -158,17 +96,14 @@ func main() {
 	}
 	fmt.Printf("cpu          %.1f%% utilization, %v waiting on I/O\n", st.CPUUtil*100, st.WaitTime)
 	fmt.Printf("memory       %s estimated footprint\n", util.HumanBytes(st.MemoryBytes))
-	_ = os.Stdout
 }
 
 // hubVertex picks the highest-out-degree vertex.
-func hubVertex(g *flashgraph.Graph) flashgraph.VertexID {
-	best := flashgraph.VertexID(0)
+func hubVertex(g *flashgraph.Graph) (best flashgraph.VertexID) {
 	var bestDeg uint32
 	for v := 0; v < g.NumVertices(); v++ {
 		if d := g.OutDegree(flashgraph.VertexID(v)); d > bestDeg {
-			bestDeg = d
-			best = flashgraph.VertexID(v)
+			best, bestDeg = flashgraph.VertexID(v), d
 		}
 	}
 	return best

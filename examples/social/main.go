@@ -2,8 +2,8 @@
 // and scan statistics (anomaly detection via the maximum locality
 // statistic [26]) on a power-law social graph, using the two most
 // I/O-intensive access patterns FlashGraph supports: vertices reading
-// many other vertices' edge lists, with the degree-descending custom
-// scheduler pruning the long tail.
+// many other vertices' edge lists, with scan statistics' own
+// degree-descending schedule pruning the long tail.
 //
 //	go run ./examples/social
 package main
@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"flashgraph"
-	"flashgraph/internal/core"
 )
 
 func main() {
@@ -32,6 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
 	tc := flashgraph.NewTriangleCount()
 	st, err := eng.Run(tc)
 	if err != nil {
@@ -46,22 +46,13 @@ func main() {
 		}
 	}
 	fmt.Printf("most clustered user: %d with %d triangles\n", bestV, bestT)
-	eng.Close()
 
-	// Scan statistics with the custom degree-descending scheduler: the
-	// paper's showcase for user-defined vertex scheduling — most
-	// vertices are pruned without any I/O.
-	eng2, err := flashgraph.Open(g, flashgraph.Options{
-		CacheBytes: g.SizeBytes() / 4,
-		Throttle:   true,
-		Engine:     &core.Config{Threads: 4, Sched: core.SchedCustom, MaxRunning: 64},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer eng2.Close()
+	// Scan statistics on the same engine: the program brings the paper's
+	// showcase for user-defined vertex scheduling with it — degree-
+	// descending order and a small running window — so most vertices are
+	// pruned without any I/O and the caller configures nothing.
 	ss := flashgraph.NewScanStat()
-	st2, err := eng2.Run(ss)
+	st2, err := eng.Run(ss)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -370,38 +370,25 @@ type Options struct {
 	DirectIO bool
 	// MaxRunning bounds running vertices per thread (default 4000).
 	MaxRunning int
-	// Engine passes through advanced engine knobs (merge mode,
-	// scheduler, range shift). Fields set here win over the above.
-	Engine *core.Config
 }
 
-// Engine executes algorithms over one opened graph. Run is safe for
-// concurrent use: each call executes on its own lightweight run context
-// while all calls share the graph image, in-memory index, SAFS instance,
-// page cache, and simulated SSD array (the paper's core asset, amortized
-// across queries). For admission control and query tracking on top of
-// this, see internal/serve and cmd/fg-serve.
+// Engine executes algorithms over one opened graph. Run and RunOn are
+// safe for concurrent use: each call executes on its own lightweight run
+// context while all calls share the graph image, in-memory index, SAFS
+// instance, page cache, and simulated SSD array (the paper's core asset,
+// amortized across queries). For admission control and query tracking on
+// top of this, see internal/serve and cmd/fg-serve.
 type Engine struct {
-	shared    *core.Shared
-	primary   atomic.Pointer[core.Engine] // reusable run context for serial callers
-	primaryMu sync.Mutex                  // claims the primary run for one Run call
-	array     *ssd.Array                  // owned; nil when a Catalog owns the substrate
-	fs        *safs.FS
-	closed    atomic.Bool
+	shared *core.Shared
+	array  *ssd.Array // owned; nil when a Catalog owns the substrate
+	closed atomic.Bool
 }
 
 // coreConfig translates Options into the engine configuration template.
+// What one algorithm needs beyond it — execution order, a tighter running
+// window, an iteration cap — the program declares itself.
 func (opts Options) coreConfig() core.Config {
-	cfg := core.Config{
-		Threads:    opts.Threads,
-		MaxRunning: opts.MaxRunning,
-		InMemory:   opts.InMemory,
-	}
-	if opts.Engine != nil {
-		cfg = *opts.Engine
-		cfg.InMemory = cfg.InMemory || opts.InMemory
-	}
-	return cfg
+	return core.Config{Threads: opts.Threads, MaxRunning: opts.MaxRunning, InMemory: opts.InMemory}
 }
 
 // newSubstrate builds the simulated SSD array and SAFS instance the
@@ -414,16 +401,13 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 		dp = *opts.DeviceProfile
 	}
 	params := ssd.ArrayParams{Devices: opts.Devices, Device: dp}
+	params.SetDefaults()
 	var array *ssd.Array
 	if opts.StoreDir != "" {
 		if err := os.MkdirAll(opts.StoreDir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("flashgraph: store dir: %w", err)
 		}
-		n := opts.Devices
-		if n == 0 {
-			n = 4
-		}
-		stores := make([]ssd.Store, n)
+		stores := make([]ssd.Store, params.Devices)
 		for i := range stores {
 			s, err := ssd.NewStore(filepath.Join(opts.StoreDir, fmt.Sprintf("ssd%d.dat", i)), ssd.StoreConfig{DirectIO: opts.DirectIO})
 			if err != nil {
@@ -454,13 +438,11 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 func Open(g *Graph, opts Options) (*Engine, error) {
 	cfg := opts.coreConfig()
 	e := &Engine{}
-	if !cfg.InMemory && cfg.FS == nil {
+	if !cfg.InMemory {
 		var err error
-		e.array, e.fs, err = opts.newSubstrate()
-		if err != nil {
+		if e.array, cfg.FS, err = opts.newSubstrate(); err != nil {
 			return nil, err
 		}
-		cfg.FS = e.fs
 	}
 	shared, err := core.NewShared(g.img, cfg)
 	if err != nil {
@@ -470,43 +452,20 @@ func Open(g *Graph, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("flashgraph: %w", err)
 	}
 	e.shared = shared
-	e.primary.Store(shared.NewRun())
 	return e, nil
 }
 
-// Run executes alg to completion. It is safe to call concurrently from
-// multiple goroutines: each call gets a private run context (vertex
-// scheduling, message buffers, iteration barrier) over the shared graph
-// and cache. Use a distinct Algorithm value per call — algorithm state
-// belongs to a single run. Serial callers reuse the primary run
-// context (no per-call allocation); only overlapping calls pay for a
-// fresh one.
-func (e *Engine) Run(alg Algorithm) (RunStats, error) {
-	if e.closed.Load() {
-		return RunStats{}, fmt.Errorf("flashgraph: engine is closed")
-	}
-	if e.primaryMu.TryLock() {
-		defer e.primaryMu.Unlock()
-		primary := e.primary.Load()
-		if primary == nil { // Close won the race for primaryMu
-			return RunStats{}, fmt.Errorf("flashgraph: engine is closed")
-		}
-		st, err := primary.Run(alg)
-		if err != nil {
-			// A failed run poisons its context; publish a clean primary
-			// for later serial calls.
-			e.primary.Store(e.shared.NewRun())
-		}
-		return st, err
-	}
-	return e.shared.NewRun().Run(alg)
-}
+// Run executes alg to completion on the vertex engine: RunOn(EngineVertex,
+// alg). Use a distinct Algorithm value per call — algorithm state belongs
+// to a single run.
+func (e *Engine) Run(alg Algorithm) (RunStats, error) { return e.RunOn(EngineVertex, alg) }
 
 // RunOn executes a program on an execution engine of the given kind —
 // EngineVertex (the default message-passing runtime, what Run uses) or
 // EngineSpMV (streaming dense sweeps, for programs with an SpMV form
 // such as PageRank, WCC, and LabelProp). Each call gets a private run
-// context, so concurrent calls are safe.
+// context (vertex scheduling, message buffers, iteration barrier) over
+// the shared graph and cache, so concurrent calls are safe.
 func (e *Engine) RunOn(kind EngineKind, p Program) (RunStats, error) {
 	if e.closed.Load() {
 		return RunStats{}, fmt.Errorf("flashgraph: engine is closed")
@@ -523,12 +482,6 @@ func (e *Engine) RunOn(kind EngineKind, p Program) (RunStats, error) {
 // instance, page cache). The serve layer builds on it.
 func (e *Engine) Shared() *core.Shared { return e.shared }
 
-// Core exposes the primary run context for advanced serial use (custom
-// hooks, degree queries inside schedulers). It is NOT safe to use while
-// concurrent Run calls are in flight on derived runs — spawn a private
-// run with Shared().NewRun() instead. Returns nil after Close.
-func (e *Engine) Core() *core.Engine { return e.primary.Load() }
-
 // LoadTime reports how long writing the image to the SSDs took.
 func (e *Engine) LoadTime() time.Duration { return e.shared.LoadTime() }
 
@@ -542,17 +495,10 @@ func (e *Engine) EstimateDiameter(start VertexID) (int, error) {
 
 // Close releases everything the engine owns: it stops the simulated
 // SSD array (a no-op for in-memory engines and for engines whose
-// substrate a Catalog owns) and drops the primary run context so its
-// worker state is collectable. Close is idempotent — calling it more
-// than once is safe — and later Run calls fail with an error.
+// substrate a Catalog owns). Close is idempotent — calling it more than
+// once is safe — and later Run calls fail with an error.
 func (e *Engine) Close() {
-	if !e.closed.CompareAndSwap(false, true) {
-		return
-	}
-	e.primaryMu.Lock() // wait out a serial Run holding the primary
-	e.primary.Store(nil)
-	e.primaryMu.Unlock()
-	if e.array != nil {
+	if e.closed.CompareAndSwap(false, true) && e.array != nil {
 		e.array.Close()
 	}
 }
@@ -581,12 +527,12 @@ type Catalog struct {
 
 // NewCatalog prepares an empty catalog. All graphs later added share
 // the substrate these options describe; per-graph knobs (Threads,
-// MaxRunning, Engine) apply to every graph's runs. A substrate that
+// MaxRunning) apply to every graph's runs. A substrate that
 // cannot be built (e.g. an unusable StoreDir) is reported by the first
 // Add.
 func NewCatalog(opts Options) *Catalog {
 	c := &Catalog{opts: opts, engines: map[string]*Engine{}}
-	if !opts.coreConfig().InMemory {
+	if !opts.InMemory {
 		c.array, c.fs, c.subErr = opts.newSubstrate()
 	}
 	return c
@@ -621,8 +567,7 @@ func (c *Catalog) Add(name string, g *Graph) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashgraph: adding %q: %w", name, err)
 	}
-	e := &Engine{shared: shared, fs: c.fs} // array stays nil: the catalog owns it
-	e.primary.Store(shared.NewRun())
+	e := &Engine{shared: shared} // array stays nil: the catalog owns it
 	c.engines[name] = e
 	c.order = append(c.order, name)
 	return e, nil
@@ -731,10 +676,9 @@ type TriangleCount = algo.TC
 // NewTriangleCount returns a TC program.
 func NewTriangleCount() *TriangleCount { return algo.NewTC() }
 
-// ScanStat is the maximum locality statistic; see algo.ScanStat. Run it
-// with the custom scheduler for the paper's pruning:
-//
-//	opts.Engine = &core.Config{Sched: core.SchedCustom, ...}
+// ScanStat is the maximum locality statistic; see algo.ScanStat. The
+// program brings the paper's degree-descending schedule and the small
+// running window its pruning needs, so it runs like any other algorithm.
 type ScanStat = algo.ScanStat
 
 // NewScanStat returns a scan-statistics program.

@@ -3,10 +3,13 @@ package flashgraph
 import (
 	"bytes"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
-	"flashgraph/internal/core"
+	"flashgraph/internal/baseline/galois"
+	"flashgraph/internal/csr"
+	"flashgraph/internal/graph"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -132,12 +135,13 @@ func TestWeightedGraphSSSP(t *testing.T) {
 	}
 }
 
+// TestAdvancedEngineConfig: scan statistics needs no engine configuration
+// from its caller. With plain Options the run uses the program's own
+// degree-descending schedule and small window, so the long tail is pruned
+// without I/O — under a by-ID order nearly every neighbourhood is computed.
 func TestAdvancedEngineConfig(t *testing.T) {
-	g := NewGraph(1<<8, GenerateRMAT(8, 6, 5), Directed)
-	eng, err := Open(g, Options{
-		CacheBytes: 1 << 20,
-		Engine:     &core.Config{Threads: 2, Sched: core.SchedCustom},
-	})
+	g := NewGraph(1<<12, GenerateRMAT(12, 8, 5), Directed)
+	eng, err := Open(g, Options{CacheBytes: 1 << 20, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +153,75 @@ func TestAdvancedEngineConfig(t *testing.T) {
 	if ss.Max <= 0 {
 		t.Fatalf("scan max = %d", ss.Max)
 	}
+	// One window of 512 establishes the bar; the rest of the 4096 prune.
+	if ss.Computed > 1024 || ss.Skipped < 2*ss.Computed {
+		t.Fatalf("computed %d neighbourhoods, pruned %d: the program's schedule was not used", ss.Computed, ss.Skipped)
+	}
 }
 
+// TestOpenRequiresFSOrMemory: Open with zero Options builds its own
+// substrate (array, SAFS, cache) — a run reaches the devices.
 func TestOpenRequiresFSOrMemory(t *testing.T) {
-	// Options.Engine with neither FS nor InMemory must get an FS built
-	// by Open — i.e. this should work, not error.
 	g := NewGraph(16, []Edge{{Src: 0, Dst: 1}}, Directed)
-	eng, err := Open(g, Options{Engine: &core.Config{Threads: 1}})
+	eng, err := Open(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Close()
+	defer eng.Close()
+	if eng.Shared().FS() == nil {
+		t.Fatal("semi-external engine opened without a SAFS instance")
+	}
+	if st, err := eng.Run(NewBFS(0)); err != nil || st.DeviceReads == 0 {
+		t.Fatalf("run on the built substrate: %d device reads, err %v", st.DeviceReads, err)
+	}
+}
+
+// TestConcurrentAndSerialRuns: every Run is a fresh run context, so eight
+// overlapping calls and serial calls interleaved with them all produce the
+// oracle's checksum over one shared cache (run with -race in CI).
+func TestConcurrentAndSerialRuns(t *testing.T) {
+	const scale = 9
+	edges := GenerateRMAT(scale, 6, 11)
+	g := NewGraph(1<<scale, edges, Directed)
+	adj := graph.FromEdges(1<<scale, edges, true)
+	adj.Dedup()
+	ref := csr.FromAdjacency(adj)
+	want := func(src VertexID) string {
+		levels := galois.BFS(ref, src)
+		reached := 0
+		for _, l := range levels {
+			if l >= 0 {
+				reached++
+			}
+		}
+		rs := NewResultSet("bfs")
+		rs.AddScalar("reached", reached)
+		rs.AddInt32("level", levels).WithSentinel(int32(-1))
+		return rs.Checksum()
+	}
+	eng, err := Open(g, Options{Threads: 2, CacheBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	check := func(src VertexID) {
+		bfs := NewBFS(src)
+		if _, err := eng.Run(bfs); err != nil {
+			t.Errorf("bfs from %d: %v", src, err)
+		} else if got := bfs.Result().Checksum(); got != want(src) {
+			t.Errorf("bfs from %d: checksum %s, oracle %s", src, got, want(src))
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(VertexID(i * 37))
+		}()
+		check(VertexID(i)) // a serial caller, overlapping the ones in flight
+	}
+	wg.Wait()
 }
 
 func TestParseEdgeListPublic(t *testing.T) {
@@ -209,11 +271,7 @@ func TestCloseIdempotent(t *testing.T) {
 			eng.Close()
 			eng.Close() // must not panic or double-release
 			eng.Close()
-			// The primary run context is dropped and later Runs fail
-			// explicitly instead of using released state.
-			if eng.Core() != nil {
-				t.Fatal("Core() non-nil after Close")
-			}
+			// Later Runs fail explicitly instead of using released state.
 			if _, err := eng.Run(NewBFS(0)); err == nil {
 				t.Fatal("Run after Close succeeded")
 			}

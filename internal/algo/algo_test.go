@@ -249,8 +249,8 @@ func TestScanStatMatchesOracle(t *testing.T) {
 }
 
 func TestScanStatSchedulerPrunes(t *testing.T) {
-	// With the degree-descending custom scheduler, most vertices of a
-	// power-law graph must be skipped.
+	// The program's degree-descending order needs no Config.Sched: most
+	// vertices of a power-law graph must be skipped.
 	g := rmatGraph(t, 10, 8, 9, true)
 	arr := ssd.NewArray(ssd.ArrayParams{Devices: 4, StripeSize: 32 * 4096})
 	t.Cleanup(arr.Close)
@@ -259,7 +259,7 @@ func TestScanStatSchedulerPrunes(t *testing.T) {
 	// established by the early (large-degree) batches — the pruning only
 	// kicks in across batches.
 	eng, err := core.NewEngine(g.img, core.Config{
-		Threads: 4, FS: fs, RangeShift: 4, Sched: core.SchedCustom, MaxRunning: 16,
+		Threads: 4, FS: fs, RangeShift: 4, MaxRunning: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,6 +86,11 @@ func (s *ScanStat) Order(eng *core.Engine, vs []graph.VertexID) {
 	sort.Slice(vs, func(i, j int) bool { return deg(vs[i]) > deg(vs[j]) })
 }
 
+// MaxRunning implements core.RunningLimiter: pruning compares against the
+// maximum earlier batches found, so batches must be small enough for the
+// bar to rise before the long tail is admitted.
+func (s *ScanStat) MaxRunning() int { return 512 }
+
 // bound returns the best scan a vertex with (undirected-degree upper
 // bound) d could achieve: all d neighbor edges plus every neighbor pair
 // adjacent.

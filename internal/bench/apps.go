@@ -48,16 +48,10 @@ func newAlg(app string, img *graph.Image) core.Algorithm {
 	panic("bench: unknown app " + app)
 }
 
-// engineConfig builds the core config for one app run. Scan statistics
-// uses the custom degree-descending scheduler (§3.7); everything else
-// uses the default ID-ordered scheduler.
-func engineConfig(cfg Config, app string) core.Config {
-	ec := core.Config{Threads: cfg.Threads, RangeShift: 6}
-	if app == "SS" {
-		ec.Sched = core.SchedCustom
-		ec.MaxRunning = 512 // batches small enough for pruning to bite
-	}
-	return ec
+// engineConfig builds the core config for one app run; what an app needs
+// beyond it (scan statistics' schedule and window, §3.7) its program brings.
+func engineConfig(cfg Config) core.Config {
+	return core.Config{Threads: cfg.Threads, RangeShift: 6}
 }
 
 // runSEM runs one app on a dataset in semi-external memory with the
@@ -78,7 +72,7 @@ func runSEMPage(cfg Config, d *Dataset, app string, cacheFrac float64, pageSize 
 func runSEMBytes(cfg Config, d *Dataset, app string, cacheBytes int64, pageSize int, mutate func(*core.Config)) (core.RunStats, error) {
 	fs, arr := newFS(cfg, cacheBytes, pageSize)
 	defer arr.Close()
-	ec := engineConfig(cfg, app)
+	ec := engineConfig(cfg)
 	ec.FS = fs
 	if mutate != nil {
 		mutate(&ec)
@@ -94,7 +88,7 @@ func runSEMBytes(cfg Config, d *Dataset, app string, cacheBytes int64, pageSize 
 
 // runMem runs one app on the in-memory engine (FG-mem).
 func runMem(cfg Config, d *Dataset, app string) (core.RunStats, error) {
-	ec := engineConfig(cfg, app)
+	ec := engineConfig(cfg)
 	ec.InMemory = true
 	eng, err := core.NewEngine(d.Img, ec)
 	if err != nil {
@@ -158,7 +152,7 @@ func runPowerGraph(cfg Config, d *Dataset, app string) (time.Duration, error) {
 func prPhases(cfg Config, d *Dataset, cacheFrac float64) (pr1, pr2 core.RunStats, err error) {
 	fs, arr := newFS(cfg, cacheBytesFor(d, cacheFrac, 0), 0)
 	defer arr.Close()
-	ec := engineConfig(cfg, "PR")
+	ec := engineConfig(cfg)
 	ec.FS = fs
 	eng, err := core.NewEngine(d.Img, ec)
 	if err != nil {

@@ -296,7 +296,7 @@ func Table2(cfg Config, w io.Writer) []Result {
 	var out []Result
 	for _, app := range Apps {
 		fs, arr := newFS(cfg, cacheBytesFor(d, d.CacheFrac1G, 0), 0)
-		ec := engineConfig(cfg, app)
+		ec := engineConfig(cfg)
 		ec.FS = fs
 		eng, err := core.NewEngine(d.Img, ec)
 		if err != nil {

@@ -106,7 +106,8 @@ type IterationHook interface {
 
 // CustomScheduler is implemented by algorithms that order vertex
 // execution themselves (paper §3.7: scan statistics schedules
-// large-degree vertices first). Order reorders vs in place.
+// large-degree vertices first). Order reorders vs in place. The default
+// scheduler defers to it; only the SchedRandom ablation does not.
 type CustomScheduler interface {
 	Order(eng *Engine, vs []graph.VertexID)
 }
@@ -134,8 +135,16 @@ type StateSized interface {
 }
 
 // IterationLimiter is implemented by algorithms with a built-in
-// iteration cap (PageRank uses 30, matching Pregel). The engine stops at
-// min(Config.MaxIterations, MaxIterations()) when both are set.
+// iteration cap (PageRank uses 30, matching Pregel); 0 or less runs to
+// convergence. No engine knob adds a cap.
 type IterationLimiter interface {
 	MaxIterations() int
+}
+
+// RunningLimiter is implemented by algorithms that need a running window
+// tighter than the deployment's (scan statistics' pruning). The engine
+// keeps min(Config.MaxRunning, MaxRunning()) vertices running per thread;
+// 0 or less declares nothing.
+type RunningLimiter interface {
+	MaxRunning() int
 }

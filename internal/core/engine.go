@@ -36,25 +36,35 @@ const (
 type SchedMode int
 
 const (
-	// SchedByID processes vertices ordered by vertex ID, alternating
-	// scan direction between iterations (the default scheduler: edge
-	// lists are ID-sorted on SSDs, so this maximizes merging, and the
-	// alternation re-touches recently cached pages).
+	// SchedByID is the default scheduler. A program that implements
+	// CustomScheduler runs in the order it asks for (scan statistics:
+	// degree-descending); every other program runs in vertex-ID order,
+	// alternating scan direction between iterations (edge lists are
+	// ID-sorted on SSDs, so this maximizes merging, and the alternation
+	// re-touches recently cached pages).
 	SchedByID SchedMode = iota
-	// SchedRandom shuffles each iteration's active vertices (the
-	// Figure 12 "random" baseline).
+	// SchedRandom shuffles each iteration's active vertices, whatever
+	// the program asks for (the Figure 12 "random" baseline).
 	SchedRandom
-	// SchedCustom delegates ordering to the algorithm's CustomScheduler.
-	SchedCustom
+	// SchedCustom is a synonym of SchedByID, which already defers to a
+	// CustomScheduler; it goes once benchmark/ stops spelling it.
+	SchedCustom = SchedByID
 )
 
-// Config configures an engine.
+// Config configures an engine: what a deployment decides (Threads,
+// MaxRunning, InMemory, FS, GraphName) and what the paper's ablations
+// switch (RangeShift, Merge, Sched, NoAlternateSweep, NoWorkStealing —
+// set by internal/bench's fig12 / ablations experiments and by tests).
+// What one algorithm needs — its order, a tighter running window, its
+// iteration cap — travels with the program (CustomScheduler,
+// RunningLimiter, IterationLimiter), so no caller has to remember it.
 type Config struct {
 	// Threads is the number of worker threads / horizontal partitions.
 	// Default 8.
 	Threads int
 	// MaxRunning bounds vertices in the running state per thread
-	// (paper: no gains past 4000). Default 4000.
+	// (paper: no gains past 4000). Default 4000. A program's
+	// RunningLimiter can only tighten it.
 	MaxRunning int
 	// RangeShift is r in the range-partitioning function
 	// partition(v) = (v >> r) % Threads (paper: 12–18 for 100M+
@@ -69,9 +79,6 @@ type Config struct {
 	NoAlternateSweep bool
 	// NoWorkStealing disables dynamic load balancing.
 	NoWorkStealing bool
-	// MaxIterations caps iterations (0 = run to convergence). PageRank
-	// uses 30, matching Pregel.
-	MaxIterations int
 	// InMemory runs with memory-resident edge lists instead of SAFS
 	// (the FG-mem baseline of §5.1).
 	InMemory bool
@@ -154,7 +161,7 @@ func (s *Shared) LoadTime() time.Duration { return s.loadTime }
 // contexts and message buffers), iteration counter, and statistics, so
 // runs created from one Shared may execute concurrently.
 func (s *Shared) NewRun() *Engine {
-	e := &Engine{runBase: s.newRunBase(), sweepFwd: true}
+	e := &Engine{runBase: s.newRunBase()}
 	e.activeCur = util.NewBitmap(s.img.NumV)
 	e.activeNext = util.NewBitmap(s.img.NumV)
 	e.workers = make([]*worker, s.cfg.Threads)
@@ -186,8 +193,8 @@ type Engine struct {
 	// elements.
 	pendingReqs []int32
 
-	alg      Algorithm
-	sweepFwd bool
+	alg        Algorithm
+	maxRunning int // Config.MaxRunning tightened by the program's RunningLimiter
 
 	stats runCounters
 
@@ -355,8 +362,11 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 		return RunStats{}, fmt.Errorf("core: engine unusable after earlier panic: %w", err)
 	}
 	e.alg = alg
+	e.maxRunning = e.cfg.MaxRunning
+	if lim, ok := alg.(RunningLimiter); ok && lim.MaxRunning() > 0 {
+		e.maxRunning = min(e.maxRunning, lim.MaxRunning())
+	}
 	e.iteration = 0
-	e.sweepFwd = true
 	e.stats = runCounters{}
 	e.activeCur.Clear()
 	e.activeNext.Clear()
@@ -386,7 +396,7 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	start := time.Now()
 	alg.Init(e)
 
-	maxIters := e.iterationCap(alg)
+	maxIters := iterationCap(alg)
 	hook, _ := alg.(IterationHook)
 	var deadlineErr error
 	for {

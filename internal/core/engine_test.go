@@ -328,9 +328,8 @@ func TestMessagesAndMulticast(t *testing.T) {
 
 func TestEngineMaxIterations(t *testing.T) {
 	img, _ := buildTestImage(t, 8, 4, 15)
-	eng := memEngine(t, img, func(c *Config) { c.MaxIterations = 3 })
-	alg := &pingPong{}
-	st, err := eng.Run(alg)
+	eng := memEngine(t, img, nil)
+	st, err := eng.Run(&pingPong{iters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +338,12 @@ func TestEngineMaxIterations(t *testing.T) {
 	}
 }
 
-// pingPong reactivates vertex 0 forever (MaxIterations must stop it).
-type pingPong struct{}
+// pingPong reactivates vertex 0 forever; only the cap it declares through
+// IterationLimiter stops it.
+type pingPong struct{ iters int }
 
 func (p *pingPong) Init(eng ExecutionEngine) { eng.ActivateSeed(0) }
+func (p *pingPong) MaxIterations() int       { return p.iters }
 func (p *pingPong) Run(ctx *Ctx, v graph.VertexID) {
 	ctx.Activate(v)
 }
@@ -591,36 +592,95 @@ func (ps *partedSweep) Run(ctx *Ctx, v graph.VertexID) {
 func (ps *partedSweep) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
 func (ps *partedSweep) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
 
+// TestCustomSchedulerOrdersExecution: order and window are the program's.
+// Under the zero-value config a CustomScheduler is obeyed (the caller sets
+// no Sched), the SchedRandom ablation still overrides it, and a declared
+// window is min-combined with Config.MaxRunning.
 func TestCustomSchedulerOrdersExecution(t *testing.T) {
 	img, _ := buildTestImage(t, 8, 4, 21)
-	// Degree-descending order within each worker (scan statistics).
-	eng := memEngine(t, img, func(c *Config) {
-		c.Sched = SchedCustom
-		c.Threads = 1 // single thread so the global order is observable
-	})
+	descending := func(eng *Engine, order []graph.VertexID) bool {
+		return sort.SliceIsSorted(order, func(i, j int) bool {
+			return eng.OutDegree(order[i]) > eng.OutDegree(order[j])
+		})
+	}
+	// Single thread so the global order is observable.
+	for _, sched := range []SchedMode{SchedByID, SchedCustom} {
+		eng := memEngine(t, img, func(c *Config) { c.Threads, c.Sched = 1, sched })
+		alg := &orderProbe{}
+		if _, err := eng.Run(alg); err != nil {
+			t.Fatal(err)
+		}
+		if len(alg.order) != img.NumV || !descending(eng, alg.order) {
+			t.Fatalf("Sched %d: %d vertices run, not in the program's degree-descending order", sched, len(alg.order))
+		}
+	}
+	eng := memEngine(t, img, func(c *Config) { c.Threads, c.Sched = 1, SchedRandom })
 	alg := &orderProbe{}
 	if _, err := eng.Run(alg); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(alg.order); i++ {
-		if eng.OutDegree(alg.order[i]) > eng.OutDegree(alg.order[i-1]) {
-			t.Fatalf("execution order violates degree-descending at %d", i)
+	if len(alg.order) != img.NumV || descending(eng, alg.order) {
+		t.Fatal("SchedRandom ran the program's order; the ablation must override it")
+	}
+
+	for _, c := range []struct{ cfg, prog, want int }{
+		{0, 0, 4000}, // neither declares: the default
+		{0, 7, 7},    // the program tightens the default
+		{5, 7, 5},    // the deployment is tighter still
+		{64, 512, 64},
+		{9, -1, 9}, // 0 or less declares nothing
+	} {
+		eng := memEngine(t, img, func(cfg *Config) { cfg.MaxRunning = c.cfg })
+		if _, err := eng.Run(&orderProbe{window: c.prog}); err != nil {
+			t.Fatal(err)
 		}
+		if eng.maxRunning != c.want {
+			t.Errorf("Config.MaxRunning %d, program window %d: engine ran with %d, want %d", c.cfg, c.prog, eng.maxRunning, c.want)
+		}
+	}
+	// And the window is what bounds the running set: one SEM worker never
+	// has more edge lists outstanding than the program allows.
+	sem := semEngine(t, img, func(c *Config) { c.Threads = 1 })
+	wp := &windowProbe{window: 7}
+	if _, err := sem.Run(wp); err != nil {
+		t.Fatal(err)
+	}
+	if wp.peak < 2 || wp.peak > 7 {
+		t.Fatalf("peak of %d vertices in the running state under a declared window of 7", wp.peak)
 	}
 }
 
+// windowProbe has every vertex request its own edge list and records the
+// most requests it ever had outstanding (one worker: plain fields).
+type windowProbe struct{ window, inflight, peak int }
+
+func (wp *windowProbe) Init(eng ExecutionEngine) { eng.ActivateAllSeeds() }
+func (wp *windowProbe) MaxRunning() int          { return wp.window }
+func (wp *windowProbe) Run(ctx *Ctx, v graph.VertexID) {
+	ctx.RequestSelf(graph.OutEdges)
+	wp.inflight++
+	wp.peak = max(wp.peak, wp.inflight)
+}
+func (wp *windowProbe) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) { wp.inflight-- }
+func (wp *windowProbe) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
+
 type orderProbe struct {
-	order []graph.VertexID
+	mu     sync.Mutex
+	order  []graph.VertexID
+	window int
 }
 
 func (op *orderProbe) Init(eng ExecutionEngine) { eng.ActivateAllSeeds() }
+func (op *orderProbe) MaxRunning() int          { return op.window }
 func (op *orderProbe) Order(eng *Engine, vs []graph.VertexID) {
 	sort.Slice(vs, func(i, j int) bool {
 		return eng.OutDegree(vs[i]) > eng.OutDegree(vs[j])
 	})
 }
 func (op *orderProbe) Run(ctx *Ctx, v graph.VertexID) {
-	op.order = append(op.order, v) // single-threaded: no lock needed
+	op.mu.Lock()
+	op.order = append(op.order, v)
+	op.mu.Unlock()
 }
 func (op *orderProbe) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
 func (op *orderProbe) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}

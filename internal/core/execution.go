@@ -223,16 +223,13 @@ func (b *runBase) data(dir graph.EdgeDir) []byte {
 	return b.img.OutData
 }
 
-// iterationCap returns the run's iteration limit: Config.MaxIterations
-// tightened by the program's own IterationLimiter (0 = to convergence).
-func (b *runBase) iterationCap(p Program) int {
-	maxIters := b.cfg.MaxIterations
+// iterationCap returns the run's iteration limit, which is the program's
+// own (IterationLimiter); 0 or less runs to convergence.
+func iterationCap(p Program) int {
 	if lim, ok := p.(IterationLimiter); ok {
-		if m := lim.MaxIterations(); m > 0 && (maxIters == 0 || m < maxIters) {
-			maxIters = m
-		}
+		return lim.MaxIterations()
 	}
-	return maxIters
+	return 0
 }
 
 // deviceWindow snapshots the array counters at the start of a run and

@@ -159,11 +159,12 @@ func (r *msgRules) onIterEnd(s msgSink, it int, v graph.VertexID, buf *[]graph.V
 
 // msgProgram runs msgRules on the engine, logging deliveries per worker.
 type msgProgram struct {
-	rules *msgRules
-	seeds []graph.VertexID
-	buf   [][]graph.VertexID // per-worker target scratch
-	nbrs  [][]graph.VertexID
-	got   [][]delivery
+	rules   *msgRules
+	seeds   []graph.VertexID
+	maxIter int
+	buf     [][]graph.VertexID // per-worker target scratch
+	nbrs    [][]graph.VertexID
+	got     [][]delivery
 }
 
 func (p *msgProgram) Init(eng ExecutionEngine) {
@@ -175,6 +176,9 @@ func (p *msgProgram) Init(eng ExecutionEngine) {
 		eng.ActivateSeed(v)
 	}
 }
+
+// MaxIterations implements IterationLimiter: the model stops there too.
+func (p *msgProgram) MaxIterations() int { return p.maxIter }
 
 func (p *msgProgram) Run(ctx *Ctx, v graph.VertexID) {
 	p.rules.onRun(ctx, ctx.Iteration(), v, &p.buf[ctx.WorkerID()])
@@ -298,7 +302,7 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	wantIters := oracle.run(c.seeds, c.maxIter)
 
 	mutate := func(cfg *Config) {
-		cfg.Threads, cfg.RangeShift, cfg.MaxIterations, cfg.MaxRunning = c.threads, c.shift, c.maxIter, 16
+		cfg.Threads, cfg.RangeShift, cfg.MaxRunning = c.threads, c.shift, 16
 	}
 	var eng *Engine
 	if c.sem {
@@ -311,7 +315,7 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	} else {
 		eng = memEngine(t, img, mutate)
 	}
-	prog := &msgProgram{rules: c.rules, seeds: c.seeds}
+	prog := &msgProgram{rules: c.rules, seeds: c.seeds, maxIter: c.maxIter}
 	st, err := eng.Run(prog)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,8 @@ func (e *SpMVEngine) PendingActivations() int64 { return 0 }
 // and returns its statistics. Iterations follow the program's frontier:
 // BeginIteration picks the directions to sweep (empty = converged), the
 // engine streams each direction stripe by stripe through ApplyRow, and
-// EndIteration commits the iteration (true = done). Config.MaxIterations
-// and IterationLimiter cap iterations exactly as on the vertex engine.
+// EndIteration commits the iteration (true = done). The program's
+// IterationLimiter caps iterations exactly as on the vertex engine.
 func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 	prog, ok := p.(SpMVProgram)
 	if !ok {
@@ -83,7 +83,7 @@ func (e *SpMVEngine) Run(p Program) (RunStats, error) {
 	start := time.Now()
 	prog.Init(e)
 
-	maxIters := e.iterationCap(p)
+	maxIters := iterationCap(p)
 	var runErr error
 	for {
 		if maxIters > 0 && e.iteration >= maxIters {

@@ -204,7 +204,8 @@ func (w *worker) commit() {
 }
 
 // buildActiveList collects this worker's active vertices in schedule
-// order (§3.7): ID order (alternating direction), random, or custom.
+// order (§3.7): the program's own order when it has one, else vertex-ID
+// order (alternating direction); SchedRandom shuffles either way.
 func (w *worker) buildActiveList() {
 	e := w.eng
 	w.iterActive = w.iterActive[:0]
@@ -214,22 +215,15 @@ func (w *worker) buildActiveList() {
 		lo := g * rangeSize
 		w.iterActive = e.activeCur.AppendSet(w.iterActive, lo, min(lo+rangeSize, numV))
 	}
-	switch e.cfg.Sched {
-	case SchedByID:
-		if !e.cfg.NoAlternateSweep && !e.sweepDirection() {
-			for i, j := 0, len(w.iterActive)-1; i < j; i, j = i+1, j-1 {
-				w.iterActive[i], w.iterActive[j] = w.iterActive[j], w.iterActive[i]
-			}
-		}
-	case SchedRandom:
+	if e.cfg.Sched == SchedRandom {
 		for i := len(w.iterActive) - 1; i > 0; i-- {
 			j := w.rng.Intn(i + 1)
 			w.iterActive[i], w.iterActive[j] = w.iterActive[j], w.iterActive[i]
 		}
-	case SchedCustom:
-		if cs, ok := e.alg.(CustomScheduler); ok {
-			cs.Order(e, w.iterActive)
-		}
+	} else if cs, ok := e.alg.(CustomScheduler); ok {
+		cs.Order(e, w.iterActive)
+	} else if !e.cfg.NoAlternateSweep && e.iteration%2 == 1 {
+		slices.Reverse(w.iterActive) // odd iterations sweep descending
 	}
 }
 
@@ -242,10 +236,6 @@ func (w *worker) resetQueue() {
 	w.block = nil // an aborted part may have left some claimed
 	w.mu.Unlock()
 }
-
-// sweepDirection reports the scan direction for this iteration (true =
-// ascending).
-func (e *Engine) sweepDirection() bool { return e.iteration%2 == 0 }
 
 // pop takes the next active vertex (owner side), claiming up to popBlock
 // of them from the head of the queue each time it has to take the lock.
@@ -289,7 +279,7 @@ func (w *worker) stealFrom(victim *worker) []graph.VertexID {
 
 // runPart executes vertical partition `part` of all active vertices in
 // this worker's queue, overlapping vertex execution with I/O: it keeps
-// up to MaxRunning vertices in the running state, merges and issues
+// up to maxRunning vertices in the running state, merges and issues
 // their edge-list requests, and processes completions (which execute
 // RunOnVertex inside the page cache) as they arrive.
 func (w *worker) runPart(part int) {
@@ -317,7 +307,7 @@ func (w *worker) runPart(part int) {
 	for e.abortErr() == nil {
 		// Fill the running set from the queue.
 		drained := false
-		for w.running < e.cfg.MaxRunning {
+		for w.running < e.maxRunning {
 			v, ok := w.pop()
 			if !ok {
 				drained = true

@@ -24,8 +24,8 @@ import (
 // OpenImageFile addresses data through bounded section readers — the
 // trailer is simply bytes nobody seeks to. New readers detect it by
 // magic and arm read-path verification (safs.File.SetChecksums) with
-// the sums; images without the trailer (v1, pre-checksum v2) load with
-// verification computed at load time instead.
+// the sums; images without the trailer (written before it existed) load
+// with verification computed at load time instead.
 
 // ChecksumExtentSize is the granularity of persisted data checksums.
 // It equals the default SAFS page size, so one loaded cache page

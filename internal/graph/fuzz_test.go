@@ -197,7 +197,7 @@ func FuzzReadImageHeader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FGIMG001"))
 	f.Add([]byte("FGIMG999" + strings.Repeat("\x00", 40)))
-	f.Add(append([]byte("FGIMG001"), make([]byte, imageHeaderSizeV1-8)...))
+	f.Add(append([]byte("FGIMG001"), make([]byte, 37)...)) // a whole v1 header: rejected by name, never parsed
 	f.Add(validHeaderV2(true, EncodingDelta))
 	f.Add(validHeaderV2(false, EncodingBlock))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -205,14 +205,11 @@ func FuzzReadImageHeader(f *testing.F) {
 		if err != nil {
 			return // rejection is the expected path for junk
 		}
-		if h.version != 1 && h.version != 2 {
-			t.Fatalf("accepted header with version %d", h.version)
+		if !bytes.HasPrefix(data, []byte(imageMagicV2)) {
+			t.Fatalf("accepted a header with magic %q", data[:8])
 		}
-		if h.version == 2 && h.encoding >= numEncodings {
+		if h.encoding >= numEncodings {
 			t.Fatalf("accepted header with encoding %d", h.encoding)
-		}
-		if h.version == 1 && h.encoding != EncodingRaw {
-			t.Fatalf("v1 header decoded encoding %d, want raw", h.encoding)
 		}
 		// dataOffset is pure arithmetic on the decoded fields; hold it to
 		// not panicking for any accepted header with a plausible vertex

@@ -28,7 +28,7 @@ func TestIndexExactOffsets(t *testing.T) {
 	for len(degrees) < 100 {
 		degrees = append(degrees, uint32(len(degrees)%9))
 	}
-	ix := BuildIndex(degrees, 0)
+	ix := BuildIndexSized(degrees, nil, 0, EncodingRaw)
 	off := int64(0)
 	for v, d := range degrees {
 		gotOff, gotSize := ix.Locate(VertexID(v))
@@ -50,7 +50,7 @@ func TestIndexExactOffsets(t *testing.T) {
 
 func TestIndexLargeDegreesInHashTable(t *testing.T) {
 	degrees := []uint32{10, 255, 1000, 254, 100000}
-	ix := BuildIndex(degrees, 0)
+	ix := BuildIndexSized(degrees, nil, 0, EncodingRaw)
 	if ix.LargeVertices() != 3 {
 		t.Fatalf("large vertices = %d, want 3 (255, 1000, 100000)", ix.LargeVertices())
 	}
@@ -76,7 +76,7 @@ func TestIndexQuickMatchesExact(t *testing.T) {
 		for i, r := range raw {
 			degrees[i] = uint32(r) % 600 // mixes small and large (>=255)
 		}
-		ix := BuildIndex(degrees, attrSize)
+		ix := BuildIndexSized(degrees, nil, attrSize, EncodingRaw)
 		off := int64(0)
 		for v, d := range degrees {
 			gotOff, gotSize := ix.Locate(VertexID(v))
@@ -102,7 +102,7 @@ func TestIndexMemoryFootprintCompact(t *testing.T) {
 		degrees[i] = uint32(r.Intn(20))
 	}
 	degrees[5] = 100000 // one hub
-	ix := BuildIndex(degrees, 0)
+	ix := BuildIndexSized(degrees, nil, 0, EncodingRaw)
 	perVertex := float64(ix.MemoryFootprint()) / float64(n)
 	if perVertex > 2.0 {
 		t.Fatalf("index uses %.2f B/vertex, want < 2 (paper: ~1.25)", perVertex)

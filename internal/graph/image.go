@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -389,21 +390,18 @@ func (img *Image) LoadToFS(fs *safs.FS, name string) (*FSFiles, error) {
 	return files, nil
 }
 
-// Container magics. v1 ("FGIMG001") images carry raw-layout edge lists
-// and no index section: reopening one re-scans every record header. v2
-// ("FGIMG002") images record the edge-list encoding and persist the
-// per-vertex degree (and, for delta layouts, record-size) arrays, so
-// reopening is O(index). The writer always emits v2; v1 stays readable.
+// Container magic. The container records the edge-list encoding and
+// persists the per-vertex degree (and, for delta layouts, record-size)
+// arrays, so reopening is O(index). Its predecessor "FGIMG001" (raw
+// layout only, no index section) was last written by PR 5's tools and is
+// rejected by name — re-run fg-convert on the edge list.
 const (
 	imageMagicV1 = "FGIMG001"
 	imageMagicV2 = "FGIMG002"
 )
 
-// Fixed header lengths (magic included) per container version.
-const (
-	imageHeaderSizeV1 = 8 + 1 + 4 + 8 + 8 + 8 + 8
-	imageHeaderSizeV2 = 8 + 1 + 1 + 4 + 8 + 8 + 8 + 8
-)
+// imageHeaderSizeV2 is the fixed header length (magic included).
+const imageHeaderSizeV2 = 8 + 1 + 1 + 4 + 8 + 8 + 8 + 8
 
 // Encode serializes the image to w in FlashGraph's image format, as a
 // thin wrapper over the streaming ImageWriter: the stored records are
@@ -427,36 +425,16 @@ func (img *Image) EncodeAs(w io.Writer, enc Encoding) error {
 	return bw.Flush()
 }
 
-// Decode deserializes an image written by Encode into RAM. For v2
-// containers the indexes are rebuilt from the persisted degree and
-// record-size arrays; v1 containers (no index section) fall back to
-// scanning record headers. Use OpenImageFile instead to serve images
-// larger than memory.
+// Decode deserializes an image written by Encode into RAM; the indexes
+// are rebuilt from the persisted degree and record-size arrays. Use
+// OpenImageFile instead to serve images larger than memory.
 func Decode(r io.Reader) (*Image, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	hdr, err := readImageHeader(br)
+	img, hdr, err := readImageMeta(br)
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{
-		Directed: hdr.directed,
-		NumV:     int(hdr.numV),
-		NumEdges: int64(hdr.numEdges),
-		AttrSize: int(hdr.attrSize),
-		Encoding: hdr.encoding,
-		OutData:  make([]byte, hdr.outLen),
-	}
-	var outMeta, inMeta *indexArrays
-	if hdr.version >= 2 {
-		if outMeta, err = readIndexArrays(br, img.NumV, hdr.encoding); err != nil {
-			return nil, fmt.Errorf("graph: reading out-edge index: %w", err)
-		}
-		if img.Directed {
-			if inMeta, err = readIndexArrays(br, img.NumV, hdr.encoding); err != nil {
-				return nil, fmt.Errorf("graph: reading in-edge index: %w", err)
-			}
-		}
-	}
+	img.OutData = make([]byte, hdr.outLen)
 	if _, err := io.ReadFull(br, img.OutData); err != nil {
 		return nil, fmt.Errorf("graph: reading out-edge data: %w", err)
 	}
@@ -466,45 +444,14 @@ func Decode(r io.Reader) (*Image, error) {
 			return nil, fmt.Errorf("graph: reading in-edge data: %w", err)
 		}
 	}
-	if hdr.version >= 2 {
-		img.OutIndex, err = outMeta.build(img.AttrSize, hdr.encoding, int64(hdr.outLen))
-		if err != nil {
-			return nil, fmt.Errorf("graph: out-edge file: %w", err)
-		}
-		if img.Directed {
-			img.InIndex, err = inMeta.build(img.AttrSize, hdr.encoding, int64(hdr.inLen))
-			if err != nil {
-				return nil, fmt.Errorf("graph: in-edge file: %w", err)
-			}
-		}
-		// Optional checksum trailer follows the data; its absence (clean
-		// EOF) is how every pre-trailer image stays readable.
-		ext, outSums, inSums, ok, err := readChecksumTrailer(br, int64(hdr.outLen), int64(hdr.inLen))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			img.ChecksumExtent = ext
-			img.OutSums, img.InSums = outSums, inSums
-		}
-		return img, nil
-	}
-	img.OutIndex, err = scanIndex(bytes.NewReader(img.OutData), img.NumV, img.AttrSize, int64(len(img.OutData)))
-	if err != nil {
-		return nil, fmt.Errorf("graph: out-edge file: %w", err)
-	}
-	if img.Directed {
-		img.InIndex, err = scanIndex(bytes.NewReader(img.InData), img.NumV, img.AttrSize, int64(len(img.InData)))
-		if err != nil {
-			return nil, fmt.Errorf("graph: in-edge file: %w", err)
-		}
+	if err := img.readTrailer(br, hdr); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
 
 // imageHeader is the decoded container header.
 type imageHeader struct {
-	version  int
 	directed bool
 	encoding Encoding
 	attrSize uint32
@@ -515,12 +462,8 @@ type imageHeader struct {
 }
 
 // dataOffset returns the byte offset of the out-edge file within the
-// container: past the fixed header and (v2) the persisted index
-// section.
+// container: past the fixed header and the persisted index section.
 func (h *imageHeader) dataOffset() int64 {
-	if h.version < 2 {
-		return imageHeaderSizeV1
-	}
 	perDir := 4 * int64(h.numV) // degrees
 	switch h.encoding {
 	case EncodingDelta:
@@ -537,120 +480,105 @@ func (h *imageHeader) dataOffset() int64 {
 	return imageHeaderSizeV2 + dirs*perDir
 }
 
-// readImageHeader consumes and validates the magic + fixed header,
-// dispatching on the container version.
+// ErrUnsupportedContainer reports a well-formed container of a version
+// this tree no longer reads.
+var ErrUnsupportedContainer = errors.New("graph: unsupported container version")
+
+// readImageHeader consumes and validates the magic + fixed header.
 func readImageHeader(r io.Reader) (*imageHeader, error) {
-	magic := make([]byte, len(imageMagicV1))
+	magic := make([]byte, len(imageMagicV2))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("graph: reading magic: %w", err)
 	}
-	h := &imageHeader{}
 	switch string(magic) {
-	case imageMagicV1:
-		h.version = 1
 	case imageMagicV2:
-		h.version = 2
+	case imageMagicV1:
+		return nil, fmt.Errorf("%w %q (this reader takes %q; rebuild the image with fg-convert)", ErrUnsupportedContainer, magic, imageMagicV2)
 	default:
 		return nil, fmt.Errorf("graph: bad magic %q", magic)
 	}
-	var flags uint8
-	fields := []interface{}{&flags, &h.attrSize, &h.numV, &h.numEdges, &h.outLen, &h.inLen}
-	if h.version >= 2 {
-		var enc uint8
-		if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &enc); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-		if enc >= uint8(numEncodings) {
-			return nil, fmt.Errorf("graph: unknown edge-list encoding %d", enc)
-		}
-		h.encoding = Encoding(enc)
-		fields = []interface{}{&h.attrSize, &h.numV, &h.numEdges, &h.outLen, &h.inLen}
-	}
-	for _, f := range fields {
+	h := &imageHeader{}
+	var flags, enc uint8
+	for _, f := range []any{&flags, &enc, &h.attrSize, &h.numV, &h.numEdges, &h.outLen, &h.inLen} {
 		if err := binary.Read(r, binary.LittleEndian, f); err != nil {
 			return nil, fmt.Errorf("graph: reading header: %w", err)
 		}
 	}
+	if enc >= uint8(numEncodings) {
+		return nil, fmt.Errorf("graph: unknown edge-list encoding %d", enc)
+	}
+	h.encoding = Encoding(enc)
 	h.directed = flags&1 != 0
 	return h, nil
 }
 
-// indexArrays is one direction's persisted index section: per-vertex
+// readImageMeta reads everything a container holds ahead of its data
+// sections — the fixed header, then each direction's persisted index
+// arrays — and returns the image with its indexes built and no edge data
+// attached: the part Decode and OpenImageFile have in common.
+func readImageMeta(r io.Reader) (*Image, *imageHeader, error) {
+	hdr, err := readImageHeader(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	img := &Image{
+		Directed: hdr.directed,
+		NumV:     int(hdr.numV),
+		NumEdges: int64(hdr.numEdges),
+		AttrSize: int(hdr.attrSize),
+		Encoding: hdr.encoding,
+	}
+	if !img.Directed && hdr.inLen != 0 {
+		return nil, nil, fmt.Errorf("graph: undirected image carries %d bytes of in-edge data", hdr.inLen)
+	}
+	if img.OutIndex, err = hdr.readIndex(r, "out", hdr.outLen); err != nil {
+		return nil, nil, err
+	}
+	if img.Directed {
+		if img.InIndex, err = hdr.readIndex(r, "in", hdr.inLen); err != nil {
+			return nil, nil, err
+		}
+	}
+	return img, hdr, nil
+}
+
+// readTrailer attaches the optional checksum trailer that follows the
+// data sections; r is positioned at their end. Its absence (clean EOF)
+// is how every pre-trailer image stays readable.
+func (img *Image) readTrailer(r io.Reader, hdr *imageHeader) error {
+	ext, outSums, inSums, ok, err := readChecksumTrailer(r, int64(hdr.outLen), int64(hdr.inLen))
+	if ok {
+		img.ChecksumExtent = ext
+		img.OutSums, img.InSums = outSums, inSums
+	}
+	return err
+}
+
+// readIndex reads one direction's persisted index section — per-vertex
 // degrees, plus true record byte sizes (delta layouts) or the block
-// directory (block layouts).
-type indexArrays struct {
-	degrees []uint32
-	sizes   []int64   // delta layouts only
-	bdir    *BlockDir // block layouts only
-}
-
-// readIndexArrays reads one direction's index section.
-func readIndexArrays(r io.Reader, n int, enc Encoding) (*indexArrays, error) {
-	ia := &indexArrays{degrees: make([]uint32, n)}
-	if err := readU32Array(r, n, func(v int, x uint32) { ia.degrees[v] = x }); err != nil {
-		return nil, err
+// directory (block layouts) — and builds the compact index from it,
+// cross-checking the recorded file size (cheap corruption detection
+// without scanning the data).
+func (h *imageHeader) readIndex(r io.Reader, dir string, wantSize uint64) (*Index, error) {
+	n := int(h.numV)
+	degrees := make([]uint32, n)
+	var sizes []int64
+	var bdir *BlockDir
+	err := readU32Array(r, n, func(v int, x uint32) { degrees[v] = x })
+	switch {
+	case err != nil:
+	case h.encoding == EncodingDelta:
+		sizes = make([]int64, n)
+		err = readU32Array(r, n, func(v int, x uint32) { sizes[v] = int64(x) })
+	case h.encoding == EncodingBlock:
+		bdir, err = readBlockDir(r, n)
 	}
-	switch enc {
-	case EncodingDelta:
-		ia.sizes = make([]int64, n)
-		if err := readU32Array(r, n, func(v int, x uint32) { ia.sizes[v] = int64(x) }); err != nil {
-			return nil, err
-		}
-	case EncodingBlock:
-		var err error
-		if ia.bdir, err = readBlockDir(r, n); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading %s-edge index: %w", dir, err)
 	}
-	return ia, nil
-}
-
-// build constructs the compact index from the persisted arrays,
-// cross-checking the recorded file size (cheap corruption detection in
-// place of the v1 full scan).
-func (ia *indexArrays) build(attrSize int, enc Encoding, wantSize int64) (*Index, error) {
-	ix := buildDirIndex(ia.degrees, ia.sizes, ia.bdir, attrSize, enc)
-	if ix.FileSize() != wantSize {
-		return nil, fmt.Errorf("index promises %d data bytes, header says %d", ix.FileSize(), wantSize)
+	ix := buildDirIndex(degrees, sizes, bdir, int(h.attrSize), h.encoding)
+	if ix.FileSize() != int64(wantSize) {
+		return nil, fmt.Errorf("graph: %s-edge file: index promises %d data bytes, header says %d", dir, ix.FileSize(), wantSize)
 	}
 	return ix, nil
-}
-
-// scanIndex walks an edge-list file's record headers sequentially to
-// recover degrees and build the compact index. Only the headers are
-// decoded; edge and attribute bytes are skipped, so the scan's memory
-// footprint is the index it builds.
-func scanIndex(r io.Reader, n, attrSize int, size int64) (*Index, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
-	degrees := make([]uint32, n)
-	off := int64(0)
-	var hdr [headerSize]byte
-	for v := 0; v < n; v++ {
-		if off+headerSize > size {
-			return nil, fmt.Errorf("truncated at vertex %d", v)
-		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("reading header of vertex %d: %w", v, err)
-		}
-		d := binary.LittleEndian.Uint32(hdr[:])
-		degrees[v] = d
-		rec := RecordSize(d, attrSize)
-		if off+rec > size {
-			return nil, fmt.Errorf("truncated at vertex %d", v)
-		}
-		if _, err := br.Discard(int(rec) - headerSize); err != nil {
-			return nil, fmt.Errorf("skipping record of vertex %d: %w", v, err)
-		}
-		off += rec
-	}
-	if off != size {
-		return nil, fmt.Errorf("trailing bytes: scanned %d of %d", off, size)
-	}
-	return BuildIndex(degrees, attrSize), nil
 }

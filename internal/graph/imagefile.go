@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -11,12 +12,11 @@ import (
 // OpenImageFile opens an image written by Encode/WriteImageFile
 // without loading edge data into memory: only the header and the
 // compact indexes (the paper's ~1.25 B/vertex/direction) become
-// resident, while edge lists stay in the host file. For v2 containers
-// the indexes come straight from the persisted degree/record-size
-// arrays — an O(index) open; legacy v1 containers fall back to
-// scanning every record header. The resulting image serves semi-
-// external-memory engines — LoadToFS streams file→SAFS in chunks —
-// and must be Closed when no longer needed.
+// resident — an O(index) open straight from the persisted degree and
+// record-size arrays — while edge lists stay in the host file. The
+// resulting image serves semi-external-memory engines — LoadToFS
+// streams file→SAFS in chunks — and must be Closed when no longer
+// needed.
 func OpenImageFile(path string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -31,76 +31,20 @@ func OpenImageFile(path string) (*Image, error) {
 	return img, nil
 }
 
-// openImage builds a file-backed Image over an opened container.
+// openImage builds a file-backed Image over an opened container. No
+// record scan touches the data section; the checksum trailer, when
+// present, is read from past its end.
 func openImage(f *os.File) (*Image, error) {
-	br := bufio.NewReaderSize(f, 1<<20)
-	hdr, err := readImageHeader(br)
+	img, hdr, err := readImageMeta(bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
 		return nil, err
 	}
-	dataOff := hdr.dataOffset()
-	img := &Image{
-		Directed: hdr.directed,
-		NumV:     int(hdr.numV),
-		NumEdges: int64(hdr.numEdges),
-		AttrSize: int(hdr.attrSize),
-		Encoding: hdr.encoding,
-		backing:  f,
-		outOff:   dataOff,
-		inOff:    dataOff + int64(hdr.outLen),
-	}
-	if !img.Directed && hdr.inLen != 0 {
-		return nil, fmt.Errorf("undirected image carries %d bytes of in-edge data", hdr.inLen)
-	}
-	if hdr.version >= 2 {
-		// O(index) open: the persisted arrays continue right after the
-		// fixed header in br; no record scan touches the data section.
-		outMeta, err := readIndexArrays(br, img.NumV, hdr.encoding)
-		if err != nil {
-			return nil, fmt.Errorf("reading out-edge index: %w", err)
-		}
-		if img.OutIndex, err = outMeta.build(img.AttrSize, hdr.encoding, int64(hdr.outLen)); err != nil {
-			return nil, fmt.Errorf("out-edge file: %w", err)
-		}
-		if img.Directed {
-			inMeta, err := readIndexArrays(br, img.NumV, hdr.encoding)
-			if err != nil {
-				return nil, fmt.Errorf("reading in-edge index: %w", err)
-			}
-			if img.InIndex, err = inMeta.build(img.AttrSize, hdr.encoding, int64(hdr.inLen)); err != nil {
-				return nil, fmt.Errorf("in-edge file: %w", err)
-			}
-		}
-		// Optional checksum trailer after the data sections. Prior
-		// readers never seek past inOff+inLen, so its presence cannot
-		// break them; its absence means a pre-trailer image.
-		trailerOff := img.inOff + int64(hdr.inLen)
-		if fi, err := f.Stat(); err == nil && fi.Size() > trailerOff {
-			tr := io.NewSectionReader(f, trailerOff, fi.Size()-trailerOff)
-			ext, outSums, inSums, ok, err := readChecksumTrailer(tr, int64(hdr.outLen), int64(hdr.inLen))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				img.ChecksumExtent = ext
-				img.OutSums, img.InSums = outSums, inSums
-			}
-		}
-		return img, nil
-	}
-	img.OutIndex, err = scanIndex(
-		io.NewSectionReader(f, img.outOff, int64(hdr.outLen)),
-		img.NumV, img.AttrSize, int64(hdr.outLen))
-	if err != nil {
-		return nil, fmt.Errorf("out-edge file: %w", err)
-	}
-	if img.Directed {
-		img.InIndex, err = scanIndex(
-			io.NewSectionReader(f, img.inOff, int64(hdr.inLen)),
-			img.NumV, img.AttrSize, int64(hdr.inLen))
-		if err != nil {
-			return nil, fmt.Errorf("in-edge file: %w", err)
-		}
+	img.backing = f
+	img.outOff = hdr.dataOffset()
+	img.inOff = img.outOff + int64(hdr.outLen)
+	trailerOff := img.inOff + int64(hdr.inLen)
+	if err := img.readTrailer(io.NewSectionReader(f, trailerOff, math.MaxInt64-trailerOff), hdr); err != nil {
+		return nil, err
 	}
 	return img, nil
 }

@@ -68,12 +68,6 @@ const largeRecord = 255
 // 0..254).
 const escapePair = 255
 
-// BuildIndex constructs the index for a raw-layout edge-list file whose
-// records are ordered by vertex ID with the given degrees.
-func BuildIndex(degrees []uint32, attrSize int) *Index {
-	return BuildIndexSized(degrees, nil, attrSize, EncodingRaw)
-}
-
 // BuildIndexSized constructs the index for an edge-list file in the
 // given encoding. sizes lists each record's true byte length; it is
 // required for EncodingDelta and ignored (may be nil) for EncodingRaw,

@@ -55,11 +55,11 @@ func legacyBuildImage(a *Adjacency, attrSize int, attr AttrFunc) *Image {
 	img := &Image{Directed: a.Directed, NumV: a.N, AttrSize: attrSize}
 	outData, outDeg := legacyEncodeLists(a.Out, a.N, attrSize, true, attr)
 	img.OutData = outData
-	img.OutIndex = BuildIndex(outDeg, attrSize)
+	img.OutIndex = BuildIndexSized(outDeg, nil, attrSize, EncodingRaw)
 	if a.Directed {
 		inData, inDeg := legacyEncodeLists(a.In, a.N, attrSize, false, attr)
 		img.InData = inData
-		img.InIndex = BuildIndex(inDeg, attrSize)
+		img.InIndex = BuildIndexSized(inDeg, nil, attrSize, EncodingRaw)
 		img.NumEdges = img.OutIndex.NumEdges()
 	} else {
 		img.NumEdges = img.OutIndex.NumEdges() / 2

@@ -412,3 +412,42 @@ func TestHTTPQueueFull(t *testing.T) {
 		t.Fatalf("over-capacity submit: %d %v, want 503", status, q)
 	}
 }
+
+// TestHTTPScanStatPrunesLikeDirectRun: the schedule and running window
+// scan statistics needs travel with the program, so a query submitted
+// over HTTP — which builds its run from the graph's Shared config and
+// nothing else — does the work a direct run does: the same maximum at
+// the same vertex, about one window of neighbourhoods computed and the
+// long tail pruned. (One thread: pruning counts race across threads.)
+func TestHTTPScanStatPrunesLikeDirectRun(t *testing.T) {
+	arr := ssd.NewArray(ssd.ArrayParams{Devices: 2})
+	t.Cleanup(arr.Close)
+	const scale = 12
+	a := graph.FromEdges(1<<scale, gen.RMAT(scale, 8, 5), true)
+	a.Dedup()
+	shared, err := core.NewShared(graph.BuildImage(a, 0, nil),
+		core.Config{Threads: 1, FS: safs.New(arr, safs.Config{CacheBytes: 1 << 20}), RangeShift: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(shared, Config{MaxConcurrent: 1})
+	t.Cleanup(srv.Close)
+	f := &httpFixture{ts: httptest.NewServer(Handler(srv)), srv: srv}
+	t.Cleanup(f.ts.Close)
+
+	direct := algo.NewScanStat()
+	if _, err := shared.NewRun().Run(direct); err != nil {
+		t.Fatal(err)
+	}
+	_, sum := f.do(t, "GET", fmt.Sprintf("/queries/%d/result", f.submitWait(t, `{"algo":"scanstat"}`)), "")
+	max, argmax, computed := sum["max"].(float64), sum["argmax"].(float64), sum["computed"].(float64)
+	if int64(max) != direct.Max || graph.VertexID(argmax) != direct.ArgMax {
+		t.Fatalf("served max %v at %v, direct run %d at %d", max, argmax, direct.Max, direct.ArgMax)
+	}
+	if math.Abs(computed-float64(direct.Computed)) > 0.1*float64(direct.Computed) {
+		t.Fatalf("served scanstat computed %v neighbourhoods, direct run %d: not the same schedule", computed, direct.Computed)
+	}
+	if computed > 1<<scale/4 {
+		t.Fatalf("served scanstat computed %v of %d neighbourhoods: the program's order and window were not used", computed, 1<<scale)
+	}
+}

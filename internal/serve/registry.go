@@ -156,12 +156,6 @@ type AlgorithmSpec struct {
 	// Instances are query-private: algorithm state belongs to a single
 	// run.
 	New func(params json.RawMessage, g GraphMeta) (core.Program, error)
-	// BenchParams renders the params the benchmark driver submits when
-	// this algorithm appears in a concurrent mix, given the target
-	// graph and a deterministic per-query source vertex. nil means the
-	// algorithm benches with default (empty) params. This keeps the
-	// driver registry-driven: no per-name special cases.
-	BenchParams func(g GraphMeta, src graph.VertexID) json.RawMessage
 }
 
 // validate checks the spec's shape at registration time.
@@ -508,8 +502,8 @@ func DefaultAlgorithms() []AlgoInfo {
 	return defaultRegistry.Infos()
 }
 
-// DefaultSpec returns a spec from the default registry — the benchmark
-// driver resolves BenchParams through it.
+// DefaultSpec returns a spec from the default registry, so a caller can
+// derive one from a built-in (the ledger's traced bfs / pagerank twins).
 func DefaultSpec(name string) (AlgorithmSpec, bool) {
 	return defaultRegistry.Spec(name)
 }
@@ -556,22 +550,15 @@ type (
 	}
 )
 
-// srcBenchParams is the benchmark param template shared by the
-// single-source builtins: a deterministic source vertex per query.
-func srcBenchParams(g GraphMeta, src graph.VertexID) json.RawMessage {
-	return MarshalParams(SrcParams{Src: src})
-}
-
 // The eight stock FlashGraph algorithms plus ppagerank and labelprop,
 // registered through the exact public path custom algorithms use — the
 // registry has no privileged backdoor.
 func init() {
 	mustRegister(AlgorithmSpec{
-		Name:        "bfs",
-		Doc:         "breadth-first search from src over out-edges; level vector (-1 = unreached) + reached scalar",
-		Caps:        Caps{NeedsSrc: true},
-		Params:      SrcParams{},
-		BenchParams: srcBenchParams,
+		Name:   "bfs",
+		Doc:    "breadth-first search from src over out-edges; level vector (-1 = unreached) + reached scalar",
+		Caps:   Caps{NeedsSrc: true},
+		Params: SrcParams{},
 		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
 			var p SrcParams
 			if err := DecodeParams(raw, &p); err != nil {
@@ -632,11 +619,10 @@ func init() {
 		},
 	})
 	mustRegister(AlgorithmSpec{
-		Name:        "bc",
-		Doc:         "single-source Brandes betweenness centrality from src; centrality vector",
-		Caps:        Caps{NeedsSrc: true},
-		Params:      SrcParams{},
-		BenchParams: srcBenchParams,
+		Name:   "bc",
+		Doc:    "single-source Brandes betweenness centrality from src; centrality vector",
+		Caps:   Caps{NeedsSrc: true},
+		Params: SrcParams{},
 		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
 			var p SrcParams
 			if err := DecodeParams(raw, &p); err != nil {
@@ -675,11 +661,10 @@ func init() {
 		},
 	})
 	mustRegister(AlgorithmSpec{
-		Name:        "sssp",
-		Doc:         "single-source shortest paths over uint32 edge weights from src; distance vector + reached scalar",
-		Caps:        Caps{NeedsSrc: true, RequiresWeighted: true},
-		Params:      SrcParams{},
-		BenchParams: srcBenchParams,
+		Name:   "sssp",
+		Doc:    "single-source shortest paths over uint32 edge weights from src; distance vector + reached scalar",
+		Caps:   Caps{NeedsSrc: true, RequiresWeighted: true},
+		Params: SrcParams{},
 		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
 			var p SrcParams
 			if err := DecodeParams(raw, &p); err != nil {
@@ -703,9 +688,6 @@ func init() {
 		Doc:    "personalized PageRank: random walk with restart at src, transition probabilities proportional to edge weights; score vector",
 		Caps:   Caps{NeedsSrc: true, RequiresWeighted: true},
 		Params: PPRParams{},
-		BenchParams: func(g GraphMeta, src graph.VertexID) json.RawMessage {
-			return MarshalParams(PPRParams{Src: src})
-		},
 		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
 			var p PPRParams
 			if err := DecodeParams(raw, &p); err != nil {

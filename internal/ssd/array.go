@@ -18,7 +18,9 @@ type ArrayParams struct {
 	Device DeviceParams
 }
 
-func (p *ArrayParams) setDefaults() {
+// SetDefaults fills the zero fields, so a caller that must size something
+// by the device count before the array exists asks here.
+func (p *ArrayParams) SetDefaults() {
 	if p.Devices == 0 {
 		p.Devices = 4
 	}
@@ -42,20 +44,18 @@ type routing struct{ perDev [][]*Request }
 
 // NewArray builds an array of in-memory devices.
 func NewArray(params ArrayParams) *Array {
-	params.setDefaults()
-	a := &Array{stripe: params.StripeSize}
-	for i := 0; i < params.Devices; i++ {
-		dp := params.Device
-		dp.Name = fmt.Sprintf("ssd%d", i)
-		a.devices = append(a.devices, NewDevice(dp, NewMemStore()))
+	params.SetDefaults()
+	stores := make([]Store, params.Devices)
+	for i := range stores {
+		stores[i] = NewMemStore()
 	}
-	return a
+	return NewArrayWithStores(params, stores)
 }
 
 // NewArrayWithStores builds an array over caller-provided stores (e.g.
 // FileStores), one device per store.
 func NewArrayWithStores(params ArrayParams, stores []Store) *Array {
-	params.setDefaults()
+	params.SetDefaults()
 	a := &Array{stripe: params.StripeSize}
 	for i, s := range stores {
 		dp := params.Device
