@@ -78,8 +78,7 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 4, "queries executing simultaneously")
 		maxQueued     = flag.Int("max-queued", 64, "admitted queries waiting for a slot")
 		maxHistory    = flag.Int("max-history", 1024, "finished queries retained for polling")
-		resultMB      = flag.Int64("result-mb", 64, "the one byte budget for finished full result vectors (MiB): lookup/top-K, and cache hits under -qos; 0 retains nothing")
-		qosOn         = flag.Bool("qos", false, "enable the serving-QoS tier: priority classes, cache hits on identical re-submits, coalescing")
+		resultMB      = flag.Int64("result-mb", 64, "the one byte budget for finished full result vectors (MiB): lookup/top-K, and hits on identical re-submits; 0 retains nothing")
 		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant admission rate (queries/sec, token bucket); 0 disables quotas")
 		quotaBurst    = flag.Float64("quota-burst", 0, "per-tenant burst capacity; 0 means 4x -quota-rate")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight queries on SIGINT/SIGTERM")
@@ -159,7 +158,6 @@ func main() {
 		MaxHistory:    *maxHistory,
 		ResultBytes:   resultBytes,
 		QoS: flashgraph.QoSConfig{
-			Enabled:    *qosOn,
 			QuotaRate:  *quotaRate,
 			QuotaBurst: *quotaBurst,
 		},
@@ -176,12 +174,8 @@ func main() {
 	log.Printf("catalog: %d graphs on one shared substrate (default %q)", len(names), names[0])
 	log.Printf("scheduler: %d concurrent slots, queue depth %d, %s result budget; algorithms: %v",
 		*maxConcurrent, *maxQueued, util.HumanBytes(*resultMB<<20), algos)
-	if *qosOn {
-		quota := "quotas off"
-		if *quotaRate > 0 {
-			quota = fmt.Sprintf("quota %.3g q/s per tenant", *quotaRate)
-		}
-		log.Printf("qos: priority classes on, identical re-submits hit the result store, %s", quota)
+	if *quotaRate > 0 {
+		log.Printf("quota: %.3g q/s per tenant", *quotaRate)
 	}
 	if *storeDir != "" {
 		mode := "buffered+fadvise"

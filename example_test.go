@@ -143,7 +143,7 @@ func Example_customAlgorithm() {
 // The serving QoS tier layers three protections over the scheduler —
 // priority classes with reserved interactive slots, an exact-result
 // cache with single-flight coalescing, and per-tenant admission
-// quotas — all off by default, enabled by one ServerConfig.QoS block.
+// quotas (the only one that needs configuring: ServerConfig.QoS).
 // Classes are inferred from each algorithm's capabilities and
 // effective parameters (source-anchored point queries are interactive,
 // long iterative sweeps are batch) and overridable per request; cache
@@ -158,7 +158,6 @@ func Example_servingQoS() {
 	}
 	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{
 		QoS: flashgraph.QoSConfig{
-			Enabled:    true,
 			QuotaRate:  0.001, // refill ~never: the denial below is deterministic
 			QuotaBurst: 2,
 		},

@@ -17,8 +17,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
+	"flashgraph/internal/baseline"
 	"flashgraph/internal/graph"
 	"flashgraph/internal/safs"
 )
@@ -350,7 +352,7 @@ func dedupGT(raw []graph.VertexID, v graph.VertexID) []graph.VertexID {
 	if len(raw) == 0 {
 		return raw
 	}
-	sortIDs(raw)
+	slices.Sort(raw)
 	out := raw[:0]
 	var prev = graph.InvalidVertex
 	for _, u := range raw {
@@ -363,69 +365,17 @@ func dedupGT(raw []graph.VertexID, v graph.VertexID) []graph.VertexID {
 	return out
 }
 
-// intersectGT counts members of sorted a ∩ b strictly greater than x.
+// intersectGT counts members of a ∩ b strictly greater than x. Both are
+// dedupGT output: sorted and duplicate-free.
 func intersectGT(a, b []graph.VertexID, x graph.VertexID) int64 {
-	i := lowerGT(a, x)
-	j := lowerGT(b, x)
-	var n int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
+	return baseline.CountCommon(above(a, x), above(b, x))
 }
 
-func lowerGT(s []graph.VertexID, x graph.VertexID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// above returns the tail of sorted, duplicate-free s holding IDs > x.
+func above(s []graph.VertexID, x graph.VertexID) []graph.VertexID {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		i++
 	}
-	return lo
-}
-
-// sortIDs is an insertion/quick hybrid for VertexID slices (avoids the
-// sort.Slice closure cost in the hot path).
-func sortIDs(s []graph.VertexID) {
-	if len(s) < 24 {
-		for i := 1; i < len(s); i++ {
-			x := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > x {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = x
-		}
-		return
-	}
-	pivot := s[len(s)/2]
-	left, right := 0, len(s)-1
-	for left <= right {
-		for s[left] < pivot {
-			left++
-		}
-		for s[right] > pivot {
-			right--
-		}
-		if left <= right {
-			s[left], s[right] = s[right], s[left]
-			left++
-			right--
-		}
-	}
-	sortIDs(s[:right+1])
-	sortIDs(s[left:])
+	return s[i:]
 }

@@ -362,56 +362,3 @@ func RunScanStat(e *Engine) int64 {
 	})
 	return best
 }
-
-// intersectGreater counts members of sorted a ∩ b strictly greater
-// than x.
-func intersectGreater(a, b []graph.VertexID, x graph.VertexID) int64 {
-	i := upper(a, x)
-	j := upper(b, x)
-	var n int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// intersectAll counts |a ∩ b| for sorted slices.
-func intersectAll(a, b []graph.VertexID) int64 {
-	i, j := 0, 0
-	var n int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-func upper(s []graph.VertexID, x graph.VertexID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

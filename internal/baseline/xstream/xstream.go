@@ -14,11 +14,14 @@
 package xstream
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
+	"flashgraph/internal/baseline"
 	"flashgraph/internal/graph"
 	"flashgraph/internal/safs"
 )
@@ -351,7 +354,7 @@ func (e *Engine) TriangleCount() (int64, error) {
 		err = e.scanCanonical(func(edges []graph.Edge) {
 			var local int64
 			for _, ed := range edges {
-				local += intersectCount(rev[ed.Src], rev[ed.Dst])
+				local += baseline.CountCommon(rev[ed.Src], rev[ed.Dst])
 			}
 			mu.Lock()
 			total += local
@@ -399,14 +402,10 @@ func (e *Engine) buildCanonical() error {
 	if err != nil {
 		return err
 	}
-	sortPairs(pairs)
-	uniq := pairs[:0]
-	for i, p := range pairs {
-		if i > 0 && p == pairs[i-1] {
-			continue
-		}
-		uniq = append(uniq, p)
-	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	uniq := slices.Compact(pairs)
 	f, err := e.fs.Create(e.file.Name()+".canon", int64(len(uniq))*edgeBytes)
 	if err != nil {
 		return err
@@ -463,121 +462,8 @@ func (e *Engine) scanCanonical(fn func(edges []graph.Edge)) error {
 	return nil
 }
 
-// intersectCount returns |a ∩ b| for sorted slices.
-func intersectCount(a, b []graph.VertexID) int64 {
-	i, j := 0, 0
-	var n int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// sortPairs sorts edges by (Src, Dst).
-func sortPairs(s []graph.Edge) {
-	if len(s) < 24 {
-		for i := 1; i < len(s); i++ {
-			x := s[i]
-			j := i - 1
-			for j >= 0 && pairLess(x, s[j]) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = x
-		}
-		return
-	}
-	pivot := s[len(s)/2]
-	left, right := 0, len(s)-1
-	for left <= right {
-		for pairLess(s[left], pivot) {
-			left++
-		}
-		for pairLess(pivot, s[right]) {
-			right--
-		}
-		if left <= right {
-			s[left], s[right] = s[right], s[left]
-			left++
-			right--
-		}
-	}
-	sortPairs(s[:right+1])
-	sortPairs(s[left:])
-}
-
-func pairLess(a, b graph.Edge) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Dst < b.Dst
-}
-
 // dedupSorted sorts and dedups in place.
 func dedupSorted(s []graph.VertexID) []graph.VertexID {
-	if len(s) == 0 {
-		return s
-	}
-	sortIDs(s)
-	out := s[:1]
-	for _, u := range s[1:] {
-		if u != out[len(out)-1] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-func containsSorted(s []graph.VertexID, x graph.VertexID) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
-}
-
-func sortIDs(s []graph.VertexID) {
-	if len(s) < 24 {
-		for i := 1; i < len(s); i++ {
-			x := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > x {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = x
-		}
-		return
-	}
-	pivot := s[len(s)/2]
-	left, right := 0, len(s)-1
-	for left <= right {
-		for s[left] < pivot {
-			left++
-		}
-		for s[right] > pivot {
-			right--
-		}
-		if left <= right {
-			s[left], s[right] = s[right], s[left]
-			left++
-			right--
-		}
-	}
-	sortIDs(s[:right+1])
-	sortIDs(s[left:])
+	slices.Sort(s)
+	return slices.Compact(s)
 }

@@ -9,7 +9,6 @@ import (
 
 	"flashgraph/internal/core"
 	"flashgraph/internal/graph"
-	"flashgraph/internal/qos"
 	"flashgraph/internal/serve"
 	"flashgraph/internal/ssd"
 	"flashgraph/internal/util"
@@ -327,7 +326,6 @@ func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, f
 		MaxQueued:     4 * (ccfg.Probes + ccfg.Sweeps + 8),
 		MaxHistory:    4 * (ccfg.Probes + ccfg.Sweeps + 8),
 		ResultBytes:   -1,
-		QoS:           qos.Config{Enabled: true},
 	})
 	return srv, faults, arr, func() {
 		srv.Close()

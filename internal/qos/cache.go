@@ -55,10 +55,9 @@ func (s CacheStats) HitRate() float64 {
 // entry is evicted. V is the caller's value type (the serve layer
 // stores the ResultSet, its summary, and the run stats together), and
 // must be immutable once inserted: readers share it without copying.
-// size reports one value's retained footprint. Entries inserted with
-// Put are reachable by key until evicted; entries inserted with Add
-// only through their handle, until the holder Drops it. Recency moves
-// on insert and on a keyed hit, not on Value.
+// size reports one value's retained footprint. An entry is reachable by
+// its key and through its handles until evicted. Recency moves on insert
+// and on a hit, not on Value.
 type Cache[V any] struct {
 	mu     sync.Mutex
 	budget int64
@@ -71,10 +70,9 @@ type Cache[V any] struct {
 // Entry is a handle to one value in a Cache; it outlives the entry.
 type Entry[V any] struct {
 	key   Key
-	keyed bool
 	val   V
 	bytes int64
-	el    *list.Element // nil once evicted or dropped
+	el    *list.Element // nil once evicted
 }
 
 // NewCache builds a cache with the given byte budget (<= 0 means the
@@ -110,8 +108,8 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return v, e != nil
 }
 
-// Value returns e's value while its entry is resident; a nil, evicted
-// or dropped handle reports false.
+// Value returns e's value while its entry is resident; a nil or evicted
+// handle reports false.
 func (c *Cache[V]) Value(e *Entry[V]) (v V, ok bool) {
 	if e == nil {
 		return v, false
@@ -127,18 +125,10 @@ func (c *Cache[V]) Value(e *Entry[V]) (v V, ok bool) {
 // is refreshed and returned instead. Nil means v was not admitted
 // (larger than the whole budget, or budget 0).
 func (c *Cache[V]) Put(k Key, v V) *Entry[V] {
-	return c.insert(&Entry[V]{key: k, keyed: true, val: v, bytes: c.size(v)})
-}
-
-// Add is Put with no key: only the returned handle reaches the entry.
-func (c *Cache[V]) Add(v V) *Entry[V] {
-	return c.insert(&Entry[V]{val: v, bytes: c.size(v)})
-}
-
-func (c *Cache[V]) insert(e *Entry[V]) *Entry[V] {
+	e := &Entry[V]{key: k, val: v, bytes: c.size(v)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old := c.byKey[e.key]; e.keyed && old != nil {
+	if old := c.byKey[k]; old != nil {
 		c.lru.MoveToFront(old.el)
 		return old
 	}
@@ -146,38 +136,19 @@ func (c *Cache[V]) insert(e *Entry[V]) *Entry[V] {
 		return nil
 	}
 	e.el = c.lru.PushFront(e)
-	if e.keyed {
-		c.byKey[e.key] = e
-	}
+	c.byKey[k] = e
 	c.stats.Bytes += e.bytes
 	c.stats.Inserts++
 	for c.stats.Bytes > c.budget {
-		c.removeLocked(c.lru.Back().Value.(*Entry[V]))
+		// Evict the LRU entry and release its value, whoever still holds
+		// the handle.
+		victim := c.lru.Remove(c.lru.Back()).(*Entry[V])
+		delete(c.byKey, victim.key)
+		c.stats.Bytes -= victim.bytes
 		c.stats.Evictions++
+		*victim = Entry[V]{}
 	}
 	return e
-}
-
-// removeLocked takes e out of the cache and releases its value,
-// whoever still holds the handle.
-func (c *Cache[V]) removeLocked(e *Entry[V]) {
-	c.lru.Remove(e.el)
-	if e.keyed {
-		delete(c.byKey, e.key)
-	}
-	c.stats.Bytes -= e.bytes
-	*e = Entry[V]{}
-}
-
-// Drop removes an entry inserted with Add — its holder was the only
-// way to reach it. Keyed entries stay for later Lookups; a nil or dead
-// handle is a no-op.
-func (c *Cache[V]) Drop(e *Entry[V]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e != nil && !e.keyed && e.el != nil {
-		c.removeLocked(e)
-	}
 }
 
 // Coalesced counts one single-flight attachment (serve calls it when

@@ -11,8 +11,8 @@
 //     a hit is provably the same computation;
 //   - priority-class admission (MultiQueue): three classes —
 //     interactive, analytic, batch — with per-class weighted dequeue
-//     and reserved/capped execution slots, replacing a single FIFO so
-//     point lookups never queue behind full-graph sweeps;
+//     and reserved/capped execution slots, so point lookups never
+//     queue behind full-graph sweeps;
 //   - per-tenant token-bucket quotas (Quotas) with a computed
 //     Retry-After, so an exhausted tenant sheds its own load instead
 //     of everyone's.
@@ -105,13 +105,12 @@ func InferClass(needsSrc bool, iters int) Class {
 }
 
 // Config sizes the QoS tier one serving scheduler runs. The zero
-// value is DISABLED — the seed-era single FIFO with no cache and no
-// quotas — so existing embedders and the benchmark baseline keep
-// their exact behavior until they opt in.
+// value is the tier with its defaults: class-weighted admission with
+// max(1, slots/4) slots reserved for interactive queries, and no
+// quotas.
 type Config struct {
-	// Enabled turns the tier on: class-weighted admission, cache hits
-	// and single-flight coalescing over the server's result store, and
-	// (when QuotaRate is set) per-tenant quotas.
+	// Enabled is accepted and ignored: the tier is always on. The field
+	// stays only because callers still spell it.
 	Enabled bool
 
 	// Weights sets the weighted-dequeue share per class. Zero entries

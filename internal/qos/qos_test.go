@@ -51,9 +51,6 @@ func TestParseClassAndRank(t *testing.T) {
 
 func TestConfigResolvers(t *testing.T) {
 	var zero Config
-	if zero.Enabled {
-		t.Fatal("zero Config must be disabled")
-	}
 	if got := zero.reserved(4); got != 1 {
 		t.Fatalf("reserved(4) = %d, want 1", got)
 	}
@@ -132,23 +129,22 @@ func TestCacheRejectsOversizedAndZeroBudget(t *testing.T) {
 	}
 }
 
-// TestCacheHandlesTrackResidency drives a random Put/Add/Lookup/Drop
-// sequence against a model of what should be resident, while readers
-// hammer Value on every handle ever issued (the -race half). After
-// every step the bytes fit the budget and equal the model's, and a
-// handle is live exactly while its entry is resident: evicted or
-// dropped, it reports false for every holder at once, and an
-// identical Put lands on the resident entry instead of charging twice.
+// TestCacheHandlesTrackResidency drives a random Put/Lookup sequence
+// against a model of what should be resident, while readers hammer
+// Value on every handle ever issued (the -race half). After every step
+// the bytes fit the budget and equal the model's, and a handle is live
+// exactly while its entry is resident: evicted, it reports false for
+// every holder at once, and an identical Put lands on the resident
+// entry instead of charging twice.
 func TestCacheHandlesTrackResidency(t *testing.T) {
 	const budget, nKeys = 1000, 24
 	c := NewCache(budget, func(v int64) int64 { return v })
 	key := func(i int) Key { return Key{Algo: fmt.Sprintf("a%d", i)} }
 
 	type held struct {
-		e     *Entry[int64]
-		size  int64
-		keyed bool
-		key   Key
+		e    *Entry[int64]
+		size int64
+		key  Key
 	}
 	var (
 		mu      sync.Mutex // guards handles for the readers
@@ -198,10 +194,10 @@ func TestCacheHandlesTrackResidency(t *testing.T) {
 	var all []*held
 	for step := 0; step < 1000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 4: // keyed insert
+		case op < 6: // insert
 			k, size := key(rng.Intn(nKeys)), int64(1+rng.Intn(400))
 			e := c.Put(k, size)
-			if i := slices.IndexFunc(order, func(h *held) bool { return h.keyed && h.key == k }); i >= 0 {
+			if i := slices.IndexFunc(order, func(h *held) bool { return h.key == k }); i >= 0 {
 				if e != order[i].e {
 					t.Fatalf("step %d: Put on a resident key returned a new entry", step)
 				}
@@ -211,31 +207,17 @@ func TestCacheHandlesTrackResidency(t *testing.T) {
 			if e == nil {
 				t.Fatalf("step %d: Put of %d bytes under budget %d rejected", step, size, budget)
 			}
-			all = append(all, &held{e: e, size: size, keyed: true, key: k})
+			all = append(all, &held{e: e, size: size, key: k})
 			order = append(order, all[len(all)-1])
-		case op < 6: // unkeyed insert
-			size := int64(1 + rng.Intn(400))
-			e := c.Add(size)
-			all = append(all, &held{e: e, size: size})
-			order = append(order, all[len(all)-1])
-		case op < 8: // keyed lookup
+		default: // lookup
 			k := key(rng.Intn(nKeys))
 			e, _ := c.Lookup(k)
-			i := slices.IndexFunc(order, func(h *held) bool { return h.keyed && h.key == k })
+			i := slices.IndexFunc(order, func(h *held) bool { return h.key == k })
 			if (e != nil) != (i >= 0) || (e != nil && e != order[i].e) {
 				t.Fatalf("step %d: Lookup(%v) = %v, model index %d", step, k, e, i)
 			}
 			if i >= 0 {
 				touch(i)
-			}
-		default: // drop a random handle, live or dead, keyed or not
-			if len(all) == 0 {
-				break
-			}
-			h := all[rng.Intn(len(all))]
-			c.Drop(h.e)
-			if i := find(h.e); i >= 0 && !h.keyed {
-				order = append(order[:i], order[i+1:]...)
 			}
 		}
 		// The model evicts from the front until the bytes fit.
@@ -261,8 +243,8 @@ func TestCacheHandlesTrackResidency(t *testing.T) {
 		for _, h := range all {
 			v, live := c.Value(h.e)
 			if want := find(h.e) >= 0; live != want || (live && v != h.size) {
-				t.Fatalf("step %d: handle (keyed=%t size=%d) live=%t value=%d, resident in model=%t",
-					step, h.keyed, h.size, live, v, want)
+				t.Fatalf("step %d: handle (size=%d) live=%t value=%d, resident in model=%t",
+					step, h.size, live, v, want)
 			}
 		}
 	}
@@ -287,30 +269,41 @@ func TestCacheKeyIncludesGraphAndEngine(t *testing.T) {
 	}
 }
 
-func TestMultiQueueFIFOMode(t *testing.T) {
-	q := NewMultiQueue[int](Config{}, 2, 4)
-	for i := 0; i < 4; i++ {
-		// Class is ignored for ordering in FIFO mode.
-		if err := q.Push(Classes[i%NumClasses], i); err != nil {
-			t.Fatal(err)
+// TestMultiQueueEnabledIsIgnored: Config.Enabled is a spelling, not a
+// switch — Config{} and Config{Enabled: true} build schedulers that
+// hand out a fixed push sequence in the same order, and that order is
+// the class-aware one (interactive ahead of the batch pushed first).
+func TestMultiQueueEnabledIsIgnored(t *testing.T) {
+	pops := func(cfg Config) (order []int) {
+		q := NewMultiQueue[int](cfg, 2, 32)
+		for i := 0; i < 24; i++ {
+			if err := q.Push(Classes[(i+2)%NumClasses], i); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := q.Push(ClassInteractive, 99); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("over-capacity push: %v, want ErrQueueFull", err)
-	}
-	for i := 0; i < 4; i++ {
-		v, rank, ok := q.Pop()
-		if !ok || v != i || rank != 0 {
-			t.Fatalf("pop %d = (%d, %d, %t), want strict FIFO order", i, v, rank, ok)
+		for range 24 {
+			v, rank, ok := q.Pop()
+			if !ok {
+				t.Fatal("pop failed")
+			}
+			order = append(order, v)
+			q.Done(rank)
 		}
-		q.Done(rank)
+		return order
+	}
+	zero, enabled := pops(Config{}), pops(Config{Enabled: true})
+	if !slices.Equal(zero, enabled) {
+		t.Fatalf("Pop order differs:\n Config{}              %v\n Config{Enabled: true} %v", zero, enabled)
+	}
+	if zero[0] != 1 { // push 0 is batch, push 1 interactive
+		t.Fatalf("Pop order %v starts in submission order, want the interactive push first", zero)
 	}
 }
 
 func TestMultiQueuePrioritizesInteractive(t *testing.T) {
 	// One slot, everything queued: interactive must dequeue ahead of
 	// batch pushed before it.
-	q := NewMultiQueue[string](Config{Enabled: true}, 1, 16)
+	q := NewMultiQueue[string](Config{}, 1, 16)
 	q.Push(ClassBatch, "b1")
 	q.Push(ClassBatch, "b2")
 	q.Push(ClassInteractive, "i1")
@@ -332,7 +325,7 @@ func TestMultiQueuePrioritizesInteractive(t *testing.T) {
 func TestMultiQueueReservedSlotPolicy(t *testing.T) {
 	// 2 slots, 1 reserved for interactive: the second batch query may
 	// not be dequeued while the first still runs, even with a free slot.
-	q := NewMultiQueue[string](Config{Enabled: true, ReservedSlots: 1, BatchSlots: -1}, 2, 16)
+	q := NewMultiQueue[string](Config{ReservedSlots: 1, BatchSlots: -1}, 2, 16)
 	q.Push(ClassBatch, "b1")
 	q.Push(ClassBatch, "b2")
 	v, rank, _ := q.Pop()
@@ -382,7 +375,7 @@ func TestMultiQueueReservedSlotPolicy(t *testing.T) {
 func TestMultiQueueBatchCap(t *testing.T) {
 	// 4 slots, nothing reserved, batch capped at 1: two batch pushes,
 	// only one dequeues until Done.
-	q := NewMultiQueue[string](Config{Enabled: true, ReservedSlots: -1, BatchSlots: 1}, 4, 16)
+	q := NewMultiQueue[string](Config{ReservedSlots: -1, BatchSlots: 1}, 4, 16)
 	q.Push(ClassBatch, "b1")
 	q.Push(ClassBatch, "b2")
 	_, rank, _ := q.Pop()
@@ -408,7 +401,7 @@ func TestMultiQueueBatchCap(t *testing.T) {
 }
 
 func TestMultiQueueDrain(t *testing.T) {
-	q := NewMultiQueue[int](Config{Enabled: true}, 2, 8)
+	q := NewMultiQueue[int](Config{}, 2, 8)
 	q.Push(ClassAnalytic, 1)
 	q.Drain()
 	if err := q.Push(ClassAnalytic, 2); !errors.Is(err, ErrDraining) {
@@ -490,57 +483,50 @@ func TestQuotaRetryAfterCeil(t *testing.T) {
 }
 
 // TestMultiQueueRemove: Remove deletes a queued element without
-// touching slot accounting (a queued element never held a slot), in
-// both FIFO and class-ranked modes, and reports false for elements
-// already popped or never pushed — the contract cancel-while-queued
-// rests on.
+// touching slot accounting (a queued element never held a slot) and
+// reports false for elements already popped or never pushed — the
+// contract cancel-while-queued rests on.
 func TestMultiQueueRemove(t *testing.T) {
-	for _, qos := range []bool{false, true} {
-		name := "fifo"
-		if qos {
-			name = "qos"
+	t.Run("qos", func(t *testing.T) {
+		q := NewMultiQueue[int](Config{}, 1, 16)
+		for _, v := range []int{1, 2, 3} {
+			if err := q.Push(ClassBatch, v); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			q := NewMultiQueue[int](Config{Enabled: qos}, 1, 16)
-			for _, v := range []int{1, 2, 3} {
-				if err := q.Push(ClassBatch, v); err != nil {
-					t.Fatal(err)
-				}
+		if !q.Remove(ClassBatch, func(v int) bool { return v == 2 }) {
+			t.Fatal("Remove did not find the queued middle element")
+		}
+		if q.Remove(ClassBatch, func(v int) bool { return v == 2 }) {
+			t.Fatal("Remove found an already-removed element")
+		}
+		if queued, _ := q.Load(); queued[0]+queued[1]+queued[2] != 2 {
+			t.Fatalf("Load() queued = %v after removal, want 2 in total", queued)
+		}
+		var order []int
+		for i := 0; i < 2; i++ {
+			v, rank, ok := q.Pop()
+			if !ok {
+				t.Fatal("pop failed")
 			}
-			if !q.Remove(ClassBatch, func(v int) bool { return v == 2 }) {
-				t.Fatal("Remove did not find the queued middle element")
-			}
-			if q.Remove(ClassBatch, func(v int) bool { return v == 2 }) {
-				t.Fatal("Remove found an already-removed element")
-			}
-			if queued, _ := q.Load(); queued[0]+queued[1]+queued[2] != 2 {
-				t.Fatalf("Load() queued = %v after removal, want 2 in total", queued)
-			}
-			var order []int
-			for i := 0; i < 2; i++ {
-				v, rank, ok := q.Pop()
-				if !ok {
-					t.Fatal("pop failed")
-				}
-				order = append(order, v)
-				q.Done(rank)
-			}
-			if order[0] != 1 || order[1] != 3 {
-				t.Fatalf("dequeue order %v, want [1 3]", order)
-			}
-			// A popped element is gone from the queue: the caller must
-			// fall back to its running-cancel path.
-			if q.Remove(ClassBatch, func(v int) bool { return v == 1 }) {
-				t.Fatal("Remove found an element already handed out by Pop")
-			}
-		})
-	}
+			order = append(order, v)
+			q.Done(rank)
+		}
+		if order[0] != 1 || order[1] != 3 {
+			t.Fatalf("dequeue order %v, want [1 3]", order)
+		}
+		// A popped element is gone from the queue: the caller must
+		// fall back to its running-cancel path.
+		if q.Remove(ClassBatch, func(v int) bool { return v == 1 }) {
+			t.Fatal("Remove found an element already handed out by Pop")
+		}
+	})
 }
 
 // TestMultiQueueRemoveUnblocksDrain: removing the last queued element
 // while draining wakes blocked Pop waiters so workers can exit.
 func TestMultiQueueRemoveUnblocksDrain(t *testing.T) {
-	q := NewMultiQueue[int](Config{Enabled: true}, 1, 16)
+	q := NewMultiQueue[int](Config{}, 1, 16)
 	q.Push(ClassBatch, 7)
 	// Occupy the only slot so the element stays queued.
 	// (Push a second and pop it first.)

@@ -15,21 +15,16 @@ var (
 	ErrDraining = errors.New("qos: queue draining")
 )
 
-// MultiQueue is the class-aware admission queue that replaces a
-// single FIFO: one FIFO per priority class, weighted dequeue across
-// the non-empty classes, and per-class execution-slot policy —
+// MultiQueue is the class-aware admission queue: one queue per
+// priority class in submission order, weighted dequeue across the
+// non-empty classes, and per-class execution-slot policy —
 // ReservedSlots only interactive may occupy, a cap on simultaneously
 // running batch sweeps — enforced at Pop time. Pop blocks until a
 // query is eligible to run; Done returns its slot.
-//
-// In FIFO mode (Config.Enabled false) all of that collapses to the
-// seed-era single queue: strict submission order, no slot policy —
-// the benchmark baseline and the compatibility default.
 type MultiQueue[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	fifo      bool
 	maxQueued int
 	slots     int
 	reserved  int // slots only interactive may use
@@ -45,17 +40,12 @@ type MultiQueue[T any] struct {
 }
 
 // NewMultiQueue sizes the queue for a scheduler with the given
-// execution slot count and admission bound. cfg.Enabled false yields
-// FIFO mode.
+// execution slot count and admission bound.
 func NewMultiQueue[T any](cfg Config, slots, maxQueued int) *MultiQueue[T] {
 	if slots < 1 {
 		slots = 1
 	}
-	q := &MultiQueue[T]{
-		fifo:      !cfg.Enabled,
-		maxQueued: maxQueued,
-		slots:     slots,
-	}
+	q := &MultiQueue[T]{maxQueued: maxQueued, slots: slots}
 	q.cond = sync.NewCond(&q.mu)
 	q.reserved = cfg.reserved(slots)
 	q.batchCap = cfg.batchCap(slots - q.reserved)
@@ -65,8 +55,7 @@ func NewMultiQueue[T any](cfg Config, slots, maxQueued int) *MultiQueue[T] {
 	return q
 }
 
-// Push admits v under class c (ignored for ordering in FIFO mode,
-// still tracked for depth accounting).
+// Push admits v under class c.
 func (q *MultiQueue[T]) Push(c Class, v T) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -76,10 +65,7 @@ func (q *MultiQueue[T]) Push(c Class, v T) error {
 	if q.queued >= q.maxQueued {
 		return ErrQueueFull
 	}
-	i := 0
-	if !q.fifo {
-		i = c.Rank()
-	}
+	i := c.Rank()
 	q.queues[i] = append(q.queues[i], v)
 	q.queued++
 	q.cond.Signal()
@@ -115,17 +101,11 @@ func (q *MultiQueue[T]) Pop() (v T, rank int, ok bool) {
 }
 
 // pickLocked returns the class rank to dequeue from, or -1 when
-// nothing is eligible. FIFO mode: rank 0 holds everything. QoS mode:
-// smooth weighted round-robin across the eligible classes, where
-// eligibility folds in the slot policy — non-interactive work may not
-// enter the reserved slots, and running batch sweeps are capped.
+// nothing is eligible: smooth weighted round-robin across the eligible
+// classes, where eligibility folds in the slot policy — non-interactive
+// work may not enter the reserved slots, and running batch sweeps are
+// capped.
 func (q *MultiQueue[T]) pickLocked() int {
-	if q.fifo {
-		if len(q.queues[0])-q.heads[0] > 0 {
-			return 0
-		}
-		return -1
-	}
 	nonInteractive := q.running[1] + q.running[2]
 	best, total := -1, 0
 	for i := range Classes {
@@ -159,10 +139,7 @@ func (q *MultiQueue[T]) pickLocked() int {
 func (q *MultiQueue[T]) Remove(c Class, match func(T) bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	i := 0
-	if !q.fifo {
-		i = c.Rank()
-	}
+	i := c.Rank()
 	for j := q.heads[i]; j < len(q.queues[i]); j++ {
 		if match(q.queues[i][j]) {
 			q.queues[i] = append(q.queues[i][:j], q.queues[i][j+1:]...)
@@ -197,9 +174,8 @@ func (q *MultiQueue[T]) Drain() {
 	q.cond.Broadcast()
 }
 
-// Load snapshots the queue under one lock: the queued count per class
-// (FIFO mode reports everything under interactive, where it is
-// stored) and the occupied execution slots per class rank.
+// Load snapshots the queue under one lock: the queued count and the
+// occupied execution slots per class rank.
 func (q *MultiQueue[T]) Load() (queued, running [NumClasses]int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

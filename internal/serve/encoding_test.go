@@ -89,7 +89,7 @@ func TestEveryAlgorithmBitIdenticalAcrossEncodings(t *testing.T) {
 		return rs.Checksum()
 	}
 
-	for _, name := range rawSrv.AlgorithmNames() {
+	for _, name := range rawSrv.reg.Names() {
 		tc, ok := params[name]
 		if !ok {
 			t.Fatalf("registered algorithm %q has no raw-vs-delta coverage: add it to this table", name)

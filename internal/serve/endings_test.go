@@ -49,7 +49,7 @@ type ending struct {
 // with.
 func TestEveryEnding(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{MaxConcurrent: 1, QoS: qosOn})
+	srv := New(shared, Config{MaxConcurrent: 1})
 	defer srv.Close()
 	// A failed case must not leave a crawl holding the slot: the next
 	// case, and Close, would wait on it.

@@ -11,7 +11,6 @@ import (
 	"flashgraph/internal/core"
 	"flashgraph/internal/gen"
 	"flashgraph/internal/graph"
-	"flashgraph/internal/qos"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
 )
@@ -142,7 +141,7 @@ func TestCancelRunningQuery(t *testing.T) {
 // it still gets the slot.
 func TestCancelQueuedReleasesSlot(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: -1, QoS: qos.Config{Enabled: true}})
+	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: -1})
 	defer srv.Close()
 	registerCrawl(t, srv, 5*time.Millisecond, 10_000)
 
@@ -343,7 +342,7 @@ func TestDrainUnderFault(t *testing.T) {
 		LatencyRate: 0.05, LatencySpike: 50 * time.Microsecond,
 		MaxFaults: 200,
 	})
-	srv := New(shared, Config{MaxConcurrent: 2, ResultBytes: -1, QoS: qos.Config{Enabled: true}})
+	srv := New(shared, Config{MaxConcurrent: 2, ResultBytes: -1})
 
 	var ids []int64
 	for i := 0; i < 6; i++ {

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
 	"flashgraph/internal/pagecache"
 	"flashgraph/internal/qos"
-	"flashgraph/internal/result"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
 )
@@ -32,14 +32,32 @@ import (
 //	GET  /healthz                        liveness + per-device health (degraded SSDs, I/O errors, retries)
 //	GET  /readyz                         readiness: 503 while draining, 200 otherwise
 func Handler(s *Server) http.Handler {
+	const maxRequestBytes = 64 << 10
+
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /queries", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		// A request is a name and a small params object, and Params is
+		// retained in the query record and the store key: bound the body.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		dec.DisallowUnknownFields() // part of request validation: typos fail loudly
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		err := dec.Decode(&req)
+		if err == nil {
+			// Strict to the end, like DecodeParams: one object, then EOF.
+			if _, tail := dec.Token(); tail == nil {
+				err = errors.New("trailing data after the request object")
+			} else if !errors.Is(tail, io.EOF) {
+				err = fmt.Errorf("trailing data after the request object: %w", tail)
+			}
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, fmt.Sprintf("bad request body: %v", err))
 			return
 		}
 		if eng := r.URL.Query().Get("engine"); eng != "" {
@@ -206,7 +224,7 @@ func Handler(s *Server) http.Handler {
 		out := map[string]any{
 			"scheduler":  s.Stats(),
 			"graphs":     s.Graphs(),
-			"algorithms": s.AlgorithmNames(),
+			"algorithms": s.reg.Names(),
 		}
 		if cs, as, ok := s.substrate(); ok {
 			out["cache"] = map[string]any{
@@ -316,7 +334,7 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, qos.ErrQuotaExceeded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownQuery), errors.Is(err, ErrUnknownGraph):
 		return http.StatusNotFound
@@ -324,17 +342,10 @@ func statusFor(err error) int {
 		return http.StatusGone
 	case errors.Is(err, ErrNotFinished):
 		return http.StatusConflict
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrUnknownAlgorithm), errors.Is(err, ErrBadParam),
-		errors.Is(err, ErrIncompatibleGraph):
-		return http.StatusBadRequest
-	case errors.Is(err, result.ErrUnknownVector), errors.Is(err, result.ErrNoVectors),
-		errors.Is(err, result.ErrVertexRange), errors.Is(err, result.ErrBadRange):
-		return http.StatusBadRequest
-	default:
-		return http.StatusBadRequest
 	}
+	// Everything else is the caller's mistake: an unknown algorithm, bad
+	// params, an incompatible graph, a vector or range the result lacks.
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -258,6 +258,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"unknown graph", "POST", "/queries", `{"graph":"nope","algo":"bfs"}`, http.StatusNotFound},
 		{"unknown algorithm", "POST", "/queries", `{"algo":"nope"}`, http.StatusBadRequest},
 		{"bad JSON", "POST", "/queries", `{"algo"`, http.StatusBadRequest},
+		{"trailing data", "POST", "/queries", `{"algo":"bfs"} garbage`, http.StatusBadRequest},
+		{"second object", "POST", "/queries", `{"algo":"bfs"}{"algo":"bfs"}`, http.StatusBadRequest},
+		{"oversized body", "POST", "/queries", `{"algo":"bfs","params":{"pad":"` + strings.Repeat("x", 64<<10) + `"}}`, http.StatusRequestEntityTooLarge},
 		{"unknown field", "POST", "/queries", `{"algo":"bfs","bogus":1}`, http.StatusBadRequest},
 		{"legacy flat src field", "POST", "/queries", `{"algo":"bfs","src":3}`, http.StatusBadRequest},
 		{"future version", "POST", "/queries", `{"version":9,"algo":"bfs"}`, http.StatusBadRequest},
@@ -299,6 +302,20 @@ func TestHTTPErrorPaths(t *testing.T) {
 		fmt.Sprintf("/queries/%d/result/topk?k=9223372036854775807&offset=9223372036854775807", id), "")
 	if status != http.StatusOK || len(page["entries"].([]any)) != 0 {
 		t.Fatalf("huge topk params: %d %v", status, page)
+	}
+
+	// None of the rejected bodies admitted anything, whitespace after the
+	// request object is not trailing data, and a closed server answers 503
+	// like a draining one.
+	if st := f.srv.Stats(); st.Submitted != 1 {
+		t.Fatalf("rejected requests admitted queries: %+v", st)
+	}
+	if status, q := f.do(t, "POST", "/queries", `{"algo":"bfs","params":{"src":1}}`+"\n "); status != http.StatusAccepted {
+		t.Fatalf("trailing whitespace: %d %v", status, q)
+	}
+	f.srv.Close()
+	if status, body := f.do(t, "POST", "/queries", `{"algo":"bfs"}`); status != http.StatusServiceUnavailable {
+		t.Fatalf("submit after Close: %d %v, want 503", status, body)
 	}
 }
 
@@ -388,8 +405,11 @@ func TestHTTPQueueFull(t *testing.T) {
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 
+	n := 0
 	post := func() (int, map[string]any) {
-		resp, err := http.Post(ts.URL+"/queries", "application/json", strings.NewReader(`{"algo":"gate"}`))
+		n++ // distinct params: identical gates would coalesce, not queue
+		resp, err := http.Post(ts.URL+"/queries", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"algo":"gate","params":{"n":%d}}`, n)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,6 @@ import (
 	"flashgraph/internal/qos"
 )
 
-// qosOn is the QoS tier with defaults — enabled, no quotas.
-var qosOn = qos.Config{Enabled: true}
-
 // releaseOnce guards a gate's release channel so a t.Fatal mid-test
 // still unblocks the deferred srv.Close (defers run LIFO: register it
 // AFTER the Close defer).
@@ -32,7 +29,7 @@ func releaseOnce(release chan struct{}) func() {
 // attach to it instead of occupying slots or queue capacity, and all
 // resolve with the leader's result.
 func TestSingleFlightCoalescing(t *testing.T) {
-	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8, QoS: qosOn})
+	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8})
 	defer srv.Close()
 	release2 := releaseOnce(release)
 	defer release2()
@@ -97,7 +94,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 // change to params, engine, or algorithm misses.
 func TestCacheHitBitIdentical(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{MaxConcurrent: 2, QoS: qosOn})
+	srv := New(shared, Config{MaxConcurrent: 2})
 	defer srv.Close()
 
 	req := Request{Algo: "pagerank", Params: MarshalParams(PageRankParams{Iters: 5})}
@@ -159,7 +156,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 func TestCacheEvictionUnderBytesPressure(t *testing.T) {
 	shared := buildShared(t, 2)
 	// Measure one result's footprint first, with a roomy cache.
-	probe := New(shared, Config{QoS: qosOn})
+	probe := New(shared, Config{})
 	id, err := probe.Submit(Request{Algo: "bfs", Params: MarshalParams(SrcParams{Src: 0})})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +172,7 @@ func TestCacheEvictionUnderBytesPressure(t *testing.T) {
 	probe.Close()
 
 	// Budget: one result fits, two do not.
-	srv := New(shared, Config{ResultBytes: one + one/2, QoS: qosOn})
+	srv := New(shared, Config{ResultBytes: one + one/2})
 	defer srv.Close()
 	submit := func(src graph.VertexID) Query {
 		t.Helper()
@@ -226,7 +223,7 @@ func TestCacheNoCrossGraphCollision(t *testing.T) {
 		t.Fatal("distinct graphs share a fingerprint")
 	}
 
-	srv := New(a, Config{DefaultGraph: "a", QoS: qosOn})
+	srv := New(a, Config{DefaultGraph: "a"})
 	defer srv.Close()
 	if err := srv.AddGraph("b", b); err != nil {
 		t.Fatal(err)
@@ -262,7 +259,7 @@ func TestCacheNoCrossGraphCollision(t *testing.T) {
 // per-request override.
 func TestClassInference(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{QoS: qosOn})
+	srv := New(shared, Config{})
 	defer srv.Close()
 
 	cases := []struct {
@@ -302,13 +299,12 @@ func TestClassInference(t *testing.T) {
 // miniature, as dispatch order rather than a latency ratio: with both
 // slots saturated-or-queued by batch work, an interactive query
 // dispatches into the reserved slot immediately instead of queueing
-// behind the backlog — and on the same fixture with the tier off (the
-// FIFO control) it waits behind the batch query queued before it.
+// behind the backlog — and on the same fixture with the reservation
+// and the batch cap opted out, sweeps take every slot: the interactive
+// query waits for one to free, then takes it ahead of the batch query
+// queued before it.
 func TestInteractiveBypassesBatchBacklog(t *testing.T) {
-	srv, entered, release := gatedServer(t, Config{
-		MaxConcurrent: 2, MaxQueued: 8,
-		QoS: qos.Config{Enabled: true, ReservedSlots: 1},
-	})
+	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8})
 	defer srv.Close()
 	release2 := releaseOnce(release)
 	defer release2()
@@ -361,57 +357,60 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 		}
 	}
 
-	// The FIFO control: nothing is reserved, so batch work fills both
-	// slots, and the one slot that frees goes to the batch query that
-	// was queued first — the interactive query is still waiting.
-	fifo, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8})
-	defer fifo.Close()
+	// The opt-out: nothing is reserved and batch is uncapped, so batch
+	// work fills both slots and the interactive query has to wait. The
+	// one slot that frees still goes to it, not to the batch query that
+	// was queued first — dequeue stays class-weighted.
+	open, entered, release := gatedServer(t, Config{
+		MaxConcurrent: 2, MaxQueued: 8,
+		QoS: qos.Config{ReservedSlots: -1, BatchSlots: -1},
+	})
+	defer open.Close()
 	release2 = releaseOnce(release)
 	defer release2()
-	f1, f2 := gate(fifo, "1", "batch"), gate(fifo, "2", "batch")
+	f1, f2 := gate(open, "1", "batch"), gate(open, "2", "batch")
 	<-entered
 	<-entered
-	f3, fi := gate(fifo, "3", "batch"), gate(fifo, "4", "interactive")
+	f3, fi := gate(open, "3", "batch"), gate(open, "4", "interactive")
+	if q, _ := open.Get(fi); q.State != StateQueued {
+		t.Fatalf("interactive query is %s with batch work in both slots and nothing reserved, want queued", q.State)
+	}
 	release <- struct{}{} // exactly one running gate returns: one slot frees
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):
 		t.Fatal("nothing dispatched into the freed slot")
 	}
-	if q, _ := fifo.Get(f3); q.State == StateQueued {
-		t.Fatal("FIFO dispatched around the batch query at the head of the queue")
+	if q, _ := open.Get(fi); q.State == StateQueued {
+		t.Fatal("the freed slot went to the batch query queued first, not the interactive one")
 	}
-	if q, _ := fifo.Get(fi); q.State != StateQueued {
-		t.Fatalf("interactive query is %s behind a queued batch query with the tier off, want queued", q.State)
+	if q, _ := open.Get(f3); q.State != StateQueued {
+		t.Fatalf("batch query is %s with both slots taken, want queued", q.State)
 	}
 	release2()
 	for _, id := range []int64{f1, f2, f3, fi} {
-		if q, err := fifo.Wait(id); err != nil || q.State != StateDone {
+		if q, err := open.Wait(id); err != nil || q.State != StateDone {
 			t.Fatalf("query %d: %v %v", id, q.State, err)
 		}
 	}
 }
 
-// Coalescing caveat pinned: identical requests submitted with the SAME
-// class DO coalesce even when gated — the compatibility reason the QoS
-// tier defaults off (TestQueriesExecuteSimultaneously needs three
-// identical submits to run three times).
-func TestQoSDisabledNeverCoalesces(t *testing.T) {
-	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 3, MaxQueued: 8})
+// TestZeroConfigServesRepeatsFromStore: the store path needs no opt-in.
+// On a zero-Config server an identical re-submit is a hit carrying the
+// first run's checksum, while a different source runs.
+func TestZeroConfigServesRepeatsFromStore(t *testing.T) {
+	srv := New(buildShared(t, 2), Config{})
 	defer srv.Close()
-	release2 := releaseOnce(release)
-	defer release2()
-	for i := 0; i < 3; i++ {
-		if _, err := srv.Submit(Request{Algo: "gate"}); err != nil {
-			t.Fatal(err)
-		}
+	first := runBFS(t, srv, 0, "")
+	again := runBFS(t, srv, 0, CacheHit)
+	runBFS(t, srv, 1, "")
+	q1, _ := srv.Get(first)
+	q2, _ := srv.Get(again)
+	if q1.Result["checksum"] == nil || q1.Result["checksum"] != q2.Result["checksum"] {
+		t.Fatalf("hit checksum %v, first run's %v", q2.Result["checksum"], q1.Result["checksum"])
 	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-entered:
-		case <-time.After(2 * time.Second):
-			t.Fatal("identical submits coalesced with QoS disabled")
-		}
+	if st := srv.Stats(); st.ResultCache == nil || st.ResultCache.Hits != 1 || st.RetainedResults != 2 {
+		t.Fatalf("stats = %+v (cache %+v), want 1 hit over 2 retained results", st, st.ResultCache)
 	}
 }
 
@@ -455,7 +454,7 @@ func TestQuotaHTTP429(t *testing.T) {
 	shared := buildShared(t, 2)
 	srv := New(shared, Config{
 		ResultBytes: -1, // every submission real: denials come from the bucket alone
-		QoS:         qos.Config{Enabled: true, QuotaRate: 0.001, QuotaBurst: 2},
+		QoS:         qos.Config{QuotaRate: 0.001, QuotaBurst: 2},
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(Handler(srv))
@@ -510,15 +509,14 @@ func TestQuotaHTTP429(t *testing.T) {
 	defer sresp.Body.Close()
 	var stats struct {
 		Scheduler struct {
-			QoSEnabled bool              `json:"qos_enabled"`
-			Classes    []ClassStats      `json:"classes"`
-			Tenants    []qos.TenantStats `json:"tenants"`
+			Classes []ClassStats      `json:"classes"`
+			Tenants []qos.TenantStats `json:"tenants"`
 		} `json:"scheduler"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Scheduler.QoSEnabled || len(stats.Scheduler.Classes) != qos.NumClasses {
+	if len(stats.Scheduler.Classes) != qos.NumClasses {
 		t.Fatalf("stats scheduler = %+v", stats.Scheduler)
 	}
 	var hammer qos.TenantStats
@@ -545,7 +543,7 @@ func TestQuotaHTTP429(t *testing.T) {
 // the class/queue-wait fields in the query JSON.
 func TestClassOverrideHTTP(t *testing.T) {
 	shared := buildShared(t, 2)
-	srv := New(shared, Config{QoS: qosOn})
+	srv := New(shared, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()

@@ -115,8 +115,8 @@ type GraphMeta struct {
 	Directed bool `json:"directed"`
 	// Weighted reports 4-byte per-edge attributes.
 	Weighted bool `json:"weighted"`
-	// Encoding names the image's on-SSD edge-list layout ("raw" or
-	// "delta").
+	// Encoding names the image's on-SSD edge-list layout ("raw",
+	// "delta", or "block").
 	Encoding string `json:"encoding"`
 }
 
@@ -508,10 +508,41 @@ func DefaultSpec(name string) (AlgorithmSpec, bool) {
 	return defaultRegistry.Spec(name)
 }
 
-func mustRegister(spec AlgorithmSpec) {
-	if err := Register(spec); err != nil {
+// builtin registers one stock algorithm whose params decode into P. It
+// owns what every built-in constructor shares: the strict DecodeParams
+// call, and the ErrBadParam wrapping (with the accepted-params list) of
+// whatever build finds out of range.
+func builtin[P any](name, doc string, caps Caps, build func(P) (core.Program, error)) {
+	var proto P
+	err := Register(AlgorithmSpec{
+		Name: name, Doc: doc, Caps: caps, Params: proto,
+		New: func(raw json.RawMessage, _ GraphMeta) (core.Program, error) {
+			var p P
+			if err := DecodeParams(raw, &p); err != nil {
+				return nil, err
+			}
+			prog, err := build(p)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %v (accepted params: %s)", ErrBadParam, err, acceptedParams(proto))
+			}
+			return prog, nil
+		},
+	})
+	if err != nil {
 		panic(err)
 	}
+}
+
+// setIters applies a request's iteration cap to an iterative built-in:
+// 0 keeps the algorithm's default, a negative cap is out of range.
+func setIters(dst *int, iters int) error {
+	if iters < 0 {
+		return fmt.Errorf("iters must be >= 0, got %d", iters)
+	}
+	if iters > 0 {
+		*dst = iters
+	}
+	return nil
 }
 
 // Typed parameter structs of the built-in algorithms. Exported so the
@@ -554,159 +585,50 @@ type (
 // registered through the exact public path custom algorithms use — the
 // registry has no privileged backdoor.
 func init() {
-	mustRegister(AlgorithmSpec{
-		Name:   "bfs",
-		Doc:    "breadth-first search from src over out-edges; level vector (-1 = unreached) + reached scalar",
-		Caps:   Caps{NeedsSrc: true},
-		Params: SrcParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p SrcParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
-			return algo.NewBFS(p.Src), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "pagerank",
-		Doc:    "delta-based PageRank (damping 0.85); score vector",
-		Caps:   Caps{SupportsSpMV: true},
-		Params: PageRankParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p PageRankParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
-			if p.Iters < 0 {
-				return nil, fmt.Errorf("%w: iters must be >= 0, got %d (accepted params: %s)", ErrBadParam, p.Iters, acceptedParams(PageRankParams{}))
-			}
+	builtin("bfs", "breadth-first search from src over out-edges; level vector (-1 = unreached) + reached scalar",
+		Caps{NeedsSrc: true}, func(p SrcParams) (core.Program, error) { return algo.NewBFS(p.Src), nil })
+	builtin("pagerank", "delta-based PageRank (damping 0.85); score vector",
+		Caps{SupportsSpMV: true}, func(p PageRankParams) (core.Program, error) {
 			a := algo.NewPageRank()
-			if p.Iters > 0 {
-				a.Iters = p.Iters
-			}
-			return a, nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name: "wcc",
-		Doc:  "weakly connected components by label propagation; component vector + components scalar",
-		Caps: Caps{SupportsSpMV: true},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			if err := DecodeParams(raw, &struct{}{}); err != nil {
-				return nil, err
-			}
-			return algo.NewWCC(), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "labelprop",
-		Doc:    "synchronous label-propagation community detection; label vector + communities scalar",
-		Caps:   Caps{SupportsSpMV: true},
-		Params: LabelPropParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p LabelPropParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
-			if p.Iters < 0 {
-				return nil, fmt.Errorf("%w: iters must be >= 0, got %d (accepted params: %s)", ErrBadParam, p.Iters, acceptedParams(LabelPropParams{}))
-			}
+			return a, setIters(&a.Iters, p.Iters)
+		})
+	builtin("wcc", "weakly connected components by label propagation; component vector + components scalar",
+		Caps{SupportsSpMV: true}, func(struct{}) (core.Program, error) { return algo.NewWCC(), nil })
+	builtin("labelprop", "synchronous label-propagation community detection; label vector + communities scalar",
+		Caps{SupportsSpMV: true}, func(p LabelPropParams) (core.Program, error) {
 			a := algo.NewLabelProp()
-			if p.Iters > 0 {
-				a.Iters = p.Iters
-			}
-			return a, nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "bc",
-		Doc:    "single-source Brandes betweenness centrality from src; centrality vector",
-		Caps:   Caps{NeedsSrc: true},
-		Params: SrcParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p SrcParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
-			return algo.NewBC(p.Src), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name: "tc",
-		Doc:  "triangle counting by neighborhood intersection; per-vertex triangle vector + total scalar",
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			if err := DecodeParams(raw, &struct{}{}); err != nil {
-				return nil, err
-			}
-			return algo.NewTC(), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "kcore",
-		Doc:    "k-core decomposition by degree peeling; in-core 0/1 vector + core size scalar",
-		Caps:   Caps{RequiresUndirected: true},
-		Params: KCoreParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p KCoreParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
+			return a, setIters(&a.Iters, p.Iters)
+		})
+	builtin("bc", "single-source Brandes betweenness centrality from src; centrality vector",
+		Caps{NeedsSrc: true}, func(p SrcParams) (core.Program, error) { return algo.NewBC(p.Src), nil })
+	builtin("tc", "triangle counting by neighborhood intersection; per-vertex triangle vector + total scalar",
+		Caps{}, func(struct{}) (core.Program, error) { return algo.NewTC(), nil })
+	builtin("kcore", "k-core decomposition by degree peeling; in-core 0/1 vector + core size scalar",
+		Caps{RequiresUndirected: true}, func(p KCoreParams) (core.Program, error) {
 			if p.K < 0 {
-				return nil, fmt.Errorf("%w: k must be >= 0, got %d (accepted params: %s)", ErrBadParam, p.K, acceptedParams(KCoreParams{}))
+				return nil, fmt.Errorf("k must be >= 0, got %d", p.K)
 			}
 			if p.K == 0 {
 				p.K = 3
 			}
 			return algo.NewKCore(p.K), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "sssp",
-		Doc:    "single-source shortest paths over uint32 edge weights from src; distance vector + reached scalar",
-		Caps:   Caps{NeedsSrc: true, RequiresWeighted: true},
-		Params: SrcParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p SrcParams
-			if err := DecodeParams(raw, &p); err != nil {
+		})
+	builtin("sssp", "single-source shortest paths over uint32 edge weights from src; distance vector + reached scalar",
+		Caps{NeedsSrc: true, RequiresWeighted: true}, func(p SrcParams) (core.Program, error) { return algo.NewSSSP(p.Src), nil })
+	builtin("scanstat", "maximum locality statistic (scan statistics); locality vector + max/argmax scalars",
+		Caps{}, func(struct{}) (core.Program, error) { return algo.NewScanStat(), nil })
+	builtin("ppagerank", "personalized PageRank: random walk with restart at src, transition probabilities proportional to edge weights; score vector",
+		Caps{NeedsSrc: true, RequiresWeighted: true}, func(p PPRParams) (core.Program, error) {
+			a := algo.NewPPR(p.Src)
+			if err := setIters(&a.Iters, p.Iters); err != nil {
 				return nil, err
-			}
-			return algo.NewSSSP(p.Src), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name: "scanstat",
-		Doc:  "maximum locality statistic (scan statistics); locality vector + max/argmax scalars",
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			if err := DecodeParams(raw, &struct{}{}); err != nil {
-				return nil, err
-			}
-			return algo.NewScanStat(), nil
-		},
-	})
-	mustRegister(AlgorithmSpec{
-		Name:   "ppagerank",
-		Doc:    "personalized PageRank: random walk with restart at src, transition probabilities proportional to edge weights; score vector",
-		Caps:   Caps{NeedsSrc: true, RequiresWeighted: true},
-		Params: PPRParams{},
-		New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
-			var p PPRParams
-			if err := DecodeParams(raw, &p); err != nil {
-				return nil, err
-			}
-			if p.Iters < 0 {
-				return nil, fmt.Errorf("%w: iters must be >= 0, got %d (accepted params: %s)", ErrBadParam, p.Iters, acceptedParams(PPRParams{}))
 			}
 			if p.Damping < 0 || p.Damping >= 1 {
-				return nil, fmt.Errorf("%w: damping must be in [0, 1), got %v (accepted params: %s)", ErrBadParam, p.Damping, acceptedParams(PPRParams{}))
-			}
-			a := algo.NewPPR(p.Src)
-			if p.Iters > 0 {
-				a.Iters = p.Iters
+				return nil, fmt.Errorf("damping must be in [0, 1), got %v", p.Damping)
 			}
 			if p.Damping > 0 {
 				a.Damping = p.Damping
 			}
 			return a, nil
-		},
-	})
+		})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -407,5 +408,67 @@ func TestOversizedAttrsAreNotWeighted(t *testing.T) {
 	}
 	if err := srv.Validate(Request{Algo: "sssp"}); !errors.Is(err, ErrIncompatibleGraph) {
 		t.Fatalf("sssp on 8-byte-attr image: %v, want ErrIncompatibleGraph", err)
+	}
+}
+
+// TestBuiltinParamErrors holds the ErrBadParam contract over all ten
+// built-ins, whose constructors now share one decode-and-wrap helper:
+// an unknown field, a mistyped field, trailing data and every
+// out-of-range value name the offender and list exactly the params the
+// algorithm accepts — "none" for the three that take no params.
+func TestBuiltinParamErrors(t *testing.T) {
+	const (
+		src  = "src (integer)"
+		iter = "iters (integer)"
+	)
+	accepted := map[string]string{
+		"bfs": src, "bc": src, "sssp": src,
+		"pagerank": iter, "labelprop": iter,
+		"kcore":     "k (integer)",
+		"ppagerank": src + ", " + iter + ", damping (number)",
+		"wcc":       "none", "tc": "none", "scanstat": "none",
+	}
+	if got := Algorithms(); len(got) != len(accepted) {
+		t.Fatalf("built-ins = %v, table covers %d", got, len(accepted))
+	}
+	outOfRange := map[string][][2]string{ // params -> message
+		"pagerank":  {{`{"iters":-5}`, "iters must be >= 0, got -5"}},
+		"labelprop": {{`{"iters":-1}`, "iters must be >= 0, got -1"}},
+		"kcore":     {{`{"k":-1}`, "k must be >= 0, got -1"}},
+		"ppagerank": {
+			{`{"iters":-2}`, "iters must be >= 0, got -2"},
+			{`{"damping":1}`, "damping must be in [0, 1), got 1"},
+			{`{"damping":-0.5}`, "damping must be in [0, 1), got -0.5"},
+			{`{"iters":-2,"damping":7}`, "iters must be >= 0, got -2"},
+		},
+	}
+	for name, list := range accepted {
+		spec, ok := DefaultSpec(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		cases := append([][2]string{
+			{`{"zzz":1}`, `unknown param "zzz"`},
+			{`{} {}`, "trailing data after params object"},
+		}, outOfRange[name]...)
+		if schema := paramSchema(spec.Params); len(schema) > 0 {
+			first := schema[0]
+			cases = append(cases, [2]string{
+				fmt.Sprintf(`{%q:"x"}`, first.Name),
+				fmt.Sprintf("param %q: cannot decode JSON string into %s", first.Name, first.Type),
+			})
+		}
+		for _, c := range cases {
+			prog, err := spec.New(json.RawMessage(c[0]), GraphMeta{})
+			want := fmt.Sprintf("%v: %s (accepted params: %s)", ErrBadParam, c[1], list)
+			if prog != nil || !errors.Is(err, ErrBadParam) || err.Error() != want {
+				t.Errorf("%s %s:\n got  (%v, %v)\n want %s", name, c[0], prog, err, want)
+			}
+		}
+		for _, ok := range []string{``, `null`, `{}`} {
+			if prog, err := spec.New(json.RawMessage(ok), GraphMeta{}); err != nil || prog == nil {
+				t.Errorf("%s with params %q: (%v, %v), want a program", name, ok, prog, err)
+			}
+		}
 	}
 }

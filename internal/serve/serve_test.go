@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"flashgraph/internal/core"
 	"flashgraph/internal/gen"
 	"flashgraph/internal/graph"
+	"flashgraph/internal/qos"
 	"flashgraph/internal/result"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
@@ -55,13 +57,28 @@ func TestConcurrentMatchesSerialBitIdentical(t *testing.T) {
 		refs[name] = result.From(alg, name)
 	}
 
-	srv := New(shared, Config{MaxConcurrent: 4})
+	// Identical submits would run once (hit or coalesce), so each copy
+	// goes in under its own server-local name: nine real runs, every slot
+	// open to every class so they overlap.
+	const copies = 3
+	var aliases []AlgorithmSpec
+	for name := range refs {
+		for i := 1; i < copies; i++ {
+			spec, _ := DefaultSpec(name)
+			spec.Name = fmt.Sprintf("%s-%d", name, i)
+			aliases = append(aliases, spec)
+		}
+	}
+	srv := New(shared, Config{MaxConcurrent: 4, Algorithms: aliases,
+		QoS: qos.Config{ReservedSlots: -1, BatchSlots: -1}})
 	defer srv.Close()
 
-	const copies = 3
 	var ids []int64
 	for i := 0; i < copies; i++ {
 		for _, algoName := range []string{"bfs", "pagerank", "wcc"} {
+			if i > 0 {
+				algoName = fmt.Sprintf("%s-%d", algoName, i)
+			}
 			id, err := srv.Submit(Request{Version: 1, Algo: algoName})
 			if err != nil {
 				t.Fatal(err)
@@ -74,13 +91,14 @@ func TestConcurrentMatchesSerialBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.State != StateDone {
-			t.Fatalf("query %d (%s): state %s, error %q", id, q.Req.Algo, q.State, q.Error)
+		if q.State != StateDone || q.Cache != "" {
+			t.Fatalf("query %d (%s): state %s, cache %q, error %q; want done after its own run", id, q.Req.Algo, q.State, q.Cache, q.Error)
 		}
 		if q.Stats.EdgeRequests == 0 {
 			t.Fatalf("query %d (%s): no per-query I/O stats", id, q.Req.Algo)
 		}
-		ref := refs[q.Req.Algo]
+		base, _, _ := strings.Cut(q.Req.Algo, "-")
+		ref := refs[base]
 		rs, err := srv.ResultSet(id)
 		if err != nil {
 			t.Fatalf("query %d: ResultSet: %v", id, err)
@@ -110,10 +128,11 @@ func TestConcurrentMatchesSerialBitIdentical(t *testing.T) {
 	sums := map[string]map[string]bool{}
 	for _, q := range srv.List() {
 		if cs, ok := q.Result["checksum"].(string); ok {
-			if sums[q.Req.Algo] == nil {
-				sums[q.Req.Algo] = map[string]bool{}
+			base, _, _ := strings.Cut(q.Req.Algo, "-")
+			if sums[base] == nil {
+				sums[base] = map[string]bool{}
 			}
-			sums[q.Req.Algo][cs] = true
+			sums[base][cs] = true
 		}
 	}
 	for name, set := range sums {
@@ -220,14 +239,7 @@ func TestResultBudgetEvictsOldestFirst(t *testing.T) {
 
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		id, err := srv.Submit(Request{Algo: "bfs"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, runBFS(t, srv, i, ""))
 	}
 
 	if _, err := srv.ResultSet(ids[0]); !errors.Is(err, ErrResultReleased) {
@@ -276,21 +288,13 @@ func TestResultBudgetEvictsOldestFirst(t *testing.T) {
 func TestResultBudgetBoundsEveryRecord(t *testing.T) {
 	shared := buildShared(t, 2)
 	const budget = 3 << 10 // one BFS result: 512 int32 levels = 2KiB + 256 slack
-	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: budget, QoS: qosOn})
+	srv := New(shared, Config{MaxConcurrent: 1, ResultBytes: budget})
 	defer srv.Close()
 
 	var last [2]int64
 	for src := 0; src < 40; src++ {
 		for i, want := range []string{"", CacheHit} {
-			id, err := srv.Submit(Request{Algo: "bfs", Params: MarshalParams(SrcParams{Src: graph.VertexID(src)})})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := srv.Wait(id)
-			if err != nil || q.State != StateDone || q.Cache != want {
-				t.Fatalf("bfs src=%d pass %d: %+v, %v; want done with cache %q", src, i, q, err, want)
-			}
-			last[i] = id
+			last[i] = runBFS(t, srv, src, want)
 		}
 	}
 
@@ -326,6 +330,22 @@ func TestResultBudgetBoundsEveryRecord(t *testing.T) {
 			t.Fatalf("newest result lost to query %d: %v", id, err)
 		}
 	}
+}
+
+// runBFS submits bfs from src, waits for it to finish and checks how the
+// result was produced (Query.Cache); distinct sources are distinct
+// computations, so they never hit or coalesce.
+func runBFS(t *testing.T, srv *Server, src int, wantCache string) int64 {
+	t.Helper()
+	id, err := srv.Submit(Request{Algo: "bfs", Params: MarshalParams(SrcParams{Src: graph.VertexID(src)})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := srv.Wait(id)
+	if err != nil || q.State != StateDone || q.Cache != wantCache {
+		t.Fatalf("bfs src=%d: %+v, %v; want done with cache %q", src, q, err, wantCache)
+	}
+	return id
 }
 
 // gatedAlg blocks inside the engine run until released, reporting when
@@ -372,25 +392,31 @@ func gatedServer(t *testing.T, cfg Config) (*Server, chan *gatedAlg, chan struct
 	return srv, entered, release
 }
 
+// gateReq is a gate query with params that set it apart from every
+// other n: identical gates would coalesce into one run.
+func gateReq(n int) Request {
+	return Request{Algo: "gate", Params: json.RawMessage(fmt.Sprintf(`{"n":%d}`, n))}
+}
+
 func TestAdmissionControlQueueFull(t *testing.T) {
 	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 1, MaxQueued: 2})
 	defer srv.Close()
 
-	first, err := srv.Submit(Request{Algo: "gate"})
+	first, err := srv.Submit(gateReq(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered // first query is now running, holding the only slot
 
 	var queued []int64
-	for i := 0; i < 2; i++ {
-		id, err := srv.Submit(Request{Algo: "gate"})
+	for i := 1; i <= 2; i++ {
+		id, err := srv.Submit(gateReq(i))
 		if err != nil {
 			t.Fatalf("queued submit %d: %v", i, err)
 		}
 		queued = append(queued, id)
 	}
-	if _, err := srv.Submit(Request{Algo: "gate"}); !errors.Is(err, ErrQueueFull) {
+	if _, err := srv.Submit(gateReq(3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-capacity submit: err = %v, want ErrQueueFull", err)
 	}
 	st := srv.Stats()
@@ -398,8 +424,8 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 queued / 1 running / 1 rejected", st)
 	}
 
-	// FIFO drain after release: everything admitted completes (the
-	// entered channel's buffer absorbs the queued queries' signals).
+	// Drain after release: everything admitted completes (the entered
+	// channel's buffer absorbs the queued queries' signals).
 	close(release)
 	for _, id := range append([]int64{first}, queued...) {
 		q, err := srv.Wait(id)
@@ -413,12 +439,14 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 }
 
 func TestQueriesExecuteSimultaneously(t *testing.T) {
-	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 3, MaxQueued: 8})
+	// ReservedSlots -1: all three slots are open to the (analytic) gates.
+	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 3, MaxQueued: 8,
+		QoS: qos.Config{ReservedSlots: -1}})
 	defer srv.Close()
 
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		id, err := srv.Submit(Request{Algo: "gate"})
+		id, err := srv.Submit(gateReq(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,14 +590,7 @@ func TestHistoryEvictionBoundsMemory(t *testing.T) {
 
 	var ids []int64
 	for i := 0; i < 5; i++ {
-		id, err := srv.Submit(Request{Algo: "bfs"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, runBFS(t, srv, i, ""))
 	}
 	if got := len(srv.List()); got > 2 {
 		t.Fatalf("retained %d finished queries, want <= MaxHistory (2)", got)
@@ -580,19 +601,18 @@ func TestHistoryEvictionBoundsMemory(t *testing.T) {
 	if q, ok := srv.Get(ids[4]); !ok || q.State != StateDone {
 		t.Fatal("newest finished query must be retained")
 	}
-	// An unkeyed entry (QoS tier off: no later Submit can reach it) is
-	// dropped with its last record: the store holds exactly the results
-	// of the surviving records, no more.
-	var live int64
+	// Only records are forgotten: surviving records keep their results
+	// under a roomy budget, and a forgotten record's result stays in the
+	// store under its key, where the byte budget alone bounds it — the
+	// oldest query re-asked is a hit.
 	for _, q := range srv.List() {
-		rs, err := srv.ResultSet(q.ID)
-		if err != nil {
+		if _, err := srv.ResultSet(q.ID); err != nil {
 			t.Fatalf("surviving record %d lost its result under a roomy budget: %v", q.ID, err)
 		}
-		live += rs.MemoryBytes()
 	}
-	if st := srv.Stats(); st.RetainedResults != 2 || st.RetainedBytes != live {
-		t.Fatalf("store holds %d results / %d bytes after history eviction, want 2 / %d",
-			st.RetainedResults, st.RetainedBytes, live)
+	if st := srv.Stats(); st.RetainedResults != 5 || st.RetainedBytes > st.ResultCache.Budget {
+		t.Fatalf("store holds %d results / %d bytes after history eviction, want all 5 within the %d-byte budget",
+			st.RetainedResults, st.RetainedBytes, st.ResultCache.Budget)
 	}
+	runBFS(t, srv, 0, CacheHit)
 }

@@ -66,10 +66,18 @@ type (
 	ServerStats = serve.Stats
 	// GraphInfo describes one served graph (GET /graphs).
 	GraphInfo = serve.GraphInfo
-	// QoSConfig configures the serving-QoS tier (ServerConfig.QoS):
-	// priority-class admission, cache hits and single-flight coalescing
-	// over the results ServerConfig.ResultBytes retains, and per-tenant
-	// quotas. The zero value is disabled (the single FIFO); set Enabled.
+	// ServerConfig sizes a Server and names its algorithms. The zero
+	// value is a working server: 4 slots, one of them reserved for
+	// interactive queries (QoS.ReservedSlots: -1 with BatchSlots: -1
+	// opens every slot to sweeps), and a 64MiB result store that serves
+	// identical re-submits without running them (a negative ResultBytes
+	// retains nothing, so nothing ever hits) — a registered program is
+	// assumed to be a deterministic function of (image, params, engine).
+	// An empty DefaultGraph means the catalog's first graph.
+	ServerConfig = serve.Config
+	// QoSConfig sizes the scheduler's class policy (ServerConfig.QoS):
+	// dequeue weights, the slots reserved for interactive queries, the
+	// cap on running batch sweeps, and per-tenant quotas.
 	QoSConfig = qos.Config
 	// QueryClass is a query's priority class: interactive, analytic,
 	// or batch. Inferred per query from the algorithm's capabilities
@@ -202,36 +210,6 @@ func DecodeParams(raw json.RawMessage, into any) error {
 //		Params: flashgraph.MarshalParams(flashgraph.SrcParams{Src: 3})})
 func MarshalParams(v any) json.RawMessage { return serve.MarshalParams(v) }
 
-// ServerConfig sizes a Server and names its algorithms.
-type ServerConfig struct {
-	// MaxConcurrent bounds queries executing simultaneously (each gets
-	// its own per-run engine over the catalog's shared substrate).
-	// Default 4.
-	MaxConcurrent int
-	// MaxQueued bounds admitted-but-not-running queries; submissions
-	// beyond it are rejected (load shedding). Default 64.
-	MaxQueued int
-	// MaxHistory bounds retained finished query records. Default 1024.
-	MaxHistory int
-	// ResultBytes is the one budget for finished full result vectors,
-	// each charged once however many queries (run, hits, followers)
-	// share it; the least recently computed-or-hit are released first
-	// (summaries survive). 0 = 64MiB; negative = retain and cache nothing.
-	ResultBytes int64
-	// DefaultGraph routes unqualified requests; empty means the
-	// catalog's first graph.
-	DefaultGraph string
-	// Algorithms extends THIS server's registry beyond the process-wide
-	// one (built-ins + Register calls) — the per-server alternative to
-	// Register.
-	Algorithms []AlgorithmSpec
-	// QoS configures the serving-QoS tier: priority-class admission
-	// with weighted dequeue and reserved interactive slots, cache hits
-	// with single-flight coalescing, and per-tenant token-bucket quotas.
-	// The zero value is disabled (the single FIFO); set QoS.Enabled.
-	QoS QoSConfig
-}
-
 // Server schedules algorithm queries over a Catalog's graphs with
 // admission control, per-query stats, and byte-budgeted typed result
 // retention — the engine behind fg-serve, as a library. Handler
@@ -254,25 +232,20 @@ func NewServer(cat *Catalog, cfg ServerConfig) (*Server, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("flashgraph: catalog has no graphs; Add one before NewServer")
 	}
-	def := cfg.DefaultGraph
-	if def == "" {
-		def = names[0]
+	if cfg.DefaultGraph == "" {
+		cfg.DefaultGraph = names[0]
 	}
-	defEng, ok := cat.Engine(def)
+	defEng, ok := cat.Engine(cfg.DefaultGraph)
 	if !ok {
-		return nil, fmt.Errorf("flashgraph: default graph %q not in catalog (have %v)", def, names)
+		return nil, fmt.Errorf("flashgraph: default graph %q not in catalog (have %v)", cfg.DefaultGraph, names)
 	}
-	srv := serve.New(defEng.Shared(), serve.Config{
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueued:     cfg.MaxQueued,
-		MaxHistory:    cfg.MaxHistory,
-		ResultBytes:   cfg.ResultBytes,
-		DefaultGraph:  def,
-		QoS:           cfg.QoS,
-	})
+	srv, err := serve.Open(defEng.Shared(), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("flashgraph: %w", err)
+	}
 	s := &Server{srv: srv}
 	for _, name := range names {
-		if name == def {
+		if name == cfg.DefaultGraph {
 			continue
 		}
 		eng, ok := cat.Engine(name)
@@ -281,12 +254,6 @@ func NewServer(cat *Catalog, cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("flashgraph: graph %q vanished from catalog", name)
 		}
 		if err := srv.AddGraph(name, eng.Shared()); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("flashgraph: %w", err)
-		}
-	}
-	for _, spec := range cfg.Algorithms {
-		if err := srv.Register(spec); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("flashgraph: %w", err)
 		}
