@@ -442,7 +442,7 @@ func Fig14(cfg Config, w io.Writer) []Result {
 }
 
 // Ablations benches the engine's design knobs: the running-vertex cap
-// (the paper's 4000), the range-partition shift, vertical partitioning
+// (the paper's 4000), the range-partition granule, vertical partitioning
 // for TC, and work stealing.
 func Ablations(cfg Config, w io.Writer) []Result {
 	cfg.setDefaults()

@@ -15,8 +15,8 @@
 //   - selective edge-list access with global sort + conservative merge
 //     of I/O requests (same or adjacent 4KB pages) in the engine (§3.6);
 //   - message passing with per-thread buffering and multicast (§3.4.1);
-//   - 2D partitioning: horizontal range partitioning across workers plus
-//     optional vertical partitioning of large vertices (§3.8);
+//   - 2D partitioning: vertex ranges cut by edge bytes across workers
+//     plus optional vertical partitioning of large vertices (§3.8);
 //   - dynamic load balancing by work stealing (§3.8.1);
 //   - an in-memory mode that replaces SAFS with memory-resident edge
 //     lists (§5.1's "FG-mem" baseline).

@@ -66,9 +66,10 @@ type Config struct {
 	// (paper: no gains past 4000). Default 4000. A program's
 	// RunningLimiter can only tighten it.
 	MaxRunning int
-	// RangeShift is r in the range-partitioning function
-	// partition(v) = (v >> r) % Threads (paper: 12–18 for 100M+
-	// vertices; scaled default 8 for bench-sized graphs).
+	// RangeShift is the granule of range partitioning (§3.8): the
+	// vertices v >> RangeShift share an owner, and ranges of granules are
+	// cut by edge bytes so each worker owns its share of the edges in
+	// long runs on the SSDs (see newPartition). Default 8.
 	RangeShift uint
 	// Merge selects the I/O merging mode. Default MergeFG.
 	Merge MergeMode
@@ -117,7 +118,75 @@ type Shared struct {
 	img      *graph.Image
 	files    *graph.FSFiles // nil in in-memory mode
 	loadTime time.Duration
+	part     partition
 }
+
+// A range closes at min(rangeBytes, edge bytes / (Threads × rangesPerThread))
+// of edge records, both directions counted (sized: CHANGES.md, ISSUE 25).
+const (
+	rangeBytes      = 128 << 10
+	rangesPerThread = 16
+)
+
+// partition maps granules (v >> shift) to workers; spans lists each
+// worker's vertex ranges [lo, hi) in ascending order.
+type partition struct {
+	shift uint
+	owner []int32
+	spans [][][2]int
+}
+
+// newPartition cuts img into ranges of consecutive granules by edge
+// bytes, read off the index at granule boundaries (O(V >> shift)
+// Locates), and deals each to the least-loaded worker from the one after
+// the last owner, so R-MAT's hub-heavy first ranges cannot leave their
+// owners ahead for good. An image too small for rangesPerThread ranges
+// per worker gets one granule per range: (v >> shift) % threads.
+func newPartition(img *graph.Image, threads int, shift uint) partition {
+	n := img.NumV
+	granules := (n + 1<<shift - 1) >> shift
+	p := partition{shift, make([]int32, granules), make([][][2]int, threads)}
+	// Block images run only on the SpMV engine, which never asks.
+	perGranule := granules <= threads*rangesPerThread || img.Encoding == graph.EncodingBlock
+	bytesBefore := func(v int) (b int64) { // 0 throughout when perGranule
+		for _, ix := range []*graph.Index{img.OutIndex, img.InIndex} {
+			switch {
+			case ix == nil || perGranule:
+			case v < n:
+				off, _ := ix.Locate(graph.VertexID(v))
+				b += off
+			default:
+				b += ix.FileSize()
+			}
+		}
+		return b
+	}
+	target := min(rangeBytes, bytesBefore(n)/int64(threads*rangesPerThread))
+	load := make([]int64, threads)
+	w, lo, start := 0, 0, int64(0)
+	for g := range granules {
+		p.owner[g] = int32(w)
+		hi := min((g+1)<<shift, n)
+		end := bytesBefore(hi)
+		if end-start < target && hi < n {
+			continue
+		}
+		p.spans[w] = append(p.spans[w], [2]int{lo, hi})
+		load[w] += end - start
+		lo, start = hi, end
+		next := (w + 1) % threads
+		for k := 2; k <= threads; k++ {
+			if c := (w + k) % threads; load[c] < load[next] {
+				next = c
+			}
+		}
+		w = next
+	}
+	return p
+}
+
+// of returns the worker that owns v.
+func (p *partition) of(v graph.VertexID) int { return int(p.owner[v>>p.shift]) }
 
 // NewShared loads img and prepares the shared substrate. In SEM mode
 // the image's edge-list files are written into cfg.FS (the one SSD
@@ -128,7 +197,7 @@ func NewShared(img *graph.Image, cfg Config) (*Shared, error) {
 	if cfg.InMemory && img.FileBacked() {
 		return nil, fmt.Errorf("core: in-memory mode requires a RAM-resident image; file-backed images (graph.OpenImageFile) serve in semi-external-memory mode")
 	}
-	s := &Shared{cfg: cfg, img: img}
+	s := &Shared{cfg: cfg, img: img, part: newPartition(img, cfg.Threads, cfg.RangeShift)}
 	start := time.Now()
 	if !cfg.InMemory {
 		if cfg.FS == nil {
@@ -325,12 +394,6 @@ func (e *Engine) ActivateSeed(v graph.VertexID) { e.activeNext.Set(int(v)) }
 
 // ActivateAllSeeds activates every vertex for the first iteration.
 func (e *Engine) ActivateAllSeeds() { e.activeNext.SetAll() }
-
-// partitionOf maps a vertex to its horizontal partition:
-// (v >> RangeShift) % Threads (§3.8).
-func (e *Engine) partitionOf(v graph.VertexID) int {
-	return int((uint(v) >> e.cfg.RangeShift) % uint(e.cfg.Threads))
-}
 
 // phase runs fn on every worker in parallel and waits for completion.
 func (e *Engine) phase(fn func(w *worker)) {

@@ -401,7 +401,7 @@ func TestMessageModelChunkBoundaries(t *testing.T) {
 		},
 		"sends-fill-headers": func(int) func(msgSink, *[]graph.VertexID) {
 			return func(s msgSink, _ *[]graph.VertexID) {
-				// All to vertex 1's range: one partition's chunk takes
+				// All to vertex 1's granule: one partition's chunk takes
 				// chunkHdrs headers long before chunkTargets targets.
 				for i := 0; i < 2*chunkHdrs+3; i++ {
 					s.Send(graph.VertexID(i%(1<<shift)), Message{Kind: 9, I64: int64(i) << 2})
@@ -409,11 +409,12 @@ func TestMessageModelChunkBoundaries(t *testing.T) {
 			}
 		},
 		"one-partition-multicast": func(threads int) func(msgSink, *[]graph.VertexID) {
+			part := newPartition(img, threads, shift) // the engine's own table
 			return func(s msgSink, buf *[]graph.VertexID) {
 				ts := (*buf)[:0]
 				for len(ts) < chunkTargets+100 {
 					for v := graph.VertexID(0); v < n; v++ {
-						if int(v>>shift)%threads == threads-1 {
+						if part.of(v) == threads-1 {
 							ts = append(ts, v)
 						}
 					}

@@ -209,11 +209,8 @@ func (w *worker) commit() {
 func (w *worker) buildActiveList() {
 	e := w.eng
 	w.iterActive = w.iterActive[:0]
-	rangeSize := 1 << e.cfg.RangeShift
-	numV := e.img.NumV
-	for g := w.id; g*rangeSize < numV; g += e.cfg.Threads {
-		lo := g * rangeSize
-		w.iterActive = e.activeCur.AppendSet(w.iterActive, lo, min(lo+rangeSize, numV))
+	for _, s := range e.shared.part.spans[w.id] {
+		w.iterActive = e.activeCur.AppendSet(w.iterActive, s[0], s[1])
 	}
 	if e.cfg.Sched == SchedRandom {
 		for i := len(w.iterActive) - 1; i > 0; i-- {
@@ -526,14 +523,14 @@ func (w *worker) openChunk(p int) *msgChunk {
 // the way is handed over and the header re-opened in the next one. A
 // Send is a multicast to one target: one header with n = 1.
 func (w *worker) multicast(targets []graph.VertexID, msg Message) {
-	shift, threads := w.eng.cfg.RangeShift, uint32(w.eng.cfg.Threads)
+	part := &w.eng.shared.part
 	w.mcGen++
 	// Neighbour lists are ID-sorted, so targets arrive in runs of one
-	// range: the partition is recomputed only when the range changes.
-	vrange, p := uint32(0), 0
+	// granule: the owner is looked up only when the granule changes.
+	granule, p := graph.VertexID(0), part.of(0)
 	for _, t := range targets {
-		if r := t >> shift; r != vrange {
-			vrange, p = r, int(r%threads)
+		if g := t >> part.shift; g != granule {
+			granule, p = g, part.of(t)
 		}
 		c := w.out[p]
 		if w.mcOpen[p] != w.mcGen || c.nt == chunkTargets {

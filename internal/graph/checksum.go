@@ -154,21 +154,21 @@ func readChecksumTrailer(r io.Reader, outLen, inLen int64) (ext int, outSums, in
 			"graph: checksum trailer covers %d+%d extents, data needs %d+%d",
 			outCnt, inCnt, extentCount(outLen, extent), extentCount(inLen, extent))
 	}
+	// The counts are checked against the header's lengths, not against
+	// the bytes that follow, so sums grow a chunk at a time as bytes
+	// arrive: a short trailer claiming many extents allocates no more
+	// than it holds.
 	readSums := func(n int64) ([]uint32, error) {
-		sums := make([]uint32, n)
-		buf := make([]byte, 4*indexChunk)
-		for i := int64(0); i < n; {
-			want := int(n-i) * 4
-			if want > len(buf) {
-				want = len(buf)
-			}
+		sums := make([]uint32, 0, min(n, indexChunk))
+		buf := make([]byte, 4*cap(sums))
+		for int64(len(sums)) < n {
+			want := 4 * int(min(n-int64(len(sums)), indexChunk))
 			if _, err := io.ReadFull(r, buf[:want]); err != nil {
 				return nil, fmt.Errorf("graph: reading checksum trailer: %w", err)
 			}
 			crc = crc32.Update(crc, castagnoli, buf[:want])
 			for k := 0; k < want; k += 4 {
-				sums[i] = binary.LittleEndian.Uint32(buf[k:])
-				i++
+				sums = append(sums, binary.LittleEndian.Uint32(buf[k:]))
 			}
 		}
 		return sums, nil

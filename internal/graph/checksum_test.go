@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -87,6 +88,58 @@ func TestDecodeWithoutTrailerBackCompat(t *testing.T) {
 	}
 	if !bytes.Equal(dec.OutData, full.OutData) || !bytes.Equal(dec.InData, full.InData) {
 		t.Fatal("stripped container decoded different edge data")
+	}
+}
+
+// TestOpenImageFileRejectsTruncatedData: a file cut inside its data
+// sections is an error naming both lengths, as it is for Decode — not
+// an image whose trailer offset lies past EOF, which would read as "no
+// trailer" and silently disarm verification. A file cut exactly at the
+// end of its data is the trailer-less format and stays legal.
+func TestOpenImageFileRejectsTruncatedData(t *testing.T) {
+	img := BuildImage(fixtureAdjacency(), 0, nil)
+	var buf bytes.Buffer
+	if err := img.EncodeAs(&buf, EncodingRaw); err != nil {
+		t.Fatal(err)
+	}
+	full, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataEnd := buf.Len() - trailerLen(full)
+	dataLen := len(full.OutData) + len(full.InData)
+	dir := t.TempDir()
+	for name, cut := range map[string]int{
+		"one byte into the data":   dataEnd - dataLen + 1,
+		"halfway through the data": dataEnd - dataLen/2,
+		"one byte short":           dataEnd - 1,
+		"at the end of the data":   dataEnd,
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.img", cut))
+		if err := os.WriteFile(path, buf.Bytes()[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := OpenImageFile(path)
+		if cut == dataEnd {
+			if err != nil {
+				t.Fatalf("%s: trailer-less file rejected: %v", name, err)
+			}
+			if fb.OutSums != nil {
+				t.Fatalf("%s: opened with sums", name)
+			}
+			fb.Close()
+			continue
+		}
+		if err == nil {
+			fb.Close()
+			t.Fatalf("%s (%d of %d bytes): opened with no error", name, cut, dataEnd)
+		}
+		if want := fmt.Sprintf("%d bytes", cut); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprint(dataEnd)) {
+			t.Fatalf("%s: error %q does not name both lengths (%d, %d)", name, err, cut, dataEnd)
+		}
+		if _, err := Decode(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+			t.Fatalf("%s: Decode accepted what OpenImageFile rejects", name)
+		}
 	}
 }
 

@@ -220,6 +220,60 @@ func FuzzReadImageHeader(f *testing.F) {
 	})
 }
 
+// FuzzReadChecksumTrailer drives the trailer parser over arbitrary
+// bytes and data-section lengths. Rejection is the expected path; a
+// panic, or an allocation sized by a claimed count rather than by the
+// bytes present, is a bug. An accepted trailer must round-trip through
+// writeChecksumTrailer: the rewritten trailer reads back to the same
+// sums and, at the writer's extent, is byte-identical to the input.
+func FuzzReadChecksumTrailer(f *testing.F) {
+	img := BuildImage(fixtureAdjacency(), 0, nil)
+	var enc bytes.Buffer
+	if err := img.EncodeAs(&enc, EncodingRaw); err != nil {
+		f.Fatal(err)
+	}
+	full, err := Decode(bytes.NewReader(enc.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	trailer := enc.Bytes()[enc.Len()-trailerLen(full):]
+	outLen, inLen := int64(len(full.OutData)), int64(len(full.InData))
+	f.Add(trailer, outLen, inLen)
+	f.Add(trailer[:len(trailer)-1], outLen, inLen)   // self-CRC cut short
+	f.Add(trailer, outLen+ChecksumExtentSize, inLen) // counts disagree with the lengths
+	f.Add([]byte{}, outLen, inLen)                   // no trailer
+	f.Add([]byte(checksumMagic[:5]), outLen, inLen)  // partial magic
+	extent1 := append([]byte(checksumMagic), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0)
+	f.Add(extent1, int64(0x0FFFFFFF), int64(0)) // 24 bytes claiming 2^28 sums
+	f.Fuzz(func(t *testing.T, data []byte, outLen, inLen int64) {
+		r := bytes.NewReader(data)
+		ext, outSums, inSums, ok, err := readChecksumTrailer(r, outLen, inLen)
+		if err != nil || !ok {
+			if ok {
+				t.Fatal("ok with an error")
+			}
+			return
+		}
+		used := len(data) - r.Len()
+		if want := len(checksumMagic) + 12 + 4*(len(outSums)+len(inSums)) + 4; used != want {
+			t.Fatalf("accepted a %d-byte trailer holding %d+%d sums (%d bytes)", used, len(outSums), len(inSums), want)
+		}
+		var re bytes.Buffer
+		if err := writeChecksumTrailer(&re, outSums, inSums); err != nil {
+			t.Fatal(err)
+		}
+		if ext == ChecksumExtentSize && !bytes.Equal(re.Bytes(), data[:used]) {
+			t.Fatalf("rewritten trailer %x differs from accepted %x", re.Bytes(), data[:used])
+		}
+		rOut := int64(len(outSums)) * ChecksumExtentSize
+		rIn := int64(len(inSums)) * ChecksumExtentSize
+		_, o2, i2, ok2, err := readChecksumTrailer(&re, rOut, rIn)
+		if err != nil || !ok2 || !equalSums(o2, outSums) || !equalSums(i2, inSums) {
+			t.Fatalf("rewritten trailer reads back as %v %v (ok %v, err %v), want %v %v", o2, i2, ok2, err, outSums, inSums)
+		}
+	})
+}
+
 // FuzzDecodeStripe drives the 2D block decoder over an arbitrary byte
 // string laid out as one row stripe of a 2×2 grid (the fuzzer also
 // picks where the two blocks split). decodeBlock reports corruption as

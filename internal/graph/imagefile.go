@@ -43,6 +43,15 @@ func openImage(f *os.File) (*Image, error) {
 	img.outOff = hdr.dataOffset()
 	img.inOff = img.outOff + int64(hdr.outLen)
 	trailerOff := img.inOff + int64(hdr.inLen)
+	// A file cut inside its data would read as having no trailer — and
+	// no verification — instead of failing the way Decode does.
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("graph: stat image: %w", err)
+	}
+	if fi.Size() < trailerOff {
+		return nil, fmt.Errorf("graph: truncated image: file is %d bytes, header and data need %d", fi.Size(), trailerOff)
+	}
 	if err := img.readTrailer(io.NewSectionReader(f, trailerOff, math.MaxInt64-trailerOff), hdr); err != nil {
 		return nil, err
 	}
