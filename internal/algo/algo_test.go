@@ -84,15 +84,17 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestBFSUndirectedSweep(t *testing.T) {
 	// 0 -> 1 <- 2: directed BFS from 0 reaches {0,1}; undirected
-	// expansion also reaches 2.
+	// expansion also reaches 2, reading both lists of every vertex (it
+	// never reads bottom-up).
 	g := makeGraph(t, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}}, 3, true, 0, nil)
 	for name, eng := range engines(t, g.img) {
 		bfs := &BFS{Src: 0, Undirected: true}
-		if _, err := eng.Run(bfs); err != nil {
+		st, err := eng.Run(bfs)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if bfs.Level[2] != 2 {
-			t.Fatalf("%s: undirected BFS level[2] = %d, want 2", name, bfs.Level[2])
+		if bfs.Level[2] != 2 || st.EdgeRequests != 6 {
+			t.Fatalf("%s: undirected BFS level[2] = %d, want 2; %d edge requests, want 6", name, bfs.Level[2], st.EdgeRequests)
 		}
 	}
 }
