@@ -107,12 +107,6 @@ func BenchmarkFig14CacheSize(b *testing.B) {
 	}
 }
 
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Ablations(benchCfg(), io.Discard)
-	}
-}
-
 // Micro-benchmarks of the public API hot paths (not paper figures, but
 // useful for regression tracking).
 

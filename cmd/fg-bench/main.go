@@ -25,12 +25,7 @@ import (
 	"flashgraph/internal/bench"
 )
 
-var (
-	chaosProbes = flag.Int("chaos-probes", 0, "chaos: interactive bfs probes per phase (0 = default 6)")
-	chaosSweeps = flag.Int("chaos-sweeps", 0, "chaos: pagerank sweeps per phase (0 = default 2)")
-	chaosSeed   = flag.Uint64("chaos-seed", 0, "chaos: fault-injection seed (0 = default 1)")
-	chaosJSON   = flag.String("chaos-json", "BENCH_chaos.json", "chaos: machine-readable output path")
-)
+var chaosJSON = flag.String("chaos-json", "BENCH_chaos.json", "chaos: machine-readable output path")
 
 // experiments is the one list of what -exp accepts: the dispatch and the
 // flag's help text are both read from it.
@@ -48,15 +43,7 @@ var experiments = []struct {
 	{"fig12", rows(bench.Fig12)},
 	{"fig13", rows(bench.Fig13)},
 	{"fig14", rows(bench.Fig14)},
-	{"ablations", rows(bench.Ablations)},
-	{"chaos", func(cfg bench.Config, w io.Writer) {
-		bench.Chaos(cfg, bench.ChaosConfig{
-			Probes:    *chaosProbes,
-			Sweeps:    *chaosSweeps,
-			FaultSeed: *chaosSeed,
-			JSONPath:  *chaosJSON,
-		}, w)
-	}},
+	{"chaos", func(cfg bench.Config, w io.Writer) { bench.Chaos(cfg, *chaosJSON, w) }},
 }
 
 // rows adapts an experiment that also returns its table as []Result
@@ -77,7 +64,7 @@ func main() {
 		scaleAdd   = flag.Int("scale-add", 0, "log2 dataset scale adjustment")
 		threads    = flag.Int("threads", 8, "engine worker threads")
 		noThrottle = flag.Bool("no-throttle", false, "disable device timing")
-		seed       = flag.Uint64("seed", 0, "generator seed offset")
+		seed       = flag.Uint64("seed", 0, "generator seed offset (chaos: fault seed 1+seed)")
 	)
 	flag.Parse()
 

@@ -356,8 +356,6 @@ type Options struct {
 	// Throttle enables realistic device timing; off, devices run at
 	// memory speed but still account virtual busy time.
 	Throttle bool
-	// DeviceProfile overrides the per-SSD service-time model (optional).
-	DeviceProfile *ssd.DeviceParams
 	// StoreDir backs each simulated SSD with a file in this directory
 	// instead of RAM — the configuration for datasets larger than
 	// memory. Empty keeps in-memory stores.
@@ -396,11 +394,7 @@ func (opts Options) coreConfig() core.Config {
 // (O_DIRECT when DirectIO asks for it and the filesystem agrees);
 // otherwise devices are RAM-resident.
 func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
-	dp := ssd.DeviceParams{Throttle: opts.Throttle}
-	if opts.DeviceProfile != nil {
-		dp = *opts.DeviceProfile
-	}
-	params := ssd.ArrayParams{Devices: opts.Devices, Device: dp}
+	params := ssd.ArrayParams{Devices: opts.Devices, Device: ssd.DeviceParams{Throttle: opts.Throttle}}
 	params.SetDefaults()
 	var array *ssd.Array
 	if opts.StoreDir != "" {

@@ -14,8 +14,9 @@
 package graphchi
 
 import (
-	"encoding/binary"
+	"bufio"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -25,15 +26,16 @@ import (
 	"flashgraph/internal/safs"
 )
 
+// ChunkBytes is the sequential read unit of every scan (GraphChi uses
+// large blocks; §3's design discussion).
+const ChunkBytes = 2 << 20
+
 // Engine streams a graph image from SAFS, whole-graph per iteration.
 type Engine struct {
 	img     *graph.Image
 	files   *graph.FSFiles
 	fs      *safs.FS
 	threads int
-	// ChunkBytes is the sequential read unit (default 2MiB — GraphChi
-	// uses large blocks; §3's design discussion).
-	ChunkBytes int
 	// MemBudget bounds in-memory interval state for multi-pass
 	// algorithms like TC (default 64MiB).
 	MemBudget int64
@@ -44,14 +46,9 @@ type Engine struct {
 	FullScans int
 }
 
-// New loads img into fs under the given name and returns an engine.
+// New loads img into fs under the given name and returns an engine. The
+// image may be in either record layout, RAM-resident or file-backed.
 func New(img *graph.Image, fs *safs.FS, name string, threads int) (*Engine, error) {
-	if img.Encoding != graph.EncodingRaw {
-		// The baseline's shard scanner parses fixed-size raw records
-		// directly; it is a comparison harness, not a serving path, so
-		// it has no delta decoder.
-		return nil, fmt.Errorf("graphchi: baseline requires a raw-encoded image (got %s)", img.Encoding)
-	}
 	files, err := img.LoadToFS(fs, name)
 	if err != nil {
 		return nil, fmt.Errorf("graphchi: %w", err)
@@ -60,12 +57,11 @@ func New(img *graph.Image, fs *safs.FS, name string, threads int) (*Engine, erro
 		threads = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		img:        img,
-		files:      files,
-		fs:         fs,
-		threads:    threads,
-		ChunkBytes: 2 << 20,
-		MemBudget:  64 << 20,
+		img:       img,
+		files:     files,
+		fs:        fs,
+		threads:   threads,
+		MemBudget: 64 << 20,
 	}, nil
 }
 
@@ -75,26 +71,29 @@ type vertexSpan struct {
 	nbrs []graph.VertexID
 }
 
-// scan streams one edge-list file start to finish, delivering every
-// vertex's neighbor list in ID order. fn calls are parallelized across
-// a batch but the file is read strictly sequentially.
+// fileReaderAt adapts a SAFS file to io.ReaderAt.
+type fileReaderAt struct{ f *safs.File }
+
+func (r fileReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if err := r.f.ReadAt(p, off); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// scan streams one edge-list file start to finish in ChunkBytes reads,
+// delivering every vertex's neighbor list in ID order. fn calls are
+// parallelized across a chunk's worth of records but the file is read
+// strictly sequentially.
 func (e *Engine) scan(dir graph.EdgeDir, fn func(v graph.VertexID, nbrs []graph.VertexID)) error {
 	e.FullScans++
 	f := e.files.Out
-	ix := e.img.OutIndex
 	if dir == graph.InEdges && e.files.In != nil {
 		f = e.files.In
-		ix = e.img.InIndex
 	}
-	size := ix.FileSize()
-	buf := make([]byte, e.ChunkBytes)
-	var carry []byte
-	var v graph.VertexID
 	var batch []vertexSpan
+	held := 0 // raw record bytes of the batch
 	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
 		var wg sync.WaitGroup
 		chunk := (len(batch) + e.threads - 1) / e.threads
 		for w := 0; w < e.threads; w++ {
@@ -115,47 +114,18 @@ func (e *Engine) scan(dir graph.EdgeDir, fn func(v graph.VertexID, nbrs []graph.
 			}(batch[lo:hi])
 		}
 		wg.Wait()
-		batch = batch[:0]
+		batch, held = batch[:0], 0
 	}
-	attr := int64(e.img.AttrSize)
-	for off := int64(0); off < size; {
-		n := int64(len(buf))
-		if off+n > size {
-			n = size - off
+	r := bufio.NewReaderSize(io.NewSectionReader(fileReaderAt{f}, 0, f.Size()), ChunkBytes)
+	err := e.img.WalkRecords(dir, r, func(v graph.VertexID, nbrs []graph.VertexID) error {
+		batch = append(batch, vertexSpan{v: v, nbrs: slices.Clone(nbrs)})
+		if held += 4 * (1 + len(nbrs)); held >= ChunkBytes {
+			flush()
 		}
-		if err := f.ReadAt(buf[:n], off); err != nil {
-			return err
-		}
-		off += n
-		data := buf[:n]
-		if len(carry) > 0 {
-			data = append(carry, data...)
-		}
-		pos := int64(0)
-		for {
-			if pos+4 > int64(len(data)) {
-				break
-			}
-			deg := binary.LittleEndian.Uint32(data[pos:])
-			recEnd := pos + graph.RecordSize(deg, int(attr))
-			if recEnd > int64(len(data)) {
-				break
-			}
-			nbrs := make([]graph.VertexID, deg)
-			for i := uint32(0); i < deg; i++ {
-				nbrs[i] = binary.LittleEndian.Uint32(data[pos+4+int64(i)*4:])
-			}
-			batch = append(batch, vertexSpan{v: v, nbrs: nbrs})
-			v++
-			pos = recEnd
-		}
-		carry = append(carry[:0], data[pos:]...)
-		flush()
-	}
-	if len(carry) > 0 {
-		return fmt.Errorf("graphchi: %d trailing bytes after scan", len(carry))
-	}
-	return nil
+		return nil
+	})
+	flush()
+	return err
 }
 
 // PageRank runs pull-style PageRank: each iteration scans the in-edge

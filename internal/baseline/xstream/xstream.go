@@ -29,6 +29,9 @@ import (
 // edgeBytes is the on-SSD size of one directed edge (src, dst).
 const edgeBytes = 8
 
+// ChunkBytes is the sequential streaming unit of every edge-file scan.
+const ChunkBytes = 2 << 20
+
 // Engine streams a flat edge file from SAFS.
 type Engine struct {
 	fs       *safs.FS
@@ -36,8 +39,6 @@ type Engine struct {
 	numV     int
 	numEdges int64
 	threads  int
-	// ChunkBytes is the sequential streaming unit (default 2MiB).
-	ChunkBytes int
 	// MemBudget bounds interval state for TC (default 64MiB).
 	MemBudget int64
 	// FullScans counts whole-edge-file scans (the cost driver).
@@ -51,17 +52,12 @@ type Engine struct {
 }
 
 // New serializes the image's directed edges into a flat edge file on fs
-// (X-Stream's native format) and returns an engine.
+// (X-Stream's native format) and returns an engine. The image may be in
+// either record layout, RAM-resident or file-backed.
 func New(img *graph.Image, fs *safs.FS, name string, threads int) (*Engine, error) {
-	if img.Encoding != graph.EncodingRaw {
-		// The flattener below parses fixed-size raw records out of
-		// OutData directly; the baseline harness has no delta decoder.
-		return nil, fmt.Errorf("xstream: baseline requires a raw-encoded image (got %s)", img.Encoding)
-	}
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	// Decode the out-edge lists into a flat (src, dst) stream.
 	outDeg := make([]uint32, img.NumV)
 	var m int64
 	for v := 0; v < img.NumV; v++ {
@@ -72,48 +68,63 @@ func New(img *graph.Image, fs *safs.FS, name string, threads int) (*Engine, erro
 	if err != nil {
 		return nil, fmt.Errorf("xstream: %w", err)
 	}
-	buf := make([]byte, 1<<20)
-	pos := 0
-	off := int64(0)
-	flushBuf := func() error {
-		if pos == 0 {
-			return nil
-		}
-		if err := f.WriteAt(buf[:pos], off); err != nil {
-			return err
-		}
-		off += int64(pos)
-		pos = 0
-		return nil
+	r, _, err := img.EdgeReader(graph.OutEdges)
+	if err != nil {
+		return nil, fmt.Errorf("xstream: %w", err)
 	}
-	for v := 0; v < img.NumV; v++ {
-		recOff, _ := img.OutIndex.Locate(graph.VertexID(v))
-		deg := int(outDeg[v])
-		for i := 0; i < deg; i++ {
-			if pos+edgeBytes > len(buf) {
-				if err := flushBuf(); err != nil {
-					return nil, err
-				}
+	w := edgeWriter{f: f}
+	err = img.WalkRecords(graph.OutEdges, r, func(v graph.VertexID, nbrs []graph.VertexID) error {
+		for _, u := range nbrs {
+			if err := w.add(graph.Edge{Src: v, Dst: u}); err != nil {
+				return err
 			}
-			dst := binary.LittleEndian.Uint32(img.OutData[recOff+4+int64(i)*4:])
-			binary.LittleEndian.PutUint32(buf[pos:], uint32(v))
-			binary.LittleEndian.PutUint32(buf[pos+4:], dst)
-			pos += edgeBytes
 		}
+		return nil
+	})
+	if err == nil {
+		err = w.flush()
 	}
-	if err := flushBuf(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("xstream: %w", err)
 	}
 	return &Engine{
-		fs:         fs,
-		file:       f,
-		numV:       img.NumV,
-		numEdges:   m,
-		threads:    threads,
-		ChunkBytes: 2 << 20,
-		MemBudget:  64 << 20,
-		outDeg:     outDeg,
+		fs:        fs,
+		file:      f,
+		numV:      img.NumV,
+		numEdges:  m,
+		threads:   threads,
+		MemBudget: 64 << 20,
+		outDeg:    outDeg,
 	}, nil
+}
+
+// edgeWriter writes (src, dst) pairs to a SAFS file front to back in
+// 1MiB batches.
+type edgeWriter struct {
+	f   *safs.File
+	buf []byte
+	off int64
+}
+
+func (w *edgeWriter) add(e graph.Edge) error {
+	if len(w.buf)+edgeBytes > 1<<20 {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, e.Src)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, e.Dst)
+	return nil
+}
+
+func (w *edgeWriter) flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	err := w.f.WriteAt(w.buf, w.off)
+	w.off += int64(len(w.buf))
+	w.buf = w.buf[:0]
+	return err
 }
 
 // scanEdges streams the whole edge file once, invoking fn for batches
@@ -122,7 +133,7 @@ func New(img *graph.Image, fs *safs.FS, name string, threads int) (*Engine, erro
 func (e *Engine) scanEdges(fn func(edges []graph.Edge)) error {
 	e.FullScans++
 	size := e.numEdges * edgeBytes
-	buf := make([]byte, e.ChunkBytes)
+	buf := make([]byte, ChunkBytes)
 	for off := int64(0); off < size; {
 		n := int64(len(buf))
 		if off+n > size {
@@ -410,24 +421,14 @@ func (e *Engine) buildCanonical() error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 1<<20)
-	pos, off := 0, int64(0)
+	w := edgeWriter{f: f}
 	for _, p := range uniq {
-		if pos+edgeBytes > len(buf) {
-			if err := f.WriteAt(buf[:pos], off); err != nil {
-				return err
-			}
-			off += int64(pos)
-			pos = 0
-		}
-		binary.LittleEndian.PutUint32(buf[pos:], p.Src)
-		binary.LittleEndian.PutUint32(buf[pos+4:], p.Dst)
-		pos += edgeBytes
-	}
-	if pos > 0 {
-		if err := f.WriteAt(buf[:pos], off); err != nil {
+		if err := w.add(p); err != nil {
 			return err
 		}
+	}
+	if err := w.flush(); err != nil {
+		return err
 	}
 	e.canon = f
 	e.canonEdges = int64(len(uniq))
@@ -438,7 +439,7 @@ func (e *Engine) buildCanonical() error {
 func (e *Engine) scanCanonical(fn func(edges []graph.Edge)) error {
 	e.FullScans++
 	size := e.canonEdges * edgeBytes
-	buf := make([]byte, e.ChunkBytes)
+	buf := make([]byte, ChunkBytes)
 	for off := int64(0); off < size; {
 		n := int64(len(buf))
 		if off+n > size {

@@ -2,6 +2,7 @@ package xstream
 
 import (
 	"math"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -162,5 +163,68 @@ func TestCanonicalFileDedups(t *testing.T) {
 	}
 	if got != 1 {
 		t.Fatalf("tc = %d, want 1", got)
+	}
+}
+
+// layouts builds a's image in each layout the baselines read — raw and
+// delta, RAM-resident and file-backed (whose OutData is nil) — by name.
+func layouts(t *testing.T, a *graph.Adjacency) map[string]*graph.Image {
+	t.Helper()
+	imgs := map[string]*graph.Image{}
+	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingDelta} {
+		iw := &graph.ImageWriter{NumV: a.N, Directed: a.Directed, Encoding: enc,
+			Out: graph.SliceSource(a.Out), In: graph.SliceSource(a.In)}
+		img, err := iw.BuildImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs[enc.String()+"/ram"] = img
+		path := filepath.Join(t.TempDir(), enc.String()+".img")
+		if _, err := graph.WriteImageFile(path, iw); err != nil {
+			t.Fatal(err)
+		}
+		if img, err = graph.OpenImageFile(path); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { img.Close() })
+		imgs[enc.String()+"/file"] = img
+	}
+	return imgs
+}
+
+// TestLayoutsMatchGalois holds WCC and PageRank to galois on every
+// layout the engine is built from.
+func TestLayoutsMatchGalois(t *testing.T) {
+	a := graph.FromEdges(1<<8, gen.RMAT(8, 6, 9), true)
+	a.Dedup()
+	ref := csr.FromAdjacency(a)
+	wantWCC := galois.WCC(ref)
+	wantPR := galois.PageRankDelta(ref, 30, 0.85, 1e-7)
+	for name, img := range layouts(t, a) {
+		arr := ssd.NewArray(ssd.ArrayParams{Devices: 4, StripeSize: 64 * 4096})
+		fs := safs.New(arr, safs.Config{CacheBytes: 1 << 20})
+		e, err := New(img, fs, "xs", 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		labels, err := e.WCC()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := range wantWCC {
+			if labels[v] != wantWCC[v] {
+				t.Fatalf("%s: label[%d] = %d, want %d", name, v, labels[v], wantWCC[v])
+			}
+		}
+		pr, err := e.PageRank(30, 0.85, 1e-7)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := range wantPR {
+			if math.Abs(pr[v]-wantPR[v]) > 1e-5*(1+wantPR[v]) {
+				t.Fatalf("%s: pr[%d] = %v, want %v", name, v, pr[v], wantPR[v])
+			}
+		}
+		arr.Close()
 	}
 }

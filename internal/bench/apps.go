@@ -58,17 +58,13 @@ func engineConfig(cfg Config) core.Config {
 // given cache fraction, returning the stats. Engine, filesystem, and
 // array are created fresh (experiments are isolated).
 func runSEM(cfg Config, d *Dataset, app string, cacheFrac float64) (core.RunStats, error) {
-	return runSEMPage(cfg, d, app, cacheFrac, 0, nil)
-}
-
-// runSEMPage additionally overrides the page size and engine mutator.
-func runSEMPage(cfg Config, d *Dataset, app string, cacheFrac float64, pageSize int, mutate func(*core.Config)) (core.RunStats, error) {
-	return runSEMBytes(cfg, d, app, cacheBytesFor(d, cacheFrac, pageSize), pageSize, mutate)
+	return runSEMBytes(cfg, d, app, cacheBytesFor(d, cacheFrac, 0), 0, nil)
 }
 
 // runSEMBytes pins the cache to an absolute byte size — Figure 13 holds
 // cache bytes constant while sweeping the page size, exactly as the
-// paper keeps its 1GB cache across page sizes.
+// paper keeps its 1GB cache across page sizes — and lets Figure 12
+// mutate the engine config.
 func runSEMBytes(cfg Config, d *Dataset, app string, cacheBytes int64, pageSize int, mutate func(*core.Config)) (core.RunStats, error) {
 	fs, arr := newFS(cfg, cacheBytes, pageSize)
 	defer arr.Close()

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -160,17 +163,32 @@ func TestFig14Shapes(t *testing.T) {
 	}
 }
 
-func TestAblationsRun(t *testing.T) {
-	rs := Ablations(smokeCfg(), io.Discard)
-	if len(rs) < 8 {
-		t.Fatalf("rows = %d", len(rs))
-	}
-}
-
 func TestTableOutputIsText(t *testing.T) {
 	var sb strings.Builder
 	Table1(smokeCfg(), &sb)
 	if !strings.Contains(sb.String(), "twitter-sim") {
 		t.Fatal("table output missing dataset name")
+	}
+}
+
+// TestChaosGauge runs the fault-tolerance gauge at CI's smoke scale.
+// Chaos panics unless every robustness claim holds; the report must
+// also carry the default fault seed, 1 + Config.Seed.
+func TestChaosGauge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chaos.json")
+	if rs := Chaos(Config{ScaleAdd: 1, NoThrottle: true}, path, io.Discard); len(rs) != 3 {
+		t.Fatalf("rows = %d, want 3", len(rs))
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ChaosReport
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Seed != 1 || rep.SilentWrongResults != 0 || !rep.RecoveredAfterReset || len(rep.Phases) != 4 {
+		t.Fatalf("report: seed %d, %d silent wrong results, recovered %t, %d phases",
+			rep.Seed, rep.SilentWrongResults, rep.RecoveredAfterReset, len(rep.Phases))
 	}
 }

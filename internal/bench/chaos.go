@@ -14,77 +14,22 @@ import (
 	"flashgraph/internal/util"
 )
 
-// ChaosConfig parameterizes the chaos experiment — the acceptance gauge
-// for the fault-tolerance tier. It serves one fixed query mix four
-// times on the twitter stand-in:
-//
-//	baseline:   fault-free; records every query's result checksum
-//	transient:  EIO + short-read + latency-spike injection on all SSDs
-//	corruption: silent bit flips on all SSDs
-//	degraded:   one SSD hard-failing every transfer until it trips
-//
-// and panics unless the robustness claims hold: a completed query is
-// bit-identical to the baseline (zero silent wrong results, in every
-// phase), transient faults are absorbed by device retries with no
-// query failing, every bit flip that reaches a query surfaces as a
-// typed checksum error, and a dead device degrades service loudly —
-// then comes back after ResetHealth.
-type ChaosConfig struct {
-	// Probes is the interactive BFS count (rotating sources) in the
-	// mix. Default 6.
-	Probes int
-	// Sweeps is the PageRank sweep-query count in the mix. Default 2.
-	Sweeps int
-	// SweepIters is the iteration count of the first sweep (each
-	// subsequent sweep adds one, keeping cache keys distinct). Default 8.
-	SweepIters int
-	// Slots is the scheduler's MaxConcurrent. Default 2 — queries run
-	// mostly serialized so the injected fault sequence stays stable.
-	Slots int
-	// FaultSeed seeds the per-device injection RNGs (offset per device
-	// and per phase). Default 1.
-	FaultSeed uint64
-	// EIORate / ShortReadRate / LatencyRate drive the transient phase.
-	// Defaults 0.02 / 0.01 / 0.05 per device transfer.
-	EIORate       float64
-	ShortReadRate float64
-	LatencyRate   float64
-	// BitFlipRate drives the corruption phase. Default 0.02 per read.
-	BitFlipRate float64
-	// JSONPath receives the machine-readable report (fg-bench defaults
-	// its flag to "BENCH_chaos.json").
-	JSONPath string
-}
+// The chaos mix and its fault rates. The mix is probes first
+// (interactive BFS over spread sources), then pagerank sweeps of
+// distinct lengths; two slots keep queries mostly serialized.
+const (
+	chaosProbes     = 6 // interactive BFS probes, rotating sources
+	chaosSweeps     = 2 // PageRank sweep queries
+	chaosSweepIters = 8 // the first sweep's iterations; each later one adds one, keeping cache keys distinct
+	chaosSlots      = 2 // the scheduler's MaxConcurrent
 
-func (c *ChaosConfig) setDefaults() {
-	if c.Probes == 0 {
-		c.Probes = 6
-	}
-	if c.Sweeps == 0 {
-		c.Sweeps = 2
-	}
-	if c.SweepIters == 0 {
-		c.SweepIters = 8
-	}
-	if c.Slots == 0 {
-		c.Slots = 2
-	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = 1
-	}
-	if c.EIORate == 0 {
-		c.EIORate = 0.02
-	}
-	if c.ShortReadRate == 0 {
-		c.ShortReadRate = 0.01
-	}
-	if c.LatencyRate == 0 {
-		c.LatencyRate = 0.05
-	}
-	if c.BitFlipRate == 0 {
-		c.BitFlipRate = 0.02
-	}
-}
+	// Per device transfer in the transient phase.
+	chaosEIORate       = 0.02
+	chaosShortReadRate = 0.01
+	chaosLatencyRate   = 0.05
+	// Per read in the corruption phase.
+	chaosBitFlipRate = 0.02
+)
 
 // ChaosPhase is one phase's evidence.
 type ChaosPhase struct {
@@ -146,28 +91,42 @@ type chaosOutcome struct {
 	errMsg    string
 }
 
-// Chaos runs the fault-tolerance gauge and writes BENCH_chaos.json.
-func Chaos(cfg Config, ccfg ChaosConfig, w io.Writer) []Result {
+// Chaos is the acceptance gauge for the fault-tolerance tier. It serves
+// one fixed query mix four times on the twitter stand-in:
+//
+//	baseline:   fault-free; records every query's result checksum
+//	transient:  EIO + short-read + latency-spike injection on all SSDs
+//	corruption: silent bit flips on all SSDs
+//	degraded:   one SSD hard-failing every transfer until it trips
+//
+// and panics unless the robustness claims hold: a completed query is
+// bit-identical to the baseline (zero silent wrong results, in every
+// phase), transient faults are absorbed by device retries with no
+// query failing, every bit flip that reaches a query surfaces as a
+// typed checksum error, and a dead device degrades service loudly —
+// then comes back after ResetHealth. The injectors are seeded from
+// 1 + cfg.Seed; workers interleave their draws, so fault counts vary
+// from run to run while the claims hold. The machine-readable report
+// goes to jsonPath unless it is empty.
+func Chaos(cfg Config, jsonPath string, w io.Writer) []Result {
 	cfg.setDefaults()
-	ccfg.setDefaults()
 	header(w, "Chaos: fault injection vs end-to-end integrity")
 
 	d := TwitterSim(cfg)
-	reqs := chaosMix(cfg, ccfg, d)
-	fmt.Fprintf(w, "dataset %s: %s vertices, %s edges; mix = %d bfs probes + %d pagerank sweeps, %d slots, fault seed %d\n",
-		d.Name, util.HumanCount(int64(d.Img.NumV)), util.HumanCount(d.Img.NumEdges),
-		ccfg.Probes, ccfg.Sweeps, ccfg.Slots, ccfg.FaultSeed)
-
+	reqs := chaosMix(d)
 	report := ChaosReport{
 		Dataset:  d.Name,
 		Vertices: d.Img.NumV,
 		Edges:    d.Img.NumEdges,
-		Seed:     ccfg.FaultSeed,
+		Seed:     1 + cfg.Seed,
 	}
+	fmt.Fprintf(w, "dataset %s: %s vertices, %s edges; mix = %d bfs probes + %d pagerank sweeps, %d slots, fault seed %d\n",
+		d.Name, util.HumanCount(int64(d.Img.NumV)), util.HumanCount(d.Img.NumEdges),
+		chaosProbes, chaosSweeps, chaosSlots, report.Seed)
 
 	// Baseline: fault-free run of the mix; its checksums are the oracle
 	// every later phase is held to.
-	baseline, basePhase := chaosPhase(cfg, ccfg, d, "baseline", reqs, nil, ssd.FaultConfig{}, 0)
+	baseline, basePhase := chaosPhase(cfg, d, "baseline", reqs, nil, ssd.FaultConfig{}, 0)
 	report.Phases = append(report.Phases, basePhase)
 	for i, o := range baseline {
 		if !o.done {
@@ -178,26 +137,27 @@ func Chaos(cfg Config, ccfg ChaosConfig, w io.Writer) []Result {
 	// Transient: every device injects retriable faults. The retry layer
 	// must absorb all of them — same completions, same checksums.
 	transientFC := ssd.FaultConfig{
-		EIORate:       ccfg.EIORate,
-		ShortReadRate: ccfg.ShortReadRate,
-		LatencyRate:   ccfg.LatencyRate,
+		EIORate:       chaosEIORate,
+		ShortReadRate: chaosShortReadRate,
+		LatencyRate:   chaosLatencyRate,
 		LatencySpike:  200 * time.Microsecond,
+		Seed:          report.Seed,
 	}
-	_, ph := chaosPhase(cfg, ccfg, d, "transient", reqs, baseline, transientFC, 4)
+	_, ph := chaosPhase(cfg, d, "transient", reqs, baseline, transientFC, 4)
 	report.Phases = append(report.Phases, ph)
 
 	// Corruption: silent bit flips. Nothing retries a lie — the
 	// checksum layer must convert every flip a query touches into a
 	// typed failure, and completed queries must still match baseline.
-	corruptFC := ssd.FaultConfig{BitFlipRate: ccfg.BitFlipRate}
-	_, ph = chaosPhase(cfg, ccfg, d, "corruption", reqs, baseline, corruptFC, 4)
+	corruptFC := ssd.FaultConfig{BitFlipRate: chaosBitFlipRate, Seed: report.Seed}
+	_, ph = chaosPhase(cfg, d, "corruption", reqs, baseline, corruptFC, 4)
 	report.Phases = append(report.Phases, ph)
 
 	// Degraded: device 0 fails every transfer. Retries exhaust, the
 	// health counter trips it into fail-fast, queries fail loudly, the
 	// server survives — and after ResetHealth a fresh probe succeeds.
-	deadFC := ssd.FaultConfig{EIORate: 1}
-	report.RecoveredAfterReset, ph = chaosDegradedPhase(cfg, ccfg, d, reqs, baseline, deadFC)
+	deadFC := ssd.FaultConfig{EIORate: 1, Seed: report.Seed}
+	report.RecoveredAfterReset, ph = chaosDegradedPhase(cfg, d, reqs, baseline, deadFC)
 	report.Phases = append(report.Phases, ph)
 
 	fmt.Fprintf(w, "%-11s %8s %8s %7s %7s %9s %9s %8s %8s\n",
@@ -238,15 +198,15 @@ func Chaos(cfg Config, ccfg ChaosConfig, w io.Writer) []Result {
 	fmt.Fprintf(w, "degraded: %d device(s) tripped fail-fast, %d loud failures, recovered after reset=%t\n",
 		dg.DegradedDevices, dg.Failed, report.RecoveredAfterReset)
 
-	if ccfg.JSONPath != "" {
+	if jsonPath != "" {
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			panic(err)
 		}
-		if err := os.WriteFile(ccfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
 			panic(err)
 		}
-		fmt.Fprintf(w, "wrote %s\n", ccfg.JSONPath)
+		fmt.Fprintf(w, "wrote %s\n", jsonPath)
 	}
 	return []Result{
 		{Exp: "chaos", Dataset: d.Name, App: "transient", Value: float64(tr.Retries),
@@ -265,21 +225,19 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// chaosMix builds the fixed request list every phase replays: probes
-// first (interactive BFS over spread sources), then distinct-length
-// pagerank sweeps.
-func chaosMix(cfg Config, ccfg ChaosConfig, d *Dataset) []serve.Request {
+// chaosMix builds the fixed request list every phase replays.
+func chaosMix(d *Dataset) []serve.Request {
 	var reqs []serve.Request
-	for _, src := range probeSources(d.Img, ccfg.Probes) {
+	for _, src := range probeSources(d.Img, chaosProbes) {
 		reqs = append(reqs, serve.Request{
 			Algo:   "bfs",
 			Params: serve.MarshalParams(serve.SrcParams{Src: src}),
 		})
 	}
-	for i := 0; i < ccfg.Sweeps; i++ {
+	for i := 0; i < chaosSweeps; i++ {
 		reqs = append(reqs, serve.Request{
 			Algo:   "pagerank",
-			Params: serve.MarshalParams(serve.PageRankParams{Iters: ccfg.SweepIters + i}),
+			Params: serve.MarshalParams(serve.PageRankParams{Iters: chaosSweepIters + i}),
 		})
 	}
 	return reqs
@@ -300,16 +258,17 @@ func probeSources(img *graph.Image, n int) []graph.VertexID {
 
 // chaosServer stands up a server over the harness substrate with the
 // first faultDevs of its stores FaultStore-wrapped (disarmed — the
-// image loads faithfully; the caller arms them for the phase). No result
-// is retained so every replay recomputes from the device layer.
-func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
+// image loads faithfully; the caller arms them for the phase), each
+// seeded from fc.Seed. No result is retained so every replay recomputes
+// from the device layer.
+func chaosServer(cfg Config, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
 	stores := make([]ssd.Store, arrayDevices)
 	var faults []*ssd.FaultStore
 	for i := range stores {
 		stores[i] = ssd.NewMemStore()
 		if i < faultDevs {
 			dfc := fc
-			dfc.Seed = ccfg.FaultSeed + uint64(i)*0x9e3779b9
+			dfc.Seed += uint64(i) * 0x9e3779b9
 			f := ssd.NewFaultStore(stores[i], dfc)
 			f.SetEnabled(false)
 			faults = append(faults, f)
@@ -322,9 +281,9 @@ func chaosServer(cfg Config, ccfg ChaosConfig, d *Dataset, fc ssd.FaultConfig, f
 		panic(err)
 	}
 	srv := serve.New(shared, serve.Config{
-		MaxConcurrent: ccfg.Slots,
-		MaxQueued:     4 * (ccfg.Probes + ccfg.Sweeps + 8),
-		MaxHistory:    4 * (ccfg.Probes + ccfg.Sweeps + 8),
+		MaxConcurrent: chaosSlots,
+		MaxQueued:     4 * (chaosProbes + chaosSweeps + 8),
+		MaxHistory:    4 * (chaosProbes + chaosSweeps + 8),
 		ResultBytes:   -1,
 	})
 	return srv, faults, arr, func() {
@@ -385,8 +344,8 @@ func runChaosMix(srv *serve.Server, reqs []serve.Request, baseline []chaosOutcom
 
 // chaosPhase runs the mix once on a fresh substrate with fc armed on
 // the first faultDevs devices.
-func chaosPhase(cfg Config, ccfg ChaosConfig, d *Dataset, name string, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig, faultDevs int) ([]chaosOutcome, ChaosPhase) {
-	srv, faults, arr, cleanup := chaosServer(cfg, ccfg, d, fc, faultDevs)
+func chaosPhase(cfg Config, d *Dataset, name string, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig, faultDevs int) ([]chaosOutcome, ChaosPhase) {
+	srv, faults, arr, cleanup := chaosServer(cfg, d, fc, faultDevs)
 	defer cleanup()
 	arr.ResetStats() // image load traffic is not the phase's evidence
 	for _, f := range faults {
@@ -404,8 +363,8 @@ func chaosPhase(cfg Config, ccfg ChaosConfig, d *Dataset, name string, reqs []se
 // chaosDegradedPhase kills device 0 outright, runs the mix, then
 // proves recovery: injection off, health reset, one probe re-run and
 // checked against baseline.
-func chaosDegradedPhase(cfg Config, ccfg ChaosConfig, d *Dataset, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig) (recovered bool, ph ChaosPhase) {
-	srv, faults, arr, cleanup := chaosServer(cfg, ccfg, d, fc, 1)
+func chaosDegradedPhase(cfg Config, d *Dataset, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig) (recovered bool, ph ChaosPhase) {
+	srv, faults, arr, cleanup := chaosServer(cfg, d, fc, 1)
 	defer cleanup()
 	arr.ResetStats()
 	for _, f := range faults {

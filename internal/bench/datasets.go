@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -65,19 +66,24 @@ func (d *Dataset) Ref() *csr.Graph {
 // csrFromImage decodes an image back into CSR form.
 func csrFromImage(img *graph.Image) *csr.Graph {
 	a := &graph.Adjacency{N: img.NumV, Directed: img.Directed}
-	a.Out = decodeLists(img.OutData, img.OutIndex, img.AttrSize, img.Encoding)
+	a.Out = decodeLists(img, graph.OutEdges)
 	if img.Directed {
-		a.In = decodeLists(img.InData, img.InIndex, img.AttrSize, img.Encoding)
+		a.In = decodeLists(img, graph.InEdges)
 	}
 	return csr.FromAdjacency(a)
 }
 
-func decodeLists(data []byte, ix *graph.Index, attrSize int, enc graph.Encoding) [][]graph.VertexID {
-	lists := make([][]graph.VertexID, ix.NumVertices())
-	for v := range lists {
-		off, size := ix.Locate(graph.VertexID(v))
-		pv := graph.NewPageVertexBytes(graph.VertexID(v), graph.OutEdges, data[off:off+size], attrSize, enc)
-		lists[v] = pv.Edges(nil, nil)
+func decodeLists(img *graph.Image, dir graph.EdgeDir) [][]graph.VertexID {
+	lists := make([][]graph.VertexID, img.NumV)
+	r, _, err := img.EdgeReader(dir)
+	if err == nil {
+		err = img.WalkRecords(dir, r, func(v graph.VertexID, nbrs []graph.VertexID) error {
+			lists[v] = slices.Clone(nbrs)
+			return nil
+		})
+	}
+	if err != nil {
+		panic(err)
 	}
 	return lists
 }
@@ -140,7 +146,6 @@ func PageSim(cfg Config) *Dataset {
 		Domains:        domains,
 		DomainSize:     96,
 		EdgesPerVertex: 12,
-		IntraProb:      0.85,
 		Seed:           303 + cfg.Seed,
 	})
 	return buildDataset(

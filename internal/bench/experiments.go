@@ -229,7 +229,7 @@ func Fig11(cfg Config, w io.Writer) []Result {
 				panic(err)
 			}
 			gc = meas{secs: time.Since(start).Seconds(),
-				mem: int64(e.ChunkBytes)*2 + int64(d.Img.NumV)*24}
+				mem: graphchi.ChunkBytes*2 + int64(d.Img.NumV)*24}
 			if app == "TC" {
 				gc.mem += e.MemBudget / 4
 			}
@@ -257,7 +257,7 @@ func Fig11(cfg Config, w io.Writer) []Result {
 			panic(err)
 		}
 		xs = meas{secs: time.Since(start).Seconds(),
-			mem: int64(e.ChunkBytes) + int64(d.Img.NumV)*40}
+			mem: xstream.ChunkBytes + int64(d.Img.NumV)*40}
 		if app == "TC" {
 			xs.mem += e.MemBudget / 4
 		}
@@ -338,7 +338,7 @@ func Fig12(cfg Config, w io.Writer) []Result {
 	for _, app := range []string{"BFS", "WCC"} {
 		runs := make([]core.RunStats, len(variants))
 		for i, v := range variants {
-			st, err := runSEMPage(cfg, d, app, d.CacheFrac1G, 0, v.mutate)
+			st, err := runSEMBytes(cfg, d, app, cacheBytesFor(d, d.CacheFrac1G, 0), 0, v.mutate)
 			if err != nil {
 				panic(err)
 			}
@@ -441,49 +441,6 @@ func Fig14(cfg Config, w io.Writer) []Result {
 	return out
 }
 
-// Ablations benches the engine's design knobs: the running-vertex cap
-// (the paper's 4000), the range-partition granule, vertical partitioning
-// for TC, and work stealing.
-func Ablations(cfg Config, w io.Writer) []Result {
-	cfg.setDefaults()
-	header(w, "Ablations: engine design knobs (runtime s)")
-	d := SubdomainSim(cfg)
-	var out []Result
-	record := func(name, variant string, secs float64) {
-		fmt.Fprintf(w, "%-24s %-10s %10.4f\n", name, variant, secs)
-		out = append(out, Result{Exp: "ablation", App: name, Variant: variant, Value: secs})
-	}
-	for _, mr := range []int{64, 512, 4000} {
-		st, err := runSEMPage(cfg, d, "BFS", d.CacheFrac1G, 0, func(c *core.Config) { c.MaxRunning = mr })
-		if err != nil {
-			panic(err)
-		}
-		record("max-running(BFS)", fmt.Sprint(mr), st.Elapsed.Seconds())
-	}
-	for _, r := range []uint{4, 6, 10} {
-		st, err := runSEMPage(cfg, d, "PR", d.CacheFrac1G, 0, func(c *core.Config) { c.RangeShift = r })
-		if err != nil {
-			panic(err)
-		}
-		record("range-shift(PR)", fmt.Sprint(r), st.Elapsed.Seconds())
-	}
-	for _, steal := range []bool{true, false} {
-		st, err := runSEMPage(cfg, d, "TC", d.CacheFrac1G, 0, func(c *core.Config) { c.NoWorkStealing = !steal })
-		if err != nil {
-			panic(err)
-		}
-		record("work-stealing(TC)", fmt.Sprint(steal), st.Elapsed.Seconds())
-	}
-	for _, sweep := range []bool{true, false} {
-		st, err := runSEMPage(cfg, d, "WCC", d.CacheFrac1G, 0, func(c *core.Config) { c.NoAlternateSweep = !sweep })
-		if err != nil {
-			panic(err)
-		}
-		record("alt-sweep(WCC)", fmt.Sprint(sweep), st.Elapsed.Seconds())
-	}
-	return out
-}
-
 // RunAll executes every experiment in paper order.
 func RunAll(cfg Config, w io.Writer) {
 	Table1(cfg, w)
@@ -495,5 +452,4 @@ func RunAll(cfg Config, w io.Writer) {
 	Fig12(cfg, w)
 	Fig13(cfg, w)
 	Fig14(cfg, w)
-	Ablations(cfg, w)
 }

@@ -52,10 +52,9 @@ const (
 )
 
 // Config configures an engine: what a deployment decides (Threads,
-// MaxRunning, InMemory, FS, GraphName) and what the paper's ablations
-// switch (RangeShift, Merge, Sched, NoAlternateSweep, NoWorkStealing —
-// set by internal/bench's fig12 / ablations experiments and by tests).
-// What one algorithm needs — its order, a tighter running window, its
+// MaxRunning, InMemory, FS, GraphName, RangeShift) and what Figure 12
+// switches (Merge, Sched). Work stealing and the alternating ID sweep
+// are not settings: every run has both. What one algorithm needs — its order, a tighter running window, its
 // iteration cap — travels with the program (CustomScheduler,
 // RunningLimiter, IterationLimiter), so no caller has to remember it.
 type Config struct {
@@ -75,11 +74,6 @@ type Config struct {
 	Merge MergeMode
 	// Sched selects the vertex scheduler. Default SchedByID.
 	Sched SchedMode
-	// NoAlternateSweep disables alternating the ID-scan direction
-	// between iterations.
-	NoAlternateSweep bool
-	// NoWorkStealing disables dynamic load balancing.
-	NoWorkStealing bool
 	// InMemory runs with memory-resident edge lists instead of SAFS
 	// (the FG-mem baseline of §5.1).
 	InMemory bool

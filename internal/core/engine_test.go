@@ -148,8 +148,8 @@ func TestBFSInMemoryMatchesReference(t *testing.T) {
 
 // TestBFSAllMergeModes pins what each merge mode DOES, not only that it
 // gets the right answer, over a default-constructed FS (there is no
-// SAFS-side switch that could disagree with the engine's): one thread
-// and no stealing make the request stream deterministic.
+// SAFS-side switch that could disagree with the engine's): one thread,
+// with no sibling to steal from, makes the request stream deterministic.
 func TestBFSAllMergeModes(t *testing.T) {
 	img, a := buildTestImage(t, 13, 8, 7)
 	stats := map[MergeMode]RunStats{}
@@ -157,7 +157,6 @@ func TestBFSAllMergeModes(t *testing.T) {
 		eng := semEngine(t, img, func(c *Config) {
 			c.Merge = mode
 			c.Threads = 1
-			c.NoWorkStealing = true
 		})
 		stats[mode] = checkBFS(t, eng, a)
 	}
@@ -170,7 +169,7 @@ func TestBFSAllMergeModes(t *testing.T) {
 			t.Fatalf("%s: %d ReadTasks for %d edge lists, want one each", name, st.MergedRequests, st.EdgeRequests)
 		}
 	}
-	// One thread and no stealing: the counts are exact, so the 2x bar
+	// One thread never steals: the counts are exact, so the 2x bar
 	// holds or fails the same way on every run.
 	if 2*sa.DeviceReads > none.DeviceReads {
 		t.Fatalf("MergeSAFS issued %d device reads, MergeNone %d — SAFS-level merging must cut them at least 2x",
@@ -193,12 +192,6 @@ func TestBFSAllSchedulers(t *testing.T) {
 func TestBFSSingleThread(t *testing.T) {
 	img, a := buildTestImage(t, 9, 6, 9)
 	eng := semEngine(t, img, func(c *Config) { c.Threads = 1 })
-	checkBFS(t, eng, a)
-}
-
-func TestBFSNoStealing(t *testing.T) {
-	img, a := buildTestImage(t, 9, 6, 10)
-	eng := semEngine(t, img, func(c *Config) { c.NoWorkStealing = true })
 	checkBFS(t, eng, a)
 }
 

@@ -219,7 +219,7 @@ func (w *worker) buildActiveList() {
 		}
 	} else if cs, ok := e.alg.(CustomScheduler); ok {
 		cs.Order(e, w.iterActive)
-	} else if !e.cfg.NoAlternateSweep && e.iteration%2 == 1 {
+	} else if e.iteration%2 == 1 {
 		slices.Reverse(w.iterActive) // odd iterations sweep descending
 	}
 }
@@ -335,7 +335,7 @@ func (w *worker) runPart(part int) {
 			continue
 		}
 		// Try to steal (§3.8.1).
-		if !e.cfg.NoWorkStealing && w.steal(runOne) {
+		if w.steal(runOne) {
 			continue
 		}
 		break

@@ -110,6 +110,11 @@ func ER(n, m int, seed uint64) []graph.Edge {
 	})
 }
 
+// clusteredIntraProb is the probability a clustered edge stays within
+// its domain; the remainder go to one of the next few domains, which
+// chains domains together and yields a long diameter.
+const clusteredIntraProb = 0.85
+
 // ClusteredConfig parameterizes the web-like clustered generator.
 type ClusteredConfig struct {
 	// Domains is the number of vertex clusters ("web domains").
@@ -118,10 +123,6 @@ type ClusteredConfig struct {
 	DomainSize int
 	// EdgesPerVertex is the average out-degree.
 	EdgesPerVertex int
-	// IntraProb is the probability an edge stays within its domain
-	// (default 0.85; the remainder go to one of the next few domains,
-	// which chains domains together and yields a long diameter).
-	IntraProb float64
 	// Seed drives the RNG.
 	Seed uint64
 }
@@ -132,9 +133,6 @@ type ClusteredConfig struct {
 // on SSD — the page-graph property that gives FlashGraph good cache
 // hit rates (Table 2).
 func ClusteredStream(cfg ClusteredConfig, emit Emit) error {
-	if cfg.IntraProb == 0 {
-		cfg.IntraProb = 0.85
-	}
 	n := cfg.Domains * cfg.DomainSize
 	m := n * cfg.EdgesPerVertex
 	r := util.NewRNG(cfg.Seed)
@@ -142,7 +140,7 @@ func ClusteredStream(cfg ClusteredConfig, emit Emit) error {
 		src := r.Intn(n)
 		dom := src / cfg.DomainSize
 		var dstDom int
-		if r.Float64() < cfg.IntraProb {
+		if r.Float64() < clusteredIntraProb {
 			dstDom = dom
 		} else {
 			// Mostly forward links to the next 1..4 domains; occasional

@@ -67,9 +67,6 @@ type BlockDir struct {
 // StripeSize returns the number of rows (and columns) per stripe.
 func (bd *BlockDir) StripeSize() int { return 1 << bd.Shift }
 
-// StripeOf returns the stripe index containing vertex v.
-func (bd *BlockDir) StripeOf(v VertexID) int { return int(v >> bd.Shift) }
-
 // NumBlocks returns the total block count.
 func (bd *BlockDir) NumBlocks() int { return bd.Stripes * bd.Stripes }
 

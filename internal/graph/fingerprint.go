@@ -53,7 +53,7 @@ func (img *Image) hashDirection(h io.Writer, dir EdgeDir, ix *Index, sums []uint
 	}
 	ix.hashRecBytes(h)
 	if sums == nil {
-		r, _, err := img.edgeReader(dir)
+		r, _, err := img.EdgeReader(dir)
 		if err != nil {
 			return // index-only image: no data to cover
 		}

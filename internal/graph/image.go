@@ -166,9 +166,10 @@ func (img *Image) Close() error {
 	return c.Close()
 }
 
-// edgeReader returns a fresh sequential reader over one direction's
-// encoded edge-list file, wherever the bytes live.
-func (img *Image) edgeReader(dir EdgeDir) (io.Reader, int64, error) {
+// EdgeReader returns a fresh sequential reader over one direction's
+// encoded edge-list file, wherever the bytes live (RAM or the backing
+// host file), and the file's size.
+func (img *Image) EdgeReader(dir EdgeDir) (io.Reader, int64, error) {
 	in := dir == InEdges && img.Directed
 	var size int64
 	if in {
@@ -236,7 +237,7 @@ func (img *Image) sourceFor(dir EdgeDir) StreamSource {
 		}
 	}
 	return recordSource(func() (io.Reader, error) {
-		r, _, err := img.edgeReader(dir)
+		r, _, err := img.EdgeReader(dir)
 		return r, err
 	}, ix, img.AttrSize, img.Encoding)
 }
@@ -327,7 +328,7 @@ const loadChunk = 1 << 20
 // created files so every subsequent SAFS read verifies end to end.
 func (img *Image) LoadToFS(fs *safs.FS, name string) (*FSFiles, error) {
 	copyIn := func(name string, dir EdgeDir) (*safs.File, error) {
-		r, size, err := img.edgeReader(dir)
+		r, size, err := img.EdgeReader(dir)
 		if err != nil {
 			return nil, err
 		}

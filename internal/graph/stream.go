@@ -116,6 +116,33 @@ func (s *recordStream) loadRecord() (err error) {
 	return nil
 }
 
+// WalkRecords reads one direction's record-layout edge-list file from
+// r — the image's own bytes (EdgeReader) or a copy of them, such as the
+// SAFS file LoadToFS wrote — and calls fn with each vertex's neighbors
+// in vertex-ID order, stopping at fn's first error. nbrs is valid only
+// during the call. Records are decoded as loadRecord decodes them, so a
+// short or corrupt file is an error. The block layout has no per-vertex
+// records and is rejected.
+func (img *Image) WalkRecords(dir EdgeDir, r io.Reader, fn func(v VertexID, nbrs []VertexID) error) error {
+	if img.Encoding == EncodingBlock {
+		return fmt.Errorf("graph: the %s layout has no per-vertex records to walk", img.Encoding)
+	}
+	ix := img.OutIndex
+	if dir == InEdges && img.Directed {
+		ix = img.InIndex
+	}
+	s := &recordStream{br: bufio.NewReaderSize(r, 1<<20), ix: ix, attrSize: img.AttrSize, enc: img.Encoding}
+	for ; s.v < ix.NumVertices(); s.v++ {
+		if err := s.loadRecord(); err != nil {
+			return err
+		}
+		if err := fn(VertexID(s.v), s.ids); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (s *recordStream) Next() (VertexID, VertexID, []byte, bool, error) {
 	for {
 		if !s.loaded {

@@ -57,9 +57,6 @@ func (f *File) SetChecksums(sums []uint32, extentSize int) {
 	f.extSize = int64(extentSize)
 }
 
-// Checksummed reports whether reads of f are verified.
-func (f *File) Checksummed() bool { return f.sums != nil }
-
 // verifyPads returns the scratch buffers that widen a read of [lo, hi)
 // of f to whole extents, so that whatever the page size — smaller than
 // an extent, or not a multiple of one — everything an asynchronous load

@@ -93,6 +93,13 @@ type wallClock struct{}
 func (wallClock) Now() time.Time        { return time.Now() }
 func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
+// writePenalty multiplies the service time of writes (flash program is
+// slower than read), and retryCap bounds the retry backoff's growth.
+const (
+	writePenalty = 2
+	retryCap     = 5 * time.Millisecond
+)
+
 // DeviceParams models one SSD. Zero values are replaced by defaults in
 // NewDevice.
 type DeviceParams struct {
@@ -106,9 +113,6 @@ type DeviceParams struct {
 	SeqOverhead time.Duration
 	// Bandwidth is the transfer rate in bytes/second. Default 400MB/s.
 	Bandwidth int64
-	// WritePenalty multiplies the service time of writes (flash program
-	// is slower than read). Default 2.
-	WritePenalty int
 	// QueueDepth bounds the number of in-flight requests. Submit blocks
 	// when full. Default 64.
 	QueueDepth int
@@ -132,10 +136,9 @@ type DeviceParams struct {
 	// retry.
 	RetryMax int
 	// RetryBase is the backoff before the first retry; each further
-	// retry doubles it, with ±50% deterministic jitter. Default 100µs.
+	// retry doubles it up to 5ms, with ±50% deterministic jitter.
+	// Default 100µs.
 	RetryBase time.Duration
-	// RetryCap bounds the backoff growth. Default 5ms.
-	RetryCap time.Duration
 	// DegradeThreshold trips the device into a degraded state after
 	// this many consecutive post-retry request failures; once degraded
 	// the device fails new submissions fast with ErrDegraded instead of
@@ -153,9 +156,6 @@ func (p *DeviceParams) setDefaults() {
 	if p.Bandwidth == 0 {
 		p.Bandwidth = 400 << 20
 	}
-	if p.WritePenalty == 0 {
-		p.WritePenalty = 2
-	}
 	if p.QueueDepth == 0 {
 		p.QueueDepth = 64
 	}
@@ -170,9 +170,6 @@ func (p *DeviceParams) setDefaults() {
 	}
 	if p.RetryBase == 0 {
 		p.RetryBase = 100 * time.Microsecond
-	}
-	if p.RetryCap == 0 {
-		p.RetryCap = 5 * time.Millisecond
 	}
 	if p.DegradeThreshold == 0 {
 		p.DegradeThreshold = 16
@@ -443,7 +440,7 @@ func (d *Device) serviceTime(req *Request, sequential bool) time.Duration {
 	transfer := time.Duration(int64(req.length()) * int64(time.Second) / d.params.Bandwidth)
 	t := overhead + transfer
 	if req.Op == OpWrite {
-		t *= time.Duration(d.params.WritePenalty)
+		t *= writePenalty
 	}
 	return t
 }
@@ -476,9 +473,7 @@ func (d *Device) transferRetry(req *Request) (int, error) {
 	for attempt := 0; err != nil && IsTransient(err) && attempt < d.params.RetryMax; attempt++ {
 		atomic.AddInt64(&d.retries, 1)
 		delay := d.params.RetryBase << uint(attempt)
-		if delay > d.params.RetryCap {
-			delay = d.params.RetryCap
-		}
+		delay = min(delay, retryCap)
 		if delay <= 0 {
 			delay = time.Microsecond
 		}
