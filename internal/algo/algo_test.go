@@ -2,7 +2,9 @@ package algo
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flashgraph/internal/baseline/galois"
@@ -185,67 +187,125 @@ func TestBCPath(t *testing.T) {
 	}
 }
 
-func TestTCMatchesOracleDirected(t *testing.T) {
-	g := rmatGraph(t, 8, 6, 5, true)
-	wantTotal, wantPer := galois.TriangleCount(g.ref)
-	for name, eng := range engines(t, g.img) {
-		tc := NewTC()
-		if _, err := eng.Run(tc); err != nil {
-			t.Fatal(err)
+// scanOf is v's locality statistic computed directly from the CSR: its
+// undirected degree plus the edges among its neighbours.
+func scanOf(g *csr.Graph, v graph.VertexID) int64 {
+	nv := g.Neighbors(v, nil)
+	var among int64
+	for _, u := range nv {
+		for _, w := range g.Neighbors(u, nil) {
+			if _, ok := slices.BinarySearch(nv, w); ok {
+				among++
+			}
 		}
-		if tc.Total != wantTotal {
-			t.Fatalf("%s: total = %d, want %d", name, tc.Total, wantTotal)
-		}
-		for v := range wantPer {
-			if tc.PerVertex[v] != wantPer[v] {
-				t.Fatalf("%s: per[%d] = %d, want %d", name, v, tc.PerVertex[v], wantPer[v])
+	}
+	return int64(len(nv)) + among/2
+}
+
+// nbrhoodTable is the oracle table for triangle counting and scan
+// statistics: one R-MAT graph per direction, run raw and delta, in memory
+// and SEM, at 1, 3 and 8 threads. check sees every engine row in turn.
+func nbrhoodTable(t *testing.T, directed bool, check func(name string, eng *core.Engine, ref *csr.Graph)) {
+	t.Helper()
+	a := graph.FromEdges(1<<9, gen.RMAT(9, 8, 7), directed)
+	a.Dedup()
+	ref := csr.FromAdjacency(a)
+	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingDelta} {
+		img := buildImage(t, a, enc)
+		for _, threads := range []int{1, 3, 8} {
+			for _, mem := range []bool{true, false} {
+				c := bfsConfig{enc: enc, mem: mem, threads: threads}
+				check(fmt.Sprintf("directed=%v/%s", directed, c), c.engine(t, img), ref)
 			}
 		}
 	}
 }
 
+// checkTCTable runs TC at each part size on every row of the table and
+// checks Total and PerVertex against galois.
+func checkTCTable(t *testing.T, directed bool, partSizes ...int) {
+	t.Helper()
+	nbrhoodTable(t, directed, func(name string, eng *core.Engine, ref *csr.Graph) {
+		wantTotal, wantPer := galois.TriangleCount(ref)
+		for _, partSize := range partSizes {
+			tc := NewTC()
+			tc.PartSize = partSize
+			if _, err := eng.Run(tc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if tc.Total != wantTotal {
+				t.Fatalf("%s PartSize=%d: total = %d, want %d", name, partSize, tc.Total, wantTotal)
+			}
+			for v := range wantPer {
+				if tc.PerVertex[v] != wantPer[v] {
+					t.Fatalf("%s PartSize=%d: per[%d] = %d, want %d", name, partSize, v, tc.PerVertex[v], wantPer[v])
+				}
+			}
+		}
+	})
+}
+
+func TestTCMatchesOracleDirected(t *testing.T) {
+	checkTCTable(t, true, NewTC().PartSize)
+}
+
 func TestTCMatchesOracleUndirected(t *testing.T) {
-	g := makeGraph(t, gen.RMAT(8, 5, 6), 1<<8, false, 0, nil)
-	wantTotal, _ := galois.TriangleCount(g.ref)
-	for name, eng := range engines(t, g.img) {
-		tc := NewTC()
-		if _, err := eng.Run(tc); err != nil {
-			t.Fatal(err)
-		}
-		if tc.Total != wantTotal {
-			t.Fatalf("%s: total = %d, want %d", name, tc.Total, wantTotal)
-		}
-	}
+	checkTCTable(t, false, NewTC().PartSize)
 }
 
+// TestTCVerticalPartitioningAgrees: with vertical partitioning off and
+// fine (16 vertices a part), TC still gives galois's answers.
 func TestTCVerticalPartitioningAgrees(t *testing.T) {
-	g := rmatGraph(t, 9, 8, 7, true)
-	wantTotal, _ := galois.TriangleCount(g.ref)
-	eng := engines(t, g.img)["sem"]
-	for _, partSize := range []int{0, 16, 256} {
-		tc := NewTC()
-		tc.PartSize = partSize
-		if _, err := eng.Run(tc); err != nil {
-			t.Fatal(err)
-		}
-		if tc.Total != wantTotal {
-			t.Fatalf("PartSize=%d: total = %d, want %d", partSize, tc.Total, wantTotal)
-		}
+	for _, directed := range []bool{true, false} {
+		checkTCTable(t, directed, 0, 16)
 	}
 }
 
+// TestScanStatMatchesOracle: scan statistics' Max is galois's on every
+// row of the table, and ArgMax's own scan, computed from the CSR, is Max.
 func TestScanStatMatchesOracle(t *testing.T) {
-	g := rmatGraph(t, 8, 6, 8, true)
-	wantMax, _ := galois.ScanStat(g.ref)
-	for name, eng := range engines(t, g.img) {
-		ss := NewScanStat()
-		semCfg := eng // engines are preconfigured; scheduler set below
-		_ = semCfg
-		if _, err := eng.Run(ss); err != nil {
+	for _, directed := range []bool{true, false} {
+		nbrhoodTable(t, directed, func(name string, eng *core.Engine, ref *csr.Graph) {
+			wantMax, _ := galois.ScanStat(ref)
+			ss := NewScanStat()
+			if _, err := eng.Run(ss); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ss.Max != wantMax {
+				t.Fatalf("%s: scan max = %d, want %d", name, ss.Max, wantMax)
+			}
+			if got := scanOf(ref, ss.ArgMax); got != ss.Max {
+				t.Fatalf("%s: argmax %d has scan %d, max is %d", name, ss.ArgMax, got, ss.Max)
+			}
+		})
+	}
+}
+
+// TestScanStatChecksumIgnoresThreads: scan statistics' result is a
+// function of the image alone. How many vertices pruning skips races
+// across workers, but the checksum is the same at every thread count,
+// run after run.
+func TestScanStatChecksumIgnoresThreads(t *testing.T) {
+	g := rmatGraph(t, 12, 8, 3, true)
+	want := ""
+	for _, threads := range []int{1, 4, 8} {
+		eng, err := core.NewEngine(g.img, core.Config{Threads: threads, InMemory: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if ss.Max != wantMax {
-			t.Fatalf("%s: scan max = %d, want %d", name, ss.Max, wantMax)
+		for run := 0; run < 5; run++ {
+			ss := NewScanStat()
+			if _, err := eng.Run(ss); err != nil {
+				t.Fatal(err)
+			}
+			got := ss.Result().Checksum()
+			if want == "" {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("T%d run %d: checksum %s, first run %s (max %d at %d, %d computed)",
+					threads, run, got, want, ss.Max, ss.ArgMax, ss.Computed)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,39 +15,22 @@ import (
 // largest number of edges in any vertex's closed neighborhood. It is the
 // paper's showcase for custom vertex scheduling — vertices run in
 // degree-descending order, and a vertex whose best-possible scan cannot
-// beat the current maximum skips all computation and, crucially, all I/O
-// ("we avoid actual computation for many vertices" [27]).
+// reach the current maximum skips all computation and, crucially, all
+// I/O ("we avoid actual computation for many vertices" [27]).
 type ScanStat struct {
 	// Max is the maximum locality statistic found.
 	Max int64
-	// ArgMax is a vertex achieving it.
+	// ArgMax is the smallest vertex achieving it.
 	ArgMax graph.VertexID
 
-	directed bool
-	mu       sync.Mutex // guards Max/ArgMax update pair
-	workers  []ssWorker
-	states   sync.Map // graph.VertexID -> *ssState
+	mu sync.Mutex // guards Max/ArgMax update pair
+	nb nbrhood
 
 	// Computed counts vertices that did the full neighborhood scan
 	// (diagnostics: shows how many the scheduler skipped).
 	Computed int64
 	// Skipped counts vertices pruned by the bound.
 	Skipped int64
-}
-
-type ssWorker struct {
-	own      map[graph.VertexID][]graph.VertexID
-	ownLeft  map[graph.VertexID]int
-	cand     map[uint64][]graph.VertexID
-	candLeft map[uint64]int
-	edgeBuf  []graph.VertexID
-}
-
-type ssState struct {
-	nbrs   []graph.VertexID // sorted unique neighbors (≠ v)
-	among  int64            // Σ_u |N(u) ∩ N(v)| (counts each edge twice)
-	issued int32
-	done   int32
 }
 
 // NewScanStat returns a scan-statistics program.
@@ -60,30 +44,14 @@ func (s *ScanStat) Init(eng core.ExecutionEngine) {
 	s.ArgMax = graph.InvalidVertex
 	atomic.StoreInt64(&s.Computed, 0)
 	atomic.StoreInt64(&s.Skipped, 0)
-	s.directed = eng.Directed()
-	s.workers = make([]ssWorker, eng.Threads())
-	for i := range s.workers {
-		s.workers[i] = ssWorker{
-			own:      make(map[graph.VertexID][]graph.VertexID),
-			ownLeft:  make(map[graph.VertexID]int),
-			cand:     make(map[uint64][]graph.VertexID),
-			candLeft: make(map[uint64]int),
-		}
-	}
+	s.nb.init(eng)
 	eng.ActivateAllSeeds()
 }
 
 // Order implements core.CustomScheduler: largest degree first, so the
 // early iterations establish a high bar and the long tail prunes away.
 func (s *ScanStat) Order(eng *core.Engine, vs []graph.VertexID) {
-	deg := func(v graph.VertexID) uint32 {
-		d := eng.OutDegree(v)
-		if eng.Directed() {
-			d += eng.InDegree(v)
-		}
-		return d
-	}
-	sort.Slice(vs, func(i, j int) bool { return deg(vs[i]) > deg(vs[j]) })
+	sort.Slice(vs, func(i, j int) bool { return degreeBound(eng, vs[i]) > degreeBound(eng, vs[j]) })
 }
 
 // MaxRunning implements core.RunningLimiter: pruning compares against the
@@ -91,119 +59,58 @@ func (s *ScanStat) Order(eng *core.Engine, vs []graph.VertexID) {
 // bar to rise before the long tail is admitted.
 func (s *ScanStat) MaxRunning() int { return 512 }
 
-// bound returns the best scan a vertex with (undirected-degree upper
-// bound) d could achieve: all d neighbor edges plus every neighbor pair
-// adjacent.
-func scanBound(d int64) int64 { return d + d*(d-1)/2 }
+// pruned reports whether a vertex of (undirected-degree upper bound) d
+// cannot reach the current maximum even with every neighbor pair
+// adjacent, and counts it skipped if so. A vertex that could tie still
+// runs, so every vertex scoring the final maximum is computed.
+func (s *ScanStat) pruned(d int) bool {
+	if bound := int64(d) + int64(d)*int64(d-1)/2; bound >= atomic.LoadInt64(&s.Max) {
+		return false
+	}
+	atomic.AddInt64(&s.Skipped, 1)
+	return true
+}
 
 // Run implements core.Algorithm.
 func (s *ScanStat) Run(ctx *core.Ctx, v graph.VertexID) {
-	d := int64(degreeBound(ctx, v))
-	if d == 0 {
-		return
-	}
-	if scanBound(d) <= atomic.LoadInt64(&s.Max) {
-		atomic.AddInt64(&s.Skipped, 1)
-		return // cannot beat the current maximum: skip the I/O entirely
-	}
-	ws := &s.workers[ctx.WorkerID()]
-	left := 1
-	if s.directed {
-		left = 2
-	}
-	ws.ownLeft[v] = left
-	ctx.RequestSelf(graph.OutEdges)
-	if s.directed {
-		ctx.RequestSelf(graph.InEdges)
+	if d := degreeBound(ctx.Engine(), v); d > 0 && !s.pruned(d) {
+		s.nb.fetchOwn(ctx)
 	}
 }
 
-// RunOnVertex implements core.Algorithm.
+// RunOnVertex implements core.Algorithm: the vertex's own list or a
+// neighbor's list is whole.
 func (s *ScanStat) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	ws := &s.workers[ctx.WorkerID()]
-	if pv.ID == v {
-		if _, ok := ws.ownLeft[v]; ok {
-			s.ownArrived(ctx, ws, v, pv)
-			return
-		}
-	}
-	s.candArrived(ctx, ws, v, pv)
-}
-
-func (s *ScanStat) ownArrived(ctx *core.Ctx, ws *ssWorker, v graph.VertexID, pv *graph.PageVertex) {
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
-	ws.own[v] = append(ws.own[v], ws.edgeBuf...)
-	ws.ownLeft[v]--
-	if ws.ownLeft[v] > 0 {
-		return
-	}
-	delete(ws.ownLeft, v)
-	raw := ws.own[v]
-	delete(ws.own, v)
-
-	nbrs := dedupNeighbors(raw, v)
-	d := int64(len(nbrs))
-	if d == 0 {
-		return
-	}
-	// Re-check the bound with the true (deduplicated) degree.
-	if scanBound(d) <= atomic.LoadInt64(&s.Max) {
-		atomic.AddInt64(&s.Skipped, 1)
-		return
-	}
-	st := &ssState{nbrs: nbrs}
-	s.states.Store(v, st)
-	left := 1
-	if s.directed {
-		left = 2
-	}
-	for _, u := range nbrs {
-		ws.candLeft[candKey(v, u)] = left
-		st.issued++
-		ctx.RequestEdges(graph.OutEdges, u)
-		if s.directed {
-			ctx.RequestEdges(graph.InEdges, u)
-		}
-	}
-}
-
-func (s *ScanStat) candArrived(ctx *core.Ctx, ws *ssWorker, v graph.VertexID, pv *graph.PageVertex) {
-	u := pv.ID
-	key := candKey(v, u)
-	ws.edgeBuf = pv.Edges(ws.edgeBuf[:0], nil)
-	ws.cand[key] = append(ws.cand[key], ws.edgeBuf...)
-	ws.candLeft[key]--
-	if ws.candLeft[key] > 0 {
-		return
-	}
-	delete(ws.candLeft, key)
-	merged := ws.cand[key]
-	delete(ws.cand, key)
-
-	sv, ok := s.states.Load(v)
+	list, ok := s.nb.arrived(ctx, v, pv)
 	if !ok {
 		return
 	}
-	st := sv.(*ssState)
-	for _, w := range dedupNeighbors(merged, u) {
-		if containsSorted(st.nbrs, w) {
+	if pv.ID == v {
+		// Re-check the bound with the true (deduplicated) degree.
+		if len(list) > 0 && !s.pruned(len(list)) {
+			s.nb.issue(ctx, v, s.nb.start(v, list, 1), list)
+		}
+		return
+	}
+	st := s.nb.state(v)
+	for _, w := range list {
+		if _, ok := slices.BinarySearch(st.nbrs, w); ok {
 			st.among++ // single writer: the requester's worker
 		}
 	}
-	st.done++
-	if st.done == st.issued {
-		s.states.Delete(v)
-		scan := int64(len(st.nbrs)) + st.among/2
-		atomic.AddInt64(&s.Computed, 1)
-		s.mu.Lock()
-		// The lock serializes (Max, ArgMax) updates; the load is still
-		// atomic because pruning reads Max locklessly (lines above).
-		if scan > atomic.LoadInt64(&s.Max) {
-			atomic.StoreInt64(&s.Max, scan)
-			s.ArgMax = v
-		}
-		s.mu.Unlock()
+	if !s.nb.landed(v, st) {
+		return
 	}
+	scan := int64(len(st.nbrs)) + st.among/2
+	atomic.AddInt64(&s.Computed, 1)
+	s.mu.Lock()
+	// The lock serializes (Max, ArgMax) updates; the load is still atomic
+	// because pruning reads Max locklessly. A tie keeps the smaller vertex.
+	if cur := atomic.LoadInt64(&s.Max); scan > cur || scan == cur && v < s.ArgMax {
+		atomic.StoreInt64(&s.Max, scan)
+		s.ArgMax = v
+	}
+	s.mu.Unlock()
 }
 
 // RunOnMessage implements core.Algorithm (scan statistics sends none).
@@ -213,30 +120,15 @@ func (s *ScanStat) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Messag
 // bounded by the running-vertex cap; steady state is O(1) per vertex.
 func (s *ScanStat) StateBytes() int64 { return 64 }
 
-// dedupNeighbors sorts raw and removes duplicates and v itself.
-func dedupNeighbors(raw []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	sort.Slice(raw, func(i, j int) bool { return raw[i] < raw[j] })
-	out := make([]graph.VertexID, 0, len(raw))
-	var prev graph.VertexID = graph.InvalidVertex
-	for _, u := range raw {
-		if u == v || u == prev {
-			continue
-		}
-		out = append(out, u)
-		prev = u
-	}
-	return out
-}
-
-// Result implements core.ResultProducer: scalar-only (the pruning
-// design means most vertices never compute their scan statistic).
+// Result implements core.ResultProducer: the maximum and the smallest
+// vertex achieving it, both fixed by the image. Computed and Skipped
+// stay off the set: how many vertices pruning skips races across
+// workers.
 func (s *ScanStat) Result() *result.ResultSet {
 	rs := result.New("scanstat")
-	// Result runs after the engine joins its workers, but the counters
-	// are atomic on the hot path — keep every access atomic (atomicmix).
+	// Result runs after the engine joins its workers, but Max is atomic
+	// on the hot path — keep every access atomic (atomicmix).
 	rs.AddScalar("max", atomic.LoadInt64(&s.Max))
 	rs.AddScalar("argmax", s.ArgMax)
-	rs.AddScalar("computed", atomic.LoadInt64(&s.Computed))
-	rs.AddScalar("skipped", atomic.LoadInt64(&s.Skipped))
 	return rs
 }

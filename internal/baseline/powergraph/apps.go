@@ -2,6 +2,7 @@ package powergraph
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -269,27 +270,32 @@ func addFloat64(p *float64, x float64) {
 	}
 }
 
+// gatherSets is the gather both neighbourhood apps open with: every
+// vertex's undirected neighbor list, and the same list as a hash set.
+func gatherSets(g *csr.Graph) ([][]graph.VertexID, []map[graph.VertexID]struct{}) {
+	nbrs := make([][]graph.VertexID, g.N)
+	sets := make([]map[graph.VertexID]struct{}, g.N)
+	var buf []graph.VertexID
+	for v := range g.N {
+		buf = g.Neighbors(graph.VertexID(v), buf)
+		nbrs[v] = slices.Clone(buf)
+		sets[v] = make(map[graph.VertexID]struct{}, len(buf))
+		for _, u := range nbrs[v] {
+			sets[v][u] = struct{}{}
+		}
+	}
+	return nbrs, sets
+}
+
 // RunTC counts triangles the way PowerGraph's toolkit does: each vertex
 // gathers its neighbor set into a hash set, and every edge's
 // intersection probes the set element-wise through the generic per-edge
 // path (hash probing plus the boxed-functor toll — no hand-tuned sorted
 // merges).
 func RunTC(e *Engine) int64 {
-	g := e.G
-	nbrs := make([][]graph.VertexID, g.N)
-	sets := make([]map[graph.VertexID]struct{}, g.N)
-	var buf []graph.VertexID
-	for v := 0; v < g.N; v++ {
-		buf = g.Neighbors(graph.VertexID(v), buf)
-		nbrs[v] = append([]graph.VertexID(nil), buf...)
-		set := make(map[graph.VertexID]struct{}, len(buf))
-		for _, u := range buf {
-			set[u] = struct{}{}
-		}
-		sets[v] = set
-	}
+	nbrs, sets := gatherSets(e.G)
 	var total int64
-	e.parallel(g.N, func(lo, hi int) {
+	e.parallel(e.G.N, func(lo, hi int) {
 		var local int64
 		for v := lo; v < hi; v++ {
 			nv := nbrs[v]
@@ -321,21 +327,9 @@ func RunTC(e *Engine) int64 {
 // custom vertex scheduler, which is exactly the paper's point about
 // FlashGraph's flexible scheduling (§3.7).
 func RunScanStat(e *Engine) int64 {
-	g := e.G
-	nbrs := make([][]graph.VertexID, g.N)
-	sets := make([]map[graph.VertexID]struct{}, g.N)
-	var buf []graph.VertexID
-	for v := 0; v < g.N; v++ {
-		buf = g.Neighbors(graph.VertexID(v), buf)
-		nbrs[v] = append([]graph.VertexID(nil), buf...)
-		set := make(map[graph.VertexID]struct{}, len(buf))
-		for _, u := range buf {
-			set[u] = struct{}{}
-		}
-		sets[v] = set
-	}
+	nbrs, sets := gatherSets(e.G)
 	var best int64
-	e.parallel(g.N, func(lo, hi int) {
+	e.parallel(e.G.N, func(lo, hi int) {
 		var localBest int64
 		for v := lo; v < hi; v++ {
 			nv := nbrs[v]

@@ -601,7 +601,7 @@ func init() {
 		})
 	builtin("bc", "single-source Brandes betweenness centrality from src; centrality vector",
 		Caps{NeedsSrc: true}, func(p SrcParams) (core.Program, error) { return algo.NewBC(p.Src), nil })
-	builtin("tc", "triangle counting by neighborhood intersection; per-vertex triangle vector + total scalar",
+	builtin("tc", "triangle counting by neighborhood intersection; triangles scalar (distinct triangles in the graph)",
 		Caps{}, func(struct{}) (core.Program, error) { return algo.NewTC(), nil })
 	builtin("kcore", "k-core decomposition by degree peeling; in-core 0/1 vector + core size scalar",
 		Caps{RequiresUndirected: true}, func(p KCoreParams) (core.Program, error) {
@@ -615,7 +615,7 @@ func init() {
 		})
 	builtin("sssp", "single-source shortest paths over uint32 edge weights from src; distance vector + reached scalar",
 		Caps{NeedsSrc: true, RequiresWeighted: true}, func(p SrcParams) (core.Program, error) { return algo.NewSSSP(p.Src), nil })
-	builtin("scanstat", "maximum locality statistic (scan statistics); locality vector + max/argmax scalars",
+	builtin("scanstat", "maximum locality statistic (scan statistics); max + argmax scalars (argmax = smallest vertex achieving max)",
 		Caps{}, func(struct{}) (core.Program, error) { return algo.NewScanStat(), nil })
 	builtin("ppagerank", "personalized PageRank: random walk with restart at src, transition probabilities proportional to edge weights; score vector",
 		Caps{NeedsSrc: true, RequiresWeighted: true}, func(p PPRParams) (core.Program, error) {
