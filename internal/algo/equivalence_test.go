@@ -3,6 +3,7 @@ package algo
 import (
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"flashgraph/internal/core"
@@ -182,3 +183,93 @@ func (onlySpMV) BeginIteration(core.ExecutionEngine, int) []graph.EdgeDir {
 }
 func (onlySpMV) ApplyRow(graph.EdgeDir, graph.VertexID, []graph.VertexID) {}
 func (onlySpMV) EndIteration(core.ExecutionEngine, int) bool              { return true }
+
+// tracedShapePR exposes PageRank as core.Algorithm plus
+// core.IterationLimiter only — the shape of a tracing wrapper — which
+// hides core.MessageBatchReceiver, so the engine delivers per message.
+type tracedShapePR struct {
+	core.Algorithm
+	core.IterationLimiter
+	delivered *atomic.Int64
+}
+
+func (p tracedShapePR) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
+	p.delivered.Add(1)
+	p.Algorithm.RunOnMessage(ctx, v, msg)
+}
+
+// hookedPR embeds PageRank and declares its own OnIterationEnd, the way
+// a harness timestamps iterations; RunOnMessages is promoted unchanged.
+type hookedPR struct {
+	*PageRank
+	ticks *atomic.Int64
+}
+
+func (h hookedPR) OnIterationEnd(*core.Engine) { h.ticks.Add(1) }
+
+// The embedding shape must keep the batch hook, or every timed pass that
+// wraps PageRank this way silently falls back to per-message delivery.
+var _ core.MessageBatchReceiver = hookedPR{}
+
+// TestPageRankBatchDeliveryEquivalence: bare PageRank and the embedding
+// shape take delivery a header at a time, the wrapper shape per message;
+// all three give one checksum, message count and iteration count on
+// every encoding × mode × thread count.
+func TestPageRankBatchDeliveryEquivalence(t *testing.T) {
+	a := graph.FromEdges(1<<11, gen.RMAT(11, 8, 5), true)
+	a.Dedup()
+	if _, ok := any(tracedShapePR{}).(core.MessageBatchReceiver); ok {
+		t.Fatal("the wrapper shape exposes the batch hook: the per-message path goes untested")
+	}
+	type outcome struct {
+		sum             string
+		messages, iters int64
+	}
+	forms := map[string]func() (core.Algorithm, *PageRank){
+		"bare": func() (core.Algorithm, *PageRank) {
+			pr := NewPageRank()
+			return pr, pr
+		},
+		"wrapped": func() (core.Algorithm, *PageRank) {
+			pr := NewPageRank()
+			return tracedShapePR{pr, pr, &atomic.Int64{}}, pr
+		},
+		"embedded": func() (core.Algorithm, *PageRank) {
+			pr := NewPageRank()
+			return hookedPR{pr, &atomic.Int64{}}, pr
+		},
+	}
+	var want *outcome
+	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingDelta} {
+		img := buildImage(t, a, enc)
+		for _, mem := range []bool{true, false} {
+			for _, threads := range []int{1, 2, 8} {
+				c := bfsConfig{enc: enc, mem: mem, threads: threads}
+				for name, form := range forms {
+					alg, pr := form()
+					st, err := c.engine(t, img).Run(alg)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", c, name, err)
+					}
+					got := &outcome{pr.Result().Checksum(), st.Messages, int64(st.Iterations)}
+					switch f := alg.(type) {
+					case tracedShapePR:
+						if d := f.delivered.Load(); d != st.Messages {
+							t.Fatalf("%s/%s: %d RunOnMessage calls for %d messages", c, name, d, st.Messages)
+						}
+					case hookedPR:
+						if n := f.ticks.Load(); n != int64(st.Iterations) {
+							t.Fatalf("%s/%s: hook ran %d times in %d iterations", c, name, n, st.Iterations)
+						}
+					}
+					if want == nil {
+						want = got
+						t.Logf("%s/%s: checksum %s, %d messages, %d iterations", c, name, got.sum, got.messages, got.iters)
+					} else if *got != *want {
+						t.Fatalf("%s/%s: %+v, want %+v", c, name, *got, *want)
+					}
+				}
+			}
+		}
+	}
+}

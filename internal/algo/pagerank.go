@@ -103,13 +103,14 @@ func (p *PageRank) absorb(v graph.VertexID, outdeg uint32) int64 {
 	return int64(p.Damping * float64(d) / float64(outdeg))
 }
 
-// deliver accumulates one incoming share and reports whether it crossed
-// the activation threshold (deltas are strictly positive, so a vertex
-// crosses at most once between absorbs, in any delivery order).
-func (p *PageRank) deliver(v graph.VertexID, share int64) (crossed bool) {
-	was := p.accumFix[v] <= p.thrFix
-	p.accumFix[v] += share
-	return was && p.accumFix[v] > p.thrFix
+// deliver accumulates one incoming share into acc[v] and reports whether
+// it crossed the activation threshold thr (deltas are strictly positive,
+// so a vertex crosses at most once between absorbs, in any delivery
+// order). Callers pass p.accumFix and p.thrFix, loaded once per batch.
+func deliver(acc []int64, thr int64, v graph.VertexID, share int64) (crossed bool) {
+	was := acc[v] <= thr
+	acc[v] += share
+	return was && acc[v] > thr
 }
 
 // Run implements core.Algorithm: absorb the accumulated delta and, if
@@ -137,12 +138,23 @@ func (p *PageRank) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVe
 	p.shareFix[v] = 0
 }
 
-// RunOnMessage implements core.Algorithm: accumulate the delta and
-// activate when it crosses the threshold. Messages for a vertex are
-// delivered on its partition's owner thread, so no synchronization is
-// needed.
+// RunOnMessages implements core.MessageBatchReceiver: accumulate one
+// multicast run's delta into each target and activate those that cross
+// the threshold. Messages for a vertex are delivered on its partition's
+// owner thread, so no synchronization is needed.
+func (p *PageRank) RunOnMessages(ctx *core.Ctx, targets []graph.VertexID, msg core.Message) {
+	acc, thr, share := p.accumFix, p.thrFix, msg.I64
+	for _, v := range targets {
+		if deliver(acc, thr, v, share) {
+			ctx.Activate(v)
+		}
+	}
+}
+
+// RunOnMessage implements core.Algorithm: RunOnMessages for one target,
+// for callers that hide the batch hook.
 func (p *PageRank) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
-	if p.deliver(v, msg.I64) {
+	if deliver(p.accumFix, p.thrFix, v, msg.I64) {
 		ctx.Activate(v)
 	}
 }
@@ -177,8 +189,9 @@ func (p *PageRank) ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []graph.
 	if share == 0 {
 		return
 	}
+	acc, thr := p.accumFix, p.thrFix
 	for _, c := range cols {
-		if p.deliver(c, share) {
+		if deliver(acc, thr, c, share) {
 			p.nextActive[c] = true
 		}
 	}

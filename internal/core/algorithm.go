@@ -30,6 +30,8 @@
 //	                            flat chunk owned by (sender, partition)
 //	  → owner's inbox           a full chunk changes hands by pointer
 //	  → worker.messagePhase     owner walks headers × targets, RunOnMessage
+//	                            per target — or one RunOnMessages per
+//	                            header for a MessageBatchReceiver
 //
 // Two memory rules hold between barriers and make that steady state
 // allocation-free: request-side state (the request slab, pooled read
@@ -63,11 +65,13 @@ type Message struct {
 // ID from state address).
 //
 // Concurrency contract: Run and RunOnVertex for a given vertex never
-// execute concurrently with each other; RunOnMessage runs only in the
-// message phase, owner-partitioned, never concurrently with Run of the
-// same iteration. Callbacks for different vertices run concurrently on
-// different workers, so cross-vertex mutation must use atomics or
-// messages (the paper's rule: touch other vertices only via messages).
+// execute concurrently with each other; RunOnMessage (and
+// MessageBatchReceiver's RunOnMessages) runs only in the message phase,
+// owner-partitioned — every target of one call is owned by the calling
+// worker — never concurrently with Run of the same iteration. Callbacks
+// for different vertices run concurrently on different workers, so
+// cross-vertex mutation must use atomics or messages (the paper's rule:
+// touch other vertices only via messages).
 type Algorithm interface {
 	// Init allocates state and activates seed vertices via
 	// ActivateSeed / ActivateAllSeeds. It runs once per Run call (the
@@ -86,6 +90,17 @@ type Algorithm interface {
 	// RunOnMessage delivers a message to v. It executes even if v is
 	// inactive in the iteration.
 	RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)
+}
+
+// MessageBatchReceiver is implemented by algorithms that take a multicast
+// run at once: the engine hands each buffered header — one msg for n
+// targets — to a single RunOnMessages call instead of n RunOnMessage
+// calls. targets is only valid for the call. A batch has no current
+// vertex to stamp msg.From with, so Send, Multicast and
+// NotifyIterationEnd panic inside it: a program that forwards during
+// message delivery implements RunOnMessage only.
+type MessageBatchReceiver interface {
+	RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message)
 }
 
 // IterationEnder is implemented by algorithms whose vertices request

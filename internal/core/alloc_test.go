@@ -29,6 +29,19 @@ func (m *selfMulticast) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message) {}
 func (m *selfMulticast) MaxIterations() int                                   { return m.iters }
 func (m *selfMulticast) OnIterationEnd(eng *Engine)                           { eng.ActivateAllSeeds() }
 
+// selfMulticastBatch is selfMulticast taking delivery a header at a time.
+type selfMulticastBatch struct{ selfMulticast }
+
+func (m *selfMulticastBatch) RunOnMessages(*Ctx, []graph.VertexID, Message) {}
+
+// selfMulticasts are the two delivery paths the allocation gates hold.
+func selfMulticasts(iters int) map[string]Algorithm {
+	return map[string]Algorithm{
+		"per-message": &selfMulticast{iters: iters},
+		"batch":       &selfMulticastBatch{selfMulticast{iters: iters}},
+	}
+}
+
 // TestMessageRoundAllocatesNothing is the gate on the message path
 // proper: on a warmed 3-thread engine, multicast → hand-over → deliver
 // allocates only the chunks that turn over — a worker keeps Threads
@@ -38,8 +51,14 @@ func TestMessageRoundAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	img, _ := buildTestImage(t, 10, 4, 31)
+	for name, alg := range selfMulticasts(0) {
+		t.Run(name, func(t *testing.T) { messageRoundAllocates(t, img, alg) })
+	}
+}
+
+func messageRoundAllocates(t *testing.T, img *graph.Image, alg Algorithm) {
 	eng := memEngine(t, img, func(c *Config) { c.Threads = 3 })
-	eng.alg = &selfMulticast{}
+	eng.alg = alg
 	targets := make([]graph.VertexID, img.NumV)
 	for i := range targets {
 		targets[i] = graph.VertexID(i)
@@ -90,24 +109,28 @@ func TestRunAllocatesNothingPerMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(iters int) (RunStats, uint64) {
+	run := func(alg Algorithm) (RunStats, uint64) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		st, err := shared.NewRun().Run(&selfMulticast{iters: iters})
+		st, err := shared.NewRun().Run(alg)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st, m1.Mallocs - m0.Mallocs
 	}
-	run(1)
-	st, mallocs := run(8)
-	if st.Messages < 500_000 {
-		t.Fatalf("only %d messages: the gate measured something else", st.Messages)
-	}
-	t.Logf("%d mallocs, %d messages", mallocs, st.Messages)
-	if per := float64(mallocs) / float64(st.Messages); per >= 0.001 {
-		t.Fatalf("%d mallocs for %d messages = %.4f per message, want < 0.001", mallocs, st.Messages, per)
+	for name := range selfMulticasts(0) {
+		t.Run(name, func(t *testing.T) {
+			run(selfMulticasts(1)[name])
+			st, mallocs := run(selfMulticasts(8)[name])
+			if st.Messages < 500_000 {
+				t.Fatalf("only %d messages: the gate measured something else", st.Messages)
+			}
+			t.Logf("%d mallocs, %d messages", mallocs, st.Messages)
+			if per := float64(mallocs) / float64(st.Messages); per >= 0.001 {
+				t.Fatalf("%d mallocs for %d messages = %.4f per message, want < 0.001", mallocs, st.Messages, per)
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ type Ctx struct {
 	cur    graph.VertexID // vertex on whose behalf callbacks run
 	part   int            // current vertical partition
 	inMsgs bool           // true during the message phase
+	batch  bool           // true while RunOnMessages runs: cur names no vertex
 }
 
 // Engine returns the running engine (graph metadata, degrees).
@@ -66,17 +67,25 @@ func (c *Ctx) ActivateMany(vs []graph.VertexID) {
 	c.eng.activeNext.SetMany(vs)
 }
 
+// self is the current vertex, for the calls that act on its behalf.
+func (c *Ctx) self() graph.VertexID {
+	if c.batch {
+		panic("core: Send, Multicast or NotifyIterationEnd from RunOnMessages: a batch has no current vertex (forward from RunOnMessage instead)")
+	}
+	return c.cur
+}
+
 // Send delivers msg to vertex `to` during this iteration's message
 // phase. msg.From is set to the current vertex.
 func (c *Ctx) Send(to graph.VertexID, msg Message) {
-	msg.From = c.cur
+	msg.From = c.self()
 	c.w.multicast([]graph.VertexID{to}, msg)
 }
 
 // Multicast delivers the same message to every target, copying it once
 // per destination worker rather than once per vertex (§3.4.1).
 func (c *Ctx) Multicast(targets []graph.VertexID, msg Message) {
-	msg.From = c.cur
+	msg.From = c.self()
 	c.w.multicast(targets, msg)
 }
 
@@ -84,7 +93,7 @@ func (c *Ctx) Multicast(targets []graph.VertexID, msg Message) {
 // current vertex when this iteration's active vertices have all been
 // processed.
 func (c *Ctx) NotifyIterationEnd() {
-	c.w.iterEnd = append(c.w.iterEnd, c.cur)
+	c.w.iterEnd = append(c.w.iterEnd, c.self())
 }
 
 // OutDegree returns v's out-degree from the in-memory index.

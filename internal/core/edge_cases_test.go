@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -160,3 +161,39 @@ func (o *orderRecorder) Run(ctx *Ctx, v graph.VertexID) {
 }
 func (o *orderRecorder) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
 func (o *orderRecorder) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
+
+// TestBatchReceiverCannotSend: RunOnMessages has no current vertex to
+// stamp msg.From with, so a call that acts on the current vertex's behalf
+// fails the run instead of sending from the wrong vertex.
+func TestBatchReceiverCannotSend(t *testing.T) {
+	img, _ := buildTestImage(t, 6, 4, 8)
+	for name, misuse := range map[string]func(*Ctx, []graph.VertexID){
+		"Send":               func(ctx *Ctx, ts []graph.VertexID) { ctx.Send(ts[0], Message{I64: 1}) },
+		"Multicast":          func(ctx *Ctx, ts []graph.VertexID) { ctx.Multicast(ts, Message{I64: 1}) },
+		"NotifyIterationEnd": func(ctx *Ctx, _ []graph.VertexID) { ctx.NotifyIterationEnd() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := memEngine(t, img, nil).Run(&batchForwarder{misuse: misuse})
+			if err == nil || !strings.Contains(err.Error(), "from RunOnMessages") {
+				t.Fatalf("err = %v, want the run to fail on %s from RunOnMessages", err, name)
+			}
+		})
+	}
+}
+
+// batchForwarder sends one message from vertex 0 and misuses the Ctx
+// inside the RunOnMessages call that delivers it (only there: unguarded,
+// a forward per delivery would never quiesce).
+type batchForwarder struct {
+	misuse func(*Ctx, []graph.VertexID)
+}
+
+func (b *batchForwarder) Init(eng ExecutionEngine)                                     { eng.ActivateSeed(0) }
+func (b *batchForwarder) Run(ctx *Ctx, v graph.VertexID)                               { ctx.Send(1, Message{}) }
+func (b *batchForwarder) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
+func (b *batchForwarder) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
+func (b *batchForwarder) RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message) {
+	if msg.I64 == 0 {
+		b.misuse(ctx, targets)
+	}
+}

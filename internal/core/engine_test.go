@@ -68,7 +68,7 @@ func refBFSLevels(a *graph.Adjacency, src graph.VertexID) []int32 {
 	return level
 }
 
-func buildTestImage(t *testing.T, scale, epv int, seed uint64) (*graph.Image, *graph.Adjacency) {
+func buildTestImage(t testing.TB, scale, epv int, seed uint64) (*graph.Image, *graph.Adjacency) {
 	t.Helper()
 	edges := gen.RMAT(scale, epv, seed)
 	a := graph.FromEdges(1<<scale, edges, true)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -19,7 +20,7 @@ import (
 // stealing and delivery order cannot change what ought to arrive — only
 // a lost, duplicated, misrouted or late message can.
 
-// delivery is one RunOnMessage call.
+// delivery is one message delivered to one vertex.
 type delivery struct {
 	iter     int
 	to, from graph.VertexID
@@ -49,6 +50,9 @@ type msgSink interface {
 type msgRules struct {
 	seed uint64
 	n    int
+	// noForward keeps receivers from sending: the rules a
+	// MessageBatchReceiver may run, so the engine runs them as one.
+	noForward bool
 	// extra runs after the random actions of Run; boundary cases use it
 	// to add one oversized send pattern. buf is the caller's scratch.
 	extra func(s msgSink, it int, v graph.VertexID, buf *[]graph.VertexID)
@@ -131,10 +135,10 @@ func (r *msgRules) onMessage(s msgSink, it int, v graph.VertexID, msg Message, b
 		return
 	}
 	h := r.mix(uint64(it), uint64(v), uint64(msg.From), uint64(msg.Kind), uint64(msg.I64), 3)
-	if h&3 != 0 {
+	if h&3 != 0 && !r.noForward {
 		s.Send(r.vertex(h>>8), payload(4, h, ttl-1))
 	}
-	if h&12 == 0 {
+	if h&12 == 0 && !r.noForward {
 		ts := r.targets(buf, h, 3)
 		s.Multicast(ts, payload(5, h, ttl-1))
 		scribble(ts)
@@ -198,6 +202,20 @@ func (p *msgProgram) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message) {
 
 func (p *msgProgram) RunOnIterationEnd(ctx *Ctx, v graph.VertexID) {
 	p.rules.onIterEnd(ctx, ctx.Iteration(), v, &p.buf[ctx.WorkerID()])
+}
+
+// msgBatchProgram is msgProgram taking delivery a header at a time; its
+// rules must not forward.
+type msgBatchProgram struct {
+	msgProgram
+	batches atomic.Int64 // RunOnMessages calls, all workers
+}
+
+func (p *msgBatchProgram) RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message) {
+	p.batches.Add(1)
+	for _, v := range targets {
+		p.RunOnMessage(ctx, v, msg)
+	}
 }
 
 // addressed is a message on its way to one vertex.
@@ -315,8 +333,13 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	} else {
 		eng = memEngine(t, img, mutate)
 	}
-	prog := &msgProgram{rules: c.rules, seeds: c.seeds, maxIter: c.maxIter}
-	st, err := eng.Run(prog)
+	batched := &msgBatchProgram{msgProgram: msgProgram{rules: c.rules, seeds: c.seeds, maxIter: c.maxIter}}
+	prog := &batched.msgProgram
+	var alg Algorithm = prog
+	if c.rules.noForward {
+		alg = batched
+	}
+	st, err := eng.Run(alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +368,22 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	if len(want) == 0 {
 		t.Fatal("program delivered no messages: the case tests nothing")
 	}
+	if c.rules.noForward && batched.batches.Load() == 0 {
+		t.Fatal("the engine never called RunOnMessages: the case tests the per-message path")
+	}
 }
 
-func TestMessageModelExactlyOnce(t *testing.T) {
+func TestMessageModelExactlyOnce(t *testing.T) { msgModelMatrix(t, false) }
+
+// TestMessageModelBatchExactlyOnce: a MessageBatchReceiver whose
+// receivers only record and activate gets exactly the oracle's
+// deliveries, over the same matrix.
+func TestMessageModelBatchExactlyOnce(t *testing.T) { msgModelMatrix(t, true) }
+
+// msgModelMatrix runs the seeded programs over threads × range shift ×
+// SEM/in-memory; batch delivers a header at a time to rules that do not
+// forward.
+func msgModelMatrix(t *testing.T, batch bool) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		img, adj := buildTestImage(t, 6+int(seed%3), 5, 100+seed)
 		seeds := []graph.VertexID{0, graph.VertexID(img.NumV / 2), graph.VertexID(img.NumV - 1)}
@@ -359,7 +395,7 @@ func TestMessageModelExactlyOnce(t *testing.T) {
 				name := fmt.Sprintf("seed%d/threads%d/sem=%v", seed, threads, sem)
 				t.Run(name, func(t *testing.T) {
 					runMsgCase(t, img, adj, msgCase{
-						rules: &msgRules{seed: seed}, seeds: seeds, maxIter: 7,
+						rules: &msgRules{seed: seed, noForward: batch}, seeds: seeds, maxIter: 7,
 						threads: threads, shift: uint(1 + seed%3), sem: sem,
 					})
 				})

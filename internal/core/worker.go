@@ -577,11 +577,13 @@ func (w *worker) flushAll() int64 {
 }
 
 // messagePhase flushes open chunks and delivers this partition's inbox,
-// executing RunOnMessage on the owner thread (messages are how vertices
-// touch each other's state without locks — §3.4.1). Returns the number
-// of messages flushed plus delivered, so the engine can iterate the
-// rounds to true quiescence: what a delivery sends stays buffered until
-// the next round — which that delivery's count guarantees — flushes it.
+// executing RunOnMessage — or, for a MessageBatchReceiver, one
+// RunOnMessages per header — on the owner thread (messages are how
+// vertices touch each other's state without locks — §3.4.1). Returns
+// the number of messages flushed plus delivered, so the engine can
+// iterate the rounds to true quiescence: what a delivery sends stays
+// buffered until the next round — which that delivery's count
+// guarantees — flushes it.
 func (w *worker) messagePhase() int64 {
 	busyStart := time.Now()
 	defer func() { w.busyNS += int64(time.Since(busyStart)) }()
@@ -591,18 +593,24 @@ func (w *worker) messagePhase() int64 {
 	w.inbox = w.drained[:0]
 	w.inboxMu.Unlock()
 	ctx, alg := w.partCtx, w.eng.alg
-	ctx.inMsgs = true
-	defer func() { ctx.inMsgs = false }()
+	recv, _ := alg.(MessageBatchReceiver)
+	ctx.inMsgs, ctx.batch = true, recv != nil
+	defer func() { ctx.inMsgs, ctx.batch = false, false }()
 	var delivered int64
 	for i, c := range batch {
 		t := int32(0)
 		for h := range c.hdrs[:c.nh] {
 			hd := &c.hdrs[h]
-			for _, to := range c.targets[t : t+hd.n] {
+			targets := c.targets[t : t+hd.n]
+			t += hd.n
+			if recv != nil {
+				recv.RunOnMessages(ctx, targets, hd.msg)
+				continue
+			}
+			for _, to := range targets {
 				ctx.cur = to
 				alg.RunOnMessage(ctx, to, hd.msg)
 			}
-			t += hd.n
 		}
 		delivered += int64(c.nt)
 		// Chunks are dropped once delivered — an iteration buffers far
