@@ -273,3 +273,91 @@ func TestPageRankBatchDeliveryEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// sweptPR embeds PageRank and declares its own EndIteration, the way a
+// harness timestamps sweeps; ColumnLocal is promoted unchanged.
+type sweptPR struct {
+	*PageRank
+	ticks *atomic.Int64
+}
+
+func (s sweptPR) EndIteration(eng core.ExecutionEngine, iter int) bool {
+	s.ticks.Add(1)
+	return s.PageRank.EndIteration(eng, iter)
+}
+
+// The embedding shape must keep the marker, or every timed sweep that
+// wraps PageRank this way silently falls back to one goroutine.
+var _ core.ColumnLocal = sweptPR{}
+
+// TestPageRankColumnParallelSweep: SpMV PageRank over a 4 × 4 block grid,
+// bare and embedded, from memory and through SAFS, at 1 thread (the
+// serial sweep) and at 2 and 8 (column groups on several goroutines),
+// gives the vertex engine's checksum and iteration count, and reads the
+// serial run's stripes.
+func TestPageRankColumnParallelSweep(t *testing.T) {
+	a := graph.FromEdges(1<<18, gen.RMAT(18, 1, 5), true)
+	a.Dedup()
+	type outcome struct {
+		sum   string
+		iters int
+	}
+	// Ten iterations keep the race pass short; every one is a full sweep.
+	vpr := NewPageRank()
+	vpr.Iters = 10
+	st, err := (bfsConfig{enc: graph.EncodingRaw, mem: true, threads: 2}).engine(t, buildImage(t, a, graph.EncodingRaw)).Run(vpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outcome{vpr.Result().Checksum(), st.Iterations}
+	t.Logf("vertex engine: checksum %s, %d iterations", want.sum, want.iters)
+
+	img := buildImage(t, a, graph.EncodingBlock)
+	if bd := img.OutIndex.Blocks(); bd.Stripes != 4 {
+		t.Fatalf("grid is %d × %d, want 4 × 4", bd.Stripes, bd.Stripes)
+	}
+	for _, mem := range []bool{true, false} {
+		var serialReads int64
+		for _, threads := range []int{1, 2, 8} {
+			cfg := core.Config{Threads: threads, InMemory: mem}
+			if !mem {
+				arr := ssd.NewArray(ssd.ArrayParams{Devices: 2, StripeSize: 16 * 4096})
+				t.Cleanup(arr.Close)
+				cfg.FS = safs.New(arr, safs.Config{CacheBytes: 1 << 20})
+			}
+			shared, err := core.NewShared(img, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, embedded := range []bool{false, true} {
+				name := fmt.Sprintf("mem=%v/T%d/embedded=%v", mem, threads, embedded)
+				pr := NewPageRank()
+				pr.Iters = vpr.Iters
+				var prog core.Program = pr
+				ticks := &atomic.Int64{}
+				if embedded {
+					prog = sweptPR{pr, ticks}
+				}
+				eng, err := shared.NewEngine(core.EngineSpMV)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := eng.Run(prog)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := (outcome{pr.Result().Checksum(), st.Iterations}); got != want {
+					t.Fatalf("%s: %+v, vertex engine %+v", name, got, want)
+				}
+				if embedded && ticks.Load() != int64(st.Iterations) {
+					t.Fatalf("%s: EndIteration ran %d times in %d iterations", name, ticks.Load(), st.Iterations)
+				}
+				if serialReads == 0 {
+					serialReads = st.EdgeRequests
+				} else if st.EdgeRequests != serialReads {
+					t.Fatalf("%s: %d stripe reads, serial run %d", name, st.EdgeRequests, serialReads)
+				}
+			}
+		}
+	}
+}

@@ -197,6 +197,12 @@ func (p *PageRank) ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []graph.
 	}
 }
 
+// ColumnLocal implements core.ColumnLocal: ApplyRow writes only
+// accumFix and nextActive at its columns, and reads shareFix[row], which
+// only BeginIteration writes. Fixed-point sums are order-free, so a
+// column-parallel sweep is bit-identical to a serial one.
+func (p *PageRank) ColumnLocal() {}
+
 // EndIteration implements core.SpMVProgram: promote the next frontier.
 func (p *PageRank) EndIteration(eng core.ExecutionEngine, iter int) bool {
 	p.active, p.nextActive = p.nextActive, p.active

@@ -10,7 +10,7 @@ import (
 
 // buildEncodedImage builds the same RMAT graph in the given on-SSD
 // encoding through the canonical encoder.
-func buildEncodedImage(t *testing.T, scale, epv int, seed uint64, attrSize int, enc graph.Encoding) (*graph.Image, *graph.Adjacency) {
+func buildEncodedImage(t testing.TB, scale, epv int, seed uint64, attrSize int, enc graph.Encoding) (*graph.Image, *graph.Adjacency) {
 	t.Helper()
 	edges := gen.RMAT(scale, epv, seed)
 	a := graph.FromEdges(1<<scale, edges, true)

@@ -95,12 +95,16 @@ type ExecutionEngine interface {
 // no per-vertex scheduler — programs keep dense per-vertex state and
 // track their own frontier.
 //
-// Concurrency contract: the engine decodes and applies on a single
-// compute goroutine (I/O is prefetched concurrently), so ApplyRow may
-// mutate dense state freely. A row may be delivered multiple times per
-// sweep — once per 2D edge block it spans — so per-edge operations must
-// be commutative across a row's deliveries. Edge attributes are not
-// delivered; weighted SpMV forms are future work.
+// Concurrency contract: per column stripe, ApplyRow calls never overlap
+// and arrive in (row stripe, row) order. A program that is not
+// ColumnLocal gets every call on the one goroutine that runs the sweep
+// (I/O is prefetched concurrently), so it may mutate dense state
+// freely. A ColumnLocal program swept over the block layout with
+// Threads ≥ 2 gets calls for different column stripes concurrently. A
+// row may be delivered multiple times per sweep — once per 2D edge
+// block it spans — so per-edge operations must be commutative across a
+// row's deliveries. Edge attributes are not delivered; weighted SpMV
+// forms are future work.
 type SpMVProgram interface {
 	Program
 	// BeginIteration prepares iteration iter and returns the edge-list
@@ -113,6 +117,16 @@ type SpMVProgram interface {
 	ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []graph.VertexID)
 	// EndIteration finishes iteration iter; returning true ends the run.
 	EndIteration(eng ExecutionEngine, iter int) (done bool)
+}
+
+// ColumnLocal is implemented by SpMV programs whose ApplyRow writes only
+// state indexed by a vertex in cols, and reads row-indexed state that
+// nothing writes during the sweep. Block (r, c) then writes only column
+// stripe c's state, so the engine may apply blocks of different column
+// stripes on different goroutines with no shared accumulator and no
+// atomics (NXgraph's destination-sorted sub-shards).
+type ColumnLocal interface {
+	ColumnLocal()
 }
 
 // NewEngine stamps out a per-run engine of the given kind over the
@@ -188,9 +202,10 @@ func (b *runBase) LoadTime() time.Duration { return b.loadTime }
 func (b *runBase) Iteration() int { return b.iteration }
 
 // Threads returns the configured worker count: the vertex engine's
-// horizontal partitions. SpMV compute is a single goroutine, but
-// programs that allocate per-thread scratch size it from here on both
-// engines.
+// horizontal partitions, and on the SpMV engine the bound on goroutines
+// applying one block stripe — min(Threads, grid side) for a ColumnLocal
+// program over the block layout, one otherwise. Programs that allocate
+// per-thread scratch size it from here on both engines.
 func (b *runBase) Threads() int { return b.cfg.Threads }
 
 // OutDegree returns v's out-degree from the compact index.

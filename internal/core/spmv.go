@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"flashgraph/internal/graph"
@@ -24,11 +27,15 @@ import (
 // stripe at a time — but raw and delta record streams sweep too, chunked
 // by the same stripe geometry.
 //
-// Compute runs on a single goroutine (one stripe decodes while the next
-// reads), so runs are deterministic and programs mutate dense state
-// without atomics. An SpMVEngine is one run context, stamped out per
-// query by Shared.NewEngine(EngineSpMV); concurrent runs over one graph
-// each get their own.
+// One stripe decodes while the next reads. Each column stripe's state is
+// written by one goroutine at a time, in (row stripe, row) order, so
+// runs are deterministic and programs mutate dense state without
+// atomics: a ColumnLocal program over the block layout has each block
+// stripe's column stripes dealt to min(Threads, grid side) goroutines,
+// and every other sweep runs on the goroutine that called Run. An
+// SpMVEngine is one run context, stamped out per query by
+// Shared.NewEngine(EngineSpMV); concurrent runs over one graph each get
+// their own.
 type SpMVEngine struct {
 	runBase
 
@@ -37,10 +44,11 @@ type SpMVEngine struct {
 	reads     int64 // stripe reads issued
 	bytesRead int64
 	bufBytes  int64         // largest prefetch buffer grown this run
-	wait      time.Duration // compute goroutine blocked on the prefetcher
+	wait      time.Duration // Run's goroutine blocked on the prefetcher
 
-	rowScratch []graph.VertexID
-	colScratch []graph.VertexID
+	rowScratch   []graph.VertexID
+	colScratch   []graph.VertexID
+	groupScratch [][]graph.VertexID // block decode scratch, one per column group
 }
 
 // newSpMVRun stamps out a per-run SpMV engine over the shared substrate.
@@ -158,7 +166,9 @@ func (e *SpMVEngine) sweep(dir graph.EdgeDir) error {
 }
 
 // sweepBlocks sweeps the 2D edge-block layout: each row stripe is one
-// contiguous extent, decoded block by block.
+// contiguous extent, decoded block by block — by column group on
+// several goroutines when the program is ColumnLocal and columnGroups
+// splits the grid, in column order on this one otherwise.
 func (e *SpMVEngine) sweepBlocks(dir graph.EdgeDir, ix *graph.Index) error {
 	bd := ix.Blocks()
 	exts := make([]extent, bd.Stripes)
@@ -167,13 +177,119 @@ func (e *SpMVEngine) sweepBlocks(dir graph.EdgeDir, ix *graph.Index) error {
 		exts[r] = extent{off, size}
 	}
 	attrSize := ix.AttrSize()
-	return e.eachStripe(dir, exts, func(r int, buf []byte) error {
-		var err error
-		e.colScratch, err = bd.DecodeStripe(buf, r, attrSize, e.colScratch, func(row graph.VertexID, cols []graph.VertexID, attrs []byte) {
-			e.prog.ApplyRow(dir, row, cols)
+	apply := func(row graph.VertexID, cols []graph.VertexID, _ []byte) { e.prog.ApplyRow(dir, row, cols) }
+	var groups [][]int
+	if _, ok := e.prog.(ColumnLocal); ok {
+		groups = columnGroups(bd, e.cfg.Threads)
+	}
+	if groups == nil {
+		return e.eachStripe(dir, exts, func(r int, buf []byte) error {
+			var err error
+			e.colScratch, err = bd.DecodeStripe(buf, r, attrSize, e.colScratch, apply)
+			return err
 		})
-		return err
+	}
+	for len(e.groupScratch) < len(groups) {
+		e.groupScratch = append(e.groupScratch, nil)
+	}
+	return e.eachStripe(dir, exts, func(r int, buf []byte) error {
+		return e.applyGroups(bd, groups, r, buf, attrSize, apply)
 	})
+}
+
+// applyGroups decodes row stripe r's blocks one column group per
+// goroutine: this goroutine takes group 0, a helper each of the rest.
+// Every helper has returned before applyGroups does, so the stripe
+// buffer is free to go back to the prefetcher; a panic on any goroutine
+// is re-raised here, on Run's goroutine, where the caller's recover (the
+// serving tier's) can contain it.
+func (e *SpMVEngine) applyGroups(bd *graph.BlockDir, groups [][]int, r int, buf []byte, attrSize int, apply func(graph.VertexID, []graph.VertexID, []byte)) error {
+	errs := make([]error, len(groups))
+	panics := make([]any, len(groups))
+	decode := func(g int) {
+		defer func() { panics[g] = recover() }()
+		for _, c := range groups[g] {
+			var err error
+			if e.groupScratch[g], err = bd.DecodeBlock(buf, r, c, attrSize, e.groupScratch[g], apply); err != nil {
+				errs[g] = err
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < len(groups); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decode(g)
+		}()
+	}
+	decode(0)
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// columnGroups deals the column stripes of bd's grid to
+// min(threads, Stripes) groups, balancing the edge bytes each group
+// decodes per sweep (column c's bytes are its blocks' extents summed
+// over the row stripes). Columns go largest first to the least-loaded
+// group, ties to the lower column and the lower group. Largest-first is
+// a heuristic — over two groups it splits bytes [2 3 2 3 2] 7 / 6 where
+// dealing c ≡ g (mod groups) splits them 6 / 6 — so when c ≡ g leaves
+// the heaviest group lighter, that dealing is taken instead. Each group
+// lists its columns ascending. With one thread or a one-stripe grid
+// there is nothing to split: it returns nil and allocates nothing.
+func columnGroups(bd *graph.BlockDir, threads int) [][]int {
+	k := min(threads, bd.Stripes)
+	if k < 2 {
+		return nil
+	}
+	s := bd.Stripes
+	bytes := make([]int64, s)
+	for i := 0; i < s*s; i++ {
+		bytes[i%s] += bd.Offsets[i+1] - bd.Offsets[i]
+	}
+	order := make([]int, s)
+	for c := range order {
+		order[c] = c
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(bytes[b], bytes[a]) })
+	owner := make([]int, s)
+	load := make([]int64, k)
+	for _, c := range order {
+		g := 0
+		for h := 1; h < k; h++ {
+			if load[h] < load[g] {
+				g = h
+			}
+		}
+		owner[c] = g
+		load[g] += bytes[c]
+	}
+	modLoad := make([]int64, k)
+	for c, b := range bytes {
+		modLoad[c%k] += b
+	}
+	if slices.Max(modLoad) < slices.Max(load) {
+		for c := range owner {
+			owner[c] = c % k
+		}
+	}
+	groups := make([][]int, k)
+	for c, g := range owner {
+		groups[g] = append(groups[g], c)
+	}
+	return groups
 }
 
 // sweepRecords sweeps the raw and delta record layouts: the vertex range

@@ -256,17 +256,27 @@ func encodeBlock(dst []byte, rowBase, colBase VertexID, rows, cols []VertexID, a
 // block. cols is a scratch buffer reused across calls and returned for
 // the caller to keep.
 func (bd *BlockDir) DecodeStripe(buf []byte, r, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
-	base, _ := bd.StripeExtent(r)
-	span := uint64(1) << bd.Shift
-	rowBase := VertexID(r << bd.Shift)
 	for c := 0; c < bd.Stripes; c++ {
-		i := r*bd.Stripes + c
-		bb := buf[bd.Offsets[i]-base : bd.Offsets[i+1]-base]
 		var err error
-		cols, err = decodeBlock(bb, rowBase, VertexID(c<<bd.Shift), span, attrSize, cols, fn)
-		if err != nil {
-			return cols, fmt.Errorf("graph: block (%d,%d): %w", r, c, err)
+		if cols, err = bd.DecodeBlock(buf, r, c, attrSize, cols, fn); err != nil {
+			return cols, err
 		}
+	}
+	return cols, nil
+}
+
+// DecodeBlock walks the (row, columns) runs of block (r, c) alone, in
+// row order; buf holds all of row stripe r, as for DecodeStripe. Every
+// run it hands fn lies in column stripe c, so goroutines decoding
+// different blocks of one stripe buffer touch disjoint columns — each
+// with its own cols scratch.
+func (bd *BlockDir) DecodeBlock(buf []byte, r, c, attrSize int, cols []VertexID, fn func(row VertexID, cols []VertexID, attrs []byte)) ([]VertexID, error) {
+	base := bd.Offsets[r*bd.Stripes]
+	i := r*bd.Stripes + c
+	bb := buf[bd.Offsets[i]-base : bd.Offsets[i+1]-base]
+	cols, err := decodeBlock(bb, VertexID(r<<bd.Shift), VertexID(c<<bd.Shift), uint64(1)<<bd.Shift, attrSize, cols, fn)
+	if err != nil {
+		return cols, fmt.Errorf("graph: block (%d,%d): %w", r, c, err)
 	}
 	return cols, nil
 }

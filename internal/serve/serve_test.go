@@ -583,6 +583,65 @@ func TestWorkerGoroutinePanicFailsQueryNotDaemon(t *testing.T) {
 	}
 }
 
+// columnPanicPR is PageRank whose sweep panics on any run in column
+// stripe 1. Over a 2 × 2 block grid at two threads that stripe is
+// applied on a helper goroutine, where no recover of the scheduler's can
+// reach: the engine must carry the panic back to Run's goroutine.
+type columnPanicPR struct{ *algo.PageRank }
+
+func (p columnPanicPR) ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []graph.VertexID) {
+	if cols[0] >= 1<<16 {
+		panic("column boom")
+	}
+	p.PageRank.ApplyRow(dir, row, cols)
+}
+
+func TestColumnHelperPanicFailsQueryNotDaemon(t *testing.T) {
+	a := graph.FromEdges(1<<17, gen.RMAT(17, 2, 3), true)
+	a.Dedup()
+	img, err := (&graph.ImageWriter{
+		NumV: a.N, Directed: true, Encoding: graph.EncodingBlock,
+		Out: graph.SliceSource(a.Out), In: graph.SliceSource(a.In),
+	}).BuildImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd := img.OutIndex.Blocks(); bd.Stripes != 2 {
+		t.Fatalf("grid is %d × %d, want 2 × 2", bd.Stripes, bd.Stripes)
+	}
+	shared, err := core.NewShared(img, core.Config{Threads: 2, InMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(shared, Config{MaxConcurrent: 1, MaxQueued: 4})
+	defer srv.Close()
+	if err := srv.Register(AlgorithmSpec{Name: "cpanic", Caps: Caps{SupportsSpMV: true}, New: func(raw json.RawMessage, g GraphMeta) (core.Program, error) {
+		return columnPanicPR{algo.NewPageRank()}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	id, err := srv.Submit(Request{Algo: "cpanic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := srv.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.State != StateFailed || !strings.Contains(q.Error, "query panicked") || !strings.Contains(q.Error, "column boom") {
+		t.Fatalf("state = %s, error = %q; want failed mentioning the panic", q.State, q.Error)
+	}
+	// The slot serves the next sweep, which splits by column too.
+	id2, err := srv.Submit(Request{Algo: "pagerank"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2, err := srv.Wait(id2); err != nil || q2.State != StateDone || q2.Stats.Engine != string(core.EngineSpMV) {
+		t.Fatalf("follow-up query: %v %v (%s)", q2.State, err, q2.Error)
+	}
+}
+
 func TestHistoryEvictionBoundsMemory(t *testing.T) {
 	shared := buildShared(t, 2)
 	srv := New(shared, Config{MaxConcurrent: 1, MaxHistory: 2})
