@@ -6,7 +6,10 @@
 //
 // The conversion is out-of-core: edges stream from the input file
 // into an external sort bounded by -mem, so edge lists far larger
-// than RAM convert on commodity machines. On completion the tool
+// than RAM convert on commodity machines. It uses a second core:
+// chunks of the sort buffer sort in the background while edges stream
+// in, and the out- and in-edge files are sized and encoded side by
+// side. On completion the tool
 // reports the Table 2 "init time" numbers — elapsed time, edges/sec,
 // and the builder's peak memory.
 //
@@ -65,8 +68,8 @@ func main() {
 		reencode   = flag.Bool("reencode", false, "treat -in as an existing image and rewrite it in the -encoding layout (no edge-list round trip)")
 		weights    = flag.Bool("weights", false, "attach deterministic 4-byte edge weights (SSSP demos)")
 		keepDupes  = flag.Bool("keep-duplicates", false, "keep duplicate edges and self loops")
-		memMB      = flag.Int64("mem", 256, "builder memory budget (MiB) for the external sort")
-		tmpDir     = flag.String("tmp", "", "directory for spilled sort runs (default system temp)")
+		memMB      = flag.Int64("mem", 256, "builder memory budget (MiB), split across the two direction sorts: their buffers, sorted in eighths on background goroutines as edges stream in, and the read buffers of any merge of spilled runs")
+		tmpDir     = flag.String("tmp", "", "directory for spilled sort runs and the in-edge spool (default system temp)")
 		dropCache  = flag.Bool("drop-cache", false, "evict the written image from the OS page cache (fsync + fadvise) so serving it -direct starts cold")
 	)
 	flag.Parse()

@@ -64,7 +64,9 @@ type (
 	Algorithm = core.Algorithm
 	// RunStats reports timing, I/O, and memory for one run.
 	RunStats = core.RunStats
-	// AttrFunc generates per-edge attribute bytes at build time.
+	// AttrFunc generates per-edge attribute bytes at build time. The
+	// out- and in-edge files are encoded side by side, so it must be
+	// safe for concurrent use.
 	AttrFunc = graph.AttrFunc
 	// Encoding selects the on-SSD edge-list layout of a graph image.
 	Encoding = graph.Encoding
@@ -261,9 +263,11 @@ type BuildOptions struct {
 	AttrSize int
 	Attr     AttrFunc
 	// MemBytes bounds the builder's sort memory (excluding the compact
-	// index). Default 256MiB.
+	// index): the sort buffers and any merge's read buffers. Default
+	// 256MiB.
 	MemBytes int64
-	// TmpDir receives spilled sort runs. Default: system temp dir.
+	// TmpDir receives spilled sort runs and the in-edge spool. Default:
+	// system temp dir.
 	TmpDir string
 	// KeepDuplicates retains duplicate edges and self-loops.
 	KeepDuplicates bool

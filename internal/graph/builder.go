@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"time"
 
 	"flashgraph/internal/extsort"
@@ -20,11 +21,14 @@ type BuildConfig struct {
 	// time; attributes are never stored in the builder.
 	AttrSize int
 	Attr     AttrFunc
-	// MemBytes bounds the builder's sort-buffer memory (split across
-	// the by-src and by-dst sorters). Excludes the compact index that
-	// every image needs in RAM. Default 256MiB.
+	// MemBytes bounds the builder's sort memory, split across the
+	// by-src and by-dst sorters: each sorter's record buffer (sorted in
+	// eighths on background goroutines while edges stream in) and, once
+	// that buffer has spilled, its merge's read buffers. Excludes the
+	// compact index that every image needs in RAM. Default 256MiB.
 	MemBytes int64
-	// TmpDir receives spilled sort runs. Default: the system temp dir.
+	// TmpDir receives spilled sort runs and the in-edge record pass's
+	// spool. Default: the system temp dir.
 	TmpDir string
 	// KeepDupes retains duplicate edges and self-loops (the default
 	// build removes both, matching Adjacency.Dedup).
@@ -58,10 +62,10 @@ func (st *BuildStats) EdgesPerSec() float64 {
 // stream under a fixed memory budget: edges are fed one at a time
 // into external sorters (by source for the out-edge file and, for
 // directed graphs, by destination for the in-edge file), then the
-// sorted streams drive the ImageWriter's two sequential passes. At no
-// point does the builder hold an edge list, an adjacency array, or an
-// encoded data file in memory, so the largest buildable graph is
-// bounded by disk, not RAM.
+// sorted streams drive the ImageWriter's two sequential passes, the
+// two directions side by side. At no point does the builder hold an
+// edge list, an adjacency array, or an encoded data file in memory, so
+// the largest buildable graph is bounded by disk, not RAM.
 type StreamBuilder struct {
 	cfg   BuildConfig
 	out   *extsort.Sorter
@@ -158,14 +162,14 @@ func (b *StreamBuilder) source(s *extsort.Sorter) StreamSource {
 	}
 }
 
-// writer finalizes the sorters and returns the ImageWriter over their
-// sorted streams plus the resolved vertex count.
+// writer finalizes the sorters, side by side, and returns the
+// ImageWriter over their sorted streams plus the resolved vertex count.
 func (b *StreamBuilder) writer() (*ImageWriter, error) {
 	n := b.cfg.NumV
 	if n == 0 {
 		n = int(b.maxID + 1)
 	}
-	if err := b.out.Sort(); err != nil {
+	if err := cmp.Or(sideBySide(b.cfg.Directed, b.out.Sort, func() error { return b.in.Sort() })); err != nil {
 		return nil, err
 	}
 	iw := &ImageWriter{
@@ -175,11 +179,9 @@ func (b *StreamBuilder) writer() (*ImageWriter, error) {
 		AttrSize: b.cfg.AttrSize,
 		Attr:     b.cfg.Attr,
 		Out:      b.source(b.out),
+		spoolDir: b.cfg.TmpDir,
 	}
 	if b.cfg.Directed {
-		if err := b.in.Sort(); err != nil {
-			return nil, err
-		}
 		iw.In = b.source(b.in)
 	}
 	return iw, nil

@@ -14,25 +14,9 @@ import (
 // buildFileEnc runs the full out-of-core path (StreamBuilder with the
 // given encoding, WriteFile) and returns the image file's bytes.
 func buildFileEnc(t *testing.T, edges []Edge, n int, directed bool, attrSize int, attr AttrFunc, memBytes int64, enc Encoding) []byte {
-	t.Helper()
-	dir := t.TempDir()
-	b := NewStreamBuilder(BuildConfig{
-		NumV: n, Directed: directed, Encoding: enc, AttrSize: attrSize, Attr: attr,
-		MemBytes: memBytes, TmpDir: dir,
+	raw, _ := buildConfigured(t, edges, BuildConfig{
+		NumV: n, Directed: directed, Encoding: enc, AttrSize: attrSize, Attr: attr, MemBytes: memBytes,
 	})
-	for _, e := range edges {
-		if err := b.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(dir, "img.fg")
-	if _, err := b.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return raw
 }
 

@@ -213,6 +213,11 @@ func TestFingerprintCoversAllData(t *testing.T) {
 // of dense, single-byte gaps and a long tail of short rows whose gaps
 // take two bytes as often as one.
 func rmatAdjacency(scale, edgesPerVertex int, seed uint64) *Adjacency {
+	return FromEdges(1<<scale, rmatEdges(scale, edgesPerVertex, seed), true)
+}
+
+// rmatEdges is rmatAdjacency's edge stream, in generation order.
+func rmatEdges(scale, edgesPerVertex int, seed uint64) []Edge {
 	n := 1 << scale
 	r := util.NewRNG(seed)
 	edges := make([]Edge, 0, n*edgesPerVertex)
@@ -232,7 +237,7 @@ func rmatAdjacency(scale, edgesPerVertex int, seed uint64) *Adjacency {
 		}
 		edges = append(edges, Edge{Src: src, Dst: dst})
 	}
-	return FromEdges(n, edges, true)
+	return edges
 }
 
 // encodedAs re-encodes img into enc through the container round trip.

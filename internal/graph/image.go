@@ -99,7 +99,8 @@ func (a *Adjacency) Dedup() {
 
 // AttrFunc produces the fixed-size attribute bytes for edge (src, dst).
 // Deterministic functions keep images reproducible without storing
-// attributes in the builder.
+// attributes in the builder. The two directions' record passes call it
+// side by side, so it must be safe for concurrent use.
 type AttrFunc func(src, dst VertexID, buf []byte)
 
 // Image is a complete FlashGraph graph image: serialized edge-list files

@@ -3,9 +3,11 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -22,7 +24,8 @@ type NeighborStream interface {
 // StreamSource produces a fresh NeighborStream. The ImageWriter calls
 // it twice per direction — once for the degree pass, once for the
 // record pass — so a source must replay the same sequence each call
-// (extsort keeps its sorted runs on disk for exactly this reason).
+// (extsort keeps its sorted runs on disk for exactly this reason). The
+// out and in sources are read side by side, on two goroutines.
 type StreamSource func() (NeighborStream, error)
 
 // sliceStream streams adjacency lists (attr always nil).
@@ -347,6 +350,10 @@ type ImageWriter struct {
 	// In streams (dst, src) sorted by dst then src; required iff
 	// Directed.
 	In StreamSource
+
+	// spoolDir receives the in-edge record pass's spool file ("" = the
+	// system temp directory).
+	spoolDir string
 }
 
 // ImageInfo reports what WriteImage produced.
@@ -416,12 +423,27 @@ func (iw *ImageWriter) encodeDirection(w io.Writer, src StreamSource, isSrc bool
 	return nil
 }
 
+// sideBySide runs out on the calling goroutine and, when both is set,
+// in on a second one, and joins them before it returns.
+func sideBySide(both bool, out, in func() error) (outErr, inErr error) {
+	if !both {
+		return out(), nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- in() }()
+	outErr = out()
+	return outErr, <-done
+}
+
 // WriteImage writes the full image container (magic, header, index
 // section, out-edge file, in-edge file) to w in two passes per
 // direction, holding only the indexes and one vertex record in memory.
-// The persisted index section (per-vertex degrees, plus true record
-// sizes for delta layouts) is what makes reopening the image O(index)
-// instead of an O(data) record-header scan.
+// The two directions' sizing passes run side by side, and so do their
+// record passes: the out-edge file streams into w while the in-edge
+// file spools to an unlinked temp file, copied in behind it once both
+// finish. The persisted index section (per-vertex degrees, plus true
+// record sizes for delta layouts) is what makes reopening the image
+// O(index) instead of an O(data) record-header scan.
 func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 	if iw.NumV < 0 || iw.Out == nil || (iw.Directed && iw.In == nil) {
 		return nil, fmt.Errorf("graph: ImageWriter needs NumV and stream sources for every direction")
@@ -429,9 +451,21 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 	if iw.Encoding >= numEncodings {
 		return nil, fmt.Errorf("graph: unknown edge-list encoding %d", iw.Encoding)
 	}
-	outDeg, outSizes, outBlocks, err := iw.countDirection(iw.Out, true)
-	if err != nil {
-		return nil, fmt.Errorf("graph: out-edge sizing pass: %w", err)
+	var outDeg, inDeg []uint32
+	var outSizes, inSizes []int64
+	var outBlocks, inBlocks *BlockDir
+	outErr, inErr := sideBySide(iw.Directed, func() (err error) {
+		outDeg, outSizes, outBlocks, err = iw.countDirection(iw.Out, true)
+		return err
+	}, func() (err error) {
+		inDeg, inSizes, inBlocks, err = iw.countDirection(iw.In, false)
+		return err
+	})
+	if outErr != nil {
+		return nil, fmt.Errorf("graph: out-edge sizing pass: %w", outErr)
+	}
+	if inErr != nil {
+		return nil, fmt.Errorf("graph: in-edge sizing pass: %w", inErr)
 	}
 	info := &ImageInfo{
 		NumV:     iw.NumV,
@@ -440,14 +474,7 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 		Encoding: iw.Encoding,
 		OutIndex: buildDirIndex(outDeg, outSizes, outBlocks, iw.AttrSize, iw.Encoding),
 	}
-	var inDeg []uint32
-	var inSizes []int64
-	var inBlocks *BlockDir
 	if iw.Directed {
-		inDeg, inSizes, inBlocks, err = iw.countDirection(iw.In, false)
-		if err != nil {
-			return nil, fmt.Errorf("graph: in-edge sizing pass: %w", err)
-		}
 		info.InIndex = buildDirIndex(inDeg, inSizes, inBlocks, iw.AttrSize, iw.Encoding)
 		info.NumEdges = info.OutIndex.NumEdges()
 		info.InBytes = info.InIndex.FileSize()
@@ -471,13 +498,31 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 	// data checksums persisted in the trailer come out of the encoder's
 	// existing single pass — no re-read of what was just written.
 	outCRC := newCRCWriter(w)
-	if err := iw.encodeDirection(outCRC, iw.Out, true, info.OutIndex); err != nil {
-		return nil, fmt.Errorf("graph: out-edge record pass: %w", err)
+	var inCRC *crcWriter
+	var spool *os.File
+	if iw.Directed {
+		var err error
+		if spool, err = os.CreateTemp(iw.spoolDir, "fg-image-in-*"); err != nil {
+			return nil, fmt.Errorf("graph: in-edge record pass: %w", err)
+		}
+		os.Remove(spool.Name()) // the OS reclaims it when the fd closes
+		defer spool.Close()
+		inCRC = newCRCWriter(spool)
+	}
+	outErr, inErr = sideBySide(iw.Directed, func() error {
+		return iw.encodeDirection(outCRC, iw.Out, true, info.OutIndex)
+	}, func() error {
+		return iw.encodeDirection(inCRC, iw.In, false, info.InIndex)
+	})
+	if outErr != nil {
+		return nil, fmt.Errorf("graph: out-edge record pass: %w", outErr)
+	}
+	if inErr != nil {
+		return nil, fmt.Errorf("graph: in-edge record pass: %w", inErr)
 	}
 	var inSums []uint32
 	if iw.Directed {
-		inCRC := newCRCWriter(w)
-		if err := iw.encodeDirection(inCRC, iw.In, false, info.InIndex); err != nil {
+		if err := copySpool(w, spool, info.InBytes); err != nil {
 			return nil, fmt.Errorf("graph: in-edge record pass: %w", err)
 		}
 		inSums = inCRC.s.finish()
@@ -488,9 +533,38 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 	return info, nil
 }
 
+// copySpool copies the want bytes a record pass spooled to f into w.
+func copySpool(w io.Writer, f *os.File, want int64) error {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("rewinding spool: %w", err)
+	}
+	n, err := io.Copy(w, f)
+	if err != nil {
+		return fmt.Errorf("copying spool: %w", err)
+	}
+	if n != want {
+		return fmt.Errorf("spool holds %d bytes, sizing pass promised %d", n, want)
+	}
+	return nil
+}
+
+// encodeIndexed runs one direction's record pass into buf and indexes
+// what it wrote.
+func (iw *ImageWriter) encodeIndexed(buf *bytes.Buffer, src StreamSource, isSrc bool) (*Index, error) {
+	st, err := src()
+	if err != nil {
+		return nil, err
+	}
+	deg, sizes, blocks, _, err := encodeStream(buf, st, iw.NumV, iw.AttrSize, iw.Encoding, isSrc, iw.Attr)
+	if err != nil {
+		return nil, err
+	}
+	return buildDirIndex(deg, sizes, blocks, iw.AttrSize, iw.Encoding), nil
+}
+
 // BuildImage materializes an in-memory Image through the same encoder
-// (one record pass per direction; the sizing pass is subsumed because
-// the data lands in RAM where lengths are free).
+// (one record pass per direction, the two side by side; the sizing pass
+// is subsumed because the data lands in RAM where lengths are free).
 func (iw *ImageWriter) BuildImage() (*Image, error) {
 	if iw.NumV < 0 || iw.Out == nil || (iw.Directed && iw.In == nil) {
 		return nil, fmt.Errorf("graph: ImageWriter needs NumV and stream sources for every direction")
@@ -499,29 +573,20 @@ func (iw *ImageWriter) BuildImage() (*Image, error) {
 		return nil, fmt.Errorf("graph: unknown edge-list encoding %d", iw.Encoding)
 	}
 	img := &Image{Directed: iw.Directed, NumV: iw.NumV, AttrSize: iw.AttrSize, Encoding: iw.Encoding}
-	var outBuf bytes.Buffer
-	st, err := iw.Out()
-	if err != nil {
-		return nil, err
-	}
-	outDeg, outSizes, outBlocks, _, err := encodeStream(&outBuf, st, iw.NumV, iw.AttrSize, iw.Encoding, true, iw.Attr)
-	if err != nil {
+	var outBuf, inBuf bytes.Buffer
+	outErr, inErr := sideBySide(iw.Directed, func() (err error) {
+		img.OutIndex, err = iw.encodeIndexed(&outBuf, iw.Out, true)
+		return err
+	}, func() (err error) {
+		img.InIndex, err = iw.encodeIndexed(&inBuf, iw.In, false)
+		return err
+	})
+	if err := cmp.Or(outErr, inErr); err != nil {
 		return nil, err
 	}
 	img.OutData = outBuf.Bytes()
-	img.OutIndex = buildDirIndex(outDeg, outSizes, outBlocks, iw.AttrSize, iw.Encoding)
 	if iw.Directed {
-		var inBuf bytes.Buffer
-		st, err := iw.In()
-		if err != nil {
-			return nil, err
-		}
-		inDeg, inSizes, inBlocks, _, err := encodeStream(&inBuf, st, iw.NumV, iw.AttrSize, iw.Encoding, false, iw.Attr)
-		if err != nil {
-			return nil, err
-		}
 		img.InData = inBuf.Bytes()
-		img.InIndex = buildDirIndex(inDeg, inSizes, inBlocks, iw.AttrSize, iw.Encoding)
 		img.NumEdges = img.OutIndex.NumEdges()
 	} else {
 		img.NumEdges = img.OutIndex.NumEdges() / 2

@@ -3,10 +3,16 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
@@ -140,12 +146,20 @@ func testEdges(n, m int, seed uint64) []Edge {
 // budget that forces spills, WriteFile, reopen) and returns the file
 // bytes plus stats.
 func streamBuild(t *testing.T, edges []Edge, n int, directed bool, attrSize int, attr AttrFunc, memBytes int64, keepDupes bool) ([]byte, *BuildStats) {
+	return buildConfigured(t, edges, BuildConfig{
+		NumV: n, Directed: directed, AttrSize: attrSize, Attr: attr,
+		MemBytes: memBytes, KeepDupes: keepDupes,
+	})
+}
+
+// buildConfigured feeds edges to a StreamBuilder configured by cfg
+// (TmpDir set to a fresh test directory), writes the image file, and
+// returns its bytes plus the build's stats.
+func buildConfigured(t *testing.T, edges []Edge, cfg BuildConfig) ([]byte, *BuildStats) {
 	t.Helper()
 	dir := t.TempDir()
-	b := NewStreamBuilder(BuildConfig{
-		NumV: n, Directed: directed, AttrSize: attrSize, Attr: attr,
-		MemBytes: memBytes, TmpDir: dir, KeepDupes: keepDupes,
-	})
+	cfg.TmpDir = dir
+	b := NewStreamBuilder(cfg)
 	for _, e := range edges {
 		if err := b.Add(e); err != nil {
 			t.Fatal(err)
@@ -223,6 +237,146 @@ func TestStreamingMatchesLegacyBitForBit(t *testing.T) {
 			}
 			if !bytes.Equal(enc.Bytes(), wantFile) {
 				t.Fatal("Image.Encode diverges from legacy container bytes")
+			}
+		})
+	}
+}
+
+// TestStreamingChunkedSortsMatchInMemoryEncoder builds through the
+// StreamBuilder at a budget that spills runs merged from eight
+// background-sorted chunks each, and at one that keeps five chunks per
+// sorter in memory; in every layout both must equal, byte for byte,
+// what the in-memory encoder writes for the deduplicated adjacency.
+func TestStreamingChunkedSortsMatchInMemoryEncoder(t *testing.T) {
+	attr := func(src, dst VertexID, buf []byte) {
+		binary.LittleEndian.PutUint32(buf, uint32(src)*31+uint32(dst))
+	}
+	const n, m = 2000, 30000
+	edges := testEdges(n, m, 31)
+	for _, directed := range []bool{true, false} {
+		a := FromEdges(n, edges, directed)
+		a.Dedup()
+		ref := BuildImage(a, 4, attr)
+		for _, enc := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+			t.Run(fmt.Sprintf("directed=%v/%s", directed, enc), func(t *testing.T) {
+				var want bytes.Buffer
+				if err := ref.EncodeAs(&want, enc); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					mem     int64
+					spilled bool
+				}{{128 << 10, true}, {1 << 20, false}} {
+					got, st := buildConfigured(t, edges, BuildConfig{
+						NumV: n, Directed: directed, Encoding: enc, AttrSize: 4, Attr: attr, MemBytes: c.mem,
+					})
+					if c.spilled != (st.Spills >= 4) || !c.spilled && st.Spills != 0 {
+						t.Fatalf("budget %d: %d spills, want spilled=%v", c.mem, st.Spills, c.spilled)
+					}
+					if st.PeakMemBytes > c.mem {
+						t.Fatalf("budget %d: peak memory %d", c.mem, st.PeakMemBytes)
+					}
+					if !bytes.Equal(got, want.Bytes()) {
+						t.Fatalf("budget %d: streaming image (%d bytes, fnv %x) differs from the in-memory encoder's (%d bytes, fnv %x)",
+							c.mem, len(got), fnvSum(got), want.Len(), fnvSum(want.Bytes()))
+					}
+				}
+			})
+		}
+	}
+}
+
+// errGaveOut is what a probeSource's stream fails with.
+var errGaveOut = errors.New("source gave out")
+
+// probeStream replays one direction's lists, optionally slowly, failing
+// with errGaveOut after failAt edges (never when negative). open counts
+// the streams not yet at their end.
+type probeStream struct {
+	NeighborStream
+	edges, failAt int
+	slow, done    bool
+	open          *atomic.Int32
+}
+
+func (p *probeStream) Next() (VertexID, VertexID, []byte, bool, error) {
+	if p.edges == p.failAt {
+		p.finish()
+		return 0, 0, nil, false, errGaveOut
+	}
+	if p.slow && p.edges%64 == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	p.edges++
+	v, u, attr, ok, err := p.NeighborStream.Next()
+	if !ok || err != nil {
+		p.finish()
+	}
+	return v, u, attr, ok, err
+}
+
+func (p *probeStream) finish() {
+	if !p.done {
+		p.done = true
+		p.open.Add(-1)
+	}
+}
+
+// probeSource serves lists; the failCall'th stream (1: the sizing pass,
+// 2: the record pass) fails after failAt edges.
+func probeSource(lists [][]VertexID, failCall, failAt int, slow bool, open *atomic.Int32) StreamSource {
+	calls := 0
+	return func() (NeighborStream, error) {
+		calls++
+		st := &probeStream{NeighborStream: &sliceStream{lists: lists}, failAt: -1, slow: slow, open: open}
+		if calls == failCall {
+			st.failAt = failAt
+		}
+		open.Add(1)
+		return st, nil
+	}
+}
+
+// TestWriteImageDirectionFailures fails one direction's stream midway in
+// each pass while the other direction streams slowly: the error names
+// the failing direction and pass, and WriteImage returns only once the
+// other direction's pass has finished too.
+func TestWriteImageDirectionFailures(t *testing.T) {
+	const n = 700
+	a := FromEdges(n, testEdges(n, 6000, 5), true)
+	a.Dedup()
+	for _, c := range []struct {
+		failIn   bool
+		failCall int
+		want     string
+	}{
+		{true, 1, "graph: in-edge sizing pass: "},
+		{true, 2, "graph: in-edge record pass: "},
+		{false, 1, "graph: out-edge sizing pass: "},
+		{false, 2, "graph: out-edge record pass: "},
+	} {
+		t.Run(c.want, func(t *testing.T) {
+			var open atomic.Int32
+			outCall, inCall := c.failCall, 0
+			if c.failIn {
+				outCall, inCall = 0, c.failCall
+			}
+			spool := t.TempDir()
+			iw := &ImageWriter{
+				NumV: n, Directed: true, Encoding: EncodingDelta,
+				Out:      probeSource(a.Out, outCall, 1000, c.failIn, &open),
+				In:       probeSource(a.In, inCall, 1000, !c.failIn, &open),
+				spoolDir: spool,
+			}
+			_, err := iw.WriteImage(io.Discard)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) || !errors.Is(err, errGaveOut) {
+				t.Fatalf("err = %v, want %q wrapping %v", err, c.want, errGaveOut)
+			}
+			if o := open.Load(); o != 0 {
+				t.Fatalf("%d streams still being read after WriteImage returned", o)
+			}
+			if left, _ := os.ReadDir(spool); len(left) != 0 {
+				t.Fatalf("spool directory keeps %d files", len(left))
 			}
 		})
 	}
