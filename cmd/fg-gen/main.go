@@ -129,6 +129,9 @@ func main() {
 		_, err := fmt.Fprintf(bw, "%d %d\n", e.Src, e.Dst)
 		return err
 	}); err != nil {
+		if *out != "" {
+			os.Remove(*out)
+		}
 		log.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

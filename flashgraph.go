@@ -323,6 +323,10 @@ func GenerateClustered(domains, domainSize, edgesPerVertex int, seed uint64) []E
 // GenerateRMATStream returns an EdgeSource emitting the exact edge
 // sequence GenerateRMAT materializes, without ever holding it —
 // feed it to BuildGraphFile to build power-law graphs larger than RAM.
+// The edges are drawn on every core and emitted in order on the
+// calling goroutine, never concurrently; the sequence does not depend
+// on GOMAXPROCS. The source fails for a scale outside 1..32 or a
+// negative edgesPerVertex, which GenerateRMAT rejects with a panic.
 func GenerateRMATStream(scale, edgesPerVertex int, seed uint64) EdgeSource {
 	return func(emit func(Edge) error) error {
 		return gen.RMATStream(scale, edgesPerVertex, seed, emit)

@@ -18,9 +18,20 @@
 // ingest path, which never holds an edge list — and a slice form
 // implemented over it for convenience at small scales. Both forms
 // produce identical edge sequences for the same parameters.
+//
+// RMATStream, the generator behind every benchmark and fixture graph,
+// uses every core: workers draw blocks of edges from jumped-ahead RNG
+// states, and emit is called in order on the caller's goroutine. Its
+// stream does not depend on GOMAXPROCS. The other generators are
+// serial.
 package gen
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+
 	"flashgraph/internal/graph"
 	"flashgraph/internal/util"
 )
@@ -40,48 +51,152 @@ func collect(capacity int, stream func(Emit) error) []graph.Edge {
 	return edges
 }
 
-// RMATStream generates 2^scale vertices and approximately
-// edgesPerVertex × 2^scale directed edges with power-law degree
-// distributions, using the standard R-MAT recursive quadrant
-// probabilities (a=0.57, b=0.19, c=0.19, d=0.05) with light noise per
-// level, emitting each edge as it is drawn.
-func RMATStream(scale, edgesPerVertex int, seed uint64, emit Emit) error {
-	n := 1 << scale
-	m := n * edgesPerVertex
-	r := util.NewRNG(seed)
-	const a, b, c = 0.57, 0.19, 0.19
-	for i := 0; i < m; i++ {
-		src, dst := 0, 0
-		for lvl := 0; lvl < scale; lvl++ {
-			// ±10% noise keeps the graph from being exactly self-similar.
-			noise := 0.9 + 0.2*r.Float64()
-			p := r.Float64()
-			switch {
-			case p < a*noise:
-				// top-left: no bits set
-			case p < (a+b)*noise:
-				dst |= 1 << lvl
-			case p < (a+b+c)*noise:
-				src |= 1 << lvl
-			default:
-				src |= 1 << lvl
-				dst |= 1 << lvl
-			}
-		}
-		if src == dst {
-			dst = (dst + 1) % n // avoid self loops
-		}
-		if err := emit(graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}); err != nil {
-			return err
-		}
+// rmatBlockEdges is how many edges an R-MAT worker draws at a time
+// (128 KiB of edges), and rmatBuffers how many such blocks each worker
+// owns: one being emitted, one being drawn, and two of slack so that a
+// slow emit (a downstream sorter handing off a chunk) does not stall
+// the workers at once.
+const (
+	rmatBlockEdges = 1 << 14
+	rmatBuffers    = 4
+)
+
+// checkRMAT rejects R-MAT sizes whose vertex IDs or edge count the
+// output cannot hold: graph.VertexID is 32 bits, and at scale 0 every
+// edge would be the self-loop 0→0.
+func checkRMAT(scale, edgesPerVertex int) error {
+	switch {
+	case scale < 1 || scale > 32:
+		return fmt.Errorf("gen: R-MAT scale %d outside 1..32", scale)
+	case edgesPerVertex < 0:
+		return fmt.Errorf("gen: R-MAT edges per vertex %d is negative", edgesPerVertex)
+	case edgesPerVertex > math.MaxInt>>scale:
+		return fmt.Errorf("gen: R-MAT edges per vertex %d overflows the edge count at scale %d", edgesPerVertex, scale)
 	}
 	return nil
 }
 
-// RMAT is the slice form of RMATStream.
+// RMATStream generates 2^scale vertices and edgesPerVertex × 2^scale
+// directed edges with power-law degree distributions, using the
+// standard R-MAT recursive quadrant probabilities (a=0.57, b=0.19,
+// c=0.19, d=0.05) with light noise per level. It returns an error for
+// a scale outside 1..32 or a negative edgesPerVertex.
+//
+// The edges are drawn on runtime.GOMAXPROCS(0) worker goroutines in
+// blocks of rmatBlockEdges and emitted in order on the caller's
+// goroutine, never concurrently. Every edge takes exactly two draws
+// per level, so block k starts from the serial RNG state after
+// 2·scale·rmatBlockEdges·k draws, reached by a util.Jump: the stream
+// is the serial one, bit for bit, whatever GOMAXPROCS is. When emit
+// fails, or panics, the workers are stopped and joined before
+// RMATStream returns.
+func RMATStream(scale, edgesPerVertex int, seed uint64, emit Emit) error {
+	if err := checkRMAT(scale, edgesPerVertex); err != nil {
+		return err
+	}
+	m := edgesPerVertex << scale
+	blocks := (m + rmatBlockEdges - 1) / rmatBlockEdges
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	// next moves a worker's start one block on; stride moves a worker
+	// from the end of its block past the other workers' blocks.
+	var next, stride *util.Jump
+	if workers > 1 {
+		blockDraws := uint64(2 * scale * rmatBlockEdges)
+		next = util.NewJump(blockDraws)
+		stride = util.NewJump(uint64(workers-1) * blockDraws)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	full := make([]chan []graph.Edge, workers)
+	free := make([]chan []graph.Edge, workers)
+	r := util.NewRNG(seed)
+	for w := range workers {
+		full[w] = make(chan []graph.Edge, rmatBuffers)
+		free[w] = make(chan []graph.Edge, rmatBuffers)
+		for range rmatBuffers {
+			free[w] <- make([]graph.Edge, rmatBlockEdges)
+		}
+		wg.Add(1)
+		go func(r util.RNG) {
+			defer wg.Done()
+			for lo := w * rmatBlockEdges; lo < m; lo += workers * rmatBlockEdges {
+				var blk []graph.Edge
+				select {
+				case blk = <-free[w]:
+				case <-done:
+					return
+				}
+				blk = blk[:min(rmatBlockEdges, m-lo)]
+				rmatFill(&r, scale, blk)
+				select {
+				case full[w] <- blk:
+				case <-done:
+					return
+				}
+				if stride != nil {
+					r.Jump(stride)
+				}
+			}
+		}(*r)
+		if next != nil {
+			r.Jump(next)
+		}
+	}
+	for k := range blocks {
+		blk := <-full[k%workers]
+		for _, e := range blk {
+			if err := emit(e); err != nil {
+				return err
+			}
+		}
+		free[k%workers] <- blk[:cap(blk)]
+	}
+	return nil
+}
+
+// rmatFill draws len(out) R-MAT edges from r, two draws per level per
+// edge. The quadrant choice is branch-free: with q0, q1, q2 the tests
+// against the three cumulative thresholds (q0 ⇒ q1 ⇒ q2), src gets the
+// level's bit when !q1 and dst when (q1 && !q0) || !q2.
+func rmatFill(r *util.RNG, scale int, out []graph.Edge) {
+	const a, b, c = 0.57, 0.19, 0.19
+	mask := 1<<scale - 1
+	for i := range out {
+		src, dst := 0, 0
+		for lvl := range scale {
+			// ±10% noise keeps the graph from being exactly self-similar.
+			noise := 0.9 + 0.2*r.Float64()
+			p := r.Float64()
+			q0, q1, q2 := b2i(p < a*noise), b2i(p < (a+b)*noise), b2i(p < (a+b+c)*noise)
+			src |= (q1 ^ 1) << lvl
+			dst |= (q1&^q0 | (q2 ^ 1)) << lvl
+		}
+		dst = (dst + b2i(src == dst)) & mask // avoid self loops
+		out[i] = graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}
+	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a
+// SETcc, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// RMAT is the slice form of RMATStream. It panics, with RMATStream's
+// message, on a size RMATStream rejects.
 func RMAT(scale, edgesPerVertex int, seed uint64) []graph.Edge {
-	n := 1 << scale
-	return collect(n*edgesPerVertex, func(emit Emit) error {
+	if err := checkRMAT(scale, edgesPerVertex); err != nil {
+		panic(err.Error())
+	}
+	return collect(edgesPerVertex<<scale, func(emit Emit) error {
 		return RMATStream(scale, edgesPerVertex, seed, emit)
 	})
 }

@@ -77,3 +77,73 @@ func (r *RNG) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
+
+// A Jump advances an RNG by a fixed number of draws in one step.
+// xorshift128+'s state update is linear over GF(2), so n draws are the
+// 128×128 bit matrix Mⁿ applied to the state; a Jump holds that matrix
+// as its 128 columns (the image of each state bit), built once by
+// repeated squaring and then applied to any number of RNGs. Drawing
+// Uint64, Uint32, Intn, Uint64n or Float64 each advances the state by
+// one draw.
+type Jump struct {
+	cols [128][2]uint64
+}
+
+// NewJump returns the jump of n draws. Building it costs about
+// log2(n) matrix squarings (≈ 1M word operations at n = 2^20);
+// applying it costs 128 masked XORs.
+func NewJump(n uint64) *Jump {
+	step := &Jump{}
+	for i := range step.cols {
+		var r RNG
+		if i < 64 {
+			r.s0 = 1 << i
+		} else {
+			r.s1 = 1 << (i - 64)
+		}
+		r.Uint64()
+		step.cols[i] = [2]uint64{r.s0, r.s1}
+	}
+	j := &Jump{}
+	for i := range j.cols {
+		j.cols[i][i/64] = 1 << (i % 64)
+	}
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			j = step.compose(j)
+		}
+		step = step.compose(step)
+	}
+	return j
+}
+
+// apply returns the matrix times the state (s0, s1).
+func (j *Jump) apply(s0, s1 uint64) (uint64, uint64) {
+	var o0, o1 uint64
+	for i := 0; i < 64; i++ {
+		m := -(s0 >> i & 1)
+		o0 ^= j.cols[i][0] & m
+		o1 ^= j.cols[i][1] & m
+	}
+	for i := 0; i < 64; i++ {
+		m := -(s1 >> i & 1)
+		o0 ^= j.cols[64+i][0] & m
+		o1 ^= j.cols[64+i][1] & m
+	}
+	return o0, o1
+}
+
+// compose returns the jump that applies k, then j.
+func (j *Jump) compose(k *Jump) *Jump {
+	out := &Jump{}
+	for i, c := range k.cols {
+		o0, o1 := j.apply(c[0], c[1])
+		out.cols[i] = [2]uint64{o0, o1}
+	}
+	return out
+}
+
+// Jump advances r as if it had drawn j's number of values.
+func (r *RNG) Jump(j *Jump) {
+	r.s0, r.s1 = j.apply(r.s0, r.s1)
+}

@@ -85,6 +85,39 @@ func TestRNGPerm(t *testing.T) {
 	}
 }
 
+// TestRNGJump holds a jump of n draws to n sequential Uint64 calls, and
+// jumps to composing: Jump(a) then Jump(b) lands where Jump(a+b) does.
+func TestRNGJump(t *testing.T) {
+	ns := []uint64{0, 1, 63, 64, 127, 128, 1<<20 + 3}
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15 + 1} {
+		for _, n := range ns {
+			want := NewRNG(seed)
+			for i := uint64(0); i < n; i++ {
+				want.Uint64()
+			}
+			got := NewRNG(seed)
+			got.Jump(NewJump(n))
+			if *got != *want {
+				t.Fatalf("seed %d: Jump(%d) = %+v, %d draws = %+v", seed, n, *got, n, *want)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: after Jump(%d) next draw %x, want %x", seed, n, g, w)
+			}
+		}
+		for _, a := range ns {
+			for _, b := range ns[:4] {
+				x, y := NewRNG(seed), NewRNG(seed)
+				x.Jump(NewJump(a))
+				x.Jump(NewJump(b))
+				y.Jump(NewJump(a + b))
+				if *x != *y {
+					t.Fatalf("seed %d: Jump(%d) then Jump(%d) = %+v, Jump(%d) = %+v", seed, a, b, *x, a+b, *y)
+				}
+			}
+		}
+	}
+}
+
 func TestBitmapBasic(t *testing.T) {
 	b := NewBitmap(130)
 	if b.Len() != 130 {
