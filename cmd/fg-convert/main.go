@@ -20,6 +20,9 @@
 // never round-trips through an edge list and never materializes the
 // graph in memory.
 //
+// Either way the image is written to a temporary file, fsynced and
+// renamed over -out, so a crash never leaves a partial image behind.
+//
 // Usage:
 //
 //	fg-convert -in twitter.el -out twitter.fg
@@ -38,24 +41,8 @@ import (
 
 	"flashgraph"
 	"flashgraph/internal/graph"
-	"flashgraph/internal/ssd"
 	"flashgraph/internal/util"
 )
-
-// dropOSCache syncs the finished image and asks the kernel to evict it
-// from the page cache, so a subsequent fg-serve -direct run measures
-// cold-device behavior instead of reading the builder's leftovers.
-func dropOSCache(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Printf("drop-cache: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := ssd.DropOSCache(f); err != nil {
-		log.Printf("drop-cache: %v", err)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -70,7 +57,6 @@ func main() {
 		keepDupes  = flag.Bool("keep-duplicates", false, "keep duplicate edges and self loops")
 		memMB      = flag.Int64("mem", 256, "builder memory budget (MiB), split across the two direction sorts: their buffers, sorted in eighths on background goroutines as edges stream in, and the read buffers of any merge of spilled runs")
 		tmpDir     = flag.String("tmp", "", "directory for spilled sort runs and the in-edge spool (default system temp)")
-		dropCache  = flag.Bool("drop-cache", false, "evict the written image from the OS page cache (fsync + fadvise) so serving it -direct starts cold")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -105,9 +91,6 @@ func main() {
 			enc, util.HumanBytes(outG.SizeBytes()),
 			time.Since(start).Round(time.Millisecond),
 		)
-		if *dropCache {
-			dropOSCache(*out)
-		}
 		return
 	}
 
@@ -155,7 +138,4 @@ func main() {
 		util.HumanBytes(st.PeakMemBytes),
 		st.Spills,
 	)
-	if *dropCache {
-		dropOSCache(*out)
-	}
 }

@@ -74,7 +74,6 @@ func main() {
 		devices       = flag.Int("devices", 4, "simulated SSDs")
 		throttle      = flag.Bool("throttle", false, "realistic SSD timing")
 		storeDir      = flag.String("store-dir", "", "back the simulated SSD array with files in this directory (one per device)")
-		directIO      = flag.Bool("direct", false, "open -store-dir device files with O_DIRECT (raw I/O path, no OS page cache)")
 		maxConcurrent = flag.Int("max-concurrent", 4, "queries executing simultaneously")
 		maxQueued     = flag.Int("max-queued", 64, "admitted queries waiting for a slot")
 		maxHistory    = flag.Int("max-history", 1024, "finished queries retained for polling")
@@ -104,7 +103,6 @@ func main() {
 		Devices:    *devices,
 		Throttle:   *throttle,
 		StoreDir:   *storeDir,
-		DirectIO:   *directIO,
 	})
 	defer cat.Close()
 
@@ -178,11 +176,7 @@ func main() {
 		log.Printf("quota: %.3g q/s per tenant", *quotaRate)
 	}
 	if *storeDir != "" {
-		mode := "buffered+fadvise"
-		if *directIO {
-			mode = "O_DIRECT"
-		}
-		log.Printf("store: %d device files under %s (%s)", *devices, *storeDir, mode)
+		log.Printf("store: %d device files under %s", *devices, *storeDir)
 	}
 	log.Printf("listening on %s", *addr)
 

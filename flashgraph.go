@@ -364,16 +364,12 @@ type Options struct {
 	// Throttle enables realistic device timing; off, devices run at
 	// memory speed but still account virtual busy time.
 	Throttle bool
-	// StoreDir backs each simulated SSD with a file in this directory
-	// instead of RAM — the configuration for datasets larger than
-	// memory. Empty keeps in-memory stores.
+	// StoreDir backs each simulated SSD with a file (ssd0.dat, ssd1.dat,
+	// ...) in this directory instead of RAM — the configuration for
+	// datasets larger than memory. Empty keeps in-memory stores. It
+	// contradicts InMemory, which has no devices: setting both is an
+	// error.
 	StoreDir string
-	// DirectIO opens the per-device backing files with O_DIRECT where
-	// the filesystem supports it (falling back to buffered reads with
-	// cache-drop hints where it does not), so SAFS's page cache is the
-	// only cache and the OS never double-buffers edge data. Requires
-	// StoreDir.
-	DirectIO bool
 	// MaxRunning bounds running vertices per thread (default 4000).
 	MaxRunning int
 }
@@ -398,10 +394,15 @@ func (opts Options) coreConfig() core.Config {
 }
 
 // newSubstrate builds the simulated SSD array and SAFS instance the
-// options describe. With StoreDir set each device is backed by a file
-// (O_DIRECT when DirectIO asks for it and the filesystem agrees);
-// otherwise devices are RAM-resident.
+// options describe: none in memory mode. With StoreDir set each device
+// is backed by a file; otherwise devices are RAM-resident.
 func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
+	if opts.InMemory {
+		if opts.StoreDir != "" {
+			return nil, nil, fmt.Errorf("flashgraph: Options.InMemory and Options.StoreDir are both set (in-memory edge lists use no device files)")
+		}
+		return nil, nil, nil
+	}
 	params := ssd.ArrayParams{Devices: opts.Devices, Device: ssd.DeviceParams{Throttle: opts.Throttle}}
 	params.SetDefaults()
 	var array *ssd.Array
@@ -411,7 +412,7 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 		}
 		stores := make([]ssd.Store, params.Devices)
 		for i := range stores {
-			s, err := ssd.NewStore(filepath.Join(opts.StoreDir, fmt.Sprintf("ssd%d.dat", i)), ssd.StoreConfig{DirectIO: opts.DirectIO})
+			s, err := ssd.NewFileStore(filepath.Join(opts.StoreDir, fmt.Sprintf("ssd%d.dat", i)))
 			if err != nil {
 				for _, prev := range stores[:i] {
 					if c, ok := prev.(interface{ Close() error }); ok {
@@ -423,8 +424,6 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 			stores[i] = s
 		}
 		array = ssd.NewArrayWithStores(params, stores)
-	} else if opts.DirectIO {
-		return nil, nil, fmt.Errorf("flashgraph: DirectIO requires StoreDir (in-memory devices have no files to open O_DIRECT)")
 	} else {
 		array = ssd.NewArray(params)
 	}
@@ -440,11 +439,9 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 func Open(g *Graph, opts Options) (*Engine, error) {
 	cfg := opts.coreConfig()
 	e := &Engine{}
-	if !cfg.InMemory {
-		var err error
-		if e.array, cfg.FS, err = opts.newSubstrate(); err != nil {
-			return nil, err
-		}
+	var err error
+	if e.array, cfg.FS, err = opts.newSubstrate(); err != nil {
+		return nil, err
 	}
 	shared, err := core.NewShared(g.img, cfg)
 	if err != nil {
@@ -530,13 +527,11 @@ type Catalog struct {
 // NewCatalog prepares an empty catalog. All graphs later added share
 // the substrate these options describe; per-graph knobs (Threads,
 // MaxRunning) apply to every graph's runs. A substrate that
-// cannot be built (e.g. an unusable StoreDir) is reported by the first
-// Add.
+// cannot be built (an unusable StoreDir, or StoreDir with InMemory) is
+// reported by the first Add.
 func NewCatalog(opts Options) *Catalog {
 	c := &Catalog{opts: opts, engines: map[string]*Engine{}}
-	if !opts.InMemory {
-		c.array, c.fs, c.subErr = opts.newSubstrate()
-	}
+	c.array, c.fs, c.subErr = opts.newSubstrate()
 	return c
 }
 

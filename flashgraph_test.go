@@ -2,7 +2,10 @@ package flashgraph
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +361,90 @@ func TestCatalogClosedRejectsAdd(t *testing.T) {
 	cat.Close()
 	if _, err := cat.Add("late", NewGraph(4, []Edge{{Src: 0, Dst: 1}}, Directed)); err == nil {
 		t.Fatal("Add after Close accepted")
+	}
+}
+
+// TestInMemoryWithStoreDirRejected: InMemory has no devices, so a
+// StoreDir beside it contradicts it. Open and the first Catalog.Add
+// refuse the pair and name both fields rather than ignore StoreDir.
+func TestInMemoryWithStoreDirRejected(t *testing.T) {
+	opts := Options{InMemory: true, StoreDir: t.TempDir()}
+	g := NewGraph(4, []Edge{{Src: 0, Dst: 1}}, Directed)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "InMemory") || !strings.Contains(err.Error(), "StoreDir") {
+			t.Fatalf("%s with InMemory and StoreDir: err = %v, want one naming both fields", what, err)
+		}
+	}
+	eng, err := Open(g, opts)
+	if err == nil {
+		eng.Close()
+	}
+	check("Open", err)
+	cat := NewCatalog(opts)
+	defer cat.Close()
+	_, err = cat.Add("g", g)
+	check("Catalog.Add", err)
+}
+
+// TestCatalogStoreDir drives the public API over file-backed devices:
+// an image added with AddFile answers BFS and PageRank with the checksums
+// of an in-memory run, one non-empty file backs each device, and a
+// StoreDir that is a regular file fails the first Add.
+func TestCatalogStoreDir(t *testing.T) {
+	dir := t.TempDir()
+	// ≈ 1 MiB of edge lists: more than one 128 KiB stripe per device.
+	g := NewGraph(1<<12, GenerateRMAT(12, 32, 3), Directed)
+	path := filepath.Join(dir, "g.fg")
+	if err := g.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "store")
+	cat := NewCatalog(Options{StoreDir: store, Threads: 2})
+	defer cat.Close()
+	eng, err := cat.AddFile("g", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open(g, Options{InMemory: true, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	for _, mk := range []func() Algorithm{
+		func() Algorithm { return NewBFS(0) },
+		func() Algorithm { return NewPageRank() },
+	} {
+		onFiles, inMem := mk(), mk()
+		if _, err := eng.Run(onFiles); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mem.Run(inMem); err != nil {
+			t.Fatal(err)
+		}
+		got := onFiles.(interface{ Result() *ResultSet }).Result().Checksum()
+		want := inMem.(interface{ Result() *ResultSet }).Result().Checksum()
+		if got != want {
+			t.Fatalf("%T over StoreDir: checksum %s, in-memory %s", onFiles, got, want)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		fi, err := os.Stat(filepath.Join(store, fmt.Sprintf("ssd%d.dat", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty: device %d holds no edge data", fi.Name(), i)
+		}
+	}
+
+	notDir := filepath.Join(dir, "plain-file")
+	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := NewCatalog(Options{StoreDir: notDir})
+	defer bad.Close()
+	if _, err := bad.Add("g", g); err == nil {
+		t.Fatal("Add accepted a StoreDir that is a regular file")
 	}
 }

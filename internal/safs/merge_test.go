@@ -163,27 +163,21 @@ func TestFlushPartialRuns(t *testing.T) {
 	}
 }
 
-// TestDirectIOBackedSAFS runs the semi-external-memory stack over file
-// stores opened for direct I/O — the raw I/O configuration fg-serve
-// -direct builds. Where the filesystem rejects O_DIRECT (tmpfs CI) the
-// store degrades to its fadvise fallback and the test still validates
-// that path; it never fails for lack of kernel support.
-func TestDirectIOBackedSAFS(t *testing.T) {
+// TestFileBackedSAFS runs the semi-external-memory stack over file
+// stores — the configuration Options.StoreDir and fg-serve -store-dir
+// build — through the asynchronous merged path and the synchronous one,
+// over written and thin (past-EOF) pages.
+func TestFileBackedSAFS(t *testing.T) {
 	dir := t.TempDir()
 	const devices = 3
 	stores := make([]ssd.Store, devices)
-	direct := true
 	for i := range stores {
-		ds, err := ssd.NewStore(filepath.Join(dir, fmt.Sprintf("dev%d.dat", i)), ssd.StoreConfig{DirectIO: true})
+		fs, err := ssd.NewFileStore(filepath.Join(dir, fmt.Sprintf("dev%d.dat", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { ds.Close() })
-		direct = direct && ds.Direct()
-		stores[i] = ds
-	}
-	if !direct {
-		t.Log("O_DIRECT unsupported here (tmpfs?); exercising the buffered fadvise fallback")
+		t.Cleanup(func() { fs.Close() })
+		stores[i] = fs
 	}
 	arr := ssd.NewArrayWithStores(ssd.ArrayParams{Devices: devices, StripeSize: 8192}, stores)
 	t.Cleanup(arr.Close)
@@ -226,7 +220,7 @@ func TestDirectIOBackedSAFS(t *testing.T) {
 				want = data[i]
 			}
 			if got[i] != want {
-				t.Fatalf("byte %d = %d, want %d (direct-store async read)", i, got[i], want)
+				t.Fatalf("byte %d = %d, want %d (file-store async read)", i, got[i], want)
 			}
 		}
 	}
@@ -235,7 +229,7 @@ func TestDirectIOBackedSAFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sync[:written], data) {
-		t.Fatal("direct-store synchronous read diverges from written data")
+		t.Fatal("file-store synchronous read diverges from written data")
 	}
 	for i := written; i < len(sync); i++ {
 		if sync[i] != 0 {

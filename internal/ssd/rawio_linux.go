@@ -11,26 +11,6 @@ import (
 // iovMax bounds the iovec count of one preadv submission (IOV_MAX).
 const iovMax = 1024
 
-// posixFadvDontneed is POSIX_FADV_DONTNEED (not exported by syscall).
-const posixFadvDontneed = 4
-
-// openDirect opens path for reading with O_DIRECT. Filesystems without
-// direct I/O (tmpfs) fail here, letting the caller fall back.
-func openDirect(path string) (*os.File, error) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_DIRECT, 0)
-	if err != nil {
-		return nil, err
-	}
-	return os.NewFile(uintptr(fd), path), nil
-}
-
-// fadviseDontNeed hints the kernel to drop [off, off+length) of f from
-// the page cache (length 0 means to end of file). Best effort.
-func fadviseDontNeed(f *os.File, off, length int64) {
-	syscall.Syscall6(syscall.SYS_FADVISE64, f.Fd(),
-		uintptr(off), uintptr(length), posixFadvDontneed, 0, 0)
-}
-
 // readVec fills vec from the contiguous range of f starting at off with
 // preadv(2): one kernel submission per iovMax buffers instead of one
 // pread per buffer. A short preadv mid-vector resubmits the remaining
@@ -102,16 +82,4 @@ func preadv(fd uintptr, iov []syscall.Iovec, off int64) (int, error) {
 		return int(n), errno
 	}
 	return int(n), nil
-}
-
-// allocAligned returns a buffer of n bytes whose base address is
-// align-aligned, as O_DIRECT transfers require. It over-allocates and
-// slices at the first aligned byte.
-func allocAligned(n, align int) []byte {
-	raw := make([]byte, n+align)
-	off := 0
-	if rem := int(uintptr(unsafe.Pointer(&raw[0])) % uintptr(align)); rem != 0 {
-		off = align - rem
-	}
-	return raw[off : off+n : off+n]
 }

@@ -72,63 +72,63 @@ func TestFileStoreReadVecAt(t *testing.T) {
 	}
 }
 
-// TestDirectIOMatchesBuffered cross-checks a store opened for direct
-// I/O against a buffered one over unaligned extents, whether or not
-// O_DIRECT was actually negotiated (tmpfs CI degrades to the fadvise
-// path).
-func TestDirectIOMatchesBuffered(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := NewStore(filepath.Join(dir, "direct.dat"), StoreConfig{DirectIO: true})
+// TestReadVecFallbackMatchesReadVecAt holds the portable scatter read
+// (every non-Linux build, and Linux when preadv is unsupported) to the
+// store's own path byte for byte on the same file: the same data, the
+// same zero tail past EOF, the same reported length.
+func TestReadVecFallbackMatchesReadVecAt(t *testing.T) {
+	s, err := NewFileStore(filepath.Join(t.TempDir(), "dev.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	t.Logf("O_DIRECT negotiated: %v", ds.Direct())
-	fs, err := NewFileStore(filepath.Join(dir, "plain.dat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-
-	data := make([]byte, 64<<10)
+	defer s.Close()
+	data := make([]byte, 10000)
 	for i := range data {
 		data[i] = byte(i*131 + 17)
 	}
-	for _, off := range []int64{0, 4096, 12345} {
-		if _, err := ds.WriteAt(data, off); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.WriteAt(data, off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rd := range []struct{ off, n int64 }{{0, 512}, {1, 1}, {4095, 2}, {10000, 40000}, {70000, 20000}} {
-		a := make([]byte, rd.n)
-		b := make([]byte, rd.n)
-		if _, err := ds.ReadAt(a, rd.off); err != nil {
-			t.Fatalf("direct read [%d,%d): %v", rd.off, rd.off+rd.n, err)
-		}
-		if _, err := fs.ReadAt(b, rd.off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("stores diverge at [%d,%d)", rd.off, rd.off+rd.n)
-		}
-	}
-	// Vectored path, unaligned and EOF-straddling.
-	vec := [][]byte{make([]byte, 3), make([]byte, 4096), make([]byte, 77)}
-	ref := make([]byte, 3+4096+77)
-	if _, err := ds.ReadVecAt(vec, 4093); err != nil {
+	if _, err := s.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.ReadAt(ref, 4093); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bytes.Join(vec, nil), ref) {
-		t.Fatal("direct vectored read mismatch")
-	}
-	if ds.Size() != fs.Size() {
-		t.Fatalf("Size: direct %d, plain %d", ds.Size(), fs.Size())
+	for _, tc := range []struct {
+		name  string
+		off   int64
+		sizes []int
+	}{
+		{"three buffers mid-file", 4093, []int{3, 4096, 77}},
+		{"straddles EOF", int64(len(data)) - 100, []int{60, 150, 90}},
+		{"wholly past EOF", int64(len(data)) + 5000, []int{10, 4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vec := func() [][]byte {
+				v := make([][]byte, len(tc.sizes))
+				for i, n := range tc.sizes {
+					v[i] = bytes.Repeat([]byte{0xEE}, n) // stale bytes the read must overwrite
+				}
+				return v
+			}
+			want, got := vec(), vec()
+			wn, err := s.ReadVecAt(want, tc.off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gn, err := readVecFallback(s.f, got, tc.off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total := vecLen(want); wn != total || gn != total {
+				t.Fatalf("n = %d (fallback) / %d (ReadVecAt), want %d", gn, wn, total)
+			}
+			if !bytes.Equal(bytes.Join(got, nil), bytes.Join(want, nil)) {
+				t.Fatal("fallback and ReadVecAt diverge")
+			}
+			ref := make([]byte, vecLen(want))
+			if tc.off < int64(len(data)) {
+				copy(ref, data[tc.off:])
+			}
+			if !bytes.Equal(bytes.Join(got, nil), ref) {
+				t.Fatal("fallback read differs from the written data")
+			}
+		})
 	}
 }
 

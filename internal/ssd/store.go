@@ -114,77 +114,24 @@ func (m *MemStore) Size() int64 {
 	return int64(len(m.data))
 }
 
-// StoreConfig selects how NewStore opens a file-backed device store.
-// The zero value is plain buffered I/O (exactly NewFileStore).
-type StoreConfig struct {
-	// DirectIO opens the read path with O_DIRECT where the platform and
-	// filesystem support it, bypassing the OS page cache. SAFS runs its
-	// own set-associative page cache over the array, so buffered reads
-	// cache every block twice — once in SAFS, once in the kernel —
-	// wasting RAM and a copy. Unsupported combinations (non-Linux
-	// builds, tmpfs) degrade to buffered reads with fadvise(DONTNEED)
-	// hints; FileStore.Direct reports what was negotiated.
-	DirectIO bool
-}
-
-const (
-	// directAlign is the O_DIRECT offset/length/buffer alignment: the
-	// common logical block size.
-	directAlign = 4096
-	// dropSyncBytes is how many written bytes accumulate before a store
-	// that keeps the kernel page cache clean flushes and drops them.
-	// Image loads stream MiBs through WriteAt; without periodic eviction
-	// the "uncached" store would leave the whole image cached twice.
-	dropSyncBytes = 32 << 20
-)
-
 // FileStore backs a device with a real file, for graphs larger than
-// RAM. Reads are buffered by default. Opened with StoreConfig.DirectIO
-// the read path avoids the OS page cache: O_DIRECT with an aligned
-// bounce buffer where supported, fadvise(DONTNEED)-hinted buffered I/O
-// elsewhere; writes (image load time, not the serving hot path) then go
-// through a separate buffered descriptor and are flushed + dropped from
-// the kernel cache every dropSyncBytes.
+// RAM. It is one buffered descriptor: reads scatter through preadv(2)
+// where the platform has it, writes are plain positioned writes. The
+// modelled cache is SAFS's page cache over the array, not the host's;
+// the device files are scratch, written once when an image is loaded.
 type FileStore struct {
-	rf        *os.File // read descriptor (O_DIRECT when direct)
-	wf        *os.File // write descriptor (always buffered)
-	direct    bool
-	dropCache bool // O_DIRECT was asked for and refused
-
-	mu     sync.Mutex
-	bounce []byte // aligned scratch for direct reads
-	dirty  int64  // bytes written since the last flush+drop
+	f *os.File
 }
 
 // NewFileStore opens (creating if needed) path as a buffered backing
 // store.
 func NewFileStore(path string) (*FileStore, error) {
-	return NewStore(path, StoreConfig{})
-}
-
-// NewStore opens (creating if needed) path as a device backing store
-// per cfg, degrading gracefully where O_DIRECT is unsupported.
-func NewStore(path string, cfg StoreConfig) (*FileStore, error) {
-	wf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ssd: open store: %w", err)
 	}
-	s := &FileStore{rf: wf, wf: wf}
-	if cfg.DirectIO {
-		if rf, err := openDirect(path); err == nil {
-			s.rf = rf
-			s.direct = true
-		} else {
-			// tmpfs and friends reject O_DIRECT at open; fall back to
-			// buffered reads but keep the kernel cache clean with hints.
-			s.dropCache = true
-		}
-	}
-	return s, nil
+	return &FileStore{f: f}, nil
 }
-
-// Direct reports whether the read path actually negotiated O_DIRECT.
-func (s *FileStore) Direct() bool { return s.direct }
 
 // ReadAt implements Store as a scatter list of one.
 func (s *FileStore) ReadAt(p []byte, off int64) (int, error) {
@@ -193,107 +140,31 @@ func (s *FileStore) ReadAt(p []byte, off int64) (int, error) {
 
 // ReadVecAt implements VecReader: the contiguous range starting at off
 // is scattered into the buffers of vec with one preadv(2) submission
-// where the platform supports it — under O_DIRECT, one aligned bounce
-// read. Bytes past the end of the file read as zeros and the full
-// length is reported, matching a thin-provisioned flash device (and
-// MemStore); only a confirmed EOF earns the zero-fill, a real I/O error
-// or a transfer that stops short mid-file surfaces instead.
+// where the platform supports it. Bytes past the end of the file read
+// as zeros and the full length is reported, matching a thin-provisioned
+// flash device (and MemStore); only a confirmed EOF earns the
+// zero-fill, a real I/O error or a transfer that stops short mid-file
+// surfaces instead.
 func (s *FileStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
-	if s.direct {
-		return s.directRead(vec, off)
-	}
-	n, err := readVec(s.rf, vec, off)
-	if err == nil && s.dropCache {
-		fadviseDontNeed(s.rf, off-off%directAlign, int64(n)+directAlign)
-	}
-	return n, err
+	return readVec(s.f, vec, off)
 }
 
-// directRead reads the aligned superset of the scatter range through
-// the O_DIRECT descriptor into the bounce buffer and copies the exact
-// window out into vec.
-func (s *FileStore) directRead(vec [][]byte, off int64) (int, error) {
-	length := int64(vecLen(vec))
-	if length == 0 {
-		return 0, nil
-	}
-	a0 := off - off%directAlign
-	a1 := (off + length + directAlign - 1) / directAlign * directAlign
-	need := int(a1 - a0)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.bounce) < need {
-		s.bounce = allocAligned(need, directAlign)
-	}
-	buf := s.bounce[:need]
-	n, err := s.rf.ReadAt(buf, a0)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return 0, err
-	}
-	clear(buf[n:])
-	src := buf[off-a0:]
-	for _, b := range vec {
-		src = src[copy(b, src):]
-	}
-	return int(length), nil
-}
-
-// WriteAt implements Store through the buffered descriptor. A store
-// opened for direct I/O flushes the file and drops its pages every
-// dropSyncBytes, so image loads do not grow a shadow copy in the kernel
-// page cache.
+// WriteAt implements Store.
 func (s *FileStore) WriteAt(p []byte, off int64) (int, error) {
-	n, err := s.wf.WriteAt(p, off)
-	if err != nil || !(s.direct || s.dropCache) {
-		return n, err
-	}
-	s.mu.Lock()
-	s.dirty += int64(n)
-	flush := s.dirty >= dropSyncBytes
-	if flush {
-		s.dirty = 0
-	}
-	s.mu.Unlock()
-	if flush {
-		if err := DropOSCache(s.wf); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return s.f.WriteAt(p, off)
 }
 
 // Size returns the current file size.
 func (s *FileStore) Size() int64 {
-	fi, err := s.wf.Stat()
+	fi, err := s.f.Stat()
 	if err != nil {
 		return 0
 	}
 	return fi.Size()
 }
 
-// Close closes the underlying descriptors.
-func (s *FileStore) Close() error {
-	var err error
-	if s.rf != s.wf {
-		err = s.rf.Close()
-	}
-	if e := s.wf.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
-// DropOSCache flushes f and asks the kernel to evict its cached pages
-// (best effort; a no-op where fadvise is unavailable). Converters use
-// it so a freshly written multi-GiB image does not linger in the page
-// cache it will never be read through.
-func DropOSCache(f *os.File) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	fadviseDontNeed(f, 0, 0)
-	return nil
-}
+// Close closes the underlying file.
+func (s *FileStore) Close() error { return s.f.Close() }
 
 // readVecFallback fills vec with sequential ReadAt calls — the
 // portable path behind readVec, with the same EOF semantics: only a
