@@ -8,8 +8,10 @@
 // into an external sort bounded by -mem, so edge lists far larger
 // than RAM convert on commodity machines. It uses a second core:
 // chunks of the sort buffer sort in the background while edges stream
-// in, and the out- and in-edge files are sized and encoded side by
-// side. On completion the tool
+// in, and the out- and in-edge files are encoded side by side, each
+// in one pass into a temp file under -tmp, then copied into the image
+// behind its index. Temp disk therefore needs room for the spilled
+// runs and both directions' data bytes. On completion the tool
 // reports the Table 2 "init time" numbers — elapsed time, edges/sec,
 // and the builder's peak memory.
 //
@@ -56,7 +58,7 @@ func main() {
 		weights    = flag.Bool("weights", false, "attach deterministic 4-byte edge weights (SSSP demos)")
 		keepDupes  = flag.Bool("keep-duplicates", false, "keep duplicate edges and self loops")
 		memMB      = flag.Int64("mem", 256, "builder memory budget (MiB), split across the two direction sorts: their buffers, sorted in eighths on background goroutines as edges stream in, and the read buffers of any merge of spilled runs")
-		tmpDir     = flag.String("tmp", "", "directory for spilled sort runs and the in-edge spool (default system temp)")
+		tmpDir     = flag.String("tmp", "", "directory for a build's spilled sort runs and its spooled out- and in-edge data (default system temp; -reencode spools to the system temp)")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {

@@ -266,8 +266,9 @@ type BuildOptions struct {
 	// index): the sort buffers and any merge's read buffers. Default
 	// 256MiB.
 	MemBytes int64
-	// TmpDir receives spilled sort runs and the in-edge spool. Default:
-	// system temp dir.
+	// TmpDir receives spilled sort runs and the image writer's spools,
+	// which hold both directions' encoded data bytes until the image is
+	// written. Default: system temp dir.
 	TmpDir string
 	// KeepDuplicates retains duplicate edges and self-loops.
 	KeepDuplicates bool

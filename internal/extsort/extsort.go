@@ -14,10 +14,8 @@
 // budget its sorted chunks are merged into one run on disk. Sort
 // finalizes the input; Iter then merges the sorted chunks (everything
 // fit in memory) or the spilled runs lazily. Iter may be called
-// multiple times: the chunks stay in the buffer and the runs on disk
-// until Close, so the graph image writer can take its two passes
-// (degree pass, then record pass) over the same sorted stream without
-// re-sorting.
+// more than once: the chunks stay in the buffer and the runs on disk
+// until Close.
 package extsort
 
 import (
@@ -287,8 +285,7 @@ func (s *Sorter) reduceRuns() error {
 
 // Iter returns a fresh iterator over the sorted records. It may be
 // called repeatedly; each call merges the chunks, or rewinds the runs
-// and merges them, again, which is how the image writer takes its
-// degree pass and its record pass over one sort.
+// and merges them, again.
 func (s *Sorter) Iter() (*Iterator, error) {
 	if !s.sorted {
 		return nil, fmt.Errorf("extsort: Iter before Sort")

@@ -108,9 +108,8 @@ func StripeGridFor(n int) (shift uint32, stripes int) {
 // buffering one row stripe of edges (bucketed by column stripe) at a
 // time. Neighbors must arrive in ascending ID order per vertex, as for
 // the delta layout. It returns per-vertex degrees (the in-memory index
-// still serves degree queries), the block directory, and the total
-// data bytes written.
-func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool, attr AttrFunc) (degrees []uint32, bdir *BlockDir, total int64, err error) {
+// still serves degree queries) and the block directory.
+func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool, attr AttrFunc) (degrees []uint32, bdir *BlockDir, err error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	shift := blockShiftFor(n)
 	stripes := blockStripesFor(n)
@@ -131,7 +130,7 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 
 	pv, pu, pattr, pok, perr := st.Next()
 	if perr != nil {
-		return nil, nil, 0, perr
+		return nil, nil, perr
 	}
 
 	for r := 0; r < stripes; r++ {
@@ -146,11 +145,11 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 			var prev VertexID
 			for pok && int(pv) == v {
 				if cnt > 0 && pu < prev {
-					return nil, nil, 0, fmt.Errorf("graph: block encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
+					return nil, nil, fmt.Errorf("graph: block encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
 				}
 				prev = pu
 				if int(pu) >= n {
-					return nil, nil, 0, fmt.Errorf("graph: vertex %d out of range (n=%d)", pu, n)
+					return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pu, n)
 				}
 				b := &buckets[int(pu)>>shift]
 				b.rows = append(b.rows, VertexID(v))
@@ -158,7 +157,7 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 				if attrSize > 0 {
 					if pattr != nil {
 						if len(pattr) != attrSize {
-							return nil, nil, 0, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
+							return nil, nil, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
 						}
 						b.attrs = append(b.attrs, pattr...)
 					} else {
@@ -180,11 +179,11 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 				cnt++
 				pv, pu, pattr, pok, perr = st.Next()
 				if perr != nil {
-					return nil, nil, 0, perr
+					return nil, nil, perr
 				}
 			}
 			if pok && int(pv) < v {
-				return nil, nil, 0, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
+				return nil, nil, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
 			}
 			degrees[v] = cnt
 		}
@@ -194,19 +193,18 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 			blockBuf = encodeBlock(blockBuf[:0], VertexID(lo), VertexID(c<<shift), b.rows, b.cols, b.attrs, attrSize)
 			bdir.Offsets[r*stripes+c+1] = bdir.Offsets[r*stripes+c] + int64(len(blockBuf))
 			if _, err := bw.Write(blockBuf); err != nil {
-				return nil, nil, 0, err
+				return nil, nil, err
 			}
-			total += int64(len(blockBuf))
 			b.rows, b.cols, b.attrs = b.rows[:0], b.cols[:0], b.attrs[:0]
 		}
 	}
 	if pok {
-		return nil, nil, 0, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
+		return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
 	}
 	if err := bw.Flush(); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return degrees, bdir, total, nil
+	return degrees, bdir, nil
 }
 
 // encodeBlock appends one block's bytes to dst. rows/cols/attrs list

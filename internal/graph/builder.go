@@ -27,8 +27,9 @@ type BuildConfig struct {
 	// that buffer has spilled, its merge's read buffers. Excludes the
 	// compact index that every image needs in RAM. Default 256MiB.
 	MemBytes int64
-	// TmpDir receives spilled sort runs and the in-edge record pass's
-	// spool. Default: the system temp dir.
+	// TmpDir receives spilled sort runs and the image writer's spools,
+	// which hold both directions' encoded data bytes until the image is
+	// written. Default: the system temp dir.
 	TmpDir string
 	// KeepDupes retains duplicate edges and self-loops (the default
 	// build removes both, matching Adjacency.Dedup).
@@ -62,10 +63,11 @@ func (st *BuildStats) EdgesPerSec() float64 {
 // stream under a fixed memory budget: edges are fed one at a time
 // into external sorters (by source for the out-edge file and, for
 // directed graphs, by destination for the in-edge file), then the
-// sorted streams drive the ImageWriter's two sequential passes, the
-// two directions side by side. At no point does the builder hold an
-// edge list, an adjacency array, or an encoded data file in memory, so
-// the largest buildable graph is bounded by disk, not RAM.
+// sorted streams drive the ImageWriter's one record pass per
+// direction, the two directions side by side. At no point does the
+// builder hold an edge list, an adjacency array, or an encoded data
+// file in memory, so the largest buildable graph is bounded by disk,
+// not RAM.
 type StreamBuilder struct {
 	cfg   BuildConfig
 	out   *extsort.Sorter
@@ -151,7 +153,7 @@ func (s *sortedStream) Next() (VertexID, VertexID, []byte, bool, error) {
 	}
 }
 
-// source wraps one finalized sorter as a replayable StreamSource.
+// source wraps one finalized sorter as a StreamSource.
 func (b *StreamBuilder) source(s *extsort.Sorter) StreamSource {
 	return func() (NeighborStream, error) {
 		it, err := s.Iter()
@@ -219,33 +221,6 @@ func (b *StreamBuilder) WriteFile(path string) (*BuildStats, error) {
 		return nil, err
 	}
 	return b.stats(info), nil
-}
-
-// Build materializes the image in RAM through the same sorted-stream
-// path (useful for tests and for callers that want a bounded-memory
-// sort but an in-memory image) and releases the builder's temp files.
-func (b *StreamBuilder) Build() (*Image, *BuildStats, error) {
-	defer b.Close()
-	iw, err := b.writer()
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := iw.BuildImage()
-	if err != nil {
-		return nil, nil, err
-	}
-	info := &ImageInfo{
-		NumV:     img.NumV,
-		NumEdges: img.NumEdges,
-		AttrSize: img.AttrSize,
-		Directed: img.Directed,
-		Encoding: img.Encoding,
-		OutBytes: int64(len(img.OutData)),
-		InBytes:  int64(len(img.InData)),
-		OutIndex: img.OutIndex,
-		InIndex:  img.InIndex,
-	}
-	return img, b.stats(info), nil
 }
 
 // Close releases the sorters' temporary files. Idempotent.

@@ -221,7 +221,7 @@ func (img *Image) edgeReaderAt(dir EdgeDir) (io.ReaderAt, error) {
 	return bytes.NewReader(img.OutData), nil
 }
 
-// sourceFor returns a replayable neighbor stream over one direction of
+// sourceFor returns a neighbor stream source over one direction of
 // this image, decoding whatever layout the image is stored in.
 func (img *Image) sourceFor(dir EdgeDir) StreamSource {
 	ix := img.OutIndex

@@ -59,8 +59,9 @@ func openImage(f *os.File) (*Image, error) {
 }
 
 // WriteImageFile streams iw's image into a new file at path. The
-// write is sequential (two passes per direction over iw's sources)
-// and holds only the compact indexes in memory. The file appears
+// write is sequential (one record pass per direction over iw's
+// sources, spooled to temp files as WriteImage describes) and holds
+// only the compact indexes in memory. The file appears
 // atomically: bytes land in a temp file in the same directory, which
 // is fsynced and renamed over path only once complete — a crash or
 // kill -9 mid-build leaves no partially visible image behind.

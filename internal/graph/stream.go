@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,11 +20,9 @@ type NeighborStream interface {
 	Next() (v, u VertexID, attr []byte, ok bool, err error)
 }
 
-// StreamSource produces a fresh NeighborStream. The ImageWriter calls
-// it twice per direction — once for the degree pass, once for the
-// record pass — so a source must replay the same sequence each call
-// (extsort keeps its sorted runs on disk for exactly this reason). The
-// out and in sources are read side by side, on two goroutines.
+// StreamSource produces a NeighborStream. The ImageWriter calls each
+// direction's source once, the out and in sources side by side on two
+// goroutines.
 type StreamSource func() (NeighborStream, error)
 
 // sliceStream streams adjacency lists (attr always nil).
@@ -173,30 +170,6 @@ func (s *recordStream) Next() (VertexID, VertexID, []byte, bool, error) {
 	}
 }
 
-// countStream runs the degree pass: it consumes a stream, validates
-// ordering and vertex range, and returns per-vertex degrees.
-func countStream(st NeighborStream, n int) ([]uint32, error) {
-	degrees := make([]uint32, n)
-	last := int64(-1)
-	for {
-		v, _, _, ok, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return degrees, nil
-		}
-		if int64(v) < last {
-			return nil, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", v, last)
-		}
-		if int(v) >= n {
-			return nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", v, n)
-		}
-		last = int64(v)
-		degrees[v] = degrees[v] + 1
-	}
-}
-
 // encodeStream is THE canonical encoder of FlashGraph's on-SSD
 // edge-list layouts: concatenated records in vertex-ID order, one empty
 // record per edgeless vertex. Every path that produces image bytes —
@@ -219,10 +192,10 @@ func countStream(st NeighborStream, n int) ([]uint32, error) {
 // src tells the AttrFunc which endpoint owns the record (out-edge
 // records name their source first; in-edge records the destination).
 // Stream-supplied attr bytes win over the AttrFunc.
-func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encoding, src bool, attr AttrFunc) (degrees []uint32, sizes []int64, bdir *BlockDir, total int64, err error) {
+func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encoding, src bool, attr AttrFunc) (degrees []uint32, sizes []int64, bdir *BlockDir, err error) {
 	if enc == EncodingBlock {
-		degrees, bdir, total, err = encodeBlockStream(w, st, n, attrSize, src, attr)
-		return degrees, nil, bdir, total, err
+		degrees, bdir, err = encodeBlockStream(w, st, n, attrSize, src, attr)
+		return degrees, nil, bdir, err
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	degrees = make([]uint32, n)
@@ -238,7 +211,7 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 
 	pv, pu, pattr, pok, perr := st.Next()
 	if perr != nil {
-		return nil, nil, nil, 0, perr
+		return nil, nil, nil, perr
 	}
 	var scratch [binary.MaxVarintLen64]byte
 	for v := 0; v < n; v++ {
@@ -252,7 +225,7 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 					nbrs = binary.AppendUvarint(nbrs, uint64(pu))
 				} else {
 					if pu < prev {
-						return nil, nil, nil, 0, fmt.Errorf("graph: delta encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
+						return nil, nil, nil, fmt.Errorf("graph: delta encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
 					}
 					nbrs = binary.AppendUvarint(nbrs, uint64(pu-prev))
 				}
@@ -265,7 +238,7 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 			if attrSize > 0 {
 				if pattr != nil {
 					if len(pattr) != attrSize {
-						return nil, nil, nil, 0, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
+						return nil, nil, nil, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
 					}
 					attrs = append(attrs, pattr...)
 				} else {
@@ -286,11 +259,11 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 			}
 			pv, pu, pattr, pok, perr = st.Next()
 			if perr != nil {
-				return nil, nil, nil, 0, perr
+				return nil, nil, nil, perr
 			}
 		}
 		if pok && int(pv) < v {
-			return nil, nil, nil, 0, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
+			return nil, nil, nil, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
 		}
 		degrees[v] = cnt
 		var hdr []byte
@@ -301,38 +274,36 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 			hdr = scratch[:headerSize]
 		}
 		if _, err := bw.Write(hdr); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, err
 		}
 		if _, err := bw.Write(nbrs); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, err
 		}
 		if _, err := bw.Write(attrs); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, err
 		}
-		rec := int64(len(hdr) + len(nbrs) + len(attrs))
 		if enc == EncodingDelta {
-			sizes[v] = rec
+			sizes[v] = int64(len(hdr) + len(nbrs) + len(attrs))
 		}
-		total += rec
 	}
 	if pok {
-		return nil, nil, nil, 0, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
+		return nil, nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
 	}
 	if err := bw.Flush(); err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, err
 	}
-	return degrees, sizes, nil, total, nil
+	return degrees, sizes, nil, nil
 }
 
 // ImageWriter builds a complete graph image from sorted neighbor
 // streams without ever materializing edge data in memory — the
 // out-of-core construction path (FAST'15 §3.5.2 builds the image once
 // and reuses it for every algorithm; this writer makes that build
-// scale with disk instead of RAM). It consumes each direction's
-// source twice: a degree pass sizes the edge-list files and builds
-// the compact indexes, then a record pass writes the files
-// sequentially. BuildImage and Image.Encode are thin wrappers over
-// this type, so exactly one encoder for the on-SSD layout exists.
+// scale with disk instead of RAM). It reads each direction's source
+// once: a record pass encodes the edge-list file and builds the compact
+// index from what it wrote. BuildImage and Image.Encode are thin
+// wrappers over this type, so exactly one encoder for the on-SSD
+// layout exists.
 type ImageWriter struct {
 	// NumV is the vertex count (records are written for all of 0..NumV-1).
 	NumV int
@@ -351,8 +322,8 @@ type ImageWriter struct {
 	// Directed.
 	In StreamSource
 
-	// spoolDir receives the in-edge record pass's spool file ("" = the
-	// system temp directory).
+	// spoolDir receives WriteImage's two spool files ("" = the system
+	// temp directory).
 	spoolDir string
 }
 
@@ -381,46 +352,18 @@ func (info *ImageInfo) IndexBytes() int64 {
 	return b
 }
 
-// countDirection runs the sizing pass for one direction. For the raw
-// layout degrees alone determine every extent, so a cheap counting scan
-// suffices; for the delta and block layouts extents are data-dependent,
-// so the pass runs the canonical encoder against io.Discard to learn
-// the exact per-record byte lengths (delta) or block extents (block) —
-// the attr generator is skipped, since attr bytes have fixed size and
-// cannot change extents.
-func (iw *ImageWriter) countDirection(src StreamSource, isSrc bool) ([]uint32, []int64, *BlockDir, error) {
+// encodeDirection runs one direction's record pass into w and indexes
+// what it wrote.
+func (iw *ImageWriter) encodeDirection(w io.Writer, src StreamSource, isSrc bool) (*Index, error) {
 	st, err := src()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if iw.Encoding == EncodingRaw {
-		deg, err := countStream(st, iw.NumV)
-		return deg, nil, nil, err
-	}
-	deg, sizes, bdir, _, err := encodeStream(io.Discard, st, iw.NumV, iw.AttrSize, iw.Encoding, isSrc, nil)
-	return deg, sizes, bdir, err
-}
-
-// encodeDirection runs the record pass for one direction, verifying it
-// replayed the same degrees and byte total the sizing pass saw.
-func (iw *ImageWriter) encodeDirection(w io.Writer, src StreamSource, isSrc bool, want *Index) error {
-	st, err := src()
+	deg, sizes, blocks, err := encodeStream(w, st, iw.NumV, iw.AttrSize, iw.Encoding, isSrc, iw.Attr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	degrees, _, _, total, err := encodeStream(w, st, iw.NumV, iw.AttrSize, iw.Encoding, isSrc, iw.Attr)
-	if err != nil {
-		return err
-	}
-	if total != want.FileSize() {
-		return fmt.Errorf("graph: stream replay mismatch: wrote %d bytes, sizing pass promised %d", total, want.FileSize())
-	}
-	for v, d := range degrees {
-		if d != want.Degree(VertexID(v)) {
-			return fmt.Errorf("graph: stream replay mismatch at vertex %d: degree %d vs %d", v, d, want.Degree(VertexID(v)))
-		}
-	}
-	return nil
+	return buildDirIndex(deg, sizes, blocks, iw.AttrSize, iw.Encoding), nil
 }
 
 // sideBySide runs out on the calling goroutine and, when both is set,
@@ -435,84 +378,24 @@ func sideBySide(both bool, out, in func() error) (outErr, inErr error) {
 	return outErr, <-done
 }
 
-// WriteImage writes the full image container (magic, header, index
-// section, out-edge file, in-edge file) to w in two passes per
-// direction, holding only the indexes and one vertex record in memory.
-// The two directions' sizing passes run side by side, and so do their
-// record passes: the out-edge file streams into w while the in-edge
-// file spools to an unlinked temp file, copied in behind it once both
-// finish. The persisted index section (per-vertex degrees, plus true
-// record sizes for delta layouts) is what makes reopening the image
-// O(index) instead of an O(data) record-header scan.
-func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
+// encode runs one record pass per direction, the out-edge file into
+// outW and, side by side, the in-edge file into inW (unused when
+// undirected), and describes the image they make up. WriteImage's
+// sinks are temp files, BuildImage's are buffers.
+func (iw *ImageWriter) encode(outW, inW io.Writer) (*ImageInfo, error) {
 	if iw.NumV < 0 || iw.Out == nil || (iw.Directed && iw.In == nil) {
 		return nil, fmt.Errorf("graph: ImageWriter needs NumV and stream sources for every direction")
 	}
 	if iw.Encoding >= numEncodings {
 		return nil, fmt.Errorf("graph: unknown edge-list encoding %d", iw.Encoding)
 	}
-	var outDeg, inDeg []uint32
-	var outSizes, inSizes []int64
-	var outBlocks, inBlocks *BlockDir
+	info := &ImageInfo{NumV: iw.NumV, AttrSize: iw.AttrSize, Directed: iw.Directed, Encoding: iw.Encoding}
 	outErr, inErr := sideBySide(iw.Directed, func() (err error) {
-		outDeg, outSizes, outBlocks, err = iw.countDirection(iw.Out, true)
+		info.OutIndex, err = iw.encodeDirection(outW, iw.Out, true)
 		return err
 	}, func() (err error) {
-		inDeg, inSizes, inBlocks, err = iw.countDirection(iw.In, false)
+		info.InIndex, err = iw.encodeDirection(inW, iw.In, false)
 		return err
-	})
-	if outErr != nil {
-		return nil, fmt.Errorf("graph: out-edge sizing pass: %w", outErr)
-	}
-	if inErr != nil {
-		return nil, fmt.Errorf("graph: in-edge sizing pass: %w", inErr)
-	}
-	info := &ImageInfo{
-		NumV:     iw.NumV,
-		AttrSize: iw.AttrSize,
-		Directed: iw.Directed,
-		Encoding: iw.Encoding,
-		OutIndex: buildDirIndex(outDeg, outSizes, outBlocks, iw.AttrSize, iw.Encoding),
-	}
-	if iw.Directed {
-		info.InIndex = buildDirIndex(inDeg, inSizes, inBlocks, iw.AttrSize, iw.Encoding)
-		info.NumEdges = info.OutIndex.NumEdges()
-		info.InBytes = info.InIndex.FileSize()
-	} else {
-		info.NumEdges = info.OutIndex.NumEdges() / 2
-	}
-	info.OutBytes = info.OutIndex.FileSize()
-
-	if err := writeImageHeader(w, info); err != nil {
-		return nil, err
-	}
-	if err := writeIndexArrays(w, outDeg, outSizes, outBlocks, iw.Encoding); err != nil {
-		return nil, fmt.Errorf("graph: writing out-edge index: %w", err)
-	}
-	if iw.Directed {
-		if err := writeIndexArrays(w, inDeg, inSizes, inBlocks, iw.Encoding); err != nil {
-			return nil, fmt.Errorf("graph: writing in-edge index: %w", err)
-		}
-	}
-	// The record passes stream through a CRC tee, so the per-extent
-	// data checksums persisted in the trailer come out of the encoder's
-	// existing single pass — no re-read of what was just written.
-	outCRC := newCRCWriter(w)
-	var inCRC *crcWriter
-	var spool *os.File
-	if iw.Directed {
-		var err error
-		if spool, err = os.CreateTemp(iw.spoolDir, "fg-image-in-*"); err != nil {
-			return nil, fmt.Errorf("graph: in-edge record pass: %w", err)
-		}
-		os.Remove(spool.Name()) // the OS reclaims it when the fd closes
-		defer spool.Close()
-		inCRC = newCRCWriter(spool)
-	}
-	outErr, inErr = sideBySide(iw.Directed, func() error {
-		return iw.encodeDirection(outCRC, iw.Out, true, info.OutIndex)
-	}, func() error {
-		return iw.encodeDirection(inCRC, iw.In, false, info.InIndex)
 	})
 	if outErr != nil {
 		return nil, fmt.Errorf("graph: out-edge record pass: %w", outErr)
@@ -520,78 +403,118 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 	if inErr != nil {
 		return nil, fmt.Errorf("graph: in-edge record pass: %w", inErr)
 	}
-	var inSums []uint32
+	info.OutBytes = info.OutIndex.FileSize()
 	if iw.Directed {
-		if err := copySpool(w, spool, info.InBytes); err != nil {
+		info.InBytes = info.InIndex.FileSize()
+		info.NumEdges = info.OutIndex.NumEdges()
+	} else {
+		info.NumEdges = info.OutIndex.NumEdges() / 2
+	}
+	return info, nil
+}
+
+// spool is an unlinked temp file that one direction's record pass
+// encodes into, through a CRC tee that sums the extents the checksum
+// trailer records.
+type spool struct {
+	*crcWriter
+	f *os.File
+}
+
+func newSpool(dir string) (*spool, error) {
+	f, err := os.CreateTemp(dir, "fg-image-*")
+	if err != nil {
+		return nil, fmt.Errorf("graph: creating spool: %w", err)
+	}
+	os.Remove(f.Name()) // the OS reclaims it when the fd closes
+	return &spool{crcWriter: newCRCWriter(f), f: f}, nil
+}
+
+// copyTo copies the want bytes spooled into w.
+func (s *spool) copyTo(w io.Writer, want int64) error {
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("rewinding spool: %w", err)
+	}
+	n, err := io.Copy(w, s.f)
+	if err != nil {
+		return fmt.Errorf("copying spool: %w", err)
+	}
+	if n != want {
+		return fmt.Errorf("spool holds %d bytes, index says %d", n, want)
+	}
+	return nil
+}
+
+// WriteImage writes the full image container (magic, header, index
+// section, out-edge file, in-edge file, checksum trailer) to w. Each
+// direction is encoded once, the two side by side, into its own spool;
+// the header and the index section, built from what was spooled, go to
+// w first and both files are copied in behind them. Temp disk holds
+// both directions' data bytes until WriteImage returns; memory holds
+// the indexes and one vertex record per direction. The persisted index
+// section (per-vertex degrees, plus true record sizes for delta
+// layouts) is what makes reopening the image O(index) instead of an
+// O(data) record-header scan.
+func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
+	out, err := newSpool(iw.spoolDir)
+	if err != nil {
+		return nil, err
+	}
+	defer out.f.Close()
+	var in *spool
+	var inW io.Writer
+	if iw.Directed {
+		if in, err = newSpool(iw.spoolDir); err != nil {
+			return nil, err
+		}
+		defer in.f.Close()
+		inW = in
+	}
+	info, err := iw.encode(out, inW)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeImageHeader(w, info); err != nil {
+		return nil, err
+	}
+	if err := writeIndexArrays(w, info.OutIndex); err != nil {
+		return nil, fmt.Errorf("graph: writing out-edge index: %w", err)
+	}
+	if in != nil {
+		if err := writeIndexArrays(w, info.InIndex); err != nil {
+			return nil, fmt.Errorf("graph: writing in-edge index: %w", err)
+		}
+	}
+	if err := out.copyTo(w, info.OutBytes); err != nil {
+		return nil, fmt.Errorf("graph: out-edge record pass: %w", err)
+	}
+	var inSums []uint32
+	if in != nil {
+		if err := in.copyTo(w, info.InBytes); err != nil {
 			return nil, fmt.Errorf("graph: in-edge record pass: %w", err)
 		}
-		inSums = inCRC.s.finish()
+		inSums = in.s.finish()
 	}
-	if err := writeChecksumTrailer(w, outCRC.s.finish(), inSums); err != nil {
+	if err := writeChecksumTrailer(w, out.s.finish(), inSums); err != nil {
 		return nil, fmt.Errorf("graph: writing checksum trailer: %w", err)
 	}
 	return info, nil
 }
 
-// copySpool copies the want bytes a record pass spooled to f into w.
-func copySpool(w io.Writer, f *os.File, want int64) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("rewinding spool: %w", err)
-	}
-	n, err := io.Copy(w, f)
-	if err != nil {
-		return fmt.Errorf("copying spool: %w", err)
-	}
-	if n != want {
-		return fmt.Errorf("spool holds %d bytes, sizing pass promised %d", n, want)
-	}
-	return nil
-}
-
-// encodeIndexed runs one direction's record pass into buf and indexes
-// what it wrote.
-func (iw *ImageWriter) encodeIndexed(buf *bytes.Buffer, src StreamSource, isSrc bool) (*Index, error) {
-	st, err := src()
-	if err != nil {
-		return nil, err
-	}
-	deg, sizes, blocks, _, err := encodeStream(buf, st, iw.NumV, iw.AttrSize, iw.Encoding, isSrc, iw.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return buildDirIndex(deg, sizes, blocks, iw.AttrSize, iw.Encoding), nil
-}
-
-// BuildImage materializes an in-memory Image through the same encoder
-// (one record pass per direction, the two side by side; the sizing pass
-// is subsumed because the data lands in RAM where lengths are free).
+// BuildImage materializes an in-memory Image through the same encoder,
+// its sinks two buffers that become the image's edge data.
 func (iw *ImageWriter) BuildImage() (*Image, error) {
-	if iw.NumV < 0 || iw.Out == nil || (iw.Directed && iw.In == nil) {
-		return nil, fmt.Errorf("graph: ImageWriter needs NumV and stream sources for every direction")
-	}
-	if iw.Encoding >= numEncodings {
-		return nil, fmt.Errorf("graph: unknown edge-list encoding %d", iw.Encoding)
-	}
-	img := &Image{Directed: iw.Directed, NumV: iw.NumV, AttrSize: iw.AttrSize, Encoding: iw.Encoding}
-	var outBuf, inBuf bytes.Buffer
-	outErr, inErr := sideBySide(iw.Directed, func() (err error) {
-		img.OutIndex, err = iw.encodeIndexed(&outBuf, iw.Out, true)
-		return err
-	}, func() (err error) {
-		img.InIndex, err = iw.encodeIndexed(&inBuf, iw.In, false)
-		return err
-	})
-	if err := cmp.Or(outErr, inErr); err != nil {
+	var out, in bytes.Buffer
+	info, err := iw.encode(&out, &in)
+	if err != nil {
 		return nil, err
 	}
-	img.OutData = outBuf.Bytes()
-	if iw.Directed {
-		img.InData = inBuf.Bytes()
-		img.NumEdges = img.OutIndex.NumEdges()
-	} else {
-		img.NumEdges = img.OutIndex.NumEdges() / 2
-	}
-	return img, nil
+	return &Image{
+		Directed: info.Directed, NumV: info.NumV, NumEdges: info.NumEdges,
+		AttrSize: info.AttrSize, Encoding: info.Encoding,
+		OutIndex: info.OutIndex, InIndex: info.InIndex,
+		OutData: out.Bytes(), InData: in.Bytes(),
+	}, nil
 }
 
 // writeImageHeader writes the v2 container magic and fixed header.
@@ -628,19 +551,21 @@ const indexChunk = 64 << 10
 // data — per-vertex record byte sizes (uint32) for delta, the block
 // directory (shift u32, stripes u32, block offsets (stripes²+1)×u64)
 // for block.
-func writeIndexArrays(w io.Writer, degrees []uint32, sizes []int64, bdir *BlockDir, enc Encoding) error {
-	if err := writeU32Array(w, len(degrees), func(v int) uint32 { return degrees[v] }); err != nil {
+func writeIndexArrays(w io.Writer, ix *Index) error {
+	n := ix.NumVertices()
+	if err := writeU32Array(w, n, func(v int) uint32 { return ix.Degree(VertexID(v)) }); err != nil {
 		return err
 	}
-	switch enc {
+	switch ix.Encoding() {
 	case EncodingDelta:
-		for v, s := range sizes {
-			if s > int64(^uint32(0)) {
+		for v := 0; v < n; v++ {
+			if s := ix.RecordBytes(VertexID(v)); s > int64(^uint32(0)) {
 				return fmt.Errorf("record of vertex %d is %d bytes, exceeding the u32 index limit", v, s)
 			}
 		}
-		return writeU32Array(w, len(sizes), func(v int) uint32 { return uint32(sizes[v]) })
+		return writeU32Array(w, n, func(v int) uint32 { return uint32(ix.RecordBytes(VertexID(v))) })
 	case EncodingBlock:
+		bdir := ix.Blocks()
 		if err := binary.Write(w, binary.LittleEndian, bdir.Shift); err != nil {
 			return err
 		}

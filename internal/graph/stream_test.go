@@ -289,7 +289,7 @@ func TestStreamingChunkedSortsMatchInMemoryEncoder(t *testing.T) {
 // errGaveOut is what a probeSource's stream fails with.
 var errGaveOut = errors.New("source gave out")
 
-// probeStream replays one direction's lists, optionally slowly, failing
+// probeStream streams one direction's lists, optionally slowly, failing
 // with errGaveOut after failAt edges (never when negative). open counts
 // the streams not yet at their end.
 type probeStream struct {
@@ -322,54 +322,62 @@ func (p *probeStream) finish() {
 	}
 }
 
-// probeSource serves lists; the failCall'th stream (1: the sizing pass,
-// 2: the record pass) fails after failAt edges.
-func probeSource(lists [][]VertexID, failCall, failAt int, slow bool, open *atomic.Int32) StreamSource {
-	calls := 0
+// probeSource serves lists, its stream failing after failAt edges
+// (never when negative); calls counts the streams it opened.
+func probeSource(lists [][]VertexID, failAt int, slow bool, open, calls *atomic.Int32) StreamSource {
 	return func() (NeighborStream, error) {
-		calls++
-		st := &probeStream{NeighborStream: &sliceStream{lists: lists}, failAt: -1, slow: slow, open: open}
-		if calls == failCall {
-			st.failAt = failAt
-		}
+		calls.Add(1)
 		open.Add(1)
-		return st, nil
+		return &probeStream{NeighborStream: &sliceStream{lists: lists}, failAt: failAt, slow: slow, open: open}, nil
 	}
 }
 
-// TestWriteImageDirectionFailures fails one direction's stream midway in
-// each pass while the other direction streams slowly: the error names
-// the failing direction and pass, and WriteImage returns only once the
-// other direction's pass has finished too.
+// TestWriteImageDirectionFailures writes images from probed sources.
+// A build that succeeds opens each direction's source exactly once.
+// One that fails one direction's stream midway, while the other
+// direction streams slowly, names the failing direction and returns
+// only once the other direction's pass has finished too. Either way the
+// spool directory is left empty.
 func TestWriteImageDirectionFailures(t *testing.T) {
 	const n = 700
-	a := FromEdges(n, testEdges(n, 6000, 5), true)
-	a.Dedup()
 	for _, c := range []struct {
+		name     string
+		directed bool
 		failIn   bool
-		failCall int
-		want     string
+		failAt   int
+		want     string // error prefix; "" when the write succeeds
 	}{
-		{true, 1, "graph: in-edge sizing pass: "},
-		{true, 2, "graph: in-edge record pass: "},
-		{false, 1, "graph: out-edge sizing pass: "},
-		{false, 2, "graph: out-edge record pass: "},
+		{"opens each source once", true, false, -1, ""},
+		{"graph: in-edge record pass: ", true, true, 1000, "graph: in-edge record pass: "},
+		{"graph: out-edge record pass: ", true, false, 1000, "graph: out-edge record pass: "},
+		{"undirected out-edge record pass", false, false, 1000, "graph: out-edge record pass: "},
 	} {
-		t.Run(c.want, func(t *testing.T) {
-			var open atomic.Int32
-			outCall, inCall := c.failCall, 0
+		t.Run(c.name, func(t *testing.T) {
+			a := FromEdges(n, testEdges(n, 6000, 5), c.directed)
+			a.Dedup()
+			var open, outCalls, inCalls atomic.Int32
+			outFail, inFail := c.failAt, -1
 			if c.failIn {
-				outCall, inCall = 0, c.failCall
+				outFail, inFail = -1, c.failAt
 			}
 			spool := t.TempDir()
 			iw := &ImageWriter{
-				NumV: n, Directed: true, Encoding: EncodingDelta,
-				Out:      probeSource(a.Out, outCall, 1000, c.failIn, &open),
-				In:       probeSource(a.In, inCall, 1000, !c.failIn, &open),
+				NumV: n, Directed: c.directed, Encoding: EncodingDelta,
+				Out:      probeSource(a.Out, outFail, c.failIn, &open, &outCalls),
 				spoolDir: spool,
 			}
+			if c.directed {
+				iw.In = probeSource(a.In, inFail, !c.failIn, &open, &inCalls)
+			}
 			_, err := iw.WriteImage(io.Discard)
-			if err == nil || !strings.HasPrefix(err.Error(), c.want) || !errors.Is(err, errGaveOut) {
+			if c.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if outCalls.Load() != 1 || inCalls.Load() != 1 {
+					t.Fatalf("sources opened %d (out) and %d (in) times, want once each", outCalls.Load(), inCalls.Load())
+				}
+			} else if err == nil || !strings.HasPrefix(err.Error(), c.want) || !errors.Is(err, errGaveOut) {
 				t.Fatalf("err = %v, want %q wrapping %v", err, c.want, errGaveOut)
 			}
 			if o := open.Load(); o != 0 {
@@ -497,13 +505,8 @@ func TestFileBackedLoadToFSStreamsBytes(t *testing.T) {
 }
 
 func TestStreamBuilderInfersNumV(t *testing.T) {
-	b := NewStreamBuilder(BuildConfig{Directed: true, TmpDir: t.TempDir()})
-	for _, e := range []Edge{{0, 9}, {4, 2}} {
-		if err := b.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	img, st, err := b.Build()
+	raw, st := buildConfigured(t, []Edge{{0, 9}, {4, 2}}, BuildConfig{Directed: true})
+	img, err := Decode(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,14 +296,21 @@ func (v *Vector) Histogram(bins int) (Histogram, error) {
 	if first {
 		return h, nil // empty or all values excluded: no bins to fill
 	}
-	width := (h.Max - h.Min) / float64(bins)
+	// Max − Min overflows to +Inf when the finite values span more than
+	// MaxFloat64, and Inf/Inf would make the top bin index minInt. Bin on
+	// halved values then: halving is exact, so no value changes bin.
+	scale := 1.0
+	if math.IsInf(h.Max-h.Min, 0) {
+		scale = 0.5
+	}
+	width := (h.Max*scale - h.Min*scale) / float64(bins)
 	for i := 0; i < n; i++ {
 		if skip(i) {
 			continue
 		}
 		b := 0
 		if width > 0 {
-			b = int((v.Float(i) - h.Min) / width)
+			b = int((v.Float(i)*scale - h.Min*scale) / width)
 			if b >= bins {
 				b = bins - 1 // the maximum lands in the last bin
 			}

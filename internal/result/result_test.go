@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -346,5 +347,11 @@ func TestHistogramNonFiniteValues(t *testing.T) {
 	alln.AddFloat64("x", []float64{math.NaN(), math.Inf(1)})
 	if h, err := alln.Histogram("x", 2); err != nil || h.Sentinels != 2 || h.Counts[0]+h.Counts[1] != 0 {
 		t.Fatalf("all-non-finite histogram = %+v, %v", h, err)
+	}
+	// Finite values whose span overflows float64: binned, no panic.
+	wide := New("custom")
+	wide.AddFloat64("x", []float64{-1.7e308, 0, 1.7e308})
+	if h, err := wide.Histogram("x", 4); err != nil || h.Sentinels != 0 || !slices.Equal(h.Counts, []int64{1, 0, 1, 1}) {
+		t.Fatalf("overflowing-span histogram = %+v, %v", h, err)
 	}
 }

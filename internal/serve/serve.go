@@ -97,7 +97,8 @@ var (
 // Config sizes the scheduler.
 type Config struct {
 	// MaxConcurrent bounds queries executing simultaneously (each gets
-	// its own per-run engine over the shared substrate). Default 4.
+	// its own per-run engine over the shared substrate). Default 4;
+	// Open rejects a negative value.
 	MaxConcurrent int
 	// MaxQueued bounds admitted-but-not-running queries. Submissions
 	// beyond it fail with ErrQueueFull. Default 64.
@@ -241,8 +242,13 @@ type Server struct {
 // The server's algorithm registry is a private snapshot of the default
 // registry (the built-ins plus everything registered process-wide
 // beforehand) plus cfg.Algorithms; extend it later with Register. Open
-// fails only when Register rejects one of cfg.Algorithms.
+// fails when cfg.MaxConcurrent is negative (no scheduler goroutine would
+// run an admitted query) or when Register rejects one of
+// cfg.Algorithms.
 func Open(shared *core.Shared, cfg Config) (*Server, error) {
+	if cfg.MaxConcurrent < 0 {
+		return nil, fmt.Errorf("serve: MaxConcurrent is %d; want a positive slot count, or 0 for the default", cfg.MaxConcurrent)
+	}
 	cfg.setDefaults()
 	s := &Server{
 		cfg:        cfg,

@@ -497,6 +497,19 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNegativeMaxConcurrent: a negative slot count would
+// start no scheduler goroutine, admitting queries that never run.
+func TestOpenRejectsNegativeMaxConcurrent(t *testing.T) {
+	srv, err := Open(buildShared(t, 1), Config{MaxConcurrent: -1})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open accepted MaxConcurrent -1")
+	}
+	if !strings.Contains(err.Error(), "MaxConcurrent") {
+		t.Fatalf("error %q does not name MaxConcurrent", err)
+	}
+}
+
 func TestFailedQueryDoesNotKillSlot(t *testing.T) {
 	srv, _, release := gatedServer(t, Config{MaxConcurrent: 1, MaxQueued: 4})
 	defer srv.Close()
