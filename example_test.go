@@ -106,15 +106,16 @@ func Example_customAlgorithm() {
 	}, flashgraph.Directed)); err != nil {
 		panic(err)
 	}
-	// Register server-locally via the config (flashgraph.Register would
-	// publish it process-wide instead).
-	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{
-		Algorithms: []flashgraph.AlgorithmSpec{spec},
-	})
+	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{})
 	if err != nil {
 		panic(err)
 	}
 	defer srv.Close()
+	// Register on this server alone (flashgraph.Register would publish
+	// it process-wide instead).
+	if err := srv.Register(spec); err != nil {
+		panic(err)
+	}
 
 	id, err := srv.Submit(flashgraph.Request{
 		Algo:   "degreecount",

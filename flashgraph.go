@@ -355,11 +355,9 @@ type Options struct {
 	InMemory bool
 	// Threads is the number of worker threads (default 8).
 	Threads int
-	// CacheBytes sizes the SAFS page cache (default 64MiB).
+	// CacheBytes sizes the SAFS page cache (default 64MiB). Pages are
+	// SAFS's 4KiB, the size Figure 13 finds best.
 	CacheBytes int64
-	// PageSize is the I/O granularity (default 4KiB; Figure 13 sweeps
-	// it).
-	PageSize int
 	// Devices is the number of simulated SSDs (default 4).
 	Devices int
 	// Throttle enables realistic device timing; off, devices run at
@@ -371,8 +369,6 @@ type Options struct {
 	// contradicts InMemory, which has no devices: setting both is an
 	// error.
 	StoreDir string
-	// MaxRunning bounds running vertices per thread (default 4000).
-	MaxRunning int
 }
 
 // Engine executes algorithms over one opened graph. Run and RunOn are
@@ -387,17 +383,23 @@ type Engine struct {
 	closed atomic.Bool
 }
 
-// coreConfig translates Options into the engine configuration template.
-// What one algorithm needs beyond it — execution order, a tighter running
+// coreConfig translates Options into the engine configuration template:
+// the engine's default running window of 4,000 vertices per thread. What
+// one algorithm needs beyond it — execution order, a tighter running
 // window, an iteration cap — the program declares itself.
 func (opts Options) coreConfig() core.Config {
-	return core.Config{Threads: opts.Threads, MaxRunning: opts.MaxRunning, InMemory: opts.InMemory}
+	return core.Config{Threads: opts.Threads, InMemory: opts.InMemory}
 }
 
 // newSubstrate builds the simulated SSD array and SAFS instance the
 // options describe: none in memory mode. With StoreDir set each device
-// is backed by a file; otherwise devices are RAM-resident.
+// is backed by a file; otherwise devices are RAM-resident. It is also
+// where Options are checked, so Open and a catalog's first Add fail on
+// the same mistakes.
 func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
+	if min(opts.Threads, opts.Devices) < 0 {
+		return nil, nil, fmt.Errorf("flashgraph: Options.Threads is %d and Options.Devices %d; want positive counts, or 0 for the defaults", opts.Threads, opts.Devices)
+	}
 	if opts.InMemory {
 		if opts.StoreDir != "" {
 			return nil, nil, fmt.Errorf("flashgraph: Options.InMemory and Options.StoreDir are both set (in-memory edge lists use no device files)")
@@ -428,11 +430,7 @@ func (opts Options) newSubstrate() (*ssd.Array, *safs.FS, error) {
 	} else {
 		array = ssd.NewArray(params)
 	}
-	fs := safs.New(array, safs.Config{
-		CacheBytes: opts.CacheBytes,
-		PageSize:   opts.PageSize,
-	})
-	return array, fs, nil
+	return array, safs.New(array, safs.Config{CacheBytes: opts.CacheBytes}), nil
 }
 
 // Open loads g into a fresh engine. Close the engine to stop the
@@ -526,9 +524,9 @@ type Catalog struct {
 }
 
 // NewCatalog prepares an empty catalog. All graphs later added share
-// the substrate these options describe; per-graph knobs (Threads,
-// MaxRunning) apply to every graph's runs. A substrate that
-// cannot be built (an unusable StoreDir, or StoreDir with InMemory) is
+// the substrate these options describe; Threads applies to every
+// graph's runs. Options that cannot build a substrate (an unusable
+// StoreDir, StoreDir with InMemory, a negative Threads or Devices) are
 // reported by the first Add.
 func NewCatalog(opts Options) *Catalog {
 	c := &Catalog{opts: opts, engines: map[string]*Engine{}}

@@ -387,6 +387,31 @@ func TestInMemoryWithStoreDirRejected(t *testing.T) {
 	check("Catalog.Add", err)
 }
 
+// TestNegativeThreadsOrDevicesRejected: a negative Threads or Devices
+// would size a slice with it and panic. Open and the first Catalog.Add
+// refuse it with an error naming the field.
+func TestNegativeThreadsOrDevicesRejected(t *testing.T) {
+	g := NewGraph(4, []Edge{{Src: 0, Dst: 1}}, Directed)
+	for field, opts := range map[string]Options{
+		"Threads": {Threads: -1},
+		"Devices": {Devices: -2},
+	} {
+		eng, err := Open(g, opts)
+		if err == nil {
+			eng.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("Open with %s < 0: err = %v, want one naming %s", field, err, field)
+		}
+		cat := NewCatalog(opts)
+		_, err = cat.Add("g", g)
+		cat.Close()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("Catalog.Add with %s < 0: err = %v, want one naming %s", field, err, field)
+		}
+	}
+}
+
 // TestCatalogStoreDir drives the public API over file-backed devices:
 // an image added with AddFile answers BFS and PageRank with the checksums
 // of an in-memory run, one non-empty file backs each device, and a

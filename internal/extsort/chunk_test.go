@@ -15,27 +15,26 @@ const chunkBudget = 64 << 10
 // TestChunkedSortMatchesReference feeds the same records to a sorter
 // and to slices.Sort and compares every record, at sizes that leave the
 // buffer in one, two and eight chunks, and at sizes that spill runs of
-// eight chunks each, merged at the default fan-in and through
-// intermediate passes.
+// eight chunks each, merged in one pass and, past maxFanIn runs,
+// through an intermediate pass.
 func TestChunkedSortMatchesReference(t *testing.T) {
 	const perBuf = chunkBudget / recordBytes
 	cases := []struct {
 		name       string
 		n          int
-		fanIn      int
 		wantChunks int // left in memory after Sort; 0 when spilled
 		wantSpills int
 	}{
-		{"one-chunk", perBuf/chunksPerBuffer - 1, 0, 1, 0},
-		{"two-chunks", perBuf/chunksPerBuffer + 300, 0, 2, 0},
-		{"eight-chunks", perBuf - 1, 0, 8, 0},
-		{"spilled", 3*perBuf + 1500, 0, 0, 4},
-		{"spilled-exact", 2 * perBuf, 0, 0, 2},
-		{"spilled-reduced", 9*perBuf + 7, 3, 0, 10},
+		{"one-chunk", perBuf/chunksPerBuffer - 1, 1, 0},
+		{"two-chunks", perBuf/chunksPerBuffer + 300, 2, 0},
+		{"eight-chunks", perBuf - 1, 8, 0},
+		{"spilled", 3*perBuf + 1500, 0, 4},
+		{"spilled-exact", 2 * perBuf, 0, 2},
+		{"spilled-reduced", (maxFanIn+1)*perBuf + 7, 0, maxFanIn + 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{MemBytes: chunkBudget, MaxFanIn: tc.fanIn, TmpDir: t.TempDir()})
+			s := New(Config{MemBytes: chunkBudget, TmpDir: t.TempDir()})
 			defer s.Close()
 			r := rand.New(rand.NewSource(int64(tc.n)))
 			want := make([]uint64, 0, tc.n)

@@ -36,9 +36,17 @@ const recordBytes = 8
 // each is handed to a background sort the moment it fills.
 const chunksPerBuffer = 8
 
-// minReadBufBytes floors a run's merge read buffer, so a budget split
-// across many runs still reads each a page at a time.
-const minReadBufBytes = 4 << 10
+// maxFanIn caps how many runs one merge reads at once; more runs than
+// this are first combined by intermediate merge passes.
+const maxFanIn = 128
+
+// maxReadBufBytes caps each run's merge read buffer and minReadBufBytes
+// floors it: a merge of k runs gives each min(256KiB, MemBytes/k), so a
+// budget split across many runs still reads each a page at a time.
+const (
+	maxReadBufBytes = 256 << 10
+	minReadBufBytes = 4 << 10
+)
 
 // Config parameterizes a Sorter. The zero value sorts in 64MiB of
 // buffer with runs spilled to the default temp directory.
@@ -52,26 +60,6 @@ type Config struct {
 	// TmpDir receives the spilled run files (os.CreateTemp naming).
 	// Default: the system temp directory.
 	TmpDir string
-	// MaxFanIn caps how many runs one merge reads at once; more runs
-	// than this are first combined by intermediate merge passes.
-	// Default 128.
-	MaxFanIn int
-	// ReadBufBytes caps each run's merge read buffer. A merge of k runs
-	// gives each min(ReadBufBytes, MemBytes/k), floored at 4KiB.
-	// Default 256KiB.
-	ReadBufBytes int
-}
-
-func (c *Config) setDefaults() {
-	if c.MemBytes <= 0 {
-		c.MemBytes = 64 << 20
-	}
-	if c.MaxFanIn <= 0 {
-		c.MaxFanIn = 128
-	}
-	if c.ReadBufBytes <= 0 {
-		c.ReadBufBytes = 256 << 10
-	}
 }
 
 // sortChunk sorts one filled chunk; a variable so tests can observe
@@ -102,7 +90,9 @@ type Sorter struct {
 
 // New returns an empty sorter.
 func New(cfg Config) *Sorter {
-	cfg.setDefaults()
+	if cfg.MemBytes <= 0 {
+		cfg.MemBytes = 64 << 20
+	}
 	bufCap := int(cfg.MemBytes / recordBytes)
 	if bufCap < 1024 {
 		bufCap = 1024 // floor: pathological budgets still make progress
@@ -188,7 +178,7 @@ func (s *Sorter) observeMem(m int64) {
 // readBufBytes sizes each run's read buffer for a merge of fanIn runs,
 // so the readers together stay within the budget.
 func (s *Sorter) readBufBytes(fanIn int) int {
-	b := min(int64(s.cfg.ReadBufBytes), s.cfg.MemBytes/int64(fanIn)-recordBytes)
+	b := min(maxReadBufBytes, s.cfg.MemBytes/int64(fanIn)-recordBytes)
 	return int(max(b, minReadBufBytes))
 }
 
@@ -241,7 +231,7 @@ func (s *Sorter) writeRun(m *Iterator) (*os.File, error) {
 
 // Sort finalizes the input. If everything fit in memory the last chunk
 // is sorted and the background sorts joined; otherwise the remaining
-// buffer spills and, when the run count exceeds MaxFanIn, intermediate
+// buffer spills and, when the run count exceeds maxFanIn, intermediate
 // merge passes reduce it.
 func (s *Sorter) Sort() error {
 	if s.sorted {
@@ -256,7 +246,7 @@ func (s *Sorter) Sort() error {
 		return err
 	}
 	s.buf, s.chunks = nil, nil // all records are on disk; release the buffer
-	for len(s.runs) > s.cfg.MaxFanIn {
+	for len(s.runs) > maxFanIn {
 		if err := s.reduceRuns(); err != nil {
 			return err
 		}
@@ -265,9 +255,9 @@ func (s *Sorter) Sort() error {
 	return nil
 }
 
-// reduceRuns merges the first MaxFanIn runs into one new run.
+// reduceRuns merges the first maxFanIn runs into one new run.
 func (s *Sorter) reduceRuns() error {
-	batch := s.runs[:s.cfg.MaxFanIn]
+	batch := s.runs[:maxFanIn]
 	m, err := s.runMerge(batch)
 	if err != nil {
 		return err
@@ -279,7 +269,7 @@ func (s *Sorter) reduceRuns() error {
 	for _, f := range batch {
 		f.Close()
 	}
-	s.runs = append([]*os.File{out}, s.runs[s.cfg.MaxFanIn:]...)
+	s.runs = append([]*os.File{out}, s.runs[maxFanIn:]...)
 	return nil
 }
 

@@ -92,11 +92,12 @@ func TestSpillingSortTinyBudget(t *testing.T) {
 }
 
 func TestMultiPassMerge(t *testing.T) {
-	// Fan-in 4 with many runs forces intermediate merge passes.
-	s := New(Config{MemBytes: 8 << 10, MaxFanIn: 4, ReadBufBytes: 4 << 10, TmpDir: t.TempDir()})
+	// More than maxFanIn runs of the 1,024-record floor force an
+	// intermediate merge pass.
+	s := New(Config{MemBytes: 8 << 10, TmpDir: t.TempDir()})
 	defer s.Close()
 	r := rand.New(rand.NewSource(3))
-	const n = 40000
+	const n = (maxFanIn+1)*1024 + 4000
 	for i := 0; i < n; i++ {
 		if err := s.Add(r.Uint32(), r.Uint32()); err != nil {
 			t.Fatal(err)
@@ -105,8 +106,8 @@ func TestMultiPassMerge(t *testing.T) {
 	if err := s.Sort(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Spills() <= 4 {
-		t.Fatalf("spills = %d, want > MaxFanIn to exercise reduction", s.Spills())
+	if s.Spills() <= maxFanIn {
+		t.Fatalf("spills = %d, want > maxFanIn to exercise reduction", s.Spills())
 	}
 	checkSorted(t, drain(t, s), n)
 }
@@ -180,8 +181,8 @@ func TestAddAfterSortFails(t *testing.T) {
 }
 
 // TestPeakMemoryStaysNearBudget spills over 40 runs and merges them in
-// one pass at the default ReadBufBytes: the readers must share the
-// budget, not take 256KiB each on top of it.
+// one pass: the readers must share the budget, not take the 256KiB
+// read-buffer cap each on top of it.
 func TestPeakMemoryStaysNearBudget(t *testing.T) {
 	const budget = 256 << 10
 	const runs = 41

@@ -353,9 +353,10 @@ func decodeBlock(bb []byte, rowBase, colBase VertexID, span uint64, attrSize int
 // decode side of the re-encoding path (fg-convert -reencode). Within a
 // stripe it merges each row's per-block runs; column stripes are
 // visited in ascending order, so the merged neighbor list is already
-// ID-sorted.
+// ID-sorted. Stripes lie in order, each one extent, so the stream reads
+// the direction's bytes front to back.
 type blockStream struct {
-	ra       io.ReaderAt
+	r        io.Reader
 	bdir     *BlockDir
 	n        int
 	attrSize int
@@ -373,10 +374,15 @@ type blockStream struct {
 	scratch []VertexID
 }
 
-// blockSource streams the edges of one block-encoded direction.
-func blockSource(ra io.ReaderAt, bdir *BlockDir, n, attrSize int) StreamSource {
+// blockSource streams the edges of one block-encoded direction, whose
+// bytes open reads.
+func blockSource(open func() (io.Reader, error), bdir *BlockDir, n, attrSize int) StreamSource {
 	return func() (NeighborStream, error) {
-		return &blockStream{ra: ra, bdir: bdir, n: n, attrSize: attrSize}, nil
+		r, err := open()
+		if err != nil {
+			return nil, err
+		}
+		return &blockStream{r: r, bdir: bdir, n: n, attrSize: attrSize}, nil
 	}
 }
 
@@ -385,15 +391,13 @@ func blockSource(ra io.ReaderAt, bdir *BlockDir, n, attrSize int) StreamSource {
 // A row spanning several blocks contributes several runs, in ascending
 // column order, so scattered neighbors land already ID-sorted.
 func (s *blockStream) loadStripe(r int) error {
-	off, size := s.bdir.StripeExtent(r)
+	_, size := s.bdir.StripeExtent(r)
 	if int64(cap(s.buf)) < size {
 		s.buf = make([]byte, size)
 	}
 	buf := s.buf[:size]
-	if size > 0 {
-		if _, err := s.ra.ReadAt(buf, off); err != nil {
-			return err
-		}
+	if _, err := io.ReadFull(s.r, buf); err != nil {
+		return fmt.Errorf("graph: reading block stripe %d: %w", r, err)
 	}
 	s.lo = r << s.bdir.Shift
 	s.hi = s.lo + (1 << s.bdir.Shift)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"flashgraph/internal/safs"
 )
 
 // Per-extent CRC32C checksums for the v2 container. The writer appends
@@ -100,6 +102,55 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.s.update(p[:n])
 	return n, err
+}
+
+// checkExtents compares data, whose first byte begins extent first of
+// the named direction, with that direction's recorded sums.
+func checkExtents(data []byte, dir string, sums []uint32, first, extent int) error {
+	for i := first; len(data) > 0; i++ {
+		n := min(extent, len(data))
+		if i >= len(sums) || crc32.Checksum(data[:n], castagnoli) != sums[i] {
+			return fmt.Errorf("graph: %s-edge data: %w: extent %d at offset %d does not match its recorded checksum",
+				dir, safs.ErrCorrupted, i, int64(i)*int64(extent))
+		}
+		data = data[n:]
+	}
+	return nil
+}
+
+// checkedReader streams one direction's data bytes a chunk of whole
+// extents at a time and compares every extent with its recorded sum
+// before handing any byte of the chunk out.
+type checkedReader struct {
+	r      io.Reader
+	dir    string
+	sums   []uint32
+	extent int
+	next   int    // the extent the next chunk starts at
+	buf    []byte // the current chunk, verified
+	pos    int    // buf[pos:] is not yet read
+}
+
+func newCheckedReader(r io.Reader, dir string, sums []uint32, extent int) *checkedReader {
+	return &checkedReader{r: r, dir: dir, sums: sums, extent: extent,
+		buf: make([]byte, 0, extent*max(1, loadChunk/extent))}
+}
+
+func (c *checkedReader) Read(p []byte) (int, error) {
+	if c.pos == len(c.buf) {
+		n, err := io.ReadFull(c.r, c.buf[:cap(c.buf)])
+		if n == 0 || (err != nil && !errors.Is(err, io.ErrUnexpectedEOF)) {
+			return 0, err // io.EOF after the last chunk
+		}
+		if err := checkExtents(c.buf[:n], c.dir, c.sums, c.next, c.extent); err != nil {
+			return 0, err
+		}
+		c.next += int(extentCount(int64(n), c.extent))
+		c.buf, c.pos = c.buf[:n], 0
+	}
+	n := copy(p, c.buf[c.pos:])
+	c.pos += n
+	return n, nil
 }
 
 // writeChecksumTrailer appends the trailer section.

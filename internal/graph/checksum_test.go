@@ -190,6 +190,49 @@ func TestLoadToFSDetectsHostRot(t *testing.T) {
 	}
 }
 
+// TestDamagedDataRefused: one flipped data byte is refused wherever
+// edge data is read, for every layout — by Decode, and by EncodeAs of
+// the file-backed image (the re-encode behind fg-convert -reencode),
+// which would otherwise carry the damage into a new image with fresh,
+// matching sums.
+func TestDamagedDataRefused(t *testing.T) {
+	encodings := []Encoding{EncodingRaw, EncodingDelta, EncodingBlock}
+	for _, enc := range encodings {
+		var buf bytes.Buffer
+		if err := BuildImage(fixtureAdjacency(), 0, nil).EncodeAs(&buf, enc); err != nil {
+			t.Fatal(err)
+		}
+		full, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged := bytes.Clone(buf.Bytes())
+		outStart := len(damaged) - trailerLen(full) - len(full.InData) - len(full.OutData)
+		damaged[outStart+len(full.OutData)/2] ^= 0x10
+		path := filepath.Join(t.TempDir(), enc.String()+".fg")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Run(enc.String()+"/Decode", func(t *testing.T) {
+			if _, err := Decode(bytes.NewReader(damaged)); !errors.Is(err, safs.ErrCorrupted) {
+				t.Fatalf("err = %v, want safs.ErrCorrupted", err)
+			}
+		})
+		t.Run(enc.String()+"/EncodeAs", func(t *testing.T) {
+			fb, err := OpenImageFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fb.Close()
+			for _, to := range encodings {
+				if err := fb.EncodeAs(io.Discard, to); !errors.Is(err, safs.ErrCorrupted) {
+					t.Fatalf("EncodeAs(%s): err = %v, want safs.ErrCorrupted", to, err)
+				}
+			}
+		})
+	}
+}
+
 // TestAtomicWriteFile: a failed write leaves neither the target nor a
 // temp file behind; a successful one publishes exactly the written
 // bytes. (The crash-safety half — kill -9 mid-write never exposes a

@@ -99,7 +99,7 @@ func decodeAdversarial(t *testing.T, rec []byte, attrSize int, enc Encoding) {
 		_ = pv.Edge(0)
 		_ = pv.Edge(n - 1)
 		if attrSize > 0 {
-			_ = pv.AttrBytes(n-1, nil)
+			_ = pv.AttrBytes(n - 1)
 		}
 	}
 }
@@ -163,7 +163,7 @@ func FuzzPageVertexDelta(f *testing.F) {
 					t.Fatalf("%s: Edge(%d) = %d, want %d", enc, i, g, edges[i])
 				}
 				if attrSize > 0 {
-					if ab := pv.AttrBytes(i, nil); !bytes.Equal(ab, attrs[i*attrSize:(i+1)*attrSize]) {
+					if ab := pv.AttrBytes(i); !bytes.Equal(ab, attrs[i*attrSize:(i+1)*attrSize]) {
 						t.Fatalf("%s: AttrBytes(%d) = %x, want %x", enc, i, ab, attrs[i*attrSize:(i+1)*attrSize])
 					}
 				}

@@ -124,9 +124,10 @@ type Image struct {
 	InIndex  *Index // nil if undirected
 
 	// Persisted per-extent CRC32C data checksums (checksum trailer);
-	// nil for images written before the trailer existed. LoadToFS arms
-	// SAFS read verification with them and computes load-time sums for
-	// images that lack them.
+	// nil for images written before the trailer existed. Decode and
+	// EdgeReader compare the data with them; LoadToFS arms SAFS read
+	// verification with them and computes load-time sums for images
+	// that lack them.
 	OutSums        []uint32
 	InSums         []uint32
 	ChecksumExtent int
@@ -169,56 +170,29 @@ func (img *Image) Close() error {
 
 // EdgeReader returns a fresh sequential reader over one direction's
 // encoded edge-list file, wherever the bytes live (RAM or the backing
-// host file), and the file's size.
+// host file), and the file's size. When the image carries the
+// direction's checksums the reader compares each extent with its sum
+// before handing any of it out: a mismatch is an error wrapping
+// safs.ErrCorrupted, so no consumer decodes a damaged byte.
 func (img *Image) EdgeReader(dir EdgeDir) (io.Reader, int64, error) {
-	in := dir == InEdges && img.Directed
-	var size int64
-	if in {
-		size = img.InIndex.FileSize()
-	} else {
-		size = img.OutIndex.FileSize()
+	name, ix, data, off, sums := "out", img.OutIndex, img.OutData, img.outOff, img.OutSums
+	if dir == InEdges && img.Directed {
+		name, ix, data, off, sums = "in", img.InIndex, img.InData, img.inOff, img.InSums
 	}
-	if img.backing != nil {
-		off := img.outOff
-		if in {
-			off = img.inOff
-		}
-		return io.NewSectionReader(img.backing, off, size), size, nil
+	size := ix.FileSize()
+	var r io.Reader
+	switch {
+	case img.backing != nil:
+		r = io.NewSectionReader(img.backing, off, size)
+	case data == nil:
+		return nil, 0, fmt.Errorf("graph: image has no %s-edge data", name)
+	default:
+		r = bytes.NewReader(data)
 	}
-	if in {
-		if img.InData == nil {
-			return nil, 0, fmt.Errorf("graph: image has no in-edge data")
-		}
-		return bytes.NewReader(img.InData), size, nil
+	if sums != nil {
+		r = newCheckedReader(r, name, sums, img.ChecksumExtent)
 	}
-	if img.OutData == nil {
-		return nil, 0, fmt.Errorf("graph: image has no out-edge data")
-	}
-	return bytes.NewReader(img.OutData), size, nil
-}
-
-// edgeReaderAt returns random access over one direction's encoded
-// edge-list bytes, wherever they live (the block decoder reads stripe
-// extents rather than a sequential scan).
-func (img *Image) edgeReaderAt(dir EdgeDir) (io.ReaderAt, error) {
-	in := dir == InEdges && img.Directed
-	if img.backing != nil {
-		off, size := img.outOff, img.OutIndex.FileSize()
-		if in {
-			off, size = img.inOff, img.InIndex.FileSize()
-		}
-		return io.NewSectionReader(img.backing, off, size), nil
-	}
-	if in {
-		if img.InData == nil {
-			return nil, fmt.Errorf("graph: image has no in-edge data")
-		}
-		return bytes.NewReader(img.InData), nil
-	}
-	if img.OutData == nil {
-		return nil, fmt.Errorf("graph: image has no out-edge data")
-	}
-	return bytes.NewReader(img.OutData), nil
+	return r, size, nil
 }
 
 // sourceFor returns a neighbor stream source over one direction of
@@ -228,19 +202,14 @@ func (img *Image) sourceFor(dir EdgeDir) StreamSource {
 	if dir == InEdges && img.Directed {
 		ix = img.InIndex
 	}
-	if img.Encoding == EncodingBlock {
-		return func() (NeighborStream, error) {
-			ra, err := img.edgeReaderAt(dir)
-			if err != nil {
-				return nil, err
-			}
-			return blockSource(ra, ix.Blocks(), img.NumV, img.AttrSize)()
-		}
-	}
-	return recordSource(func() (io.Reader, error) {
+	open := func() (io.Reader, error) {
 		r, _, err := img.EdgeReader(dir)
 		return r, err
-	}, ix, img.AttrSize, img.Encoding)
+	}
+	if img.Encoding == EncodingBlock {
+		return blockSource(open, ix.Blocks(), img.NumV, img.AttrSize)
+	}
+	return recordSource(open, ix, img.AttrSize, img.Encoding)
 }
 
 // writerAs returns the canonical ImageWriter serializing this image in
@@ -314,7 +283,8 @@ type FSFiles struct {
 	In  *safs.File // nil if undirected
 }
 
-// loadChunk is the copy granularity of LoadToFS.
+// loadChunk is about how many bytes LoadToFS copies, and a
+// checkedReader reads and checks, at a time.
 const loadChunk = 1 << 20
 
 // LoadToFS writes the image's edge-list files into the filesystem
@@ -322,57 +292,46 @@ const loadChunk = 1 << 20
 // is streamed in fixed-size chunks, so loading a file-backed image
 // never materializes edge lists in RAM.
 //
-// The copy doubles as the integrity handoff: per-extent CRC32C sums
-// are computed over the streamed bytes, cross-checked against the
-// image's persisted trailer when one exists (detecting host-file rot
-// before a single corrupted byte reaches the SSDs), and armed on the
-// created files so every subsequent SAFS read verifies end to end.
+// The copy doubles as the integrity handoff: it reads through
+// EdgeReader, which checks the image's persisted per-extent CRC32C
+// sums (detecting host-file rot before a single corrupted byte reaches
+// the SSDs), and arms the created files with those sums — or with sums
+// computed over the streamed bytes for an image without them — so
+// every subsequent SAFS read verifies end to end.
 func (img *Image) LoadToFS(fs *safs.FS, name string) (*FSFiles, error) {
 	copyIn := func(name string, dir EdgeDir) (*safs.File, error) {
 		r, size, err := img.EdgeReader(dir)
 		if err != nil {
 			return nil, err
 		}
-		persisted := img.OutSums
+		sums, extent := img.OutSums, img.ChecksumExtent
 		if dir == InEdges {
-			persisted = img.InSums
+			sums = img.InSums
 		}
-		extent := ChecksumExtentSize
-		if persisted != nil && img.ChecksumExtent > 0 {
-			extent = img.ChecksumExtent
+		var sum *extentSummer
+		if sums == nil {
+			sum = newExtentSummer(ChecksumExtentSize)
 		}
 		f, err := fs.Create(name, size)
 		if err != nil {
 			return nil, err
 		}
-		sum := newExtentSummer(extent)
 		buf := make([]byte, loadChunk)
 		for off := int64(0); off < size; {
-			n := int64(len(buf))
-			if size-off < n {
-				n = size - off
-			}
+			n := min(int64(len(buf)), size-off)
 			if _, err := io.ReadFull(r, buf[:n]); err != nil {
 				return nil, fmt.Errorf("graph: loading %q: %w", name, err)
 			}
-			sum.update(buf[:n])
+			if sum != nil {
+				sum.update(buf[:n])
+			}
 			if err := f.WriteAt(buf[:n], off); err != nil {
 				return nil, err
 			}
 			off += n
 		}
-		sums := sum.finish()
-		if persisted != nil {
-			if len(sums) != len(persisted) {
-				return nil, fmt.Errorf("graph: loading %q: streamed %d extents, trailer records %d",
-					name, len(sums), len(persisted))
-			}
-			for i := range sums {
-				if sums[i] != persisted[i] {
-					return nil, fmt.Errorf("graph: loading %q: %w: extent %d checksum %08x, image trailer records %08x",
-						name, safs.ErrCorrupted, i, sums[i], persisted[i])
-				}
-			}
+		if sum != nil {
+			sums, extent = sum.finish(), ChecksumExtentSize
 		}
 		f.SetChecksums(sums, extent)
 		return f, nil
@@ -428,8 +387,10 @@ func (img *Image) EncodeAs(w io.Writer, enc Encoding) error {
 }
 
 // Decode deserializes an image written by Encode into RAM; the indexes
-// are rebuilt from the persisted degree and record-size arrays. Use
-// OpenImageFile instead to serve images larger than memory.
+// are rebuilt from the persisted degree and record-size arrays, and the
+// data is compared with the checksum trailer when there is one (a
+// mismatch wraps safs.ErrCorrupted). Use OpenImageFile instead to serve
+// images larger than memory.
 func Decode(r io.Reader) (*Image, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	img, hdr, err := readImageMeta(br)
@@ -448,6 +409,14 @@ func Decode(r io.Reader) (*Image, error) {
 	}
 	if err := img.readTrailer(br, hdr); err != nil {
 		return nil, err
+	}
+	if img.OutSums != nil {
+		if err := checkExtents(img.OutData, "out", img.OutSums, 0, img.ChecksumExtent); err != nil {
+			return nil, err
+		}
+		if err := checkExtents(img.InData, "in", img.InSums, 0, img.ChecksumExtent); err != nil {
+			return nil, err
+		}
 	}
 	return img, nil
 }

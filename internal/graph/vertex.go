@@ -170,8 +170,8 @@ func (pv *PageVertex) attrOff() int {
 }
 
 // AttrBytes returns the raw attribute bytes of the i-th edge, aliasing
-// the record. The second parameter is unused; pass nil.
-func (pv *PageVertex) AttrBytes(i int, _ []byte) []byte {
+// the record.
+func (pv *PageVertex) AttrBytes(i int) []byte {
 	off := pv.attrOff() + i*pv.attrSize
 	return pv.rec[off : off+pv.attrSize]
 }
@@ -179,5 +179,5 @@ func (pv *PageVertex) AttrBytes(i int, _ []byte) []byte {
 // AttrUint32 decodes the i-th edge attribute as a little-endian uint32
 // (used for weights).
 func (pv *PageVertex) AttrUint32(i int) uint32 {
-	return binary.LittleEndian.Uint32(pv.AttrBytes(i, nil))
+	return binary.LittleEndian.Uint32(pv.AttrBytes(i))
 }

@@ -104,31 +104,14 @@ func InferClass(needsSrc bool, iters int) Class {
 	return ClassAnalytic
 }
 
-// Config sizes the QoS tier one serving scheduler runs. The zero
-// value is the tier with its defaults: class-weighted admission with
-// max(1, slots/4) slots reserved for interactive queries, and no
-// quotas.
+// Config sizes the QoS tier one serving scheduler runs. The class
+// policy is fixed — dequeue weights 16 / 4 / 1, max(1, slots/4) slots
+// reserved for interactive queries, running batch sweeps capped at half
+// the rest — so the zero value is the whole tier with no quotas.
 type Config struct {
 	// Enabled is accepted and ignored: the tier is always on. The field
 	// stays only because callers still spell it.
 	Enabled bool
-
-	// Weights sets the weighted-dequeue share per class. Zero entries
-	// take the defaults (interactive 16, analytic 4, batch 1): with
-	// every queue non-empty, interactive dequeues 16 of every 21
-	// admissions.
-	Weights map[Class]int
-
-	// ReservedSlots is the number of execution slots only interactive
-	// queries may occupy, guaranteeing point lookups capacity even
-	// under saturating batch load. 0 = max(1, slots/4); negative =
-	// reserve nothing.
-	ReservedSlots int
-
-	// BatchSlots caps simultaneously running batch queries so sweeps
-	// cannot monopolize even the unreserved slots. 0 = max(1,
-	// unreserved/2); negative = no cap beyond the reservation.
-	BatchSlots int
 
 	// QuotaRate is each tenant's sustained admission rate in queries
 	// per second. 0 disables quotas.
@@ -139,61 +122,18 @@ type Config struct {
 	QuotaBurst float64
 }
 
-// weight resolves one class's dequeue weight.
-func (c Config) weight(cl Class) int {
-	if w := c.Weights[cl]; w > 0 {
-		return w
-	}
-	switch cl {
-	case ClassInteractive:
-		return 16
-	case ClassAnalytic:
-		return 4
-	}
-	return 1
-}
+// classWeights are the weighted-dequeue shares by class rank: with
+// every queue non-empty, interactive dequeues 16 of every 21
+// admissions.
+var classWeights = [NumClasses]int{16, 4, 1}
 
-// reserved resolves the interactive-only slot reservation for a
-// scheduler with the given total slots.
-func (c Config) reserved(slots int) int {
-	switch {
-	case c.ReservedSlots < 0:
-		return 0
-	case c.ReservedSlots == 0:
-		r := slots / 4
-		if r < 1 {
-			r = 1
-		}
-		if r >= slots {
-			r = slots - 1 // a 1-slot scheduler cannot reserve its only slot
-		}
-		if r < 0 {
-			r = 0
-		}
-		return r
-	case c.ReservedSlots >= slots:
-		return slots - 1
-	}
-	return c.ReservedSlots
-}
+// reservedSlots is how many of a scheduler's slots only interactive
+// queries may occupy: max(1, slots/4), but never the only slot.
+func reservedSlots(slots int) int { return min(max(1, slots/4), slots-1) }
 
-// batchCap resolves the running-batch cap given the unreserved slot
-// count.
-func (c Config) batchCap(unreserved int) int {
-	switch {
-	case c.BatchSlots < 0:
-		return unreserved
-	case c.BatchSlots == 0:
-		b := unreserved / 2
-		if b < 1 {
-			b = 1
-		}
-		return b
-	case c.BatchSlots > unreserved:
-		return unreserved
-	}
-	return c.BatchSlots
-}
+// batchCap caps simultaneously running batch sweeps at half the
+// unreserved slots, and at least one.
+func batchCap(unreserved int) int { return max(1, unreserved/2) }
 
 // QuotaBurstTokens resolves the configured burst capacity.
 func (c Config) QuotaBurstTokens() float64 {

@@ -50,27 +50,21 @@ func TestParseClassAndRank(t *testing.T) {
 }
 
 func TestConfigResolvers(t *testing.T) {
-	var zero Config
-	if got := zero.reserved(4); got != 1 {
-		t.Fatalf("reserved(4) = %d, want 1", got)
+	// The fixed class policy over a range of scheduler sizes: a 1-slot
+	// scheduler cannot reserve its only slot, and batch always keeps one.
+	for _, c := range []struct{ slots, reserved, batch int }{
+		{1, 0, 1},
+		{2, 1, 1},
+		{4, 1, 1},
+		{9, 2, 3},
+	} {
+		r := reservedSlots(c.slots)
+		if b := batchCap(c.slots - r); r != c.reserved || b != c.batch {
+			t.Errorf("%d slots: reserved %d, batch cap %d; want %d, %d", c.slots, r, b, c.reserved, c.batch)
+		}
 	}
-	if got := zero.reserved(1); got != 0 {
-		t.Fatalf("reserved(1) = %d, want 0 (cannot reserve the only slot)", got)
-	}
-	if got := (Config{ReservedSlots: 10}).reserved(4); got != 3 {
-		t.Fatalf("oversized reservation = %d, want slots-1", got)
-	}
-	if got := zero.batchCap(3); got != 1 {
-		t.Fatalf("batchCap(3) = %d, want 1", got)
-	}
-	if got := (Config{BatchSlots: -1}).batchCap(3); got != 3 {
-		t.Fatalf("uncapped batchCap = %d, want 3", got)
-	}
-	if got := zero.weight(ClassInteractive); got != 16 {
-		t.Fatalf("interactive weight = %d, want 16", got)
-	}
-	if got := (Config{Weights: map[Class]int{ClassBatch: 9}}).weight(ClassBatch); got != 9 {
-		t.Fatalf("overridden batch weight = %d, want 9", got)
+	if classWeights != [NumClasses]int{16, 4, 1} {
+		t.Fatalf("class weights = %v, want 16 / 4 / 1", classWeights)
 	}
 	if got := (Config{QuotaRate: 2}).QuotaBurstTokens(); got != 8 {
 		t.Fatalf("default burst = %v, want 4x rate", got)
@@ -325,7 +319,7 @@ func TestMultiQueuePrioritizesInteractive(t *testing.T) {
 func TestMultiQueueReservedSlotPolicy(t *testing.T) {
 	// 2 slots, 1 reserved for interactive: the second batch query may
 	// not be dequeued while the first still runs, even with a free slot.
-	q := NewMultiQueue[string](Config{ReservedSlots: 1, BatchSlots: -1}, 2, 16)
+	q := NewMultiQueue[string](Config{}, 2, 16)
 	q.Push(ClassBatch, "b1")
 	q.Push(ClassBatch, "b2")
 	v, rank, _ := q.Pop()
@@ -373,9 +367,9 @@ func TestMultiQueueReservedSlotPolicy(t *testing.T) {
 }
 
 func TestMultiQueueBatchCap(t *testing.T) {
-	// 4 slots, nothing reserved, batch capped at 1: two batch pushes,
-	// only one dequeues until Done.
-	q := NewMultiQueue[string](Config{ReservedSlots: -1, BatchSlots: 1}, 4, 16)
+	// 4 slots, 1 reserved, batch capped at half the other 3: two batch
+	// pushes, only one dequeues until Done.
+	q := NewMultiQueue[string](Config{}, 4, 16)
 	q.Push(ClassBatch, "b1")
 	q.Push(ClassBatch, "b2")
 	_, rank, _ := q.Pop()

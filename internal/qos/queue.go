@@ -17,9 +17,9 @@ var (
 
 // MultiQueue is the class-aware admission queue: one queue per
 // priority class in submission order, weighted dequeue across the
-// non-empty classes, and per-class execution-slot policy —
-// ReservedSlots only interactive may occupy, a cap on simultaneously
-// running batch sweeps — enforced at Pop time. Pop blocks until a
+// non-empty classes, and per-class execution-slot policy — slots only
+// interactive may occupy, a cap on simultaneously running batch sweeps
+// — enforced at Pop time. Pop blocks until a
 // query is eligible to run; Done returns its slot.
 type MultiQueue[T any] struct {
 	mu   sync.Mutex
@@ -29,7 +29,6 @@ type MultiQueue[T any] struct {
 	slots     int
 	reserved  int // slots only interactive may use
 	batchCap  int // max running batch
-	weights   [NumClasses]int
 	credits   [NumClasses]int
 
 	queues   [NumClasses][]T
@@ -40,18 +39,13 @@ type MultiQueue[T any] struct {
 }
 
 // NewMultiQueue sizes the queue for a scheduler with the given
-// execution slot count and admission bound.
+// execution slot count and admission bound. The class policy is
+// Config's fixed one; cfg carries nothing the queue reads.
 func NewMultiQueue[T any](cfg Config, slots, maxQueued int) *MultiQueue[T] {
-	if slots < 1 {
-		slots = 1
-	}
-	q := &MultiQueue[T]{maxQueued: maxQueued, slots: slots}
+	slots = max(slots, 1)
+	reserved := reservedSlots(slots)
+	q := &MultiQueue[T]{maxQueued: maxQueued, slots: slots, reserved: reserved, batchCap: batchCap(slots - reserved)}
 	q.cond = sync.NewCond(&q.mu)
-	q.reserved = cfg.reserved(slots)
-	q.batchCap = cfg.batchCap(slots - q.reserved)
-	for i, cl := range Classes {
-		q.weights[i] = cfg.weight(cl)
-	}
 	return q
 }
 
@@ -118,8 +112,8 @@ func (q *MultiQueue[T]) pickLocked() int {
 		if i == ClassBatch.Rank() && q.running[i] >= q.batchCap {
 			continue
 		}
-		q.credits[i] += q.weights[i]
-		total += q.weights[i]
+		q.credits[i] += classWeights[i]
+		total += classWeights[i]
 		if best < 0 || q.credits[i] > q.credits[best] {
 			best = i
 		}

@@ -299,10 +299,7 @@ func TestClassInference(t *testing.T) {
 // miniature, as dispatch order rather than a latency ratio: with both
 // slots saturated-or-queued by batch work, an interactive query
 // dispatches into the reserved slot immediately instead of queueing
-// behind the backlog — and on the same fixture with the reservation
-// and the batch cap opted out, sweeps take every slot: the interactive
-// query waits for one to free, then takes it ahead of the batch query
-// queued before it.
+// behind the backlog.
 func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 2, MaxQueued: 8})
 	defer srv.Close()
@@ -310,7 +307,7 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	defer release2()
 
 	// Gates with DISTINCT params (so they never coalesce).
-	gate := func(srv *Server, n string, class string) int64 {
+	gate := func(n string, class string) int64 {
 		t.Helper()
 		id, err := srv.Submit(Request{Algo: "gate", Class: class,
 			Params: json.RawMessage(`{"n":` + n + `}`)})
@@ -321,9 +318,9 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	}
 	// One batch gate runs in the unreserved slot (batchCap >= 1), one
 	// queues — the reserved slot must stay empty for interactive.
-	b1 := gate(srv, "1", "batch")
+	b1 := gate("1", "batch")
 	<-entered
-	b2 := gate(srv, "2", "batch")
+	b2 := gate("2", "batch")
 	select {
 	case <-entered:
 		t.Fatal("second batch query entered the reserved slot")
@@ -331,7 +328,7 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	}
 
 	// The interactive query must start NOW, with batch still blocked.
-	i1 := gate(srv, "3", "interactive")
+	i1 := gate("3", "interactive")
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):
@@ -353,43 +350,6 @@ func TestInteractiveBypassesBatchBacklog(t *testing.T) {
 	release2()
 	for _, id := range []int64{b1, b2, i1} {
 		if q, err := srv.Wait(id); err != nil || q.State != StateDone {
-			t.Fatalf("query %d: %v %v", id, q.State, err)
-		}
-	}
-
-	// The opt-out: nothing is reserved and batch is uncapped, so batch
-	// work fills both slots and the interactive query has to wait. The
-	// one slot that frees still goes to it, not to the batch query that
-	// was queued first — dequeue stays class-weighted.
-	open, entered, release := gatedServer(t, Config{
-		MaxConcurrent: 2, MaxQueued: 8,
-		QoS: qos.Config{ReservedSlots: -1, BatchSlots: -1},
-	})
-	defer open.Close()
-	release2 = releaseOnce(release)
-	defer release2()
-	f1, f2 := gate(open, "1", "batch"), gate(open, "2", "batch")
-	<-entered
-	<-entered
-	f3, fi := gate(open, "3", "batch"), gate(open, "4", "interactive")
-	if q, _ := open.Get(fi); q.State != StateQueued {
-		t.Fatalf("interactive query is %s with batch work in both slots and nothing reserved, want queued", q.State)
-	}
-	release <- struct{}{} // exactly one running gate returns: one slot frees
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("nothing dispatched into the freed slot")
-	}
-	if q, _ := open.Get(fi); q.State == StateQueued {
-		t.Fatal("the freed slot went to the batch query queued first, not the interactive one")
-	}
-	if q, _ := open.Get(f3); q.State != StateQueued {
-		t.Fatalf("batch query is %s with both slots taken, want queued", q.State)
-	}
-	release2()
-	for _, id := range []int64{f1, f2, f3, fi} {
-		if q, err := open.Wait(id); err != nil || q.State != StateDone {
 			t.Fatalf("query %d: %v %v", id, q.State, err)
 		}
 	}

@@ -101,11 +101,12 @@ type Config struct {
 	// Open rejects a negative value.
 	MaxConcurrent int
 	// MaxQueued bounds admitted-but-not-running queries. Submissions
-	// beyond it fail with ErrQueueFull. Default 64.
+	// beyond it fail with ErrQueueFull. Default 64; Open rejects a
+	// negative value.
 	MaxQueued int
 	// MaxHistory bounds retained finished query records; the oldest
 	// finished records are dropped beyond it, keeping a long-lived
-	// daemon's memory flat. Default 1024.
+	// daemon's memory flat. Default 1024; Open rejects a negative value.
 	MaxHistory int
 	// ResultBytes is the one budget for finished full ResultSets (the
 	// O(V) vectors behind point lookup and top-K, and what an identical
@@ -122,14 +123,9 @@ type Config struct {
 	// Request.Graph) route to. Empty means "default" (the flashgraph
 	// package's NewServer fills in the catalog's first graph).
 	DefaultGraph string
-	// Algorithms extends THIS server's registry beyond the process-wide
-	// one (built-ins + Register calls) — the per-server alternative to
-	// Register.
-	Algorithms []AlgorithmSpec
-	// QoS sizes the class policy and per-tenant quotas. The zero value
-	// reserves max(1, MaxConcurrent/4) slots for interactive queries and
-	// caps running batch sweeps at half the rest; ReservedSlots: -1 with
-	// BatchSlots: -1 opens every slot to whatever is queued.
+	// QoS sets per-tenant quotas. The class policy is fixed: max(1,
+	// MaxConcurrent/4) slots reserved for interactive queries and running
+	// batch sweeps capped at half the rest.
 	QoS qos.Config
 }
 
@@ -241,13 +237,15 @@ type Server struct {
 //
 // The server's algorithm registry is a private snapshot of the default
 // registry (the built-ins plus everything registered process-wide
-// beforehand) plus cfg.Algorithms; extend it later with Register. Open
-// fails when cfg.MaxConcurrent is negative (no scheduler goroutine would
-// run an admitted query) or when Register rejects one of
-// cfg.Algorithms.
+// beforehand); extend it with Register. Open fails when
+// cfg.MaxConcurrent is negative (no scheduler goroutine would run an
+// admitted query), when cfg.MaxQueued is negative (every submission
+// would be shed) or when cfg.MaxHistory is negative (every finished
+// record would be dropped at once).
 func Open(shared *core.Shared, cfg Config) (*Server, error) {
-	if cfg.MaxConcurrent < 0 {
-		return nil, fmt.Errorf("serve: MaxConcurrent is %d; want a positive slot count, or 0 for the default", cfg.MaxConcurrent)
+	if min(cfg.MaxConcurrent, cfg.MaxQueued, cfg.MaxHistory) < 0 {
+		return nil, fmt.Errorf("serve: MaxConcurrent is %d, MaxQueued %d and MaxHistory %d; want positive bounds, or 0 for the defaults",
+			cfg.MaxConcurrent, cfg.MaxQueued, cfg.MaxHistory)
 	}
 	cfg.setDefaults()
 	s := &Server{
@@ -260,11 +258,6 @@ func Open(shared *core.Shared, cfg Config) (*Server, error) {
 		graphs:     map[string]*core.Shared{cfg.DefaultGraph: shared},
 		graphOrder: []string{cfg.DefaultGraph},
 	}
-	for _, spec := range cfg.Algorithms {
-		if err := s.reg.Register(spec); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.QoS.QuotaRate > 0 {
 		s.quotas = qos.NewQuotas(cfg.QoS)
 	}
@@ -275,8 +268,8 @@ func Open(shared *core.Shared, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// New is Open for a cfg whose Algorithms cannot fail to register (none,
-// or specs the caller wrote); it panics where Open returns an error.
+// New is Open for a cfg known to be valid; it panics where Open returns
+// an error.
 func New(shared *core.Shared, cfg Config) *Server {
 	s, err := Open(shared, cfg)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"flashgraph/internal/core"
 	"flashgraph/internal/gen"
 	"flashgraph/internal/graph"
-	"flashgraph/internal/qos"
 	"flashgraph/internal/result"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
@@ -58,20 +57,20 @@ func TestConcurrentMatchesSerialBitIdentical(t *testing.T) {
 	}
 
 	// Identical submits would run once (hit or coalesce), so each copy
-	// goes in under its own server-local name: nine real runs, every slot
-	// open to every class so they overlap.
+	// goes in under its own server-local name: nine real runs, as many
+	// overlapping as the class policy admits.
 	const copies = 3
-	var aliases []AlgorithmSpec
+	srv := New(shared, Config{MaxConcurrent: 4})
+	defer srv.Close()
 	for name := range refs {
 		for i := 1; i < copies; i++ {
 			spec, _ := DefaultSpec(name)
 			spec.Name = fmt.Sprintf("%s-%d", name, i)
-			aliases = append(aliases, spec)
+			if err := srv.Register(spec); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	srv := New(shared, Config{MaxConcurrent: 4, Algorithms: aliases,
-		QoS: qos.Config{ReservedSlots: -1, BatchSlots: -1}})
-	defer srv.Close()
 
 	var ids []int64
 	for i := 0; i < copies; i++ {
@@ -439,9 +438,9 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 }
 
 func TestQueriesExecuteSimultaneously(t *testing.T) {
-	// ReservedSlots -1: all three slots are open to the (analytic) gates.
-	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 3, MaxQueued: 8,
-		QoS: qos.Config{ReservedSlots: -1}})
+	// Four slots, one reserved for interactive queries: the other three
+	// take the (analytic) gates.
+	srv, entered, release := gatedServer(t, Config{MaxConcurrent: 4, MaxQueued: 8})
 	defer srv.Close()
 
 	var ids []int64
@@ -498,15 +497,24 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestOpenRejectsNegativeMaxConcurrent: a negative slot count would
-// start no scheduler goroutine, admitting queries that never run.
+// start no scheduler goroutine, admitting queries that never run; a
+// negative MaxQueued would shed every submission and a negative
+// MaxHistory drop every finished record at once.
 func TestOpenRejectsNegativeMaxConcurrent(t *testing.T) {
-	srv, err := Open(buildShared(t, 1), Config{MaxConcurrent: -1})
-	if err == nil {
-		srv.Close()
-		t.Fatal("Open accepted MaxConcurrent -1")
-	}
-	if !strings.Contains(err.Error(), "MaxConcurrent") {
-		t.Fatalf("error %q does not name MaxConcurrent", err)
+	shared := buildShared(t, 1)
+	for field, cfg := range map[string]Config{
+		"MaxConcurrent": {MaxConcurrent: -1},
+		"MaxQueued":     {MaxQueued: -1},
+		"MaxHistory":    {MaxHistory: -1},
+	} {
+		srv, err := Open(shared, cfg)
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Open accepted %s -1", field)
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Fatalf("error %q does not name %s", err, field)
+		}
 	}
 }
 

@@ -16,8 +16,7 @@ package flashgraph
 //     Caps it requires of a graph (checked centrally — no validation
 //     code in your constructor), a typed params prototype, and a New
 //     function that decodes those params with DecodeParams;
-//  3. Register it process-wide, or pass it to one server via
-//     ServerConfig.Algorithms / Server.Register.
+//  3. Register it process-wide, or on one server with Server.Register.
 //
 // See examples/custom for a complete program (label-propagation
 // community detection) served over HTTP.
@@ -66,18 +65,18 @@ type (
 	ServerStats = serve.Stats
 	// GraphInfo describes one served graph (GET /graphs).
 	GraphInfo = serve.GraphInfo
-	// ServerConfig sizes a Server and names its algorithms. The zero
-	// value is a working server: 4 slots, one of them reserved for
-	// interactive queries (QoS.ReservedSlots: -1 with BatchSlots: -1
-	// opens every slot to sweeps), and a 64MiB result store that serves
-	// identical re-submits without running them (a negative ResultBytes
-	// retains nothing, so nothing ever hits) — a registered program is
-	// assumed to be a deterministic function of (image, params, engine).
-	// An empty DefaultGraph means the catalog's first graph.
+	// ServerConfig sizes a Server. The zero value is a working server:
+	// 4 slots, one of them reserved for interactive queries, and a 64MiB
+	// result store that serves identical re-submits without running them
+	// (a negative ResultBytes retains nothing, so nothing ever hits) — a
+	// registered program is assumed to be a deterministic function of
+	// (image, params, engine). An empty DefaultGraph means the catalog's
+	// first graph.
 	ServerConfig = serve.Config
-	// QoSConfig sizes the scheduler's class policy (ServerConfig.QoS):
-	// dequeue weights, the slots reserved for interactive queries, the
-	// cap on running batch sweeps, and per-tenant quotas.
+	// QoSConfig sets the scheduler's per-tenant quotas
+	// (ServerConfig.QoS). The class policy beside them is fixed: dequeue
+	// weights 16 / 4 / 1, max(1, slots/4) slots reserved for interactive
+	// queries, and running batch sweeps capped at half the rest.
 	QoSConfig = qos.Config
 	// QueryClass is a query's priority class: interactive, analytic,
 	// or batch. Inferred per query from the algorithm's capabilities
