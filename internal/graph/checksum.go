@@ -197,8 +197,10 @@ func readChecksumTrailer(r io.Reader, outLen, inLen int64) (ext int, outSums, in
 	extent := int(binary.LittleEndian.Uint32(fixed[0:]))
 	outCnt := int64(binary.LittleEndian.Uint32(fixed[4:]))
 	inCnt := int64(binary.LittleEndian.Uint32(fixed[8:]))
-	if extent <= 0 {
-		return 0, nil, nil, false, fmt.Errorf("graph: checksum trailer has extent size %d", extent)
+	// The writer always records ChecksumExtentSize; any other value
+	// would size the verifying reader's buffer from file bytes.
+	if extent != ChecksumExtentSize {
+		return 0, nil, nil, false, fmt.Errorf("graph: checksum trailer has extent size %d, want %d", extent, ChecksumExtentSize)
 	}
 	if outCnt != extentCount(outLen, extent) || inCnt != extentCount(inLen, extent) {
 		return 0, nil, nil, false, fmt.Errorf(

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -145,7 +147,10 @@ func TestOpenImageFileRejectsTruncatedData(t *testing.T) {
 
 // TestDamagedTrailerRejected: a present-but-damaged trailer is an
 // error, never a silent no-trailer fallback — that would disarm
-// verification of exactly the images most likely to be corrupt.
+// verification of exactly the images most likely to be corrupt. A
+// trailer whose self-CRC holds but whose extent is not the writer's is
+// refused too: the verifying reader sizes its buffer by the extent, so
+// a claimed 1 GiB extent would otherwise allocate 1 GiB.
 func TestDamagedTrailerRejected(t *testing.T) {
 	img := BuildImage(fixtureAdjacency(), 0, nil)
 	var buf bytes.Buffer
@@ -156,14 +161,47 @@ func TestDamagedTrailerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one bit inside a recorded sum (past magic and fixed fields,
-	// before the self-CRC).
-	raw := append([]byte(nil), buf.Bytes()...)
-	raw[len(raw)-trailerLen(full)+len(checksumMagic)+12] ^= 0x01
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("damaged trailer decoded without error")
-	} else if !strings.Contains(err.Error(), "trailer") {
-		t.Fatalf("damaged trailer surfaced as unrelated error: %v", err)
+	body := buf.Bytes()[:buf.Len()-trailerLen(full)]
+	for _, tc := range []struct {
+		name   string
+		damage func() []byte
+	}{
+		{"flipped-sum", func() []byte {
+			// One bit inside a recorded sum (past magic and fixed
+			// fields, before the self-CRC).
+			raw := append([]byte(nil), buf.Bytes()...)
+			raw[len(body)+len(checksumMagic)+12] ^= 0x01
+			return raw
+		}},
+		{"oversized-extent", func() []byte {
+			// One 1 GiB extent per direction, each summing its whole
+			// direction correctly, under a valid self-CRC.
+			tr := []byte(checksumMagic)
+			tr = binary.LittleEndian.AppendUint32(tr, 1<<30)
+			tr = binary.LittleEndian.AppendUint32(tr, 1)
+			tr = binary.LittleEndian.AppendUint32(tr, 1)
+			tr = binary.LittleEndian.AppendUint32(tr, crc32.Checksum(full.OutData, castagnoli))
+			tr = binary.LittleEndian.AppendUint32(tr, crc32.Checksum(full.InData, castagnoli))
+			tr = binary.LittleEndian.AppendUint32(tr, crc32.Checksum(tr, castagnoli))
+			return append(append([]byte(nil), body...), tr...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := tc.damage()
+			if _, err := Decode(bytes.NewReader(raw)); err == nil {
+				t.Fatal("damaged trailer decoded without error")
+			} else if !strings.Contains(err.Error(), "trailer") {
+				t.Fatalf("damaged trailer surfaced as unrelated error: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "g.fg")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := OpenImageFile(path); err == nil {
+				f.Close()
+				t.Fatal("OpenImageFile accepted a damaged trailer")
+			}
+		})
 	}
 }
 

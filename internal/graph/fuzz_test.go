@@ -223,9 +223,10 @@ func FuzzReadImageHeader(f *testing.F) {
 // FuzzReadChecksumTrailer drives the trailer parser over arbitrary
 // bytes and data-section lengths. Rejection is the expected path; a
 // panic, or an allocation sized by a claimed count rather than by the
-// bytes present, is a bug. An accepted trailer must round-trip through
-// writeChecksumTrailer: the rewritten trailer reads back to the same
-// sums and, at the writer's extent, is byte-identical to the input.
+// bytes present, is a bug. An accepted trailer must carry the writer's
+// extent and round-trip through writeChecksumTrailer: the rewritten
+// trailer reads back to the same sums and is byte-identical to the
+// input.
 func FuzzReadChecksumTrailer(f *testing.F) {
 	img := BuildImage(fixtureAdjacency(), 0, nil)
 	var enc bytes.Buffer
@@ -243,8 +244,10 @@ func FuzzReadChecksumTrailer(f *testing.F) {
 	f.Add(trailer, outLen+ChecksumExtentSize, inLen) // counts disagree with the lengths
 	f.Add([]byte{}, outLen, inLen)                   // no trailer
 	f.Add([]byte(checksumMagic[:5]), outLen, inLen)  // partial magic
-	extent1 := append([]byte(checksumMagic), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0)
-	f.Add(extent1, int64(0x0FFFFFFF), int64(0)) // 24 bytes claiming 2^28 sums
+	claim := append([]byte(checksumMagic), 0, 0x10, 0, 0, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0)
+	f.Add(claim, int64(0x0FFFFFFF)*ChecksumExtentSize, int64(0)) // 24 bytes claiming 2^28 sums
+	huge := append([]byte(checksumMagic), 0, 0, 0, 0x40, 1, 0, 0, 0, 0, 0, 0, 0)
+	f.Add(huge, outLen, int64(0)) // a 1 GiB extent
 	f.Fuzz(func(t *testing.T, data []byte, outLen, inLen int64) {
 		r := bytes.NewReader(data)
 		ext, outSums, inSums, ok, err := readChecksumTrailer(r, outLen, inLen)
@@ -262,7 +265,7 @@ func FuzzReadChecksumTrailer(f *testing.F) {
 		if err := writeChecksumTrailer(&re, outSums, inSums); err != nil {
 			t.Fatal(err)
 		}
-		if ext == ChecksumExtentSize && !bytes.Equal(re.Bytes(), data[:used]) {
+		if ext != ChecksumExtentSize || !bytes.Equal(re.Bytes(), data[:used]) {
 			t.Fatalf("rewritten trailer %x differs from accepted %x", re.Bytes(), data[:used])
 		}
 		rOut := int64(len(outSums)) * ChecksumExtentSize

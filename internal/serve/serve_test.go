@@ -57,10 +57,12 @@ func TestConcurrentMatchesSerialBitIdentical(t *testing.T) {
 	}
 
 	// Identical submits would run once (hit or coalesce), so each copy
-	// goes in under its own server-local name: nine real runs, as many
-	// overlapping as the class policy admits.
+	// goes in under its own server-local name: nine real runs. Eight
+	// slots reserve two for interactive and cap batch at three, so the
+	// three PageRank copies (batch) can overlap each other as well as
+	// the BFS and WCC copies.
 	const copies = 3
-	srv := New(shared, Config{MaxConcurrent: 4})
+	srv := New(shared, Config{MaxConcurrent: 8})
 	defer srv.Close()
 	for name := range refs {
 		for i := 1; i < copies; i++ {
