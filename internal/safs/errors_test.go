@@ -27,6 +27,20 @@ func (f *failingStore) ReadAt(p []byte, off int64) (int, error) {
 	return f.inner.ReadAt(p, off)
 }
 
+// ReadVecAt fails buffer by buffer, the way ReadAt does: a merged run
+// whose later pages are past the budget still fails.
+func (f *failingStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
+	total := 0
+	for _, b := range vec {
+		n, err := f.ReadAt(b, off+int64(total))
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 func (f *failingStore) WriteAt(p []byte, off int64) (int, error) {
 	return f.inner.WriteAt(p, off)
 }

@@ -429,14 +429,13 @@ func (ctx *IOContext) takeReady() []*request {
 	return batch
 }
 
-// Flush is the single dispatch of staged page loads: they are sorted by
-// (file, page), runs of adjacent pages of one file become one vectored
-// read filling the cache frames in place, and the whole flush goes to
-// the array as ONE batch — the array routes every run's device extents
-// together, and each device sorts and coalesces adjacent extents across
-// runs before service, so pages that are contiguous on a device but
-// split across files still merge into single requests (Figure 12's
-// SAFS-level merging when a flush holds many ReadTasks).
+// Flush is the single dispatch of staged page loads and the one place
+// below the engine where pages of different ReadTasks merge: they are
+// sorted by (file, page), runs of adjacent pages of one file become one
+// vectored read filling the cache frames in place (Figure 12's
+// SAFS-level merging when a flush holds many ReadTasks), and the whole
+// flush goes to the array as one batch. The array cuts each run into one
+// request per device it touches and merges nothing further.
 func (ctx *IOContext) Flush() {
 	if len(ctx.staged) == 0 {
 		return

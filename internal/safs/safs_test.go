@@ -421,8 +421,8 @@ func TestResidentReadAllocatesNothing(t *testing.T) {
 
 // TestMissReadAllocatesOneRequest is the allocation gate on the miss
 // path, device side included: a read of cold pages — staged, flushed as
-// one run, landed, polled — reuses the filesystem's pooled flush state,
-// the array's pooled routing table and each frame's inline waiter slot.
+// one run, landed, polled — reuses the filesystem's pooled flush state
+// and each frame's inline waiter slot.
 // What is left is the ssd.Request itself: one object per run of pages,
 // whether a flush holds one run or two.
 func TestMissReadAllocatesOneRequest(t *testing.T) {

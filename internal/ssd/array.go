@@ -34,13 +34,7 @@ func (p *ArrayParams) SetDefaults() {
 type Array struct {
 	devices []*Device
 	stripe  int64
-	// routing pools submit's per-device request tables (*routing): a
-	// SAFS flush submits once per merged read.
-	routing sync.Pool
 }
-
-// routing is one submit call's requests, grouped by device.
-type routing struct{ perDev [][]*Request }
 
 // NewArray builds an array of in-memory devices.
 func NewArray(params ArrayParams) *Array {
@@ -117,21 +111,29 @@ type vecExtent struct {
 }
 
 // cutVec cuts the contiguous linear range starting at off, scattered
-// into vec's buffers, at device-stripe boundaries only — so a transfer
-// covering N stripes costs at most N device requests regardless of how
-// many buffers it scatters into. It is the array's one cutter: every
-// read and write, synchronous or batched, goes through it.
+// into vec's buffers, into one extent per device it touches. RAID-0 lays
+// one device's stripe units of a contiguous range back to back, so each
+// device's share is one contiguous device range: a transfer costs at
+// most one request per device, however many stripes it covers and
+// however many buffers it scatters into. It is the array's one cutter:
+// every read and write, synchronous or batched, goes through it.
 func (a *Array) cutVec(off int64, vec [][]byte) []vecExtent {
 	var exts []vecExtent
 	bi, bo := 0, 0 // cursor into vec: buffer index, offset within buffer
-	for bi < len(vec) {
+	for unit := 0; bi < len(vec); {
 		if len(vec[bi]) == bo {
 			bi++
 			bo = 0
 			continue
 		}
+		// Unit i of the range lies on the device of unit i mod devices,
+		// in the device range right after that device's previous piece.
 		dev, devOff, run := a.locate(off)
-		ext := vecExtent{dev: dev, devOff: devOff}
+		if unit < len(a.devices) {
+			exts = append(exts, vecExtent{dev: dev, devOff: devOff})
+		}
+		ext := &exts[unit%len(a.devices)]
+		unit++
 		filled := int64(0)
 		for filled < run && bi < len(vec) {
 			b := vec[bi][bo:]
@@ -147,7 +149,6 @@ func (a *Array) cutVec(off int64, vec [][]byte) []vecExtent {
 				filled += n
 			}
 		}
-		exts = append(exts, ext)
 		off += filled
 	}
 	return exts
@@ -163,23 +164,16 @@ type BatchRead struct {
 	Done func(err error)
 }
 
-// SubmitReadBatch is the array's one asynchronous read entry. Every read
-// of the batch is cut into device extents at stripe boundaries, extents
-// are grouped per device, and each device receives its whole group
-// through SubmitBatch — which sorts and coalesces adjacent extents
-// ACROSS reads before service. A SAFS flush of staged page loads
-// therefore becomes at most one (vectored) request per device per
-// contiguous byte run, however many reads staged it.
+// SubmitReadBatch is the array's one asynchronous read entry. Each read
+// of the batch is cut into one extent per device it touches, and each
+// extent goes to its device as one (vectored) request. The array merges
+// nothing across reads: a SAFS flush has already joined adjacent pages
+// into one read per run.
 func (a *Array) SubmitReadBatch(batch []BatchRead) { a.submit(OpRead, batch) }
 
-// submit routes a batch of transfers (reads or writes, per op) to the
-// devices, one SubmitBatch per device.
+// submit hands each transfer of a batch (reads or writes, per op) to the
+// devices, one request per device it touches.
 func (a *Array) submit(op Op, batch []BatchRead) {
-	rt, _ := a.routing.Get().(*routing)
-	if rt == nil {
-		rt = &routing{perDev: make([][]*Request, len(a.devices))}
-	}
-	perDev := rt.perDev
 	for i := range batch {
 		br := &batch[i]
 		dev, devOff, run := a.locate(br.Off)
@@ -187,7 +181,7 @@ func (a *Array) submit(op Op, batch []BatchRead) {
 			// Inside one stripe unit — nearly every merged FlashGraph
 			// read — the transfer is one device request over the caller's
 			// own scatter list: nothing to cut.
-			perDev[dev] = append(perDev[dev], &Request{Op: op, Offset: devOff, Vec: br.Vec, Done: br.Done})
+			a.devices[dev].Submit(&Request{Op: op, Offset: devOff, Vec: br.Vec, Done: br.Done})
 			continue
 		}
 		exts := a.cutVec(br.Off, br.Vec)
@@ -197,15 +191,9 @@ func (a *Array) submit(op Op, batch []BatchRead) {
 		}
 		done := joinDone(len(exts), br.Done)
 		for _, e := range exts {
-			perDev[e.dev] = append(perDev[e.dev], &Request{Op: op, Offset: e.devOff, Vec: e.bufs, Done: done})
+			a.devices[e.dev].Submit(&Request{Op: op, Offset: e.devOff, Vec: e.bufs, Done: done})
 		}
 	}
-	for dev, reqs := range perDev {
-		a.devices[dev].SubmitBatch(reqs)
-		clear(reqs) // a submitted request belongs to its device
-		perDev[dev] = reqs[:0]
-	}
-	a.routing.Put(rt)
 }
 
 // transferSync moves buf to or from linear offset off — a batch of one —
@@ -224,13 +212,15 @@ func (a *Array) WriteAt(buf []byte, off int64) error { return a.transferSync(OpW
 
 // ArrayStats aggregates device stats.
 type ArrayStats struct {
-	Reads         int64
-	Writes        int64
-	BytesRead     int64
-	BytesWrite    int64
-	SeqReads      int64
-	VecReads      int64
-	BatchSubmits  int64
+	Reads      int64
+	Writes     int64
+	BytesRead  int64
+	BytesWrite int64
+	SeqReads   int64
+	VecReads   int64
+	// BatchedReqs and CoalescedReqs are always 0: the array hands each
+	// device one request per transfer and merges nothing. They stay
+	// only for the benchmark harness, which still reads them.
 	BatchedReqs   int64
 	CoalescedReqs int64
 	QueuePeak     int64 // max across devices
@@ -244,16 +234,6 @@ type ArrayStats struct {
 	PerDevice       []DeviceStats
 }
 
-// MergeRatio reports batched requests per served device request across
-// the array (1 when no batches were submitted).
-func (s ArrayStats) MergeRatio() float64 {
-	served := s.BatchedReqs - s.CoalescedReqs
-	if served <= 0 {
-		return 1
-	}
-	return float64(s.BatchedReqs) / float64(served)
-}
-
 // Stats snapshots all devices.
 func (a *Array) Stats() ArrayStats {
 	var s ArrayStats
@@ -265,9 +245,6 @@ func (a *Array) Stats() ArrayStats {
 		s.BytesWrite += ds.BytesWrite
 		s.SeqReads += ds.SeqReads
 		s.VecReads += ds.VecReads
-		s.BatchSubmits += ds.BatchSubmits
-		s.BatchedReqs += ds.BatchedReqs
-		s.CoalescedReqs += ds.CoalescedReqs
 		if ds.QueuePeak > s.QueuePeak {
 			s.QueuePeak = ds.QueuePeak
 		}

@@ -33,10 +33,8 @@
 package ssd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,15 +183,8 @@ type DeviceStats struct {
 	BytesWrite int64
 	SeqReads   int64 // reads that continued the previous request
 	VecReads   int64 // reads that scattered into more than one buffer
-	// Batch submission counters: how many SubmitBatch calls arrived, how
-	// many requests they carried, and how many of those were coalesced
-	// into an adjacent neighbor (each coalesced request is one device
-	// request saved).
-	BatchSubmits  int64
-	BatchedReqs   int64
-	CoalescedReqs int64
-	// QueuePeak is the high-water mark of the submission queue length —
-	// the depth the io_uring-shaped path actually achieved.
+	// QueuePeak is the high-water mark of the submission queue length:
+	// the depth the array's submissions actually achieved.
 	QueuePeak int64
 	// Health counters: Retries counts transient-error resubmissions the
 	// device absorbed; Errors counts requests that still failed after
@@ -208,19 +199,11 @@ type DeviceStats struct {
 	Busy time.Duration
 }
 
-// MergeRatio reports batched requests per device request after
-// coalescing (1 when no batches were submitted): the factor by which
-// SubmitBatch shrank the request stream.
-func (s DeviceStats) MergeRatio() float64 {
-	served := s.BatchedReqs - s.CoalescedReqs
-	if served <= 0 {
-		return 1
-	}
-	return float64(s.BatchedReqs) / float64(served)
-}
-
-// Store is the backing byte store for a simulated device.
+// Store is the backing byte store for a simulated device. The device
+// reads through ReadVecAt only: one submission per request, however many
+// buffers it scatters into.
 type Store interface {
+	VecReader
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
 	Size() int64
@@ -240,8 +223,7 @@ type Device struct {
 
 	// counters (atomics; Busy in nanoseconds)
 	reads, writes, bytesRead, bytesWrite, seqReads, vecReads, busyNS int64
-	batchSubmits, batchedReqs, coalescedReqs, queuePeak              int64
-	retries, ioErrors                                                int64
+	queuePeak, retries, ioErrors                                     int64
 
 	// health (atomics): consecutive post-retry failures, and the
 	// tripped degraded flag (0/1).
@@ -303,65 +285,6 @@ func (d *Device) Submit(req *Request) {
 	d.closeMu.RUnlock()
 }
 
-// SubmitBatch enqueues a group of requests as one submission: reads are
-// sorted by offset and runs of exactly adjacent extents coalesce into
-// single vectored requests before service — the io_uring-shaped
-// submission path over the same simulated model. Writes pass through
-// uncoalesced. Each original request's Done fires exactly once, after
-// the transfer covering it completes. The slice may be reordered.
-func (d *Device) SubmitBatch(reqs []*Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	if len(reqs) == 1 {
-		d.Submit(reqs[0])
-		return
-	}
-	atomic.AddInt64(&d.batchSubmits, 1)
-	reads := reqs[:0]
-	for _, r := range reqs {
-		if r.Op == OpRead {
-			reads = append(reads, r)
-		} else {
-			d.Submit(r)
-		}
-	}
-	atomic.AddInt64(&d.batchedReqs, int64(len(reads)))
-	slices.SortFunc(reads, func(a, b *Request) int { return cmp.Compare(a.Offset, b.Offset) })
-	for i := 0; i < len(reads); {
-		j := i + 1
-		end := reads[i].Offset + int64(reads[i].length())
-		for j < len(reads) && reads[j].Offset == end {
-			end += int64(reads[j].length())
-			j++
-		}
-		if j == i+1 {
-			d.Submit(reads[i])
-			i = j
-			continue
-		}
-		group := reads[i:j]
-		atomic.AddInt64(&d.coalescedReqs, int64(len(group)-1))
-		var vec [][]byte
-		for _, r := range group {
-			vec = append(vec, r.Vec...)
-		}
-		members := make([]*Request, len(group))
-		copy(members, group)
-		d.Submit(&Request{
-			Op:     OpRead,
-			Offset: group[0].Offset,
-			Vec:    vec,
-			Done: func(err error) {
-				for _, r := range members {
-					r.Done(err)
-				}
-			},
-		})
-		i = j
-	}
-}
-
 // noteQueueDepth raises the queue-depth high-water mark to depth.
 func (d *Device) noteQueueDepth(depth int64) {
 	for {
@@ -392,21 +315,18 @@ func (d *Device) Close() {
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() DeviceStats {
 	return DeviceStats{
-		Name:          d.params.Name,
-		Reads:         atomic.LoadInt64(&d.reads),
-		Writes:        atomic.LoadInt64(&d.writes),
-		BytesRead:     atomic.LoadInt64(&d.bytesRead),
-		BytesWrite:    atomic.LoadInt64(&d.bytesWrite),
-		SeqReads:      atomic.LoadInt64(&d.seqReads),
-		VecReads:      atomic.LoadInt64(&d.vecReads),
-		BatchSubmits:  atomic.LoadInt64(&d.batchSubmits),
-		BatchedReqs:   atomic.LoadInt64(&d.batchedReqs),
-		CoalescedReqs: atomic.LoadInt64(&d.coalescedReqs),
-		QueuePeak:     atomic.LoadInt64(&d.queuePeak),
-		Retries:       atomic.LoadInt64(&d.retries),
-		Errors:        atomic.LoadInt64(&d.ioErrors),
-		Degraded:      atomic.LoadInt32(&d.degraded) != 0,
-		Busy:          time.Duration(atomic.LoadInt64(&d.busyNS)),
+		Name:       d.params.Name,
+		Reads:      atomic.LoadInt64(&d.reads),
+		Writes:     atomic.LoadInt64(&d.writes),
+		BytesRead:  atomic.LoadInt64(&d.bytesRead),
+		BytesWrite: atomic.LoadInt64(&d.bytesWrite),
+		SeqReads:   atomic.LoadInt64(&d.seqReads),
+		VecReads:   atomic.LoadInt64(&d.vecReads),
+		QueuePeak:  atomic.LoadInt64(&d.queuePeak),
+		Retries:    atomic.LoadInt64(&d.retries),
+		Errors:     atomic.LoadInt64(&d.ioErrors),
+		Degraded:   atomic.LoadInt32(&d.degraded) != 0,
+		Busy:       time.Duration(atomic.LoadInt64(&d.busyNS)),
 	}
 }
 
@@ -418,9 +338,6 @@ func (d *Device) ResetStats() {
 	atomic.StoreInt64(&d.bytesWrite, 0)
 	atomic.StoreInt64(&d.seqReads, 0)
 	atomic.StoreInt64(&d.vecReads, 0)
-	atomic.StoreInt64(&d.batchSubmits, 0)
-	atomic.StoreInt64(&d.batchedReqs, 0)
-	atomic.StoreInt64(&d.coalescedReqs, 0)
 	atomic.StoreInt64(&d.queuePeak, 0)
 	atomic.StoreInt64(&d.retries, 0)
 	atomic.StoreInt64(&d.ioErrors, 0)
@@ -506,7 +423,7 @@ func (d *Device) transferRetry(req *Request) (int, error) {
 func (d *Device) transfer(req *Request) (int, error) {
 	switch req.Op {
 	case OpRead:
-		return ReadVec(d.store, req.Vec, req.Offset)
+		return d.store.ReadVecAt(req.Vec, req.Offset)
 	case OpWrite:
 		total := 0
 		for _, b := range req.Vec {

@@ -57,7 +57,7 @@ func (s FaultStats) Total() int64 {
 
 // FaultStore wraps any Store with deterministic seeded fault injection:
 // EIO, short reads, latency spikes, silent bit flips, and torn writes.
-// It reads the inner store through ReadVec, so a Device over a
+// It reads the inner store through ReadVecAt, so a Device over a
 // FaultStore exercises the exact same vectored submission path as one
 // over the bare store. Safe for concurrent use.
 type FaultStore struct {
@@ -160,7 +160,7 @@ func (s *FaultStore) ReadAt(p []byte, off int64) (int, error) {
 
 // ReadVecAt implements VecReader with injected read faults, decided
 // once for the whole scatter list; the data itself comes from the inner
-// store through ReadVec, vectored when the inner store is.
+// store's ReadVecAt.
 func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 	total := vecLen(vec)
 	f, frac := s.roll(true)
@@ -174,13 +174,13 @@ func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 	case faultShort:
 		atomic.AddInt64(&s.shortReads, 1)
 		n := fracOf(frac, total)
-		if _, err := ReadVec(s.inner, vecPrefix(vec, n), off); err != nil {
+		if _, err := s.inner.ReadVecAt(vecPrefix(vec, n), off); err != nil {
 			return 0, err
 		}
 		return n, &ShortReadError{Off: off, Want: total, Got: n}
 	case faultFlip:
 		atomic.AddInt64(&s.bitFlips, 1)
-		n, err := ReadVec(s.inner, vec, off)
+		n, err := s.inner.ReadVecAt(vec, off)
 		if err == nil && n > 0 {
 			bit := fracOf(frac, n*8)
 			rem := bit / 8
@@ -194,7 +194,7 @@ func (s *FaultStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return ReadVec(s.inner, vec, off)
+	return s.inner.ReadVecAt(vec, off)
 }
 
 // fracOf maps a uniform draw in [0, 1) to an index in [0, n): the

@@ -54,9 +54,9 @@ type gateStore struct {
 	gate chan struct{}
 }
 
-func (g *gateStore) ReadAt(p []byte, off int64) (int, error) {
+func (g *gateStore) ReadVecAt(vec [][]byte, off int64) (int, error) {
 	<-g.gate
-	return g.Store.ReadAt(p, off)
+	return g.Store.ReadVecAt(vec, off)
 }
 
 // completion is what one request's Done saw.

@@ -164,66 +164,9 @@ func TestDeviceVecSequentialCounting(t *testing.T) {
 	}
 }
 
-// TestDeviceSubmitBatchCoalesces checks the io_uring-shaped path: a
-// shuffled batch of adjacent extents becomes one vectored device
-// request, every Done fires, data is intact, and the merge counters
-// record what happened.
-func TestDeviceSubmitBatchCoalesces(t *testing.T) {
-	store := NewMemStore()
-	data := make([]byte, 8*4096)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	if _, err := store.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDevice(fastParams(), store)
-	defer d.Close()
-
-	var wg sync.WaitGroup
-	bufs := make([][]byte, 4)
-	var reqs []*Request
-	// Adjacent pages submitted out of order, plus one distant page.
-	for _, pn := range []int{2, 0, 3, 1} {
-		pn := pn
-		bufs[pn] = make([]byte, 4096)
-		wg.Add(1)
-		reqs = append(reqs, &Request{Op: OpRead, Offset: int64(pn) * 4096, Vec: [][]byte{bufs[pn]}, Done: func(err error) {
-			if err != nil {
-				t.Errorf("page %d: %v", pn, err)
-			}
-			wg.Done()
-		}})
-	}
-	distant := make([]byte, 4096)
-	wg.Add(1)
-	reqs = append(reqs, &Request{Op: OpRead, Offset: 7 * 4096, Vec: [][]byte{distant}, Done: func(err error) { wg.Done() }})
-	d.SubmitBatch(reqs)
-	wg.Wait()
-
-	for pn, b := range bufs {
-		if !bytes.Equal(b, data[pn*4096:(pn+1)*4096]) {
-			t.Fatalf("page %d content mismatch after coalesced read", pn)
-		}
-	}
-	if !bytes.Equal(distant, data[7*4096:8*4096]) {
-		t.Fatal("uncoalesced page content mismatch")
-	}
-	st := d.Stats()
-	if st.Reads != 2 {
-		t.Fatalf("Reads = %d, want 2 (4 adjacent coalesced + 1 distant)", st.Reads)
-	}
-	if st.BatchSubmits != 1 || st.BatchedReqs != 5 || st.CoalescedReqs != 3 {
-		t.Fatalf("batch counters = %d/%d/%d, want 1/5/3", st.BatchSubmits, st.BatchedReqs, st.CoalescedReqs)
-	}
-	if r := st.MergeRatio(); r != 2.5 {
-		t.Fatalf("MergeRatio = %v, want 2.5 (5 requests over 2 served)", r)
-	}
-}
-
 // TestArraySubmitReadBatch drives batches through the striped array:
-// contents must match a synchronous read and adjacent extents on the
-// same device must coalesce across requests.
+// contents must match a synchronous read, and the array merges nothing
+// across reads — each single-page read is one device request.
 func TestArraySubmitReadBatch(t *testing.T) {
 	a := NewArray(ArrayParams{Devices: 2, StripeSize: 8192, Device: fastParams()})
 	defer a.Close()
@@ -238,8 +181,8 @@ func TestArraySubmitReadBatch(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var batch []BatchRead
-	// Eight 4KB pages in scrambled order covering [0, 32K): on each
-	// device they form contiguous runs that must coalesce.
+	// Eight 4KB pages in scrambled order covering [0, 32K): contiguous
+	// on each device, but merging adjacent pages is SAFS's job.
 	pages := make([][]byte, 8)
 	for _, pn := range []int{5, 0, 3, 6, 1, 4, 7, 2} {
 		pn := pn
@@ -257,14 +200,7 @@ func TestArraySubmitReadBatch(t *testing.T) {
 	if !bytes.Equal(bytes.Join(pages, nil), data[:32<<10]) {
 		t.Fatal("batched read content mismatch")
 	}
-	st := a.Stats()
-	// [0,32K) is two 8K stripes per device; each device's two stripes are
-	// adjacent in device-local space, so the whole batch is ONE request
-	// per device.
-	if st.Reads != 2 {
-		t.Fatalf("device reads = %d, want 2 (one coalesced request per device)", st.Reads)
-	}
-	if st.CoalescedReqs != 6 {
-		t.Fatalf("CoalescedReqs = %d, want 6", st.CoalescedReqs)
+	if st := a.Stats(); st.Reads != 8 {
+		t.Fatalf("device reads = %d, want 8 (one per single-page read)", st.Reads)
 	}
 }

@@ -254,6 +254,8 @@ func TestArrayStripesAcrossDevices(t *testing.T) {
 	}
 }
 
+// TestArrayCutProperties: a transfer cuts into at most one extent per
+// device it touches, and the extents' lengths sum to the transfer.
 func TestArrayCutProperties(t *testing.T) {
 	a := NewArray(ArrayParams{Devices: 3, StripeSize: 512, Device: fastParams()})
 	defer a.Close()
@@ -263,12 +265,14 @@ func TestArrayCutProperties(t *testing.T) {
 		}
 		buf := make([]byte, int(size)%5000+1)
 		exts := a.cutVec(int64(off), [][]byte{buf})
+		seen := make(map[int]bool)
 		total := 0
 		for _, e := range exts {
-			if e.dev < 0 || e.dev >= 3 {
+			if e.dev < 0 || e.dev >= 3 || seen[e.dev] {
 				return false
 			}
-			if n := vecLen(e.bufs); n == 0 || n > 512 {
+			seen[e.dev] = true
+			if vecLen(e.bufs) == 0 {
 				return false
 			}
 			total += vecLen(e.bufs)
@@ -359,28 +363,51 @@ func TestArrayReadVecMatchesReadAt(t *testing.T) {
 }
 
 func TestArrayReadVecRequestCount(t *testing.T) {
-	// A vec read covering exactly one stripe must cost one device request
-	// even when scattered into many 4KB buffers.
-	a := NewArray(ArrayParams{Devices: 4, StripeSize: 32 * 4096, Device: fastParams()})
-	defer a.Close()
-	if err := a.WriteAt(make([]byte, 64*4096), 0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		devices     int
+		stripe, off int64
+		size, reads int
+	}{
+		// A read covering exactly one stripe is one device request even
+		// when scattered into many 4KB buffers.
+		{"one stripe", 4, 32 * 4096, 0, 32 * 4096, 1},
+		// 70 KiB from mid-unit spans ten 8 KiB units on three devices:
+		// each device's units are back to back, so one request each.
+		{"ten stripes", 3, 8192, 8192 + 3000, 70 << 10, 3},
 	}
-	a.ResetStats()
-	vec := make([][]byte, 32)
-	for i := range vec {
-		vec[i] = make([]byte, 4096)
-	}
-	ch := make(chan error, 1)
-	a.SubmitReadBatch([]BatchRead{{Off: 0, Vec: vec, Done: func(err error) { ch <- err }}})
-	if err := <-ch; err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Stats().Reads; got != 1 {
-		t.Fatalf("device reads = %d, want 1", got)
-	}
-	if got := a.Stats().BytesRead; got != 32*4096 {
-		t.Fatalf("bytes read = %d", got)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := NewArray(ArrayParams{Devices: c.devices, StripeSize: c.stripe, Device: fastParams()})
+			defer a.Close()
+			data := make([]byte, 64*4096)
+			for i := range data {
+				data[i] = byte(i*11 + 3)
+			}
+			if err := a.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			a.ResetStats()
+			var vec [][]byte
+			for left := c.size; left > 0; left -= 4096 {
+				vec = append(vec, make([]byte, min(left, 4096)))
+			}
+			ch := make(chan error, 1)
+			a.SubmitReadBatch([]BatchRead{{Off: c.off, Vec: vec, Done: func(err error) { ch <- err }}})
+			if err := <-ch; err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bytes.Join(vec, nil), data[c.off:c.off+int64(c.size)]) {
+				t.Fatal("vectored read mismatch")
+			}
+			st := a.Stats()
+			if st.Reads != int64(c.reads) {
+				t.Fatalf("device reads = %d, want %d", st.Reads, c.reads)
+			}
+			if st.BytesRead != int64(c.size) {
+				t.Fatalf("bytes read = %d, want %d", st.BytesRead, c.size)
+			}
+		})
 	}
 }
 

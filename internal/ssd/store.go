@@ -8,33 +8,13 @@ import (
 	"sync"
 )
 
-// VecReader is implemented by stores that can fill a scatter list from
-// one contiguous range in a single submission (preadv-style). Every
-// store in this package implements it, and implements ReadAt as a
-// scatter list of one, so EOF zero-fill, short-read typing and fault
-// injection are written once per store.
+// VecReader fills a scatter list from one contiguous range in a single
+// submission (preadv-style). Every Store is one; the stores in this
+// package also implement ReadAt as a scatter list of one, so EOF
+// zero-fill, short-read typing and fault injection are written once per
+// store.
 type VecReader interface {
 	ReadVecAt(vec [][]byte, off int64) (int, error)
-}
-
-// ReadVec fills vec from the contiguous range of s starting at off:
-// one ReadVecAt when s has a vectored path, one ReadAt per buffer
-// otherwise. It is the only place that fallback is written — Device and
-// FaultStore both read through it.
-func ReadVec(s Store, vec [][]byte, off int64) (int, error) {
-	if v, ok := s.(VecReader); ok {
-		return v.ReadVecAt(vec, off)
-	}
-	total := 0
-	for _, b := range vec {
-		n, err := s.ReadAt(b, off)
-		total += n
-		off += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // vecLen returns the total length of a scatter list.
