@@ -2,6 +2,7 @@ package flashgraph
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -471,5 +472,57 @@ func TestCatalogStoreDir(t *testing.T) {
 	defer bad.Close()
 	if _, err := bad.Add("g", g); err == nil {
 		t.Fatal("Add accepted a StoreDir that is a regular file")
+	}
+}
+
+// spinAlgo keeps vertex 0 active until its query is canceled and
+// closes started from its first Run.
+type spinAlgo struct {
+	started chan struct{}
+	once    sync.Once
+}
+
+func (a *spinAlgo) Init(eng RunContext)                     { eng.ActivateSeed(0) }
+func (a *spinAlgo) RunOnVertex(*Ctx, VertexID, *PageVertex) {}
+func (a *spinAlgo) RunOnMessage(*Ctx, VertexID, Message)    {}
+func (a *spinAlgo) Run(ctx *Ctx, v VertexID) {
+	a.once.Do(func() { close(a.started) })
+	time.Sleep(time.Millisecond)
+	ctx.Activate(v)
+}
+
+// TestServerCancelRunningQuery: an in-process caller stops a running
+// query through Server.Cancel, as DELETE /queries/{id} does over HTTP.
+func TestServerCancelRunningQuery(t *testing.T) {
+	cat := NewCatalog(Options{})
+	defer cat.Close()
+	if _, err := cat.Add("g", NewGraph(4, []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, Directed)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(cat, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spin := &spinAlgo{started: make(chan struct{})}
+	if err := srv.Register(AlgorithmSpec{Name: "spin", New: func(json.RawMessage, GraphMeta) (Program, error) {
+		return spin, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := srv.Submit(Request{Algo: "spin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-spin.started
+	if err := srv.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	q, err := srv.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.State != QueryFailed || !q.Canceled {
+		t.Fatalf("query = state %s canceled %v, want failed and canceled", q.State, q.Canceled)
 	}
 }

@@ -67,9 +67,6 @@ type BlockDir struct {
 // StripeSize returns the number of rows (and columns) per stripe.
 func (bd *BlockDir) StripeSize() int { return 1 << bd.Shift }
 
-// NumBlocks returns the total block count.
-func (bd *BlockDir) NumBlocks() int { return bd.Stripes * bd.Stripes }
-
 // DataSize returns the direction's total data byte length.
 func (bd *BlockDir) DataSize() int64 { return bd.Offsets[len(bd.Offsets)-1] }
 

@@ -10,24 +10,24 @@ import (
 	"flashgraph/internal/safs"
 )
 
-// Per-extent CRC32C checksums for the v2 container. The writer appends
-// an OPTIONAL trailer section after the last data section:
+// Per-extent CRC32C checksums for the v2 container. Every image carries
+// them in a trailer section after the last data section:
 //
 //	magic   "FGCKSUM1"                    8 bytes
-//	extent  u32 LE  checksummed extent size in bytes
+//	extent  u32 LE  checksummed extent size in bytes (ChecksumExtentSize)
 //	outCnt  u32 LE  = ceil(outLen/extent)
 //	inCnt   u32 LE  = ceil(inLen/extent)
 //	outSums outCnt × u32 LE  CRC32C of each out-edge data extent
 //	inSums  inCnt  × u32 LE  CRC32C of each in-edge data extent
 //	crc     u32 LE  CRC32C of the trailer from magic through inSums
 //
-// Placement after the data keeps every prior reader working unchanged:
-// Decode consumes exactly outLen+inLen data bytes and stops, and
-// OpenImageFile addresses data through bounded section readers — the
-// trailer is simply bytes nobody seeks to. New readers detect it by
-// magic and arm read-path verification (safs.File.SetChecksums) with
-// the sums; images without the trailer (written before it existed) load
-// with verification computed at load time instead.
+// The trailer is required: a container whose data ends the file is
+// refused as ErrUnsupportedContainer, like the v1 magic, because its
+// edge lists could never be verified. Readers arm read-path
+// verification (safs.File.SetChecksums) with the recorded sums, and
+// in-memory images (BuildImage) carry the sums their record pass
+// computed, so every Image verifies what it reads against sums taken
+// when its bytes were encoded.
 
 // ChecksumExtentSize is the granularity of persisted data checksums.
 // It equals the default SAFS page size, so one loaded cache page
@@ -41,37 +41,29 @@ const checksumMagic = "FGCKSUM1"
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // extentCount returns how many checksummed extents cover n data bytes.
-func extentCount(n int64, extent int) int64 {
+func extentCount(n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return (n + int64(extent) - 1) / int64(extent)
+	return (n + ChecksumExtentSize - 1) / ChecksumExtentSize
 }
 
 // extentSummer accumulates per-extent CRC32C checksums over a byte
 // stream, extent boundaries handled across arbitrary write splits.
 type extentSummer struct {
-	extent int
-	fill   int    // bytes accumulated into the current extent
-	crc    uint32 // running CRC of the current extent
-	sums   []uint32
-}
-
-func newExtentSummer(extent int) *extentSummer {
-	return &extentSummer{extent: extent}
+	fill int    // bytes accumulated into the current extent
+	crc  uint32 // running CRC of the current extent
+	sums []uint32
 }
 
 // update folds p into the accumulator.
 func (s *extentSummer) update(p []byte) {
 	for len(p) > 0 {
-		n := s.extent - s.fill
-		if n > len(p) {
-			n = len(p)
-		}
+		n := min(ChecksumExtentSize-s.fill, len(p))
 		s.crc = crc32.Update(s.crc, castagnoli, p[:n])
 		s.fill += n
 		p = p[n:]
-		if s.fill == s.extent {
+		if s.fill == ChecksumExtentSize {
 			s.sums = append(s.sums, s.crc)
 			s.crc, s.fill = 0, 0
 		}
@@ -91,11 +83,7 @@ func (s *extentSummer) finish() []uint32 {
 // the record pass computes data checksums in its single pass.
 type crcWriter struct {
 	w io.Writer
-	s *extentSummer
-}
-
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: w, s: newExtentSummer(ChecksumExtentSize)}
+	s extentSummer
 }
 
 func (c *crcWriter) Write(p []byte) (int, error) {
@@ -106,12 +94,12 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 // checkExtents compares data, whose first byte begins extent first of
 // the named direction, with that direction's recorded sums.
-func checkExtents(data []byte, dir string, sums []uint32, first, extent int) error {
+func checkExtents(data []byte, dir string, sums []uint32, first int) error {
 	for i := first; len(data) > 0; i++ {
-		n := min(extent, len(data))
+		n := min(ChecksumExtentSize, len(data))
 		if i >= len(sums) || crc32.Checksum(data[:n], castagnoli) != sums[i] {
 			return fmt.Errorf("graph: %s-edge data: %w: extent %d at offset %d does not match its recorded checksum",
-				dir, safs.ErrCorrupted, i, int64(i)*int64(extent))
+				dir, safs.ErrCorrupted, i, int64(i)*ChecksumExtentSize)
 		}
 		data = data[n:]
 	}
@@ -122,18 +110,16 @@ func checkExtents(data []byte, dir string, sums []uint32, first, extent int) err
 // extents at a time and compares every extent with its recorded sum
 // before handing any byte of the chunk out.
 type checkedReader struct {
-	r      io.Reader
-	dir    string
-	sums   []uint32
-	extent int
-	next   int    // the extent the next chunk starts at
-	buf    []byte // the current chunk, verified
-	pos    int    // buf[pos:] is not yet read
+	r    io.Reader
+	dir  string
+	sums []uint32
+	next int    // the extent the next chunk starts at
+	buf  []byte // the current chunk, verified
+	pos  int    // buf[pos:] is not yet read
 }
 
-func newCheckedReader(r io.Reader, dir string, sums []uint32, extent int) *checkedReader {
-	return &checkedReader{r: r, dir: dir, sums: sums, extent: extent,
-		buf: make([]byte, 0, extent*max(1, loadChunk/extent))}
+func newCheckedReader(r io.Reader, dir string, sums []uint32) *checkedReader {
+	return &checkedReader{r: r, dir: dir, sums: sums, buf: make([]byte, 0, loadChunk)}
 }
 
 func (c *checkedReader) Read(p []byte) (int, error) {
@@ -142,10 +128,10 @@ func (c *checkedReader) Read(p []byte) (int, error) {
 		if n == 0 || (err != nil && !errors.Is(err, io.ErrUnexpectedEOF)) {
 			return 0, err // io.EOF after the last chunk
 		}
-		if err := checkExtents(c.buf[:n], c.dir, c.sums, c.next, c.extent); err != nil {
+		if err := checkExtents(c.buf[:n], c.dir, c.sums, c.next); err != nil {
 			return 0, err
 		}
-		c.next += int(extentCount(int64(n), c.extent))
+		c.next += int(extentCount(int64(n)))
 		c.buf, c.pos = c.buf[:n], 0
 	}
 	n := copy(p, c.buf[c.pos:])
@@ -171,41 +157,41 @@ func writeChecksumTrailer(w io.Writer, outSums, inSums []uint32) error {
 	return err
 }
 
-// readChecksumTrailer parses a trailer positioned at r. A clean EOF at
-// the magic means the image simply has none (ok=false, nil error); a
-// present-but-damaged trailer is an error — it would otherwise
-// silently disarm verification of a corrupted image.
-func readChecksumTrailer(r io.Reader, outLen, inLen int64) (ext int, outSums, inSums []uint32, ok bool, err error) {
+// readChecksumTrailer parses the trailer positioned at r. A container
+// that ends where its data does has none and is refused as
+// ErrUnsupportedContainer; a present-but-damaged trailer is an error
+// too.
+func readChecksumTrailer(r io.Reader, outLen, inLen int64) (outSums, inSums []uint32, err error) {
 	magic := make([]byte, len(checksumMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
-		// A clean EOF (zero trailer bytes) is the no-trailer case;
-		// a partial magic is ErrUnexpectedEOF and falls through.
+		// A clean EOF (zero trailer bytes) is a container without a
+		// trailer; a partial magic is ErrUnexpectedEOF.
 		if errors.Is(err, io.EOF) {
-			return 0, nil, nil, false, nil
+			return nil, nil, fmt.Errorf("%w: no checksum trailer follows the edge data (rebuild the image with fg-convert)", ErrUnsupportedContainer)
 		}
-		return 0, nil, nil, false, fmt.Errorf("graph: reading checksum trailer: %w", err)
+		return nil, nil, fmt.Errorf("graph: reading checksum trailer: %w", err)
 	}
 	if string(magic) != checksumMagic {
-		return 0, nil, nil, false, fmt.Errorf("graph: bad checksum trailer magic %q", magic)
+		return nil, nil, fmt.Errorf("graph: bad checksum trailer magic %q", magic)
 	}
 	crc := crc32.Checksum(magic, castagnoli)
 	var fixed [12]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return 0, nil, nil, false, fmt.Errorf("graph: reading checksum trailer: %w", err)
+		return nil, nil, fmt.Errorf("graph: reading checksum trailer: %w", err)
 	}
 	crc = crc32.Update(crc, castagnoli, fixed[:])
-	extent := int(binary.LittleEndian.Uint32(fixed[0:]))
+	extent := binary.LittleEndian.Uint32(fixed[0:])
 	outCnt := int64(binary.LittleEndian.Uint32(fixed[4:]))
 	inCnt := int64(binary.LittleEndian.Uint32(fixed[8:]))
-	// The writer always records ChecksumExtentSize; any other value
-	// would size the verifying reader's buffer from file bytes.
+	// The writer always records ChecksumExtentSize; the readers check
+	// extents of that size and no other.
 	if extent != ChecksumExtentSize {
-		return 0, nil, nil, false, fmt.Errorf("graph: checksum trailer has extent size %d, want %d", extent, ChecksumExtentSize)
+		return nil, nil, fmt.Errorf("graph: checksum trailer has extent size %d, want %d", extent, ChecksumExtentSize)
 	}
-	if outCnt != extentCount(outLen, extent) || inCnt != extentCount(inLen, extent) {
-		return 0, nil, nil, false, fmt.Errorf(
+	if outCnt != extentCount(outLen) || inCnt != extentCount(inLen) {
+		return nil, nil, fmt.Errorf(
 			"graph: checksum trailer covers %d+%d extents, data needs %d+%d",
-			outCnt, inCnt, extentCount(outLen, extent), extentCount(inLen, extent))
+			outCnt, inCnt, extentCount(outLen), extentCount(inLen))
 	}
 	// The counts are checked against the header's lengths, not against
 	// the bytes that follow, so sums grow a chunk at a time as bytes
@@ -227,27 +213,25 @@ func readChecksumTrailer(r io.Reader, outLen, inLen int64) (ext int, outSums, in
 		return sums, nil
 	}
 	if outSums, err = readSums(outCnt); err != nil {
-		return 0, nil, nil, false, err
+		return nil, nil, err
 	}
 	if inSums, err = readSums(inCnt); err != nil {
-		return 0, nil, nil, false, err
+		return nil, nil, err
 	}
 	var self [4]byte
 	if _, err := io.ReadFull(r, self[:]); err != nil {
-		return 0, nil, nil, false, fmt.Errorf("graph: reading checksum trailer: %w", err)
+		return nil, nil, fmt.Errorf("graph: reading checksum trailer: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(self[:]); got != crc {
-		return 0, nil, nil, false, fmt.Errorf("graph: checksum trailer self-check failed: %08x, want %08x", crc, got)
+		return nil, nil, fmt.Errorf("graph: checksum trailer self-check failed: %08x, want %08x", crc, got)
 	}
-	return extent, outSums, inSums, true, nil
+	return outSums, inSums, nil
 }
 
 // ChecksumData computes the per-extent sums of an in-memory data
-// section — what Decode-built and generator-built images use to arm
-// verification without a persisted trailer (and what tests compare
-// trailers against).
+// section, as the writer records them.
 func ChecksumData(data []byte) []uint32 {
-	s := newExtentSummer(ChecksumExtentSize)
+	var s extentSummer
 	s.update(data)
 	return s.finish()
 }

@@ -40,9 +40,6 @@ func TestChecksumTrailerRoundTrip(t *testing.T) {
 			if dec.OutSums == nil {
 				t.Fatal("decoded image carries no checksum trailer")
 			}
-			if dec.ChecksumExtent != ChecksumExtentSize {
-				t.Fatalf("trailer extent %d, want %d", dec.ChecksumExtent, ChecksumExtentSize)
-			}
 			if want := ChecksumData(dec.OutData); !equalSums(dec.OutSums, want) {
 				t.Fatal("out-edge trailer sums disagree with recomputation over stored bytes")
 			}
@@ -65,12 +62,11 @@ func equalSums(a, b []uint32) bool {
 	return true
 }
 
-// TestDecodeWithoutTrailerBackCompat: stripping the trailer yields
-// exactly the pre-checksum v2 container, and Decode reads it — same
-// graph, just no persisted sums. This is the guarantee that old images
-// keep loading and old readers can read new images (the trailer is
-// bytes nobody seeks to).
-func TestDecodeWithoutTrailerBackCompat(t *testing.T) {
+// TestTrailerlessContainerRefused: a v2 container cut exactly at the
+// end of its data (no checksum trailer) is refused by Decode and
+// OpenImageFile as ErrUnsupportedContainer, with an error that names
+// the trailer — its edge lists could never be verified.
+func TestTrailerlessContainerRefused(t *testing.T) {
 	img := BuildImage(fixtureAdjacency(), 0, nil)
 	var buf bytes.Buffer
 	if err := img.EncodeAs(&buf, EncodingDelta); err != nil {
@@ -81,23 +77,30 @@ func TestDecodeWithoutTrailerBackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	stripped := buf.Bytes()[:buf.Len()-trailerLen(full)]
-	dec, err := Decode(bytes.NewReader(stripped))
-	if err != nil {
-		t.Fatalf("trailer-free container must stay readable: %v", err)
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrUnsupportedContainer) || !strings.Contains(err.Error(), "trailer") {
+			t.Fatalf("%s: err = %v, want ErrUnsupportedContainer naming the trailer", what, err)
+		}
 	}
-	if dec.OutSums != nil || dec.InSums != nil {
-		t.Fatal("stripped container decoded with sums")
+	_, err = Decode(bytes.NewReader(stripped))
+	check("Decode", err)
+	path := filepath.Join(t.TempDir(), "g.fg")
+	if err := os.WriteFile(path, stripped, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(dec.OutData, full.OutData) || !bytes.Equal(dec.InData, full.InData) {
-		t.Fatal("stripped container decoded different edge data")
+	fb, err := OpenImageFile(path)
+	if err == nil {
+		fb.Close()
 	}
+	check("OpenImageFile", err)
 }
 
 // TestOpenImageFileRejectsTruncatedData: a file cut inside its data
 // sections is an error naming both lengths, as it is for Decode — not
 // an image whose trailer offset lies past EOF, which would read as "no
-// trailer" and silently disarm verification. A file cut exactly at the
-// end of its data is the trailer-less format and stays legal.
+// trailer". A file cut exactly at the end of its data is a container
+// without a trailer and is refused as ErrUnsupportedContainer.
 func TestOpenImageFileRejectsTruncatedData(t *testing.T) {
 	img := BuildImage(fixtureAdjacency(), 0, nil)
 	var buf bytes.Buffer
@@ -122,19 +125,15 @@ func TestOpenImageFileRejectsTruncatedData(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb, err := OpenImageFile(path)
-		if cut == dataEnd {
-			if err != nil {
-				t.Fatalf("%s: trailer-less file rejected: %v", name, err)
-			}
-			if fb.OutSums != nil {
-				t.Fatalf("%s: opened with sums", name)
-			}
-			fb.Close()
-			continue
-		}
 		if err == nil {
 			fb.Close()
 			t.Fatalf("%s (%d of %d bytes): opened with no error", name, cut, dataEnd)
+		}
+		if cut == dataEnd {
+			if !errors.Is(err, ErrUnsupportedContainer) || !strings.Contains(err.Error(), "trailer") {
+				t.Fatalf("%s: err = %v, want ErrUnsupportedContainer naming the trailer", name, err)
+			}
+			continue
 		}
 		if want := fmt.Sprintf("%d bytes", cut); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprint(dataEnd)) {
 			t.Fatalf("%s: error %q does not name both lengths (%d, %d)", name, err, cut, dataEnd)
@@ -225,6 +224,22 @@ func TestLoadToFSDetectsHostRot(t *testing.T) {
 	fs := safs.New(arr, safs.Config{CacheBytes: 1 << 20})
 	if _, err := rotted.LoadToFS(fs, "rot"); !errors.Is(err, safs.ErrCorrupted) {
 		t.Fatalf("rotted image loaded: err=%v, want safs.ErrCorrupted", err)
+	}
+}
+
+// TestLoadToFSRefusesFlippedBuiltImage: a RAM-built image carries the
+// sums its record pass computed, so a byte flipped in its OutData after
+// the build is refused by LoadToFS as safs.ErrCorrupted instead of being
+// summed at load time and loaded as if whole.
+func TestLoadToFSRefusesFlippedBuiltImage(t *testing.T) {
+	img := BuildImage(fixtureAdjacency(), 0, nil)
+	img.OutData[len(img.OutData)/2] ^= 0x10
+
+	arr := ssd.NewArray(ssd.ArrayParams{Devices: 2})
+	defer arr.Close()
+	fs := safs.New(arr, safs.Config{CacheBytes: 1 << 20})
+	if _, err := img.LoadToFS(fs, "flipped"); !errors.Is(err, safs.ErrCorrupted) {
+		t.Fatalf("flipped built image loaded: err=%v, want safs.ErrCorrupted", err)
 	}
 }
 

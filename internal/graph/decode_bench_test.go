@@ -128,7 +128,7 @@ func BenchmarkDecodeGaps(b *testing.B) {
 // its run (advancing eight gaps on a hit, one on a miss) holds eight
 // single-byte gaps.
 func blockGapWidths(tb testing.TB, data []byte, bd *BlockDir) (widths [5]int64, tried, hit int64) {
-	for i := 0; i < bd.NumBlocks(); i++ {
+	for i := 0; i < bd.Stripes*bd.Stripes; i++ {
 		bb := data[bd.Offsets[i]:bd.Offsets[i+1]]
 		if len(bb) == 0 {
 			continue

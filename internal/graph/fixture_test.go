@@ -145,8 +145,8 @@ func TestV2DeltaFixture(t *testing.T) {
 // TestFingerprintCoversAllData: two images with the same shape and
 // degree sequence that differ in one byte far from both ends of the
 // edge data must not share an identity (the result cache keys on it),
-// whether the per-extent sums come from a checksum trailer or from a
-// pass over trailer-less data; every way of opening the same bytes
+// whether the per-extent sums come from the record pass of a RAM build
+// or from a checksum trailer; every way of opening the same bytes
 // agrees.
 func TestFingerprintCoversAllData(t *testing.T) {
 	const n, deg = 40000, 4 // 20-byte raw records: 800 KB of edge data
@@ -164,11 +164,11 @@ func TestFingerprintCoversAllData(t *testing.T) {
 	if mid := a.OutIndex.FileSize() / 2; mid < 256<<10+4096 {
 		t.Fatalf("edge data too small (%d bytes) for a mid-file difference", a.OutIndex.FileSize())
 	}
-	if a.OutSums != nil {
-		t.Fatal("RAM-built image unexpectedly carries persisted sums")
+	if !equalSums(a.OutSums, ChecksumData(a.OutData)) {
+		t.Fatal("RAM-built image's sums are not ChecksumData over its data")
 	}
 	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("trailer-less images differing mid-file share a fingerprint")
+		t.Fatal("RAM-built images differing mid-file share a fingerprint")
 	}
 
 	dir := t.TempDir()

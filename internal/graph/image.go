@@ -123,14 +123,13 @@ type Image struct {
 	OutIndex *Index
 	InIndex  *Index // nil if undirected
 
-	// Persisted per-extent CRC32C data checksums (checksum trailer);
-	// nil for images written before the trailer existed. Decode and
+	// Per-extent CRC32C sums of OutData/InData, one per
+	// ChecksumExtentSize bytes: the checksum trailer's for a decoded or
+	// opened image, the record pass's for a built one. Decode and
 	// EdgeReader compare the data with them; LoadToFS arms SAFS read
-	// verification with them and computes load-time sums for images
-	// that lack them.
-	OutSums        []uint32
-	InSums         []uint32
-	ChecksumExtent int
+	// verification with them.
+	OutSums []uint32
+	InSums  []uint32
 
 	// File backing (OpenImageFile): edge data stays on disk and is
 	// streamed from backing at outOff/inOff.
@@ -170,10 +169,10 @@ func (img *Image) Close() error {
 
 // EdgeReader returns a fresh sequential reader over one direction's
 // encoded edge-list file, wherever the bytes live (RAM or the backing
-// host file), and the file's size. When the image carries the
-// direction's checksums the reader compares each extent with its sum
-// before handing any of it out: a mismatch is an error wrapping
-// safs.ErrCorrupted, so no consumer decodes a damaged byte.
+// host file), and the file's size. The reader compares each extent
+// with the direction's recorded sum before handing any of it out: a
+// mismatch is an error wrapping safs.ErrCorrupted, so no consumer
+// decodes a damaged byte.
 func (img *Image) EdgeReader(dir EdgeDir) (io.Reader, int64, error) {
 	name, ix, data, off, sums := "out", img.OutIndex, img.OutData, img.outOff, img.OutSums
 	if dir == InEdges && img.Directed {
@@ -189,10 +188,7 @@ func (img *Image) EdgeReader(dir EdgeDir) (io.Reader, int64, error) {
 	default:
 		r = bytes.NewReader(data)
 	}
-	if sums != nil {
-		r = newCheckedReader(r, name, sums, img.ChecksumExtent)
-	}
-	return r, size, nil
+	return newCheckedReader(r, name, sums), size, nil
 }
 
 // sourceFor returns a neighbor stream source over one direction of
@@ -283,8 +279,8 @@ type FSFiles struct {
 	In  *safs.File // nil if undirected
 }
 
-// loadChunk is about how many bytes LoadToFS copies, and a
-// checkedReader reads and checks, at a time.
+// loadChunk is how many bytes LoadToFS copies, and a checkedReader
+// reads and checks, at a time: a whole number of checksum extents.
 const loadChunk = 1 << 20
 
 // LoadToFS writes the image's edge-list files into the filesystem
@@ -293,24 +289,15 @@ const loadChunk = 1 << 20
 // never materializes edge lists in RAM.
 //
 // The copy doubles as the integrity handoff: it reads through
-// EdgeReader, which checks the image's persisted per-extent CRC32C
-// sums (detecting host-file rot before a single corrupted byte reaches
-// the SSDs), and arms the created files with those sums — or with sums
-// computed over the streamed bytes for an image without them — so
-// every subsequent SAFS read verifies end to end.
+// EdgeReader, which checks the image's per-extent CRC32C sums
+// (detecting host-file rot before a single corrupted byte reaches the
+// SSDs), and arms the created files with those same sums, so every
+// subsequent SAFS read verifies end to end.
 func (img *Image) LoadToFS(fs *safs.FS, name string) (*FSFiles, error) {
-	copyIn := func(name string, dir EdgeDir) (*safs.File, error) {
+	copyIn := func(name string, dir EdgeDir, sums []uint32) (*safs.File, error) {
 		r, size, err := img.EdgeReader(dir)
 		if err != nil {
 			return nil, err
-		}
-		sums, extent := img.OutSums, img.ChecksumExtent
-		if dir == InEdges {
-			sums = img.InSums
-		}
-		var sum *extentSummer
-		if sums == nil {
-			sum = newExtentSummer(ChecksumExtentSize)
 		}
 		f, err := fs.Create(name, size)
 		if err != nil {
@@ -322,27 +309,21 @@ func (img *Image) LoadToFS(fs *safs.FS, name string) (*FSFiles, error) {
 			if _, err := io.ReadFull(r, buf[:n]); err != nil {
 				return nil, fmt.Errorf("graph: loading %q: %w", name, err)
 			}
-			if sum != nil {
-				sum.update(buf[:n])
-			}
 			if err := f.WriteAt(buf[:n], off); err != nil {
 				return nil, err
 			}
 			off += n
 		}
-		if sum != nil {
-			sums, extent = sum.finish(), ChecksumExtentSize
-		}
-		f.SetChecksums(sums, extent)
+		f.SetChecksums(sums, ChecksumExtentSize)
 		return f, nil
 	}
-	out, err := copyIn(name+".adj-out", OutEdges)
+	out, err := copyIn(name+".adj-out", OutEdges, img.OutSums)
 	if err != nil {
 		return nil, err
 	}
 	files := &FSFiles{Out: out}
 	if img.Directed {
-		in, err := copyIn(name+".adj-in", InEdges)
+		in, err := copyIn(name+".adj-in", InEdges, img.InSums)
 		if err != nil {
 			return nil, err
 		}
@@ -388,9 +369,9 @@ func (img *Image) EncodeAs(w io.Writer, enc Encoding) error {
 
 // Decode deserializes an image written by Encode into RAM; the indexes
 // are rebuilt from the persisted degree and record-size arrays, and the
-// data is compared with the checksum trailer when there is one (a
-// mismatch wraps safs.ErrCorrupted). Use OpenImageFile instead to serve
-// images larger than memory.
+// data is compared with the checksum trailer (a mismatch wraps
+// safs.ErrCorrupted; a container without one is ErrUnsupportedContainer).
+// Use OpenImageFile instead to serve images larger than memory.
 func Decode(r io.Reader) (*Image, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	img, hdr, err := readImageMeta(br)
@@ -410,13 +391,11 @@ func Decode(r io.Reader) (*Image, error) {
 	if err := img.readTrailer(br, hdr); err != nil {
 		return nil, err
 	}
-	if img.OutSums != nil {
-		if err := checkExtents(img.OutData, "out", img.OutSums, 0, img.ChecksumExtent); err != nil {
-			return nil, err
-		}
-		if err := checkExtents(img.InData, "in", img.InSums, 0, img.ChecksumExtent); err != nil {
-			return nil, err
-		}
+	if err := checkExtents(img.OutData, "out", img.OutSums, 0); err != nil {
+		return nil, err
+	}
+	if err := checkExtents(img.InData, "in", img.InSums, 0); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
@@ -451,8 +430,9 @@ func (h *imageHeader) dataOffset() int64 {
 	return imageHeaderSizeV2 + dirs*perDir
 }
 
-// ErrUnsupportedContainer reports a well-formed container of a version
-// this tree no longer reads.
+// ErrUnsupportedContainer reports a container of a version this tree no
+// longer reads: the v1 magic, or a v2 container without a checksum
+// trailer.
 var ErrUnsupportedContainer = errors.New("graph: unsupported container version")
 
 // readImageHeader consumes and validates the magic + fixed header.
@@ -513,15 +493,10 @@ func readImageMeta(r io.Reader) (*Image, *imageHeader, error) {
 	return img, hdr, nil
 }
 
-// readTrailer attaches the optional checksum trailer that follows the
-// data sections; r is positioned at their end. Its absence (clean EOF)
-// is how every pre-trailer image stays readable.
-func (img *Image) readTrailer(r io.Reader, hdr *imageHeader) error {
-	ext, outSums, inSums, ok, err := readChecksumTrailer(r, int64(hdr.outLen), int64(hdr.inLen))
-	if ok {
-		img.ChecksumExtent = ext
-		img.OutSums, img.InSums = outSums, inSums
-	}
+// readTrailer attaches the checksum trailer that follows the data
+// sections; r is positioned at their end.
+func (img *Image) readTrailer(r io.Reader, hdr *imageHeader) (err error) {
+	img.OutSums, img.InSums, err = readChecksumTrailer(r, int64(hdr.outLen), int64(hdr.inLen))
 	return err
 }
 

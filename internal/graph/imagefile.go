@@ -32,8 +32,8 @@ func OpenImageFile(path string) (*Image, error) {
 }
 
 // openImage builds a file-backed Image over an opened container. No
-// record scan touches the data section; the checksum trailer, when
-// present, is read from past its end.
+// record scan touches the data section; the checksum trailer is read
+// from past its end.
 func openImage(f *os.File) (*Image, error) {
 	img, hdr, err := readImageMeta(bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
@@ -43,8 +43,8 @@ func openImage(f *os.File) (*Image, error) {
 	img.outOff = hdr.dataOffset()
 	img.inOff = img.outOff + int64(hdr.outLen)
 	trailerOff := img.inOff + int64(hdr.inLen)
-	// A file cut inside its data would read as having no trailer — and
-	// no verification — instead of failing the way Decode does.
+	// A file cut inside its data is named as truncated, the way Decode
+	// fails on it, not as a container without a trailer.
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("graph: stat image: %w", err)

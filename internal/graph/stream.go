@@ -427,7 +427,7 @@ func newSpool(dir string) (*spool, error) {
 		return nil, fmt.Errorf("graph: creating spool: %w", err)
 	}
 	os.Remove(f.Name()) // the OS reclaims it when the fd closes
-	return &spool{crcWriter: newCRCWriter(f), f: f}, nil
+	return &spool{crcWriter: &crcWriter{w: f}, f: f}, nil
 }
 
 // copyTo copies the want bytes spooled into w.
@@ -502,10 +502,12 @@ func (iw *ImageWriter) WriteImage(w io.Writer) (*ImageInfo, error) {
 }
 
 // BuildImage materializes an in-memory Image through the same encoder,
-// its sinks two buffers that become the image's edge data.
+// its sinks two buffers behind the CRC tees WriteImage's spools use, so
+// the image carries the sums the checksum trailer would record.
 func (iw *ImageWriter) BuildImage() (*Image, error) {
-	var out, in bytes.Buffer
-	info, err := iw.encode(&out, &in)
+	var outBuf, inBuf bytes.Buffer
+	out, in := &crcWriter{w: &outBuf}, &crcWriter{w: &inBuf}
+	info, err := iw.encode(out, in)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +515,8 @@ func (iw *ImageWriter) BuildImage() (*Image, error) {
 		Directed: info.Directed, NumV: info.NumV, NumEdges: info.NumEdges,
 		AttrSize: info.AttrSize, Encoding: info.Encoding,
 		OutIndex: info.OutIndex, InIndex: info.InIndex,
-		OutData: out.Bytes(), InData: in.Bytes(),
+		OutData: outBuf.Bytes(), InData: inBuf.Bytes(),
+		OutSums: out.s.finish(), InSums: in.s.finish(),
 	}, nil
 }
 

@@ -58,7 +58,7 @@ func TestEveryEnding(t *testing.T) {
 			_ = srv.Cancel(q.ID) // cannot fail: the ID was just listed
 		}
 	}
-	registerCrawl(t, srv, time.Millisecond, 1_000_000)
+	started := registerCrawl(t, srv, time.Millisecond, 1_000_000)
 	if err := srv.Register(AlgorithmSpec{Name: "corrupt", New: func(json.RawMessage, GraphMeta) (core.Program, error) {
 		return corruptAlg{}, nil
 	}}); err != nil {
@@ -80,18 +80,15 @@ func TestEveryEnding(t *testing.T) {
 	crawl := func(n int) Request {
 		return Request{Algo: "crawl", Params: json.RawMessage(fmt.Sprintf(`{"n":%d}`, n))}
 	}
-	// occupy fills the only slot with a running crawl.
+	// occupy fills the only slot with a running crawl: it returns once
+	// crawl(n) has sent n from its first Run, passing over the signals
+	// of crawls other cases ran.
 	occupy := func(t *testing.T, n int) int64 {
 		t.Helper()
 		id := submit(t, crawl(n))
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			if q, _ := srv.Get(id); q.State == StateRunning {
-				return id
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("blocker never started running")
-			}
+		for <-started != n {
 		}
+		return id
 	}
 	cancel := func(t *testing.T, id int64) {
 		t.Helper()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,10 +18,15 @@ import (
 
 // crawlAlgo is a deliberately slow vertex program: one vertex stays
 // active, sleeping each iteration — the controllable long-running
-// query the timeout and cancellation tests need.
+// query the timeout and cancellation tests need. Its first Run sends
+// its "n" param on started, so a test learns that a crawl is running
+// from the crawl itself.
 type crawlAlgo struct {
-	pause time.Duration
-	iters int
+	pause   time.Duration
+	iters   int
+	n       int
+	started chan<- int
+	once    sync.Once
 }
 
 func (c *crawlAlgo) Init(eng core.ExecutionEngine)                            { eng.ActivateSeed(0) }
@@ -28,22 +34,34 @@ func (c *crawlAlgo) MaxIterations() int                                       { 
 func (c *crawlAlgo) RunOnMessage(*core.Ctx, graph.VertexID, core.Message)     {}
 func (c *crawlAlgo) RunOnVertex(*core.Ctx, graph.VertexID, *graph.PageVertex) {}
 func (c *crawlAlgo) Run(ctx *core.Ctx, v graph.VertexID) {
+	c.once.Do(func() { c.started <- c.n })
 	time.Sleep(c.pause)
 	ctx.Activate(v) // stay active: the run ends only by cap, deadline, or cancel
 }
 
-func registerCrawl(t *testing.T, srv *Server, pause time.Duration, iters int) {
+// registerCrawl registers crawl on srv and returns the channel each
+// crawl's first Run sends its "n" on. The buffer outlasts every crawl a
+// test starts, so no Run waits on a reader.
+func registerCrawl(t *testing.T, srv *Server, pause time.Duration, iters int) <-chan int {
 	t.Helper()
+	started := make(chan int, 64)
 	err := srv.Register(AlgorithmSpec{
 		Name: "crawl",
 		Doc:  "test-only slow walker",
 		New: func(params json.RawMessage, g GraphMeta) (core.Program, error) {
-			return &crawlAlgo{pause: pause, iters: iters}, nil
+			var p struct {
+				N int `json:"n"`
+			}
+			if err := DecodeParams(params, &p); err != nil {
+				return nil, err
+			}
+			return &crawlAlgo{pause: pause, iters: iters, n: p.N, started: started}, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return started
 }
 
 // TestTimeoutQueryReports504: a query whose TimeoutMs expires stops at
@@ -93,7 +111,7 @@ func TestCancelRunningQuery(t *testing.T) {
 	shared := buildShared(t, 2)
 	srv := New(shared, Config{MaxConcurrent: 2})
 	defer srv.Close()
-	registerCrawl(t, srv, 5*time.Millisecond, 10_000)
+	started := registerCrawl(t, srv, 5*time.Millisecond, 10_000)
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 
@@ -101,18 +119,7 @@ func TestCancelRunningQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until it is actually running (dispatch is asynchronous).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		q, ok := srv.Get(id)
-		if ok && q.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("query never started running")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-started // dispatch is asynchronous: wait until it actually runs
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/queries/%d", ts.URL, id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

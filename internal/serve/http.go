@@ -14,6 +14,9 @@ import (
 	"flashgraph/internal/ssd"
 )
 
+// Handler returns the fg-serve HTTP API over s, as Handler(s) does.
+func (s *Server) Handler() http.Handler { return Handler(s) }
+
 // Handler builds the fg-serve HTTP API over a Server. It lives here —
 // not in cmd/fg-serve — so the full surface is testable with httptest
 // and reusable by embedders.

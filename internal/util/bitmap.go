@@ -44,21 +44,6 @@ func (b *Bitmap) SetMany(is []uint32) {
 	}
 }
 
-// Unset clears bit i. Safe for concurrent use.
-func (b *Bitmap) Unset(i int) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old&^mask) {
-			return
-		}
-	}
-}
-
 // Get reports whether bit i is set. Safe for concurrent use.
 func (b *Bitmap) Get(i int) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<(uint(i)&63)) != 0
@@ -119,20 +104,4 @@ func (b *Bitmap) AppendSet(dst []uint32, lo, hi int) []uint32 {
 		}
 	}
 	return dst
-}
-
-// ForEach calls fn for every set bit in ascending order. Not synchronized
-// with concurrent setters.
-func (b *Bitmap) ForEach(fn func(i int)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			i := wi<<6 + bit
-			if i >= b.n {
-				return
-			}
-			fn(i)
-			w &^= 1 << uint(bit)
-		}
-	}
 }

@@ -67,17 +67,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm fills out with a pseudo-random permutation of [0, len(out)).
-func (r *RNG) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // A Jump advances an RNG by a fixed number of draws in one step.
 // xorshift128+'s state update is linear over GF(2), so n draws are the
 // 128×128 bit matrix Mⁿ applied to the state; a Jump holds that matrix

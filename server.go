@@ -24,7 +24,6 @@ package flashgraph
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"flashgraph/internal/core"
 	"flashgraph/internal/qos"
@@ -99,6 +98,18 @@ type (
 	QuotaError = qos.QuotaError
 	// ResultHistogram is a fixed-width binning of a result vector.
 	ResultHistogram = result.Histogram
+	// Server schedules algorithm queries over a Catalog's graphs with
+	// admission control, per-query stats, and byte-budgeted typed
+	// result retention — the engine behind fg-serve, as a library.
+	// Handler exposes the full HTTP surface (POST /queries, GET /algos,
+	// typed result endpoints); Submit/Wait/Cancel/ResultSet serve the
+	// same queries in-process.
+	//
+	// A Server made by NewServer snapshots the catalog's graphs and the
+	// process-wide algorithm registry: graphs added to the catalog and
+	// algorithms Registered afterwards are not visible to it (use
+	// Server.Register for late algorithm additions).
+	Server = serve.Server
 	// RunContext is the per-run engine surface handed to
 	// Algorithm.Init (vertex counts, seed activation, weightedness,
 	// engine kind) — what custom programs name the Init parameter. It
@@ -209,21 +220,6 @@ func DecodeParams(raw json.RawMessage, into any) error {
 //		Params: flashgraph.MarshalParams(flashgraph.SrcParams{Src: 3})})
 func MarshalParams(v any) json.RawMessage { return serve.MarshalParams(v) }
 
-// Server schedules algorithm queries over a Catalog's graphs with
-// admission control, per-query stats, and byte-budgeted typed result
-// retention — the engine behind fg-serve, as a library. Handler
-// exposes the full HTTP surface (POST /queries, GET /algos, typed
-// result endpoints); Submit/Wait/ResultSet serve the same queries
-// in-process.
-//
-// The Server snapshots the catalog's graphs and the process-wide
-// algorithm registry at construction: graphs added to the catalog and
-// algorithms Registered afterwards are not visible to it (use
-// Server.Register for late algorithm additions).
-type Server struct {
-	srv *serve.Server
-}
-
 // NewServer starts a query server over every graph currently in cat.
 // Close the server before closing the catalog.
 func NewServer(cat *Catalog, cfg ServerConfig) (*Server, error) {
@@ -242,86 +238,19 @@ func NewServer(cat *Catalog, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashgraph: %w", err)
 	}
-	s := &Server{srv: srv}
 	for _, name := range names {
 		if name == cfg.DefaultGraph {
 			continue
 		}
 		eng, ok := cat.Engine(name)
 		if !ok {
-			s.Close()
+			srv.Close()
 			return nil, fmt.Errorf("flashgraph: graph %q vanished from catalog", name)
 		}
 		if err := srv.AddGraph(name, eng.Shared()); err != nil {
-			s.Close()
+			srv.Close()
 			return nil, fmt.Errorf("flashgraph: %w", err)
 		}
 	}
-	return s, nil
+	return srv, nil
 }
-
-// Register adds an algorithm to this server alone (the process-wide
-// registry and other servers are untouched). Safe while serving.
-func (s *Server) Register(spec AlgorithmSpec) error { return s.srv.Register(spec) }
-
-// Algorithms describes this server's registered algorithms, sorted by
-// name — what GET /algos serves.
-func (s *Server) Algorithms() []AlgoInfo { return s.srv.Algorithms() }
-
-// Graphs lists the served graphs in registration order.
-func (s *Server) Graphs() []GraphInfo { return s.srv.Graphs() }
-
-// Handler returns the full fg-serve HTTP API over this server.
-func (s *Server) Handler() http.Handler { return serve.Handler(s.srv) }
-
-// Validate reports whether req could be submitted — graph and
-// algorithm exist, capabilities and params check out against that
-// graph — without admitting anything.
-func (s *Server) Validate(req Request) error { return s.srv.Validate(req) }
-
-// Submit admits a query and returns its ID; it fails fast on invalid
-// requests and sheds load when the queue is full.
-func (s *Server) Submit(req Request) (int64, error) { return s.srv.Submit(req) }
-
-// Wait blocks until the query finishes and returns its final snapshot.
-func (s *Server) Wait(id int64) (Query, error) { return s.srv.Wait(id) }
-
-// Get snapshots a query by ID.
-func (s *Server) Get(id int64) (Query, bool) { return s.srv.Get(id) }
-
-// List snapshots all retained queries in submission order.
-func (s *Server) List() []Query { return s.srv.List() }
-
-// Stats snapshots the server's traffic counters.
-func (s *Server) Stats() ServerStats { return s.srv.Stats() }
-
-// ResultSet returns a finished query's full typed result.
-func (s *Server) ResultSet(id int64) (*ResultSet, error) { return s.srv.ResultSet(id) }
-
-// Lookup is the point query on a finished query's named vector ("" =
-// the algorithm's default vector).
-func (s *Server) Lookup(id int64, vector string, vertex int) (ResultEntry, error) {
-	return s.srv.Lookup(id, vector, vertex)
-}
-
-// TopK returns ranks [offset, offset+k) of the named vector, value
-// descending with deterministic tie-breaks.
-func (s *Server) TopK(id int64, vector string, k, offset int) ([]ResultEntry, error) {
-	return s.srv.TopK(id, vector, k, offset)
-}
-
-// Histogram bins the named vector of a finished query.
-func (s *Server) Histogram(id int64, vector string, bins int) (ResultHistogram, error) {
-	return s.srv.Histogram(id, vector, bins)
-}
-
-// Drain stops admission without stopping service: Submit fails with
-// an error mapped to 503 over HTTP while queued and in-flight queries
-// run to completion and every read endpoint keeps answering — the
-// graceful-shutdown front half. Follow with Close to block until the
-// queues empty. Idempotent.
-func (s *Server) Drain() { s.srv.Drain() }
-
-// Close stops admission, drains queued queries, and waits for the
-// scheduler goroutines to exit. It does not close the catalog.
-func (s *Server) Close() { s.srv.Close() }
