@@ -2,8 +2,10 @@
 // image, semi-external (simulated SSD array) or in-memory, and prints its
 // typed result summary and run statistics. The request takes the path a
 // fg-serve query takes — registry spec, capability check, strict params —
-// through an in-process server over a one-graph catalog, always on the
-// vertex engine. An unknown -algo lists the registered names.
+// through an in-process server over a one-graph catalog, on the engine
+// the image's layout picks: the vertex engine for raw and delta, the
+// SpMV engine for block (which runs only algorithms with an SpMV form).
+// An unknown -algo lists the registered names.
 //
 //	fg-run -graph twitter.fg -algo bfs                   # src defaults to the hub
 //	fg-run -graph twitter.fg -algo pagerank -params '{"iters":10}' -cache-mb 64
@@ -72,7 +74,6 @@ func main() {
 	id, err := srv.Submit(flashgraph.Request{
 		Algo:   *algoName,
 		Params: flashgraph.MarshalParams(p),
-		Engine: string(flashgraph.EngineVertex),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -116,7 +116,7 @@ const (
 	// blocks (CSR within each block, varint-delta columns) laid out so
 	// one row stripe is one contiguous extent — the layout built for
 	// the streaming SpMV engine. Block images have no per-vertex
-	// records, so they serve only EngineSpMV.
+	// records: they run on EngineSpMV, which sweeps no other layout.
 	EncodingBlock = graph.EncodingBlock
 )
 
@@ -371,8 +371,8 @@ type Options struct {
 	StoreDir string
 }
 
-// Engine executes algorithms over one opened graph. Run and RunOn are
-// safe for concurrent use: each call executes on its own lightweight run
+// Engine executes algorithms over one opened graph. Run is safe for
+// concurrent use: each call executes on its own lightweight run
 // context while all calls share the graph image, in-memory index, SAFS
 // instance, page cache, and simulated SSD array (the paper's core asset,
 // amortized across queries). For admission control and query tracking on
@@ -453,22 +453,18 @@ func Open(g *Graph, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// Run executes alg to completion on the vertex engine: RunOn(EngineVertex,
-// alg). Use a distinct Algorithm value per call — algorithm state belongs
-// to a single run.
-func (e *Engine) Run(alg Algorithm) (RunStats, error) { return e.RunOn(EngineVertex, alg) }
-
-// RunOn executes a program on an execution engine of the given kind —
-// EngineVertex (the default message-passing runtime, what Run uses) or
-// EngineSpMV (streaming dense sweeps, for programs with an SpMV form
-// such as PageRank, WCC, and LabelProp). Each call gets a private run
-// context (vertex scheduling, message buffers, iteration barrier) over
-// the shared graph and cache, so concurrent calls are safe.
-func (e *Engine) RunOn(kind EngineKind, p Program) (RunStats, error) {
+// Run executes p to completion on the engine the graph's layout picks:
+// the message-passing vertex engine for raw and delta images (p must be
+// an Algorithm), the streaming SpMV engine for block images (p must be
+// an SpMVProgram, as PageRank, WCC and LabelProp also are). Each call
+// gets a private run context over the shared graph and cache, so
+// concurrent calls are safe. Use a distinct program value per call —
+// program state belongs to a single run.
+func (e *Engine) Run(p Program) (RunStats, error) {
 	if e.closed.Load() {
 		return RunStats{}, fmt.Errorf("flashgraph: engine is closed")
 	}
-	eng, err := e.shared.NewEngine(kind)
+	eng, err := e.shared.NewEngine(e.shared.Kind())
 	if err != nil {
 		return RunStats{}, fmt.Errorf("flashgraph: %w", err)
 	}

@@ -526,3 +526,41 @@ func TestServerCancelRunningQuery(t *testing.T) {
 		t.Fatalf("query = state %s canceled %v, want failed and canceled", q.State, q.Canceled)
 	}
 }
+
+// TestRunFollowsLayout: Run takes its engine from the graph's layout.
+// PageRank on a block copy of a graph sweeps on the SpMV engine and
+// answers with the raw copy's checksum; BFS, which has no SpMV form, is
+// refused on the block copy.
+func TestRunFollowsLayout(t *testing.T) {
+	raw := NewGraph(1<<9, GenerateRMAT(9, 6, 3), Directed)
+	var buf bytes.Buffer
+	if err := raw.SaveAs(&buf, EncodingBlock); err != nil {
+		t.Fatal(err)
+	}
+	block, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checksums := map[EngineKind]string{}
+	for _, g := range []*Graph{raw, block} {
+		eng, err := Open(g, Options{Threads: 2, Devices: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		pr := NewPageRank()
+		st, err := eng.Run(pr)
+		if err != nil {
+			t.Fatalf("pagerank on %s: %v", g.Encoding(), err)
+		}
+		checksums[EngineKind(st.Engine)] = pr.Result().Checksum()
+		if g == block {
+			if _, err := eng.Run(NewBFS(0)); err == nil || !strings.Contains(err.Error(), "SpMV engine") {
+				t.Fatalf("bfs on a block graph: %v, want a refusal naming the SpMV engine", err)
+			}
+		}
+	}
+	if len(checksums) != 2 || checksums[EngineVertex] != checksums[EngineSpMV] {
+		t.Fatalf("pagerank checksums by engine: %v, want one checksum from each engine", checksums)
+	}
+}

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -86,10 +87,10 @@ func runEquivCase(t *testing.T, c equivCase, a *graph.Adjacency, name string, bu
 // TestEnginesChecksumIdentical is the engine-equivalence suite: every
 // algorithm with both executable forms (pagerank, wcc, labelprop) must
 // produce a checksum-identical ResultSet on the message-passing engine
-// and the SpMV engine, across all on-SSD encodings each engine serves
-// and across in-memory, SEM, and file-backed image serving. This is the
-// contract that lets the serve layer route by Caps.SupportsSpMV without
-// changing any answer.
+// over raw and delta and the SpMV engine over block, across in-memory,
+// SEM, and file-backed image serving. This is the contract that lets a
+// catalog serve one graph in two layouts, each on its own engine,
+// without changing any answer.
 func TestEnginesChecksumIdentical(t *testing.T) {
 	a := graph.FromEdges(1<<10, gen.RMAT(10, 8, 7), true)
 	a.Dedup()
@@ -100,17 +101,13 @@ func TestEnginesChecksumIdentical(t *testing.T) {
 		"labelprop": func() core.Program { return NewLabelProp() },
 	}
 
-	// The vertex engine serves the two per-vertex record layouts; the
-	// SpMV engine serves all three, block being the one built for it.
+	// The vertex engine serves the two per-vertex record layouts, the
+	// SpMV engine the block layout.
 	cases := []equivCase{
 		{core.EngineVertex, graph.EncodingRaw, "mem"},
 		{core.EngineVertex, graph.EncodingRaw, "sem"},
 		{core.EngineVertex, graph.EncodingDelta, "sem"},
 		{core.EngineVertex, graph.EncodingDelta, "semfile"},
-		{core.EngineSpMV, graph.EncodingRaw, "mem"},
-		{core.EngineSpMV, graph.EncodingRaw, "sem"},
-		{core.EngineSpMV, graph.EncodingDelta, "mem"},
-		{core.EngineSpMV, graph.EncodingDelta, "sem"},
 		{core.EngineSpMV, graph.EncodingBlock, "mem"},
 		{core.EngineSpMV, graph.EncodingBlock, "sem"},
 		{core.EngineSpMV, graph.EncodingBlock, "semfile"},
@@ -129,43 +126,39 @@ func TestEnginesChecksumIdentical(t *testing.T) {
 }
 
 // TestEngineFormMismatches pins the cross-form error surface: each
-// engine rejects the other form's programs, and the vertex engine
-// rejects images without per-vertex records.
+// engine rejects the other form's programs, and each layout refuses the
+// other layout's engine.
 func TestEngineFormMismatches(t *testing.T) {
 	a := graph.FromEdges(1<<6, gen.RMAT(6, 4, 7), true)
 	a.Dedup()
 
-	blockImg, err := writerFor(a, graph.EncodingBlock).BuildImage()
-	if err != nil {
-		t.Fatal(err)
+	shared := map[graph.Encoding]*core.Shared{}
+	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingBlock} {
+		img, err := writerFor(a, enc).BuildImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared[enc], err = core.NewShared(img, core.Config{Threads: 2, InMemory: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blockShared, err := core.NewShared(blockImg, core.Config{Threads: 2, InMemory: true})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := shared[graph.EncodingBlock].NewEngine(core.EngineVertex); !errors.Is(err, core.ErrWrongEngine) {
+		t.Fatalf("vertex engine on a block-encoded image: %v, want ErrWrongEngine", err)
 	}
-	if _, err := blockShared.NewEngine(core.EngineVertex); err == nil {
-		t.Fatal("vertex engine accepted a block-encoded image")
+	if _, err := shared[graph.EncodingRaw].NewEngine(core.EngineSpMV); !errors.Is(err, core.ErrWrongEngine) {
+		t.Fatalf("SpMV engine on a raw image: %v, want ErrWrongEngine", err)
 	}
-
-	rawImg, err := writerFor(a, graph.EncodingRaw).BuildImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawShared, err := core.NewShared(rawImg, core.Config{Threads: 2, InMemory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rawShared.NewEngine("turbo"); err == nil {
+	if _, err := shared[graph.EncodingRaw].NewEngine("turbo"); err == nil {
 		t.Fatal("NewEngine accepted an unknown kind")
 	}
-	spmv, err := rawShared.NewEngine(core.EngineSpMV)
+	spmv, err := shared[graph.EncodingBlock].NewEngine(core.EngineSpMV)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := spmv.Run(NewBFS(0)); err == nil {
 		t.Fatal("SpMV engine ran a vertex-only program")
 	}
-	vertex, err := rawShared.NewEngine(core.EngineVertex)
+	vertex, err := shared[graph.EncodingRaw].NewEngine(core.EngineVertex)
 	if err != nil {
 		t.Fatal(err)
 	}

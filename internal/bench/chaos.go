@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +17,10 @@ import (
 
 // The chaos mix and its fault rates. The mix is probes first
 // (interactive BFS over spread sources), then pagerank sweeps of
-// distinct lengths; two slots keep queries mostly serialized.
+// distinct lengths on a block copy of the dataset (SpMV stripe reads);
+// two slots keep queries mostly serialized.
 const (
+	chaosBlockGraph = "block"
 	chaosProbes     = 6 // interactive BFS probes, rotating sources
 	chaosSweeps     = 2 // PageRank sweep queries
 	chaosSweepIters = 8 // the first sweep's iterations; each later one adds one, keeping cache keys distinct
@@ -92,7 +95,8 @@ type chaosOutcome struct {
 }
 
 // Chaos is the acceptance gauge for the fault-tolerance tier. It serves
-// one fixed query mix four times on the twitter stand-in:
+// one fixed query mix four times on the twitter stand-in (its sweeps on
+// a block copy):
 //
 //	baseline:   fault-free; records every query's result checksum
 //	transient:  EIO + short-read + latency-spike injection on all SSDs
@@ -113,6 +117,14 @@ func Chaos(cfg Config, jsonPath string, w io.Writer) []Result {
 	header(w, "Chaos: fault injection vs end-to-end integrity")
 
 	d := TwitterSim(cfg)
+	var buf bytes.Buffer // the dataset re-encoded as its block copy
+	if err := d.Img.EncodeAs(&buf, graph.EncodingBlock); err != nil {
+		panic(err)
+	}
+	block, err := graph.Decode(&buf)
+	if err != nil {
+		panic(err)
+	}
 	reqs := chaosMix(d)
 	report := ChaosReport{
 		Dataset:  d.Name,
@@ -120,13 +132,13 @@ func Chaos(cfg Config, jsonPath string, w io.Writer) []Result {
 		Edges:    d.Img.NumEdges,
 		Seed:     1 + cfg.Seed,
 	}
-	fmt.Fprintf(w, "dataset %s: %s vertices, %s edges; mix = %d bfs probes + %d pagerank sweeps, %d slots, fault seed %d\n",
+	fmt.Fprintf(w, "dataset %s: %s vertices, %s edges; mix = %d bfs probes + %d pagerank sweeps on its block copy, %d slots, fault seed %d\n",
 		d.Name, util.HumanCount(int64(d.Img.NumV)), util.HumanCount(d.Img.NumEdges),
 		chaosProbes, chaosSweeps, chaosSlots, report.Seed)
 
 	// Baseline: fault-free run of the mix; its checksums are the oracle
 	// every later phase is held to.
-	baseline, basePhase := chaosPhase(cfg, d, "baseline", reqs, nil, ssd.FaultConfig{}, 0)
+	baseline, basePhase := chaosPhase(cfg, d, block, "baseline", reqs, nil, ssd.FaultConfig{}, 0)
 	report.Phases = append(report.Phases, basePhase)
 	for i, o := range baseline {
 		if !o.done {
@@ -143,21 +155,21 @@ func Chaos(cfg Config, jsonPath string, w io.Writer) []Result {
 		LatencySpike:  200 * time.Microsecond,
 		Seed:          report.Seed,
 	}
-	_, ph := chaosPhase(cfg, d, "transient", reqs, baseline, transientFC, 4)
+	_, ph := chaosPhase(cfg, d, block, "transient", reqs, baseline, transientFC, 4)
 	report.Phases = append(report.Phases, ph)
 
 	// Corruption: silent bit flips. Nothing retries a lie — the
 	// checksum layer must convert every flip a query touches into a
 	// typed failure, and completed queries must still match baseline.
 	corruptFC := ssd.FaultConfig{BitFlipRate: chaosBitFlipRate, Seed: report.Seed}
-	_, ph = chaosPhase(cfg, d, "corruption", reqs, baseline, corruptFC, 4)
+	_, ph = chaosPhase(cfg, d, block, "corruption", reqs, baseline, corruptFC, 4)
 	report.Phases = append(report.Phases, ph)
 
 	// Degraded: device 0 fails every transfer. Retries exhaust, the
 	// health counter trips it into fail-fast, queries fail loudly, the
 	// server survives — and after ResetHealth a fresh probe succeeds.
 	deadFC := ssd.FaultConfig{EIORate: 1, Seed: report.Seed}
-	report.RecoveredAfterReset, ph = chaosDegradedPhase(cfg, d, reqs, baseline, deadFC)
+	report.RecoveredAfterReset, ph = chaosDegradedPhase(cfg, d, block, reqs, baseline, deadFC)
 	report.Phases = append(report.Phases, ph)
 
 	fmt.Fprintf(w, "%-11s %8s %8s %7s %7s %9s %9s %8s %8s\n",
@@ -236,6 +248,7 @@ func chaosMix(d *Dataset) []serve.Request {
 	}
 	for i := 0; i < chaosSweeps; i++ {
 		reqs = append(reqs, serve.Request{
+			Graph:  chaosBlockGraph,
 			Algo:   "pagerank",
 			Params: serve.MarshalParams(serve.PageRankParams{Iters: chaosSweepIters + i}),
 		})
@@ -256,12 +269,12 @@ func probeSources(img *graph.Image, n int) []graph.VertexID {
 	return out
 }
 
-// chaosServer stands up a server over the harness substrate with the
-// first faultDevs of its stores FaultStore-wrapped (disarmed — the
-// image loads faithfully; the caller arms them for the phase), each
-// seeded from fc.Seed. No result is retained so every replay recomputes
-// from the device layer.
-func chaosServer(cfg Config, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
+// chaosServer serves the dataset and, as chaosBlockGraph, its block
+// copy over the harness substrate with the first faultDevs of its stores
+// FaultStore-wrapped (disarmed — the images load faithfully; the caller
+// arms them for the phase), each seeded from fc.Seed. No result is
+// retained so every replay recomputes from the device layer.
+func chaosServer(cfg Config, d *Dataset, block *graph.Image, fc ssd.FaultConfig, faultDevs int) (*serve.Server, []*ssd.FaultStore, *ssd.Array, func()) {
 	stores := make([]ssd.Store, arrayDevices)
 	var faults []*ssd.FaultStore
 	for i := range stores {
@@ -280,12 +293,19 @@ func chaosServer(cfg Config, d *Dataset, fc ssd.FaultConfig, faultDevs int) (*se
 	if err != nil {
 		panic(err)
 	}
+	sweeps, err := core.NewShared(block, core.Config{Threads: cfg.Threads, FS: fs, GraphName: chaosBlockGraph})
+	if err != nil {
+		panic(err)
+	}
 	srv := serve.New(shared, serve.Config{
 		MaxConcurrent: chaosSlots,
 		MaxQueued:     4 * (chaosProbes + chaosSweeps + 8),
 		MaxHistory:    4 * (chaosProbes + chaosSweeps + 8),
 		ResultBytes:   -1,
 	})
+	if err := srv.AddGraph(chaosBlockGraph, sweeps); err != nil {
+		panic(err)
+	}
 	return srv, faults, arr, func() {
 		srv.Close()
 		arr.Close()
@@ -344,8 +364,8 @@ func runChaosMix(srv *serve.Server, reqs []serve.Request, baseline []chaosOutcom
 
 // chaosPhase runs the mix once on a fresh substrate with fc armed on
 // the first faultDevs devices.
-func chaosPhase(cfg Config, d *Dataset, name string, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig, faultDevs int) ([]chaosOutcome, ChaosPhase) {
-	srv, faults, arr, cleanup := chaosServer(cfg, d, fc, faultDevs)
+func chaosPhase(cfg Config, d *Dataset, block *graph.Image, name string, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig, faultDevs int) ([]chaosOutcome, ChaosPhase) {
+	srv, faults, arr, cleanup := chaosServer(cfg, d, block, fc, faultDevs)
 	defer cleanup()
 	arr.ResetStats() // image load traffic is not the phase's evidence
 	for _, f := range faults {
@@ -363,8 +383,8 @@ func chaosPhase(cfg Config, d *Dataset, name string, reqs []serve.Request, basel
 // chaosDegradedPhase kills device 0 outright, runs the mix, then
 // proves recovery: injection off, health reset, one probe re-run and
 // checked against baseline.
-func chaosDegradedPhase(cfg Config, d *Dataset, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig) (recovered bool, ph ChaosPhase) {
-	srv, faults, arr, cleanup := chaosServer(cfg, d, fc, 1)
+func chaosDegradedPhase(cfg Config, d *Dataset, block *graph.Image, reqs []serve.Request, baseline []chaosOutcome, fc ssd.FaultConfig) (recovered bool, ph ChaosPhase) {
+	srv, faults, arr, cleanup := chaosServer(cfg, d, block, fc, 1)
 	defer cleanup()
 	arr.ResetStats()
 	for _, f := range faults {

@@ -140,8 +140,7 @@ func newPartition(img *graph.Image, threads int, shift uint) partition {
 	n := img.NumV
 	granules := (n + 1<<shift - 1) >> shift
 	p := partition{shift, make([]int32, granules), make([][][2]int, threads)}
-	// Block images run only on the SpMV engine, which never asks.
-	perGranule := granules <= threads*rangesPerThread || img.Encoding == graph.EncodingBlock
+	perGranule := granules <= threads*rangesPerThread
 	bytesBefore := func(v int) (b int64) { // 0 throughout when perGranule
 		for _, ix := range []*graph.Index{img.OutIndex, img.InIndex} {
 			switch {
@@ -191,7 +190,10 @@ func NewShared(img *graph.Image, cfg Config) (*Shared, error) {
 	if cfg.InMemory && img.FileBacked() {
 		return nil, fmt.Errorf("core: in-memory mode requires a RAM-resident image; file-backed images (graph.OpenImageFile) serve in semi-external-memory mode")
 	}
-	s := &Shared{cfg: cfg, img: img, part: newPartition(img, cfg.Threads, cfg.RangeShift)}
+	s := &Shared{cfg: cfg, img: img}
+	if s.Kind() == EngineVertex { // only the vertex engine's workers own vertex ranges
+		s.part = newPartition(img, cfg.Threads, cfg.RangeShift)
+	}
 	start := time.Now()
 	if !cfg.InMemory {
 		if cfg.FS == nil {
@@ -412,8 +414,8 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	if !ok {
 		return RunStats{}, fmt.Errorf("core: the message-passing engine runs vertex programs (core.Algorithm); %T is not one", p)
 	}
-	if e.img.Encoding == graph.EncodingBlock {
-		return RunStats{}, fmt.Errorf("core: the message-passing engine needs per-vertex edge records; block images serve only the SpMV engine")
+	if err := e.shared.checkKind(EngineVertex); err != nil {
+		return RunStats{}, err
 	}
 	if err := e.abortErr(); err != nil {
 		return RunStats{}, fmt.Errorf("core: engine unusable after earlier panic: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,32 +10,24 @@ import (
 	"flashgraph/internal/safs"
 )
 
-// EngineKind names an execution model. The serve layer routes queries by
-// kind (Caps.SupportsSpMV plus the ?engine= override) and RunStats
-// records which kind produced it.
+// EngineKind names an execution model. An image's layout picks the
+// kind (Shared.Kind) and RunStats records which kind produced a run.
 type EngineKind string
 
 const (
 	// EngineVertex is the message-passing vertex-program engine (Engine):
 	// selective edge-list access, per-vertex scheduling, messages — the
-	// paper's FlashGraph runtime.
+	// paper's FlashGraph runtime. It runs the raw and delta layouts.
 	EngineVertex EngineKind = "vertex"
 	// EngineSpMV is the 2D edge-block streaming engine (SpMVEngine):
 	// full sequential sweeps over dense per-vertex state, no message
-	// buffers and no per-vertex scheduler.
+	// buffers and no per-vertex scheduler. It runs the block layout.
 	EngineSpMV EngineKind = "spmv"
 )
 
-// ParseEngineKind converts a CLI/JSON name to an EngineKind.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case string(EngineVertex):
-		return EngineVertex, nil
-	case string(EngineSpMV):
-		return EngineSpMV, nil
-	}
-	return "", fmt.Errorf("core: unknown engine kind %q (want %q or %q)", s, EngineVertex, EngineSpMV)
-}
+// ErrWrongEngine reports a run asked of an engine the image's layout
+// does not run on (see Shared.Kind).
+var ErrWrongEngine = errors.New("core: the image's layout runs on another engine")
 
 // Program is what an execution engine runs: anything with an Init hook.
 // The two concrete program forms are Algorithm (vertex programs, run by
@@ -99,12 +92,12 @@ type ExecutionEngine interface {
 // and arrive in (row stripe, row) order. A program that is not
 // ColumnLocal gets every call on the one goroutine that runs the sweep
 // (I/O is prefetched concurrently), so it may mutate dense state
-// freely. A ColumnLocal program swept over the block layout with
-// Threads ≥ 2 gets calls for different column stripes concurrently. A
-// row may be delivered multiple times per sweep — once per 2D edge
-// block it spans — so per-edge operations must be commutative across a
-// row's deliveries. Edge attributes are not delivered; weighted SpMV
-// forms are future work.
+// freely. A ColumnLocal program swept with Threads ≥ 2 gets calls for
+// different column stripes concurrently. A row may be delivered
+// multiple times per sweep — once per 2D edge block it spans — so
+// per-edge operations must be commutative across a row's deliveries.
+// Edge attributes are not delivered; weighted SpMV forms are future
+// work.
 type SpMVProgram interface {
 	Program
 	// BeginIteration prepares iteration iter and returns the edge-list
@@ -129,21 +122,36 @@ type ColumnLocal interface {
 	ColumnLocal()
 }
 
+// Kind reports the engine the image's layout runs on: block images
+// sweep on the SpMV engine, raw and delta records serve the vertex
+// engine. It is the one place a layout picks an engine.
+func (s *Shared) Kind() EngineKind {
+	if s.img.Encoding == graph.EncodingBlock {
+		return EngineSpMV
+	}
+	return EngineVertex
+}
+
+// checkKind refuses kind unless it is the image's engine (Kind), with
+// an error wrapping ErrWrongEngine.
+func (s *Shared) checkKind(kind EngineKind) error {
+	if want := s.Kind(); kind != want {
+		return fmt.Errorf("%w: %s images run on the %s engine, not %q", ErrWrongEngine, s.img.Encoding, want, kind)
+	}
+	return nil
+}
+
 // NewEngine stamps out a per-run engine of the given kind over the
-// shared substrate. The message-passing engine needs per-vertex records
-// and rejects block-encoded images; the SpMV engine runs all three
-// layouts (block being the one built for it).
+// shared substrate. kind must be Kind(): any other is refused with
+// ErrWrongEngine.
 func (s *Shared) NewEngine(kind EngineKind) (ExecutionEngine, error) {
-	switch kind {
-	case EngineVertex:
-		if s.img.Encoding == graph.EncodingBlock {
-			return nil, fmt.Errorf("core: the message-passing engine needs per-vertex edge records; %s images serve only the SpMV engine", s.img.Encoding)
-		}
-		return s.NewRun(), nil
-	case EngineSpMV:
+	if err := s.checkKind(kind); err != nil {
+		return nil, err
+	}
+	if kind == EngineSpMV {
 		return s.newSpMVRun(), nil
 	}
-	return nil, fmt.Errorf("core: unknown engine kind %q", kind)
+	return s.NewRun(), nil
 }
 
 // runBase is what every per-run engine holds of the Shared substrate it
@@ -204,8 +212,8 @@ func (b *runBase) Iteration() int { return b.iteration }
 // Threads returns the configured worker count: the vertex engine's
 // horizontal partitions, and on the SpMV engine the bound on goroutines
 // applying one block stripe — min(Threads, grid side) for a ColumnLocal
-// program over the block layout, one otherwise. Programs that allocate
-// per-thread scratch size it from here on both engines.
+// program, one otherwise. Programs that allocate per-thread scratch
+// size it from here on both engines.
 func (b *runBase) Threads() int { return b.cfg.Threads }
 
 // OutDegree returns v's out-degree from the compact index.

@@ -21,21 +21,19 @@ import (
 // stripes are read with synchronous whole-extent reads while the next
 // stripe prefetches.
 //
-// All three on-SSD layouts serve the sweep. The 2D edge-block layout
-// (EncodingBlock) is the one built for it — one stripe is one
-// sequential read and decoding touches destination state one column
-// stripe at a time — but raw and delta record streams sweep too, chunked
-// by the same stripe geometry.
+// It sweeps the 2D edge-block layout (EncodingBlock) and only it: one
+// stripe is one sequential read, and decoding touches destination state
+// one column stripe at a time. Raw and delta images run on the vertex
+// engine (Shared.Kind).
 //
 // One stripe decodes while the next reads. Each column stripe's state is
 // written by one goroutine at a time, in (row stripe, row) order, so
 // runs are deterministic and programs mutate dense state without
-// atomics: a ColumnLocal program over the block layout has each block
-// stripe's column stripes dealt to min(Threads, grid side) goroutines,
-// and every other sweep runs on the goroutine that called Run. An
-// SpMVEngine is one run context, stamped out per query by
-// Shared.NewEngine(EngineSpMV); concurrent runs over one graph each get
-// their own.
+// atomics: a ColumnLocal program has each row stripe's column stripes
+// dealt to min(Threads, grid side) goroutines, and every other program
+// is applied on the goroutine that called Run. An SpMVEngine is one run
+// context, stamped out per query by Shared.NewEngine(EngineSpMV);
+// concurrent runs over one graph each get their own.
 type SpMVEngine struct {
 	runBase
 
@@ -46,7 +44,6 @@ type SpMVEngine struct {
 	bufBytes  int64         // largest prefetch buffer grown this run
 	wait      time.Duration // Run's goroutine blocked on the prefetcher
 
-	rowScratch   []graph.VertexID
 	colScratch   []graph.VertexID
 	groupScratch [][]graph.VertexID // block decode scratch, one per column group
 }
@@ -76,6 +73,9 @@ func (e *SpMVEngine) PendingActivations() int64 { return 0 }
 // EndIteration commits the iteration (true = done). The program's
 // IterationLimiter caps iterations exactly as on the vertex engine.
 func (e *SpMVEngine) Run(p Program) (RunStats, error) {
+	if err := e.shared.checkKind(EngineSpMV); err != nil {
+		return RunStats{}, err
+	}
 	prog, ok := p.(SpMVProgram)
 	if !ok {
 		return RunStats{}, fmt.Errorf("core: the SpMV engine runs dense sweeps (core.SpMVProgram); %T has no SpMV form", p)
@@ -153,29 +153,14 @@ func (e *SpMVEngine) memoryFootprint() int64 {
 	return m
 }
 
-// extent is one stripe's byte range in a direction's edge data.
-type extent struct{ off, size int64 }
-
-// sweep streams one direction's edges through prog.ApplyRow.
+// sweep streams one direction's edge blocks through prog.ApplyRow: each
+// row stripe is one contiguous extent, decoded block by block — by
+// column group on several goroutines when the program is ColumnLocal
+// and columnGroups splits the grid, in column order on this one
+// otherwise.
 func (e *SpMVEngine) sweep(dir graph.EdgeDir) error {
 	ix := e.index(dir)
-	if e.img.Encoding == graph.EncodingBlock {
-		return e.sweepBlocks(dir, ix)
-	}
-	return e.sweepRecords(dir, ix)
-}
-
-// sweepBlocks sweeps the 2D edge-block layout: each row stripe is one
-// contiguous extent, decoded block by block — by column group on
-// several goroutines when the program is ColumnLocal and columnGroups
-// splits the grid, in column order on this one otherwise.
-func (e *SpMVEngine) sweepBlocks(dir graph.EdgeDir, ix *graph.Index) error {
 	bd := ix.Blocks()
-	exts := make([]extent, bd.Stripes)
-	for r := range exts {
-		off, size := bd.StripeExtent(r)
-		exts[r] = extent{off, size}
-	}
 	attrSize := ix.AttrSize()
 	apply := func(row graph.VertexID, cols []graph.VertexID, _ []byte) { e.prog.ApplyRow(dir, row, cols) }
 	var groups [][]int
@@ -183,7 +168,7 @@ func (e *SpMVEngine) sweepBlocks(dir graph.EdgeDir, ix *graph.Index) error {
 		groups = columnGroups(bd, e.cfg.Threads)
 	}
 	if groups == nil {
-		return e.eachStripe(dir, exts, func(r int, buf []byte) error {
+		return e.eachStripe(dir, bd, func(r int, buf []byte) error {
 			var err error
 			e.colScratch, err = bd.DecodeStripe(buf, r, attrSize, e.colScratch, apply)
 			return err
@@ -192,7 +177,7 @@ func (e *SpMVEngine) sweepBlocks(dir graph.EdgeDir, ix *graph.Index) error {
 	for len(e.groupScratch) < len(groups) {
 		e.groupScratch = append(e.groupScratch, nil)
 	}
-	return e.eachStripe(dir, exts, func(r int, buf []byte) error {
+	return e.eachStripe(dir, bd, func(r int, buf []byte) error {
 		return e.applyGroups(bd, groups, r, buf, attrSize, apply)
 	})
 }
@@ -292,73 +277,21 @@ func columnGroups(bd *graph.BlockDir, threads int) [][]int {
 	return groups
 }
 
-// sweepRecords sweeps the raw and delta record layouts: the vertex range
-// is chunked by the same stripe geometry the block layout uses, each
-// chunk's records located via the compact index and decoded in ID order
-// with PageVertex. Every row is delivered exactly once with its full
-// neighbor list.
-func (e *SpMVEngine) sweepRecords(dir graph.EdgeDir, ix *graph.Index) error {
-	n := e.img.NumV
-	if n == 0 {
-		return nil
-	}
-	shift, stripes := graph.StripeGridFor(n)
-	exts := make([]extent, stripes)
-	for r := range exts {
-		lo := r << shift
-		hi := lo + 1<<shift
-		if hi > n {
-			hi = n
-		}
-		off, _ := ix.Locate(graph.VertexID(lo))
-		end := ix.FileSize()
-		if hi < n {
-			end, _ = ix.Locate(graph.VertexID(hi))
-		}
-		exts[r] = extent{off, end - off}
-	}
-	enc := e.img.Encoding
-	attrSize := ix.AttrSize()
-	return e.eachStripe(dir, exts, func(r int, buf []byte) error {
-		lo := r << shift
-		hi := lo + 1<<shift
-		if hi > n {
-			hi = n
-		}
-		pos := int64(0)
-		for v := lo; v < hi; v++ {
-			rec := ix.RecordBytes(graph.VertexID(v))
-			if pos+rec > int64(len(buf)) {
-				return fmt.Errorf("stripe %d (dir %d) truncated at vertex %d", r, dir, v)
-			}
-			if ix.Degree(graph.VertexID(v)) > 0 {
-				pv := graph.NewPageVertexBytes(graph.VertexID(v), dir, buf[pos:pos+rec], attrSize, enc)
-				e.rowScratch = pv.Edges(e.rowScratch[:0], nil)
-				e.prog.ApplyRow(dir, graph.VertexID(v), e.rowScratch)
-			}
-			pos += rec
-		}
-		if pos != int64(len(buf)) {
-			return fmt.Errorf("stripe %d (dir %d): %d trailing bytes", r, dir, int64(len(buf))-pos)
-		}
-		return nil
-	})
-}
-
-// eachStripe runs process over every stripe in order. In-memory images
-// are processed over direct slices of the edge data; in SEM mode each
-// stripe is one synchronous whole-extent SAFS read (bypassing the page
+// eachStripe runs process over every row stripe of bd in order.
+// In-memory images are processed over direct slices of the edge data; in
+// SEM mode each stripe is one synchronous whole-extent SAFS read (bypassing the page
 // cache — the sweep never re-reads a byte, so caching would only evict
 // sibling runs' pages), double-buffered so stripe r+1 reads from the
 // SSD array while stripe r decodes.
-func (e *SpMVEngine) eachStripe(dir graph.EdgeDir, exts []extent, process func(r int, buf []byte) error) error {
+func (e *SpMVEngine) eachStripe(dir graph.EdgeDir, bd *graph.BlockDir, process func(r int, buf []byte) error) error {
 	if e.cfg.InMemory {
 		data := e.data(dir)
-		for r, x := range exts {
+		for r := range bd.Stripes {
 			if err := stopErr(e.ctx, e.iteration); err != nil {
 				return err
 			}
-			if err := process(r, data[x.off:x.off+x.size]); err != nil {
+			off, size := bd.StripeExtent(r)
+			if err := process(r, data[off:off+size]); err != nil {
 				return err
 			}
 		}
@@ -379,20 +312,21 @@ func (e *SpMVEngine) eachStripe(dir graph.EdgeDir, exts []extent, process func(r
 	defer close(done)
 	go func() {
 		defer close(out)
-		for r, x := range exts {
+		for r := range bd.Stripes {
+			off, size := bd.StripeExtent(r)
 			var buf []byte
 			select {
 			case buf = <-free:
 			case <-done:
 				return
 			}
-			if int64(cap(buf)) < x.size {
-				buf = make([]byte, x.size)
+			if int64(cap(buf)) < size {
+				buf = make([]byte, size)
 			}
-			buf = buf[:x.size]
+			buf = buf[:size]
 			var err error
-			if x.size > 0 {
-				err = f.ReadAt(buf, x.off)
+			if size > 0 {
+				err = f.ReadAt(buf, off)
 			}
 			select {
 			case out <- filled{r, buf, err}:

@@ -51,10 +51,10 @@ func (p *rowRecorder) ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []gra
 }
 func (p *rowRecorder) EndIteration(ExecutionEngine, int) bool { return true }
 
-// referenceRuns walks img's edge data with the graph package's decoders
-// called directly, in the order the SpMV engine promises: per
-// direction, blocks in (row stripe, column stripe, row) order, or
-// records in vertex order with empty rows skipped.
+// referenceRuns walks a block image's edge data with the graph
+// package's decoder called directly, in the order the SpMV engine
+// promises: per direction, blocks in (row stripe, column stripe, row)
+// order.
 func referenceRuns(t *testing.T, img *graph.Image) rowLog {
 	t.Helper()
 	var log rowLog
@@ -71,47 +71,98 @@ func walkReference(t *testing.T, img *graph.Image, fn func(dir graph.EdgeDir, ro
 		data []byte
 		ix   *graph.Index
 	}{{graph.OutEdges, img.OutData, img.OutIndex}, {graph.InEdges, img.InData, img.InIndex}} {
-		if img.Encoding == graph.EncodingBlock {
-			bd := d.ix.Blocks()
-			for r := 0; r < bd.Stripes; r++ {
-				off, size := bd.StripeExtent(r)
-				var err error
-				scratch, err = bd.DecodeStripe(d.data[off:off+size], r, img.AttrSize, scratch, func(row graph.VertexID, cols []graph.VertexID, _ []byte) {
-					fn(d.dir, row, cols)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			continue
-		}
-		for v := 0; v < img.NumV; v++ {
-			off, size := d.ix.Locate(graph.VertexID(v))
-			pv := graph.NewPageVertexBytes(graph.VertexID(v), d.dir, d.data[off:off+size], img.AttrSize, img.Encoding)
-			if scratch = pv.Edges(scratch, nil); len(scratch) > 0 {
-				fn(d.dir, graph.VertexID(v), scratch)
+		bd := d.ix.Blocks()
+		for r := 0; r < bd.Stripes; r++ {
+			off, size := bd.StripeExtent(r)
+			var err error
+			scratch, err = bd.DecodeStripe(d.data[off:off+size], r, img.AttrSize, scratch, func(row graph.VertexID, cols []graph.VertexID, _ []byte) {
+				fn(d.dir, row, cols)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
+// refusesSweep holds that shared, a record-layout substrate, refuses the
+// SpMV engine with ErrWrongEngine at NewEngine and at a stamped engine's
+// Run guard, before the program sees a row.
+func refusesSweep(t *testing.T, shared *Shared) {
+	t.Helper()
+	if _, err := shared.NewEngine(EngineSpMV); !errors.Is(err, ErrWrongEngine) {
+		t.Fatalf("NewEngine(spmv) on a %s image: %v, want ErrWrongEngine", shared.Image().Encoding, err)
+	}
+	rec := &rowRecorder{}
+	if _, err := shared.newSpMVRun().Run(rec); !errors.Is(err, ErrWrongEngine) || rec.calls != 0 {
+		t.Fatalf("SpMV Run on a %s image: %v after %d rows, want ErrWrongEngine before any", shared.Image().Encoding, err, rec.calls)
+	}
+}
+
+// TestLayoutPicksEngine: Shared.Kind sends block images to the SpMV
+// engine and raw and delta images to the vertex engine. NewEngine
+// stamps out that kind only, and each engine's Run guard refuses a run
+// over the other's layout (Shared.NewRun is public), all with
+// ErrWrongEngine and before the program's Init.
+func TestLayoutPicksEngine(t *testing.T) {
+	for _, tc := range []struct {
+		enc         graph.Encoding
+		kind, other EngineKind
+	}{
+		{graph.EncodingRaw, EngineVertex, EngineSpMV},
+		{graph.EncodingDelta, EngineVertex, EngineSpMV},
+		{graph.EncodingBlock, EngineSpMV, EngineVertex},
+	} {
+		t.Run(tc.enc.String(), func(t *testing.T) {
+			img, _ := buildEncodedImage(t, 9, 4, 7, 0, tc.enc)
+			shared, err := NewShared(img, Config{Threads: 2, InMemory: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shared.Kind(); got != tc.kind {
+				t.Fatalf("Kind() = %s, want %s", got, tc.kind)
+			}
+			if eng, err := shared.NewEngine(tc.kind); err != nil || eng.Kind() != tc.kind {
+				t.Fatalf("NewEngine(%s): %v", tc.kind, err)
+			}
+			for _, k := range []EngineKind{tc.other, "turbo"} {
+				if _, err := shared.NewEngine(k); !errors.Is(err, ErrWrongEngine) {
+					t.Fatalf("NewEngine(%s): %v, want ErrWrongEngine", k, err)
+				}
+			}
+			if tc.kind == EngineVertex {
+				refusesSweep(t, shared)
+				return
+			}
+			bfs := &testBFS{src: 0}
+			if _, err := shared.NewRun().Run(bfs); !errors.Is(err, ErrWrongEngine) || bfs.level != nil {
+				t.Fatalf("vertex Run on a block image: %v (initialised %t), want ErrWrongEngine before Init", err, bfs.level != nil)
+			}
+		})
+	}
+}
+
 // TestSpMVDeliversReferenceRuns is the row-side analogue of the message
-// model test: whatever the decoders under the SpMV engine become, the
+// model test: whatever the decoder under the SpMV engine becomes, the
 // sequence of ApplyRow calls a program sees — which rows, in which
-// order, with which columns — is the one a direct walk of the image
-// yields, in every layout, from memory and through SAFS. The graph
-// spans a 2×2 block grid, so rows are delivered once per block they
-// touch.
+// order, with which columns — is the one a direct walk of the block
+// image yields, from memory and through SAFS. The graph spans a 2×2
+// block grid, so rows are delivered once per block they touch. The raw
+// and delta copies of the graph are not swept at all: they run on the
+// vertex engine, and the SpMV engine refuses them.
 func TestSpMVDeliversReferenceRuns(t *testing.T) {
 	for _, enc := range []graph.Encoding{graph.EncodingRaw, graph.EncodingDelta, graph.EncodingBlock} {
 		img, a := buildEncodedImage(t, 17, 2, 5, 0, enc)
-		want := referenceRuns(t, img)
-		var degreeSum int64
-		for v := range a.Out {
-			degreeSum += int64(len(a.Out[v]) + len(a.In[v]))
-		}
-		if want.edges != degreeSum || want.calls == 0 {
-			t.Fatalf("%s: reference walk saw %d edges in %d runs, graph has %d", enc, want.edges, want.calls, degreeSum)
+		var want rowLog
+		if enc == graph.EncodingBlock {
+			want = referenceRuns(t, img)
+			var degreeSum int64
+			for v := range a.Out {
+				degreeSum += int64(len(a.Out[v]) + len(a.In[v]))
+			}
+			if want.edges != degreeSum || want.calls == 0 {
+				t.Fatalf("reference walk saw %d edges in %d runs, graph has %d", want.edges, want.calls, degreeSum)
+			}
 		}
 		for _, mode := range []struct {
 			name string
@@ -124,6 +175,10 @@ func TestSpMVDeliversReferenceRuns(t *testing.T) {
 				shared, err := NewShared(img, mode.cfg())
 				if err != nil {
 					t.Fatal(err)
+				}
+				if enc != graph.EncodingBlock {
+					refusesSweep(t, shared)
+					return
 				}
 				eng, err := shared.NewEngine(EngineSpMV)
 				if err != nil {
@@ -172,9 +227,7 @@ func splitByStripe(shift uint32, cols []graph.VertexID, fn func(c int, part []gr
 // colRecorder is rowRecorder declared ColumnLocal. Runs of different
 // column stripes may arrive on different goroutines at once, so it keeps
 // one digest per column stripe, touched only by the goroutine applying
-// that stripe. Each run is cut at stripe boundaries (a block run lies in
-// one stripe, a record run spans several), so the digests are the same
-// for every layout.
+// that stripe.
 type colRecorder struct {
 	rowRecorder
 	shift uint32
@@ -182,9 +235,8 @@ type colRecorder struct {
 }
 
 func (p *colRecorder) Init(eng ExecutionEngine) {
-	var stripes int
-	p.shift, stripes = graph.StripeGridFor(eng.NumVertices())
-	p.logs = make([]rowLog, stripes)
+	bd := eng.Image().OutIndex.Blocks()
+	p.shift, p.logs = bd.Shift, make([]rowLog, bd.Stripes)
 }
 func (p *colRecorder) ApplyRow(dir graph.EdgeDir, row graph.VertexID, cols []graph.VertexID) {
 	splitByStripe(p.shift, cols, func(c int, part []graph.VertexID) { p.logs[c].add(dir, row, part) })
@@ -193,28 +245,34 @@ func (p *colRecorder) ColumnLocal() {}
 
 // TestSpMVDeliversColumnRunsInOrder is the delivery contract of the
 // column-parallel sweep: per column stripe, a ColumnLocal program sees
-// the reference walk's runs in (row stripe, row) order — in every
-// layout (only block splits by column; the others sweep serially), from
-// memory and through SAFS, at one thread, at two and three (fewer
-// goroutines than the 4 × 4 grid has column stripes) and at eight (more).
+// the reference walk's runs in (row stripe, row) order — from memory
+// and through SAFS, at one thread, at two and three (fewer goroutines
+// than the 4 × 4 grid has column stripes) and at eight (more). The raw
+// and delta copies are refused at every thread count: no ColumnLocal
+// sweep runs over records.
 func TestSpMVDeliversColumnRunsInOrder(t *testing.T) {
 	var want []rowLog
 	for _, enc := range []graph.Encoding{graph.EncodingBlock, graph.EncodingRaw, graph.EncodingDelta} {
 		img, _ := buildEncodedImage(t, 18, 1, 5, 0, enc)
-		if want == nil {
-			shift, stripes := graph.StripeGridFor(img.NumV)
-			if stripes != 4 {
-				t.Fatalf("grid is %d × %d, want 4 × 4", stripes, stripes)
+		if enc == graph.EncodingBlock {
+			bd := img.OutIndex.Blocks()
+			if bd.Stripes != 4 {
+				t.Fatalf("grid is %d × %d, want 4 × 4", bd.Stripes, bd.Stripes)
 			}
-			want = make([]rowLog, stripes)
+			want = make([]rowLog, bd.Stripes)
 			walkReference(t, img, func(dir graph.EdgeDir, row graph.VertexID, cols []graph.VertexID) {
-				splitByStripe(shift, cols, func(c int, part []graph.VertexID) { want[c].add(dir, row, part) })
+				splitByStripe(bd.Shift, cols, func(c int, part []graph.VertexID) { want[c].add(dir, row, part) })
 			})
 		}
 		for _, mem := range []bool{true, false} {
 			for _, threads := range []int{1, 2, 3, 8} {
 				t.Run(fmt.Sprintf("%s/mem=%v/T%d", enc, mem, threads), func(t *testing.T) {
-					eng, err := spmvShared(t, img, mem, threads).NewEngine(EngineSpMV)
+					shared := spmvShared(t, img, mem, threads)
+					if enc != graph.EncodingBlock {
+						refusesSweep(t, shared)
+						return
+					}
+					eng, err := shared.NewEngine(EngineSpMV)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -250,10 +308,10 @@ type columnPanicker struct {
 }
 
 func (p *columnPanicker) Init(eng ExecutionEngine) {
-	var stripes int
-	p.shift, stripes = graph.StripeGridFor(eng.NumVertices())
+	bd := eng.Image().OutIndex.Blocks()
+	p.shift = bd.Shift
 	p.panicking = make(chan struct{})
-	p.entered = make([]atomic.Bool, stripes)
+	p.entered = make([]atomic.Bool, bd.Stripes)
 }
 func (p *columnPanicker) BeginIteration(_ ExecutionEngine, iter int) []graph.EdgeDir {
 	if iter > 0 {
@@ -285,7 +343,7 @@ func (p *columnPanicker) ColumnLocal()                           {}
 // goroutine of its own and no first run waits behind the panicking one.
 func TestSpMVColumnPanicJoinsHelpers(t *testing.T) {
 	img, _ := buildEncodedImage(t, 18, 1, 5, 0, graph.EncodingBlock)
-	_, stripes := graph.StripeGridFor(img.NumV)
+	stripes := img.OutIndex.Blocks().Stripes
 	for _, mem := range []bool{true, false} {
 		shared := spmvShared(t, img, mem, stripes)
 		for c := 0; c < stripes; c++ {

@@ -92,14 +92,6 @@ func blockStripesFor(n int) int {
 	return (n + (1 << shift) - 1) >> shift
 }
 
-// StripeGridFor returns the stripe geometry (log2 stripe size, grid
-// side) the block layout uses for an n-vertex image. The SpMV engine
-// reuses the same geometry to chunk its sequential sweeps over the
-// record layouts, so all three encodings sweep in identical stripes.
-func StripeGridFor(n int) (shift uint32, stripes int) {
-	return blockShiftFor(n), blockStripesFor(n)
-}
-
 // encodeBlockStream is encodeStream's third layout: it consumes one
 // direction's sorted neighbor stream and writes the 2D edge blocks,
 // buffering one row stripe of edges (bucketed by column stripe) at a

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"flashgraph/internal/core"
@@ -108,6 +112,87 @@ func TestEveryAlgorithmBitIdenticalAcrossEncodings(t *testing.T) {
 		}
 		if raw := rawSrv.Graphs()[i]; raw.Encoding != "raw" {
 			t.Errorf("raw server graph %q reports encoding %q", raw.Name, raw.Encoding)
+		}
+	}
+}
+
+// TestLayoutRoutesEngine: the graph's layout picks the engine — a
+// default pagerank runs on the vertex engine over raw and on the SpMV
+// engine over block, with one checksum — and Request.Engine only checks
+// that pick. Naming the other engine, or asking a block graph for an
+// algorithm without an SpMV form, fails at Submit with
+// ErrIncompatibleGraph and over HTTP with 400.
+func TestLayoutRoutesEngine(t *testing.T) {
+	a := graph.FromEdges(1<<7, gen.RMAT(7, 5, 11), true)
+	a.Dedup()
+	build := func(enc graph.Encoding) *core.Shared {
+		img, err := (&graph.ImageWriter{
+			NumV: a.N, Directed: true, Encoding: enc,
+			Out: graph.SliceSource(a.Out), In: graph.SliceSource(a.In),
+		}).BuildImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := core.NewShared(img, core.Config{Threads: 2, InMemory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	srv := New(build(graph.EncodingRaw), Config{DefaultGraph: "raw"})
+	t.Cleanup(srv.Close)
+	if err := srv.AddGraph("blk", build(graph.EncodingBlock)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(Handler(srv))
+	t.Cleanup(ts.Close)
+
+	var prChecksum any
+	for _, tc := range []struct {
+		graph, algo, engine string
+		want                string // the engine that runs it; "" = refused
+	}{
+		{"raw", "pagerank", "", "vertex"},
+		{"raw", "pagerank", "vertex", "vertex"},
+		{"raw", "bfs", "", "vertex"},
+		{"blk", "pagerank", "", "spmv"},
+		{"blk", "pagerank", "spmv", "spmv"},
+		{"raw", "pagerank", "spmv", ""},
+		{"raw", "bfs", "spmv", ""},
+		{"blk", "bfs", "", ""},
+		{"blk", "pagerank", "vertex", ""},
+	} {
+		req := Request{Version: RequestVersion, Graph: tc.graph, Algo: tc.algo, Engine: tc.engine}
+		id, err := srv.Submit(req)
+		if tc.want == "" {
+			if !errors.Is(err, ErrIncompatibleGraph) {
+				t.Errorf("%+v: Submit err %v, want ErrIncompatibleGraph", req, err)
+			}
+			body, _ := json.Marshal(req)
+			resp, err := http.Post(ts.URL+"/queries", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%+v: POST /queries answered %d, want 400", req, resp.StatusCode)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		q, err := srv.Wait(id)
+		if err != nil || q.State != StateDone || q.Stats.Engine != tc.want {
+			t.Fatalf("%+v: state %s on engine %q (%v %s), want done on %q", req, q.State, q.Stats.Engine, err, q.Error, tc.want)
+		}
+		if tc.algo != "pagerank" {
+			continue
+		}
+		if prChecksum == nil {
+			prChecksum = q.Result["checksum"]
+		} else if q.Result["checksum"] != prChecksum {
+			t.Errorf("%+v: checksum %v, want %v", req, q.Result["checksum"], prChecksum)
 		}
 	}
 }

@@ -199,7 +199,7 @@ func TestCancelQueuedReleasesSlot(t *testing.T) {
 // faultShared builds a Shared over FaultStore-wrapped devices, armed
 // with the given config from the start of serving (the stores are
 // disarmed during the image load so the data lands intact).
-func faultShared(t *testing.T, fc ssd.FaultConfig) (*core.Shared, []*ssd.FaultStore) {
+func faultShared(t *testing.T, fc ssd.FaultConfig, cacheBytes int64) (*core.Shared, []*ssd.FaultStore) {
 	t.Helper()
 	edges := gen.RMAT(9, 6, 77)
 	a := graph.FromEdges(1<<9, edges, true)
@@ -221,7 +221,7 @@ func faultShared(t *testing.T, fc ssd.FaultConfig) (*core.Shared, []*ssd.FaultSt
 		Device: ssd.DeviceParams{RetryBase: time.Microsecond, RetryMax: 8},
 	}, stores)
 	t.Cleanup(arr.Close)
-	fs := safs.New(arr, safs.Config{CacheBytes: 64 << 10})
+	fs := safs.New(arr, safs.Config{CacheBytes: cacheBytes})
 	shared, err := core.NewShared(img, core.Config{Threads: 2, FS: fs, RangeShift: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func faultShared(t *testing.T, fc ssd.FaultConfig) (*core.Shared, []*ssd.FaultSt
 // TestHealthzReadyz: /healthz answers 200 always, reporting "degraded"
 // once a device trips its breaker; /readyz flips to 503 on Drain.
 func TestHealthzReadyz(t *testing.T) {
-	shared, _ := faultShared(t, ssd.FaultConfig{EIORate: 1})
+	shared, _ := faultShared(t, ssd.FaultConfig{EIORate: 1}, 64<<10)
 	srv := New(shared, Config{MaxConcurrent: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(Handler(srv))
@@ -295,7 +295,7 @@ func TestHealthzReadyz(t *testing.T) {
 // a non-default graph must not hide behind a healthy default.
 func TestHealthzSeesEveryGraphsArray(t *testing.T) {
 	healthy := buildShared(t, 2)
-	faulty, _ := faultShared(t, ssd.FaultConfig{EIORate: 1})
+	faulty, _ := faultShared(t, ssd.FaultConfig{EIORate: 1}, 64<<10)
 	srv := New(healthy, Config{})
 	defer srv.Close()
 	if err := srv.AddGraph("faulty", faulty); err != nil {
@@ -342,13 +342,15 @@ func TestHealthzSeesEveryGraphsArray(t *testing.T) {
 // TestDrainUnderFault is the shutdown-under-chaos regression: a server
 // whose devices inject transient faults drains cleanly — every
 // submitted query's Wait returns (absorbed faults succeed; nothing
-// hangs), Close returns, and reads still answer afterwards.
+// hangs), Close returns, and reads still answer afterwards. The page
+// cache holds two of the image's six pages, so every query's reads
+// keep reaching the faulty devices.
 func TestDrainUnderFault(t *testing.T) {
 	shared, faults := faultShared(t, ssd.FaultConfig{
 		EIORate: 0.05, ShortReadRate: 0.02,
 		LatencyRate: 0.05, LatencySpike: 50 * time.Microsecond,
 		MaxFaults: 200,
-	})
+	}, 8<<10)
 	srv := New(shared, Config{MaxConcurrent: 2, ResultBytes: -1})
 
 	var ids []int64

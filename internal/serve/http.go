@@ -63,9 +63,6 @@ func Handler(s *Server) http.Handler {
 			httpError(w, status, fmt.Sprintf("bad request body: %v", err))
 			return
 		}
-		if eng := r.URL.Query().Get("engine"); eng != "" {
-			req.Engine = eng // ?engine= overrides the body and the Caps default
-		}
 		if cl := r.URL.Query().Get("class"); cl != "" {
 			req.Class = cl // ?class= overrides the body and the inferred class
 		}

@@ -67,10 +67,8 @@ type Caps struct {
 	// (missing src defaults to vertex 0).
 	NeedsSrc bool `json:"needs_src,omitempty"`
 	// SupportsSpMV declares that the spec's constructor returns a
-	// program that also implements core.SpMVProgram: the server then
-	// runs it on the streaming SpMV engine by default (the ?engine=
-	// override picks explicitly), and block-encoded graphs become
-	// servable for it.
+	// program that also implements core.SpMVProgram, which makes it
+	// servable on block graphs: they run on the streaming SpMV engine.
 	SupportsSpMV bool `json:"supports_spmv,omitempty"`
 }
 

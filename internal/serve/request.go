@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"flashgraph/internal/core"
-	"flashgraph/internal/graph"
 	"flashgraph/internal/qos"
 )
 
@@ -34,15 +33,10 @@ type Request struct {
 	// the algorithm's constructor decodes them strictly (unknown or
 	// mistyped fields are rejected with the accepted-params list).
 	Params json.RawMessage `json:"params,omitempty"`
-	// Engine overrides the execution engine: "vertex" (message passing)
-	// or "spmv" (streaming dense sweeps). Empty routes by capability:
-	// algorithms declaring Caps.SupportsSpMV run on the SpMV engine,
-	// everything else on the vertex engine. Requesting "spmv" for an
-	// algorithm without an SpMV form fails with ErrBadParam; the vertex
-	// engine on a block-encoded graph (explicitly requested or routed by
-	// default) fails with ErrIncompatibleGraph — the message-passing
-	// engine needs per-vertex edge records. The HTTP layer also accepts
-	// this as a ?engine= query parameter on POST /queries.
+	// Engine checks the execution engine, which the graph's layout picks
+	// (core.Shared.Kind): "spmv" on block graphs, "vertex" on raw and
+	// delta. Empty accepts the graph's engine; naming the other fails
+	// with ErrIncompatibleGraph.
 	Engine string `json:"engine,omitempty"`
 	// Tenant attributes the query to a tenant for quota accounting and
 	// stats. The HTTP layer fills it from the X-Tenant header when the
@@ -86,12 +80,12 @@ func (r Request) Validate() error {
 }
 
 // prepare validates req end to end — schema, graph, algorithm,
-// capabilities and parameters against the target image — builds the
-// program instance through the registry, resolves which execution
-// engine will run it, and classifies it into a priority class.
-func (s *Server) prepare(req Request) (core.Program, core.EngineKind, *core.Shared, qos.Class, error) {
+// capabilities and parameters against the target image, and that the
+// graph's engine runs the algorithm — builds the program instance
+// through the registry, and classifies it into a priority class.
+func (s *Server) prepare(req Request) (core.Program, *core.Shared, qos.Class, error) {
 	if err := req.Validate(); err != nil {
-		return nil, "", nil, "", err
+		return nil, nil, "", err
 	}
 	name := req.Graph
 	if name == "" {
@@ -99,19 +93,17 @@ func (s *Server) prepare(req Request) (core.Program, core.EngineKind, *core.Shar
 	}
 	shared, err := s.Shared(name)
 	if err != nil {
-		return nil, "", nil, "", err
+		return nil, nil, "", err
 	}
 	prog, err := s.reg.build(req, metaOf(name, shared.Image()))
 	if err != nil {
-		return nil, "", nil, "", err
+		return nil, nil, "", err
 	}
 	spec, _ := s.reg.Spec(req.Algo) // build above proved it exists
-	kind, err := resolveEngine(req, spec, shared)
-	if err != nil {
-		return nil, "", nil, "", err
+	if err := checkEngine(req, spec, shared); err != nil {
+		return nil, nil, "", err
 	}
-	class := classify(req, spec)
-	return prog, kind, shared, class, nil
+	return prog, shared, classify(req, spec), nil
 }
 
 // classify resolves a request's priority class: the explicit override
@@ -169,31 +161,21 @@ func canonicalParams(raw json.RawMessage) string {
 	return string(b)
 }
 
-// resolveEngine picks the execution engine for one query: the explicit
-// Request.Engine when set, otherwise SpMV for algorithms declaring
-// Caps.SupportsSpMV and the vertex engine for the rest. Impossible
-// pairings fail here, at submit time: spmv for an algorithm without an
-// SpMV form is ErrBadParam, and the vertex engine over a block-encoded
-// image (which has no per-vertex edge records) is ErrIncompatibleGraph.
-func resolveEngine(req Request, spec AlgorithmSpec, shared *core.Shared) (core.EngineKind, error) {
-	kind := core.EngineVertex
-	if spec.Caps.SupportsSpMV {
-		kind = core.EngineSpMV
+// checkEngine holds a query to the graph's engine, which the graph's
+// layout picks (core.Shared.Kind): SpMV on block images, vertex on raw
+// and delta. A query that engine cannot run fails here, at submit time,
+// with ErrIncompatibleGraph: Request.Engine naming the other engine, or
+// an algorithm without an SpMV form (Caps.SupportsSpMV unset) on a
+// block graph.
+func checkEngine(req Request, spec AlgorithmSpec, shared *core.Shared) error {
+	kind, enc := shared.Kind(), shared.Image().Encoding
+	if req.Engine != "" && req.Engine != string(kind) {
+		return fmt.Errorf("%w: %s graphs run on the %s engine, not %q", ErrIncompatibleGraph, enc, kind, req.Engine)
 	}
-	if req.Engine != "" {
-		k, err := core.ParseEngineKind(req.Engine)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", ErrBadParam, err)
-		}
-		if k == core.EngineSpMV && !spec.Caps.SupportsSpMV {
-			return "", fmt.Errorf("%w: algorithm %q has no SpMV form (Caps.SupportsSpMV is unset)", ErrBadParam, req.Algo)
-		}
-		kind = k
+	if kind == core.EngineSpMV && !spec.Caps.SupportsSpMV {
+		return fmt.Errorf("%w: %s graphs run on the SpMV engine, and algorithm %q has no SpMV form (Caps.SupportsSpMV is unset)", ErrIncompatibleGraph, enc, req.Algo)
 	}
-	if kind == core.EngineVertex && shared.Image().Encoding == graph.EncodingBlock {
-		return "", fmt.Errorf("%w: the vertex engine needs per-vertex edge records; block-encoded graphs serve only engine=spmv", ErrIncompatibleGraph)
-	}
-	return kind, nil
+	return nil
 }
 
 // Validate reports whether req could be submitted — the schema is
@@ -201,6 +183,6 @@ func resolveEngine(req Request, spec AlgorithmSpec, shared *core.Shared) (core.E
 // compatible with that graph — without admitting anything. Drivers use
 // it to reject a bad workload before generating load.
 func (s *Server) Validate(req Request) error {
-	_, _, _, _, err := s.prepare(req)
+	_, _, _, err := s.prepare(req)
 	return err
 }

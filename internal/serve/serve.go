@@ -150,12 +150,10 @@ func (c *Config) setDefaults() {
 // query is the mutable server-side record: the snapshot readers get
 // (its QueueWaitMS and ResultRetained are filled in by snapshotLocked)
 // plus what never leaves the server. Server.mu guards every field that
-// changes after Submit; Req, Class, engine, shared, key and done never
-// do.
+// changes after Submit; Req, Class, shared, key and done never do.
 type query struct {
 	Query
 	prog   core.Program
-	engine core.EngineKind
 	shared *core.Shared
 
 	key       qos.Key  // cache/single-flight identity
@@ -318,7 +316,7 @@ func (s *Server) Register(spec AlgorithmSpec) error {
 // (Query.Cache = "coalesced") — N identical concurrent submissions run
 // once.
 func (s *Server) Submit(req Request) (int64, error) {
-	prog, kind, shared, class, err := s.prepare(req)
+	prog, shared, class, err := s.prepare(req)
 	if err != nil {
 		return 0, err
 	}
@@ -338,7 +336,6 @@ func (s *Server) Submit(req Request) (int64, error) {
 	q := &query{
 		Query:  Query{Req: req, Class: class, State: StateQueued, Submitted: time.Now()},
 		prog:   prog,
-		engine: kind,
 		shared: shared,
 		done:   make(chan struct{}),
 		// Fingerprint hashes the index (and, without a checksum trailer,
@@ -347,7 +344,7 @@ func (s *Server) Submit(req Request) (int64, error) {
 			Graph:  shared.Image().Fingerprint(),
 			Algo:   req.Algo,
 			Params: canonicalParams(req.Params),
-			Engine: string(kind),
+			Engine: string(shared.Kind()),
 		},
 	}
 
@@ -526,13 +523,13 @@ func (s *Server) evictHistoryLocked() {
 	}
 }
 
-// execute runs one query on the engine prepare resolved for it,
-// converting engine panics (e.g. a fatal device read error, or an
-// algorithm rejecting the graph) into a failed query instead of killing
-// the scheduler slot. ctx carries cancellation from Cancel; the
-// request's TimeoutMs deadline is layered on here, so queue wait never
-// counts against it. The engine checks the context at iteration/stripe
-// boundaries, so a stop lands at a quiescent point.
+// execute runs one query on its graph's engine, converting engine
+// panics (e.g. a fatal device read error, or an algorithm rejecting the
+// graph) into a failed query instead of killing the scheduler slot. ctx
+// carries cancellation from Cancel; the request's TimeoutMs deadline is
+// layered on here, so queue wait never counts against it. The engine
+// checks the context at iteration/stripe boundaries, so a stop lands at
+// a quiescent point.
 func (s *Server) execute(q *query, ctx context.Context) (st core.RunStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -544,7 +541,7 @@ func (s *Server) execute(q *query, ctx context.Context) (st core.RunStats, err e
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.Req.TimeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-	eng, err := q.shared.NewEngine(q.engine)
+	eng, err := q.shared.NewEngine(q.shared.Kind())
 	if err != nil {
 		return core.RunStats{}, err
 	}

@@ -131,7 +131,8 @@ type (
 	Program = core.Program
 )
 
-// Execution-engine kinds (Request.Engine / ?engine= values).
+// Execution-engine kinds: RunStats.Engine values, and the values
+// Request.Engine may check (a graph's layout picks its engine).
 const (
 	// EngineVertex is the message-passing vertex-program engine.
 	EngineVertex = core.EngineVertex
