@@ -179,7 +179,7 @@ func (onlySpMV) EndIteration(core.ExecutionEngine, int) bool              { retu
 
 // tracedShapePR exposes PageRank as core.Algorithm plus
 // core.IterationLimiter only — the shape of a tracing wrapper — which
-// hides core.MessageBatchReceiver, so the engine delivers per message.
+// hides core.SumReceiver, so the engine delivers per message.
 type tracedShapePR struct {
 	core.Algorithm
 	core.IterationLimiter
@@ -192,7 +192,7 @@ func (p tracedShapePR) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Me
 }
 
 // hookedPR embeds PageRank and declares its own OnIterationEnd, the way
-// a harness timestamps iterations; RunOnMessages is promoted unchanged.
+// a harness timestamps iterations; RunOnSums is promoted unchanged.
 type hookedPR struct {
 	*PageRank
 	ticks *atomic.Int64
@@ -200,19 +200,20 @@ type hookedPR struct {
 
 func (h hookedPR) OnIterationEnd(*core.Engine) { h.ticks.Add(1) }
 
-// The embedding shape must keep the batch hook, or every timed pass that
+// The embedding shape must keep the sum hook, or every timed pass that
 // wraps PageRank this way silently falls back to per-message delivery.
-var _ core.MessageBatchReceiver = hookedPR{}
+var _ core.SumReceiver = hookedPR{}
 
 // TestPageRankBatchDeliveryEquivalence: bare PageRank and the embedding
-// shape take delivery a header at a time, the wrapper shape per message;
-// all three give one checksum, message count and iteration count on
-// every encoding × mode × thread count.
+// shape take their shares summed per target, one RunOnSums per owned
+// range, the wrapper shape per message; all three give one checksum,
+// message count and iteration count on every encoding × mode × thread
+// count.
 func TestPageRankBatchDeliveryEquivalence(t *testing.T) {
 	a := graph.FromEdges(1<<11, gen.RMAT(11, 8, 5), true)
 	a.Dedup()
-	if _, ok := any(tracedShapePR{}).(core.MessageBatchReceiver); ok {
-		t.Fatal("the wrapper shape exposes the batch hook: the per-message path goes untested")
+	if _, ok := any(tracedShapePR{}).(core.SumReceiver); ok {
+		t.Fatal("the wrapper shape exposes the sum hook: the per-message path goes untested")
 	}
 	type outcome struct {
 		sum             string

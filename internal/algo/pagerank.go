@@ -9,8 +9,9 @@ import (
 // prScale is the fixed-point scale for rank deltas: Q16.48. Both
 // executable forms accumulate deltas as int64 multiples of 2^-48, so
 // addition is exact and commutative — the engines deliver deltas in
-// different orders (per-message on the vertex engine, per-edge-block on
-// the SpMV engine), and integer accumulation makes the results
+// different groupings (summed per target on the vertex engine, per
+// message behind a wrapper that hides core.SumReceiver, per edge block
+// on the SpMV engine), and integer accumulation makes the results
 // bit-identical anyway. 48 fraction bits keep the per-share truncation
 // (< 2^-48 ≈ 3.6e-15) far below any useful Threshold, and total rank
 // mass (= numVertices) stays well inside the 16 integer bits for any
@@ -106,7 +107,8 @@ func (p *PageRank) absorb(v graph.VertexID, outdeg uint32) int64 {
 // deliver accumulates one incoming share into acc[v] and reports whether
 // it crossed the activation threshold thr (deltas are strictly positive,
 // so a vertex crosses at most once between absorbs, in any delivery
-// order). Callers pass p.accumFix and p.thrFix, loaded once per batch.
+// order). Callers pass p.accumFix (or a window of it) and p.thrFix,
+// loaded once per batch.
 func deliver(acc []int64, thr int64, v graph.VertexID, share int64) (crossed bool) {
 	was := acc[v] <= thr
 	acc[v] += share
@@ -138,21 +140,22 @@ func (p *PageRank) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVe
 	p.shareFix[v] = 0
 }
 
-// RunOnMessages implements core.MessageBatchReceiver: accumulate one
-// multicast run's delta into each target and activate those that cross
-// the threshold. Messages for a vertex are delivered on its partition's
-// owner thread, so no synchronization is needed.
-func (p *PageRank) RunOnMessages(ctx *core.Ctx, targets []graph.VertexID, msg core.Message) {
-	acc, thr, share := p.accumFix, p.thrFix, msg.I64
-	for _, v := range targets {
-		if deliver(acc, thr, v, share) {
-			ctx.Activate(v)
+// RunOnSums implements core.SumReceiver: fold each vertex's summed
+// shares into its pending delta and activate those that cross the
+// threshold. Shares are ≥ 0 and fixed-point addition is exact, so a sum
+// crosses exactly when its shares one by one would have. The range is
+// the calling worker's own, so no synchronization is needed.
+func (p *PageRank) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
+	acc, thr := p.accumFix[first:int(first)+len(sums)], p.thrFix
+	for i, share := range sums {
+		if share != 0 && deliver(acc, thr, graph.VertexID(i), share) {
+			ctx.Activate(first + graph.VertexID(i))
 		}
 	}
 }
 
-// RunOnMessage implements core.Algorithm: RunOnMessages for one target,
-// for callers that hide the batch hook.
+// RunOnMessage implements core.Algorithm: one share at a time, for
+// callers that hide RunOnSums.
 func (p *PageRank) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
 	if deliver(p.accumFix, p.thrFix, v, msg.I64) {
 		ctx.Activate(v)

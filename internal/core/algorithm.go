@@ -30,8 +30,12 @@
 //	                            flat chunk owned by (sender, partition)
 //	  → owner's inbox           a full chunk changes hands by pointer
 //	  → worker.messagePhase     owner walks headers × targets, RunOnMessage
-//	                            per target — or one RunOnMessages per
-//	                            header for a MessageBatchReceiver
+//	                            per target
+//
+// A SumReceiver's messages skip the chunks: Send and Multicast add
+// msg.I64 into the run's sum array atomically, and after the barrier
+// each owner hands every vertex range it owns to one RunOnSums call and
+// zeroes it.
 //
 // Two memory rules hold between barriers and make that steady state
 // allocation-free: request-side state (the request slab, pooled read
@@ -66,7 +70,7 @@ type Message struct {
 //
 // Concurrency contract: Run and RunOnVertex for a given vertex never
 // execute concurrently with each other; RunOnMessage (and
-// MessageBatchReceiver's RunOnMessages) runs only in the message phase,
+// SumReceiver's RunOnSums) runs only in the message phase,
 // owner-partitioned — every target of one call is owned by the calling
 // worker — never concurrently with Run of the same iteration. Callbacks
 // for different vertices run concurrently on different workers, so
@@ -92,15 +96,17 @@ type Algorithm interface {
 	RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)
 }
 
-// MessageBatchReceiver is implemented by algorithms that take a multicast
-// run at once: the engine hands each buffered header — one msg for n
-// targets — to a single RunOnMessages call instead of n RunOnMessage
-// calls. targets is only valid for the call. A batch has no current
-// vertex to stamp msg.From with, so Send, Multicast and
-// NotifyIterationEnd panic inside it: a program that forwards during
-// message delivery implements RunOnMessage only.
-type MessageBatchReceiver interface {
-	RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message)
+// SumReceiver is implemented by algorithms whose messages mean nothing
+// but the sum of their I64 fields at each target (PageRank's deltas).
+// Send and Multicast then add msg.I64 into one run-wide array,
+// atomically, instead of buffering messages, and RunOnMessage is never
+// called: in the message phase each worker hands every vertex range it
+// owns to one RunOnSums call — sums[i] is what first+i received this
+// iteration, 0 if nothing — and zeroes the range after it. sums is only
+// valid for the call. A range has no current vertex, so Send, Multicast
+// and NotifyIterationEnd panic inside it.
+type SumReceiver interface {
+	RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64)
 }
 
 // IterationEnder is implemented by algorithms whose vertices request

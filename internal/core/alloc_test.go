@@ -29,23 +29,25 @@ func (m *selfMulticast) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message) {}
 func (m *selfMulticast) MaxIterations() int                                   { return m.iters }
 func (m *selfMulticast) OnIterationEnd(eng *Engine)                           { eng.ActivateAllSeeds() }
 
-// selfMulticastBatch is selfMulticast taking delivery a header at a time.
-type selfMulticastBatch struct{ selfMulticast }
+// selfMulticastSum is selfMulticast as a SumReceiver.
+type selfMulticastSum struct{ selfMulticast }
 
-func (m *selfMulticastBatch) RunOnMessages(*Ctx, []graph.VertexID, Message) {}
+func (m *selfMulticastSum) RunOnSums(*Ctx, graph.VertexID, []int64) {}
 
-// selfMulticasts are the two delivery paths the allocation gates hold.
+// selfMulticasts are the two delivery paths the allocation gates hold:
+// per message, and in batches — one RunOnSums per owned range.
 func selfMulticasts(iters int) map[string]Algorithm {
 	return map[string]Algorithm{
 		"per-message": &selfMulticast{iters: iters},
-		"batch":       &selfMulticastBatch{selfMulticast{iters: iters}},
+		"batch":       &selfMulticastSum{selfMulticast{iters: iters}},
 	}
 }
 
 // TestMessageRoundAllocatesNothing is the gate on the message path
 // proper: on a warmed 3-thread engine, multicast → hand-over → deliver
 // allocates only the chunks that turn over — a worker keeps Threads
-// spares and buffers more than that here — and nothing per message.
+// spares and buffers more than that here — and nothing per message;
+// summing into the run's array allocates nothing at all.
 func TestMessageRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -59,6 +61,9 @@ func TestMessageRoundAllocatesNothing(t *testing.T) {
 func messageRoundAllocates(t *testing.T, img *graph.Image, alg Algorithm) {
 	eng := memEngine(t, img, func(c *Config) { c.Threads = 3 })
 	eng.alg = alg
+	if _, ok := alg.(SumReceiver); ok {
+		eng.sums = make([]int64, img.NumV) // as Run would
+	}
 	targets := make([]graph.VertexID, img.NumV)
 	for i := range targets {
 		targets[i] = graph.VertexID(i)

@@ -14,7 +14,6 @@ type Ctx struct {
 	cur    graph.VertexID // vertex on whose behalf callbacks run
 	part   int            // current vertical partition
 	inMsgs bool           // true during the message phase
-	batch  bool           // true while RunOnMessages runs: cur names no vertex
 }
 
 // Engine returns the running engine (graph metadata, degrees).
@@ -69,8 +68,8 @@ func (c *Ctx) ActivateMany(vs []graph.VertexID) {
 
 // self is the current vertex, for the calls that act on its behalf.
 func (c *Ctx) self() graph.VertexID {
-	if c.batch {
-		panic("core: Send, Multicast or NotifyIterationEnd from RunOnMessages: a batch has no current vertex (forward from RunOnMessage instead)")
+	if c.inMsgs && c.eng.sums != nil { // inside RunOnSums: cur names no vertex
+		panic("core: Send, Multicast or NotifyIterationEnd from RunOnSums: a range of sums has no current vertex")
 	}
 	return c.cur
 }
@@ -83,7 +82,8 @@ func (c *Ctx) Send(to graph.VertexID, msg Message) {
 }
 
 // Multicast delivers the same message to every target, copying it once
-// per destination worker rather than once per vertex (§3.4.1).
+// per destination worker rather than once per vertex (§3.4.1). For a
+// SumReceiver it adds msg.I64 into each target's sum instead.
 func (c *Ctx) Multicast(targets []graph.VertexID, msg Message) {
 	msg.From = c.self()
 	c.w.multicast(targets, msg)

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -162,38 +166,164 @@ func (o *orderRecorder) Run(ctx *Ctx, v graph.VertexID) {
 func (o *orderRecorder) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
 func (o *orderRecorder) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
 
-// TestBatchReceiverCannotSend: RunOnMessages has no current vertex to
-// stamp msg.From with, so a call that acts on the current vertex's behalf
-// fails the run instead of sending from the wrong vertex.
+// TestBatchReceiverCannotSend: RunOnSums takes a range of sums and has
+// no current vertex to stamp msg.From with, so a call that acts on the
+// current vertex's behalf fails the run instead of sending from the
+// wrong vertex.
 func TestBatchReceiverCannotSend(t *testing.T) {
 	img, _ := buildTestImage(t, 6, 4, 8)
-	for name, misuse := range map[string]func(*Ctx, []graph.VertexID){
-		"Send":               func(ctx *Ctx, ts []graph.VertexID) { ctx.Send(ts[0], Message{I64: 1}) },
-		"Multicast":          func(ctx *Ctx, ts []graph.VertexID) { ctx.Multicast(ts, Message{I64: 1}) },
-		"NotifyIterationEnd": func(ctx *Ctx, _ []graph.VertexID) { ctx.NotifyIterationEnd() },
+	for name, misuse := range map[string]func(*Ctx, graph.VertexID){
+		"Send":               func(ctx *Ctx, v graph.VertexID) { ctx.Send(v, Message{I64: 1}) },
+		"Multicast":          func(ctx *Ctx, v graph.VertexID) { ctx.Multicast([]graph.VertexID{v}, Message{I64: 1}) },
+		"NotifyIterationEnd": func(ctx *Ctx, _ graph.VertexID) { ctx.NotifyIterationEnd() },
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := memEngine(t, img, nil).Run(&batchForwarder{misuse: misuse})
-			if err == nil || !strings.Contains(err.Error(), "from RunOnMessages") {
-				t.Fatalf("err = %v, want the run to fail on %s from RunOnMessages", err, name)
+			_, err := memEngine(t, img, nil).Run(&sumForwarder{misuse: misuse})
+			if err == nil || !strings.Contains(err.Error(), "from RunOnSums") {
+				t.Fatalf("err = %v, want the run to fail on %s from RunOnSums", err, name)
 			}
 		})
 	}
 }
 
-// batchForwarder sends one message from vertex 0 and misuses the Ctx
-// inside the RunOnMessages call that delivers it (only there: unguarded,
-// a forward per delivery would never quiesce).
-type batchForwarder struct {
-	misuse func(*Ctx, []graph.VertexID)
+// sumForwarder sends one message from vertex 0 and misuses the Ctx
+// inside the RunOnSums call that delivers it.
+type sumForwarder struct {
+	misuse func(*Ctx, graph.VertexID)
 }
 
-func (b *batchForwarder) Init(eng ExecutionEngine)                                     { eng.ActivateSeed(0) }
-func (b *batchForwarder) Run(ctx *Ctx, v graph.VertexID)                               { ctx.Send(1, Message{}) }
-func (b *batchForwarder) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
-func (b *batchForwarder) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
-func (b *batchForwarder) RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message) {
-	if msg.I64 == 0 {
-		b.misuse(ctx, targets)
+func (b *sumForwarder) Init(eng ExecutionEngine)                                     { eng.ActivateSeed(0) }
+func (b *sumForwarder) Run(ctx *Ctx, v graph.VertexID)                               { ctx.Send(1, Message{I64: 1}) }
+func (b *sumForwarder) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {}
+func (b *sumForwarder) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message)         {}
+func (b *sumForwarder) RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64) {
+	for i, sum := range sums {
+		if sum != 0 {
+			b.misuse(ctx, first+graph.VertexID(i))
+		}
+	}
+}
+
+// sumEcho is a SumReceiver whose RunOnMessage does the same, so hiding
+// the interface changes the path and nothing else: every active vertex
+// sends v+1 to v+1 (mod n), and its RunOnIterationEnd sends 1000 to
+// itself — sums that wait in the array past the message phase, for the
+// next iteration's. total[v] is what v received; a nonzero sum
+// activates. cancel, if set, runs from vertex 0 in iteration 1.
+type sumEcho struct {
+	total  []int64
+	cancel func()
+}
+
+func (p *sumEcho) Init(eng ExecutionEngine) {
+	p.total = make([]int64, eng.NumVertices())
+	eng.ActivateAllSeeds()
+}
+func (p *sumEcho) MaxIterations() int { return 4 }
+func (p *sumEcho) Run(ctx *Ctx, v graph.VertexID) {
+	if p.cancel != nil && ctx.Iteration() == 1 && v == 0 {
+		p.cancel()
+	}
+	ctx.Send((v+1)%graph.VertexID(ctx.NumVertices()), Message{I64: int64(v) + 1})
+	ctx.NotifyIterationEnd()
+}
+func (p *sumEcho) RunOnVertex(*Ctx, graph.VertexID, *graph.PageVertex) {}
+func (p *sumEcho) RunOnIterationEnd(ctx *Ctx, v graph.VertexID)        { ctx.Send(v, Message{I64: 1000}) }
+func (p *sumEcho) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message) {
+	p.total[v] += msg.I64
+	ctx.Activate(v)
+}
+func (p *sumEcho) RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64) {
+	for i, sum := range sums {
+		if sum != 0 {
+			p.total[first+graph.VertexID(i)] += sum
+			ctx.Activate(first + graph.VertexID(i))
+		}
+	}
+}
+
+// hiddenSums exposes sumEcho without SumReceiver.
+type hiddenSums struct {
+	Algorithm
+	IterationEnder
+	IterationLimiter
+}
+
+// TestSumsFreshAfterCancelledRun: a SumReceiver run cancelled in the
+// middle of an iteration stops at the next boundary with what
+// RunOnIterationEnd sent still in the sum array; a fresh Run on the same
+// Engine must not see it, and gives the reference answer.
+func TestSumsFreshAfterCancelledRun(t *testing.T) {
+	img, _ := buildTestImage(t, 8, 4, 9)
+	for _, sem := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sem=%v", sem), func(t *testing.T) {
+			engine := func() *Engine {
+				if sem {
+					return semEngine(t, img, nil)
+				}
+				return memEngine(t, img, nil)
+			}
+			ref := &sumEcho{}
+			if _, err := engine().Run(ref); err != nil {
+				t.Fatal(err)
+			}
+			eng := engine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			eng.SetContext(ctx)
+			if _, err := eng.Run(&sumEcho{cancel: cancel}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+			}
+			if !slices.ContainsFunc(eng.sums, func(s int64) bool { return s != 0 }) {
+				t.Fatal("the cancelled run left no sums behind: the case tests nothing")
+			}
+			eng.SetContext(nil)
+			got := &sumEcho{}
+			st, err := eng.Run(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iterations != 4 {
+				t.Fatalf("rerun after a cancelled run: %d iterations, want 4", st.Iterations)
+			}
+			if !slices.Equal(got.total, ref.total) {
+				t.Fatal("rerun after a cancelled run: totals differ from a fresh engine's")
+			}
+		})
+	}
+}
+
+// TestSumArrayCounted: RunStats.MemoryBytes counts the sum array, so a
+// SumReceiver's footprint exceeds the same program's behind a wrapper
+// that hides the interface by exactly 8 bytes a vertex — and the two
+// paths agree on every total and on the message count.
+func TestSumArrayCounted(t *testing.T) {
+	img, _ := buildTestImage(t, 8, 4, 9)
+	for _, sem := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sem=%v", sem), func(t *testing.T) {
+			run := func(alg Algorithm) RunStats {
+				eng := memEngine(t, img, nil)
+				if sem {
+					eng = semEngine(t, img, nil)
+				}
+				st, err := eng.Run(alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			summed, hidden := &sumEcho{}, &sumEcho{}
+			sst := run(summed)
+			hst := run(hiddenSums{hidden, hidden, hidden})
+			if d := sst.MemoryBytes - hst.MemoryBytes; d != 8*int64(img.NumV) {
+				t.Fatalf("MemoryBytes %d with sums, %d without: differ by %d, want 8·%d", sst.MemoryBytes, hst.MemoryBytes, d, img.NumV)
+			}
+			if sst.Messages != hst.Messages {
+				t.Fatalf("sum path sent %d messages, per-message path %d", sst.Messages, hst.Messages)
+			}
+			if !slices.Equal(summed.total, hidden.total) {
+				t.Fatal("the sum path's totals differ from the per-message path's")
+			}
+		})
 	}
 }

@@ -258,6 +258,11 @@ type Engine struct {
 	// elements.
 	pendingReqs []int32
 
+	// sums is a SumReceiver's message array, NumV long (nil for any
+	// other program): senders add into it atomically, and each owner
+	// reads and zeroes its ranges after the barrier.
+	sums []int64
+
 	alg        Algorithm
 	maxRunning int // Config.MaxRunning tightened by the program's RunningLimiter
 
@@ -328,8 +333,8 @@ type RunStats struct {
 	CPUUtil  float64       // compute time / (elapsed × threads)
 
 	// MemoryBytes estimates the resident footprint: page cache + graph
-	// index + algorithm vertex state (+ in-memory edge data when
-	// InMemory).
+	// index + algorithm vertex state + a SumReceiver's sum array (+
+	// in-memory edge data when InMemory).
 	MemoryBytes int64
 }
 
@@ -430,6 +435,10 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	e.activeCur.Clear()
 	e.activeNext.Clear()
 	e.pendingReqs = make([]int32, e.img.NumV)
+	e.sums = nil
+	if _, ok := alg.(SumReceiver); ok {
+		e.sums = make([]int64, e.img.NumV) // fresh: an aborted run leaves nothing stale
+	}
 
 	// Snapshot counters so stats reflect this run only. Cache hits,
 	// misses, and bytes come from the workers' per-context SAFS counters
@@ -572,10 +581,10 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	return st, nil
 }
 
-// memoryFootprint estimates resident bytes: index + vertex state +
-// cache (SEM) or edge data (in-memory).
+// memoryFootprint estimates resident bytes: index + vertex state + sum
+// array + cache (SEM) or edge data (in-memory).
 func (e *Engine) memoryFootprint() int64 {
-	m := e.img.IndexMemory()
+	m := e.img.IndexMemory() + 8*int64(len(e.sums))
 	if ss, ok := e.alg.(StateSized); ok {
 		m += ss.StateBytes()
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -50,9 +49,10 @@ type msgSink interface {
 type msgRules struct {
 	seed uint64
 	n    int
-	// noForward keeps receivers from sending: the rules a
-	// MessageBatchReceiver may run, so the engine runs them as one.
-	noForward bool
+	// sums makes the program a SumReceiver: receivers see each target's
+	// summed I64 once per iteration (onSum) instead of each message, and
+	// cannot send.
+	sums bool
 	// extra runs after the random actions of Run; boundary cases use it
 	// to add one oversized send pattern. buf is the caller's scratch.
 	extra func(s msgSink, it int, v graph.VertexID, buf *[]graph.VertexID)
@@ -135,15 +135,22 @@ func (r *msgRules) onMessage(s msgSink, it int, v graph.VertexID, msg Message, b
 		return
 	}
 	h := r.mix(uint64(it), uint64(v), uint64(msg.From), uint64(msg.Kind), uint64(msg.I64), 3)
-	if h&3 != 0 && !r.noForward {
+	if h&3 != 0 {
 		s.Send(r.vertex(h>>8), payload(4, h, ttl-1))
 	}
-	if h&12 == 0 && !r.noForward {
+	if h&12 == 0 {
 		ts := r.targets(buf, h, 3)
 		s.Multicast(ts, payload(5, h, ttl-1))
 		scribble(ts)
 	}
 	if h&(15<<4) == 0 && it < 4 {
+		s.Activate(v)
+	}
+}
+
+// onSum is onMessage's activation rule for a target's summed I64.
+func (r *msgRules) onSum(s msgSink, it int, v graph.VertexID, sum int64) {
+	if h := r.mix(uint64(it), uint64(v), uint64(sum), 5); h&(15<<4) == 0 && it < 4 {
 		s.Activate(v)
 	}
 }
@@ -204,17 +211,38 @@ func (p *msgProgram) RunOnIterationEnd(ctx *Ctx, v graph.VertexID) {
 	p.rules.onIterEnd(ctx, ctx.Iteration(), v, &p.buf[ctx.WorkerID()])
 }
 
-// msgBatchProgram is msgProgram taking delivery a header at a time; its
-// rules must not forward.
-type msgBatchProgram struct {
-	msgProgram
-	batches atomic.Int64 // RunOnMessages calls, all workers
+// msgSumProgram is msgProgram as a SumReceiver: it logs each nonzero
+// sum as a delivery with only to and i64 set, and every RunOnSums range
+// with the worker that took it.
+type msgSumProgram struct {
+	*msgProgram
+	ranges [][]sumRange
 }
 
-func (p *msgBatchProgram) RunOnMessages(ctx *Ctx, targets []graph.VertexID, msg Message) {
-	p.batches.Add(1)
-	for _, v := range targets {
-		p.RunOnMessage(ctx, v, msg)
+// sumRange is one RunOnSums call: [lo, hi) in iteration iter on worker w.
+type sumRange struct{ iter, w, lo, hi int }
+
+func compareSumRange(a, b sumRange) int {
+	return cmp.Or(cmp.Compare(a.iter, b.iter), cmp.Compare(a.w, b.w), cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi))
+}
+
+func (p *msgSumProgram) Init(eng ExecutionEngine) {
+	p.msgProgram.Init(eng)
+	p.ranges = make([][]sumRange, eng.Threads())
+}
+
+func (p *msgSumProgram) RunOnMessage(*Ctx, graph.VertexID, Message) {
+	panic("RunOnMessage called on a SumReceiver")
+}
+
+func (p *msgSumProgram) RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64) {
+	w, it := ctx.WorkerID(), ctx.Iteration()
+	p.ranges[w] = append(p.ranges[w], sumRange{it, w, int(first), int(first) + len(sums)})
+	for i, sum := range sums {
+		if v := first + graph.VertexID(i); sum != 0 {
+			p.got[w] = append(p.got[w], delivery{iter: it, to: v, i64: sum})
+			p.rules.onSum(ctx, it, v, sum)
+		}
 	}
 }
 
@@ -228,7 +256,8 @@ type addressed struct {
 // contract written out longhand: messages are delivered in the message
 // phase of the iteration that sent them, in rounds until none is left;
 // a message sent from RunOnIterationEnd is delivered in the NEXT
-// iteration's message phase (and never, if the run ends first).
+// iteration's message phase (and never, if the run ends first). With
+// rules.sums the phase is one round of per-target sums.
 type msgOracle struct {
 	rules *msgRules
 	adj   *graph.Adjacency
@@ -284,6 +313,9 @@ func (o *msgOracle) run(seeds []graph.VertexID, maxIter int) int {
 			o.cur = v
 			o.rules.onRun(o, o.it, v, &o.buf)
 		}
+		if o.rules.sums {
+			o.deliverSums()
+		}
 		for len(o.pending) > 0 {
 			round := o.pending
 			o.pending = nil
@@ -301,6 +333,22 @@ func (o *msgOracle) run(seeds []graph.VertexID, maxIter int) int {
 		}
 	}
 	return o.it
+}
+
+// deliverSums folds the pending messages into one sum per target and
+// hands each nonzero sum to onSum.
+func (o *msgOracle) deliverSums() {
+	acc := map[graph.VertexID]int64{}
+	for _, a := range o.pending {
+		acc[a.to] += a.msg.I64
+	}
+	o.pending = nil
+	for v, sum := range acc {
+		if sum != 0 {
+			o.want = append(o.want, delivery{iter: o.it, to: v, i64: sum})
+			o.rules.onSum(o, o.it, v, sum)
+		}
+	}
 }
 
 // msgCase is one engine configuration × one program.
@@ -333,11 +381,11 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	} else {
 		eng = memEngine(t, img, mutate)
 	}
-	batched := &msgBatchProgram{msgProgram: msgProgram{rules: c.rules, seeds: c.seeds, maxIter: c.maxIter}}
-	prog := &batched.msgProgram
+	prog := &msgProgram{rules: c.rules, seeds: c.seeds, maxIter: c.maxIter}
+	summed := &msgSumProgram{msgProgram: prog}
 	var alg Algorithm = prog
-	if c.rules.noForward {
-		alg = batched
+	if c.rules.sums {
+		alg = summed
 	}
 	st, err := eng.Run(alg)
 	if err != nil {
@@ -368,22 +416,39 @@ func runMsgCase(t *testing.T, img *graph.Image, adj *graph.Adjacency, c msgCase)
 	if len(want) == 0 {
 		t.Fatal("program delivered no messages: the case tests nothing")
 	}
-	if c.rules.noForward && batched.batches.Load() == 0 {
-		t.Fatal("the engine never called RunOnMessages: the case tests the per-message path")
+	if c.rules.sums {
+		// Every owned range reaches RunOnSums once per iteration, on its
+		// owner only.
+		var got, want []sumRange
+		for _, r := range summed.ranges {
+			got = append(got, r...)
+		}
+		for it := range wantIters {
+			for w, spans := range eng.shared.part.spans {
+				for _, s := range spans {
+					want = append(want, sumRange{it, w, s[0], s[1]})
+				}
+			}
+		}
+		slices.SortFunc(got, compareSumRange)
+		slices.SortFunc(want, compareSumRange)
+		if !slices.Equal(got, want) {
+			t.Fatalf("RunOnSums took ranges %v, want each owner's spans once per iteration: %v", got, want)
+		}
 	}
 }
 
 func TestMessageModelExactlyOnce(t *testing.T) { msgModelMatrix(t, false) }
 
-// TestMessageModelBatchExactlyOnce: a MessageBatchReceiver whose
-// receivers only record and activate gets exactly the oracle's
-// deliveries, over the same matrix.
+// TestMessageModelBatchExactlyOnce: a SumReceiver, which takes its
+// messages in batches — each owned range's per-target sums in one
+// RunOnSums — gets exactly the oracle's sum at every target, each range
+// once per iteration on its owner, over the same matrix.
 func TestMessageModelBatchExactlyOnce(t *testing.T) { msgModelMatrix(t, true) }
 
 // msgModelMatrix runs the seeded programs over threads × range shift ×
-// SEM/in-memory; batch delivers a header at a time to rules that do not
-// forward.
-func msgModelMatrix(t *testing.T, batch bool) {
+// SEM/in-memory; sums makes them SumReceivers.
+func msgModelMatrix(t *testing.T, sums bool) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		img, adj := buildTestImage(t, 6+int(seed%3), 5, 100+seed)
 		seeds := []graph.VertexID{0, graph.VertexID(img.NumV / 2), graph.VertexID(img.NumV - 1)}
@@ -395,7 +460,7 @@ func msgModelMatrix(t *testing.T, batch bool) {
 				name := fmt.Sprintf("seed%d/threads%d/sem=%v", seed, threads, sem)
 				t.Run(name, func(t *testing.T) {
 					runMsgCase(t, img, adj, msgCase{
-						rules: &msgRules{seed: seed, noForward: batch}, seeds: seeds, maxIter: 7,
+						rules: &msgRules{seed: seed, sums: sums}, seeds: seeds, maxIter: 7,
 						threads: threads, shift: uint(1 + seed%3), sem: sem,
 					})
 				})

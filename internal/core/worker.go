@@ -521,8 +521,16 @@ func (w *worker) openChunk(p int) *msgChunk {
 // once, opening at most one header in each partition's chunk and
 // appending that partition's targets behind it. A chunk that fills on
 // the way is handed over and the header re-opened in the next one. A
-// Send is a multicast to one target: one header with n = 1.
+// Send is a multicast to one target: one header with n = 1. A
+// SumReceiver's multicast only adds msg.I64 into each target's sum.
 func (w *worker) multicast(targets []graph.VertexID, msg Message) {
+	w.sent += int64(len(targets))
+	if sums := w.eng.sums; sums != nil {
+		for _, t := range targets {
+			atomic.AddInt64(&sums[t], msg.I64)
+		}
+		return
+	}
 	part := &w.eng.shared.part
 	w.mcGen++
 	// Neighbour lists are ID-sorted, so targets arrive in runs of one
@@ -545,7 +553,6 @@ func (w *worker) multicast(targets []graph.VertexID, msg Message) {
 		c.targets[c.nt] = t
 		c.nt++
 	}
-	w.sent += int64(len(targets))
 }
 
 // flushTo hands partition p's open chunk to its owner's inbox by pointer
@@ -577,25 +584,31 @@ func (w *worker) flushAll() int64 {
 }
 
 // messagePhase flushes open chunks and delivers this partition's inbox,
-// executing RunOnMessage — or, for a MessageBatchReceiver, one
-// RunOnMessages per header — on the owner thread (messages are how
-// vertices touch each other's state without locks — §3.4.1). Returns
-// the number of messages flushed plus delivered, so the engine can
-// iterate the rounds to true quiescence: what a delivery sends stays
-// buffered until the next round — which that delivery's count
-// guarantees — flushes it.
+// executing RunOnMessage on the owner thread (messages are how vertices
+// touch each other's state without locks — §3.4.1); a SumReceiver gets
+// one RunOnSums per owned range instead. Returns the number of messages
+// flushed plus delivered, so the engine can iterate the rounds to true
+// quiescence: what a delivery sends stays buffered until the next round
+// — which that delivery's count guarantees — flushes it. RunOnSums
+// cannot send, so its phase counts nothing and ends the rounds.
 func (w *worker) messagePhase() int64 {
 	busyStart := time.Now()
 	defer func() { w.busyNS += int64(time.Since(busyStart)) }()
+	ctx, alg := w.partCtx, w.eng.alg
+	ctx.inMsgs = true
+	defer func() { ctx.inMsgs = false }()
+	if sums := w.eng.sums; sums != nil {
+		for _, s := range w.eng.shared.part.spans[w.id] {
+			alg.(SumReceiver).RunOnSums(ctx, graph.VertexID(s[0]), sums[s[0]:s[1]])
+			clear(sums[s[0]:s[1]])
+		}
+		return 0
+	}
 	flushed := w.flushAll()
 	w.inboxMu.Lock()
 	batch := w.inbox
 	w.inbox = w.drained[:0]
 	w.inboxMu.Unlock()
-	ctx, alg := w.partCtx, w.eng.alg
-	recv, _ := alg.(MessageBatchReceiver)
-	ctx.inMsgs, ctx.batch = true, recv != nil
-	defer func() { ctx.inMsgs, ctx.batch = false, false }()
 	var delivered int64
 	for i, c := range batch {
 		t := int32(0)
@@ -603,10 +616,6 @@ func (w *worker) messagePhase() int64 {
 			hd := &c.hdrs[h]
 			targets := c.targets[t : t+hd.n]
 			t += hd.n
-			if recv != nil {
-				recv.RunOnMessages(ctx, targets, hd.msg)
-				continue
-			}
 			for _, to := range targets {
 				ctx.cur = to
 				alg.RunOnMessage(ctx, to, hd.msg)
