@@ -92,12 +92,12 @@ func blockStripesFor(n int) int {
 	return (n + (1 << shift) - 1) >> shift
 }
 
-// encodeBlockStream is encodeStream's third layout: it consumes one
-// direction's sorted neighbor stream and writes the 2D edge blocks,
-// buffering one row stripe of edges (bucketed by column stripe) at a
-// time. Neighbors must arrive in ascending ID order per vertex, as for
-// the delta layout. It returns per-vertex degrees (the in-memory index
-// still serves degree queries) and the block directory.
+// encodeBlockStream is encodeStream's third layout: it reads one
+// direction's lists and writes the 2D edge blocks, buffering one row
+// stripe of edges (bucketed by column stripe) at a time. Lists must be
+// ascending, as for the delta layout. It returns per-vertex degrees
+// (the in-memory index still serves degree queries) and the block
+// directory.
 func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool, attr AttrFunc) (degrees []uint32, bdir *BlockDir, err error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	shift := blockShiftFor(n)
@@ -111,70 +111,33 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 		attrs []byte
 	}
 	buckets := make([]bucket, stripes)
-	var attrScratch []byte
-	if attrSize > 0 {
-		attrScratch = make([]byte, attrSize)
-	}
+	var attrs []byte // the current list's attr bytes
 	blockBuf := make([]byte, 0, 1<<16)
-
-	pv, pu, pattr, pok, perr := st.Next()
-	if perr != nil {
-		return nil, nil, perr
-	}
-
 	for r := 0; r < stripes; r++ {
 		lo := r << shift
-		hi := lo + (1 << shift)
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+(1<<shift), n)
 		// Gather this row stripe's edges into per-column-stripe buckets.
 		for v := lo; v < hi; v++ {
-			var cnt uint32
-			var prev VertexID
-			for pok && int(pv) == v {
-				if cnt > 0 && pu < prev {
-					return nil, nil, fmt.Errorf("graph: block encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
+			nbrs, given, err := st.Next()
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := ascending(EncodingBlock, v, nbrs); err != nil {
+				return nil, nil, err
+			}
+			if attrs, err = edgeAttrs(attrs[:0], VertexID(v), nbrs, given, attrSize, src, attr); err != nil {
+				return nil, nil, err
+			}
+			for i, u := range nbrs {
+				if int(u) >= n {
+					return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", u, n)
 				}
-				prev = pu
-				if int(pu) >= n {
-					return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pu, n)
-				}
-				b := &buckets[int(pu)>>shift]
+				b := &buckets[int(u)>>shift]
 				b.rows = append(b.rows, VertexID(v))
-				b.cols = append(b.cols, pu)
-				if attrSize > 0 {
-					if pattr != nil {
-						if len(pattr) != attrSize {
-							return nil, nil, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
-						}
-						b.attrs = append(b.attrs, pattr...)
-					} else {
-						buf := attrScratch
-						if attr != nil {
-							if src {
-								attr(VertexID(v), pu, buf)
-							} else {
-								attr(pu, VertexID(v), buf)
-							}
-						} else {
-							for i := range buf {
-								buf[i] = 0
-							}
-						}
-						b.attrs = append(b.attrs, buf...)
-					}
-				}
-				cnt++
-				pv, pu, pattr, pok, perr = st.Next()
-				if perr != nil {
-					return nil, nil, perr
-				}
+				b.cols = append(b.cols, u)
+				b.attrs = append(b.attrs, attrs[i*attrSize:(i+1)*attrSize]...)
 			}
-			if pok && int(pv) < v {
-				return nil, nil, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
-			}
-			degrees[v] = cnt
+			degrees[v] = uint32(len(nbrs))
 		}
 		// Encode and flush the stripe's blocks in column order.
 		for c := 0; c < stripes; c++ {
@@ -186,9 +149,6 @@ func encodeBlockStream(w io.Writer, st NeighborStream, n, attrSize int, src bool
 			}
 			b.rows, b.cols, b.attrs = b.rows[:0], b.cols[:0], b.attrs[:0]
 		}
-	}
-	if pok {
-		return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
 	}
 	if err := bw.Flush(); err != nil {
 		return nil, nil, err
@@ -337,13 +297,12 @@ func decodeBlock(bb []byte, rowBase, colBase VertexID, span uint64, attrSize int
 	return cols, nil
 }
 
-// blockStream adapts a block-encoded direction back into the canonical
-// (vertex, neighbor, attr) stream, one row stripe at a time — the
-// decode side of the re-encoding path (fg-convert -reencode). Within a
-// stripe it merges each row's per-block runs; column stripes are
-// visited in ascending order, so the merged neighbor list is already
-// ID-sorted. Stripes lie in order, each one extent, so the stream reads
-// the direction's bytes front to back.
+// blockStream adapts a block-encoded direction back into per-vertex
+// lists, one row stripe at a time — the decode side of the re-encoding
+// path (fg-convert -reencode). Within a stripe it merges each row's
+// per-block runs; column stripes are visited in ascending order, so the
+// merged neighbor list is already ID-sorted. Stripes lie in order, each
+// one extent, so the stream reads the direction's bytes front to back.
 type blockStream struct {
 	r        io.Reader
 	bdir     *BlockDir
@@ -357,8 +316,7 @@ type blockStream struct {
 	attrs   []byte
 	lo      int // first vertex of the loaded stripe
 	hi      int // one past the last vertex of the loaded stripe
-	v       int // current vertex being emitted
-	i       int // next neighbor ordinal of v
+	v       int // next vertex
 	buf     []byte
 	scratch []VertexID
 }
@@ -449,34 +407,17 @@ func (s *blockStream) loadStripe(r int) error {
 		return err
 	}
 	s.v = s.lo
-	s.i = 0
 	return nil
 }
 
-func (s *blockStream) Next() (VertexID, VertexID, []byte, bool, error) {
-	for {
-		if s.hi == 0 || s.v >= s.hi {
-			if s.stripe >= s.bdir.Stripes {
-				return 0, 0, nil, false, nil
-			}
-			if err := s.loadStripe(s.stripe); err != nil {
-				return 0, 0, nil, false, err
-			}
-			s.stripe++
-			continue
+func (s *blockStream) Next() ([]VertexID, []byte, error) {
+	if s.v == s.hi {
+		if err := s.loadStripe(s.stripe); err != nil {
+			return nil, nil, err
 		}
-		ri := s.v - s.lo
-		if pos := s.rowOff[ri] + s.i; pos < s.rowOff[ri+1] {
-			u := s.cols[pos]
-			var attr []byte
-			if s.attrSize > 0 {
-				attr = s.attrs[pos*s.attrSize : (pos+1)*s.attrSize]
-			}
-			v := VertexID(s.v)
-			s.i++
-			return v, u, attr, true, nil
-		}
-		s.v++
-		s.i = 0
+		s.stripe++
 	}
+	from, to := s.rowOff[s.v-s.lo], s.rowOff[s.v-s.lo+1]
+	s.v++
+	return s.cols[from:to], s.attrs[from*s.attrSize : to*s.attrSize], nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"fmt"
 	"time"
 
 	"flashgraph/internal/extsort"
@@ -124,43 +125,47 @@ func (b *StreamBuilder) Add(e Edge) error {
 // InputEdges returns how many edges were added so far.
 func (b *StreamBuilder) InputEdges() int64 { return b.edges }
 
-// sortedStream adapts an extsort iterator to a NeighborStream,
-// optionally dropping self-loops and (adjacent, thanks to sorting)
-// duplicate edges.
+// sortedStream groups an extsort iterator's (key, value) records into
+// one list per key, the empty list for a key with no records. Unless
+// keep is set it drops self-loops and (adjacent, thanks to sorting)
+// duplicate edges. It is where a key past the vertex count is refused.
 type sortedStream struct {
-	it      *extsort.Iterator
-	dedup   bool
-	havePrv bool
-	pk, pv  uint32
+	it   *extsort.Iterator
+	n    int
+	keep bool
+	v    VertexID // the key of the next list
+	k, u uint32   // the first record past the last list returned
+	ok   bool     // whether k, u hold a record
+	nbrs []VertexID
 }
 
-func (s *sortedStream) Next() (VertexID, VertexID, []byte, bool, error) {
-	for {
-		k, v, ok := s.it.Next()
-		if !ok {
-			return 0, 0, nil, false, s.it.Err()
+func (s *sortedStream) Next() ([]VertexID, []byte, error) {
+	s.nbrs = s.nbrs[:0]
+	for ; s.ok && s.k == s.v; s.k, s.u, s.ok = s.it.Next() {
+		if s.keep || s.u != s.v && (len(s.nbrs) == 0 || s.nbrs[len(s.nbrs)-1] != s.u) {
+			s.nbrs = append(s.nbrs, s.u)
 		}
-		if s.dedup {
-			if k == v {
-				continue // self-loop
-			}
-			if s.havePrv && k == s.pk && v == s.pv {
-				continue // duplicate edge
-			}
-			s.havePrv, s.pk, s.pv = true, k, v
-		}
-		return k, v, nil, true, nil
 	}
+	s.v++
+	if err := s.it.Err(); err != nil {
+		return nil, nil, err
+	}
+	if s.ok && int(s.k) >= s.n {
+		return nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", s.k, s.n)
+	}
+	return s.nbrs, nil, nil
 }
 
-// source wraps one finalized sorter as a StreamSource.
-func (b *StreamBuilder) source(s *extsort.Sorter) StreamSource {
+// source wraps one finalized sorter as a StreamSource of n lists.
+func (b *StreamBuilder) source(s *extsort.Sorter, n int) StreamSource {
 	return func() (NeighborStream, error) {
 		it, err := s.Iter()
 		if err != nil {
 			return nil, err
 		}
-		return &sortedStream{it: it, dedup: !b.cfg.KeepDupes}, nil
+		st := &sortedStream{it: it, n: n, keep: b.cfg.KeepDupes}
+		st.k, st.u, st.ok = it.Next()
+		return st, nil
 	}
 }
 
@@ -180,11 +185,11 @@ func (b *StreamBuilder) writer() (*ImageWriter, error) {
 		Encoding: b.cfg.Encoding,
 		AttrSize: b.cfg.AttrSize,
 		Attr:     b.cfg.Attr,
-		Out:      b.source(b.out),
+		Out:      b.source(b.out, n),
 		spoolDir: b.cfg.TmpDir,
 	}
 	if b.cfg.Directed {
-		iw.In = b.source(b.in)
+		iw.In = b.source(b.in, n)
 	}
 	return iw, nil
 }

@@ -286,6 +286,58 @@ func TestDamagedDataRefused(t *testing.T) {
 	}
 }
 
+// TestDamagedDegreeRefused: the index section lies outside the checksum
+// trailer, so a flipped bit in a persisted degree must be caught by the
+// degree sums, which have to match the header's edge count. Every
+// layout, directed and undirected, refuses it at Decode and at
+// OpenImageFile, naming the damaged direction's index.
+func TestDamagedDegreeRefused(t *testing.T) {
+	var edges []Edge
+	for v, nbrs := range fixtureAdjacency().Out {
+		for _, u := range nbrs {
+			edges = append(edges, Edge{Src: VertexID(v), Dst: u})
+		}
+	}
+	for _, directed := range []bool{true, false} {
+		a := FromEdges(600, edges, directed)
+		a.Dedup()
+		for _, enc := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+			var buf bytes.Buffer
+			if err := BuildImage(a, 0, nil).EncodeAs(&buf, enc); err != nil {
+				t.Fatal(err)
+			}
+			hdr, err := readImageHeader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirs := map[string]int64{"out": imageHeaderSizeV2}
+			if directed {
+				dirs["in"] = (imageHeaderSizeV2 + hdr.dataOffset()) / 2
+			}
+			for dir, start := range dirs {
+				t.Run(fmt.Sprintf("directed=%v/%s/%s", directed, enc, dir), func(t *testing.T) {
+					damaged := bytes.Clone(buf.Bytes())
+					damaged[start+4*5] ^= 1
+					want := fmt.Sprintf("graph: %s-edge index holds ", dir)
+					if _, err := Decode(bytes.NewReader(damaged)); err == nil || !strings.HasPrefix(err.Error(), want) {
+						t.Fatalf("Decode: err = %v, want %q…", err, want)
+					}
+					path := filepath.Join(t.TempDir(), "img.fg")
+					if err := os.WriteFile(path, damaged, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if img, err := OpenImageFile(path); err == nil || !strings.Contains(err.Error(), want) {
+						if img != nil {
+							img.Close()
+						}
+						t.Fatalf("OpenImageFile: err = %v, want %q…", err, want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestAtomicWriteFile: a failed write leaves neither the target nor a
 // temp file behind; a successful one publishes exactly the written
 // bytes. (The crash-safety half — kill -9 mid-write never exposes a

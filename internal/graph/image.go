@@ -503,8 +503,9 @@ func (img *Image) readTrailer(r io.Reader, hdr *imageHeader) (err error) {
 // readIndex reads one direction's persisted index section — per-vertex
 // degrees, plus true record byte sizes (delta layouts) or the block
 // directory (block layouts) — and builds the compact index from it,
-// cross-checking the recorded file size (cheap corruption detection
-// without scanning the data).
+// cross-checking the degree sum against the header's edge count and the
+// recorded file size (cheap corruption detection without scanning the
+// data).
 func (h *imageHeader) readIndex(r io.Reader, dir string, wantSize uint64) (*Index, error) {
 	n := int(h.numV)
 	degrees := make([]uint32, n)
@@ -523,6 +524,15 @@ func (h *imageHeader) readIndex(r io.Reader, dir string, wantSize uint64) (*Inde
 		return nil, fmt.Errorf("graph: reading %s-edge index: %w", dir, err)
 	}
 	ix := buildDirIndex(degrees, sizes, bdir, int(h.attrSize), h.encoding)
+	// The index section lies outside the checksum trailer: a damaged
+	// degree must at least break the sum the header records.
+	endpoints := h.numEdges
+	if !h.directed {
+		endpoints *= 2
+	}
+	if uint64(ix.NumEdges()) != endpoints {
+		return nil, fmt.Errorf("graph: %s-edge index holds %d edge endpoints, header says %d", dir, ix.NumEdges(), endpoints)
+	}
 	if ix.FileSize() != int64(wantSize) {
 		return nil, fmt.Errorf("graph: %s-edge file: index promises %d data bytes, header says %d", dir, ix.FileSize(), wantSize)
 	}

@@ -10,14 +10,14 @@ import (
 	"strings"
 )
 
-// NeighborStream yields one direction's edge endpoints in (vertex,
-// neighbor) order — the order edge-list records are laid out on SSD.
-// attr carries the edge's attribute bytes when the stream already has
-// them (re-encoding an existing image); a nil attr asks the writer to
-// generate them with its AttrFunc. The returned attr slice is only
-// valid until the next call.
+// NeighborStream yields one direction's edge lists in vertex-ID order,
+// the order edge-list records are laid out on SSD: the writer calls
+// Next once for each vertex 0..NumV-1. attrs carries the list's
+// attribute bytes when the stream already has them (re-encoding an
+// existing image); nil attrs asks the writer to generate them with its
+// AttrFunc. Both slices are valid only until the next call.
 type NeighborStream interface {
-	Next() (v, u VertexID, attr []byte, ok bool, err error)
+	Next() (nbrs []VertexID, attrs []byte, err error)
 }
 
 // StreamSource produces a NeighborStream. The ImageWriter calls each
@@ -25,11 +25,10 @@ type NeighborStream interface {
 // goroutines.
 type StreamSource func() (NeighborStream, error)
 
-// sliceStream streams adjacency lists (attr always nil).
+// sliceStream streams adjacency lists (attrs always nil).
 type sliceStream struct {
 	lists [][]VertexID
 	v     int
-	i     int
 }
 
 // SliceSource adapts in-memory adjacency lists to a StreamSource.
@@ -39,36 +38,29 @@ func SliceSource(lists [][]VertexID) StreamSource {
 	}
 }
 
-func (s *sliceStream) Next() (VertexID, VertexID, []byte, bool, error) {
-	for s.v < len(s.lists) {
-		if s.i < len(s.lists[s.v]) {
-			u := s.lists[s.v][s.i]
-			s.i++
-			return VertexID(s.v), u, nil, true, nil
-		}
-		s.v++
-		s.i = 0
+func (s *sliceStream) Next() ([]VertexID, []byte, error) {
+	var nbrs []VertexID
+	if s.v < len(s.lists) {
+		nbrs = s.lists[s.v]
 	}
-	return 0, 0, nil, false, nil
+	s.v++
+	return nbrs, nil, nil
 }
 
-// recordStream decodes an encoded edge-list file back into (vertex,
-// neighbor, attr) triples — the stream form of an existing record-layout
-// image, used to funnel Image.Encode through the one canonical encoder.
-// Each record is read whole at the byte length the image's index gives
-// it and decoded by PageVertex, the same decoder the query path uses.
+// recordStream decodes an encoded edge-list file back into per-vertex
+// lists, the stream form of an existing record-layout image, used to
+// funnel Image.Encode through the one canonical encoder. Each record is
+// read whole at the byte length the image's index gives it and decoded
+// by PageVertex, the same decoder the query path uses.
 type recordStream struct {
 	br       *bufio.Reader
 	ix       *Index
 	attrSize int
 	enc      Encoding
 
-	v      int        // current vertex
-	i      int        // next neighbor ordinal
-	rec    []byte     // current record's bytes
-	ids    []VertexID // its decoded neighbor IDs
-	attrs  []byte     // its attr bytes (aliases rec)
-	loaded bool
+	v   int        // next vertex
+	rec []byte     // its record's bytes
+	ids []VertexID // its decoded neighbor IDs
 }
 
 // recordSource streams the records of one encoded edge-list file
@@ -84,19 +76,20 @@ func recordSource(open func() (io.Reader, error), ix *Index, attrSize int, enc E
 	}
 }
 
-// loadRecord reads and decodes the next record. Host files are outside
+// Next reads and decodes the next record. Host files are outside
 // input, so a short file, a corrupt record (PageVertex's panic idiom,
 // recovered here) and a count that disagrees with the index all come
 // back as errors.
-func (s *recordStream) loadRecord() (err error) {
+func (s *recordStream) Next() (nbrs []VertexID, attrs []byte, err error) {
 	v := VertexID(s.v)
+	s.v++
 	size := s.ix.RecordBytes(v)
 	if int64(cap(s.rec)) < size {
 		s.rec = make([]byte, size)
 	}
 	s.rec = s.rec[:size]
 	if _, err := io.ReadFull(s.br, s.rec); err != nil {
-		return fmt.Errorf("graph: reading record of vertex %d: %w", v, err)
+		return nil, nil, fmt.Errorf("graph: reading record of vertex %d: %w", v, err)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -110,18 +103,17 @@ func (s *recordStream) loadRecord() (err error) {
 	pv := NewPageVertexBytes(v, OutEdges, s.rec, s.attrSize, s.enc)
 	s.ids = pv.Edges(s.ids, nil)
 	if want := s.ix.Degree(v); uint32(len(s.ids)) != want {
-		return fmt.Errorf("graph: record of vertex %d holds %d edges, index says %d", v, len(s.ids), want)
+		return nil, nil, fmt.Errorf("graph: record of vertex %d holds %d edges, index says %d", v, len(s.ids), want)
 	}
-	s.attrs = s.rec[pv.attrOff():]
-	return nil
+	return s.ids, s.rec[pv.attrOff():], nil
 }
 
 // WalkRecords reads one direction's record-layout edge-list file from
 // r — the image's own bytes (EdgeReader) or a copy of them, such as the
 // SAFS file LoadToFS wrote — and calls fn with each vertex's neighbors
 // in vertex-ID order, stopping at fn's first error. nbrs is valid only
-// during the call. Records are decoded as loadRecord decodes them, so a
-// short or corrupt file is an error. The block layout has no per-vertex
+// during the call. Records are decoded by recordStream.Next, so a short
+// or corrupt file is an error. The block layout has no per-vertex
 // records and is rejected.
 func (img *Image) WalkRecords(dir EdgeDir, r io.Reader, fn func(v VertexID, nbrs []VertexID) error) error {
 	if img.Encoding == EncodingBlock {
@@ -132,66 +124,40 @@ func (img *Image) WalkRecords(dir EdgeDir, r io.Reader, fn func(v VertexID, nbrs
 		ix = img.InIndex
 	}
 	s := &recordStream{br: bufio.NewReaderSize(r, 1<<20), ix: ix, attrSize: img.AttrSize, enc: img.Encoding}
-	for ; s.v < ix.NumVertices(); s.v++ {
-		if err := s.loadRecord(); err != nil {
-			return err
+	for v := 0; v < ix.NumVertices(); v++ {
+		nbrs, _, err := s.Next()
+		if err == nil {
+			err = fn(VertexID(v), nbrs)
 		}
-		if err := fn(VertexID(s.v), s.ids); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *recordStream) Next() (VertexID, VertexID, []byte, bool, error) {
-	for {
-		if !s.loaded {
-			if s.v >= s.ix.NumVertices() {
-				return 0, 0, nil, false, nil
-			}
-			s.i = 0
-			if err := s.loadRecord(); err != nil {
-				return 0, 0, nil, false, err
-			}
-			s.loaded = true
-		}
-		if s.i < len(s.ids) {
-			u := s.ids[s.i]
-			var attr []byte
-			if s.attrSize > 0 {
-				attr = s.attrs[s.i*s.attrSize : (s.i+1)*s.attrSize]
-			}
-			v := VertexID(s.v)
-			s.i++
-			return v, u, attr, true, nil
-		}
-		s.v++
-		s.loaded = false
-	}
-}
-
 // encodeStream is THE canonical encoder of FlashGraph's on-SSD
 // edge-list layouts: concatenated records in vertex-ID order, one empty
 // record per edgeless vertex. Every path that produces image bytes —
 // BuildImage, Image.Encode, the streaming ImageWriter — funnels through
-// this function. It buffers only one vertex's record at a time, so
-// memory is bounded by the maximum degree, not the graph.
+// this function. It reads one list from st per vertex and buffers only
+// that vertex's record, so memory is bounded by the maximum degree, not
+// the graph.
 //
 // enc selects the record layout. EncodingRaw emits [count u32][edges
 // count×u32][attrs]; EncodingDelta emits [uvarint count][uvarint first
-// ID][uvarint gaps...][attrs] and requires each vertex's neighbors to
-// arrive in ascending ID order (the order every sorted source already
-// produces). The returned sizes slice carries each record's true byte
-// length for EncodingDelta (nil for raw, where sizes follow from
-// degrees) — the data the encoding-aware index sizer needs.
+// ID][uvarint gaps...][attrs] and requires each list to be ascending
+// (the order every sorted source already produces). The returned sizes
+// slice carries each record's true byte length for EncodingDelta (nil
+// for raw, where sizes follow from degrees) — the data the
+// encoding-aware index sizer needs.
 //
 // EncodingBlock dispatches to the 2D edge-block layout (block.go): no
 // per-vertex records at all — the returned BlockDir carries the block
 // extents instead of per-record sizes.
 //
-// src tells the AttrFunc which endpoint owns the record (out-edge
-// records name their source first; in-edge records the destination).
-// Stream-supplied attr bytes win over the AttrFunc.
+// src tells edgeAttrs which endpoint owns the record (out-edge records
+// name their source first; in-edge records the destination).
 func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encoding, src bool, attr AttrFunc) (degrees []uint32, sizes []int64, bdir *BlockDir, err error) {
 	if enc == EncodingBlock {
 		degrees, bdir, err = encodeBlockStream(w, st, n, attrSize, src, attr)
@@ -202,92 +168,38 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 	if enc == EncodingDelta {
 		sizes = make([]int64, n)
 	}
-	var nbrs []byte  // pending edge bytes of the current vertex
-	var attrs []byte // pending attr bytes of the current vertex
-	var attrScratch []byte
-	if attrSize > 0 {
-		attrScratch = make([]byte, attrSize)
-	}
-
-	pv, pu, pattr, pok, perr := st.Next()
-	if perr != nil {
-		return nil, nil, nil, perr
-	}
-	var scratch [binary.MaxVarintLen64]byte
+	var rec []byte // the current vertex's record
 	for v := 0; v < n; v++ {
-		nbrs = nbrs[:0]
-		attrs = attrs[:0]
-		var cnt uint32
-		var prev VertexID
-		for pok && int(pv) == v {
-			if enc == EncodingDelta {
-				if cnt == 0 {
-					nbrs = binary.AppendUvarint(nbrs, uint64(pu))
-				} else {
-					if pu < prev {
-						return nil, nil, nil, fmt.Errorf("graph: delta encoding needs ascending neighbors: vertex %d lists %d after %d", v, pu, prev)
-					}
-					nbrs = binary.AppendUvarint(nbrs, uint64(pu-prev))
-				}
-				prev = pu
-			} else {
-				binary.LittleEndian.PutUint32(scratch[:], pu)
-				nbrs = append(nbrs, scratch[:edgeSize]...)
-			}
-			cnt++
-			if attrSize > 0 {
-				if pattr != nil {
-					if len(pattr) != attrSize {
-						return nil, nil, nil, fmt.Errorf("graph: edge (%d,%d): attr is %d bytes, want %d", pv, pu, len(pattr), attrSize)
-					}
-					attrs = append(attrs, pattr...)
-				} else {
-					buf := attrScratch
-					if attr != nil {
-						if src {
-							attr(VertexID(v), pu, buf)
-						} else {
-							attr(pu, VertexID(v), buf)
-						}
-					} else {
-						for i := range buf {
-							buf[i] = 0
-						}
-					}
-					attrs = append(attrs, buf...)
-				}
-			}
-			pv, pu, pattr, pok, perr = st.Next()
-			if perr != nil {
-				return nil, nil, nil, perr
-			}
+		nbrs, attrs, err := st.Next()
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		if pok && int(pv) < v {
-			return nil, nil, nil, fmt.Errorf("graph: edge stream not sorted: vertex %d after %d", pv, v)
-		}
-		degrees[v] = cnt
-		var hdr []byte
 		if enc == EncodingDelta {
-			hdr = binary.AppendUvarint(scratch[:0], uint64(cnt))
+			if err := ascending(enc, v, nbrs); err != nil {
+				return nil, nil, nil, err
+			}
+			rec = binary.AppendUvarint(rec[:0], uint64(len(nbrs)))
+			var prev VertexID
+			for _, u := range nbrs {
+				rec = binary.AppendUvarint(rec, uint64(u-prev))
+				prev = u
+			}
 		} else {
-			binary.LittleEndian.PutUint32(scratch[:], cnt)
-			hdr = scratch[:headerSize]
+			rec = binary.LittleEndian.AppendUint32(rec[:0], uint32(len(nbrs)))
+			for _, u := range nbrs {
+				rec = binary.LittleEndian.AppendUint32(rec, u)
+			}
 		}
-		if _, err := bw.Write(hdr); err != nil {
+		if rec, err = edgeAttrs(rec, VertexID(v), nbrs, attrs, attrSize, src, attr); err != nil {
 			return nil, nil, nil, err
 		}
-		if _, err := bw.Write(nbrs); err != nil {
-			return nil, nil, nil, err
-		}
-		if _, err := bw.Write(attrs); err != nil {
+		degrees[v] = uint32(len(nbrs))
+		if _, err := bw.Write(rec); err != nil {
 			return nil, nil, nil, err
 		}
 		if enc == EncodingDelta {
-			sizes[v] = int64(len(hdr) + len(nbrs) + len(attrs))
+			sizes[v] = int64(len(rec))
 		}
-	}
-	if pok {
-		return nil, nil, nil, fmt.Errorf("graph: vertex %d out of range (n=%d)", pv, n)
 	}
 	if err := bw.Flush(); err != nil {
 		return nil, nil, nil, err
@@ -295,7 +207,46 @@ func encodeStream(w io.Writer, st NeighborStream, n int, attrSize int, enc Encod
 	return degrees, sizes, nil, nil
 }
 
-// ImageWriter builds a complete graph image from sorted neighbor
+// ascending refuses a list that the gap-coding layouts (delta, block)
+// cannot store.
+func ascending(enc Encoding, v int, nbrs []VertexID) error {
+	for i := 1; i < len(nbrs); i++ {
+		if nbrs[i] < nbrs[i-1] {
+			return fmt.Errorf("graph: %s encoding needs ascending neighbors: vertex %d lists %d after %d", enc, v, nbrs[i], nbrs[i-1])
+		}
+	}
+	return nil
+}
+
+// edgeAttrs appends the attribute bytes of v's list nbrs to dst: the
+// stream's own bytes given, checked for length; else attr's, called in
+// (src, dst) orientation with v as the source when src is set; else
+// zeros.
+func edgeAttrs(dst []byte, v VertexID, nbrs []VertexID, given []byte, attrSize int, src bool, attr AttrFunc) ([]byte, error) {
+	if attrSize == 0 {
+		return dst, nil
+	}
+	if given != nil {
+		if len(given) != len(nbrs)*attrSize {
+			return nil, fmt.Errorf("graph: vertex %d: %d attr bytes for %d edges, want %d each", v, len(given), len(nbrs), attrSize)
+		}
+		return append(dst, given...), nil
+	}
+	if attr == nil {
+		return append(dst, make([]byte, len(nbrs)*attrSize)...), nil
+	}
+	for _, u := range nbrs {
+		dst = append(dst, make([]byte, attrSize)...)
+		if src {
+			attr(v, u, dst[len(dst)-attrSize:])
+		} else {
+			attr(u, v, dst[len(dst)-attrSize:])
+		}
+	}
+	return dst, nil
+}
+
+// ImageWriter builds a complete graph image from per-vertex neighbor
 // streams without ever materializing edge data in memory — the
 // out-of-core construction path (FAST'15 §3.5.2 builds the image once
 // and reuses it for every algorithm; this writer makes that build
@@ -316,9 +267,10 @@ type ImageWriter struct {
 	// Attr generates attribute bytes for edges whose stream does not
 	// carry them. May be nil when AttrSize is 0 or streams carry attrs.
 	Attr AttrFunc
-	// Out streams (src, dst) sorted by src then dst.
+	// Out streams each vertex's out-neighbors (all its neighbors when
+	// undirected), ascending for the delta and block layouts.
 	Out StreamSource
-	// In streams (dst, src) sorted by dst then src; required iff
+	// In streams each vertex's in-neighbors, likewise; required iff
 	// Directed.
 	In StreamSource
 
@@ -451,7 +403,8 @@ func (s *spool) copyTo(w io.Writer, want int64) error {
 // the header and the index section, built from what was spooled, go to
 // w first and both files are copied in behind them. Temp disk holds
 // both directions' data bytes until WriteImage returns; memory holds
-// the indexes and one vertex record per direction. The persisted index
+// the indexes and, per direction, one vertex's list and record (one row
+// stripe of edges in the block layout). The persisted index
 // section (per-vertex degrees, plus true record sizes for delta
 // layouts) is what makes reopening the image O(index) instead of an
 // O(data) record-header scan.

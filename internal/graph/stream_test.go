@@ -247,22 +247,31 @@ func TestStreamingMatchesLegacyBitForBit(t *testing.T) {
 // background-sorted chunks each, and at one that keeps five chunks per
 // sorter in memory; in every layout both must equal, byte for byte,
 // what the in-memory encoder writes for the deduplicated adjacency.
+// Every layout then re-encodes to every other: the weighted image in
+// each source layout, decoded and encoded again, must equal that
+// streaming build, so each stream that decodes an image carries its
+// lists and their attributes through unchanged.
 func TestStreamingChunkedSortsMatchInMemoryEncoder(t *testing.T) {
 	attr := func(src, dst VertexID, buf []byte) {
 		binary.LittleEndian.PutUint32(buf, uint32(src)*31+uint32(dst))
 	}
 	const n, m = 2000, 30000
 	edges := testEdges(n, m, 31)
+	encodings := []Encoding{EncodingRaw, EncodingDelta, EncodingBlock}
 	for _, directed := range []bool{true, false} {
 		a := FromEdges(n, edges, directed)
 		a.Dedup()
 		ref := BuildImage(a, 4, attr)
-		for _, enc := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+		want := map[Encoding][]byte{}
+		for _, enc := range encodings {
+			var buf bytes.Buffer
+			if err := ref.EncodeAs(&buf, enc); err != nil {
+				t.Fatal(err)
+			}
+			want[enc] = buf.Bytes()
+		}
+		for _, enc := range encodings {
 			t.Run(fmt.Sprintf("directed=%v/%s", directed, enc), func(t *testing.T) {
-				var want bytes.Buffer
-				if err := ref.EncodeAs(&want, enc); err != nil {
-					t.Fatal(err)
-				}
 				for _, c := range []struct {
 					mem     int64
 					spilled bool
@@ -276,9 +285,27 @@ func TestStreamingChunkedSortsMatchInMemoryEncoder(t *testing.T) {
 					if st.PeakMemBytes > c.mem {
 						t.Fatalf("budget %d: peak memory %d", c.mem, st.PeakMemBytes)
 					}
-					if !bytes.Equal(got, want.Bytes()) {
+					if !bytes.Equal(got, want[enc]) {
 						t.Fatalf("budget %d: streaming image (%d bytes, fnv %x) differs from the in-memory encoder's (%d bytes, fnv %x)",
-							c.mem, len(got), fnvSum(got), want.Len(), fnvSum(want.Bytes()))
+							c.mem, len(got), fnvSum(got), len(want[enc]), fnvSum(want[enc]))
+					}
+				}
+			})
+		}
+		for _, from := range encodings {
+			t.Run(fmt.Sprintf("directed=%v/reencode-%s", directed, from), func(t *testing.T) {
+				img, err := Decode(bytes.NewReader(want[from]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, to := range encodings {
+					var got bytes.Buffer
+					if err := img.EncodeAs(&got, to); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), want[to]) {
+						t.Fatalf("%s re-encoded to %s (%d bytes, fnv %x) differs from the streaming build (%d bytes, fnv %x)",
+							from, to, got.Len(), fnvSum(got.Bytes()), len(want[to]), fnvSum(want[to]))
 					}
 				}
 			})
@@ -289,30 +316,30 @@ func TestStreamingChunkedSortsMatchInMemoryEncoder(t *testing.T) {
 // errGaveOut is what a probeSource's stream fails with.
 var errGaveOut = errors.New("source gave out")
 
-// probeStream streams one direction's lists, optionally slowly, failing
-// with errGaveOut after failAt edges (never when negative). open counts
-// the streams not yet at their end.
+// probeStream streams one direction's lists, optionally slowly,
+// failing with errGaveOut once it has handed over failAt edges (never
+// when negative). open counts the streams not yet at their end.
 type probeStream struct {
-	NeighborStream
+	*sliceStream
 	edges, failAt int
 	slow, done    bool
 	open          *atomic.Int32
 }
 
-func (p *probeStream) Next() (VertexID, VertexID, []byte, bool, error) {
-	if p.edges == p.failAt {
+func (p *probeStream) Next() ([]VertexID, []byte, error) {
+	if p.failAt >= 0 && p.edges >= p.failAt {
 		p.finish()
-		return 0, 0, nil, false, errGaveOut
+		return nil, nil, errGaveOut
 	}
-	if p.slow && p.edges%64 == 0 {
+	nbrs, attrs, err := p.sliceStream.Next()
+	if p.slow && (p.edges+len(nbrs))/64 != p.edges/64 {
 		time.Sleep(time.Millisecond)
 	}
-	p.edges++
-	v, u, attr, ok, err := p.NeighborStream.Next()
-	if !ok || err != nil {
+	p.edges += len(nbrs)
+	if err != nil || p.v == len(p.lists) {
 		p.finish()
 	}
-	return v, u, attr, ok, err
+	return nbrs, attrs, err
 }
 
 func (p *probeStream) finish() {
@@ -328,7 +355,7 @@ func probeSource(lists [][]VertexID, failAt int, slow bool, open, calls *atomic.
 	return func() (NeighborStream, error) {
 		calls.Add(1)
 		open.Add(1)
-		return &probeStream{NeighborStream: &sliceStream{lists: lists}, failAt: failAt, slow: slow, open: open}, nil
+		return &probeStream{sliceStream: &sliceStream{lists: lists}, failAt: failAt, slow: slow, open: open}, nil
 	}
 }
 
@@ -412,6 +439,53 @@ func TestStreamingKeepDupes(t *testing.T) {
 	got, _ := streamBuild(t, edges, n, true, 0, nil, 1<<20, true)
 	if !bytes.Equal(got, want) {
 		t.Fatal("keep-dupes build diverges from legacy encoder")
+	}
+}
+
+// TestWriterRefusals pins what the image writer refuses: a builder key
+// past NumV (an edge's source, or either endpoint when undirected) and,
+// in the two layouts that store gaps, a list that is not ascending. Raw
+// stores lists as given, so it takes the same list in its given order.
+func TestWriterRefusals(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		directed bool
+		edge     Edge
+		want     string
+	}{
+		{"directed source", true, Edge{Src: 5, Dst: 1}, "graph: out-edge record pass: graph: vertex 5 out of range (n=3)"},
+		{"undirected endpoint", false, Edge{Src: 0, Dst: 4}, "graph: out-edge record pass: graph: vertex 4 out of range (n=3)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := NewStreamBuilder(BuildConfig{NumV: 3, Directed: c.directed, TmpDir: dir})
+			if err := b.Add(c.edge); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.WriteFile(filepath.Join(dir, "img.fg")); err == nil || err.Error() != c.want {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+	unsorted := [][]VertexID{{2, 1}, {}, {}}
+	for _, enc := range []Encoding{EncodingRaw, EncodingDelta, EncodingBlock} {
+		t.Run(enc.String(), func(t *testing.T) {
+			img, err := (&ImageWriter{NumV: 3, Encoding: enc, Out: SliceSource(unsorted)}).BuildImage()
+			if enc == EncodingRaw {
+				if err != nil {
+					t.Fatal(err)
+				}
+				pv := NewPageVertexBytes(0, OutEdges, img.OutData[:12], 0, enc)
+				if got := pv.Edges(nil, nil); fmt.Sprint(got) != "[2 1]" {
+					t.Fatalf("raw record of vertex 0 lists %v, want [2 1]", got)
+				}
+				return
+			}
+			want := fmt.Sprintf("graph: out-edge record pass: graph: %s encoding needs ascending neighbors: vertex 0 lists 1 after 2", enc)
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -184,8 +184,8 @@ func (v *Vector) Checksum() string {
 // TopK returns entries ranked by value descending (ties broken by
 // smaller vertex ID — the deterministic total order the pagination
 // contract needs), skipping the first offset ranks and returning at
-// most k. It runs one bounded selection pass: O(V · (k+offset)) worst
-// case, no O(V) copy or full sort on the serving path.
+// most k. A window k+offset up to selectionWindow (256) is one O(V·window)
+// selection pass; a larger one copies all V entries and sorts, O(V log V).
 func (v *Vector) TopK(k, offset int) ([]Entry, error) {
 	if k <= 0 || offset < 0 {
 		return nil, ErrBadRange

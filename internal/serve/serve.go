@@ -338,8 +338,8 @@ func (s *Server) Submit(req Request) (int64, error) {
 		prog:   prog,
 		shared: shared,
 		done:   make(chan struct{}),
-		// Fingerprint hashes the index (and, without a checksum trailer,
-		// all edge data) on first use — keep it outside s.mu.
+		// Fingerprint hashes the index and the per-extent sums on first
+		// use — keep it outside s.mu.
 		key: qos.Key{
 			Graph:  shared.Image().Fingerprint(),
 			Algo:   req.Algo,
