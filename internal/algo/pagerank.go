@@ -44,11 +44,12 @@ type PageRank struct {
 	Scores []float64
 
 	accumFix []int64 // pending delta, fixed point
-	shareFix []int64 // damped degree-normalized delta being pushed
 	thrFix   int64
 	scratch  []decodeScratch
 
-	// Dense-sweep frontier (SpMV form only).
+	// Dense-sweep state (SpMV form only): the share each row pushes this
+	// sweep, and the frontier.
+	shareFix           []int64
 	active, nextActive []bool
 }
 
@@ -65,7 +66,6 @@ func (p *PageRank) Init(eng core.ExecutionEngine) {
 	n := eng.NumVertices()
 	p.Scores = make([]float64, n)
 	p.accumFix = make([]int64, n)
-	p.shareFix = make([]int64, n)
 	//fg:allowfloat one-time conversion of float config (Threshold) into fixed point before any worker runs
 	p.thrFix = int64(p.Threshold * prScale)
 	//fg:allowfloat one-time conversion of float config (Damping) into the fixed-point initial delta
@@ -74,6 +74,7 @@ func (p *PageRank) Init(eng core.ExecutionEngine) {
 		p.accumFix[v] = baseFix
 	}
 	if eng.Kind() == core.EngineSpMV {
+		p.shareFix = make([]int64, n)
 		p.active = make([]bool, n)
 		p.nextActive = make([]bool, n)
 		for v := range p.active {
@@ -97,7 +98,14 @@ func (p *PageRank) absorb(v graph.VertexID, outdeg uint32) int64 {
 	p.accumFix[v] = 0
 	//fg:allowfloat pure per-vertex function of fixed-point state, shared verbatim by both forms — rounding is identical across engines
 	p.Scores[v] += float64(d) / prScale
-	if outdeg == 0 {
+	return p.share(d, outdeg)
+}
+
+// share is what a pending delta d pushes along each of outdeg edges (0 =
+// nothing to push): the one copy of the expression, which absorb and the
+// vertex form's Run both call.
+func (p *PageRank) share(d int64, outdeg uint32) int64 {
+	if d == 0 || outdeg == 0 {
 		return 0
 	}
 	//fg:allowfloat deterministic per-vertex share computation from fixed-point d; both forms call this exact expression
@@ -115,29 +123,27 @@ func deliver(acc []int64, thr int64, v graph.VertexID, share int64) (crossed boo
 	return was && acc[v] > thr
 }
 
-// Run implements core.Algorithm: absorb the accumulated delta and, if
-// there is a share to push, request the out-edge list.
+// Run implements core.Algorithm: if the accumulated delta has a share
+// to push, request the out-edge list and leave absorbing to RunOnVertex;
+// otherwise absorb at once.
 func (p *PageRank) Run(ctx *core.Ctx, v graph.VertexID) {
-	share := p.absorb(v, ctx.OutDegree(v))
-	if share == 0 {
+	if deg := ctx.OutDegree(v); p.share(p.accumFix[v], deg) == 0 {
+		p.absorb(v, deg)
 		return
 	}
-	p.shareFix[v] = share
 	ctx.RequestSelf(graph.OutEdges)
 }
 
-// RunOnVertex implements core.Algorithm: multicast the share to all
-// out-neighbors (the same value goes to every neighbor — the paper's
-// motivating multicast case).
+// RunOnVertex implements core.Algorithm: absorb and multicast the share
+// to all out-neighbors (the same value goes to every neighbor — the
+// paper's motivating multicast case). Only the message phase writes
+// accumFix, so absorb sees the delta Run tested and returns its share.
 func (p *PageRank) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	if pv.NumEdges() == 0 {
-		return
-	}
+	share := p.absorb(v, ctx.OutDegree(v))
 	// Streaming decode into per-worker scratch: one sequential pass,
 	// no per-vertex allocation, works for both edge-list encodings.
 	targets := p.scratch[ctx.WorkerID()].edges(pv)
-	ctx.Multicast(targets, core.Message{I64: p.shareFix[v]})
-	p.shareFix[v] = 0
+	ctx.Multicast(targets, core.Message{I64: share})
 }
 
 // RunOnSums implements core.SumReceiver: fold each vertex's summed
@@ -217,9 +223,10 @@ func (p *PageRank) EndIteration(eng core.ExecutionEngine, iter int) bool {
 	return !any
 }
 
-// StateBytes implements core.StateSized.
+// StateBytes implements core.StateSized: Scores and accumFix, plus the
+// SpMV form's shareFix and frontier.
 func (p *PageRank) StateBytes() int64 {
-	return int64(len(p.Scores))*24 + int64(len(p.active))*2
+	return int64(len(p.Scores))*16 + int64(len(p.shareFix))*8 + int64(len(p.active))*2
 }
 
 // Result implements core.ResultProducer: the per-vertex "score" vector.

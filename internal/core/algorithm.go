@@ -33,9 +33,10 @@
 //	                            per target
 //
 // A SumReceiver's messages skip the chunks: Send and Multicast add
-// msg.I64 into the run's sum array atomically, and after the barrier
-// each owner hands every vertex range it owns to one RunOnSums call and
-// zeroes it.
+// msg.I64 into the sending worker's own NumV-long array without atomics
+// (8·Threads bytes a vertex for the run), and after the barrier each
+// owner folds every worker's array over each range it owns into one
+// RunOnSums call and zeroes what it read.
 //
 // Two memory rules hold between barriers and make that steady state
 // allocation-free: request-side state (the request slab, pooled read
@@ -98,13 +99,15 @@ type Algorithm interface {
 
 // SumReceiver is implemented by algorithms whose messages mean nothing
 // but the sum of their I64 fields at each target (PageRank's deltas).
-// Send and Multicast then add msg.I64 into one run-wide array,
-// atomically, instead of buffering messages, and RunOnMessage is never
-// called: in the message phase each worker hands every vertex range it
-// owns to one RunOnSums call — sums[i] is what first+i received this
-// iteration, 0 if nothing — and zeroes the range after it. sums is only
-// valid for the call. A range has no current vertex, so Send, Multicast
-// and NotifyIterationEnd panic inside it.
+// Send and Multicast then add msg.I64 into the sending worker's own
+// NumV-long array, with plain stores, instead of buffering messages, and
+// RunOnMessage is never called: in the message phase each worker folds
+// every worker's array over each vertex range it owns and hands the
+// range to one RunOnSums call — sums[i] is what first+i received this
+// iteration from all workers, 0 if nothing — and zeroes it after. sums
+// is only valid for the call. The arrays cost 8·Threads bytes a vertex,
+// counted in RunStats.MemoryBytes. A range has no current vertex, so
+// Send, Multicast and NotifyIterationEnd panic inside it.
 type SumReceiver interface {
 	RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64)
 }

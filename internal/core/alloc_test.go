@@ -47,7 +47,7 @@ func selfMulticasts(iters int) map[string]Algorithm {
 // proper: on a warmed 3-thread engine, multicast → hand-over → deliver
 // allocates only the chunks that turn over — a worker keeps Threads
 // spares and buffers more than that here — and nothing per message;
-// summing into the run's array allocates nothing at all.
+// summing into each worker's array and folding them allocates nothing.
 func TestMessageRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -62,7 +62,9 @@ func messageRoundAllocates(t *testing.T, img *graph.Image, alg Algorithm) {
 	eng := memEngine(t, img, func(c *Config) { c.Threads = 3 })
 	eng.alg = alg
 	if _, ok := alg.(SumReceiver); ok {
-		eng.sums = make([]int64, img.NumV) // as Run would
+		for _, w := range eng.workers {
+			w.sums = make([]int64, img.NumV) // as Run would
+		}
 	}
 	targets := make([]graph.VertexID, img.NumV)
 	for i := range targets {

@@ -14,6 +14,9 @@ type Ctx struct {
 	cur    graph.VertexID // vertex on whose behalf callbacks run
 	part   int            // current vertical partition
 	inMsgs bool           // true during the message phase
+	// Workers' contexts are allocated back to back and write cur per
+	// vertex and per message: the pad keeps two off one cache line.
+	_ [64]byte
 }
 
 // Engine returns the running engine (graph metadata, degrees).
@@ -68,7 +71,7 @@ func (c *Ctx) ActivateMany(vs []graph.VertexID) {
 
 // self is the current vertex, for the calls that act on its behalf.
 func (c *Ctx) self() graph.VertexID {
-	if c.inMsgs && c.eng.sums != nil { // inside RunOnSums: cur names no vertex
+	if c.inMsgs && c.w.sums != nil { // inside RunOnSums: cur names no vertex
 		panic("core: Send, Multicast or NotifyIterationEnd from RunOnSums: a range of sums has no current vertex")
 	}
 	return c.cur

@@ -274,7 +274,9 @@ func TestSumsFreshAfterCancelledRun(t *testing.T) {
 			if _, err := eng.Run(&sumEcho{cancel: cancel}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 			}
-			if !slices.ContainsFunc(eng.sums, func(s int64) bool { return s != 0 }) {
+			if !slices.ContainsFunc(eng.workers, func(w *worker) bool {
+				return slices.ContainsFunc(w.sums, func(s int64) bool { return s != 0 })
+			}) {
 				t.Fatal("the cancelled run left no sums behind: the case tests nothing")
 			}
 			eng.SetContext(nil)
@@ -293,18 +295,20 @@ func TestSumsFreshAfterCancelledRun(t *testing.T) {
 	}
 }
 
-// TestSumArrayCounted: RunStats.MemoryBytes counts the sum array, so a
-// SumReceiver's footprint exceeds the same program's behind a wrapper
-// that hides the interface by exactly 8 bytes a vertex — and the two
-// paths agree on every total and on the message count.
+// TestSumArrayCounted: RunStats.MemoryBytes counts the per-worker sum
+// arrays, so a SumReceiver's footprint exceeds the same program's behind
+// a wrapper that hides the interface by exactly 8·Threads bytes a vertex
+// — and the two paths agree on every total and on the message count.
 func TestSumArrayCounted(t *testing.T) {
 	img, _ := buildTestImage(t, 8, 4, 9)
+	const threads = 3
 	for _, sem := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sem=%v", sem), func(t *testing.T) {
 			run := func(alg Algorithm) RunStats {
-				eng := memEngine(t, img, nil)
+				mutate := func(c *Config) { c.Threads = threads }
+				eng := memEngine(t, img, mutate)
 				if sem {
-					eng = semEngine(t, img, nil)
+					eng = semEngine(t, img, mutate)
 				}
 				st, err := eng.Run(alg)
 				if err != nil {
@@ -315,8 +319,8 @@ func TestSumArrayCounted(t *testing.T) {
 			summed, hidden := &sumEcho{}, &sumEcho{}
 			sst := run(summed)
 			hst := run(hiddenSums{hidden, hidden, hidden})
-			if d := sst.MemoryBytes - hst.MemoryBytes; d != 8*int64(img.NumV) {
-				t.Fatalf("MemoryBytes %d with sums, %d without: differ by %d, want 8·%d", sst.MemoryBytes, hst.MemoryBytes, d, img.NumV)
+			if d := sst.MemoryBytes - hst.MemoryBytes; d != 8*threads*int64(img.NumV) {
+				t.Fatalf("MemoryBytes %d with sums, %d without: differ by %d, want 8·%d·%d", sst.MemoryBytes, hst.MemoryBytes, d, threads, img.NumV)
 			}
 			if sst.Messages != hst.Messages {
 				t.Fatalf("sum path sent %d messages, per-message path %d", sst.Messages, hst.Messages)
@@ -325,5 +329,28 @@ func TestSumArrayCounted(t *testing.T) {
 				t.Fatal("the sum path's totals differ from the per-message path's")
 			}
 		})
+	}
+}
+
+// fixedState is selfMulticast reporting a fixed state size, so the rest
+// of its footprint is the engine's own.
+type fixedState struct{ selfMulticast }
+
+func (fixedState) StateBytes() int64 { return 12345 }
+
+// TestMemoryBytesExact: an in-memory run's MemoryBytes is exactly index
+// + program state + edge data + the vertex engine's own per-vertex
+// arrays — 4 B of pending-request count and the two frontier bitmaps.
+func TestMemoryBytesExact(t *testing.T) {
+	img, _ := buildTestImage(t, 8, 4, 9)
+	st, err := memEngine(t, img, nil).Run(&fixedState{selfMulticast{iters: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(img.NumV)
+	want := img.IndexMemory() + 12345 + img.DataSize() + 4*n + 2*8*((n+63)/64)
+	if st.MemoryBytes != want {
+		t.Fatalf("MemoryBytes = %d, want index %d + state 12345 + data %d + engine arrays %d = %d",
+			st.MemoryBytes, img.IndexMemory(), img.DataSize(), 4*n+2*8*((n+63)/64), want)
 	}
 }

@@ -258,11 +258,6 @@ type Engine struct {
 	// elements.
 	pendingReqs []int32
 
-	// sums is a SumReceiver's message array, NumV long (nil for any
-	// other program): senders add into it atomically, and each owner
-	// reads and zeroes its ranges after the barrier.
-	sums []int64
-
 	alg        Algorithm
 	maxRunning int // Config.MaxRunning tightened by the program's RunningLimiter
 
@@ -333,7 +328,9 @@ type RunStats struct {
 	CPUUtil  float64       // compute time / (elapsed × threads)
 
 	// MemoryBytes estimates the resident footprint: page cache + graph
-	// index + algorithm vertex state + a SumReceiver's sum array (+
+	// index + algorithm vertex state + the vertex engine's per-vertex
+	// arrays (pending-request counts and the two frontier bitmaps) + a
+	// SumReceiver's per-worker sum arrays, 8·Threads B/vertex (+
 	// in-memory edge data when InMemory).
 	MemoryBytes int64
 }
@@ -435,9 +432,12 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	e.activeCur.Clear()
 	e.activeNext.Clear()
 	e.pendingReqs = make([]int32, e.img.NumV)
-	e.sums = nil
-	if _, ok := alg.(SumReceiver); ok {
-		e.sums = make([]int64, e.img.NumV) // fresh: an aborted run leaves nothing stale
+	_, summing := alg.(SumReceiver)
+	for _, w := range e.workers {
+		w.sums = nil
+		if summing {
+			w.sums = make([]int64, e.img.NumV) // fresh: an aborted run leaves nothing stale
+		}
 	}
 
 	// Snapshot counters so stats reflect this run only. Cache hits,
@@ -581,10 +581,15 @@ func (e *Engine) Run(p Program) (RunStats, error) {
 	return st, nil
 }
 
-// memoryFootprint estimates resident bytes: index + vertex state + sum
-// array + cache (SEM) or edge data (in-memory).
+// memoryFootprint estimates resident bytes: index + vertex state +
+// engine per-vertex arrays + sum arrays + cache (SEM) or edge data
+// (in-memory).
 func (e *Engine) memoryFootprint() int64 {
-	m := e.img.IndexMemory() + 8*int64(len(e.sums))
+	bitmap := 8 * int64((e.img.NumV+63)/64)
+	m := e.img.IndexMemory() + 4*int64(len(e.pendingReqs)) + 2*bitmap
+	for _, w := range e.workers {
+		m += 8 * int64(len(w.sums))
+	}
 	if ss, ok := e.alg.(StateSized); ok {
 		m += ss.StateBytes()
 	}

@@ -125,6 +125,8 @@ type worker struct {
 
 	// Per-run counts, folded into the engine's at the end of the run.
 	sent, edgeReqs, merged, steals int64
+	// sums holds a SumReceiver run's sends from this worker, NumV long (nil otherwise).
+	sums []int64
 
 	iterEnd []graph.VertexID // vertices that requested end-of-iteration
 
@@ -522,12 +524,13 @@ func (w *worker) openChunk(p int) *msgChunk {
 // appending that partition's targets behind it. A chunk that fills on
 // the way is handed over and the header re-opened in the next one. A
 // Send is a multicast to one target: one header with n = 1. A
-// SumReceiver's multicast only adds msg.I64 into each target's sum.
+// SumReceiver's multicast only adds msg.I64 into each target's sum in
+// this worker's own array.
 func (w *worker) multicast(targets []graph.VertexID, msg Message) {
 	w.sent += int64(len(targets))
-	if sums := w.eng.sums; sums != nil {
+	if sums := w.sums; sums != nil {
 		for _, t := range targets {
-			atomic.AddInt64(&sums[t], msg.I64)
+			sums[t] += msg.I64
 		}
 		return
 	}
@@ -597,10 +600,21 @@ func (w *worker) messagePhase() int64 {
 	ctx, alg := w.partCtx, w.eng.alg
 	ctx.inMsgs = true
 	defer func() { ctx.inMsgs = false }()
-	if sums := w.eng.sums; sums != nil {
+	if w.sums != nil {
+		// Spans are disjoint and the barrier orders the fold after every
+		// add, so no lock: fold the others into this array, zero them.
 		for _, s := range w.eng.shared.part.spans[w.id] {
-			alg.(SumReceiver).RunOnSums(ctx, graph.VertexID(s[0]), sums[s[0]:s[1]])
-			clear(sums[s[0]:s[1]])
+			own := w.sums[s[0]:s[1]]
+			for _, o := range w.eng.workers {
+				if o != w {
+					for i, x := range o.sums[s[0]:s[1]] {
+						own[i] += x
+					}
+					clear(o.sums[s[0]:s[1]])
+				}
+			}
+			alg.(SumReceiver).RunOnSums(ctx, graph.VertexID(s[0]), own)
+			clear(own)
 		}
 		return 0
 	}
