@@ -78,8 +78,6 @@ func main() {
 		maxQueued     = flag.Int("max-queued", 64, "admitted queries waiting for a slot")
 		maxHistory    = flag.Int("max-history", 1024, "finished queries retained for polling")
 		resultMB      = flag.Int64("result-mb", 64, "the one byte budget for finished full result vectors (MiB): lookup/top-K, and hits on identical re-submits; 0 retains nothing")
-		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant admission rate (queries/sec, token bucket); 0 disables quotas")
-		quotaBurst    = flag.Float64("quota-burst", 0, "per-tenant burst capacity; 0 means 4x -quota-rate")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight queries on SIGINT/SIGTERM")
 	)
 	flag.Func("graph", "FlashGraph image to serve, as name=path or path (repeatable)", func(v string) error {
@@ -155,10 +153,6 @@ func main() {
 		MaxQueued:     *maxQueued,
 		MaxHistory:    *maxHistory,
 		ResultBytes:   resultBytes,
-		QoS: flashgraph.QoSConfig{
-			QuotaRate:  *quotaRate,
-			QuotaBurst: *quotaBurst,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -172,9 +166,6 @@ func main() {
 	log.Printf("catalog: %d graphs on one shared substrate (default %q)", len(names), names[0])
 	log.Printf("scheduler: %d concurrent slots, queue depth %d, %s result budget; algorithms: %v",
 		*maxConcurrent, *maxQueued, util.HumanBytes(*resultMB<<20), algos)
-	if *quotaRate > 0 {
-		log.Printf("quota: %.3g q/s per tenant", *quotaRate)
-	}
 	if *storeDir != "" {
 		log.Printf("store: %d device files under %s", *devices, *storeDir)
 	}

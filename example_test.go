@@ -2,7 +2,6 @@ package flashgraph_test
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"flashgraph"
@@ -141,14 +140,14 @@ func Example_customAlgorithm() {
 	// degreecount: serve: bad algorithm params: unknown param "mindeg" (accepted params: min_degree (integer))
 }
 
-// The serving QoS tier layers three protections over the scheduler —
-// priority classes with reserved interactive slots, an exact-result
-// cache with single-flight coalescing, and per-tenant admission
-// quotas (the only one that needs configuring: ServerConfig.QoS).
-// Classes are inferred from each algorithm's capabilities and
-// effective parameters (source-anchored point queries are interactive,
-// long iterative sweeps are batch) and overridable per request; cache
-// hits return the bit-identical ResultSet without re-running.
+// The serving QoS tier layers two protections over the scheduler —
+// priority classes with reserved interactive slots, and an
+// exact-result cache with single-flight coalescing — and neither needs
+// configuring. Classes are inferred from each algorithm's capabilities
+// and effective parameters (source-anchored point queries are
+// interactive, long iterative sweeps are batch) and overridable per
+// request; cache hits return the bit-identical ResultSet without
+// re-running.
 func Example_servingQoS() {
 	cat := flashgraph.NewCatalog(flashgraph.Options{CacheBytes: 1 << 20})
 	defer cat.Close()
@@ -157,59 +156,40 @@ func Example_servingQoS() {
 	}, flashgraph.Directed)); err != nil {
 		panic(err)
 	}
-	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{
-		QoS: flashgraph.QoSConfig{
-			QuotaRate:  0.001, // refill ~never: the denial below is deterministic
-			QuotaBurst: 2,
-		},
-	})
+	srv, err := flashgraph.NewServer(cat, flashgraph.ServerConfig{})
 	if err != nil {
 		panic(err)
 	}
 	defer srv.Close()
 
-	submit := func(tenant, class string) (flashgraph.Query, error) {
+	submit := func(class string) flashgraph.Query {
 		id, err := srv.Submit(flashgraph.Request{
 			Algo:   "bfs",
 			Params: json.RawMessage(`{"src":0}`),
-			Tenant: tenant,
 			Class:  class, // "" infers from the algorithm
 		})
 		if err != nil {
-			return flashgraph.Query{}, err
+			panic(err)
 		}
-		return srv.Wait(id)
+		q, err := srv.Wait(id)
+		if err != nil {
+			panic(err)
+		}
+		return q
 	}
 
-	q1, err := submit("alice", "")
-	if err != nil {
-		panic(err)
-	}
+	q1 := submit("")
 	fmt.Printf("alice: class %s, cache %q\n", q1.Class, q1.Cache)
 
-	// The identical request from another tenant answers from the result
+	// A second caller's identical request answers from the result
 	// cache — same checksum, no second execution — and the override
 	// files it as batch.
-	q2, err := submit("bob", "batch")
-	if err != nil {
-		panic(err)
-	}
+	q2 := submit("batch")
 	fmt.Printf("bob: class %s, cache %q, identical %v\n",
 		q2.Class, q2.Cache, q1.Result["checksum"] == q2.Result["checksum"])
-
-	// A tenant overdrawing its token bucket is refused without touching
-	// anyone else; over HTTP this surfaces as 429 with Retry-After.
-	var denied error
-	for i := 0; i < 3; i++ {
-		if _, err := submit("mallory", ""); err != nil {
-			denied = err
-		}
-	}
-	fmt.Println("mallory throttled:", errors.Is(denied, flashgraph.ErrQuotaExceeded))
 	// Output:
 	// alice: class interactive, cache ""
 	// bob: class batch, cache "hit", identical true
-	// mallory throttled: true
 }
 
 // A Catalog serves many named graphs from ONE shared substrate — a

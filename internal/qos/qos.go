@@ -1,8 +1,8 @@
 // Package qos is the serving quality-of-service tier: the policy
-// mechanisms that let one FlashGraph server absorb a mixed fleet of
-// tenants and workloads without letting any of them ruin the others.
-// It provides three independent, stdlib-only building blocks that
-// internal/serve composes into its scheduler:
+// mechanisms that let one FlashGraph server absorb a mix of point
+// lookups and full-graph sweeps without letting the sweeps ruin the
+// lookups. It provides two independent, stdlib-only building blocks
+// that internal/serve composes into its scheduler:
 //
 //   - a byte-budgeted LRU result store with single-flight coalescing
 //     hooks (Cache) whose handles die on eviction, keyed by whatever
@@ -12,10 +12,7 @@
 //   - priority-class admission (MultiQueue): three classes —
 //     interactive, analytic, batch — with per-class weighted dequeue
 //     and reserved/capped execution slots, so point lookups never
-//     queue behind full-graph sweeps;
-//   - per-tenant token-bucket quotas (Quotas) with a computed
-//     Retry-After, so an exhausted tenant sheds its own load instead
-//     of everyone's.
+//     queue behind full-graph sweeps.
 //
 // The package holds no FlashGraph types: Cache and MultiQueue are
 // generic over their payloads, and classification takes plain
@@ -23,10 +20,7 @@
 // and reusable by any serving surface.
 package qos
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Class is a query's priority class. Lower Rank = more latency
 // sensitive.
@@ -104,22 +98,14 @@ func InferClass(needsSrc bool, iters int) Class {
 	return ClassAnalytic
 }
 
-// Config sizes the QoS tier one serving scheduler runs. The class
-// policy is fixed — dequeue weights 16 / 4 / 1, max(1, slots/4) slots
-// reserved for interactive queries, running batch sweeps capped at half
-// the rest — so the zero value is the whole tier with no quotas.
+// Config holds nothing the tier reads. The class policy is fixed —
+// dequeue weights 16 / 4 / 1, max(1, slots/4) slots reserved for
+// interactive queries, running batch sweeps capped at half the rest —
+// and the tier is always on.
 type Config struct {
-	// Enabled is accepted and ignored: the tier is always on. The field
-	// stays only because callers still spell it.
+	// Enabled is accepted and ignored. The type and field stay only
+	// because the benchmark still spells them.
 	Enabled bool
-
-	// QuotaRate is each tenant's sustained admission rate in queries
-	// per second. 0 disables quotas.
-	QuotaRate float64
-
-	// QuotaBurst is each tenant's token-bucket capacity (peak burst).
-	// 0 = max(1, 4*QuotaRate).
-	QuotaBurst float64
 }
 
 // classWeights are the weighted-dequeue shares by class rank: with
@@ -134,25 +120,3 @@ func reservedSlots(slots int) int { return min(max(1, slots/4), slots-1) }
 // batchCap caps simultaneously running batch sweeps at half the
 // unreserved slots, and at least one.
 func batchCap(unreserved int) int { return max(1, unreserved/2) }
-
-// QuotaBurstTokens resolves the configured burst capacity.
-func (c Config) QuotaBurstTokens() float64 {
-	if c.QuotaBurst > 0 {
-		return c.QuotaBurst
-	}
-	b := 4 * c.QuotaRate
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// retryAfterCeil rounds a wait up to whole seconds for the HTTP
-// Retry-After header, with a 1s floor so clients never busy-spin.
-func retryAfterCeil(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}

@@ -66,9 +66,6 @@ func TestConfigResolvers(t *testing.T) {
 	if classWeights != [NumClasses]int{16, 4, 1} {
 		t.Fatalf("class weights = %v, want 16 / 4 / 1", classWeights)
 	}
-	if got := (Config{QuotaRate: 2}).QuotaBurstTokens(); got != 8 {
-		t.Fatalf("default burst = %v, want 4x rate", got)
-	}
 }
 
 func TestCacheLRUEvictionByBytes(t *testing.T) {
@@ -416,64 +413,6 @@ func TestMultiQueueDrain(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-func TestQuotasBurstAndRefill(t *testing.T) {
-	qs := NewQuotas(Config{QuotaRate: 1, QuotaBurst: 3})
-	now := time.Unix(1000, 0)
-	qs.SetClock(func() time.Time { return now })
-
-	for i := 0; i < 3; i++ {
-		if err := qs.Allow("t1"); err != nil {
-			t.Fatalf("burst admit %d: %v", i, err)
-		}
-	}
-	err := qs.Allow("t1")
-	var qe *QuotaError
-	if !errors.As(err, &qe) || !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("over-burst allow = %v, want *QuotaError matching ErrQuotaExceeded", err)
-	}
-	if qe.Tenant != "t1" || qe.RetryAfterSeconds() < 1 {
-		t.Fatalf("quota error = %+v", qe)
-	}
-	// Another tenant's bucket is untouched.
-	if err := qs.Allow("t2"); err != nil {
-		t.Fatalf("other tenant denied: %v", err)
-	}
-	// One second refills one token at rate 1.
-	now = now.Add(time.Second)
-	if err := qs.Allow("t1"); err != nil {
-		t.Fatalf("post-refill allow: %v", err)
-	}
-	if err := qs.Allow("t1"); err == nil {
-		t.Fatal("second post-refill allow admitted without tokens")
-	}
-
-	st := qs.Stats()
-	if len(st) != 2 || st[0].Tenant != "t1" || st[1].Tenant != "t2" {
-		t.Fatalf("stats = %+v, want sorted t1, t2", st)
-	}
-	if st[0].Admitted != 4 || st[0].Denied != 2 {
-		t.Fatalf("t1 stats = %+v, want 4 admitted / 2 denied", st[0])
-	}
-}
-
-func TestQuotaRetryAfterCeil(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 1},
-		{time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{3 * time.Second, 3},
-	}
-	for _, c := range cases {
-		if got := retryAfterCeil(c.d); got != c.want {
-			t.Errorf("retryAfterCeil(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
 }
 
 // TestMultiQueueRemove: Remove deletes a queued element without

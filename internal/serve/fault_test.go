@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,7 +234,8 @@ func faultShared(t *testing.T, fc ssd.FaultConfig, cacheBytes int64) (*core.Shar
 }
 
 // TestHealthzReadyz: /healthz answers 200 always, reporting "degraded"
-// once a device trips its breaker; /readyz flips to 503 on Drain.
+// once a device trips its breaker; /readyz and POST /queries answer 503
+// on Drain.
 func TestHealthzReadyz(t *testing.T) {
 	shared, _ := faultShared(t, ssd.FaultConfig{EIORate: 1}, 64<<10)
 	srv := New(shared, Config{MaxConcurrent: 2})
@@ -283,6 +285,15 @@ func TestHealthzReadyz(t *testing.T) {
 	srv.Drain()
 	if code, _ = getJSON("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz while draining = %d, want 503", code)
+	}
+	// Submissions answer 503 while draining (ErrDraining).
+	resp, err := http.Post(ts.URL+"/queries", "application/json", strings.NewReader(`{"algo":"bfs","params":{"src":0}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /queries while draining = %d, want 503", resp.StatusCode)
 	}
 	// Liveness stays up through the drain.
 	if code, _ = getJSON("/healthz"); code != http.StatusOK {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"flashgraph/internal/pagecache"
-	"flashgraph/internal/qos"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
 )
@@ -66,15 +65,8 @@ func Handler(s *Server) http.Handler {
 		if cl := r.URL.Query().Get("class"); cl != "" {
 			req.Class = cl // ?class= overrides the body and the inferred class
 		}
-		if req.Tenant == "" {
-			req.Tenant = r.Header.Get("X-Tenant")
-		}
 		id, err := s.Submit(req)
 		if err != nil {
-			var qe *qos.QuotaError
-			if errors.As(err, &qe) {
-				w.Header().Set("Retry-After", strconv.Itoa(qe.RetryAfterSeconds()))
-			}
 			httpError(w, statusFor(err), err.Error())
 			return
 		}
@@ -332,8 +324,6 @@ func queryID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 // statusFor maps the package's error taxonomy onto HTTP statuses.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, qos.ErrQuotaExceeded):
-		return http.StatusTooManyRequests
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownQuery), errors.Is(err, ErrUnknownGraph):

@@ -14,6 +14,7 @@ import (
 	"flashgraph/internal/core"
 	"flashgraph/internal/gen"
 	"flashgraph/internal/graph"
+	"flashgraph/internal/qos"
 	"flashgraph/internal/result"
 	"flashgraph/internal/safs"
 	"flashgraph/internal/ssd"
@@ -192,6 +193,9 @@ func TestHTTPEndToEndMultiGraph(t *testing.T) {
 	if stats["cache"] == nil {
 		t.Fatal("/stats missing shared-cache section")
 	}
+	if classes, _ := stats["scheduler"].(map[string]any)["classes"].([]any); len(classes) != qos.NumClasses {
+		t.Fatalf("/stats scheduler.classes = %v, want %d classes", classes, qos.NumClasses)
+	}
 }
 
 func TestHTTPSubmitPollListStats(t *testing.T) {
@@ -263,6 +267,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"oversized body", "POST", "/queries", `{"algo":"bfs","params":{"pad":"` + strings.Repeat("x", 64<<10) + `"}}`, http.StatusRequestEntityTooLarge},
 		{"unknown field", "POST", "/queries", `{"algo":"bfs","bogus":1}`, http.StatusBadRequest},
 		{"legacy flat src field", "POST", "/queries", `{"algo":"bfs","src":3}`, http.StatusBadRequest},
+		{"retired tenant field", "POST", "/queries", `{"algo":"bfs","tenant":"alice"}`, http.StatusBadRequest},
 		{"future version", "POST", "/queries", `{"version":9,"algo":"bfs"}`, http.StatusBadRequest},
 		{"out-of-range source", "POST", "/queries", `{"algo":"bfs","params":{"src":99999}}`, http.StatusBadRequest},
 		{"sssp on unweighted", "POST", "/queries", `{"algo":"sssp"}`, http.StatusBadRequest},

@@ -407,98 +407,6 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestQuotaHTTP429 drives the quota pillar through the HTTP surface: a
-// tenant overdrawing its bucket gets 429 with Retry-After while
-// another tenant keeps getting 202, and a draining server answers 503.
-func TestQuotaHTTP429(t *testing.T) {
-	shared := buildShared(t, 2)
-	srv := New(shared, Config{
-		ResultBytes: -1, // every submission real: denials come from the bucket alone
-		QoS:         qos.Config{QuotaRate: 0.001, QuotaBurst: 2},
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(Handler(srv))
-	defer ts.Close()
-
-	post := func(tenant, body string) *http.Response {
-		t.Helper()
-		req, _ := http.NewRequest("POST", ts.URL+"/queries", strings.NewReader(body))
-		if tenant != "" {
-			req.Header.Set("X-Tenant", tenant)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	// Distinct srcs: quota denial must come from the bucket, not
-	// coalescing or caching.
-	for _, body := range []string{
-		`{"algo":"bfs","params":{"src":0}}`,
-		`{"algo":"bfs","params":{"src":1}}`,
-	} {
-		resp := post("hammer", body)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("burst submit %s: status %d", body, resp.StatusCode)
-		}
-	}
-	resp := post("hammer", `{"algo":"bfs","params":{"src":5}}`)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota submit: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	// Another tenant is untouched.
-	if resp := post("calm", `{"algo":"bfs","params":{"src":6}}`); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("other tenant: status %d, want 202", resp.StatusCode)
-	}
-	// Tenant can also arrive in the body; the header fills it only when
-	// the body leaves it empty.
-	if resp := post("", `{"algo":"bfs","tenant":"hammer","params":{"src":7}}`); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("body-tenant submit: status %d, want 429", resp.StatusCode)
-	}
-
-	// The /stats payload carries the QoS surface.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Scheduler struct {
-			Classes []ClassStats      `json:"classes"`
-			Tenants []qos.TenantStats `json:"tenants"`
-		} `json:"scheduler"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Scheduler.Classes) != qos.NumClasses {
-		t.Fatalf("stats scheduler = %+v", stats.Scheduler)
-	}
-	var hammer qos.TenantStats
-	for _, ten := range stats.Scheduler.Tenants {
-		if ten.Tenant == "hammer" {
-			hammer = ten
-		}
-	}
-	if hammer.Admitted != 2 || hammer.Denied != 2 {
-		t.Fatalf("hammer tenant stats = %+v, want 2 admitted / 2 denied", hammer)
-	}
-
-	// Draining: submissions answer 503, reads keep working.
-	srv.Drain()
-	if resp := post("calm", `{"algo":"bfs","params":{"src":9}}`); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining submit: status %d, want 503", resp.StatusCode)
-	}
-	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz while draining: %v %v", resp.StatusCode, err)
-	}
-}
-
 // TestClassOverrideHTTP pins the ?class= query-parameter override and
 // the class/queue-wait fields in the query JSON.
 func TestClassOverrideHTTP(t *testing.T) {

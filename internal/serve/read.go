@@ -96,6 +96,8 @@ type ClassStats struct {
 // Stats summarizes the server's traffic.
 type Stats struct {
 	Submitted int64 `json:"submitted"`
+	// Rejected counts ErrQueueFull refusals; those of a draining or
+	// closed server (ErrDraining, ErrClosed) are not counted.
 	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
@@ -116,9 +118,6 @@ type Stats struct {
 	// ResultCache reports the same store as a cache (hits, misses,
 	// bytes, coalesced submissions); never nil.
 	ResultCache *qos.CacheStats `json:"result_cache,omitempty"`
-	// Tenants reports per-tenant quota state (current tokens,
-	// admitted, denied), sorted by tenant; nil when quotas are off.
-	Tenants []qos.TenantStats `json:"tenants,omitempty"`
 }
 
 // Graphs lists the catalog in registration order.
@@ -276,9 +275,6 @@ func (s *Server) Stats() Stats {
 			cs.WaitP99MS = durMS(quantile(sorted, 0.99))
 		}
 		st.Classes = append(st.Classes, cs)
-	}
-	if s.quotas != nil {
-		st.Tenants = s.quotas.Stats()
 	}
 	return st
 }

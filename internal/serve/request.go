@@ -38,11 +38,6 @@ type Request struct {
 	// delta. Empty accepts the graph's engine; naming the other fails
 	// with ErrIncompatibleGraph.
 	Engine string `json:"engine,omitempty"`
-	// Tenant attributes the query to a tenant for quota accounting and
-	// stats. The HTTP layer fills it from the X-Tenant header when the
-	// body leaves it empty. Empty is the anonymous tenant (one shared
-	// bucket).
-	Tenant string `json:"tenant,omitempty"`
 	// Class overrides the inferred priority class: "interactive",
 	// "analytic", or "batch". Empty infers from the algorithm's
 	// capabilities and effective parameters (qos.InferClass). The HTTP

@@ -5,7 +5,7 @@
 // queries).
 //
 // The Server is a query scheduler with admission control over the
-// serving-QoS tier (internal/qos, Config.QoS). Submitted queries are
+// serving-QoS tier (internal/qos). Submitted queries are
 // classified into priority classes — interactive / analytic / batch,
 // inferred from the algorithm's capabilities and parameters with a
 // per-request override — and admitted into per-class queues with
@@ -17,8 +17,6 @@
 // queries without recomputation, and single-flight coalescing runs N
 // identical in-flight submissions once — a registered program is
 // assumed to be a deterministic function of (image, params, engine).
-// Per-tenant token-bucket quotas shed one tenant's overload without
-// touching the others.
 //
 // Results follow the internal/result contract: every finished query
 // publishes a ResultSet summary (scalars, vector metadata, top-5,
@@ -123,7 +121,8 @@ type Config struct {
 	// Request.Graph) route to. Empty means "default" (the flashgraph
 	// package's NewServer fills in the catalog's first graph).
 	DefaultGraph string
-	// QoS sets per-tenant quotas. The class policy is fixed: max(1,
+	// QoS holds only the ignored qos.Config.Enabled; it stays because
+	// the benchmark still spells it. The class policy is fixed: max(1,
 	// MaxConcurrent/4) slots reserved for interactive queries and running
 	// batch sweeps capped at half the rest.
 	QoS qos.Config
@@ -204,9 +203,8 @@ type Server struct {
 	cfg Config
 	reg *Registry // private: seeded from the default registry at New
 
-	mq     *qos.MultiQueue[*query]
-	store  *qos.Cache[cachedResult] // the one owner of finished results
-	quotas *qos.Quotas              // nil: quotas off
+	mq    *qos.MultiQueue[*query]
+	store *qos.Cache[cachedResult] // the one owner of finished results
 
 	// mu is the package's one lock; the only nesting is mu -> a mutex
 	// inside qos (the store's, the queue's).
@@ -256,9 +254,6 @@ func Open(shared *core.Shared, cfg Config) (*Server, error) {
 		graphs:     map[string]*core.Shared{cfg.DefaultGraph: shared},
 		graphOrder: []string{cfg.DefaultGraph},
 	}
-	if cfg.QoS.QuotaRate > 0 {
-		s.quotas = qos.NewQuotas(cfg.QoS)
-	}
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.wg.Add(1)
 		go s.runLoop()
@@ -305,9 +300,8 @@ func (s *Server) Register(spec AlgorithmSpec) error {
 }
 
 // Submit admits a query and returns its ID. It fails fast on invalid
-// requests, unknown graphs or algorithms, quota exhaustion
-// (*qos.QuotaError, matching qos.ErrQuotaExceeded), ErrQueueFull at
-// capacity, and ErrDraining/ErrClosed during shutdown.
+// requests, unknown graphs or algorithms, ErrQueueFull at capacity,
+// and ErrDraining/ErrClosed during shutdown.
 //
 // A submission whose (graph fingerprint, algo, canonical params,
 // engine) key is in the result store returns an already-finished query
@@ -319,18 +313,6 @@ func (s *Server) Submit(req Request) (int64, error) {
 	prog, shared, class, err := s.prepare(req)
 	if err != nil {
 		return 0, err
-	}
-
-	// Quotas guard the front door: a denied tenant costs one bucket
-	// probe, nothing else. (Cache hits charge quota too — the quota
-	// meters admissions, not compute.)
-	if s.quotas != nil {
-		if err := s.quotas.Allow(req.Tenant); err != nil {
-			s.mu.Lock()
-			s.stats.Rejected++
-			s.mu.Unlock()
-			return 0, err
-		}
 	}
 
 	q := &query{

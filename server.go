@@ -72,10 +72,11 @@ type (
 	// (image, params, engine). An empty DefaultGraph means the catalog's
 	// first graph.
 	ServerConfig = serve.Config
-	// QoSConfig sets the scheduler's per-tenant quotas
-	// (ServerConfig.QoS). The class policy beside them is fixed: dequeue
-	// weights 16 / 4 / 1, max(1, slots/4) slots reserved for interactive
-	// queries, and running batch sweeps capped at half the rest.
+	// QoSConfig (ServerConfig.QoS) holds only the ignored Enabled; it
+	// stays because the benchmark still spells it. The class policy is
+	// fixed: dequeue weights 16 / 4 / 1, max(1, slots/4) slots reserved
+	// for interactive queries, and running batch sweeps capped at half
+	// the rest.
 	QoSConfig = qos.Config
 	// QueryClass is a query's priority class: interactive, analytic,
 	// or batch. Inferred per query from the algorithm's capabilities
@@ -89,13 +90,6 @@ type (
 	// CacheStats reports the result store (ServerStats.ResultCache): hits,
 	// misses, evictions, bytes (= RetainedBytes), coalesced submissions.
 	CacheStats = qos.CacheStats
-	// TenantStats snapshots one tenant's quota bucket
-	// (ServerStats.Tenants).
-	TenantStats = qos.TenantStats
-	// QuotaError reports a quota denial: which tenant and how long
-	// until a token refills. errors.Is(err, ErrQuotaExceeded) matches
-	// it; over HTTP it is 429 with Retry-After.
-	QuotaError = qos.QuotaError
 	// ResultHistogram is a fixed-width binning of a result vector.
 	ResultHistogram = result.Histogram
 	// Server schedules algorithm queries over a Catalog's graphs with
@@ -151,7 +145,7 @@ const (
 // RequestVersion is the current request schema version.
 const RequestVersion = serve.RequestVersion
 
-// Priority classes (Request.Class / ?class= values; QoSConfig keys).
+// Priority classes (Request.Class / ?class= values).
 const (
 	// ClassInteractive is for point queries a user is waiting on (BFS,
 	// SSSP, betweenness from a source): highest dequeue weight plus
@@ -164,10 +158,6 @@ const (
 	// weight and a cap on simultaneously running batch queries.
 	ClassBatch = qos.ClassBatch
 )
-
-// ErrQuotaExceeded matches every *QuotaError via errors.Is — a
-// tenant's token bucket is empty.
-var ErrQuotaExceeded = qos.ErrQuotaExceeded
 
 // Typed parameter structs of the built-in algorithms (marshal them
 // into Request.Params with MarshalParams).
