@@ -84,12 +84,10 @@ func (lp *LabelProp) Run(ctx *flashgraph.Ctx, v flashgraph.VertexID) {
 // every neighbor (the same value goes to all of them — the multicast
 // case the paper optimizes).
 func (lp *LabelProp) RunOnVertex(ctx *flashgraph.Ctx, v flashgraph.VertexID, pv *flashgraph.PageVertex) {
-	n := pv.NumEdges()
-	if n == 0 {
+	if pv.NumEdges() == 0 {
 		return
 	}
-	targets := pv.Edges(make([]flashgraph.VertexID, 0, n), nil) // streaming decode
-	ctx.Multicast(targets, flashgraph.Message{I64: int64(lp.Labels[v])})
+	ctx.Multicast(ctx.Neighbors(pv), flashgraph.Message{I64: int64(lp.Labels[v])})
 }
 
 // RunOnMessage implements flashgraph.Algorithm: count the label and

@@ -222,23 +222,38 @@ func nbrhoodTable(t *testing.T, directed bool, check func(name string, eng *core
 }
 
 // checkTCTable runs TC at each part size on every row of the table and
-// checks Total and PerVertex against galois.
-func checkTCTable(t *testing.T, directed bool, partSizes ...int) {
+// checks Total and PerVertex against galois, with the corners' counts
+// summed per target (RunOnSums) and, if bothPaths, also one message at
+// a time behind a wrapper that hides core.SumReceiver.
+func checkTCTable(t *testing.T, directed, bothPaths bool, partSizes ...int) {
 	t.Helper()
+	deliveries := []bool{false}
+	if bothPaths {
+		deliveries = append(deliveries, true)
+	}
 	nbrhoodTable(t, directed, func(name string, eng *core.Engine, ref *csr.Graph) {
 		wantTotal, wantPer := galois.TriangleCount(ref)
 		for _, partSize := range partSizes {
-			tc := NewTC()
-			tc.PartSize = partSize
-			if _, err := eng.Run(tc); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if tc.Total != wantTotal {
-				t.Fatalf("%s PartSize=%d: total = %d, want %d", name, partSize, tc.Total, wantTotal)
-			}
-			for v := range wantPer {
-				if tc.PerVertex[v] != wantPer[v] {
-					t.Fatalf("%s PartSize=%d: per[%d] = %d, want %d", name, partSize, v, tc.PerVertex[v], wantPer[v])
+			for _, perMessage := range deliveries {
+				tc := NewTC()
+				tc.PartSize = partSize
+				var alg core.Algorithm = tc
+				if perMessage {
+					alg = struct {
+						core.Algorithm
+						core.VerticallyPartitioned
+					}{tc, tc}
+				}
+				if _, err := eng.Run(alg); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if tc.Total != wantTotal {
+					t.Fatalf("%s PartSize=%d per-message=%v: total = %d, want %d", name, partSize, perMessage, tc.Total, wantTotal)
+				}
+				for v := range wantPer {
+					if tc.PerVertex[v] != wantPer[v] {
+						t.Fatalf("%s PartSize=%d per-message=%v: per[%d] = %d, want %d", name, partSize, perMessage, v, tc.PerVertex[v], wantPer[v])
+					}
 				}
 			}
 		}
@@ -246,18 +261,18 @@ func checkTCTable(t *testing.T, directed bool, partSizes ...int) {
 }
 
 func TestTCMatchesOracleDirected(t *testing.T) {
-	checkTCTable(t, true, NewTC().PartSize)
+	checkTCTable(t, true, true, NewTC().PartSize)
 }
 
 func TestTCMatchesOracleUndirected(t *testing.T) {
-	checkTCTable(t, false, NewTC().PartSize)
+	checkTCTable(t, false, true, NewTC().PartSize)
 }
 
 // TestTCVerticalPartitioningAgrees: with vertical partitioning off and
 // fine (16 vertices a part), TC still gives galois's answers.
 func TestTCVerticalPartitioningAgrees(t *testing.T) {
 	for _, directed := range []bool{true, false} {
-		checkTCTable(t, directed, 0, 16)
+		checkTCTable(t, directed, false, 0, 16)
 	}
 }
 
@@ -347,13 +362,21 @@ func TestKCoreMatchesOracle(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		want := galois.KCore(g.ref, k)
 		for name, eng := range engines(t, g.img) {
-			kc := NewKCore(k)
-			if _, err := eng.Run(kc); err != nil {
-				t.Fatal(err)
-			}
-			for v := range want {
-				if kc.Alive[v] != want[v] {
-					t.Fatalf("%s k=%d: alive[%d] = %v, want %v", name, k, v, kc.Alive[v], want[v])
+			// Decrements summed per target, then one message at a time
+			// behind a wrapper that hides core.SumReceiver.
+			for _, perMessage := range []bool{false, true} {
+				kc := NewKCore(k)
+				var alg core.Algorithm = kc
+				if perMessage {
+					alg = struct{ core.Algorithm }{kc}
+				}
+				if _, err := eng.Run(alg); err != nil {
+					t.Fatal(err)
+				}
+				for v := range want {
+					if kc.Alive[v] != want[v] {
+						t.Fatalf("%s k=%d per-message=%v: alive[%d] = %v, want %v", name, k, perMessage, v, kc.Alive[v], want[v])
+					}
 				}
 			}
 		}

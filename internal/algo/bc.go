@@ -35,7 +35,6 @@ type BC struct {
 
 	bucketMu sync.Mutex
 	buckets  [][]graph.VertexID
-	scratch  []decodeScratch
 }
 
 const (
@@ -52,7 +51,6 @@ func (b *BC) Init(eng core.ExecutionEngine) {
 	b.Centrality = make([]float64, n)
 	b.level = make([]int32, n)
 	b.sigma = make([]float64, n)
-	b.scratch = newScratchPool(eng)
 	for i := range b.level {
 		b.level[i] = -1
 	}
@@ -93,11 +91,10 @@ func (b *BC) Run(ctx *core.Ctx, v graph.VertexID) {
 
 // RunOnVertex implements core.Algorithm.
 func (b *BC) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	n := pv.NumEdges()
-	if n == 0 {
+	if pv.NumEdges() == 0 {
 		return
 	}
-	targets := b.scratch[ctx.WorkerID()].edges(pv) // streaming decode, no alloc
+	targets := ctx.Neighbors(pv)
 	if atomic.LoadInt32(&b.phase) == 0 {
 		ctx.Multicast(targets, core.Message{
 			Kind: bcForward,

@@ -56,8 +56,7 @@ type BFS struct {
 	// Level[v] is the BFS depth of v, or -1 if unreached.
 	Level []int32
 
-	scratch []decodeScratch
-	tally   []bfsTally
+	tally []bfsTally
 	// outIx and inIx size the records the planner compares; inIx is nil
 	// when the run never reads bottom-up. inDir is the list a bottom-up
 	// vertex reads (its own on an undirected image).
@@ -90,7 +89,6 @@ func (b *BFS) Init(eng core.ExecutionEngine) {
 	for i := range b.Level {
 		b.Level[i] = -1
 	}
-	b.scratch = newScratchPool(eng)
 	b.tally = make([]bfsTally, eng.Threads())
 	b.outIx, b.inIx, b.inDir = img.OutIndex, img.InIndex, graph.InEdges
 	if !img.Directed {
@@ -139,18 +137,11 @@ func (b *BFS) Run(ctx *core.Ctx, v graph.VertexID) {
 	}
 }
 
-// bfsScratchMax bounds (in edges) the decode buffer a worker keeps. BFS
-// expands each vertex once per run, so a buffer grown to a hub's degree
-// would only sit in the heap until the run ends: the few lists longer
-// than this get a buffer of their own, sized exactly and dropped.
-const bfsScratchMax = 4096
-
 // RunOnVertex implements core.Algorithm. Top-down, v's list is decoded
-// once into the worker's scratch (the batch kernel under both edge-list
-// encodings) and every unvisited neighbour is claimed. Bottom-up, v's
-// in-list is walked until an in-neighbour on the frontier is found;
-// Level is read atomically because joining vertices write theirs during
-// the same level.
+// once (ctx.Neighbors) and every unvisited neighbour is claimed.
+// Bottom-up, v's in-list is walked until an in-neighbour on the frontier
+// is found; Level is read atomically because joining vertices write
+// theirs during the same level.
 func (b *BFS) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
 	d := int32(ctx.Iteration())
 	if b.bottomUp {
@@ -163,13 +154,7 @@ func (b *BFS) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex)
 		}
 		return
 	}
-	var edges []graph.VertexID
-	if n := pv.NumEdges(); n > bfsScratchMax {
-		edges = pv.Edges(make([]graph.VertexID, 0, n), nil)
-	} else {
-		edges = b.scratch[ctx.WorkerID()].edges(pv)
-	}
-	for _, u := range edges {
+	for _, u := range ctx.Neighbors(pv) {
 		if atomic.LoadInt32(&b.Level[u]) < 0 && atomic.CompareAndSwapInt32(&b.Level[u], -1, d+1) {
 			b.claimed(ctx, u)
 		}

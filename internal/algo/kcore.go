@@ -20,8 +20,7 @@ type KCore struct {
 	// Alive[v] reports membership in the k-core after Run.
 	Alive []bool
 
-	deg     []int32
-	scratch []decodeScratch
+	deg []int32
 }
 
 // NewKCore returns a k-core program for threshold k.
@@ -35,7 +34,6 @@ func (kc *KCore) Init(eng core.ExecutionEngine) {
 	n := eng.NumVertices()
 	kc.Alive = make([]bool, n)
 	kc.deg = make([]int32, n)
-	kc.scratch = newScratchPool(eng)
 	for v := 0; v < n; v++ {
 		kc.Alive[v] = true
 		kc.deg[v] = int32(eng.OutDegree(graph.VertexID(v)))
@@ -55,23 +53,36 @@ func (kc *KCore) Run(ctx *core.Ctx, v graph.VertexID) {
 	}
 }
 
-// RunOnVertex implements core.Algorithm: multicast the decrement.
+// RunOnVertex implements core.Algorithm: multicast one decrement to
+// every neighbour.
 func (kc *KCore) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	n := pv.NumEdges()
-	if n == 0 {
-		return
-	}
-	targets := kc.scratch[ctx.WorkerID()].edges(pv) // streaming decode, no alloc
-	ctx.Multicast(targets, core.Message{})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: 1})
 }
 
-// RunOnMessage implements core.Algorithm: survivors lose a degree and
-// re-examine themselves next iteration if they fell below K.
+// RunOnSums implements core.SumReceiver: each survivor loses as many
+// degrees as it was sent decrements. The range is the calling worker's
+// own, so no synchronization is needed.
+func (kc *KCore) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
+	for i, n := range sums {
+		if n != 0 {
+			kc.lose(ctx, first+graph.VertexID(i), n)
+		}
+	}
+}
+
+// RunOnMessage implements core.Algorithm: one decrement at a time, for
+// callers that hide RunOnSums.
 func (kc *KCore) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
+	kc.lose(ctx, v, msg.I64)
+}
+
+// lose takes n degrees from v if it survives; it re-examines itself next
+// iteration if it fell below K.
+func (kc *KCore) lose(ctx *core.Ctx, v graph.VertexID, n int64) {
 	if !kc.Alive[v] {
 		return
 	}
-	kc.deg[v]--
+	kc.deg[v] -= int32(n)
 	if int(kc.deg[v]) < kc.K {
 		ctx.Activate(v)
 	}

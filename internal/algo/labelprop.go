@@ -33,7 +33,6 @@ type LabelProp struct {
 	Labels []graph.VertexID
 
 	counts    []map[graph.VertexID]int32
-	scratch   []decodeScratch
 	propagate bool // dense form: last resolution changed a label
 }
 
@@ -52,9 +51,6 @@ func (l *LabelProp) Init(eng core.ExecutionEngine) {
 	}
 	l.counts = make([]map[graph.VertexID]int32, n)
 	l.propagate = true
-	if eng.Kind() != core.EngineSpMV {
-		l.scratch = newScratchPool(eng)
-	}
 	eng.ActivateAllSeeds()
 }
 
@@ -111,8 +107,7 @@ func (l *LabelProp) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageV
 	if pv.NumEdges() == 0 {
 		return
 	}
-	targets := l.scratch[ctx.WorkerID()].edges(pv)
-	ctx.Multicast(targets, core.Message{I64: int64(l.Labels[v])})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: int64(l.Labels[v])})
 }
 
 // RunOnMessage implements core.Algorithm: tally the vote. Labels are

@@ -27,7 +27,6 @@ type nbrhood struct {
 // completions run on the worker that issued them, so no lock.
 type nbrWorker struct {
 	pieces map[uint64][]graph.VertexID
-	buf    []graph.VertexID
 }
 
 // nbrState is a running vertex's candidate set, kept only while a
@@ -124,8 +123,7 @@ func (n *nbrhood) arrived(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex)
 		return nil, false
 	}
 	delete(ws.pieces, key)
-	ws.buf = pv.Edges(ws.buf[:0], nil)
-	list = append(first, ws.buf...)
+	list = append(first, ctx.Neighbors(pv)...)
 	slices.Sort(list)
 	list = slices.Compact(list)
 	if i, found := slices.BinarySearch(list, pv.ID); found {

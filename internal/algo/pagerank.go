@@ -45,7 +45,6 @@ type PageRank struct {
 
 	accumFix []int64 // pending delta, fixed point
 	thrFix   int64
-	scratch  []decodeScratch
 
 	// Dense-sweep state (SpMV form only): the share each row pushes this
 	// sweep, and the frontier.
@@ -80,8 +79,6 @@ func (p *PageRank) Init(eng core.ExecutionEngine) {
 		for v := range p.active {
 			p.active[v] = true
 		}
-	} else {
-		p.scratch = newScratchPool(eng)
 	}
 	eng.ActivateAllSeeds()
 }
@@ -140,10 +137,7 @@ func (p *PageRank) Run(ctx *core.Ctx, v graph.VertexID) {
 // accumFix, so absorb sees the delta Run tested and returns its share.
 func (p *PageRank) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
 	share := p.absorb(v, ctx.OutDegree(v))
-	// Streaming decode into per-worker scratch: one sequential pass,
-	// no per-vertex allocation, works for both edge-list encodings.
-	targets := p.scratch[ctx.WorkerID()].edges(pv)
-	ctx.Multicast(targets, core.Message{I64: share})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: share})
 }
 
 // RunOnSums implements core.SumReceiver: fold each vertex's summed

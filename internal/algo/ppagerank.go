@@ -35,7 +35,6 @@ type PPR struct {
 	weighted bool
 	delta    []float64
 	accum    []float64
-	scratch  []decodeScratch
 }
 
 // NewPPR returns a personalized PageRank program restarting at src.
@@ -53,7 +52,6 @@ func (p *PPR) Init(eng core.ExecutionEngine) {
 	p.Scores = make([]float64, n)
 	p.delta = make([]float64, n)
 	p.accum = make([]float64, n)
-	p.scratch = newScratchPool(eng)
 	//fg:allowfloat PPR is a float algorithm end to end: vertex-engine only, approximate by design, not in the bit-identity contract
 	p.accum[p.Src] = 1 - p.Damping
 	eng.ActivateSeed(p.Src)
@@ -92,9 +90,9 @@ func (p *PPR) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex)
 			total += uint64(pv.AttrUint32(i))
 		}
 		if total > 0 {
-			// Streaming decode into per-worker scratch (delta records
-			// decode sequentially); attribute access stays O(1) per edge.
-			edges := p.scratch[ctx.WorkerID()].edges(pv)
+			// Delta records decode sequentially, so the list is decoded
+			// whole; attribute access stays O(1) per edge.
+			edges := ctx.Neighbors(pv)
 			//fg:allowfloat weighted-walk share scaling; PPR is float/approximate, not in the bit-identity contract
 			scale := p.Damping * d / float64(total)
 			for i, u := range edges {
@@ -110,8 +108,7 @@ func (p *PPR) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex)
 	}
 	//fg:allowfloat uniform share fallback; PPR is float/approximate, not in the bit-identity contract
 	share := p.Damping * d / float64(n)
-	targets := p.scratch[ctx.WorkerID()].edges(pv) // streaming decode, no alloc
-	ctx.Multicast(targets, core.Message{F64: share})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{F64: share})
 }
 
 // RunOnMessage implements core.Algorithm: accumulate and activate when

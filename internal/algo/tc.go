@@ -111,8 +111,18 @@ func (t *TC) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) 
 	t.nb.landed(v, st)
 }
 
-// RunOnMessage implements core.Algorithm: the other two corners learn
-// about their triangles.
+// RunOnSums implements core.SumReceiver: the other two corners learn
+// about their triangles, summed per corner. The range is the calling
+// worker's own.
+func (t *TC) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
+	per := t.PerVertex[first:]
+	for i, n := range sums {
+		per[i] += n
+	}
+}
+
+// RunOnMessage implements core.Algorithm: one message at a time, for
+// callers that hide RunOnSums.
 func (t *TC) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
 	t.PerVertex[v] += msg.I64
 }

@@ -25,7 +25,6 @@ type WCC struct {
 	Labels []graph.VertexID
 
 	improved []bool
-	scratch  []decodeScratch
 	changed  bool // dense form: any label improved this sweep
 }
 
@@ -41,7 +40,6 @@ func (w *WCC) Init(eng core.ExecutionEngine) {
 	}
 	if eng.Kind() != core.EngineSpMV {
 		w.improved = make([]bool, n)
-		w.scratch = newScratchPool(eng)
 		for v := range w.improved {
 			w.improved[v] = true // everyone broadcasts initially
 		}
@@ -65,12 +63,10 @@ func (w *WCC) Run(ctx *core.Ctx, v graph.VertexID) {
 // RunOnVertex implements core.Algorithm: multicast the current label to
 // the neighbors in this direction.
 func (w *WCC) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	n := pv.NumEdges()
-	if n == 0 {
+	if pv.NumEdges() == 0 {
 		return
 	}
-	targets := w.scratch[ctx.WorkerID()].edges(pv) // streaming decode, no alloc
-	ctx.Multicast(targets, core.Message{I64: int64(w.Labels[v])})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: int64(w.Labels[v])})
 }
 
 // RunOnMessage implements core.Algorithm: adopt smaller labels and

@@ -22,7 +22,8 @@
 //     lists (§5.1's "FG-mem" baseline).
 //
 // The message path, beside the read path (RequestEdges → worker.issue →
-// safs.IOContext.ReadTask → Flush):
+// safs.IOContext.ReadTask → Flush → RunOnVertex, whose list Ctx.Neighbors
+// decodes into a buffer the worker's context owns):
 //
 //	Ctx.Multicast / Send        one walk over the targets, msg copied
 //	  → header per partition    once per destination partition, its
@@ -98,9 +99,10 @@ type Algorithm interface {
 }
 
 // SumReceiver is implemented by algorithms whose messages mean nothing
-// but the sum of their I64 fields at each target (PageRank's deltas).
-// Send and Multicast then add msg.I64 into the sending worker's own
-// NumV-long array, with plain stores, instead of buffering messages, and
+// but the sum of their I64 fields at each target (PageRank's deltas,
+// triangle counting's corner counts, k-core's decrements). Send and
+// Multicast then add msg.I64 into the sending worker's own NumV-long
+// array, with plain stores, instead of buffering messages, and
 // RunOnMessage is never called: in the message phase each worker folds
 // every worker's array over each vertex range it owns and hands the
 // range to one RunOnSums call — sums[i] is what first+i received this

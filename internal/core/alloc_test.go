@@ -8,22 +8,15 @@ import (
 )
 
 // selfMulticast is the shape of the benchmark's message-path probe:
-// every vertex, every iteration, requests its own out-edge list and
-// multicasts one message to all of it; receiving does nothing.
-type selfMulticast struct {
-	iters   int
-	targets [][]graph.VertexID
-}
+// every vertex, every iteration, requests its own out-edge list, decodes
+// it through the engine's buffer and multicasts one message to all of
+// it; receiving does nothing.
+type selfMulticast struct{ iters int }
 
-func (m *selfMulticast) Init(eng ExecutionEngine) {
-	m.targets = make([][]graph.VertexID, eng.Threads())
-	eng.ActivateAllSeeds()
-}
+func (m *selfMulticast) Init(eng ExecutionEngine)       { eng.ActivateAllSeeds() }
 func (m *selfMulticast) Run(ctx *Ctx, v graph.VertexID) { ctx.RequestSelf(graph.OutEdges) }
 func (m *selfMulticast) RunOnVertex(ctx *Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	w := ctx.WorkerID()
-	m.targets[w] = pv.Edges(m.targets[w][:0], nil)
-	ctx.Multicast(m.targets[w], Message{I64: 1})
+	ctx.Multicast(ctx.Neighbors(pv), Message{I64: 1})
 }
 func (m *selfMulticast) RunOnMessage(ctx *Ctx, v graph.VertexID, msg Message) {}
 func (m *selfMulticast) MaxIterations() int                                   { return m.iters }

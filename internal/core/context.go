@@ -11,10 +11,11 @@ import (
 type Ctx struct {
 	eng    *Engine
 	w      *worker
-	cur    graph.VertexID // vertex on whose behalf callbacks run
-	part   int            // current vertical partition
-	inMsgs bool           // true during the message phase
-	// Workers' contexts are allocated back to back and write cur per
+	cur    graph.VertexID   // vertex on whose behalf callbacks run
+	part   int              // current vertical partition
+	inMsgs bool             // true during the message phase
+	nbrs   []graph.VertexID // Neighbors' decode buffer
+	// Workers' contexts are allocated back to back and written per
 	// vertex and per message: the pad keeps two off one cache line.
 	_ [64]byte
 }
@@ -110,5 +111,16 @@ func (c *Ctx) NumVertices() int { return c.eng.img.NumV }
 
 // WorkerID identifies the worker executing this callback (stable for
 // all callbacks of one vertex's requests within a phase). Algorithms
-// use it for lock-free per-worker scratch space.
+// index per-worker state that outlives a callback by it; a list decoded
+// for one callback needs none (Neighbors).
 func (c *Ctx) WorkerID() int { return c.w.id }
+
+// Neighbors decodes pv's whole edge list into a buffer this worker's
+// context owns, in one streaming pass under every record encoding and
+// allocation-free once the buffer has grown to the longest list. The
+// slice is valid until the next call on this worker; Multicast copies
+// its targets, so handing it the slice is safe.
+func (c *Ctx) Neighbors(pv *graph.PageVertex) []graph.VertexID {
+	c.nbrs = pv.Edges(c.nbrs[:0], nil)
+	return c.nbrs
+}

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -54,15 +55,54 @@ type Entry struct {
 }
 
 // Vector is one named per-vertex property: a typed column of length
-// NumVertices. Exactly one of the typed slices is set.
+// NumVertices.
 type Vector struct {
 	name     string
 	kind     Kind
-	i32      []int32
-	u32      []uint32
-	u64      []uint64
-	f64      []float64
+	col      column
 	sentinel any // optional not-a-value marker (see WithSentinel)
+}
+
+// column is a Vector's data. col[T] is its one implementation, so each
+// operation is written once for every kind.
+type column interface {
+	len() int
+	value(i int) any
+	float(i int) float64
+	fits(x any) bool      // x has the column's element type
+	is(i int, x any) bool // element i equals x
+	bytes() int64
+	hash(h hash.Hash)
+	topK(k, offset int, sentinel any) []Entry
+}
+
+type col[T int32 | uint32 | uint64 | float64] []T
+
+func (c col[T]) len() int             { return len(c) }
+func (c col[T]) value(i int) any      { return c[i] }
+func (c col[T]) float(i int) float64  { return float64(c[i]) }
+func (c col[T]) fits(x any) bool      { return typedSentinel[T](x) != nil }
+func (c col[T]) bytes() int64         { return int64(binary.Size([]T(c))) }
+func (c col[T]) is(i int, x any) bool { s, ok := x.(T); return ok && c[i] == s }
+func (c col[T]) topK(k, offset int, sentinel any) []Entry {
+	return topK([]T(c), k, offset, typedSentinel[T](sentinel))
+}
+
+// hash writes the column's little-endian encoding to h, one element at
+// a time: no copy of the column.
+func (c col[T]) hash(h hash.Hash) {
+	var zero T
+	_, isFloat := any(zero).(float64)
+	width := binary.Size(zero)
+	var b [8]byte
+	for _, x := range c {
+		bits := uint64(x) // of an int32, only the low four bytes are written
+		if isFloat {
+			bits = math.Float64bits(float64(x))
+		}
+		binary.LittleEndian.PutUint64(b[:], bits)
+		h.Write(b[:width])
+	}
 }
 
 // WithSentinel marks one value of the column as "no result for this
@@ -73,18 +113,7 @@ type Vector struct {
 // the column exactly as the algorithm produced it. The sentinel's type
 // must match the column's kind.
 func (v *Vector) WithSentinel(x any) *Vector {
-	ok := false
-	switch v.kind {
-	case Int32:
-		_, ok = x.(int32)
-	case Uint32:
-		_, ok = x.(uint32)
-	case Uint64:
-		_, ok = x.(uint64)
-	case Float64:
-		_, ok = x.(float64)
-	}
-	if !ok {
+	if !v.col.fits(x) {
 		panic(fmt.Sprintf("result: sentinel %T does not match vector kind %s", x, v.kind))
 	}
 	v.sentinel = x
@@ -98,86 +127,24 @@ func (v *Vector) Name() string { return v.name }
 func (v *Vector) Kind() Kind { return v.kind }
 
 // Len returns the element count.
-func (v *Vector) Len() int {
-	switch v.kind {
-	case Int32:
-		return len(v.i32)
-	case Uint32:
-		return len(v.u32)
-	case Uint64:
-		return len(v.u64)
-	default:
-		return len(v.f64)
-	}
-}
+func (v *Vector) Len() int { return v.col.len() }
 
 // Value returns element i with its exact type.
-func (v *Vector) Value(i int) any {
-	switch v.kind {
-	case Int32:
-		return v.i32[i]
-	case Uint32:
-		return v.u32[i]
-	case Uint64:
-		return v.u64[i]
-	default:
-		return v.f64[i]
-	}
-}
+func (v *Vector) Value(i int) any { return v.col.value(i) }
 
 // Float returns element i as float64 — a lossy numeric view (uint64
 // above 2^53 rounds) used by Count and Histogram predicates. Ordering
 // operations (TopK, Max) compare exact typed values instead.
-func (v *Vector) Float(i int) float64 {
-	switch v.kind {
-	case Int32:
-		return float64(v.i32[i])
-	case Uint32:
-		return float64(v.u32[i])
-	case Uint64:
-		return float64(v.u64[i])
-	default:
-		return v.f64[i]
-	}
-}
+func (v *Vector) Float(i int) float64 { return v.col.float(i) }
 
 // Bytes returns the column's data footprint.
-func (v *Vector) Bytes() int64 {
-	switch v.kind {
-	case Int32, Uint32:
-		return int64(v.Len()) * 4
-	default:
-		return int64(v.Len()) * 8
-	}
-}
+func (v *Vector) Bytes() int64 { return v.col.bytes() }
 
 // Checksum returns the FNV-64a hash of the column's little-endian
 // encoding. Equal checksums across runs certify bit-identical vectors.
 func (v *Vector) Checksum() string {
 	h := fnv.New64a()
-	var b [8]byte
-	switch v.kind {
-	case Int32:
-		for _, x := range v.i32 {
-			binary.LittleEndian.PutUint32(b[:4], uint32(x))
-			h.Write(b[:4])
-		}
-	case Uint32:
-		for _, x := range v.u32 {
-			binary.LittleEndian.PutUint32(b[:4], x)
-			h.Write(b[:4])
-		}
-	case Uint64:
-		for _, x := range v.u64 {
-			binary.LittleEndian.PutUint64(b[:8], x)
-			h.Write(b[:8])
-		}
-	default:
-		for _, x := range v.f64 {
-			binary.LittleEndian.PutUint64(b[:8], math.Float64bits(x))
-			h.Write(b[:8])
-		}
-	}
+	v.col.hash(h)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -199,16 +166,7 @@ func (v *Vector) TopK(k, offset int) ([]Entry, error) {
 	if k > v.Len()-offset {
 		k = v.Len() - offset
 	}
-	switch v.kind {
-	case Int32:
-		return topK(v.i32, k, offset, typedSentinel[int32](v.sentinel)), nil
-	case Uint32:
-		return topK(v.u32, k, offset, typedSentinel[uint32](v.sentinel)), nil
-	case Uint64:
-		return topK(v.u64, k, offset, typedSentinel[uint64](v.sentinel)), nil
-	default:
-		return topK(v.f64, k, offset, typedSentinel[float64](v.sentinel)), nil
-	}
+	return v.col.topK(k, offset, v.sentinel), nil
 }
 
 // typedSentinel unwraps a Vector's sentinel for the typed kernels (nil
@@ -322,19 +280,7 @@ func (v *Vector) Histogram(bins int) (Histogram, error) {
 
 // isSentinel reports whether element i carries the sentinel value.
 func (v *Vector) isSentinel(i int) bool {
-	if v.sentinel == nil {
-		return false
-	}
-	switch v.kind {
-	case Int32:
-		return v.i32[i] == v.sentinel.(int32)
-	case Uint32:
-		return v.u32[i] == v.sentinel.(uint32)
-	case Uint64:
-		return v.u64[i] == v.sentinel.(uint64)
-	default:
-		return v.f64[i] == v.sentinel.(float64)
-	}
+	return v.sentinel != nil && v.col.is(i, v.sentinel)
 }
 
 // selectionWindow bounds the insertion-based selection kernel: past
@@ -432,22 +378,22 @@ func (rs *ResultSet) add(v *Vector) *Vector {
 // AddInt32 adds an int32 vector. The slice is referenced, not copied —
 // the algorithm hands over ownership of its state array.
 func (rs *ResultSet) AddInt32(name string, xs []int32) *Vector {
-	return rs.add(&Vector{name: name, kind: Int32, i32: xs})
+	return rs.add(&Vector{name: name, kind: Int32, col: col[int32](xs)})
 }
 
 // AddUint32 adds a uint32 vector (shared-reference, like AddInt32).
 func (rs *ResultSet) AddUint32(name string, xs []uint32) *Vector {
-	return rs.add(&Vector{name: name, kind: Uint32, u32: xs})
+	return rs.add(&Vector{name: name, kind: Uint32, col: col[uint32](xs)})
 }
 
 // AddUint64 adds a uint64 vector (shared-reference, like AddInt32).
 func (rs *ResultSet) AddUint64(name string, xs []uint64) *Vector {
-	return rs.add(&Vector{name: name, kind: Uint64, u64: xs})
+	return rs.add(&Vector{name: name, kind: Uint64, col: col[uint64](xs)})
 }
 
 // AddFloat64 adds a float64 vector (shared-reference, like AddInt32).
 func (rs *ResultSet) AddFloat64(name string, xs []float64) *Vector {
-	return rs.add(&Vector{name: name, kind: Float64, f64: xs})
+	return rs.add(&Vector{name: name, kind: Float64, col: col[float64](xs)})
 }
 
 // AddBool adds a bool vector, stored as uint32 0/1 (this one copies).

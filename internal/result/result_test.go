@@ -178,6 +178,34 @@ func TestChecksumDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
+// TestChecksumGolden pins the checksum encoding itself: every kind's
+// column bytes and the set's framing. CLI and cross-engine checks only
+// compare checksums with each other, so a change that moved them all
+// alike would pass those; these values must never be edited to match.
+func TestChecksumGolden(t *testing.T) {
+	rs := New("golden")
+	vecs := []*Vector{
+		rs.AddInt32("i32", []int32{-1, 0, 7, math.MaxInt32, math.MinInt32}).WithSentinel(int32(-1)),
+		rs.AddUint32("u32", []uint32{0, 1, math.MaxUint32}),
+		rs.AddUint64("u64", []uint64{0, 1 << 60, math.MaxUint64}),
+		rs.AddFloat64("f64", []float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN(), -3e-300}),
+		rs.AddBool("bool", []bool{true, false, true}),
+	}
+	rs.AddScalar("n", 42)
+	want := []string{"ddebce8e1b6b3722", "e206d4b7906fc9d0", "14fdd5ba143e8ead", "9031833054d7fa6e", "ff1ed9421877e875"}
+	for i, v := range vecs {
+		if got := v.Checksum(); got != want[i] {
+			t.Errorf("vector %s: checksum %s, want %s", v.Name(), got, want[i])
+		}
+	}
+	if got := rs.Checksum(); got != "e9b706d4ac56429b" {
+		t.Errorf("set checksum %s, want e9b706d4ac56429b", got)
+	}
+	if got := rs.Summary()["checksum"]; got != "e9b706d4ac56429b" {
+		t.Errorf("Summary checksum %v, want e9b706d4ac56429b", got)
+	}
+}
+
 func TestSummaryShape(t *testing.T) {
 	rs := New("wcc")
 	rs.AddUint32("component", []uint32{0, 0, 2, 2, 2})
