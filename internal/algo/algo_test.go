@@ -362,21 +362,13 @@ func TestKCoreMatchesOracle(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		want := galois.KCore(g.ref, k)
 		for name, eng := range engines(t, g.img) {
-			// Decrements summed per target, then one message at a time
-			// behind a wrapper that hides core.SumReceiver.
-			for _, perMessage := range []bool{false, true} {
-				kc := NewKCore(k)
-				var alg core.Algorithm = kc
-				if perMessage {
-					alg = struct{ core.Algorithm }{kc}
-				}
-				if _, err := eng.Run(alg); err != nil {
-					t.Fatal(err)
-				}
-				for v := range want {
-					if kc.Alive[v] != want[v] {
-						t.Fatalf("%s k=%d per-message=%v: alive[%d] = %v, want %v", name, k, perMessage, v, kc.Alive[v], want[v])
-					}
+			kc := NewKCore(k)
+			if _, err := eng.Run(kc); err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if kc.Alive[v] != want[v] {
+					t.Fatalf("%s k=%d: alive[%d] = %v, want %v", name, k, v, kc.Alive[v], want[v])
 				}
 			}
 		}

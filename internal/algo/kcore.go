@@ -53,36 +53,21 @@ func (kc *KCore) Run(ctx *core.Ctx, v graph.VertexID) {
 	}
 }
 
-// RunOnVertex implements core.Algorithm: multicast one decrement to
-// every neighbour.
+// RunOnVertex implements core.Algorithm: multicast the decrement.
 func (kc *KCore) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: 1})
+	ctx.Multicast(ctx.Neighbors(pv), core.Message{})
 }
 
-// RunOnSums implements core.SumReceiver: each survivor loses as many
-// degrees as it was sent decrements. The range is the calling worker's
-// own, so no synchronization is needed.
-func (kc *KCore) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
-	for i, n := range sums {
-		if n != 0 {
-			kc.lose(ctx, first+graph.VertexID(i), n)
-		}
-	}
-}
-
-// RunOnMessage implements core.Algorithm: one decrement at a time, for
-// callers that hide RunOnSums.
+// RunOnMessage implements core.Algorithm: survivors lose a degree and
+// re-examine themselves next iteration if they fell below K. k-core
+// stays off core.SumReceiver: only dying vertices send, and a long peel
+// runs hundreds of iterations that would each fold and scan every
+// worker's NumV-long sum array.
 func (kc *KCore) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
-	kc.lose(ctx, v, msg.I64)
-}
-
-// lose takes n degrees from v if it survives; it re-examines itself next
-// iteration if it fell below K.
-func (kc *KCore) lose(ctx *core.Ctx, v graph.VertexID, n int64) {
 	if !kc.Alive[v] {
 		return
 	}
-	kc.deg[v] -= int32(n)
+	kc.deg[v]--
 	if int(kc.deg[v]) < kc.K {
 		ctx.Activate(v)
 	}

@@ -100,16 +100,17 @@ type Algorithm interface {
 
 // SumReceiver is implemented by algorithms whose messages mean nothing
 // but the sum of their I64 fields at each target (PageRank's deltas,
-// triangle counting's corner counts, k-core's decrements). Send and
-// Multicast then add msg.I64 into the sending worker's own NumV-long
-// array, with plain stores, instead of buffering messages, and
-// RunOnMessage is never called: in the message phase each worker folds
+// triangle counting's corner counts). Send and Multicast then add
+// msg.I64 into the sending worker's own NumV-long array, with plain
+// stores, instead of buffering messages, and RunOnMessage is never
+// called: in the message phase each worker folds
 // every worker's array over each vertex range it owns and hands the
 // range to one RunOnSums call — sums[i] is what first+i received this
 // iteration from all workers, 0 if nothing — and zeroes it after. sums
 // is only valid for the call. The arrays cost 8·Threads bytes a vertex,
-// counted in RunStats.MemoryBytes. A range has no current vertex, so
-// Send, Multicast and NotifyIterationEnd panic inside it.
+// counted in RunStats.MemoryBytes and folded whole every iteration, so
+// sparse sends (k-core's) are cheaper as messages. A range has no
+// current vertex, so Send, Multicast and NotifyIterationEnd panic in it.
 type SumReceiver interface {
 	RunOnSums(ctx *Ctx, first graph.VertexID, sums []int64)
 }

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -72,7 +71,7 @@ type column interface {
 	fits(x any) bool      // x has the column's element type
 	is(i int, x any) bool // element i equals x
 	bytes() int64
-	hash(h hash.Hash)
+	hash() uint64
 	topK(k, offset int, sentinel any) []Entry
 }
 
@@ -88,21 +87,31 @@ func (c col[T]) topK(k, offset int, sentinel any) []Entry {
 	return topK([]T(c), k, offset, typedSentinel[T](sentinel))
 }
 
-// hash writes the column's little-endian encoding to h, one element at
-// a time: no copy of the column.
-func (c col[T]) hash(h hash.Hash) {
+// FNV-64a's parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hash returns the FNV-64a hash of the column's little-endian encoding,
+// folded inline one byte at a time: no copy of the column and no call
+// per element.
+func (c col[T]) hash() uint64 {
 	var zero T
 	_, isFloat := any(zero).(float64)
 	width := binary.Size(zero)
-	var b [8]byte
+	h := uint64(fnvOffset)
 	for _, x := range c {
-		bits := uint64(x) // of an int32, only the low four bytes are written
+		bits := uint64(x) // of an int32, only the low four bytes are hashed
 		if isFloat {
 			bits = math.Float64bits(float64(x))
 		}
-		binary.LittleEndian.PutUint64(b[:], bits)
-		h.Write(b[:width])
+		for range width {
+			h = (h ^ bits&0xff) * fnvPrime
+			bits >>= 8
+		}
 	}
+	return h
 }
 
 // WithSentinel marks one value of the column as "no result for this
@@ -143,9 +152,7 @@ func (v *Vector) Bytes() int64 { return v.col.bytes() }
 // Checksum returns the FNV-64a hash of the column's little-endian
 // encoding. Equal checksums across runs certify bit-identical vectors.
 func (v *Vector) Checksum() string {
-	h := fnv.New64a()
-	v.col.hash(h)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", v.col.hash())
 }
 
 // TopK returns entries ranked by value descending (ties broken by
