@@ -529,8 +529,8 @@ func TestServerCancelRunningQuery(t *testing.T) {
 
 // TestRunFollowsLayout: Run takes its engine from the graph's layout.
 // PageRank on a block copy of a graph sweeps on the SpMV engine and
-// answers with the raw copy's checksum; BFS, which has no SpMV form, is
-// refused on the block copy.
+// answers with the raw copy's checksum; BFS and personalized PageRank,
+// which have no SpMV form, are refused on the block copy.
 func TestRunFollowsLayout(t *testing.T) {
 	raw := NewGraph(1<<9, GenerateRMAT(9, 6, 3), Directed)
 	var buf bytes.Buffer
@@ -555,8 +555,10 @@ func TestRunFollowsLayout(t *testing.T) {
 		}
 		checksums[EngineKind(st.Engine)] = pr.Result().Checksum()
 		if g == block {
-			if _, err := eng.Run(NewBFS(0)); err == nil || !strings.Contains(err.Error(), "SpMV engine") {
-				t.Fatalf("bfs on a block graph: %v, want a refusal naming the SpMV engine", err)
+			for _, p := range []Program{NewBFS(0), NewPPR(0)} {
+				if _, err := eng.Run(p); err == nil || !strings.Contains(err.Error(), "SpMV engine") {
+					t.Fatalf("%T on a block graph: %v, want a refusal naming the SpMV engine", p, err)
+				}
 			}
 		}
 	}

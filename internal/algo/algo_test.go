@@ -37,19 +37,52 @@ func rmatGraph(t *testing.T, scale, epv int, seed uint64, directed bool) *testGr
 
 // engines returns a SEM engine and an in-memory engine over the image.
 func engines(t *testing.T, img *graph.Image) map[string]*core.Engine {
+	return enginesAt(t, img, 4)
+}
+
+// enginesAt is engines with the given worker count.
+func enginesAt(t *testing.T, img *graph.Image, threads int) map[string]*core.Engine {
 	t.Helper()
 	arr := ssd.NewArray(ssd.ArrayParams{Devices: 4, StripeSize: 32 * 4096})
 	t.Cleanup(arr.Close)
 	fs := safs.New(arr, safs.Config{CacheBytes: 4 << 20})
-	sem, err := core.NewEngine(img, core.Config{Threads: 4, FS: fs, RangeShift: 4})
+	sem, err := core.NewEngine(img, core.Config{Threads: threads, FS: fs, RangeShift: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := core.NewEngine(img, core.Config{Threads: 4, InMemory: true, RangeShift: 4})
+	mem, err := core.NewEngine(img, core.Config{Threads: threads, InMemory: true, RangeShift: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*core.Engine{"sem": sem, "mem": mem}
+}
+
+// forEachRun runs a fresh program from mk on both engines at 1, 2 and 8
+// threads, hands each to check, and requires every run's ResultSet
+// checksum to be the first one's: the answer must not depend on the
+// worker count or on the engine's I/O path.
+func forEachRun[P interface {
+	core.Algorithm
+	core.ResultProducer
+}](t *testing.T, img *graph.Image, mk func() P, check func(name string, p P)) {
+	t.Helper()
+	var first, firstName string
+	for _, threads := range []int{1, 2, 8} {
+		for name, eng := range enginesAt(t, img, threads) {
+			name = fmt.Sprintf("%s/T%d", name, threads)
+			p := mk()
+			if _, err := eng.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			check(name, p)
+			sum := p.Result().Checksum()
+			if first == "" {
+				first, firstName = sum, name
+			} else if sum != first {
+				t.Fatalf("%s: checksum %s, %s gave %s", name, sum, firstName, first)
+			}
+		}
+	}
 }
 
 func TestBFSMatchesOracle(t *testing.T) {
@@ -160,17 +193,13 @@ func TestWCCMatchesOracle(t *testing.T) {
 func TestBCMatchesOracle(t *testing.T) {
 	g := rmatGraph(t, 9, 6, 4, true)
 	want := galois.BC(g.ref, 0)
-	for name, eng := range engines(t, g.img) {
-		bc := NewBC(0)
-		if _, err := eng.Run(bc); err != nil {
-			t.Fatal(err)
-		}
+	forEachRun(t, g.img, func() *BC { return NewBC(0) }, func(name string, bc *BC) {
 		for v := range want {
 			if math.Abs(bc.Centrality[v]-want[v]) > 1e-6*(1+want[v]) {
 				t.Fatalf("%s: bc[%d] = %v, want %v", name, v, bc.Centrality[v], want[v])
 			}
 		}
-	}
+	})
 }
 
 func TestBCPath(t *testing.T) {
@@ -427,11 +456,7 @@ func TestPPRMatchesOracle(t *testing.T) {
 	}
 	const src = 3
 	want := galois.PPRDelta(ref, src, 30, 0.85, 1e-9, weight)
-	for name, eng := range engines(t, img) {
-		ppr := NewPPR(src)
-		if _, err := eng.Run(ppr); err != nil {
-			t.Fatal(err)
-		}
+	forEachRun(t, img, func() *PPR { return NewPPR(src) }, func(name string, ppr *PPR) {
 		for v := range want {
 			if math.Abs(ppr.Scores[v]-want[v]) > 1e-8*(1+want[v]) {
 				t.Fatalf("%s: ppr[%d] = %v, want %v", name, v, ppr.Scores[v], want[v])
@@ -446,7 +471,7 @@ func TestPPRMatchesOracle(t *testing.T) {
 		if sum > 1+1e-9 || ppr.Scores[src] < (1-ppr.Damping)-1e-12 {
 			t.Fatalf("%s: mass sum %v, score[src] %v", name, sum, ppr.Scores[src])
 		}
-	}
+	})
 }
 
 // TestPPRUnweightedFallsBackUniform runs PPR on an image without edge
@@ -454,16 +479,13 @@ func TestPPRMatchesOracle(t *testing.T) {
 func TestPPRUnweightedFallsBackUniform(t *testing.T) {
 	g := rmatGraph(t, 9, 6, 14, true)
 	want := galois.PPRDelta(g.ref, 0, 30, 0.85, 1e-9, nil)
-	eng := engines(t, g.img)["mem"]
-	ppr := NewPPR(0)
-	if _, err := eng.Run(ppr); err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if math.Abs(ppr.Scores[v]-want[v]) > 1e-8*(1+want[v]) {
-			t.Fatalf("ppr[%d] = %v, want %v", v, ppr.Scores[v], want[v])
+	forEachRun(t, g.img, func() *PPR { return NewPPR(0) }, func(name string, ppr *PPR) {
+		for v := range want {
+			if math.Abs(ppr.Scores[v]-want[v]) > 1e-8*(1+want[v]) {
+				t.Fatalf("%s: ppr[%d] = %v, want %v", name, v, ppr.Scores[v], want[v])
+			}
 		}
-	}
+	})
 }
 
 func TestAlgorithmsReportState(t *testing.T) {

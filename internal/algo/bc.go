@@ -10,16 +10,19 @@ import (
 )
 
 // BC computes betweenness centrality contributions from a single source
-// (§4: "BFS from a vertex, followed by a back propagation" [6]). It
-// needs both edge directions: out-edges drive the forward shortest-path
-// counting, in-edges drive the dependency back propagation.
+// (§4: "BFS from a vertex, followed by a back propagation" [6]). Both
+// phases read out-lists only.
 //
 // Forward phase: level-synchronous BFS where each newly-settled vertex
 // multicasts (level, sigma) to its out-neighbors; receivers on the next
 // level accumulate path counts. Backward phase: levels are replayed
 // deepest-first (the iteration hook activates one level bucket per
-// iteration); each vertex multicasts (1+delta)/sigma to its
-// in-neighbors, and parents one level up accumulate sigma_parent × that.
+// iteration, from maxLevel-1, since the deepest level has no
+// successors); each vertex re-reads its out-list and pulls
+// delta_v = sigma_v × Σ (1+delta_w)/sigma_w over its successors w one
+// level down, in list order. Successors are final since the previous
+// barrier and the vertex writes only its own entry, so the backward
+// phase sends nothing and Centrality is the same at any thread count.
 type BC struct {
 	// Src is the source vertex.
 	Src graph.VertexID
@@ -36,11 +39,6 @@ type BC struct {
 	bucketMu sync.Mutex
 	buckets  [][]graph.VertexID
 }
-
-const (
-	bcForward uint8 = iota
-	bcBackward
-)
 
 // NewBC returns a BC program rooted at src.
 func NewBC(src graph.VertexID) *BC { return &BC{Src: src} }
@@ -64,11 +62,11 @@ func (b *BC) Init(eng core.ExecutionEngine) {
 	eng.ActivateSeed(b.Src)
 }
 
-// Run implements core.Algorithm.
+// Run implements core.Algorithm: both phases read the out-list; the
+// forward phase also records the vertex in its level bucket for the
+// backward replay.
 func (b *BC) Run(ctx *core.Ctx, v graph.VertexID) {
 	if atomic.LoadInt32(&b.phase) == 0 {
-		// Forward: record the vertex in its level bucket for the
-		// backward replay, then push path counts downstream.
 		b.bucketMu.Lock()
 		lvl := int(b.level[v])
 		for len(b.buckets) <= lvl {
@@ -76,72 +74,57 @@ func (b *BC) Run(ctx *core.Ctx, v graph.VertexID) {
 		}
 		b.buckets[lvl] = append(b.buckets[lvl], v)
 		b.bucketMu.Unlock()
-		ctx.RequestSelf(graph.OutEdges)
-		return
 	}
-	// Backward: pull dependency contributions from successors was done
-	// by their multicasts in the previous iteration; now propagate to
-	// parents over in-edges.
-	if ctx.Engine().Directed() {
-		ctx.RequestSelf(graph.InEdges)
-	} else {
-		ctx.RequestSelf(graph.OutEdges)
-	}
+	ctx.RequestSelf(graph.OutEdges)
 }
 
-// RunOnVertex implements core.Algorithm.
+// RunOnVertex implements core.Algorithm: forward, push (level, sigma)
+// downstream; backward, pull the successors' dependencies.
 func (b *BC) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
 	if pv.NumEdges() == 0 {
 		return
 	}
-	targets := ctx.Neighbors(pv)
 	if atomic.LoadInt32(&b.phase) == 0 {
-		ctx.Multicast(targets, core.Message{
-			Kind: bcForward,
-			I64:  int64(b.level[v]),
-			F64:  b.sigma[v],
-		})
+		ctx.Multicast(ctx.Neighbors(pv), core.Message{I64: int64(b.level[v]), F64: b.sigma[v]})
 		return
 	}
-	ctx.Multicast(targets, core.Message{
-		Kind: bcBackward,
-		I64:  int64(b.level[v]),
-		//fg:allowfloat Brandes dependency is float by definition; BC runs only on the vertex engine and is outside the cross-engine bit-identity contract
-		F64: (1 + b.Centrality[v]) / b.sigma[v],
-	})
+	next := b.level[v] + 1
+	var sum float64
+	for _, w := range ctx.Neighbors(pv) {
+		if b.level[w] == next {
+			//fg:allowfloat Brandes dependency, summed in out-list order on the one worker that owns v
+			sum += (1 + b.Centrality[w]) / b.sigma[w]
+		}
+	}
+	//fg:allowfloat Brandes dependency; a pure function of v's out-list and its final successors
+	b.Centrality[v] = b.sigma[v] * sum
 }
 
-// RunOnMessage implements core.Algorithm.
+// RunOnMessage implements core.Algorithm: a forward (level, sigma)
+// message settles v one level below its sender and adds the sender's
+// path count.
 func (b *BC) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
-	switch msg.Kind {
-	case bcForward:
-		senderLevel := int32(msg.I64)
-		if b.level[v] == -1 {
-			b.level[v] = senderLevel + 1
-			for {
-				m := atomic.LoadInt32(&b.maxLevel)
-				if b.level[v] <= m || atomic.CompareAndSwapInt32(&b.maxLevel, m, b.level[v]) {
-					break
-				}
+	senderLevel := int32(msg.I64)
+	if b.level[v] == -1 {
+		b.level[v] = senderLevel + 1
+		for {
+			m := atomic.LoadInt32(&b.maxLevel)
+			if b.level[v] <= m || atomic.CompareAndSwapInt32(&b.maxLevel, m, b.level[v]) {
+				break
 			}
-			ctx.Activate(v)
 		}
-		if b.level[v] == senderLevel+1 {
-			//fg:allowfloat sigma sums integral path counts exactly (< 2^53 paths); float only to share the message F64 slot
-			b.sigma[v] += msg.F64
-		}
-	case bcBackward:
-		// Only parents one level above the sender accumulate.
-		if b.level[v] == int32(msg.I64)-1 {
-			//fg:allowfloat Brandes dependency accumulation; vertex-engine only, not in the bit-identity contract
-			b.Centrality[v] += b.sigma[v] * msg.F64
-		}
+		ctx.Activate(v)
+	}
+	if b.level[v] == senderLevel+1 {
+		//fg:allowfloat sigma sums integral path counts, exact in any order below 2^53 paths
+		b.sigma[v] += msg.F64
 	}
 }
 
 // OnIterationEnd implements core.IterationHook: when the forward
 // frontier empties, switch to the backward phase and replay level
-// buckets deepest-first, one per iteration.
+// buckets deepest-first, one per iteration, down to level 1 (Brandes
+// excludes the source, whose Centrality stays 0).
 func (b *BC) OnIterationEnd(eng *core.Engine) {
 	if atomic.LoadInt32(&b.phase) == 0 {
 		if eng.PendingActivations() > 0 {
@@ -149,17 +132,9 @@ func (b *BC) OnIterationEnd(eng *core.Engine) {
 		}
 		atomic.StoreInt32(&b.phase, 1)
 		b.curLevel = int(atomic.LoadInt32(&b.maxLevel))
-		b.activateBucket(eng, b.curLevel)
-		return
 	}
 	b.curLevel--
-	// Level 0 is the source; its dependency is not defined (Brandes
-	// excludes the source), so stop after level 1 has run.
-	if b.curLevel >= 1 {
-		b.activateBucket(eng, b.curLevel)
-	} else {
-		b.Centrality[b.Src] = 0
-	}
+	b.activateBucket(eng, b.curLevel)
 }
 
 func (b *BC) activateBucket(eng *core.Engine, lvl int) {

@@ -6,7 +6,8 @@
 //     level, whichever of the frontier's out-lists and the unvisited
 //     vertices' in-lists is fewer bytes on the SSDs;
 //   - BC: single-source Brandes betweenness centrality — forward BFS
-//     counting shortest paths, then level-stepped back propagation;
+//     counting shortest paths, then a level-stepped back propagation
+//     that pulls over the same out-lists;
 //   - PageRank: delta-based push [30], 30-iteration cap like Pregel;
 //   - WCC: weakly connected components by label propagation [33];
 //   - TC: triangle counting with neighborhood intersection and

@@ -13,9 +13,13 @@ import (
 // the walk follows edges with probability proportional to their uint32
 // weight (weighted PageRank); on unweighted images it is uniform.
 //
-// Like SSSP, the weighted push is point-to-point (each neighbor's
-// share differs), exercising FlashGraph's edge-attribute streaming;
-// the unweighted fallback multicasts one share like PageRank.
+// PPR is PageRank's vertex form restarted at Src: it holds a PageRank
+// and forwards Run, RunOnMessage and RunOnSums (PPR is a
+// core.SumReceiver) to it, so its deltas are the same Q16.48 fixed-point
+// shares, summed exactly in any order, and Scores are bit-identical at
+// any thread count. Only the weighted split is its own: each edge's
+// share differs, so it goes point-to-point with Ctx.Send, exercising
+// FlashGraph's edge-attribute streaming. PPR has no SpMV form.
 type PPR struct {
 	// Src is the restart vertex.
 	Src graph.VertexID
@@ -33,8 +37,7 @@ type PPR struct {
 	Scores []float64
 
 	weighted bool
-	delta    []float64
-	accum    []float64
+	pr       PageRank // held, not embedded: embedding would promote the SpMV form
 }
 
 // NewPPR returns a personalized PageRank program restarting at src.
@@ -50,80 +53,58 @@ func (p *PPR) Init(eng core.ExecutionEngine) {
 	p.weighted = eng.Weighted()
 	n := eng.NumVertices()
 	p.Scores = make([]float64, n)
-	p.delta = make([]float64, n)
-	p.accum = make([]float64, n)
-	//fg:allowfloat PPR is a float algorithm end to end: vertex-engine only, approximate by design, not in the bit-identity contract
-	p.accum[p.Src] = 1 - p.Damping
+	p.pr = PageRank{Damping: p.Damping, Threshold: p.Threshold, Iters: p.Iters,
+		Scores: p.Scores, accumFix: make([]int64, n)}
+	//fg:allowfloat one-time conversion of float config (Threshold) into fixed point before any worker runs
+	p.pr.thrFix = int64(p.Threshold * prScale)
+	//fg:allowfloat one-time conversion of float config (Damping) into the fixed-point restart delta
+	p.pr.accumFix[p.Src] = int64((1 - p.Damping) * prScale)
 	eng.ActivateSeed(p.Src)
 }
 
-// Run implements core.Algorithm: absorb the accumulated delta and push
-// it along out-edges if there are any.
-func (p *PPR) Run(ctx *core.Ctx, v graph.VertexID) {
-	d := p.accum[v]
-	if d == 0 {
-		return
-	}
-	p.accum[v] = 0
-	//fg:allowfloat float PPR score absorb; vertex-engine only, approximate by design
-	p.Scores[v] += d
-	if ctx.OutDegree(v) == 0 {
-		return
-	}
-	p.delta[v] = d
-	ctx.RequestSelf(graph.OutEdges)
-}
+// Run implements core.Algorithm (PageRank's).
+func (p *PPR) Run(ctx *core.Ctx, v graph.VertexID) { p.pr.Run(ctx, v) }
 
-// RunOnVertex implements core.Algorithm: distribute the damped delta
-// across out-neighbors proportionally to edge weights (uniformly when
-// the image is unweighted or all weights are zero).
+// RunOnVertex implements core.Algorithm: absorb and send each out-edge
+// its weight's part of the damped delta. A list that is unweighted, or
+// whose weights are all zero, takes PageRank's uniform multicast.
 func (p *PPR) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex) {
-	d := p.delta[v]
-	p.delta[v] = 0
-	n := pv.NumEdges()
-	if n == 0 || d == 0 {
-		return
-	}
+	var total uint64
 	if p.weighted {
-		var total uint64
-		for i := 0; i < n; i++ {
+		for i := range pv.NumEdges() {
 			total += uint64(pv.AttrUint32(i))
 		}
-		if total > 0 {
-			// Delta records decode sequentially, so the list is decoded
-			// whole; attribute access stays O(1) per edge.
-			edges := ctx.Neighbors(pv)
-			//fg:allowfloat weighted-walk share scaling; PPR is float/approximate, not in the bit-identity contract
-			scale := p.Damping * d / float64(total)
-			for i, u := range edges {
-				w := pv.AttrUint32(i)
-				if w == 0 {
-					continue // zero-weight edges carry no walk probability
-				}
-				//fg:allowfloat per-edge weighted share; PPR is float/approximate, not in the bit-identity contract
-				ctx.Send(u, core.Message{F64: scale * float64(w)})
-			}
-			return
+	}
+	if total == 0 {
+		p.pr.RunOnVertex(ctx, v, pv)
+		return
+	}
+	d := p.pr.accumFix[v]
+	p.pr.absorb(v, ctx.OutDegree(v))
+	//fg:allowfloat per-vertex function of fixed-point d and integer weights: one expression, evaluated in list order on one worker
+	scale := p.Damping * float64(d) / float64(total)
+	for i, u := range ctx.Neighbors(pv) {
+		if w := pv.AttrUint32(i); w != 0 { // zero-weight edges carry no walk probability
+			//fg:allowfloat the same per-edge share on every engine and thread count; the sum it feeds is fixed point
+			ctx.Send(u, core.Message{I64: int64(scale * float64(w))})
 		}
 	}
-	//fg:allowfloat uniform share fallback; PPR is float/approximate, not in the bit-identity contract
-	share := p.Damping * d / float64(n)
-	ctx.Multicast(ctx.Neighbors(pv), core.Message{F64: share})
 }
 
-// RunOnMessage implements core.Algorithm: accumulate and activate when
-// the delta crosses the threshold (same scheme as PageRank).
+// RunOnSums implements core.SumReceiver (PageRank's).
+func (p *PPR) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
+	p.pr.RunOnSums(ctx, first, sums)
+}
+
+// RunOnMessage implements core.Algorithm (PageRank's), for callers that
+// hide RunOnSums.
 func (p *PPR) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
-	wasBelow := p.accum[v] <= p.Threshold && p.accum[v] >= -p.Threshold
-	//fg:allowfloat float delta accumulation; PPR is approximate by design and vertex-engine only
-	p.accum[v] += msg.F64
-	if wasBelow && (p.accum[v] > p.Threshold || p.accum[v] < -p.Threshold) {
-		ctx.Activate(v)
-	}
+	p.pr.RunOnMessage(ctx, v, msg)
 }
 
-// StateBytes implements core.StateSized.
-func (p *PPR) StateBytes() int64 { return int64(len(p.Scores)) * 24 }
+// StateBytes implements core.StateSized: Scores and the fixed-point
+// pending delta.
+func (p *PPR) StateBytes() int64 { return p.pr.StateBytes() }
 
 // Result implements core.ResultProducer: the per-vertex "score" vector
 // (proximity to Src).

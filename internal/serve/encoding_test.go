@@ -36,7 +36,7 @@ func encodingFixture(t *testing.T, enc graph.Encoding) *Server {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := core.NewShared(img, core.Config{Threads: 1, InMemory: true, RangeShift: 2})
+		sh, err := core.NewShared(img, core.Config{Threads: 4, InMemory: true, RangeShift: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
