@@ -14,12 +14,14 @@ import (
 // weight (weighted PageRank); on unweighted images it is uniform.
 //
 // PPR is PageRank's vertex form restarted at Src: it holds a PageRank
-// and forwards Run, RunOnMessage and RunOnSums (PPR is a
-// core.SumReceiver) to it, so its deltas are the same Q16.48 fixed-point
-// shares, summed exactly in any order, and Scores are bit-identical at
-// any thread count. Only the weighted split is its own: each edge's
-// share differs, so it goes point-to-point with Ctx.Send, exercising
-// FlashGraph's edge-attribute streaming. PPR has no SpMV form.
+// and forwards Run and RunOnMessage to it, so its deltas are the same
+// Q16.48 fixed-point shares, summed exactly in any order, and Scores are
+// bit-identical at any thread count. Only the weighted split is its own:
+// each edge's share differs, so it goes point-to-point with Ctx.Send,
+// exercising FlashGraph's edge-attribute streaming. PPR has no SpMV form
+// and stays off core.SumReceiver: its frontier spreads out from one
+// vertex, and on a long-diameter graph every summed iteration would fold
+// and scan each worker's NumV-long sum array for a handful of sends.
 type PPR struct {
 	// Src is the restart vertex.
 	Src graph.VertexID
@@ -91,13 +93,8 @@ func (p *PPR) RunOnVertex(ctx *core.Ctx, v graph.VertexID, pv *graph.PageVertex)
 	}
 }
 
-// RunOnSums implements core.SumReceiver (PageRank's).
-func (p *PPR) RunOnSums(ctx *core.Ctx, first graph.VertexID, sums []int64) {
-	p.pr.RunOnSums(ctx, first, sums)
-}
-
-// RunOnMessage implements core.Algorithm (PageRank's), for callers that
-// hide RunOnSums.
+// RunOnMessage implements core.Algorithm (PageRank's): one share at a
+// time.
 func (p *PPR) RunOnMessage(ctx *core.Ctx, v graph.VertexID, msg core.Message) {
 	p.pr.RunOnMessage(ctx, v, msg)
 }
